@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import MaxIterations, NonPDHessian, NoStepAccepted
+from .errors import MaxIterations, NonPDHessian, NoStepAccepted, RankDeficientContacts
 
 FEAS_TOL = 1e-9
 
@@ -295,11 +295,15 @@ class BoxFddp:
 
     # -- forward pass -----------------------------------------------------
 
-    def forward_pass(self, alpha: float):
+    def forward_pass(self, alpha: float, min_decrease: float | None = None):
         """Nonlinear rollout at step length alpha with (1-alpha) gap opening.
 
-        Returns None when the trial diverges (non-finite state or cost);
-        numeric overflow along a rejected rollout is expected, not an error.
+        Returns None when the trial diverges (non-finite state or cost) or
+        meets a singular contact set; numeric overflow along a rejected
+        rollout is expected, not an error.  With ``min_decrease`` given, the
+        rollout also returns None as soon as the running cost shows that
+        ``self.cost - cost_try < min_decrease``: node costs are weighted
+        squares, never negative, so the total can only grow from there.
         """
         problem = self.problem
         nodes = problem.nodes
@@ -318,9 +322,14 @@ class BoxFddp:
                 else:
                     u = self.us[k]
                 us_try[k] = u
-                xnext, c = node.calc(xs_try[k], u)
+                try:
+                    xnext, c = node.calc(xs_try[k], u)
+                except RankDeficientContacts:
+                    return None
                 cost += c
                 if not np.isfinite(cost):
+                    return None
+                if min_decrease is not None and self.cost - cost < min_decrease:
                     return None
                 xs_try[k + 1] = xnext if self.feasible else \
                     problem.integrate(xnext, (alpha - 1.0) * self.gaps[k + 1])
@@ -389,21 +398,32 @@ class BoxFddp:
     def _line_search(self):
         was_feasible = self.feasible
         for alpha in self.alphas:
-            out = self.forward_pass(alpha)
+            # without gaps the prediction does not depend on the trial, so
+            # the acceptance threshold is known before the rollout
+            min_decrease = (self._min_decrease(self.expected_improvement(alpha, None))
+                            if was_feasible else None)
+            out = self.forward_pass(alpha, min_decrease)
             if out is None:
                 continue
             xs_try, us_try, cost_try = out
-            expected = self.expected_improvement(alpha, xs_try)
+            if not was_feasible:
+                min_decrease = self._min_decrease(
+                    self.expected_improvement(alpha, xs_try))
             actual = self.cost - cost_try
-            if expected >= 0.0:
-                if actual >= self.goldstein * expected:
-                    # with zero gaps the model always predicts improvement,
-                    # so feasible-start iterations are cost-monotone
-                    assert not was_feasible or actual >= -1e-12
-                    return alpha, xs_try, us_try, cost_try
-            elif actual >= self.neg_step_factor * expected:
-                return alpha, xs_try, us_try, cost_try
+            if not actual >= min_decrease:
+                continue
+            # with zero gaps the model always predicts improvement, so a
+            # feasible iterate never accepts a cost increase
+            if was_feasible and actual < -1e-12:
+                continue
+            return alpha, xs_try, us_try, cost_try
         return None
+
+    def _min_decrease(self, expected: float) -> float:
+        """Smallest accepted cost decrease for a predicted decrease."""
+        if expected >= 0.0:
+            return self.goldstein * expected
+        return self.neg_step_factor * expected
 
     def _increase_mu(self) -> bool:
         if self.mu >= self.mu_max:

@@ -9,11 +9,11 @@ solve the primal-dual system
 with a_C = Jdot*v + psi the constraint-space bias and psi a Baumgarte
 stabilization term 2*zeta*omega*(frame velocity) + omega^2*(position drift).
 The solve goes through the contact-space inertia (Schur complement)
-Mhat = J M^-1 J.T; its factorization is reused by the derivative routines,
-which differentiate the KKT conditions implicitly.  The inner inverse-
-dynamics and frame-acceleration sensitivities are evaluated by central
-finite differences on the configuration manifold; the outer chain rule is
-exact.
+Mhat = J M^-1 J.T.  The derivative routines differentiate the KKT
+conditions implicitly: ``dynamics.tangent_sweep`` gives the exact
+derivatives of the inverse-dynamics and constraint residuals at fixed
+(vdot, lambda) in one sweep over the tree, and the KKT matrix maps them
+onto the sensitivities of (vdot, lambda).
 """
 
 from __future__ import annotations
@@ -22,21 +22,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import mass_matrix, nonlinear_effects, rnea
+from .dynamics import mass_matrix, nonlinear_effects, tangent_sweep
 from .errors import DimensionMismatch, RankDeficientContacts
 from .kinematics import (
+    Kinematics,
     body_jacobians,
-    body_twists,
     forward_kinematics,
     frame_acceleration_bias,
     frame_jacobian,
     frame_positions,
     frame_velocities,
 )
-from .model import RobotModel, integrate_q
+from .model import RobotModel
 
 COND_LIMIT = 1e12
-FD_EPS = 1e-6
 
 
 @dataclass
@@ -70,6 +69,7 @@ class ContactSolution:
     J: np.ndarray = None
     a_C: np.ndarray = None
     tau_b: np.ndarray = None
+    kin: Kinematics = None
 
     def frame_force(self, k: int) -> np.ndarray:
         return self.forces[2 * k: 2 * k + 2]
@@ -82,6 +82,7 @@ class ImpulseSolution:
     kkt_residual: float
     M: np.ndarray = None
     J: np.ndarray = None
+    kin: Kinematics = None
 
 
 @dataclass
@@ -102,14 +103,14 @@ def actuation(model: RobotModel, u: np.ndarray) -> np.ndarray:
     return tau
 
 
-def _baumgarte(model: RobotModel, q, v, contacts: ContactSet, kin=None, tw=None) -> np.ndarray:
+def _baumgarte(model: RobotModel, q, v, contacts: ContactSet, kin=None) -> np.ndarray:
     """Stabilization bias psi stacked per frame."""
     frames = contacts.frames
     w = contacts.baumgarte_freq
     z = contacts.baumgarte_damping
     if kin is None:
         kin = forward_kinematics(model, q)
-    vel = frame_velocities(model, q, v, frames, kin=kin, tw=tw).ravel()
+    vel = frame_velocities(model, q, v, frames, kin=kin).ravel()
     psi = 2.0 * z * w * vel
     if contacts.anchors:
         pos = frame_positions(model, kin, frames)
@@ -133,26 +134,28 @@ def contact_forward_dynamics(model: RobotModel, q, v, u, contacts: ContactSet) -
     """Constrained acceleration and contact forces for torque command u."""
     q = model.check_q(q)
     v = model.check_v(v)
-    M = mass_matrix(model, q)
-    h = nonlinear_effects(model, q, v)
+    kin = forward_kinematics(model, q)
+    M = mass_matrix(model, q, kin=kin)
+    h = nonlinear_effects(model, q, v, kin=kin)
     tau_b = actuation(model, u) - h
 
     if not contacts.frames:
         vdot = np.linalg.solve(M, tau_b)
         res = float(np.abs(M @ vdot - tau_b).max())
         return ContactSolution(vdot=vdot, forces=np.zeros(0), kkt_residual=res,
-                               M=M, J=np.zeros((0, model.nv)), a_C=np.zeros(0), tau_b=tau_b)
+                               M=M, J=np.zeros((0, model.nv)), a_C=np.zeros(0),
+                               tau_b=tau_b, kin=kin)
 
-    kin = forward_kinematics(model, q)
     J = contact_jacobian_stack(model, q, contacts.frames, kin=kin)
     a_C = (frame_acceleration_bias(model, q, v, contacts.frames, kin=kin)
            + _baumgarte(model, q, v, contacts, kin=kin))
 
     Minv_Jt = np.linalg.solve(M, J.T)
     Mhat = J @ Minv_Jt
-    if np.linalg.cond(Mhat) > COND_LIMIT:
+    cond = np.linalg.cond(Mhat)
+    if cond > COND_LIMIT:
         raise RankDeficientContacts(
-            f"contact-space inertia condition {np.linalg.cond(Mhat):.3e} exceeds {COND_LIMIT:.0e}"
+            f"contact-space inertia condition {cond:.3e} exceeds {COND_LIMIT:.0e}"
         )
     lam = -np.linalg.solve(Mhat, a_C + Minv_Jt.T @ tau_b)
     vdot = np.linalg.solve(M, tau_b + J.T @ lam)
@@ -161,7 +164,7 @@ def contact_forward_dynamics(model: RobotModel, q, v, u, contacts: ContactSet) -
         float(np.abs(J @ vdot + a_C).max()),
     )
     return ContactSolution(vdot=vdot, forces=lam, kkt_residual=res,
-                           M=M, J=J, a_C=a_C, tau_b=tau_b)
+                           M=M, J=J, a_C=a_C, tau_b=tau_b, kin=kin)
 
 
 def impulse_dynamics(model: RobotModel, q, v_minus, contacts: ContactSet,
@@ -175,11 +178,13 @@ def impulse_dynamics(model: RobotModel, q, v_minus, contacts: ContactSet,
     v_minus = model.check_v(v_minus)
     if not (0.0 <= restitution <= 1.0):
         raise ValueError("restitution must lie in [0, 1]")
-    M = mass_matrix(model, q)
+    kin = forward_kinematics(model, q)
+    M = mass_matrix(model, q, kin=kin)
     if not contacts.frames:
         return ImpulseSolution(v_plus=v_minus.copy(), impulses=np.zeros(0),
-                               kkt_residual=0.0, M=M, J=np.zeros((0, model.nv)))
-    J = contact_jacobian_stack(model, q, contacts.frames)
+                               kkt_residual=0.0, M=M, J=np.zeros((0, model.nv)),
+                               kin=kin)
+    J = contact_jacobian_stack(model, q, contacts.frames, kin=kin)
     Minv_Jt = np.linalg.solve(M, J.T)
     Mhat = J @ Minv_Jt
     if np.linalg.cond(Mhat) > COND_LIMIT:
@@ -191,7 +196,8 @@ def impulse_dynamics(model: RobotModel, q, v_minus, contacts: ContactSet,
         float(np.abs(M @ (v_plus - v_minus) - J.T @ imp).max()),
         float(np.abs(J @ v_plus + restitution * Jv).max()),
     )
-    return ImpulseSolution(v_plus=v_plus, impulses=imp, kkt_residual=res, M=M, J=J)
+    return ImpulseSolution(v_plus=v_plus, impulses=imp, kkt_residual=res, M=M, J=J,
+                           kin=kin)
 
 
 # ------------------------------------------------------------------ derivatives
@@ -208,61 +214,44 @@ def _kkt_inverse_apply(M, J, rhs_top, rhs_bot):
     return sol[:nv], sol[nv:]
 
 
-def _contact_residuals(model: RobotModel, q, v, vdot, lam_map, contacts: ContactSet):
-    """(F1, F2) at fixed (vdot, lambda): inverse-dynamics and constraint residuals."""
-    kin = forward_kinematics(model, q)
-    tau = rnea(model, q, v, vdot, lam_map, kin=kin)
-    if not contacts.frames:
-        return tau, np.zeros(0)
-    tw = body_twists(model, kin, v)
-    J = contact_jacobian_stack(model, q, contacts.frames, kin=kin)
-    acc = J @ vdot + frame_acceleration_bias(model, q, v, contacts.frames, kin=kin, tw=tw)
-    return tau, acc + _baumgarte(model, q, v, contacts, kin=kin, tw=tw)
-
-
 def contact_dynamics_derivatives(model: RobotModel, q, v, u, contacts: ContactSet,
-                                 sol: ContactSolution | None = None,
-                                 eps: float = FD_EPS) -> DynamicsDerivatives:
-    """First-order sensitivities of (vdot, lambda) w.r.t. state tangent and u."""
+                                 sol: ContactSolution | None = None) -> DynamicsDerivatives:
+    """First-order sensitivities of (vdot, lambda) w.r.t. state tangent and u.
+
+    The residuals F1 = rnea(q, v, vdot, lambda) - S u and F2 = J vdot +
+    Jdot v + psi vanish at the solution; one tangent sweep differentiates
+    both at fixed (vdot, lambda), and the KKT matrix maps them onto the
+    sensitivities.
+    """
     q = model.check_q(q)
     v = model.check_v(v)
     if sol is None:
         sol = contact_forward_dynamics(model, q, v, u, contacts)
     nv, nu, nf = model.nv, model.nu, contacts.nf
-    lam_map = {f: sol.frame_force(k) for k, f in enumerate(contacts.frames)}
-
-    # inner blocks: dF/d(dq), dF/dv by central differences at fixed (vdot, lam)
-    F1_x = np.empty((nv, 2 * nv))
-    F2_x = np.empty((nf, 2 * nv))
-    for i in range(nv):
-        dq = np.zeros(nv)
-        dq[i] = eps
-        t_p, a_p = _contact_residuals(model, integrate_q(model, q, dq), v, sol.vdot, lam_map, contacts)
-        t_m, a_m = _contact_residuals(model, integrate_q(model, q, -dq), v, sol.vdot, lam_map, contacts)
-        F1_x[:, i] = (t_p - t_m) / (2 * eps)
-        F2_x[:, i] = (a_p - a_m) / (2 * eps)
-        dv = np.zeros(nv)
-        dv[i] = eps
-        t_p, a_p = _contact_residuals(model, q, v + dv, sol.vdot, lam_map, contacts)
-        t_m, a_m = _contact_residuals(model, q, v - dv, sol.vdot, lam_map, contacts)
-        F1_x[:, nv + i] = (t_p - t_m) / (2 * eps)
-        F2_x[:, nv + i] = (a_p - a_m) / (2 * eps)
+    frames = contacts.frames
+    lam_map = {f: sol.frame_force(k) for k, f in enumerate(frames)}
+    tan = tangent_sweep(model, sol.kin, v, sol.vdot, lam_map, frames)
+    F1_x = tan.dtau
+    S = np.zeros((nv, nu))
+    S[3:, :] = np.eye(nu)
 
     if nf == 0:
         Minv = np.linalg.inv(sol.M)
-        dvdot_dx = -Minv @ F1_x
-        S = np.zeros((nv, nu))
-        S[3:, :] = np.eye(nu)
         return DynamicsDerivatives(
-            dvdot_dx=dvdot_dx,
+            dvdot_dx=-Minv @ F1_x,
             dvdot_du=Minv @ S,
             dforces_dx=np.zeros((0, 2 * nv)),
             dforces_du=np.zeros((0, nu)),
         )
 
+    # psi = 2 z w (frame velocity) + w^2 (anchored position drift)
+    w, z = contacts.baumgarte_freq, contacts.baumgarte_damping
+    F2_x = tan.dacc + 2.0 * z * w * tan.dvel
+    for k, f in enumerate(frames):
+        if f in contacts.anchors:
+            F2_x[2 * k: 2 * k + 2, :nv] += w * w * sol.J[2 * k: 2 * k + 2]
+
     dvdot_dx, dlam_dx = _kkt_inverse_apply(sol.M, sol.J, -F1_x, -F2_x)
-    S = np.zeros((nv, nu))
-    S[3:, :] = np.eye(nu)
     dvdot_du, dlam_du = _kkt_inverse_apply(sol.M, sol.J, S, np.zeros((nf, nu)))
     return DynamicsDerivatives(dvdot_dx=dvdot_dx, dvdot_du=dvdot_du,
                                dforces_dx=dlam_dx, dforces_du=dlam_du)
@@ -270,34 +259,29 @@ def contact_dynamics_derivatives(model: RobotModel, q, v, u, contacts: ContactSe
 
 def impulse_dynamics_derivatives(model: RobotModel, q, v_minus, contacts: ContactSet,
                                  restitution: float = 0.0,
-                                 sol: ImpulseSolution | None = None,
-                                 eps: float = FD_EPS) -> DynamicsDerivatives:
-    """Sensitivities of (v+, impulses); there is no control channel."""
+                                 sol: ImpulseSolution | None = None) -> DynamicsDerivatives:
+    """Sensitivities of (v+, impulses); there is no control channel.
+
+    The residuals are the gravity-free momentum balance F1 = M (v+ - v-) -
+    J.T impulses and the closure F2 = J (v+ + e v-).
+    """
     q = model.check_q(q)
     v_minus = model.check_v(v_minus)
     if sol is None:
         sol = impulse_dynamics(model, q, v_minus, contacts, restitution)
     nv, nf = model.nv, contacts.nf
-    lam_map = {f: sol.impulses[2 * k: 2 * k + 2] for k, f in enumerate(contacts.frames)}
-    dv = sol.v_plus - v_minus
+    frames = contacts.frames
+    lam_map = {f: sol.impulses[2 * k: 2 * k + 2] for k, f in enumerate(frames)}
     zero = np.zeros(nv)
-
-    def residuals(qq, vm):
-        # gravity-free momentum balance: rnea(q, 0, dv, lam) - g(q)
-        t = rnea(model, qq, zero, dv, lam_map) - rnea(model, qq, zero, zero)
-        J = contact_jacobian_stack(model, qq, contacts.frames)
-        return t, J @ (sol.v_plus + restitution * vm)
-
     F1_x = np.empty((nv, 2 * nv))
     F2_x = np.empty((nf, 2 * nv))
-    for i in range(nv):
-        dq = np.zeros(nv)
-        dq[i] = eps
-        t_p, a_p = residuals(integrate_q(model, q, dq), v_minus)
-        t_m, a_m = residuals(integrate_q(model, q, -dq), v_minus)
-        F1_x[:, i] = (t_p - t_m) / (2 * eps)
-        F2_x[:, i] = (a_p - a_m) / (2 * eps)
-    # velocity block is exact: dF1/dv- = -M, dF2/dv- = e*J
+    # configuration block: F1 is rnea(q, 0, v+ - v-, impulses) without
+    # gravity; F2 is the frame velocity under v+ + e v-
+    F1_x[:, :nv] = tangent_sweep(model, sol.kin, zero, sol.v_plus - v_minus,
+                                 lam_map, gravity=False).dtau[:, :nv]
+    F2_x[:, :nv] = tangent_sweep(model, sol.kin, sol.v_plus + restitution * v_minus,
+                                 frames=frames).dvel[:, :nv]
+    # velocity block: dF1/dv- = -M, dF2/dv- = e*J
     F1_x[:, nv:] = -sol.M
     F2_x[:, nv:] = restitution * sol.J
 

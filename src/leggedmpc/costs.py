@@ -13,6 +13,7 @@ import numpy as np
 
 from . import dynamics
 from .errors import ConfigError
+from .kinematics import forward_kinematics
 from .model import RobotModel
 
 
@@ -182,16 +183,8 @@ def quasi_static_residual(model: RobotModel, q: np.ndarray, u: np.ndarray,
 
 
 def quasi_static_residual_dq(model: RobotModel, q: np.ndarray,
-                             lam_map: dict[int, np.ndarray],
-                             eps: float = 1e-6) -> np.ndarray:
-    """d residual / d q-tangent at fixed forces, by central differences."""
-    from .model import integrate_q
+                             lam_map: dict[int, np.ndarray]) -> np.ndarray:
+    """d residual / d q-tangent at fixed forces: minus the static RNEA tangent."""
     z = np.zeros(model.nv)
-    out = np.empty((model.nv, model.nv))
-    for i in range(model.nv):
-        d = np.zeros(model.nv)
-        d[i] = eps
-        rp = dynamics.rnea(model, integrate_q(model, q, d), z, z, lam_map)
-        rm = dynamics.rnea(model, integrate_q(model, q, -d), z, z, lam_map)
-        out[:, i] = -(rp - rm) / (2.0 * eps)
-    return out
+    tan = dynamics.tangent_sweep(model, forward_kinematics(model, q), z, z, lam_map)
+    return -tan.dtau[:, :model.nv]

@@ -137,13 +137,11 @@ def contact_jacobian(model: RobotModel, q: np.ndarray, frames,
 
 
 def frame_velocities(model: RobotModel, q: np.ndarray, v: np.ndarray, frames,
-                     kin: Kinematics | None = None,
-                     tw: np.ndarray | None = None) -> np.ndarray:
+                     kin: Kinematics | None = None) -> np.ndarray:
     """World linear velocities of contact frames, shape (len(frames), 2)."""
     if kin is None:
         kin = forward_kinematics(model, q)
-    if tw is None:
-        tw = body_twists(model, kin, v)
+    tw = body_twists(model, kin, v)
     out = np.empty((len(frames), 2))
     for k, f in enumerate(frames):
         c = model.contact_frames[f]
@@ -159,8 +157,7 @@ def _perp(u):
 
 
 def frame_acceleration_bias(model: RobotModel, q: np.ndarray, v: np.ndarray, frames,
-                            kin: Kinematics | None = None,
-                            tw: np.ndarray | None = None) -> np.ndarray:
+                            kin: Kinematics | None = None) -> np.ndarray:
     """World acceleration of contact points under zero generalized acceleration.
 
     This is the classical (point) acceleration, i.e. the Jdot*v term of
@@ -171,8 +168,7 @@ def frame_acceleration_bias(model: RobotModel, q: np.ndarray, v: np.ndarray, fra
     if kin is None:
         kin = forward_kinematics(model, model.check_q(q))
     nb = model.nbodies
-    if tw is None:
-        tw = body_twists(model, kin, v)
+    tw = body_twists(model, kin, v)
     acc = np.empty((nb, 3))
     acc[0] = 0.0
     for i in range(1, nb):

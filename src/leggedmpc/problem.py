@@ -16,6 +16,7 @@ import numpy as np
 from . import contact as ct
 from . import costs as co
 from . import model as mod
+from .dynamics import tangent_sweep
 from .errors import ScheduleError
 from .kinematics import forward_kinematics, frame_positions, frame_velocities
 from .model import RobotModel
@@ -24,8 +25,6 @@ from .schedule import ContactSchedule, evaluate_swing
 # Incremented whenever a node object is constructed; lets callers assert that
 # steady-state problem updates reuse the existing pool instead of rebuilding.
 NODE_ALLOCATIONS = 0
-
-_FD_EPS = 1e-6
 
 
 @dataclass
@@ -119,17 +118,9 @@ def _bounds_cost(model, q, v, weights, bounds, mult, acc, with_jac):
     acc.add(rv, np.full(nv, w), Jx=Jv)
 
 
-def _swing_vel_dq(model, q, v, frames, eps=_FD_EPS):
-    """d(foot velocities)/d q-tangent by central differences, stacked."""
-    nv = model.nv
-    out = np.empty((2 * len(frames), nv))
-    for i in range(nv):
-        d = np.zeros(nv)
-        d[i] = eps
-        vp = frame_velocities(model, mod.integrate_q(model, q, d), v, frames)
-        vm = frame_velocities(model, mod.integrate_q(model, q, -d), v, frames)
-        out[:, i] = (vp - vm).ravel() / (2.0 * eps)
-    return out
+def _swing_vel_dq(model, kin, v, frames):
+    """d(foot velocities)/d q-tangent, d(J v)/dq, stacked per frame."""
+    return tangent_sweep(model, kin, v, frames=frames).dvel[:, :model.nv]
 
 
 class RunningNode:
@@ -179,14 +170,14 @@ class RunningNode:
 
         if self.swing:
             frames = sorted(self.swing)
-            kin = forward_kinematics(model, q)
+            kin = sol.kin
             pos = frame_positions(model, kin, frames)
             vel = frame_velocities(model, q, v, frames, kin=kin)
             if with_jac:
                 Jp = np.zeros((2 * len(frames), 2 * nv))
                 Jp[:, :nv] = ct.contact_jacobian_stack(model, q, frames, kin=kin)
                 Jv = np.zeros((2 * len(frames), 2 * nv))
-                Jv[:, :nv] = _swing_vel_dq(model, q, v, frames)
+                Jv[:, :nv] = _swing_vel_dq(model, kin, v, frames)
                 Jv[:, nv:] = Jp[:, :nv]
             else:
                 Jp = Jv = None

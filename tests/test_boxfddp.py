@@ -7,7 +7,7 @@ import scipy.optimize
 
 from leggedmpc import boxfddp, costs as co, presets, problem, schedule
 from leggedmpc.boxfddp import BoxFddp, boxqp, boxqp_kkt_violation
-from leggedmpc.errors import NonPDHessian
+from leggedmpc.errors import NonPDHessian, RankDeficientContacts
 
 
 # ----------------------------------------------------------------- box QP
@@ -267,6 +267,50 @@ def test_mu_floor_and_ceiling_after_accepted_steps():
     assert solver.accepted_steps == 2
     assert solver.log[-1][4] == 2.0 ** -6
     assert solver.mu == solver.mu_max
+
+
+def test_singular_trial_contact_set_rejects_trial():
+    prob, _ = make_lqr()
+    solver = BoxFddp(prob)
+    solver.set_candidate()
+    trial = {}
+    forward_pass = solver.forward_pass
+
+    def tracking_forward_pass(alpha, *args):
+        trial["alpha"] = alpha
+        return forward_pass(alpha, *args)
+
+    node = prob.nodes[3]
+    calc = node.calc
+
+    def calc_singular_at_full_step(x, u):
+        if trial.get("alpha") == 1.0:
+            raise RankDeficientContacts("singular trial contact set")
+        return calc(x, u)
+
+    solver.forward_pass = tracking_forward_pass
+    node.calc = calc_singular_at_full_step
+    assert solver.solve_one_iteration() is False
+    assert solver.log[-1][4] == 0.5
+
+
+@pytest.mark.parametrize("goldstein, expected", [
+    (0.1, -10.0),   # the model predicts an increase larger than the actual one
+    (-1.0, 10.0),   # a lenient Goldstein factor with an optimistic prediction
+])
+def test_feasible_iterate_never_accepts_cost_increase(goldstein, expected):
+    prob, _ = make_lqr()
+    solver = BoxFddp(prob)
+    solver.set_candidate()
+    assert solver.feasible
+    solver.compute_derivatives()
+    solver.backward_pass()
+    solver.goldstein = goldstein
+    solver.alphas = (1.0,)
+    xs_try, us_try, _ = solver.forward_pass(1.0)
+    solver.forward_pass = lambda alpha, *args: (xs_try, us_try, solver.cost + 1.0)
+    solver.expected_improvement = lambda alpha, xs: expected
+    assert solver._line_search() is None
 
 
 # --------------------------------------------------- feasibility mechanics
@@ -585,3 +629,56 @@ def test_pendulum_clamped_gain_rows_zero():
         if solver.solve_one_iteration():
             break
     assert saw_clamped
+
+
+class FullRolloutFddp(BoxFddp):
+    """Box-FDDP that rolls every trial out to the last node."""
+
+    def forward_pass(self, alpha, min_decrease=None):
+        return super().forward_pass(alpha)
+
+
+def test_early_trial_stop_keeps_iterates_identical():
+    calcs = [0]     # node calcs per forward pass, last entry open
+
+    class CountingNode(PendulumNode):
+        def calc(self, x, u):
+            calcs[-1] += 1
+            return super().calc(x, u)
+
+    def counted(cls):
+        class Counted(cls):
+            def forward_pass(self, alpha, min_decrease=None):
+                calcs.append(0)
+                return super().forward_pass(alpha, min_decrease)
+        return Counted
+
+    for us0 in pend_control_guesses():
+        solvers = []
+        for cls in (BoxFddp, FullRolloutFddp):
+            prob = EuclidProblem(np.zeros(2),
+                                 [CountingNode() for _ in range(PEND_N)],
+                                 PendulumTerminal())
+            solver = counted(cls)(prob, tol=1e-7)
+            solver.set_candidate(xs=None, us=[np.array([v]) for v in us0])
+            solver.solve(max_iters=300)
+            solvers.append(solver)
+        early, full = solvers
+        assert early.status == full.status
+        assert early.iteration_log_csv() == full.iteration_log_csv()
+        for a, b in zip(early.xs + early.us, full.xs + full.us):
+            assert np.array_equal(a, b)
+
+    # from the swing-up optimum, a reversed feed-forward dooms every trial;
+    # the full rollouts reject the same steps the early stops cut short
+    trials = {}
+    for solver in (early, full):
+        solver.compute_derivatives()
+        solver.backward_pass()
+        solver.policy.k_ff = [-2.0 * u for u in solver.us]
+        del calcs[:]
+        assert solver._line_search() is None
+        trials[solver] = list(calcs)
+    assert len(trials[early]) == len(trials[full]) == len(BoxFddp.alphas)
+    assert all(n == PEND_N for n in trials[full])
+    assert min(trials[early]) < PEND_N

@@ -1,0 +1,180 @@
+"""Exact derivatives of the node dynamics against finite-difference oracles.
+
+``dynamics.tangent_sweep`` feeds every derivative of the contact, impulse,
+swing and quasi-static terms; here each consumer is checked against
+central differences of the function it differentiates, and a call count
+keeps finite differences from creeping back into the runtime paths.
+"""
+
+import itertools
+import sys
+
+import numpy as np
+import pytest
+
+from leggedmpc import contact as ct
+from leggedmpc import costs as co
+from leggedmpc import dynamics, kinematics, presets, problem, schedule
+from leggedmpc import model as mod
+
+from helpers import fd_config_jacobian, fd_state_jacobian, rel_err, random_state
+
+TOL = 1e-6
+
+MODELS = {
+    "default_quadruped": presets.default_quadruped,
+    "base_pendulum": presets.base_pendulum,
+    "single_body": lambda: presets.single_body(contact_offset=(0.1, -0.2)),
+}
+
+
+@pytest.fixture(params=sorted(MODELS))
+def robot(request):
+    return MODELS[request.param]()
+
+
+def contact_sets(m, kin):
+    """Every subset of the model's feet, without and with offset anchors."""
+    feet = range(len(m.contact_frames))
+    for r in range(len(m.contact_frames) + 1):
+        for frames in itertools.combinations(feet, r):
+            yield ct.ContactSet(frames=frames)
+            if frames:
+                yield ct.ContactSet(frames=frames, anchors={
+                    f: kinematics.frame_position(m, kin, f) + 0.01 for f in frames})
+
+
+def test_tangent_sweep_matches_fd(robot):
+    rng = np.random.default_rng(0)
+    x = random_state(robot, rng, spread=0.4)
+    q, v = mod.split_state(robot, x)
+    a = rng.normal(size=robot.nv)
+    frames = tuple(range(len(robot.contact_frames)))
+    lam = {f: rng.normal(size=2) for f in frames}
+    tan = dynamics.tangent_sweep(robot, kinematics.forward_kinematics(robot, q),
+                                 v, a, lam, frames)
+
+    def tau(xx):
+        return dynamics.rnea(robot, *mod.split_state(robot, xx), a, lam)
+
+    def vel(xx):
+        return kinematics.frame_velocities(
+            robot, *mod.split_state(robot, xx), frames).ravel()
+
+    def acc(xx):
+        qq, vv = mod.split_state(robot, xx)
+        return (kinematics.contact_jacobian(robot, qq, frames) @ a
+                + kinematics.frame_acceleration_bias(robot, qq, vv, frames))
+
+    assert rel_err(tan.dtau, fd_state_jacobian(robot, tau, x)) < TOL
+    assert rel_err(tan.dvel, fd_state_jacobian(robot, vel, x)) < TOL
+    assert rel_err(tan.dacc, fd_state_jacobian(robot, acc, x)) < TOL
+
+
+def test_contact_derivatives_exact(robot):
+    rng = np.random.default_rng(1)
+    q0, _ = mod.split_state(robot, random_state(robot, rng, spread=0.2))
+    for contacts in contact_sets(robot, kinematics.forward_kinematics(robot, q0)):
+        x = random_state(robot, rng, spread=0.2)
+        q, v = mod.split_state(robot, x)
+        u = rng.normal(size=robot.nu)
+        der = ct.contact_dynamics_derivatives(robot, q, v, u, contacts)
+
+        def solve(xx):
+            sol = ct.contact_forward_dynamics(robot, *mod.split_state(robot, xx),
+                                              u, contacts)
+            return np.concatenate([sol.vdot, sol.forces])
+
+        fd = fd_state_jacobian(robot, solve, x)
+        got = np.vstack([der.dvdot_dx, der.dforces_dx])
+        assert rel_err(got, fd) < TOL, (contacts.frames, bool(contacts.anchors))
+
+
+@pytest.mark.parametrize("restitution", [0.0, 0.4])
+def test_impulse_derivatives_exact(robot, restitution):
+    rng = np.random.default_rng(2)
+    x = random_state(robot, rng, spread=0.2)
+    contacts = ct.ContactSet(frames=tuple(range(min(2, len(robot.contact_frames)))))
+    der = ct.impulse_dynamics_derivatives(robot, *mod.split_state(robot, x),
+                                          contacts, restitution)
+
+    def solve(xx):
+        sol = ct.impulse_dynamics(robot, *mod.split_state(robot, xx), contacts,
+                                  restitution)
+        return np.concatenate([sol.v_plus, sol.impulses])
+
+    fd = fd_state_jacobian(robot, solve, x)
+    assert rel_err(np.vstack([der.dvdot_dx, der.dforces_dx]), fd) < TOL
+
+
+def test_swing_vel_dq_exact(robot):
+    rng = np.random.default_rng(3)
+    q, v = mod.split_state(robot, random_state(robot, rng, spread=0.4))
+    frames = tuple(range(len(robot.contact_frames)))
+    got = problem._swing_vel_dq(robot, kinematics.forward_kinematics(robot, q),
+                                v, frames)
+    fd = fd_config_jacobian(
+        robot, lambda qq: kinematics.frame_velocities(robot, qq, v, frames).ravel(), q)
+    assert rel_err(got, fd) < TOL
+
+
+def test_quasi_static_residual_dq_exact(robot):
+    rng = np.random.default_rng(4)
+    q, _ = mod.split_state(robot, random_state(robot, rng, spread=0.4))
+    u = rng.normal(size=robot.nu)
+    lam = {f: rng.normal(size=2) for f in range(len(robot.contact_frames))}
+    got = co.quasi_static_residual_dq(robot, q, lam)
+    fd = fd_config_jacobian(
+        robot, lambda qq: co.quasi_static_residual(robot, qq, u, lam), q)
+    assert rel_err(got, fd) < TOL
+
+
+# ------------------------------------------------- no runtime finite differences
+
+def count_forward_kinematics(monkeypatch):
+    """Count forward-kinematics calls, rebinding every imported copy."""
+    original = kinematics.forward_kinematics
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "leggedmpc" or name.startswith("leggedmpc."):
+            for attr, obj in list(vars(module).items()):
+                if obj is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def trot_stance_node(quad):
+    q0 = presets.nominal_configuration(quad)
+    kin = kinematics.forward_kinematics(quad, q0)
+    placements = {f: kinematics.frame_position(quad, kin, f) for f in range(4)}
+    sched = schedule.trot((0, 2), (1, 3), placements, lead_in=0.04, swing=0.2,
+                          double_support=0.1, stride=0.1, cycles=1)
+    prob = problem.build_problem(quad, sched, co.default_weights(quad, q0),
+                                 co.default_bounds(quad, q0),
+                                 presets.nominal_state(quad), N=10, dt=0.02)
+    return next(n for n in prob.nodes if n.kind == "running"
+                and len(n.swing) == 2 and len(n.contacts.frames) == 2)
+
+
+def test_stance_calc_diff_runs_no_finite_differences(monkeypatch):
+    quad = presets.default_quadruped()
+    node = trot_stance_node(quad)
+    x = random_state(quad, np.random.default_rng(5), spread=0.1)
+    u = np.zeros(quad.nu)
+    calls = count_forward_kinematics(monkeypatch)
+    node.calc_diff(x, u)
+    assert len(calls) <= 4
+
+
+def test_contact_forward_dynamics_runs_kinematics_once(monkeypatch):
+    quad = presets.default_quadruped()
+    q, v = mod.split_state(quad, presets.nominal_state(quad))
+    calls = count_forward_kinematics(monkeypatch)
+    ct.contact_forward_dynamics(quad, q, v, np.zeros(quad.nu),
+                                ct.ContactSet(frames=(0, 1, 2, 3)))
+    assert len(calls) == 1
