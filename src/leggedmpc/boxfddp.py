@@ -308,11 +308,12 @@ class BoxFddp:
         problem = self.problem
         nodes = problem.nodes
         policy = self.policy
+        feasible = self.feasible
         xs_try = [None] * len(self.xs)
         us_try = [None] * len(self.us)
         with np.errstate(over="ignore", invalid="ignore"):
             xs_try[0] = problem.integrate(problem.x0, (alpha - 1.0) * self.gaps[0]) \
-                if not self.feasible else np.array(problem.x0, copy=True)
+                if not feasible else np.array(problem.x0, copy=True)
             cost = 0.0
             for k, node in enumerate(nodes):
                 dx = problem.diff(xs_try[k], self.xs[k])
@@ -331,7 +332,7 @@ class BoxFddp:
                     return None
                 if min_decrease is not None and self.cost - cost < min_decrease:
                     return None
-                xs_try[k + 1] = xnext if self.feasible else \
+                xs_try[k + 1] = xnext if feasible else \
                     problem.integrate(xnext, (alpha - 1.0) * self.gaps[k + 1])
                 if not np.all(np.isfinite(xs_try[k + 1])):
                     return None

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import se2
-from .dynamics import _body_inertias
-from .kinematics import body_jacobians, forward_kinematics, motion_transform
+from .kinematics import forward_kinematics, motion_transform
 from .model import RobotModel
 
 
@@ -26,8 +25,8 @@ def centroidal(model: RobotModel, q: np.ndarray, v: np.ndarray) -> CentroidalQua
     q = model.check_q(q)
     v = model.check_v(v)
     kin = forward_kinematics(model, q)
-    B = body_jacobians(model, kin)
-    inertias = _body_inertias(model)
+    B = kin.B
+    inertias = model.spatial_inertias
     m_tot = model.total_mass
 
     coms = np.empty((model.nbodies, 2))

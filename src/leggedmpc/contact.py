@@ -9,11 +9,17 @@ solve the primal-dual system
 with a_C = Jdot*v + psi the constraint-space bias and psi a Baumgarte
 stabilization term 2*zeta*omega*(frame velocity) + omega^2*(position drift).
 The solve goes through the contact-space inertia (Schur complement)
-Mhat = J M^-1 J.T.  The derivative routines differentiate the KKT
-conditions implicitly: ``dynamics.tangent_sweep`` gives the exact
-derivatives of the inverse-dynamics and constraint residuals at fixed
-(vdot, lambda) in one sweep over the tree, and the KKT matrix maps them
-onto the sensitivities of (vdot, lambda).
+Mhat = J M^-1 J.T.  One call runs forward kinematics once and the body
+twists once: M, h, the contact Jacobian (stacked from the body Jacobians
+for all frames at once), the frame acceleration bias and the Baumgarte
+velocities all read that ``Kinematics`` and twist array, and the solution
+keeps the ``Kinematics`` for its derivatives.
+
+The derivative routines differentiate the KKT conditions implicitly:
+``dynamics.tangent_sweep`` gives the exact derivatives of the
+inverse-dynamics and constraint residuals at fixed (vdot, lambda) in one
+sweep over the tree, and the KKT matrix maps them onto the sensitivities of
+(vdot, lambda).
 """
 
 from __future__ import annotations
@@ -26,10 +32,9 @@ from .dynamics import mass_matrix, nonlinear_effects, tangent_sweep
 from .errors import DimensionMismatch, RankDeficientContacts
 from .kinematics import (
     Kinematics,
-    body_jacobians,
+    body_twists,
     forward_kinematics,
     frame_acceleration_bias,
-    frame_jacobian,
     frame_positions,
     frame_velocities,
 )
@@ -103,14 +108,15 @@ def actuation(model: RobotModel, u: np.ndarray) -> np.ndarray:
     return tau
 
 
-def _baumgarte(model: RobotModel, q, v, contacts: ContactSet, kin=None) -> np.ndarray:
-    """Stabilization bias psi stacked per frame."""
+def _baumgarte(model: RobotModel, q, v, contacts: ContactSet, kin=None,
+               tw=None) -> np.ndarray:
+    """Stabilization bias psi stacked per frame (``tw``: body twists under v)."""
     frames = contacts.frames
     w = contacts.baumgarte_freq
     z = contacts.baumgarte_damping
     if kin is None:
         kin = forward_kinematics(model, q)
-    vel = frame_velocities(model, q, v, frames, kin=kin).ravel()
+    vel = frame_velocities(model, q, v, frames, kin=kin, tw=tw).ravel()
     psi = 2.0 * z * w * vel
     if contacts.anchors:
         pos = frame_positions(model, kin, frames)
@@ -122,12 +128,18 @@ def _baumgarte(model: RobotModel, q, v, contacts: ContactSet, kin=None) -> np.nd
 
 
 def contact_jacobian_stack(model: RobotModel, q, frames, kin=None) -> np.ndarray:
+    """Stacked world point-velocity Jacobian (2*len(frames), nv) of contact frames.
+
+    Frame k on body b at offset r moves with R_b (B_b[:2] + perp(r) B_b[2]),
+    evaluated for all frames in one batch.
+    """
     if kin is None:
         kin = forward_kinematics(model, q)
-    B = body_jacobians(model, kin)
-    if len(frames) == 0:
-        return np.zeros((0, model.nv))
-    return np.vstack([frame_jacobian(model, kin, B, f) for f in frames])
+    idx = np.asarray(frames, dtype=int).reshape(-1)
+    b, r = model.contact_bodies[idx], model.contact_offsets[idx]
+    Bb = kin.B[b]
+    local = Bb[:, :2] + np.stack([-r[:, 1], r[:, 0]], -1)[:, :, None] * Bb[:, 2:]
+    return (kin.R[b] @ local).reshape(-1, model.nv)
 
 
 def contact_forward_dynamics(model: RobotModel, q, v, u, contacts: ContactSet) -> ContactSolution:
@@ -147,8 +159,9 @@ def contact_forward_dynamics(model: RobotModel, q, v, u, contacts: ContactSet) -
                                tau_b=tau_b, kin=kin)
 
     J = contact_jacobian_stack(model, q, contacts.frames, kin=kin)
-    a_C = (frame_acceleration_bias(model, q, v, contacts.frames, kin=kin)
-           + _baumgarte(model, q, v, contacts, kin=kin))
+    tw = body_twists(model, kin, v)
+    a_C = (frame_acceleration_bias(model, q, v, contacts.frames, kin=kin, tw=tw)
+           + _baumgarte(model, q, v, contacts, kin=kin, tw=tw))
 
     Minv_Jt = np.linalg.solve(M, J.T)
     Mhat = J @ Minv_Jt

@@ -29,9 +29,8 @@ from .centroidal import centroidal
 from .costs import Bounds, FrictionCone, cone_matrices
 from .dynamics import mass_matrix, nonlinear_effects
 from .errors import ConfigError, MaxIterations, Stage1Infeasible
-from .kinematics import (contact_jacobian, forward_kinematics,
-                         frame_acceleration_bias, frame_positions,
-                         frame_velocities)
+from .kinematics import (forward_kinematics, frame_acceleration_bias,
+                         frame_positions, frame_velocities)
 from .model import RobotModel
 from .mpc import PolicyMessage
 
@@ -437,7 +436,7 @@ def stance_tasks(model: RobotModel, gains: WbcGains, x, x_ref, u_ff,
 
     M = mass_matrix(model, q)
     h = nonlinear_effects(model, q, v)
-    Jc = contact_jacobian(model, q, frames)
+    Jc = ct.contact_jacobian_stack(model, q, frames)
     S = np.zeros((nv, nu))
     S[nv - nu:, :] = np.eye(nu)
     A1 = np.zeros((nv + nf, ny))
@@ -467,12 +466,12 @@ def stance_tasks(model: RobotModel, gains: WbcGains, x, x_ref, u_ff,
         pos_d = frame_positions(model, kin_d, swing).ravel()
         vel = frame_velocities(model, q, v, swing, kin=kin).ravel()
         vel_d = frame_velocities(model, q_d, v_d, swing, kin=kin_d).ravel()
-        acc_d = (contact_jacobian(model, q_d, swing, kin=kin_d) @ vdot_ref
+        acc_d = (ct.contact_jacobian_stack(model, q_d, swing, kin=kin_d) @ vdot_ref
                  + frame_acceleration_bias(model, q_d, v_d, swing, kin=kin_d))
         target = (acc_d + gains.swing_kp * (pos_d - pos)
                   + gains.swing_kd * (vel_d - vel))
         A = np.zeros((2 * len(swing), ny))
-        A[:, :nv] = contact_jacobian(model, q, swing, kin=kin)
+        A[:, :nv] = ct.contact_jacobian_stack(model, q, swing, kin=kin)
         tasks.append(WbcTask(A, target - frame_acceleration_bias(
             model, q, v, swing, kin=kin), rank=1, name="swing"))
 

@@ -152,26 +152,6 @@ def interval_violation(z: np.ndarray, lb: np.ndarray, ub: np.ndarray):
     return np.maximum(0.0, z - ub) + np.minimum(0.0, z - lb)
 
 
-def statebounds_penalty(q: np.ndarray, v: np.ndarray, bounds: Bounds, w: float,
-                        nv: int):
-    """Quadratic penalty outside the joint position/velocity box.
-
-    Returns (value, gradient over the 2*nv state tangent, GN Hessian diag).
-    Joint coordinates are Euclidean, so configuration rows map one-to-one
-    onto tangent rows 3..nv-1.
-    """
-    rq = interval_violation(q, bounds.q_lb, bounds.q_ub)
-    rv = interval_violation(v, bounds.v_lb, bounds.v_ub)
-    value = w * (float(rq @ rq) + float(rv @ rv))
-    grad = np.zeros(2 * nv)
-    hdiag = np.zeros(2 * nv)
-    grad[3:nv] = 2.0 * w * rq[3:]
-    grad[nv + 3:] = 2.0 * w * rv[3:]
-    hdiag[3:nv] = np.where(rq[3:] != 0.0, 2.0 * w, 0.0)
-    hdiag[nv + 3:] = np.where(rv[3:] != 0.0, 2.0 * w, 0.0)
-    return value, grad, hdiag
-
-
 # ----------------------------------------------- quasi-static regularization
 
 def quasi_static_residual(model: RobotModel, q: np.ndarray, u: np.ndarray,

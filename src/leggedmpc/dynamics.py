@@ -1,4 +1,4 @@
-"""Inverse dynamics (recursive Newton-Euler), its exact tangent sweep and the mass matrix.
+"""Inverse dynamics, its exact tangent sweep and the mass matrix.
 
 Sign conventions: ``rnea(model, q, v, a, forces)`` returns the generalized
 force tau with
@@ -8,6 +8,13 @@ force tau with
 so gravity enters as a bias (``rnea(q, 0, 0)`` is the force needed to hold
 the robot statically) and contact forces ``lambda`` are world-frame forces
 applied *on* the robot at contact frames.
+
+``rnea`` and ``mass_matrix`` work on the body Jacobians B_i that
+``forward_kinematics`` returns (Featherstone, *Rigid Body Dynamics
+Algorithms*, 2008): body twists are tw = B v, body accelerations come from
+one pass per tree depth, tau = sum_i B_i.T f_i is one product, and the
+joint-space inertia is M = sum_i B_i.T I_i B_i.  ``tangent_sweep``
+differentiates the same recursion body by body.
 """
 
 from __future__ import annotations
@@ -19,22 +26,12 @@ import numpy as np
 from . import se2
 from .kinematics import (
     Kinematics,
+    bias_accelerations,
     crf,
     crm,
     forward_kinematics,
-    spatial_inertia,
 )
 from .model import RobotModel
-
-
-def _body_inertias(model: RobotModel) -> np.ndarray:
-    cached = getattr(model, "_spatial_inertias", None)
-    if cached is None:
-        cached = np.array(
-            [spatial_inertia(b.mass, np.asarray(b.com), b.inertia) for b in model.bodies]
-        )
-        model._spatial_inertias = cached
-    return cached
 
 
 def rnea(model: RobotModel, q: np.ndarray, v: np.ndarray, a: np.ndarray,
@@ -43,47 +40,37 @@ def rnea(model: RobotModel, q: np.ndarray, v: np.ndarray, a: np.ndarray,
     """Generalized force tau = M(q) a + h(q, v) - J_C.T lambda.
 
     ``contact_forces`` maps contact-frame index -> world-frame force (2,).
+    Body accelerations are B a plus the velocity bias of
+    ``bias_accelerations`` plus gravity, folded in as a fictitious upward
+    world acceleration; each body's net force f_i then reaches tau as
+    B_i.T f_i.
     """
     q = model.check_q(q)
     v = model.check_v(v)
     a = model.check_v(a)
     if kin is None:
         kin = forward_kinematics(model, q)
-    nb = model.nbodies
-    I = _body_inertias(model)
-
-    # forward pass: twists and accelerations in body coordinates; gravity is
-    # folded in as a fictitious upward world acceleration
-    tw = np.empty((nb, 3))
-    ac = np.empty((nb, 3))
-    g_world = np.array([-model.gravity[0], -model.gravity[1], 0.0])
-    tw[0] = v[:3]
-    ac[0] = kin.X[0] @ g_world + a[:3]
-    for i in range(1, nb):
-        p = model.joints[i].parent
-        Svj = np.array([0.0, 0.0, v[2 + i]])
-        tw[i] = kin.X[i] @ tw[p] + Svj
-        ac[i] = kin.X[i] @ ac[p] + np.array([0.0, 0.0, a[2 + i]]) + crm(tw[i]) @ Svj
-
-    # net body forces
-    f = np.empty((nb, 3))
-    for i in range(nb):
-        f[i] = I[i] @ ac[i] + crf(tw[i]) @ (I[i] @ tw[i])
+    B, I = kin.B, model.spatial_inertias
+    tw = B @ v
+    ac = B @ a + bias_accelerations(model, kin, v, tw)
+    # world gravity seen in each body frame: R_i.T (-g)
+    ac[:, :2] -= model.gravity @ kin.R
+    mom = (I @ tw[:, :, None])[..., 0]
+    # f = I ac + crf(tw) I tw
+    f = (I @ ac[:, :, None])[..., 0]
+    f[:, 0] -= tw[:, 2] * mom[:, 1]
+    f[:, 1] += tw[:, 2] * mom[:, 0]
+    f[:, 2] += tw[:, 0] * mom[:, 1] - tw[:, 1] * mom[:, 0]
     if contact_forces:
-        for frame, lam in contact_forces.items():
-            c = model.contact_frames[frame]
-            RT = se2.rot(kin.pose[c.body, 2]).T
-            fl = RT @ np.asarray(lam, dtype=float)
-            rx, ry = c.offset
-            f[c.body, :2] -= fl
-            f[c.body, 2] -= rx * fl[1] - ry * fl[0]
-
-    # backward pass
-    tau = np.zeros(model.nv)
-    for i in range(nb - 1, 0, -1):
-        tau[2 + i] = f[i, 2] + model.reflected_inertia[i - 1] * a[2 + i]
-        f[model.joints[i].parent] += kin.X[i].T @ f[i]
-    tau[:3] = f[0]
+        frames = list(contact_forces)
+        b = model.contact_bodies[frames]
+        r = model.contact_offsets[frames]
+        lam = np.array([contact_forces[k] for k in frames], dtype=float)
+        fl = (lam[:, None, :] @ kin.R[b])[:, 0]      # R_b.T lam, body frame
+        w = np.column_stack([fl, r[:, 0] * fl[:, 1] - r[:, 1] * fl[:, 0]])
+        np.subtract.at(f, b, w)
+    tau = f.ravel() @ B.reshape(-1, model.nv)
+    tau[3:] += model.reflected_inertia * a[3:]
     return tau
 
 
@@ -192,7 +179,7 @@ def tangent_sweep(model: RobotModel, kin: Kinematics, v: np.ndarray,
     if not dyn:
         return Tangents(dtau=None, dvel=dvel, dacc=None)
 
-    I = _body_inertias(model)
+    I = model.spatial_inertias
     f = np.empty((nb, 3))
     df = np.empty((nb, 3, n))
     for i in range(nb):
@@ -242,31 +229,18 @@ def gravity_torque(model: RobotModel, q: np.ndarray,
 
 def mass_matrix(model: RobotModel, q: np.ndarray,
                 kin: Kinematics | None = None) -> np.ndarray:
-    """Composite-rigid-body mass matrix, symmetric positive definite."""
+    """Joint-space inertia M = sum_i B_i.T I_i B_i plus the reflected inertia.
+
+    Symmetric positive definite.  The sum is one product of the stacked body
+    Jacobians with the inertia-weighted ones; the reflected inertia adds to
+    the joint diagonal.
+    """
     q = model.check_q(q)
     if kin is None:
         kin = forward_kinematics(model, q)
-    nb, nv = model.nbodies, model.nv
-    Ic = _body_inertias(model).copy()
-    for i in range(nb - 1, 0, -1):
-        p = model.joints[i].parent
-        Ic[p] += kin.X[i].T @ Ic[i] @ kin.X[i]
-
-    M = np.zeros((nv, nv))
-    M[:3, :3] = Ic[0]
-    for i in range(1, nb):
-        # force transmitted through joint i's axis, pushed up the tree
-        F = Ic[i][:, 2].copy()
-        row = 2 + i
-        M[row, row] = F[2] + model.reflected_inertia[i - 1]
-        j = i
-        while model.joints[j].parent >= 0:
-            F = kin.X[j].T @ F
-            j = model.joints[j].parent
-            if j == 0:
-                M[row, :3] = F
-                M[:3, row] = F
-            else:
-                M[row, 2 + j] = F[2]
-                M[2 + j, row] = F[2]
+    nv = model.nv
+    B = kin.B
+    M = B.reshape(-1, nv).T @ (model.spatial_inertias @ B).reshape(-1, nv)
+    joints = np.arange(3, nv)
+    M[joints, joints] += model.reflected_inertia
     return M

@@ -29,6 +29,10 @@ class Stage1Infeasible(LeggedMpcError):
     """The whole-body controller's dynamics stage admits no feasible point."""
 
 
+class InvalidMeasurement(LeggedMpcError):
+    """A state measurement holds a non-finite value."""
+
+
 class ScheduleError(LeggedMpcError):
     """A contact schedule is inconsistent with the node grid or itself."""
 

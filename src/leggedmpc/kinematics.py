@@ -1,9 +1,16 @@
-"""Forward kinematics, frame Jacobians and acceleration bias terms.
+"""Forward kinematics and the motion of contact frames, one tree depth at a time.
 
 Planar spatial vectors follow the package ordering (vx, vy, omega) for
 motions and (fx, fy, n) for forces; a motion coordinate transform X maps
 parent-frame motions into child-frame coordinates and X.T maps child-frame
 forces back to the parent.
+
+``forward_kinematics`` walks the tree level by level (``RobotModel.levels``):
+all bodies of one depth are placed, transformed and given their body
+Jacobian B_i in one batch of array operations, so a pass costs a few array
+operations per depth instead of per body.  With B_i, a body twist is
+tw_i = B_i v, and every contact-frame quantity below is evaluated for all
+requested frames at once from the (nb, 3) array of twists.
 """
 
 from __future__ import annotations
@@ -13,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import se2
-from .model import FLOATING, RobotModel
+from .model import RobotModel
 
-S_REVOLUTE = np.array([0.0, 0.0, 1.0])
+_EYE3 = np.eye(3)
 
 
 def motion_transform(pose: np.ndarray) -> np.ndarray:
@@ -42,143 +49,141 @@ def crf(v: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -w, 0.0], [w, 0.0, 0.0], [-vy, vx, 0.0]])
 
 
-def spatial_inertia(mass: float, com: np.ndarray, inertia: float) -> np.ndarray:
-    cx, cy = com
-    return np.array(
-        [
-            [mass, 0.0, -mass * cy],
-            [0.0, mass, mass * cx],
-            [-mass * cy, mass * cx, inertia + mass * (cx * cx + cy * cy)],
-        ]
-    )
-
-
-def joint_pose(model: RobotModel, joint: int, q: np.ndarray) -> np.ndarray:
-    """Pose of body ``joint`` in its parent's frame (root: in the world)."""
-    j = model.joints[joint]
-    if j.kind == FLOATING:
-        return np.asarray(q[:3], dtype=float)
-    return se2.compose(np.asarray(j.placement, dtype=float),
-                       np.array([0.0, 0.0, q[3 + joint - 1]]))
-
-
 @dataclass
 class Kinematics:
-    """Per-body world poses and parent-to-body motion transforms."""
+    """World poses, joint transforms, body Jacobians and world rotations."""
 
     pose: np.ndarray      # (nb, 3) world poses
     X: np.ndarray         # (nb, 3, 3) motion transforms parent->body (root: world->body)
+    B: np.ndarray         # (nb, 3, nv) body Jacobians: body twist i = B[i] @ v
+    R: np.ndarray         # (nb, 2, 2) body-to-world rotations
 
 
 def forward_kinematics(model: RobotModel, q: np.ndarray) -> Kinematics:
+    """Poses, transforms and body Jacobians, computed one tree depth at a time.
+
+    Every joint frame, and so every parent->body transform X, follows from
+    q in one batch.  The world transforms and the body Jacobians
+    B_i = X_i B_parent(i) + S_i (S_i: the joint's motion subspace) then take
+    one batched step per depth of the tree.  World angles are the atan2 of
+    the world rotations, in [-pi, pi].
+    """
     q = model.check_q(q)
-    nb = model.nbodies
+    nb, nv = model.nbodies, model.nv
+    rel = model.placements.copy()
+    rel[0] = q[:3]
+    rel[1:, 2] += q[3:]
+    c, s = np.cos(rel[:, 2]), np.sin(rel[:, 2])
+    px, py = rel[:, 0], rel[:, 1]
+    # T: homogeneous body->parent transforms, made body->world level by level
+    T = np.zeros((nb, 3, 3))
+    T[:, 0, 0] = c
+    T[:, 0, 1] = -s
+    T[:, 1, 0] = s
+    T[:, 1, 1] = c
+    T[:, :2, 2] = rel[:, :2]
+    T[:, 2, 2] = 1.0
+    X = np.zeros((nb, 3, 3))
+    X[:, :2, :2] = T[:, :2, :2].transpose(0, 2, 1)
+    X[:, 0, 2] = s * px - c * py
+    X[:, 1, 2] = c * px + s * py
+    X[:, 2, 2] = 1.0
+    B = np.zeros((nb, 3, nv))
+    B[0, :, :3] = _EYE3
+    for lv in model.levels:
+        i, p = lv.bodies, lv.parents
+        T[i] = T[p] @ T[i]
+        Bi = X[i] @ B[p]
+        Bi += lv.axes
+        B[i] = Bi
     pose = np.empty((nb, 3))
-    X = np.empty((nb, 3, 3))
-    for i in range(nb):
-        rel = joint_pose(model, i, q)
-        X[i] = motion_transform(rel)
-        parent = model.joints[i].parent
-        pose[i] = rel if parent < 0 else se2.compose(pose[parent], rel)
-    return Kinematics(pose=pose, X=X)
+    pose[:, :2] = T[:, :2, 2]
+    pose[:, 2] = np.arctan2(T[:, 1, 0], T[:, 0, 0])
+    return Kinematics(pose=pose, X=X, B=B, R=T[:, :2, :2])
 
 
 def body_twists(model: RobotModel, kin: Kinematics, v: np.ndarray) -> np.ndarray:
-    """Body-frame twist of every body for generalized velocity ``v``."""
-    v = model.check_v(v)
-    nb = model.nbodies
-    tw = np.empty((nb, 3))
-    tw[0] = v[:3]
-    for i in range(1, nb):
-        tw[i] = kin.X[i] @ tw[model.joints[i].parent]
-        tw[i, 2] += v[2 + i]
-    return tw
+    """Body-frame twist of every body for generalized velocity ``v``, (nb, 3)."""
+    return kin.B @ model.check_v(v)
 
 
-def body_jacobians(model: RobotModel, kin: Kinematics) -> np.ndarray:
-    """Stack B with body_twist_i = B[i] @ v, shape (nb, 3, nv)."""
-    nb, nv = model.nbodies, model.nv
-    B = np.zeros((nb, 3, nv))
-    B[0, :, :3] = np.eye(3)
-    for i in range(1, nb):
-        B[i] = kin.X[i] @ B[model.joints[i].parent]
-        B[i, 2, 2 + i] += 1.0
-    return B
+def bias_accelerations(model: RobotModel, kin: Kinematics, v: np.ndarray,
+                       tw: np.ndarray) -> np.ndarray:
+    """Body accelerations at zero generalized acceleration (and no gravity), (nb, 3).
+
+    a_i = X_i a_parent + crm(tw_i) S_i v_i, one tree depth at a time; ``tw``
+    are the body twists under ``v``.  The root's bias is zero, so the first
+    depth below it is just its Coriolis terms.
+    """
+    acc = np.zeros((model.nbodies, 3))
+    # crm(tw_i) S_i v_i = v_i (tw_y, -tw_x, 0); body i >= 1 has rate v[2 + i]
+    acc[1:, 0] = v[3:] * tw[1:, 1]
+    acc[1:, 1] = -v[3:] * tw[1:, 0]
+    for lv in model.levels[1:]:
+        i = lv.bodies
+        acc[i] += (kin.X[i] @ acc[lv.parents, :, None])[..., 0]
+    return acc
 
 
-def frame_position(model: RobotModel, kin: Kinematics, frame: int) -> np.ndarray:
-    c = model.contact_frames[frame]
-    return se2.act(kin.pose[c.body], np.asarray(c.offset, dtype=float))
+def _frames(model: RobotModel, frames):
+    idx = np.asarray(frames, dtype=int).reshape(-1)
+    return model.contact_bodies[idx], model.contact_offsets[idx]
+
+
+def _perp(r: np.ndarray) -> np.ndarray:
+    """Rows rotated by +90 degrees: (x, y) -> (-y, x)."""
+    return np.stack([-r[..., 1], r[..., 0]], -1)
+
+
+def _to_world(kin: Kinematics, bodies: np.ndarray, local: np.ndarray) -> np.ndarray:
+    return (kin.R[bodies] @ local[..., None])[..., 0]
 
 
 def frame_positions(model: RobotModel, kin: Kinematics, frames) -> np.ndarray:
-    return np.array([frame_position(model, kin, f) for f in frames]).reshape(-1, 2)
+    """World positions of contact frames, shape (len(frames), 2)."""
+    b, r = _frames(model, frames)
+    return kin.pose[b, :2] + _to_world(kin, b, r)
 
 
-def frame_jacobian(model: RobotModel, kin: Kinematics, B: np.ndarray, frame: int) -> np.ndarray:
-    """World-frame point-velocity Jacobian (2 x nv) of a contact frame."""
-    c = model.contact_frames[frame]
-    rx, ry = c.offset
-    Bb = B[c.body]
-    R = se2.rot(kin.pose[c.body, 2])
-    local = Bb[:2, :] + np.outer(np.array([-ry, rx]), Bb[2, :])
-    return R @ local
-
-
-def contact_jacobian(model: RobotModel, q: np.ndarray, frames,
-                     kin: Kinematics | None = None) -> np.ndarray:
-    """Stacked world point-velocity Jacobian (2*len(frames) x nv)."""
-    if kin is None:
-        kin = forward_kinematics(model, q)
-    B = body_jacobians(model, kin)
-    if len(frames) == 0:
-        return np.zeros((0, model.nv))
-    return np.vstack([frame_jacobian(model, kin, B, f) for f in frames])
+def frame_position(model: RobotModel, kin: Kinematics, frame: int) -> np.ndarray:
+    return frame_positions(model, kin, (frame,))[0]
 
 
 def frame_velocities(model: RobotModel, q: np.ndarray, v: np.ndarray, frames,
-                     kin: Kinematics | None = None) -> np.ndarray:
-    """World linear velocities of contact frames, shape (len(frames), 2)."""
+                     kin: Kinematics | None = None,
+                     tw: np.ndarray | None = None) -> np.ndarray:
+    """World linear velocities of contact frames, shape (len(frames), 2).
+
+    ``tw`` are the body twists under ``v`` when the caller has them.
+    """
     if kin is None:
         kin = forward_kinematics(model, q)
-    tw = body_twists(model, kin, v)
-    out = np.empty((len(frames), 2))
-    for k, f in enumerate(frames):
-        c = model.contact_frames[f]
-        rx, ry = c.offset
-        t = tw[c.body]
-        local = t[:2] + t[2] * np.array([-ry, rx])
-        out[k] = se2.rot(kin.pose[c.body, 2]) @ local
-    return out
-
-
-def _perp(u):
-    return np.array([-u[1], u[0]])
+    if tw is None:
+        tw = body_twists(model, kin, v)
+    b, r = _frames(model, frames)
+    t = tw[b]
+    return _to_world(kin, b, t[:, :2] + t[:, 2:] * _perp(r))
 
 
 def frame_acceleration_bias(model: RobotModel, q: np.ndarray, v: np.ndarray, frames,
-                            kin: Kinematics | None = None) -> np.ndarray:
+                            kin: Kinematics | None = None,
+                            tw: np.ndarray | None = None) -> np.ndarray:
     """World acceleration of contact points under zero generalized acceleration.
 
     This is the classical (point) acceleration, i.e. the Jdot*v term of
     d/dt(J v) = J vdot + Jdot v, stacked per frame into a vector of length
-    2*len(frames).
+    2*len(frames).  ``tw`` are the body twists under ``v`` when the caller
+    has them.
     """
     v = model.check_v(v)
     if kin is None:
         kin = forward_kinematics(model, model.check_q(q))
-    nb = model.nbodies
-    tw = body_twists(model, kin, v)
-    acc = np.empty((nb, 3))
-    acc[0] = 0.0
-    for i in range(1, nb):
-        Svj = np.array([0.0, 0.0, v[2 + i]])
-        acc[i] = kin.X[i] @ acc[model.joints[i].parent] + crm(tw[i]) @ Svj
-    out = np.empty(2 * len(frames))
-    for k, f in enumerate(frames):
-        c = model.contact_frames[f]
-        r = np.asarray(c.offset, dtype=float)
-        t, a = tw[c.body], acc[c.body]
-        local = a[:2] + a[2] * _perp(r) + t[2] * _perp(t[:2] + t[2] * _perp(r))
-        out[2 * k: 2 * k + 2] = se2.rot(kin.pose[c.body, 2]) @ local
-    return out
+    if tw is None:
+        tw = body_twists(model, kin, v)
+    acc = bias_accelerations(model, kin, v, tw)
+    b, r = _frames(model, frames)
+    t, a = tw[b], acc[b]
+    w = t[:, 2:]
+    local = a[:, :2] + a[:, 2:] * _perp(r) + w * _perp(t[:, :2] + w * _perp(r))
+    return _to_world(kin, b, local).ravel()
+

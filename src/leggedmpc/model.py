@@ -44,6 +44,33 @@ class ContactFrame:
     offset: tuple[float, float]  # point in the body frame
 
 
+def spatial_inertia(mass: float, com, inertia: float) -> np.ndarray:
+    """Planar spatial inertia (3, 3) of a body about its frame origin."""
+    cx, cy = com
+    return np.array(
+        [
+            [mass, 0.0, -mass * cy],
+            [0.0, mass, mass * cx],
+            [-mass * cy, mass * cx, inertia + mass * (cx * cx + cy * cy)],
+        ]
+    )
+
+
+@dataclass(frozen=True)
+class TreeLevel:
+    """The bodies at one depth of the tree (depth >= 1), with their parents.
+
+    ``axes`` (n, 3, nv) are their joint motion subspaces: a unit angular
+    rate in the body's velocity column ``2 + body``.  Every parent sits one
+    level up, so a pass over the levels in order sees each parent finished
+    before its children.
+    """
+
+    bodies: np.ndarray
+    parents: np.ndarray
+    axes: np.ndarray
+
+
 @dataclass
 class RobotModel:
     """Immutable description of a planar floating-base kinematic tree.
@@ -51,6 +78,13 @@ class RobotModel:
     ``bodies[i]`` moves through ``joints[i]``; ``joints[0]`` must be the
     floating root.  ``torque_limits`` bound the actuated (revolute) joints
     symmetrically unless explicit lower bounds are given.
+
+    The constructor also lays the tree out as arrays for the level-batched
+    passes of ``kinematics`` and ``dynamics``: ``levels`` (one
+    ``TreeLevel`` per depth below the root), the joint ``placements``
+    (nb, 3), the body ``spatial_inertias`` (nb, 3, 3), and the body index
+    and offset of each contact frame (``contact_bodies``,
+    ``contact_offsets``).
     """
 
     name: str
@@ -60,6 +94,11 @@ class RobotModel:
     torque_limit: np.ndarray          # (nu,) positive; bounds are [-tl, +tl]
     gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, -9.81]))
     reflected_inertia: np.ndarray | None = None  # (nu,) additive joint-space inertia
+    levels: tuple[TreeLevel, ...] = field(init=False, repr=False, compare=False)
+    placements: np.ndarray = field(init=False, repr=False, compare=False)
+    spatial_inertias: np.ndarray = field(init=False, repr=False, compare=False)
+    contact_bodies: np.ndarray = field(init=False, repr=False, compare=False)
+    contact_offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.bodies) != len(self.joints):
@@ -89,6 +128,27 @@ class RobotModel:
         for c in self.contact_frames:
             if not (0 <= c.body < len(self.bodies)):
                 raise DimensionMismatch(f"contact frame {c.name}: bad body index")
+        self._lay_out_tree()
+
+    def _lay_out_tree(self):
+        depth = [0]
+        for j in self.joints[1:]:
+            depth.append(depth[j.parent] + 1)
+        levels = []
+        for d in range(1, max(depth) + 1):
+            bodies = np.array([i for i in range(self.nbodies) if depth[i] == d])
+            parents = np.array([self.joints[i].parent for i in bodies])
+            axes = np.zeros((len(bodies), 3, self.nv))
+            axes[np.arange(len(bodies)), 2, bodies + 2] = 1.0
+            levels.append(TreeLevel(bodies, parents, axes))
+        self.levels = tuple(levels)
+        self.placements = np.array([j.placement for j in self.joints], dtype=float)
+        self.spatial_inertias = np.array(
+            [spatial_inertia(b.mass, b.com, b.inertia) for b in self.bodies])
+        self.contact_bodies = np.array([c.body for c in self.contact_frames],
+                                       dtype=int)
+        self.contact_offsets = np.array([c.offset for c in self.contact_frames],
+                                        dtype=float).reshape(-1, 2)
 
     # ---- dimensions -----------------------------------------------------
     @property

@@ -22,7 +22,8 @@ from . import model as mod
 from . import problem as pb
 from .boxfddp import BoxFddp
 from .dynamics import gravity_torque
-from .errors import ConfigError, NoStepAccepted, RankDeficientContacts
+from .errors import (ConfigError, InvalidMeasurement, NoStepAccepted,
+                     RankDeficientContacts)
 from .model import RobotModel
 from .schedule import ContactSchedule
 
@@ -318,13 +319,8 @@ class Mpc:
                if n.kind == "running"][:cfg.control_horizon_nodes]
         node_times = [plan[i][1] for i in sel]
         node_times.append(plan[sel[-1]][1] + cfg.node_dt)
-        forces = []
-        for i in sel:
-            node = nodes[i]
-            q, v = mod.split_state(self.model, xs[i])
-            sol = ct.contact_forward_dynamics(self.model, q, v, us[i],
-                                              node.contacts)
-            forces.append(sol.forces.copy())
+        # the nodes kept their solutions from the solver's last evaluation
+        forces = [nodes[i].solution(xs[i], us[i]).forces.copy() for i in sel]
         diag = {
             "status": status,
             "degraded": False,
@@ -347,8 +343,26 @@ class Mpc:
 
     # -- public API --------------------------------------------------------
 
+    def _reissue_degraded(self, wall_time: float) -> PolicyMessage:
+        """The previous policy again, restamped and marked degraded."""
+        msg = replace(self.last_message, stamp=float(wall_time),
+                      diagnostics={**self.last_message.diagnostics,
+                                   "degraded": True})
+        self.last_message = msg
+        self.steps += 1
+        return msg
+
     def step(self, measurement: np.ndarray, wall_time: float) -> PolicyMessage:
-        """One MPC update: shift, predict, iterate once, emit the policy."""
+        """One MPC update: shift, predict, iterate once, emit the policy.
+
+        A measurement with a non-finite value changes nothing: the previous
+        policy is re-issued marked degraded, or ``InvalidMeasurement`` is
+        raised when there is none yet.
+        """
+        if not np.all(np.isfinite(measurement)):
+            if self.last_message is None:
+                raise InvalidMeasurement("measurement holds a non-finite value")
+            return self._reissue_degraded(wall_time)
         cfg = self.config
         dt = cfg.node_dt
         k_now = int(math.floor(wall_time / dt + 1e-9))
@@ -388,12 +402,7 @@ class Mpc:
             if not stepped:
                 if self.last_message is None:
                     raise
-                msg = replace(self.last_message, stamp=float(wall_time),
-                              diagnostics={**self.last_message.diagnostics,
-                                           "degraded": True})
-                self.last_message = msg
-                self.steps += 1
-                return msg
+                return self._reissue_degraded(wall_time)
 
         msg = self._emit(wall_time, status)
         self.last_message = msg

@@ -5,6 +5,15 @@ dynamics integrated over ``dt``), impulse nodes (instantaneous velocity
 transitions at touchdowns, ``dt = 0``, no control), and one terminal node
 carrying state costs only.  Every node exposes ``calc`` (next state + cost)
 and ``calc_diff`` (first-order dynamics and Gauss-Newton cost expansion).
+
+Running and impulse nodes keep their last evaluation: copies of the inputs,
+the dynamics solution, the next state and the cost.  ``calc`` at exactly
+equal inputs returns the kept outputs, and ``calc_diff`` differentiates at
+the kept solution instead of solving the dynamics again (as Crocoddyl's
+``calcDiff`` reads the data its ``calc`` left).  The solver evaluates every
+node in its line search and again when it takes derivatives at the
+accepted iterate, so the second evaluation costs nothing.  ``configure``
+drops the kept evaluation.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from . import costs as co
 from . import model as mod
 from .dynamics import tangent_sweep
 from .errors import ScheduleError
-from .kinematics import forward_kinematics, frame_positions, frame_velocities
+from .kinematics import frame_positions, frame_velocities
 from .model import RobotModel
 from .schedule import ContactSchedule, evaluate_swing
 
@@ -36,6 +45,17 @@ class NodeDerivatives:
     lxx: np.ndarray
     lxu: np.ndarray
     luu: np.ndarray
+
+
+@dataclass
+class _Evaluation:
+    """A node's last evaluation: its inputs (copied) and what they gave."""
+
+    x: np.ndarray
+    u: np.ndarray | None
+    sol: ct.ContactSolution | ct.ImpulseSolution
+    x_next: np.ndarray
+    cost: float
 
 
 @dataclass
@@ -146,6 +166,7 @@ class RunningNode:
                      else np.full(nu, -np.inf))
         self.u_ub = (bounds.u_ub if bounds is not None
                      else np.full(nu, np.inf))
+        self._kept = None
 
     @property
     def nu(self):
@@ -156,6 +177,7 @@ class RunningNode:
         self.time = time
         self.contacts = contacts
         self.swing = swing
+        self._kept = None
 
     # -- cost pieces shared by calc / calc_diff -----------------------------
 
@@ -228,22 +250,36 @@ class RunningNode:
                 else:
                     acc.add(rqs, self.weights.w_qstatic * self.weights.N)
 
-    # -- public API ----------------------------------------------------------
-
-    def calc(self, x, u):
+    def _evaluate(self, x, u) -> _Evaluation:
+        kept = self._kept
+        if (kept is not None and np.array_equal(kept.x, x)
+                and np.array_equal(kept.u, u)):
+            return kept
         model = self.model
         q, v = mod.split_state(model, x)
         sol = ct.contact_forward_dynamics(model, q, v, u, self.contacts)
         qn, vn = mod.semi_implicit_step(model, q, v, sol.vdot, self.dt)
         acc = _Expansion(2 * model.nv, model.nu)
         self._costs(q, v, u, sol, None, acc)
-        return mod.state(model, qn, vn), self.dt * acc.value
+        self._kept = _Evaluation(np.array(x, dtype=float), np.array(u, dtype=float),
+                                 sol, mod.state(model, qn, vn), self.dt * acc.value)
+        return self._kept
+
+    # -- public API ----------------------------------------------------------
+
+    def solution(self, x, u) -> ct.ContactSolution:
+        """Contact dynamics at (x, u); the kept solution when the inputs match."""
+        return self._evaluate(x, u).sol
+
+    def calc(self, x, u):
+        ev = self._evaluate(x, u)
+        return ev.x_next.copy(), ev.cost
 
     def calc_diff(self, x, u):
         model = self.model
         nv, nu = model.nv, model.nu
         q, v = mod.split_state(model, x)
-        sol = ct.contact_forward_dynamics(model, q, v, u, self.contacts)
+        sol = self.solution(x, u)
         der = ct.contact_dynamics_derivatives(model, q, v, u, self.contacts,
                                               sol=sol)
         dt = self.dt
@@ -281,6 +317,7 @@ class ImpulseNode:
         self.gained: dict[int, np.ndarray] = {}
         self.u_lb = np.zeros(0)
         self.u_ub = np.zeros(0)
+        self._kept = None
 
     nu = 0
 
@@ -289,14 +326,15 @@ class ImpulseNode:
         self.time = time
         self.contacts = contacts
         self.gained = gained
+        self._kept = None
 
-    def _costs(self, q, v, acc, with_jac):
+    def _costs(self, q, v, sol, acc, with_jac):
         model = self.model
         nv = model.nv
         _state_cost(model, q, v, self.weights, 1.0, acc, with_jac)
         if self.gained:
             frames = sorted(self.gained)
-            kin = forward_kinematics(model, q)
+            kin = sol.kin
             pos = frame_positions(model, kin, frames)
             r = (pos - np.array([self.gained[f] for f in frames])).ravel()
             if with_jac:
@@ -307,27 +345,37 @@ class ImpulseNode:
             acc.add(r, np.full(2 * len(frames),
                                self.weights.w_placement_terminal), Jx=Jp)
 
-    def calc(self, x, u=None):
+    def _evaluate(self, x) -> _Evaluation:
+        kept = self._kept
+        if kept is not None and np.array_equal(kept.x, x):
+            return kept
         model = self.model
         q, v = mod.split_state(model, x)
         sol = ct.impulse_dynamics(model, q, v, self.contacts, self.restitution)
         acc = _Expansion(2 * model.nv, 0)
-        self._costs(q, v, acc, False)
-        return mod.state(model, q, sol.v_plus), acc.value
+        self._costs(q, v, sol, acc, False)
+        self._kept = _Evaluation(np.array(x, dtype=float), None, sol,
+                                 mod.state(model, q, sol.v_plus), acc.value)
+        return self._kept
+
+    def calc(self, x, u=None):
+        ev = self._evaluate(x)
+        return ev.x_next.copy(), ev.cost
 
     def calc_diff(self, x, u=None):
         model = self.model
         nv = model.nv
         q, v = mod.split_state(model, x)
+        sol = self._evaluate(x).sol
         der = ct.impulse_dynamics_derivatives(model, q, v, self.contacts,
-                                              self.restitution)
+                                              self.restitution, sol=sol)
         fx = np.vstack([
             np.hstack([np.eye(nv), np.zeros((nv, nv))]),
             der.dvdot_dx,
         ])
         fu = np.zeros((2 * nv, 0))
         acc = _Expansion(2 * nv, 0)
-        self._costs(q, v, acc, True)
+        self._costs(q, v, sol, acc, True)
         return NodeDerivatives(fx, fu, acc.lx, acc.lu, acc.lxx, acc.lxu,
                                acc.luu)
 

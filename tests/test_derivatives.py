@@ -63,7 +63,7 @@ def test_tangent_sweep_matches_fd(robot):
 
     def acc(xx):
         qq, vv = mod.split_state(robot, xx)
-        return (kinematics.contact_jacobian(robot, qq, frames) @ a
+        return (ct.contact_jacobian_stack(robot, qq, frames) @ a
                 + kinematics.frame_acceleration_bias(robot, qq, vv, frames))
 
     assert rel_err(tan.dtau, fd_state_jacobian(robot, tau, x)) < TOL

@@ -10,7 +10,8 @@ from leggedmpc import kinematics
 from leggedmpc import model as mod
 from leggedmpc import mpc as rh
 from leggedmpc import presets, problem, schedule
-from leggedmpc.errors import ConfigError, NoStepAccepted, RankDeficientContacts
+from leggedmpc.errors import (ConfigError, InvalidMeasurement, NoStepAccepted,
+                              RankDeficientContacts)
 
 
 @pytest.fixture(scope="module")
@@ -345,3 +346,34 @@ def test_feedforward_held_between_nodes(quad):
     # mid-interval query returns the covering node's feed-forward
     u = ctrl._feedforward_at(0.031)
     assert np.array_equal(u, np.asarray(msg.us_ff[1]))
+
+
+def test_non_finite_measurement_reissues_previous_policy(quad):
+    ctrl = make_mpc(quad, delay=0.01)
+    clean = make_mpc(quad, delay=0.01)
+    x0 = presets.nominal_state(quad)
+    first = ctrl.step(x0, 0.0)
+    clean.step(x0, 0.0)
+    bad = x0.copy()
+    bad[quad.nq + 1] = np.nan
+    msg = ctrl.step(bad, 0.02)
+    assert msg.diagnostics["degraded"]
+    assert msg.stamp == pytest.approx(0.02)
+    for a, b in zip(msg.us_ff, first.us_ff):
+        assert np.array_equal(a, b)
+    # the bad measurement changed nothing the next step depends on
+    got = ctrl.step(x0, 0.04)
+    want = clean.step(x0, 0.04)
+    assert not got.diagnostics["degraded"]
+    for field in ("xs_ref", "us_ff", "K_gains"):
+        for a, b in zip(getattr(got, field), getattr(want, field)):
+            assert np.array_equal(a, b), field
+
+
+def test_non_finite_first_measurement_raises(quad):
+    ctrl = make_mpc(quad, delay=0.01)
+    bad = presets.nominal_state(quad)
+    bad[0] = np.inf
+    with pytest.raises(InvalidMeasurement):
+        ctrl.step(bad, 0.0)
+    assert ctrl.last_message is None and ctrl.steps == 0

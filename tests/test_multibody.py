@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from leggedmpc import centroidal, dynamics, kinematics, presets, se2
+from leggedmpc import contact as ct
 from leggedmpc import model as mod
 from leggedmpc.errors import DimensionMismatch
 
@@ -155,8 +156,8 @@ def test_rnea_linear_in_contact_forces(quad):
     lam = {0: np.array([3.0, -1.0]), 2: np.array([0.5, 7.0])}
     tau = dynamics.rnea(quad, q, v, a, lam)
     tau_free = dynamics.rnea(quad, q, v, a)
-    J0 = kinematics.contact_jacobian(quad, q, [0])
-    J2 = kinematics.contact_jacobian(quad, q, [2])
+    J0 = ct.contact_jacobian_stack(quad, q, [0])
+    J2 = ct.contact_jacobian_stack(quad, q, [2])
     expected = tau_free - J0.T @ lam[0] - J2.T @ lam[2]
     assert np.allclose(tau, expected, atol=1e-10)
 
@@ -169,7 +170,7 @@ def test_contact_jacobian_matches_fd(quad):
         x = random_state(quad, rng, spread=0.6)
         q = x[: quad.nq]
         frames = [0, 1, 2, 3]
-        J = kinematics.contact_jacobian(quad, q, frames)
+        J = ct.contact_jacobian_stack(quad, q, frames)
 
         def pos(qq):
             kin = kinematics.forward_kinematics(quad, qq)
@@ -183,7 +184,7 @@ def test_frame_velocity_consistent_with_jacobian(quad):
     rng = np.random.default_rng(21)
     x = random_state(quad, rng)
     q, v = x[: quad.nq], x[quad.nq:]
-    J = kinematics.contact_jacobian(quad, q, [1, 3])
+    J = ct.contact_jacobian_stack(quad, q, [1, 3])
     vel = kinematics.frame_velocities(quad, q, v, [1, 3]).ravel()
     assert np.allclose(J @ v, vel, atol=1e-12)
 

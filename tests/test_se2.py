@@ -1,8 +1,13 @@
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
-from leggedmpc import se2
+from leggedmpc import model as mod
+from leggedmpc import presets, se2
 
 from helpers import fd_jacobian
+
+QUAD = presets.default_quadruped()
 
 
 def test_exp_log_roundtrip():
@@ -73,3 +78,65 @@ def test_right_jacobian_matches_fd():
         assert np.allclose(
             se2.right_jacobian_inv(xi) @ se2.right_jacobian(xi), np.eye(3), atol=1e-9
         )
+
+
+# ------------------------------------------------------- group properties
+
+angles = st.floats(-3.1, 3.1, allow_nan=False)
+coords = st.floats(-5.0, 5.0, allow_nan=False)
+poses = st.tuples(coords, coords, st.floats(-20.0, 20.0, allow_nan=False)).map(np.array)
+tangents = st.tuples(coords, coords, angles).map(np.array)
+points = st.tuples(coords, coords).map(np.array)
+
+
+def same_pose(a, b, tol=1e-9):
+    return (np.allclose(a[:2], b[:2], atol=tol)
+            and abs(se2.wrap_angle(a[2] - b[2])) < tol)
+
+
+@given(poses, poses, poses)
+def test_compose_is_associative(a, b, c):
+    assert same_pose(se2.compose(se2.compose(a, b), c),
+                     se2.compose(a, se2.compose(b, c)))
+
+
+@given(poses, poses, points)
+def test_act_is_a_group_action(a, b, r):
+    assert np.allclose(se2.act(se2.compose(a, b), r), se2.act(a, se2.act(b, r)),
+                       atol=1e-9)
+
+
+@given(poses)
+def test_inverse_is_two_sided(p):
+    assert same_pose(se2.compose(p, se2.inverse(p)), np.zeros(3))
+    assert same_pose(se2.compose(se2.inverse(p), p), np.zeros(3))
+
+
+@given(tangents)
+def test_log_inverts_exp(xi):
+    assert np.allclose(se2.log(se2.exp(xi)), xi, atol=1e-9)
+
+
+@given(poses, tangents)
+def test_adjoint_conjugates_exp(p, xi):
+    # exact for finite steps: p exp(xi) p^-1 = exp(Ad_p xi)
+    lhs = se2.compose(p, se2.compose(se2.exp(xi), se2.inverse(p)))
+    assert same_pose(lhs, se2.exp(se2.adjoint(p) @ xi))
+
+
+@given(st.floats(-100.0, 100.0, allow_nan=False))
+def test_wrap_angle_range_and_idempotence(a):
+    w = se2.wrap_angle(a)
+    assert -np.pi < w <= np.pi
+    assert se2.wrap_angle(w) == w
+    assert abs(np.sin(w) - np.sin(a)) < 1e-9 and abs(np.cos(w) - np.cos(a)) < 1e-9
+
+
+@given(st.lists(coords, min_size=22, max_size=22).map(np.array),
+       st.lists(coords, min_size=22, max_size=22).map(np.array))
+def test_state_difference_inverts_integrate(x, dx):
+    m = QUAD
+    x = np.concatenate([mod.normalize_q(x[:m.nq]), x[m.nq:]])
+    dx[2] = np.clip(dx[2], -3.1, 3.1)
+    x1 = mod.integrate(m, x, dx)
+    assert np.allclose(mod.difference(m, x1, x), dx, atol=1e-9)
