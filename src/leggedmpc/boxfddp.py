@@ -117,20 +117,15 @@ def boxqp_kkt_violation(H, g, lo, hi, x) -> float:
 
 @dataclass
 class SolverState:
+    """An iterate and its figures, as ``BoxFddp.state`` reports them."""
+
     xs: list
     us: list
     gaps: list
     mu: float
     cost: float
-
-    @property
-    def feasible(self) -> bool:
-        return self.gap_norm < FEAS_TOL
-
-    @property
-    def gap_norm(self) -> float:
-        return max((float(np.abs(g).max()) if g.size else 0.0)
-                   for g in self.gaps)
+    gap_norm: float
+    feasible: bool
 
 
 @dataclass
@@ -200,8 +195,7 @@ class BoxFddp:
     def set_candidate(self, xs=None, us=None):
         problem = self.problem
         if us is None:
-            us = problem.zero_controls() if hasattr(problem, "zero_controls") \
-                else [np.zeros(n.nu) for n in problem.nodes]
+            us = problem.zero_controls()
         self.us = [np.asarray(u, float) for u in us]
         if xs is None:
             xs = problem.rollout(self.us)
@@ -218,7 +212,8 @@ class BoxFddp:
                    for g in self.gaps)
 
     def state(self) -> SolverState:
-        return SolverState(self.xs, self.us, self.gaps, self.mu, self.cost)
+        return SolverState(self.xs, self.us, self.gaps, self.mu, self.cost,
+                           self.gap_norm, self.feasible)
 
     # -- backward pass ----------------------------------------------------
 

@@ -1,4 +1,19 @@
-"""Centroidal momentum quantities and state-dimension bookkeeping."""
+"""Centroidal momentum from the floating-base rows of the joint-space dynamics.
+
+The base rows of M(q) v are the robot's total momentum expressed in the base
+frame, and the base rows of the velocity bias h(q, v) - g(q) are the rate of
+that momentum at zero generalized acceleration and without gravity, as a
+wrench in the base frame.  Transforming both to a
+world-aligned frame at the centre of mass gives the centroidal momentum
+matrix and its drift (Orin, Goswami & Lee, *Centroidal dynamics of a
+humanoid robot*, Auton. Robots 2013):
+
+    A_G = X_G.T M[:3],    Adot_G v = X_G.T (h - g)[:3],
+
+with X_G the motion transform from the centre-of-mass frame into the base
+frame.  M[:3, :3] is the composite inertia of the whole robot about the base
+frame, so it also holds the total mass and the centre of mass.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import se2
+from .dynamics import gravity_torque, mass_matrix, nonlinear_effects
 from .kinematics import forward_kinematics, motion_transform
 from .model import RobotModel
 
@@ -19,71 +35,36 @@ class CentroidalQuantities:
     A_G: np.ndarray        # centroidal momentum matrix (3, nv), rows (lx, ly, k)
     I_G: float             # locked rotational inertia about the centre of mass
     v_G: np.ndarray        # centre-of-mass velocity l_G / m (2,)
+    Adot_v: np.ndarray     # momentum-matrix drift (dA_G/dt) v (3,)
 
 
 def centroidal(model: RobotModel, q: np.ndarray, v: np.ndarray) -> CentroidalQuantities:
+    """Centroidal momentum, its matrix and drift at (q, v), on one kinematics pass.
+
+    The centre of mass comes from the composite base inertia M[:3, :3]
+    (first moment over mass, in the base frame); I_G is the angular entry
+    of A_G for a unit base rotation with the joints locked.
+    """
     q = model.check_q(q)
     v = model.check_v(v)
     kin = forward_kinematics(model, q)
-    B = kin.B
-    inertias = model.spatial_inertias
+    M = mass_matrix(model, q, kin=kin)
+    coriolis = (nonlinear_effects(model, q, v, kin=kin)
+                - gravity_torque(model, q, kin=kin))
     m_tot = model.total_mass
-
-    coms = np.empty((model.nbodies, 2))
-    for i, b in enumerate(model.bodies):
-        coms[i] = se2.act(kin.pose[i], np.asarray(b.com))
-    p_G = (np.array([b.mass for b in model.bodies]) @ coms) / m_tot
-
-    # momentum of body i in its own frame is I_i B_i v; forces transform
-    # covariantly, so pushing it into a world-aligned frame at the centre of
-    # mass uses the transpose of the motion transform CoM-frame -> body
-    A_G = np.zeros((3, model.nv))
-    I_G = 0.0
-    for i, b in enumerate(model.bodies):
-        rel = kin.pose[i].copy()
-        rel[:2] -= p_G
-        A_G += motion_transform(rel).T @ (inertias[i] @ B[i])
-        d = coms[i] - p_G
-        I_G += b.inertia + b.mass * float(d @ d)
-
+    base = kin.pose[0]
+    p_G = se2.act(base, np.array([M[1, 2], -M[0, 2]]) / M[0, 0])
+    rel = base.copy()
+    rel[:2] -= p_G
+    XGt = motion_transform(rel).T
+    A_G = XGt @ M[:3]
     h = A_G @ v
     return CentroidalQuantities(
         p_G=p_G,
         l_G=h[:2],
         k_G=float(h[2]),
         A_G=A_G,
-        I_G=float(I_G),
+        I_G=float(A_G[2, 2]),
         v_G=h[:2] / m_tot,
+        Adot_v=XGt @ coriolis[:3],
     )
-
-
-def dimension_table(nv: int, nu: int, n_f: int, momentum_dim: int) -> dict[str, int]:
-    """State-plus-control counts of the two standard transcription choices.
-
-    The full-body optimal-control transcription carries (q, v) states and
-    torque controls; the centroidal transcription carries momenta plus
-    configuration and treats generalized velocity and contact forces as
-    decision inputs.
-    """
-    return {
-        "fullbody": 2 * nv + nu,
-        "centroidal": (momentum_dim + nv) + (nv + n_f),
-    }
-
-
-def model_dimensions(model: RobotModel, active_contacts: int) -> dict[str, int]:
-    """Decision-variable counts per node for the planar model (momentum dim 3)."""
-    n_f = 2 * int(active_contacts)
-    table = dimension_table(model.nv, model.nu, n_f, momentum_dim=3)
-    table["n_f"] = n_f
-    table["nv"] = model.nv
-    table["nu"] = model.nu
-    return table
-
-
-def crossover_force_dimension(nv: int, momentum_dim: int = 3) -> int:
-    """Contact-force dimension at which both transcriptions have equal size.
-
-    fullbody = 2*nv + (nv - momentum_dim); centroidal = momentum_dim + 2*nv + n_f.
-    """
-    return nv - 2 * momentum_dim

@@ -245,14 +245,12 @@ def contact_dynamics_derivatives(model: RobotModel, q, v, u, contacts: ContactSe
     lam_map = {f: sol.frame_force(k) for k, f in enumerate(frames)}
     tan = tangent_sweep(model, sol.kin, v, sol.vdot, lam_map, frames)
     F1_x = tan.dtau
-    S = np.zeros((nv, nu))
-    S[3:, :] = np.eye(nu)
 
     if nf == 0:
         Minv = np.linalg.inv(sol.M)
         return DynamicsDerivatives(
             dvdot_dx=-Minv @ F1_x,
-            dvdot_du=Minv @ S,
+            dvdot_du=Minv @ model.S,
             dforces_dx=np.zeros((0, 2 * nv)),
             dforces_du=np.zeros((0, nu)),
         )
@@ -265,7 +263,8 @@ def contact_dynamics_derivatives(model: RobotModel, q, v, u, contacts: ContactSe
             F2_x[2 * k: 2 * k + 2, :nv] += w * w * sol.J[2 * k: 2 * k + 2]
 
     dvdot_dx, dlam_dx = _kkt_inverse_apply(sol.M, sol.J, -F1_x, -F2_x)
-    dvdot_du, dlam_du = _kkt_inverse_apply(sol.M, sol.J, S, np.zeros((nf, nu)))
+    dvdot_du, dlam_du = _kkt_inverse_apply(sol.M, sol.J, model.S,
+                                           np.zeros((nf, nu)))
     return DynamicsDerivatives(dvdot_dx=dvdot_dx, dvdot_du=dvdot_du,
                                dforces_dx=dlam_dx, dforces_du=dlam_du)
 

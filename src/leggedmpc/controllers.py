@@ -346,20 +346,6 @@ def hqp_solve(tasks, ineq: RowBounds | None = None, ny: int | None = None,
 
 # ----------------------------------------------------- whole-body control
 
-def centroidal_bias(model: RobotModel, q, v, eps: float = 2.0 ** -17):
-    """Momentum-matrix drift (dA_G/dt) v along the configuration flow.
-
-    Central difference of A_G(q) v with q flowing along v; A_G depends on
-    the configuration only, so this matches the analytic directional
-    derivative to O(eps^2).
-    """
-    qp = mod.integrate_q(model, q, eps * v)
-    qm = mod.integrate_q(model, q, -eps * v)
-    hp = centroidal(model, qp, v).A_G @ v
-    hm = centroidal(model, qm, v).A_G @ v
-    return (hp - hm) / (2.0 * eps)
-
-
 def momentum_policy(gains: WbcGains, m_tot: float, cen, cen_ref,
                     hdot_ref: np.ndarray) -> np.ndarray:
     """Commanded centroidal momentum rate (lx, ly, k) from tracking errors.
@@ -437,11 +423,9 @@ def stance_tasks(model: RobotModel, gains: WbcGains, x, x_ref, u_ff,
     M = mass_matrix(model, q)
     h = nonlinear_effects(model, q, v)
     Jc = ct.contact_jacobian_stack(model, q, frames)
-    S = np.zeros((nv, nu))
-    S[nv - nu:, :] = np.eye(nu)
     A1 = np.zeros((nv + nf, ny))
     A1[:nv, :nv] = M
-    A1[:nv, nv:nv + nu] = -S
+    A1[:nv, nv:nv + nu] = -model.S
     A1[:nv, nv + nu:] = -Jc.T
     A1[nv:, :nv] = Jc
     a1 = np.concatenate([-h, -frame_acceleration_bias(model, q, v, frames)])
@@ -453,8 +437,7 @@ def stance_tasks(model: RobotModel, gains: WbcGains, x, x_ref, u_ff,
         model, q_d, v_d, np.asarray(u_ff, float), contacts).vdot
     cen = centroidal(model, q, v)
     cen_ref = centroidal(model, q_d, v_d)
-    adot_v = centroidal_bias(model, q, v)
-    hdot_ref = cen_ref.A_G @ vdot_ref + centroidal_bias(model, q_d, v_d)
+    hdot_ref = cen_ref.A_G @ vdot_ref + cen_ref.Adot_v
     m_tot = model.total_mass
 
     swing = tuple(f for f in range(len(model.contact_frames))
@@ -481,12 +464,12 @@ def stance_tasks(model: RobotModel, gains: WbcGains, x, x_ref, u_ff,
               + gains.com_kd * (cen_ref.v_G - cen.v_G))
     A = np.zeros((2, ny))
     A[:, :nv] = cen.A_G[:2] / m_tot
-    tasks.append(WbcTask(A, target - adot_v[:2] / m_tot, rank=2, name="com"))
+    tasks.append(WbcTask(A, target - cen.Adot_v[:2] / m_tot, rank=2, name="com"))
 
     hdot_c = momentum_policy(gains, m_tot, cen, cen_ref, hdot_ref)
     A = np.zeros((3, ny))
     A[:, :nv] = cen.A_G
-    tasks.append(WbcTask(A, hdot_c - adot_v, rank=3, name="momentum"))
+    tasks.append(WbcTask(A, hdot_c - cen.Adot_v, rank=3, name="momentum"))
 
     A = np.zeros((nf, ny))
     A[:, nv + nu:] = np.eye(nf)

@@ -131,18 +131,21 @@ def cone_matrices(cone: FrictionCone) -> tuple[np.ndarray, np.ndarray]:
     return C, c
 
 
-def cone_penalty(C: np.ndarray, c: np.ndarray, lam: np.ndarray, w: float):
-    """Quadratic penalty on cone violation of one contact force.
+def cone_residual(C: np.ndarray, c: np.ndarray, lam: np.ndarray):
+    """Cone violation of stacked contact forces and its Jacobian in the forces.
 
-    Returns (value, d value/d lam, Gauss-Newton d2 value/d lam2).
+    ``lam`` stacks one (fx, fy) pair per contact.  The residual stacks
+    max(0, c - C lam_k) per contact (3 rows each), so its weighted square is
+    the cone penalty; the Jacobian (3n, 2n) is block diagonal with -C on the
+    violated rows and zero on the others.
     """
-    r = np.maximum(0.0, c - C @ lam)
-    active = r > 0.0
-    Ca = C[active]
-    value = w * float(r @ r)
-    grad = -2.0 * w * (Ca.T @ r[active])
-    hess = 2.0 * w * (Ca.T @ Ca)
-    return value, grad, hess
+    n = lam.size // 2
+    r = np.maximum(0.0, c - lam.reshape(n, 2) @ C.T)
+    J = np.zeros((n, 3, n, 2))
+    k = np.arange(n)
+    J[k, :, k] = -C
+    J[r == 0.0] = 0.0
+    return r.ravel(), J.reshape(3 * n, 2 * n)
 
 
 # ----------------------------------------------------------- bound penalty

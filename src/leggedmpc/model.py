@@ -84,7 +84,9 @@ class RobotModel:
     ``TreeLevel`` per depth below the root), the joint ``placements``
     (nb, 3), the body ``spatial_inertias`` (nb, 3, 3), and the body index
     and offset of each contact frame (``contact_bodies``,
-    ``contact_offsets``).
+    ``contact_offsets``).  ``S`` (nv, nu) is the actuation map: joint
+    torques u enter the dynamics as the generalized force S u, zero on the
+    base rows.
     """
 
     name: str
@@ -99,6 +101,7 @@ class RobotModel:
     spatial_inertias: np.ndarray = field(init=False, repr=False, compare=False)
     contact_bodies: np.ndarray = field(init=False, repr=False, compare=False)
     contact_offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    S: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.bodies) != len(self.joints):
@@ -149,6 +152,7 @@ class RobotModel:
                                        dtype=int)
         self.contact_offsets = np.array([c.offset for c in self.contact_frames],
                                         dtype=float).reshape(-1, 2)
+        self.S = np.eye(self.nv, self.nu, -3)
 
     # ---- dimensions -----------------------------------------------------
     @property

@@ -129,28 +129,34 @@ class PolicyMessage:
 
 # --------------------------------------------------------------- operations
 
+def _static_balance(model: RobotModel, q: np.ndarray, frames):
+    """Least squares of the static balance ``[S  J_C^T] y = g(q)``.
+
+    Returns the solution y = (u, lam) and the largest entry of its residual
+    relative to max(1, max|g|), which is at rounding level when the contacts
+    can hold the posture.
+    """
+    g = gravity_torque(model, q)
+    A = np.hstack([model.S, ct.contact_jacobian_stack(model, q, frames).T])
+    y, *_ = np.linalg.lstsq(A, g, rcond=None)
+    return y, np.abs(A @ y - g).max() / max(1.0, np.abs(g).max())
+
+
 def quasi_static_start(model: RobotModel, q_nom: np.ndarray,
                        contacts: ct.ContactSet):
     """Torques and contact forces holding the posture against gravity.
 
     Least-squares solve of ``[S  J_C^T] [u; lam] = g(q_nom)``; raises when
-    the stacked matrix cannot realize the gravity load (residual > 1e-9).
+    the contacts cannot realize the gravity load (relative residual > 1e-9).
     """
     if not contacts.frames:
         raise ConfigError("quasi-static start needs at least one contact")
-    nv, nu = model.nv, model.nu
-    g = gravity_torque(model, q_nom)
-    S = np.zeros((nv, nu))
-    S[nv - nu:, :] = np.eye(nu)
-    J = ct.contact_jacobian_stack(model, q_nom, contacts.frames)
-    A = np.hstack([S, J.T])
-    sol = np.linalg.pinv(A) @ g
-    residual = A @ sol - g
-    if np.abs(residual).max() > 1e-9 * max(1.0, np.abs(g).max()):
+    y, residual = _static_balance(model, q_nom, contacts.frames)
+    if residual > 1e-9:
         raise RankDeficientContacts(
             "quasi-static stacked matrix cannot balance gravity "
-            f"(residual {np.abs(residual).max():.3g})")
-    return sol[:nu], sol[nu:]
+            f"(relative residual {residual:.3g})")
+    return y[:model.nu], y[model.nu:]
 
 
 def predict_initial_state(model: RobotModel, x0: np.ndarray, u0: np.ndarray,
@@ -193,10 +199,8 @@ class Mpc:
                  cone: co.FrictionCone | None = None):
         self.model = model
         self.schedule = schedule
-        self.weights = weights
         self.bounds = bounds
         self.config = config
-        self.cone = cone
         q_nom = weights.q_ref
         self.x_nominal = mod.state(model, q_nom, np.zeros(model.nv))
         N = config.n_nodes
@@ -228,18 +232,8 @@ class Mpc:
         frames = tuple(frames)
         u = self._useed_cache.get(frames)
         if u is None:
-            model = self.model
-            if frames:
-                nv, nu = model.nv, model.nu
-                S = np.zeros((nv, nu))
-                S[nv - nu:, :] = np.eye(nu)
-                J = ct.contact_jacobian_stack(model, self._q_nom, frames)
-                sol, *_ = np.linalg.lstsq(np.hstack([S, J.T]),
-                                          gravity_torque(model, self._q_nom),
-                                          rcond=None)
-                u = sol[:nu]
-            else:
-                u = np.zeros(model.nu)
+            u = (_static_balance(self.model, self._q_nom, frames)[0][:self.model.nu]
+                 if frames else np.zeros(self.model.nu))
             self._useed_cache[frames] = u
         return u.copy()
 
@@ -375,13 +369,10 @@ class Mpc:
         x0_pred = predict_initial_state(self.model, measurement, u_now,
                                         contacts_now, cfg.expected_delay)
 
-        old_plan = self.problem.plan
-        old_k0, old_N, _ = self.problem.meta
+        old_plan, old_k0 = self.problem.plan, self.problem.k0
         old_xs, old_us = self.solver.xs, self.solver.us
-        pb.update_problem(self.problem, self.schedule, self.weights,
-                          self.bounds, x0_pred, cfg.n_nodes, dt,
-                          t0=k_now * dt, cone=self.cone)
-        self._shift_candidate(old_plan, old_xs, old_us, old_k0 + old_N)
+        pb.update_problem(self.problem, x0_pred, t0=k_now * dt)
+        self._shift_candidate(old_plan, old_xs, old_us, old_k0 + cfg.n_nodes)
         self.k0 = k_now
         # inherit the previous step's regularization, capped at every step:
         # mu also rises after short accepted steps of a successful solve, and

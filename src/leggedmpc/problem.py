@@ -219,32 +219,20 @@ class RunningNode:
             acc.add(lam, K, Jx=Jlx if with_jac else None,
                     Ju=Jlu if with_jac else None)
             if self.weights.w_cone and self.cone_C is not None:
-                for k in range(len(self.contacts.frames)):
-                    lam_k = lam[2 * k: 2 * k + 2]
-                    r = np.maximum(0.0, self.cone_c - self.cone_C @ lam_k)
-                    if with_jac:
-                        # residual jacobian: -C rows on active violations,
-                        # chained through the force sensitivities
-                        act = r > 0.0
-                        Jr_lam = np.zeros((3, 2))
-                        Jr_lam[act] = -self.cone_C[act]
-                        acc.add(r, np.full(3, self.weights.w_cone),
-                                Jx=Jr_lam @ Jlx[2 * k: 2 * k + 2],
-                                Ju=Jr_lam @ Jlu[2 * k: 2 * k + 2])
-                    else:
-                        acc.add(r, np.full(3, self.weights.w_cone))
+                r, Jr = co.cone_residual(self.cone_C, self.cone_c, lam)
+                acc.add(r, self.weights.w_cone,
+                        Jx=Jr @ Jlx if with_jac else None,
+                        Ju=Jr @ Jlu if with_jac else None)
             if self.weights.w_qstatic:
                 lam_map = {f: lam[2 * k: 2 * k + 2]
                            for k, f in enumerate(self.contacts.frames)}
                 rqs = co.quasi_static_residual(model, q, u, lam_map)
-                S = np.zeros((nv, nu))
-                S[nv - nu:, :] = np.eye(nu)
                 J = sol.J
                 if with_jac:
                     Jx = np.zeros((nv, 2 * nv))
                     Jx[:, :nv] = co.quasi_static_residual_dq(model, q, lam_map)
                     Jx += J.T @ Jlx
-                    Ju2 = S + J.T @ Jlu
+                    Ju2 = model.S + J.T @ Jlu
                     acc.add(rqs, self.weights.w_qstatic * self.weights.N,
                             Jx=Jx, Ju=Ju2)
                 else:
@@ -419,29 +407,77 @@ class TerminalNode:
 
 
 class ShootingProblem:
-    """Ordered action models plus the initial state and tangent-space helpers."""
+    """A window of ``N`` node periods over a contact schedule, as action models.
 
-    def __init__(self, model: RobotModel, x0: np.ndarray, nodes: list,
-                 terminal: TerminalNode):
+    Running nodes take their contact set from the schedule at the node time;
+    every touchdown instant inside the window becomes one impulse node
+    (placed before the running node that starts there), and a terminal node
+    closes the window.  The problem keeps what it was built from -- model,
+    schedule, weights, bounds, friction cone (mu = 0.7 unless given), node
+    period ``dt`` and node count ``N`` -- and its node pools, so
+    ``set_window`` (and ``update_problem``) moves the window from a new
+    initial state and start time alone.  ``k0`` is the window's first index
+    on the node grid and ``plan`` its per-slot timing plan.
+    """
+
+    def __init__(self, model: RobotModel, schedule: ContactSchedule,
+                 weights: co.CostWeights, bounds: co.Bounds | None,
+                 x0: np.ndarray, N: int, dt: float, t0: float = 0.0,
+                 cone: co.FrictionCone | None = None):
+        if dt <= 0:
+            raise ScheduleError("dt must be positive")
         self.model = model
+        self.schedule = schedule
+        self.weights = weights
+        self.bounds = bounds
+        self.cone = cone if cone is not None else co.FrictionCone(mu=0.7)
+        self.N = N
+        self.dt = dt
+        self.nodes = []
+        self.terminal = TerminalNode(model, weights, bounds)
+        self._pools = {"running": [], "impulse": []}
+        self.set_window(x0, t0)
+
+    def set_window(self, x0: np.ndarray, t0: float):
+        """Retarget the nodes to the window [t0, t0 + N*dt] from state ``x0``.
+
+        ``t0`` must sit on the node grid.  When the node-kind sequence of
+        the new window matches the current one, nodes are reconfigured in
+        place; otherwise the node list is recomposed from the pools, which
+        construct action models only when they run dry (visible through
+        ``NODE_ALLOCATIONS``).
+        """
+        dt = self.dt
+        k0 = int(round(t0 / dt))
+        if abs(k0 * dt - t0) > 1e-9 * max(1.0, abs(t0)):
+            raise ScheduleError(f"t0={t0!r} is not on the {dt!r} node grid")
+        plan = _node_schedule(self.schedule, k0, self.N, dt)
+        kinds = [p[0] for p in plan]
+        if kinds != [n.kind for n in self.nodes]:
+            self.reserve(kinds.count("running"), kinds.count("impulse"))
+            pools = {kind: iter(pool) for kind, pool in self._pools.items()}
+            self.nodes = [next(pools[kind]) for kind in kinds]
+        for (kind, t, active, gained), node in zip(plan, self.nodes):
+            _configure_node(node, self.schedule, self.weights, t, active,
+                            gained, dt)
+        self.terminal.configure((k0 + self.N) * dt)
         self.x0 = np.asarray(x0, float)
-        self.nodes = nodes
-        self.terminal = terminal
+        self.k0 = k0
+        self.plan = plan
 
     def reserve(self, n_running: int = 0, n_impulse: int = 0):
         """Grow the node pools so later window updates construct nothing.
 
         Receding-horizon callers size the impulse pool up front (one node per
-        touchdown the schedule can ever bring into view); ``update_problem``
+        touchdown the schedule can ever bring into view); ``set_window``
         then recomposes the node list without allocating.
         """
-        weights, bounds, cone, dt = self._node_args
         pool = self._pools
         while len(pool["running"]) < n_running:
-            pool["running"].append(RunningNode(self.model, dt, weights,
-                                               bounds, cone))
+            pool["running"].append(RunningNode(self.model, self.dt, self.weights,
+                                               self.bounds, self.cone))
         while len(pool["impulse"]) < n_impulse:
-            pool["impulse"].append(ImpulseNode(self.model, weights))
+            pool["impulse"].append(ImpulseNode(self.model, self.weights))
 
     @property
     def ndx(self):
@@ -538,71 +574,16 @@ def build_problem(model: RobotModel, schedule: ContactSchedule,
                   weights: co.CostWeights, bounds: co.Bounds | None,
                   x0: np.ndarray, N: int, dt: float, t0: float = 0.0,
                   cone: co.FrictionCone | None = None) -> ShootingProblem:
-    """Assemble the horizon [t0, t0 + N*dt] over the given schedule.
+    """The problem over the window [t0, t0 + N*dt] (see ``ShootingProblem``)."""
+    return ShootingProblem(model, schedule, weights, bounds, x0, N, dt, t0, cone)
 
-    Running nodes take their contact set from the schedule at the node time;
-    every touchdown instant inside the horizon becomes one impulse node
-    (placed before the running node that starts there).  ``t0`` must sit on
-    the node grid.
+
+def update_problem(problem: ShootingProblem, x0: np.ndarray,
+                   t0: float) -> ShootingProblem:
+    """Move ``problem`` to the window starting at ``t0``, reusing its node pool.
+
+    Schedule, weights, bounds, cone, ``N`` and ``dt`` stay those the problem
+    was built with; see ``ShootingProblem.set_window``.
     """
-    if dt <= 0:
-        raise ScheduleError("dt must be positive")
-    k0 = int(round(t0 / dt))
-    if abs(k0 * dt - t0) > 1e-9 * max(1.0, abs(t0)):
-        raise ScheduleError(f"t0={t0!r} is not on the {dt!r} node grid")
-    if cone is None:
-        cone = co.FrictionCone(mu=0.7)
-    plan = _node_schedule(schedule, k0, N, dt)
-    nodes = []
-    for kind, t, active, gained in plan:
-        if kind == "running":
-            node = RunningNode(model, dt, weights, bounds, cone)
-        else:
-            node = ImpulseNode(model, weights)
-        _configure_node(node, schedule, weights, t, active, gained, dt)
-        nodes.append(node)
-    terminal = TerminalNode(model, weights, bounds)
-    terminal.configure((k0 + N) * dt)
-    problem = ShootingProblem(model, x0, nodes, terminal)
-    problem.meta = (k0, N, dt)
-    problem.plan = plan
-    problem._node_args = (weights, bounds, cone, dt)
-    problem._pools = {"running": [n for n in nodes if n.kind == "running"],
-                      "impulse": [n for n in nodes if n.kind == "impulse"]}
-    return problem
-
-
-def update_problem(problem: ShootingProblem, schedule: ContactSchedule,
-                   weights: co.CostWeights, bounds: co.Bounds | None,
-                   x0: np.ndarray, N: int, dt: float, t0: float,
-                   cone: co.FrictionCone | None = None) -> ShootingProblem:
-    """Retarget an existing problem to a new window, reusing its node pool.
-
-    When the node-kind sequence of the new window matches the old one, nodes
-    are reconfigured in place; otherwise the node list is recomposed from the
-    problem's pools, constructing action models only when a pool runs dry
-    (visible through ``NODE_ALLOCATIONS``).  Cost weights, bounds, and cone
-    stay those of the original build; only references are retargeted.
-    """
-    k0 = int(round(t0 / dt))
-    plan = _node_schedule(schedule, k0, N, dt)
-    same = (len(plan) == len(problem.nodes)
-            and all(p[0] == n.kind for p, n in zip(plan, problem.nodes)))
-    if not same:
-        need = {"running": 0, "impulse": 0}
-        for kind, *_rest in plan:
-            need[kind] += 1
-        problem.reserve(need["running"], need["impulse"])
-        used = {"running": 0, "impulse": 0}
-        nodes = []
-        for kind, *_rest in plan:
-            nodes.append(problem._pools[kind][used[kind]])
-            used[kind] += 1
-        problem.nodes = nodes
-    for (kind, t, active, gained), node in zip(plan, problem.nodes):
-        _configure_node(node, schedule, weights, t, active, gained, dt)
-    problem.terminal.configure((k0 + N) * dt)
-    problem.x0 = np.asarray(x0, float)
-    problem.meta = (k0, N, dt)
-    problem.plan = plan
+    problem.set_window(x0, t0)
     return problem

@@ -47,29 +47,31 @@ def act(p: np.ndarray, point: np.ndarray) -> np.ndarray:
     return p[:2] + rot(p[2]) @ point
 
 
-def _v_matrix(theta: float) -> np.ndarray:
+def _v_coefficients(theta: float) -> tuple[float, float]:
+    """(a, b) of the left Jacobian block V = [[a, -b], [b, a]] of ``exp``."""
     if abs(theta) < _SMALL_ANGLE:
         # second-order series keeps exp/log inverses tight near zero
-        a = 1.0 - theta * theta / 6.0
-        b = 0.5 * theta - theta ** 3 / 24.0
-    else:
-        a = np.sin(theta) / theta
-        b = (1.0 - np.cos(theta)) / theta
-    return np.array([[a, -b], [b, a]])
+        return 1.0 - theta * theta / 6.0, 0.5 * theta - theta ** 3 / 24.0
+    return np.sin(theta) / theta, (1.0 - np.cos(theta)) / theta
 
 
 def exp(xi: np.ndarray) -> np.ndarray:
     """SE(2) exponential of a tangent vector (vx, vy, omega)."""
-    rho, theta = np.asarray(xi, dtype=float)[:2], float(xi[2])
-    t = _v_matrix(theta) @ rho
-    return np.array([t[0], t[1], wrap_angle(theta)])
+    x, y, theta = (float(c) for c in xi)
+    a, b = _v_coefficients(theta)
+    return np.array([a * x - b * y, b * x + a * y, wrap_angle(theta)])
 
 
 def log(p: np.ndarray) -> np.ndarray:
-    """SE(2) logarithm; inverse of ``exp`` for angles in (-pi, pi]."""
+    """SE(2) logarithm; inverse of ``exp`` for angles in (-pi, pi].
+
+    V^-1 = [[a, b], [-b, a]] / (a^2 + b^2) in closed form.
+    """
     theta = wrap_angle(p[2])
-    rho = np.linalg.solve(_v_matrix(theta), np.asarray(p[:2], dtype=float))
-    return np.array([rho[0], rho[1], theta])
+    a, b = _v_coefficients(theta)
+    x, y = float(p[0]), float(p[1])
+    d = a * a + b * b
+    return np.array([(a * x + b * y) / d, (a * y - b * x) / d, theta])
 
 
 def adjoint(p: np.ndarray) -> np.ndarray:

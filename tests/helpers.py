@@ -222,3 +222,37 @@ def ref_frame_motion(m, q, v, frames):
     k = len(frames)
     return (np.array(pos).reshape(k, 2), np.array(vel).reshape(k, 2),
             np.array(bias).reshape(2 * k), np.array(jac).reshape(2 * k, m.nv))
+
+
+def ref_centroidal(m, q):
+    """(p_G, A_G, I_G) summed body by body.
+
+    The momentum of body i in its own frame is I_i B_i v; forces transform
+    covariantly, so pushing it into a world-aligned frame at the centre of
+    mass uses the transpose of the motion transform CoM frame -> body.
+    """
+    pose, _, B = ref_forward_kinematics(m, q)
+    coms = np.array([se2.act(pose[i], np.asarray(b.com))
+                     for i, b in enumerate(m.bodies)])
+    masses = np.array([b.mass for b in m.bodies])
+    p_G = masses @ coms / masses.sum()
+    A_G = np.zeros((3, m.nv))
+    I_G = 0.0
+    for i, b in enumerate(m.bodies):
+        rel = pose[i].copy()
+        rel[:2] -= p_G
+        A_G += ref_motion_transform(rel).T @ ref_inertia(b) @ B[i]
+        d = coms[i] - p_G
+        I_G += b.inertia + b.mass * float(d @ d)
+    return p_G, A_G, I_G
+
+
+def fd_centroidal_bias(m, q, v, eps=2.0 ** -17):
+    """Momentum-matrix drift (dA_G/dt) v by central differences.
+
+    A_G depends on the configuration only, so the difference of A_G(q) v
+    with q flowing along v matches the directional derivative to O(eps^2).
+    """
+    qp = mod.integrate_q(m, q, eps * v)
+    qm = mod.integrate_q(m, q, -eps * v)
+    return (ref_centroidal(m, qp)[1] @ v - ref_centroidal(m, qm)[1] @ v) / (2.0 * eps)

@@ -490,7 +490,7 @@ def test_momentum_rate_matches_newton_euler_in_free_fall(quad):
         sol = ct.contact_forward_dynamics(quad, q, v, u,
                                           ct.ContactSet(frames=()))
         cen = centroidal(quad, q, v)
-        hdot = cen.A_G @ sol.vdot + trk.centroidal_bias(quad, q, v)
+        hdot = cen.A_G @ sol.vdot + cen.Adot_v
         expect = np.array([0.0, -quad.total_mass * 9.81, 0.0])
         np.testing.assert_allclose(hdot, expect, atol=1e-6)
 
@@ -506,7 +506,7 @@ def test_momentum_rate_matches_contact_wrench(quad):
     sol = ct.contact_forward_dynamics(quad, q, v, u,
                                       ct.ContactSet(frames=frames))
     cen = centroidal(quad, q, v)
-    hdot = cen.A_G @ sol.vdot + trk.centroidal_bias(quad, q, v)
+    hdot = cen.A_G @ sol.vdot + cen.Adot_v
 
     kin = kinematics.forward_kinematics(quad, q)
     pts = kinematics.frame_positions(quad, kin, frames)

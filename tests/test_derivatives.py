@@ -3,7 +3,8 @@
 ``dynamics.tangent_sweep`` feeds every derivative of the contact, impulse,
 swing and quasi-static terms; here each consumer is checked against
 central differences of the function it differentiates, and a call count
-keeps finite differences from creeping back into the runtime paths.
+keeps finite differences from creeping back into the runtime paths
+(``centroidal``'s momentum drift included).
 """
 
 import itertools
@@ -16,6 +17,7 @@ from leggedmpc import contact as ct
 from leggedmpc import costs as co
 from leggedmpc import dynamics, kinematics, presets, problem, schedule
 from leggedmpc import model as mod
+from leggedmpc.centroidal import centroidal
 
 from helpers import fd_config_jacobian, fd_state_jacobian, rel_err, random_state
 
@@ -177,4 +179,12 @@ def test_contact_forward_dynamics_runs_kinematics_once(monkeypatch):
     calls = count_forward_kinematics(monkeypatch)
     ct.contact_forward_dynamics(quad, q, v, np.zeros(quad.nu),
                                 ct.ContactSet(frames=(0, 1, 2, 3)))
+    assert len(calls) == 1
+
+
+def test_centroidal_runs_kinematics_once(monkeypatch):
+    quad = presets.default_quadruped()
+    q, v = mod.split_state(quad, random_state(quad, np.random.default_rng(3)))
+    calls = count_forward_kinematics(monkeypatch)
+    centroidal(quad, q, v)
     assert len(calls) == 1

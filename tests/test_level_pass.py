@@ -1,9 +1,11 @@
 """The level-batched multibody pass against the per-body reference recursions.
 
 ``forward_kinematics``, ``rnea``, ``mass_matrix`` and the contact-frame
-quantities evaluate one tree depth at a time; ``tests/helpers.py`` keeps the
-body-by-body recursions (forward kinematics, RNEA, CRBA) as the oracle.
-Summation order differs, so results agree to rounding, not bit for bit.
+quantities evaluate one tree depth at a time, and ``centroidal`` reads the
+base rows of M and h; ``tests/helpers.py`` keeps the body-by-body recursions
+(forward kinematics, RNEA, CRBA, centroidal sums) as the oracle, and a
+finite difference of A_G v as the oracle of the momentum drift.  Summation
+order differs, so results agree to rounding, not bit for bit.
 """
 
 import numpy as np
@@ -12,9 +14,10 @@ from hypothesis import strategies as st
 
 from leggedmpc import contact as ct
 from leggedmpc import dynamics, kinematics, presets, se2
+from leggedmpc.centroidal import centroidal
 
-from helpers import (ref_forward_kinematics, ref_frame_motion, ref_mass_matrix,
-                     ref_rnea, rel_err)
+from helpers import (fd_centroidal_bias, ref_centroidal, ref_forward_kinematics,
+                     ref_frame_motion, ref_mass_matrix, ref_rnea, rel_err)
 
 TOL = 1e-12
 
@@ -104,6 +107,19 @@ def test_frame_motion_matches_reference(name, data):
     assert close(kinematics.frame_velocities(m, q, v, frames), vel)
     assert close(kinematics.frame_acceleration_bias(m, q, v, frames), bias)
     assert close(ct.contact_jacobian_stack(m, q, frames), jac)
+
+
+@settings(max_examples=60)
+@given(name=names, data=st.data())
+def test_centroidal_matches_reference(name, data):
+    m = MODELS[name]
+    q, v = data.draw(vectors(m.nq)), data.draw(vectors(m.nv))
+    cen = centroidal(m, q, v)
+    p_G, A_G, I_G = ref_centroidal(m, q)
+    assert rel_err(cen.p_G, p_G) < TOL
+    assert rel_err(cen.A_G, A_G) < TOL
+    assert rel_err(cen.I_G, I_G) < TOL
+    assert rel_err(cen.Adot_v, fd_centroidal_bias(m, q, v)) < 1e-6
 
 
 def test_tree_levels_cover_every_body_once():

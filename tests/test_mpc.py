@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -102,6 +103,22 @@ def test_quasi_static_single_support_under_com():
     u, lam = rh.quasi_static_start(box, np.zeros(3), ct.ContactSet(frames=(0,)))
     assert u.shape == (0,)
     assert lam == pytest.approx([0.0, 2.0 * 9.81])
+
+
+def test_u_seed_is_the_quasi_static_torque(quad):
+    ctrl = make_mpc(quad)
+    q0 = presets.nominal_configuration(quad)
+    balanced = 0
+    for r in range(1, 5):
+        for frames in itertools.combinations(range(4), r):
+            try:
+                u, _ = rh.quasi_static_start(quad, q0, ct.ContactSet(frames=frames))
+            except RankDeficientContacts:
+                continue
+            assert np.array_equal(ctrl._u_seed(frames), u)
+            balanced += 1
+    assert balanced >= 6
+    assert np.array_equal(ctrl._u_seed(()), np.zeros(quad.nu))
 
 
 # ------------------------------------------------------ initial-state delay
@@ -229,16 +246,13 @@ def test_shifted_warm_start_reproduces_overlap(quad):
     x0 = presets.nominal_state(quad)
     for i in range(3):
         ctrl.step(x0, i * 0.02)
-    old_plan = ctrl.problem.plan
-    old_k0, old_N, _ = ctrl.problem.meta
+    old_plan, old_k0 = ctrl.problem.plan, ctrl.problem.k0
     old_xs = [np.array(x) for x in ctrl.solver.xs]
     old_us = [np.array(u) for u in ctrl.solver.us]
     # shift one node ahead without iterating
-    problem.update_problem(ctrl.problem, ctrl.schedule, ctrl.weights,
-                           ctrl.bounds, x0, ctrl.config.n_nodes, 0.02,
-                           t0=(old_k0 + 1) * 0.02, cone=ctrl.cone)
+    problem.update_problem(ctrl.problem, x0, t0=(old_k0 + 1) * 0.02)
     ctrl._shift_candidate(old_plan, ctrl.solver.xs, ctrl.solver.us,
-                          old_k0 + old_N)
+                          old_k0 + ctrl.problem.N)
     times = {int(round(t / 0.02)): i for i, (_, t, *_r) in enumerate(old_plan)}
     for i, (_, t, *_r) in enumerate(ctrl.problem.plan):
         j = times.get(int(round(t / 0.02)))

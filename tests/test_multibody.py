@@ -302,18 +302,3 @@ def test_flight_angular_momentum_drift_bounded(quad):
         # per-step error is O(dt^2); over t/dt steps the bound is C*dt*t
         assert worst < 60.0 * dt * (dt * steps)
 
-
-# ---------------------------------------------------------------- dimensions
-
-def test_model_dimensions(quad):
-    d0 = centroidal.model_dimensions(quad, 0)
-    assert d0["fullbody"] == 2 * 11 + 8 == 30
-    assert d0["centroidal"] == (3 + 11) + (11 + 0) == 25
-    d4 = centroidal.model_dimensions(quad, 4)
-    assert d4["centroidal"] == (3 + 11) + (11 + 8) == 33
-    # crossover: planar fullbody == centroidal when n_f = nv - 6
-    assert centroidal.crossover_force_dimension(11) == 5
-    # spatial reference numbers: quadruped with nv = 18 and two point feet
-    table = centroidal.dimension_table(nv=18, nu=12, n_f=6, momentum_dim=6)
-    assert table["fullbody"] == table["centroidal"] == 48
-    assert centroidal.crossover_force_dimension(18, momentum_dim=6) == 6

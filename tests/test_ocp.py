@@ -145,25 +145,32 @@ def test_cone_rotation_equivariance():
         assert np.allclose(C0 @ lam - c0, C1 @ (R @ lam) - c1, atol=1e-12)
 
 
+def cone_penalty(C, c, lam, w):
+    """Value, gradient and Gauss-Newton Hessian of w |r|^2 in the forces."""
+    r, J = co.cone_residual(C, c, lam)
+    return w * float(r @ r), 2.0 * w * (J.T @ r), 2.0 * w * (J.T @ J)
+
+
 def test_cone_penalty_gradient_fd():
     C, c = co.cone_matrices(co.FrictionCone(mu=0.4, lambda_min=5.0))
-    lam = np.array([2.0, 3.0])  # violates friction and min-normal rows
+    # first contact violates friction and min-normal rows, the second is inside
+    lam = np.array([2.0, 3.0, 0.1, 6.0])
     w = 7.0
-    val, grad, hess = co.cone_penalty(C, c, lam, w)
+    val, grad, hess = cone_penalty(C, c, lam, w)
     assert val > 0
     eps = 1e-7
-    for i in range(2):
-        d = np.zeros(2)
+    for i in range(lam.size):
+        d = np.zeros(lam.size)
         d[i] = eps
-        vp = co.cone_penalty(C, c, lam + d, w)[0]
-        vm = co.cone_penalty(C, c, lam - d, w)[0]
+        vp = cone_penalty(C, c, lam + d, w)[0]
+        vm = cone_penalty(C, c, lam - d, w)[0]
         assert abs((vp - vm) / (2 * eps) - grad[i]) < 1e-5 * max(1, abs(grad[i]))
     assert np.all(np.linalg.eigvalsh(hess) >= -1e-12)
 
 
 def test_cone_penalty_zero_inside():
     C, c = co.cone_matrices(co.FrictionCone(mu=0.7, lambda_min=0.1))
-    val, grad, _ = co.cone_penalty(C, c, np.array([0.1, 1.0]), 10.0)
+    val, grad, _ = cone_penalty(C, c, np.array([0.1, 1.0, -0.2, 0.5]), 10.0)
     assert val == 0.0
     assert np.all(grad == 0.0)
 
@@ -265,7 +272,7 @@ def test_update_problem_reuses_nodes(quad):
     x0 = presets.nominal_state(quad)
     prob = problem.build_problem(quad, sched, w, b, x0, N=10, dt=0.02)
     before = problem.NODE_ALLOCATIONS
-    out = problem.update_problem(prob, sched, w, b, x0, N=10, dt=0.02, t0=0.02)
+    out = problem.update_problem(prob, x0, t0=0.02)
     assert out is prob
     assert problem.NODE_ALLOCATIONS == before
     assert prob.nodes[0].time == pytest.approx(0.02)
