@@ -141,8 +141,11 @@ class BoxFddp:
 
     The problem object supplies nodes with ``calc``/``calc_diff``, a terminal
     node, tangent-space ``diff``/``integrate`` helpers, and the initial state
-    ``x0``.  Regularization persists across ``solve_one_iteration`` calls so
-    receding-horizon users inherit the previous step's value.
+    ``x0``.  Regularization persists across ``solve_one_iteration`` calls;
+    a caller may set ``mu`` between them (the receding-horizon loop starts
+    every step from one warm value).  ``last_alpha`` and ``last_trials``
+    hold the accepted step length (0 when none) and the number of trial
+    rollouts of the last iteration.
 
     The regularization mu follows the schedule of Box-FDDP (Mastalli et al.,
     "A feasibility-driven approach to control-limited DDP", Auton. Robots
@@ -184,6 +187,8 @@ class BoxFddp:
         self.qu_norm = np.inf
         self.iterations = 0
         self.accepted_steps = 0
+        self.last_alpha = 0.0
+        self.last_trials = 0
         self.log: list[tuple] = []
         self._derivs = None
         self._dg = 0.0
@@ -361,6 +366,7 @@ class BoxFddp:
         (nothing accepted); raises NoStepAccepted when no step length works
         at the maximum regularization.
         """
+        self.last_alpha, self.last_trials = 0.0, 0
         self.compute_derivatives()
         while True:
             try:
@@ -376,6 +382,7 @@ class BoxFddp:
             step = self._line_search()
             if step is not None:
                 alpha, xs_try, us_try, cost_try = step
+                self.last_alpha = alpha
                 self.xs, self.us = xs_try, us_try
                 self.cost = cost_try
                 self.gaps = [(1.0 - alpha) * g for g in self.gaps]
@@ -399,6 +406,7 @@ class BoxFddp:
             min_decrease = (self._min_decrease(self.expected_improvement(alpha, None))
                             if was_feasible else None)
             out = self.forward_pass(alpha, min_decrease)
+            self.last_trials += 1
             if out is None:
                 continue
             xs_try, us_try, cost_try = out

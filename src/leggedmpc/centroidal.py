@@ -23,7 +23,7 @@ import numpy as np
 
 from . import se2
 from .dynamics import gravity_torque, mass_matrix, nonlinear_effects
-from .kinematics import forward_kinematics, motion_transform
+from .kinematics import Kinematics, forward_kinematics, motion_transform
 from .model import RobotModel
 
 
@@ -38,19 +38,26 @@ class CentroidalQuantities:
     Adot_v: np.ndarray     # momentum-matrix drift (dA_G/dt) v (3,)
 
 
-def centroidal(model: RobotModel, q: np.ndarray, v: np.ndarray) -> CentroidalQuantities:
+def centroidal(model: RobotModel, q: np.ndarray, v: np.ndarray,
+               kin: Kinematics | None = None, M: np.ndarray | None = None,
+               h: np.ndarray | None = None) -> CentroidalQuantities:
     """Centroidal momentum, its matrix and drift at (q, v), on one kinematics pass.
 
     The centre of mass comes from the composite base inertia M[:3, :3]
     (first moment over mass, in the base frame); I_G is the angular entry
-    of A_G for a unit base rotation with the joints locked.
+    of A_G for a unit base rotation with the joints locked.  The
+    ``Kinematics`` at q, M(q) and h(q, v) are reused when the caller has
+    them.
     """
     q = model.check_q(q)
     v = model.check_v(v)
-    kin = forward_kinematics(model, q)
-    M = mass_matrix(model, q, kin=kin)
-    coriolis = (nonlinear_effects(model, q, v, kin=kin)
-                - gravity_torque(model, q, kin=kin))
+    if kin is None:
+        kin = forward_kinematics(model, q)
+    if M is None:
+        M = mass_matrix(model, q, kin=kin)
+    if h is None:
+        h = nonlinear_effects(model, q, v, kin=kin)
+    coriolis = h - gravity_torque(model, q, kin=kin)
     m_tot = model.total_mass
     base = kin.pose[0]
     p_G = se2.act(base, np.array([M[1, 2], -M[0, 2]]) / M[0, 0])
@@ -58,13 +65,13 @@ def centroidal(model: RobotModel, q: np.ndarray, v: np.ndarray) -> CentroidalQua
     rel[:2] -= p_G
     XGt = motion_transform(rel).T
     A_G = XGt @ M[:3]
-    h = A_G @ v
+    momentum = A_G @ v
     return CentroidalQuantities(
         p_G=p_G,
-        l_G=h[:2],
-        k_G=float(h[2]),
+        l_G=momentum[:2],
+        k_G=float(momentum[2]),
         A_G=A_G,
         I_G=float(A_G[2, 2]),
-        v_G=h[:2] / m_tot,
+        v_G=momentum[:2] / m_tot,
         Adot_v=XGt @ coriolis[:3],
     )

@@ -9,11 +9,12 @@ solve the primal-dual system
 with a_C = Jdot*v + psi the constraint-space bias and psi a Baumgarte
 stabilization term 2*zeta*omega*(frame velocity) + omega^2*(position drift).
 The solve goes through the contact-space inertia (Schur complement)
-Mhat = J M^-1 J.T.  One call runs forward kinematics once and the body
-twists once: M, h, the contact Jacobian (stacked from the body Jacobians
-for all frames at once), the frame acceleration bias and the Baumgarte
-velocities all read that ``Kinematics`` and twist array, and the solution
-keeps the ``Kinematics`` for its derivatives.
+Mhat = J M^-1 J.T.  One call runs forward kinematics once, and the body
+twists and their bias accelerations once: M, h, the contact Jacobian
+(stacked from the body Jacobians for all frames at once), the frame
+acceleration bias and the Baumgarte velocities all read that
+``Kinematics`` and those arrays, and the solution keeps the ``Kinematics``
+for its derivatives.
 
 The derivative routines differentiate the KKT conditions implicitly:
 ``dynamics.tangent_sweep`` gives the exact derivatives of the
@@ -32,6 +33,7 @@ from .dynamics import mass_matrix, nonlinear_effects, tangent_sweep
 from .errors import DimensionMismatch, RankDeficientContacts
 from .kinematics import (
     Kinematics,
+    bias_accelerations,
     body_twists,
     forward_kinematics,
     frame_acceleration_bias,
@@ -148,7 +150,9 @@ def contact_forward_dynamics(model: RobotModel, q, v, u, contacts: ContactSet) -
     v = model.check_v(v)
     kin = forward_kinematics(model, q)
     M = mass_matrix(model, q, kin=kin)
-    h = nonlinear_effects(model, q, v, kin=kin)
+    tw = body_twists(model, kin, v)
+    bias = bias_accelerations(model, kin, v, tw)
+    h = nonlinear_effects(model, q, v, kin=kin, tw=tw, bias=bias)
     tau_b = actuation(model, u) - h
 
     if not contacts.frames:
@@ -159,8 +163,8 @@ def contact_forward_dynamics(model: RobotModel, q, v, u, contacts: ContactSet) -
                                tau_b=tau_b, kin=kin)
 
     J = contact_jacobian_stack(model, q, contacts.frames, kin=kin)
-    tw = body_twists(model, kin, v)
-    a_C = (frame_acceleration_bias(model, q, v, contacts.frames, kin=kin, tw=tw)
+    a_C = (frame_acceleration_bias(model, q, v, contacts.frames, kin=kin, tw=tw,
+                                   bias=bias)
            + _baumgarte(model, q, v, contacts, kin=kin, tw=tw))
 
     Minv_Jt = np.linalg.solve(M, J.T)

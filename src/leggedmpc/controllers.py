@@ -29,8 +29,9 @@ from .centroidal import centroidal
 from .costs import Bounds, FrictionCone, cone_matrices
 from .dynamics import mass_matrix, nonlinear_effects
 from .errors import ConfigError, MaxIterations, Stage1Infeasible
-from .kinematics import (forward_kinematics, frame_acceleration_bias,
-                         frame_positions, frame_velocities)
+from .kinematics import (bias_accelerations, body_twists, forward_kinematics,
+                         frame_acceleration_bias, frame_positions,
+                         frame_velocities)
 from .model import RobotModel
 from .mpc import PolicyMessage
 
@@ -420,34 +421,39 @@ def stance_tasks(model: RobotModel, gains: WbcGains, x, x_ref, u_ff,
     nf = 2 * len(frames)
     ny = nv + nu + nf
 
-    M = mass_matrix(model, q)
-    h = nonlinear_effects(model, q, v)
-    Jc = ct.contact_jacobian_stack(model, q, frames)
+    # one kinematics pass per state: the measured one here, the reference
+    # one inside the reference dynamics below
+    kin = forward_kinematics(model, q)
+    tw = body_twists(model, kin, v)
+    bias = bias_accelerations(model, kin, v, tw)
+    M = mass_matrix(model, q, kin=kin)
+    h = nonlinear_effects(model, q, v, kin=kin, tw=tw, bias=bias)
+    Jc = ct.contact_jacobian_stack(model, q, frames, kin=kin)
     A1 = np.zeros((nv + nf, ny))
     A1[:nv, :nv] = M
     A1[:nv, nv:nv + nu] = -model.S
     A1[:nv, nv + nu:] = -Jc.T
     A1[nv:, :nv] = Jc
-    a1 = np.concatenate([-h, -frame_acceleration_bias(model, q, v, frames)])
+    a1 = np.concatenate([-h, -frame_acceleration_bias(model, q, v, frames,
+                                                      kin=kin, tw=tw, bias=bias)])
     tasks = [WbcTask(A1, a1, rank=0, name="dynamics")]
 
     # reference accelerations are contact-consistent under the feed-forward
     contacts = ct.ContactSet(frames=frames)
-    vdot_ref = ct.contact_forward_dynamics(
-        model, q_d, v_d, np.asarray(u_ff, float), contacts).vdot
-    cen = centroidal(model, q, v)
-    cen_ref = centroidal(model, q_d, v_d)
+    ref = ct.contact_forward_dynamics(
+        model, q_d, v_d, np.asarray(u_ff, float), contacts)
+    vdot_ref, kin_d = ref.vdot, ref.kin
+    cen = centroidal(model, q, v, kin=kin, M=M, h=h)
+    cen_ref = centroidal(model, q_d, v_d, kin=kin_d, M=ref.M)
     hdot_ref = cen_ref.A_G @ vdot_ref + cen_ref.Adot_v
     m_tot = model.total_mass
 
     swing = tuple(f for f in range(len(model.contact_frames))
                   if f not in frames)
     if swing:
-        kin = forward_kinematics(model, q)
-        kin_d = forward_kinematics(model, q_d)
         pos = frame_positions(model, kin, swing).ravel()
         pos_d = frame_positions(model, kin_d, swing).ravel()
-        vel = frame_velocities(model, q, v, swing, kin=kin).ravel()
+        vel = frame_velocities(model, q, v, swing, kin=kin, tw=tw).ravel()
         vel_d = frame_velocities(model, q_d, v_d, swing, kin=kin_d).ravel()
         acc_d = (ct.contact_jacobian_stack(model, q_d, swing, kin=kin_d) @ vdot_ref
                  + frame_acceleration_bias(model, q_d, v_d, swing, kin=kin_d))
@@ -456,7 +462,7 @@ def stance_tasks(model: RobotModel, gains: WbcGains, x, x_ref, u_ff,
         A = np.zeros((2 * len(swing), ny))
         A[:, :nv] = ct.contact_jacobian_stack(model, q, swing, kin=kin)
         tasks.append(WbcTask(A, target - frame_acceleration_bias(
-            model, q, v, swing, kin=kin), rank=1, name="swing"))
+            model, q, v, swing, kin=kin, tw=tw, bias=bias), rank=1, name="swing"))
 
     # CoM rows are the linear momentum rows scaled by the total mass
     acc_com_d = hdot_ref[:2] / m_tot
@@ -492,8 +498,9 @@ class WholeBodyController(_MessageTracker):
 
     Stance ticks solve the QP cascade and command the torque block of its
     solution; planned intervals with fewer than two feet in contact use the
-    flight PD; an infeasible dynamics stage re-issues the previous clamped
-    torques with the degraded flag set.
+    flight PD; an infeasible dynamics stage, or a stage QP whose active set
+    does not settle, re-issues the previous clamped torques with the
+    degraded flag set.
     """
 
     def __init__(self, model: RobotModel, bounds: Bounds,
@@ -539,7 +546,7 @@ class WholeBodyController(_MessageTracker):
                 u = np.clip(sol.y[nv:nv + nu],
                             self.bounds.u_lb, self.bounds.u_ub)
                 mode = "wbc"
-            except Stage1Infeasible:
+            except (Stage1Infeasible, MaxIterations):
                 u = np.clip(self._u_prev, self.bounds.u_lb, self.bounds.u_ub)
                 mode = "wbc"
                 degraded = True

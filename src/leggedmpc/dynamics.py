@@ -36,14 +36,16 @@ from .model import RobotModel
 
 def rnea(model: RobotModel, q: np.ndarray, v: np.ndarray, a: np.ndarray,
          contact_forces: dict[int, np.ndarray] | None = None,
-         kin: Kinematics | None = None) -> np.ndarray:
+         kin: Kinematics | None = None, tw: np.ndarray | None = None,
+         bias: np.ndarray | None = None) -> np.ndarray:
     """Generalized force tau = M(q) a + h(q, v) - J_C.T lambda.
 
     ``contact_forces`` maps contact-frame index -> world-frame force (2,).
     Body accelerations are B a plus the velocity bias of
     ``bias_accelerations`` plus gravity, folded in as a fictitious upward
     world acceleration; each body's net force f_i then reaches tau as
-    B_i.T f_i.
+    B_i.T f_i.  ``tw`` (body twists under v) and ``bias`` (their
+    ``bias_accelerations``) are reused when the caller has them.
     """
     q = model.check_q(q)
     v = model.check_v(v)
@@ -51,8 +53,11 @@ def rnea(model: RobotModel, q: np.ndarray, v: np.ndarray, a: np.ndarray,
     if kin is None:
         kin = forward_kinematics(model, q)
     B, I = kin.B, model.spatial_inertias
-    tw = B @ v
-    ac = B @ a + bias_accelerations(model, kin, v, tw)
+    if tw is None:
+        tw = B @ v
+    if bias is None:
+        bias = bias_accelerations(model, kin, v, tw)
+    ac = B @ a + bias
     # world gravity seen in each body frame: R_i.T (-g)
     ac[:, :2] -= model.gravity @ kin.R
     mom = (I @ tw[:, :, None])[..., 0]
@@ -215,9 +220,10 @@ def tangent_sweep(model: RobotModel, kin: Kinematics, v: np.ndarray,
 
 
 def nonlinear_effects(model: RobotModel, q: np.ndarray, v: np.ndarray,
-                      kin: Kinematics | None = None) -> np.ndarray:
+                      kin: Kinematics | None = None, tw: np.ndarray | None = None,
+                      bias: np.ndarray | None = None) -> np.ndarray:
     """Coriolis, centrifugal and gravity bias h(q, v) = rnea(q, v, 0)."""
-    return rnea(model, q, v, np.zeros(model.nv), kin=kin)
+    return rnea(model, q, v, np.zeros(model.nv), kin=kin, tw=tw, bias=bias)
 
 
 def gravity_torque(model: RobotModel, q: np.ndarray,

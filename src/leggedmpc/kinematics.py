@@ -167,20 +167,21 @@ def frame_velocities(model: RobotModel, q: np.ndarray, v: np.ndarray, frames,
 
 def frame_acceleration_bias(model: RobotModel, q: np.ndarray, v: np.ndarray, frames,
                             kin: Kinematics | None = None,
-                            tw: np.ndarray | None = None) -> np.ndarray:
+                            tw: np.ndarray | None = None,
+                            bias: np.ndarray | None = None) -> np.ndarray:
     """World acceleration of contact points under zero generalized acceleration.
 
     This is the classical (point) acceleration, i.e. the Jdot*v term of
     d/dt(J v) = J vdot + Jdot v, stacked per frame into a vector of length
-    2*len(frames).  ``tw`` are the body twists under ``v`` when the caller
-    has them.
+    2*len(frames).  ``tw`` are the body twists under ``v`` and ``bias``
+    their ``bias_accelerations``, when the caller has them.
     """
     v = model.check_v(v)
     if kin is None:
         kin = forward_kinematics(model, model.check_q(q))
     if tw is None:
         tw = body_twists(model, kin, v)
-    acc = bias_accelerations(model, kin, v, tw)
+    acc = bias_accelerations(model, kin, v, tw) if bias is None else bias
     b, r = _frames(model, frames)
     t, a = tw[b], acc[b]
     w = t[:, 2:]

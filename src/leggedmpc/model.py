@@ -179,16 +179,6 @@ class RobotModel:
     def total_mass(self) -> float:
         return float(sum(b.mass for b in self.bodies))
 
-    def joint_velocity_index(self, joint: int) -> int:
-        """First tangent coordinate of a joint (slice of 3 for the root)."""
-        return 0 if joint == 0 else 2 + joint
-
-    def frame_index(self, name: str) -> int:
-        for i, c in enumerate(self.contact_frames):
-            if c.name == name:
-                return i
-        raise KeyError(name)
-
     def check_q(self, q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=float)
         if q.shape != (self.nq,):

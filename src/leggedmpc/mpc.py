@@ -1,11 +1,15 @@
 """Receding-horizon predictive control loop.
 
 The loop owns one shooting problem and one solver instance for its whole
-lifetime.  Each step retargets the problem window to the last completed node,
-maps the previous solution onto the overlapping nodes (nominal posture and
-quasi-static torques fill the receded tail), predicts the initial state across
-the expected communication delay, runs a fixed number of solver iterations
-(one by default), and emits the policy slice the tracking controller consumes.
+lifetime.  Each step predicts the initial state across the expected
+communication delay and starts the problem window at that predicted time:
+the first node runs from it to the next node of the grid, and every later
+node stays on the grid.  It maps the previous solution onto the nodes both
+windows share (the first node starts from the prediction when it lies
+inside a slot of the previous window; a rollout from the previous terminal
+state fills the receded tail), runs a fixed number of solver iterations (one
+by default) from one warm regularization, and emits the policy slice the
+tracking controller consumes.
 """
 
 from __future__ import annotations
@@ -34,7 +38,9 @@ class MpcConfig:
     node_dt: float                  # node period, s
     update_rate: float              # MPC step rate, Hz
     control_horizon_nodes: int = 4  # nodes shipped to the tracking controller
-    expected_delay: float = 0.0     # communication + computation delay, s
+    expected_delay: float = 0.0     # communication + computation delay, s;
+                                    # the window starts this long after the
+                                    # step's wall time
     solver_tol: float = 1e-6
     iterations_per_step: int = 1    # >1 only for offline convergence studies
 
@@ -71,7 +77,10 @@ class PolicyMessage:
     """One control-horizon slice of the current plan.
 
     ``xs_ref`` holds ``len(us_ff) + 1`` states: one at each listed node time.
-    Gains map tangent-space state error to torque as ``u_ff + K (x_ref - x)``.
+    The first time is the predicted time the plan starts from, so the first
+    interval may be shorter than ``node_dt``; the later times are nodes of
+    the grid.  Gains map tangent-space state error to torque as
+    ``u_ff + K (x_ref - x)``.
     """
 
     stamp: float
@@ -191,7 +200,13 @@ class Mpc:
     constructs an action model.
     """
 
-    _MU_WARM_CAP = 1e2
+    # regularization every step starts from.  The mu left by the previous
+    # step follows that step's accepted length, not how far the shifted
+    # warm start is from the new window's local model.  On the trot_mpc
+    # benchmark (seeds 1-5), starting from 1 took 1.04-1.15 trial rollouts
+    # per step at plan costs of 175-184; 1e-2 took 2.4-2.7 trials at
+    # 808-1008, and 10 over-damped the plan (costs 3.3e3 to 5e6)
+    _MU_WARM = 1.0
 
     def __init__(self, model: RobotModel, schedule: ContactSchedule,
                  weights: co.CostWeights, bounds: co.Bounds | None,
@@ -257,6 +272,8 @@ class Mpc:
     def _shift_candidate(self, old_plan, old_xs, old_us, old_k_end: int):
         """Map the previous solution onto the new window by node time/kind.
 
+        A first node that starts between the previous window's nodes starts
+        from the predicted state ``problem.x0`` once a plan has been solved.
         Nodes past the previous coverage are rolled out from the previous
         terminal state, reusing the last converged stance control when the
         contact set carries over (quasi-static torques otherwise).  This
@@ -264,8 +281,8 @@ class Mpc:
         gap against the nominal posture.
         """
         dt = self.config.node_dt
-        index = {(kind, int(round(t / dt))): i
-                 for i, (kind, t, *_rest) in enumerate(old_plan)}
+        # nodes of both windows carry bit-equal times
+        index = {(kind, t): i for i, (kind, t, *_rest) in enumerate(old_plan)}
         last_u, last_active = None, None
         for j in range(len(old_plan) - 1, -1, -1):
             if old_plan[j][0] == "running":
@@ -274,18 +291,32 @@ class Mpc:
         xs, us = [], []
         tail_x = None
         for i, (kind, t, active, _gained) in enumerate(self.problem.plan):
-            kt = int(round(t / dt))
-            j = index.get((kind, kt))
+            j = index.get((kind, t))
             if j is not None:
                 xs.append(old_xs[j])
                 us.append(old_us[j])
                 tail_x = None
                 continue
-            if tail_x is None:
-                tail_x = np.array(old_xs[-1]) if kt == old_k_end \
+            cover = None
+            if i == 0 and t < old_k_end * dt:
+                cover = max((m for m, (kind_m, t_m, *_r) in enumerate(old_plan)
+                             if kind_m == "running" and t_m <= t), default=None)
+            if cover is not None:
+                # the window starts inside the slot of a previous node.  A
+                # solved plan goes on from the predicted state, under that
+                # node's control.  The start-up seed keeps its own state:
+                # the whole mismatch then stays on the initial gap, the one
+                # gap whose effect on the cost Box-FDDP's step model
+                # predicts to first order
+                tail_x = np.array(self.problem.x0 if self.last_message is not None
+                                  else old_xs[cover])
+            elif tail_x is None:
+                tail_x = np.array(old_xs[-1]) if int(round(t / dt)) == old_k_end \
                     else np.array(self.x_nominal)
             if kind != "running":
                 u = np.zeros(0)
+            elif cover is not None:
+                u = np.array(old_us[cover])
             elif tuple(active) == last_active and last_u is not None:
                 # the appended node continues the previous window's last
                 # stance: its converged control is a far better guess than
@@ -312,7 +343,7 @@ class Mpc:
         sel = [i for i, n in enumerate(nodes)
                if n.kind == "running"][:cfg.control_horizon_nodes]
         node_times = [plan[i][1] for i in sel]
-        node_times.append(plan[sel[-1]][1] + cfg.node_dt)
+        node_times.append(plan[sel[-1]][1] + nodes[sel[-1]].dt)
         # the nodes kept their solutions from the solver's last evaluation
         forces = [nodes[i].solution(xs[i], us[i]).forces.copy() for i in sel]
         diag = {
@@ -322,6 +353,8 @@ class Mpc:
             "gap_inf": float(self.solver.gap_norm),
             "qu_norm": float(self.solver.qu_norm),
             "mu": float(self.solver.mu),
+            "alpha": float(self.solver.last_alpha),
+            "trials": int(self.solver.last_trials),
             "step": int(self.steps),
         }
         return PolicyMessage(
@@ -347,7 +380,10 @@ class Mpc:
         return msg
 
     def step(self, measurement: np.ndarray, wall_time: float) -> PolicyMessage:
-        """One MPC update: shift, predict, iterate once, emit the policy.
+        """One MPC update: predict, shift, iterate once, emit the policy.
+
+        The window starts at ``wall_time + expected_delay``, the time of the
+        predicted state.
 
         A measurement with a non-finite value changes nothing: the previous
         policy is re-issued marked degraded, or ``InvalidMeasurement`` is
@@ -371,13 +407,11 @@ class Mpc:
 
         old_plan, old_k0 = self.problem.plan, self.problem.k0
         old_xs, old_us = self.solver.xs, self.solver.us
-        pb.update_problem(self.problem, x0_pred, t0=k_now * dt)
+        pb.update_problem(self.problem, x0_pred,
+                          t0=wall_time + cfg.expected_delay)
         self._shift_candidate(old_plan, old_xs, old_us, old_k0 + cfg.n_nodes)
         self.k0 = k_now
-        # inherit the previous step's regularization, capped at every step:
-        # mu also rises after short accepted steps of a successful solve, and
-        # the terminal value of a failed solve would dead-lock later steps
-        self.solver.mu = min(self.solver.mu, self._MU_WARM_CAP)
+        self.solver.mu = self._MU_WARM
 
         status = "stepped"
         stepped = False

@@ -18,6 +18,7 @@ drops the kept evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,16 +145,20 @@ def _swing_vel_dq(model, kin, v, frames):
 
 
 class RunningNode:
-    """One integration step of the contact dynamics with its running cost."""
+    """One integration step of the contact dynamics with its running cost.
+
+    ``configure`` sets the node's start time, contact set, swing targets
+    and period ``dt``.
+    """
 
     kind = "running"
 
-    def __init__(self, model: RobotModel, dt: float, weights: co.CostWeights,
+    def __init__(self, model: RobotModel, weights: co.CostWeights,
                  bounds: co.Bounds | None, cone: co.FrictionCone | None):
         global NODE_ALLOCATIONS
         NODE_ALLOCATIONS += 1
         self.model = model
-        self.dt = float(dt)
+        self.dt = 0.0
         self.weights = weights
         self.bounds = bounds
         self.cone_C, self.cone_c = (co.cone_matrices(cone) if cone is not None
@@ -173,10 +178,13 @@ class RunningNode:
         return self.model.nu
 
     def configure(self, time: float, contacts: ct.ContactSet,
-                  swing: dict[int, SwingTarget]):
+                  swing: dict[int, SwingTarget], dt: float | None = None):
+        """Retarget the node; the period stays as it was unless ``dt`` is given."""
         self.time = time
         self.contacts = contacts
         self.swing = swing
+        if dt is not None:
+            self.dt = float(dt)
         self._kept = None
 
     # -- cost pieces shared by calc / calc_diff -----------------------------
@@ -407,7 +415,7 @@ class TerminalNode:
 
 
 class ShootingProblem:
-    """A window of ``N`` node periods over a contact schedule, as action models.
+    """A window of ``N`` node slots over a contact schedule, as action models.
 
     Running nodes take their contact set from the schedule at the node time;
     every touchdown instant inside the window becomes one impulse node
@@ -416,8 +424,9 @@ class ShootingProblem:
     schedule, weights, bounds, friction cone (mu = 0.7 unless given), node
     period ``dt`` and node count ``N`` -- and its node pools, so
     ``set_window`` (and ``update_problem``) moves the window from a new
-    initial state and start time alone.  ``k0`` is the window's first index
-    on the node grid and ``plan`` its per-slot timing plan.
+    initial state and start time alone.  ``k0`` is the grid slot holding the
+    window's start and ``plan`` its per-slot timing plan; the first entry
+    carries the start time itself, which may lie inside its slot.
     """
 
     def __init__(self, model: RobotModel, schedule: ContactSchedule,
@@ -439,27 +448,37 @@ class ShootingProblem:
         self.set_window(x0, t0)
 
     def set_window(self, x0: np.ndarray, t0: float):
-        """Retarget the nodes to the window [t0, t0 + N*dt] from state ``x0``.
+        """Retarget the nodes to the window [t0, (k0 + N)*dt] from state ``x0``.
 
-        ``t0`` must sit on the node grid.  When the node-kind sequence of
-        the new window matches the current one, nodes are reconfigured in
-        place; otherwise the node list is recomposed from the pools, which
+        ``k0`` is the grid slot holding ``t0`` (a ``t0`` within rounding of
+        a grid node is that node).  The first running node starts at ``t0``
+        and ends at the next grid node (k0 + 1)*dt, so its period is shorter
+        than ``dt`` when ``t0`` lies inside the slot; it keeps the slot's
+        contact set, and its swing targets are those at ``t0``.  Every later
+        node sits on the grid.  When the node-kind sequence of the new
+        window matches the current one, nodes are reconfigured in place;
+        otherwise the node list is recomposed from the pools, which
         construct action models only when they run dry (visible through
         ``NODE_ALLOCATIONS``).
         """
         dt = self.dt
         k0 = int(round(t0 / dt))
-        if abs(k0 * dt - t0) > 1e-9 * max(1.0, abs(t0)):
-            raise ScheduleError(f"t0={t0!r} is not on the {dt!r} node grid")
+        if abs(k0 * dt - t0) <= 1e-9 * max(1.0, abs(t0)):
+            t0, dt0 = k0 * dt, dt
+        else:
+            k0 = int(math.floor(t0 / dt))
+            dt0 = (k0 + 1) * dt - t0
         plan = _node_schedule(self.schedule, k0, self.N, dt)
         kinds = [p[0] for p in plan]
         if kinds != [n.kind for n in self.nodes]:
             self.reserve(kinds.count("running"), kinds.count("impulse"))
             pools = {kind: iter(pool) for kind, pool in self._pools.items()}
             self.nodes = [next(pools[kind]) for kind in kinds]
-        for (kind, t, active, gained), node in zip(plan, self.nodes):
+        for i, ((kind, t, active, gained), node) in enumerate(zip(plan, self.nodes)):
+            start, period = (t0, dt0) if i == 0 else (t, dt)
             _configure_node(node, self.schedule, self.weights, t, active,
-                            gained, dt)
+                            gained, dt, start, period)
+        plan[0] = (plan[0][0], t0, *plan[0][2:])
         self.terminal.configure((k0 + self.N) * dt)
         self.x0 = np.asarray(x0, float)
         self.k0 = k0
@@ -474,7 +493,7 @@ class ShootingProblem:
         """
         pool = self._pools
         while len(pool["running"]) < n_running:
-            pool["running"].append(RunningNode(self.model, self.dt, self.weights,
+            pool["running"].append(RunningNode(self.model, self.weights,
                                                self.bounds, self.cone))
         while len(pool["impulse"]) < n_impulse:
             pool["impulse"].append(ImpulseNode(self.model, self.weights))
@@ -550,7 +569,13 @@ def _snap_eps(dt: float) -> float:
 
 
 def _configure_node(node, schedule: ContactSchedule, weights: co.CostWeights,
-                    t: float, active, gained, dt: float):
+                    t: float, active, gained, dt: float, start: float,
+                    period: float):
+    """Configure ``node`` for the grid slot at ``t``.
+
+    A running node spans [start, start + period] inside the slot: its
+    swing phases are those of the slot, evaluated at ``start``.
+    """
     contacts = ct.ContactSet(frames=tuple(active))
     half = 0.5 * dt * (1.0 - 1e-7)
     if node.kind == "running":
@@ -559,11 +584,11 @@ def _configure_node(node, schedule: ContactSchedule, weights: co.CostWeights,
             if f in active:
                 continue
             ph = schedule.phase_at(f, t + half)
-            pos, vel = evaluate_swing(ph, t)
+            pos, vel = evaluate_swing(ph, start)
             swing[f] = SwingTarget(pos=pos, vel=vel,
                                    w_pos=weights.w_placement,
                                    w_vel=weights.w_velocity)
-        node.configure(t, contacts, swing)
+        node.configure(start, contacts, swing, period)
     else:
         tq = min(t + half, schedule.end_time - _snap_eps(dt))
         placements = {f: schedule.placement(f, tq) for f in gained}

@@ -115,9 +115,6 @@ class ContactSchedule:
     def active_set(self, t: float) -> tuple[int, ...]:
         return tuple(f for f in self.feet if self.in_contact(f, t))
 
-    def swing_set(self, t: float) -> tuple[int, ...]:
-        return tuple(f for f in self.feet if not self.in_contact(f, t))
-
     def placement(self, foot: int, t: float) -> np.ndarray:
         """Current placement target (stance point, or touchdown target in swing)."""
         return self.phase_at(foot, t).placement
@@ -128,15 +125,6 @@ class ContactSchedule:
         for foot, phases in self._phases.items():
             for ph in phases:
                 if ph.in_contact and t0 + _TOL < ph.start <= t1 + _TOL:
-                    events.append((ph.start, foot))
-        events.sort()
-        return events
-
-    def liftoffs_in(self, t0: float, t1: float) -> list[tuple[float, int]]:
-        events = []
-        for foot, phases in self._phases.items():
-            for ph in phases:
-                if not ph.in_contact and t0 + _TOL < ph.start <= t1 + _TOL:
                     events.append((ph.start, foot))
         events.sort()
         return events

@@ -294,6 +294,37 @@ def test_singular_trial_contact_set_rejects_trial():
     assert solver.log[-1][4] == 0.5
 
 
+def test_last_iteration_reports_step_and_trials():
+    prob, _ = make_lqr()
+    solver = BoxFddp(prob)
+    solver.set_candidate()
+    rejected = prob.nodes[3]
+    calc = rejected.calc
+    trial = {}
+    forward_pass = solver.forward_pass
+
+    def tracking_forward_pass(alpha, *args):
+        trial["alpha"] = alpha
+        return forward_pass(alpha, *args)
+
+    def calc_singular_at_full_step(x, u):
+        if trial.get("alpha") == 1.0:
+            raise RankDeficientContacts("singular trial contact set")
+        return calc(x, u)
+
+    solver.forward_pass = tracking_forward_pass
+    rejected.calc = calc_singular_at_full_step
+    assert solver.solve_one_iteration() is False
+    assert (solver.last_alpha, solver.last_trials) == (0.5, 2)
+    assert solver.last_alpha == solver.log[-1][4]
+    rejected.calc = calc
+    assert solver.solve_one_iteration() is False
+    assert (solver.last_alpha, solver.last_trials) == (1.0, 1)
+    # the LQR optimum converges without a trial
+    assert solver.solve_one_iteration() is True
+    assert (solver.last_alpha, solver.last_trials) == (0.0, 0)
+
+
 @pytest.mark.parametrize("goldstein, expected", [
     (0.1, -10.0),   # the model predicts an increase larger than the actual one
     (-1.0, 10.0),   # a lenient Goldstein factor with an optimistic prediction

@@ -9,7 +9,7 @@ from leggedmpc import model as mod
 from leggedmpc import mpc as rh
 from leggedmpc import presets, schedule
 from leggedmpc.centroidal import centroidal
-from leggedmpc.errors import ConfigError, Stage1Infeasible
+from leggedmpc.errors import ConfigError, MaxIterations, Stage1Infeasible
 
 
 @pytest.fixture(scope="module")
@@ -426,6 +426,27 @@ def test_wbc_infeasible_dynamics_falls_back(quad, statics):
     cmd = wbc.control(x0, 0.0)
     assert not cmd.degraded
     np.testing.assert_allclose(cmd.u, u_qs, atol=1e-6)
+
+
+def test_wbc_unsettled_stage_qp_holds_previous_torque(quad, statics,
+                                                     monkeypatch):
+    # a stage QP whose active set does not settle re-issues the previous
+    # clamped torque marked degraded instead of escaping the tick
+    q0, u_qs, lam_qs = statics
+    wbc = trk.WholeBodyController(quad, co.default_bounds(quad, q0),
+                                  cone=co.FrictionCone(mu=0.8))
+    wbc.update_message(equilibrium_message(quad, q0, u_qs, lam_qs))
+    x0 = mod.state(quad, q0, np.zeros(quad.nv))
+    good = wbc.control(x0, 0.0)
+    assert not good.degraded
+
+    def unsettled(*args, **kwargs):
+        raise MaxIterations("forced")
+
+    monkeypatch.setattr(trk, "_stage_qp", unsettled)
+    cmd = wbc.control(x0, 0.0)
+    assert cmd.degraded and cmd.mode == "wbc"
+    assert np.array_equal(cmd.u, good.u)
 
 
 def test_wbc_flight_interval_uses_joint_pd(quad):

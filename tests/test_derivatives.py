@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from leggedmpc import contact as ct
+from leggedmpc import controllers as trk
 from leggedmpc import costs as co
 from leggedmpc import dynamics, kinematics, presets, problem, schedule
 from leggedmpc import model as mod
@@ -133,9 +134,8 @@ def test_quasi_static_residual_dq_exact(robot):
 
 # ------------------------------------------------- no runtime finite differences
 
-def count_forward_kinematics(monkeypatch):
-    """Count forward-kinematics calls, rebinding every imported copy."""
-    original = kinematics.forward_kinematics
+def count_calls(monkeypatch, original):
+    """Count calls of a package function, rebinding every imported copy."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -168,7 +168,7 @@ def test_stance_calc_diff_runs_no_finite_differences(monkeypatch):
     node = trot_stance_node(quad)
     x = random_state(quad, np.random.default_rng(5), spread=0.1)
     u = np.zeros(quad.nu)
-    calls = count_forward_kinematics(monkeypatch)
+    calls = count_calls(monkeypatch, kinematics.forward_kinematics)
     node.calc_diff(x, u)
     assert len(calls) <= 4
 
@@ -176,15 +176,36 @@ def test_stance_calc_diff_runs_no_finite_differences(monkeypatch):
 def test_contact_forward_dynamics_runs_kinematics_once(monkeypatch):
     quad = presets.default_quadruped()
     q, v = mod.split_state(quad, presets.nominal_state(quad))
-    calls = count_forward_kinematics(monkeypatch)
+    calls = count_calls(monkeypatch, kinematics.forward_kinematics)
     ct.contact_forward_dynamics(quad, q, v, np.zeros(quad.nu),
                                 ct.ContactSet(frames=(0, 1, 2, 3)))
     assert len(calls) == 1
 
 
+def test_contact_forward_dynamics_runs_bias_accelerations_once(monkeypatch):
+    quad = presets.default_quadruped()
+    q, v = mod.split_state(quad, random_state(quad, np.random.default_rng(6)))
+    calls = count_calls(monkeypatch, kinematics.bias_accelerations)
+    ct.contact_forward_dynamics(quad, q, v, np.zeros(quad.nu),
+                                ct.ContactSet(frames=(0, 2)))
+    assert len(calls) == 1
+
+
+def test_stance_tasks_run_kinematics_once_per_state(monkeypatch):
+    # one pass at the measured state and one at the reference state, on a
+    # two-foot tick with two swing feet
+    quad = presets.default_quadruped()
+    rng = np.random.default_rng(7)
+    x, x_ref = (random_state(quad, rng, spread=0.1) for _ in range(2))
+    calls = count_calls(monkeypatch, kinematics.forward_kinematics)
+    trk.stance_tasks(quad, trk.WbcGains(), x, x_ref, np.zeros(quad.nu),
+                     (0, 2), np.zeros(4))
+    assert len(calls) == 2
+
+
 def test_centroidal_runs_kinematics_once(monkeypatch):
     quad = presets.default_quadruped()
     q, v = mod.split_state(quad, random_state(quad, np.random.default_rng(3)))
-    calls = count_forward_kinematics(monkeypatch)
+    calls = count_calls(monkeypatch, kinematics.forward_kinematics)
     centroidal(quad, q, v)
     assert len(calls) == 1

@@ -262,15 +262,103 @@ def test_shifted_warm_start_reproduces_overlap(quad):
         assert np.abs(ctrl.solver.us[i] - old_us[j]).max() < 1e-8
 
 
-def test_wall_time_floors_to_completed_node(quad):
+def test_window_starts_at_wall_time(quad):
+    # without a delay the first node sits at the wall time and the second on
+    # the next grid node; a wall time on the grid keeps full intervals
     ctrl = make_mpc(quad)
     x0 = presets.nominal_state(quad)
-    msg = ctrl.step(x0, 0.029)
-    assert msg.node_times[0] == pytest.approx(0.02)
-    msg = ctrl.step(x0, 0.0599)
-    assert msg.node_times[0] == pytest.approx(0.04)
-    msg = ctrl.step(x0, 0.06)
-    assert msg.node_times[0] == pytest.approx(0.06)
+    for wall, k_next in ((0.029, 2), (0.0599, 3), (0.06, 4)):
+        msg = ctrl.step(x0, wall)
+        assert msg.node_times[0] == pytest.approx(wall, abs=1e-12)
+        assert msg.node_times[1] == k_next * 0.02
+    assert np.allclose(np.diff(msg.node_times), 0.02)
+
+
+def test_delayed_window_starts_at_predicted_time(quad):
+    delay = 0.01
+    ctrl = make_mpc(quad, delay=delay)
+    x0 = presets.nominal_state(quad)
+    for k in range(3):
+        wall = k * 0.02
+        msg = ctrl.step(x0, wall)
+        assert msg.node_times[0] == wall + delay
+        assert msg.node_times[1] == (k + 1) * 0.02
+        assert np.allclose(np.diff(msg.node_times[1:]), 0.02)
+        first = ctrl.problem.nodes[0]
+        assert first.time == wall + delay
+        assert first.dt == pytest.approx(0.02 - delay, abs=1e-15)
+        # xs_ref[1] is the plan's state at the next grid node
+        assert np.array_equal(msg.xs_ref[1], ctrl.solver.xs[1])
+
+
+def test_step_diagnostics_report_step_length_and_trials(quad):
+    ctrl = make_mpc(quad, delay=0.01)
+    msg = ctrl.step(presets.nominal_state(quad), 0.0)
+    diag = msg.diagnostics
+    assert diag["alpha"] == ctrl.solver.last_alpha
+    assert 0.0 < diag["alpha"] <= 1.0
+    assert isinstance(diag["trials"], int) and diag["trials"] >= 1
+    back = rh.PolicyMessage.from_json(msg.to_json())
+    assert back.diagnostics == diag
+
+
+TROT_GAIT = dict(lead_in=0.04, swing=0.08, double_support=0.04, stride=0.05,
+                 cycles=8)
+
+
+@pytest.fixture(scope="module")
+def delayed_trot(quad):
+    """26 steps of the N = 15 trot with a 10 ms delay and exact measurements.
+
+    Each measurement is the plan's own state at the step's wall time.
+    Returns the messages, the gap of each candidate before its iteration,
+    and, per step, node 0's swing targets with the schedule.
+    """
+    sched = schedule.trot((0, 2), (1, 3), foot_placements(quad), **TROT_GAIT)
+    ctrl = make_mpc(quad, sched=sched, horizon=0.3, delay=0.01)
+    solver = ctrl.solver
+    pre_gaps, swings = [], []
+    iterate = solver.solve_one_iteration
+
+    def recorded():
+        pre_gaps.append(solver.gap_norm)
+        return iterate()
+
+    solver.solve_one_iteration = recorded
+    x = presets.nominal_state(quad)
+    messages = []
+    for k in range(26):
+        msg = ctrl.step(x, k * 0.02)
+        messages.append(msg)
+        swings.append(dict(ctrl.problem.nodes[0].swing))
+        x = np.array(msg.xs_ref[1])
+    return messages, pre_gaps, swings, sched
+
+
+def test_delayed_trot_takes_full_steps(delayed_trot):
+    messages, _, _, _ = delayed_trot
+    assert not any(m.diagnostics["degraded"] for m in messages)
+    full = sum(m.diagnostics["alpha"] == 1.0 for m in messages)
+    assert full >= 20
+
+
+def test_delayed_trot_candidates_start_close_to_feasible(delayed_trot):
+    _, pre_gaps, _, _ = delayed_trot
+    assert len(pre_gaps) == 26
+    assert np.median(pre_gaps) < 1.0
+
+
+def test_delayed_trot_swing_targets_at_predicted_time(delayed_trot):
+    _, _, swings, sched = delayed_trot
+    seen = 0
+    for k, swing in enumerate(swings):
+        t_pred = k * 0.02 + 0.01
+        for f, target in swing.items():
+            pos, vel = sched.swing_reference(f, t_pred)
+            assert np.array_equal(target.pos, pos)
+            assert np.array_equal(target.vel, vel)
+            seen += 1
+    assert seen > 0
 
 
 def test_wall_time_cannot_move_backwards(quad):

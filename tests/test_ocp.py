@@ -278,6 +278,38 @@ def test_update_problem_reuses_nodes(quad):
     assert prob.nodes[0].time == pytest.approx(0.02)
 
 
+def test_grid_nodes_take_the_node_period(quad):
+    # each running node of the jump problem evaluates exactly as a fresh
+    # node configured with the grid period
+    prob = make_problem(quad, "jump", N=30, dt=0.02)
+    rng = np.random.default_rng(12)
+    running = [n for n in prob.nodes if n.kind == "running"]
+    for node in running[::4]:
+        assert node.dt == 0.02
+        fresh = problem.RunningNode(quad, prob.weights, prob.bounds, prob.cone)
+        fresh.configure(node.time, node.contacts, node.swing, 0.02)
+        x = random_state(quad, rng, spread=0.1)
+        u = rng.normal(size=quad.nu)
+        xa, ca = node.calc(x, u)
+        xb, cb = fresh.calc(x, u)
+        assert np.array_equal(xa, xb) and ca == cb
+        da, db = node.calc_diff(x, u), fresh.calc_diff(x, u)
+        for name in ("fx", "fu", "lx", "lu", "lxx", "lxu", "luu"):
+            assert np.array_equal(getattr(da, name), getattr(db, name)), name
+
+
+def test_window_inside_a_slot_shortens_the_first_node(quad):
+    a = make_problem(quad, "trot", N=12, dt=0.02, t0=0.02)
+    b = make_problem(quad, "trot", N=12, dt=0.02, t0=0.033)
+    assert b.k0 == a.k0 == 1
+    assert b.nodes[0].time == 0.033 and b.plan[0][1] == 0.033
+    assert b.nodes[0].dt == pytest.approx(0.007, abs=1e-15)
+    assert b.nodes[0].contacts.frames == a.nodes[0].contacts.frames
+    for na, nb in zip(a.nodes[1:], b.nodes[1:]):
+        assert (na.kind, na.time, na.dt) == (nb.kind, nb.time, nb.dt)
+    assert a.terminal.time == b.terminal.time
+
+
 # ------------------------------------------------------- node calc_diff FD
 
 def node_fd(prob, node, x, u, eps=1e-6):
