@@ -102,15 +102,11 @@ def boxqp(H: np.ndarray, g: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 def boxqp_kkt_violation(H, g, lo, hi, x) -> float:
     """Max violation of the box-QP first-order conditions at x."""
     grad = g + H @ x
-    viol = 0.0
-    for i in range(len(g)):
-        if x[i] <= lo[i] + 1e-10:
-            viol = max(viol, max(0.0, -grad[i]))
-        elif x[i] >= hi[i] - 1e-10:
-            viol = max(viol, max(0.0, grad[i]))
-        else:
-            viol = max(viol, abs(grad[i]))
-    return viol
+    at_lo = x <= lo + 1e-10
+    at_hi = ~at_lo & (x >= hi - 1e-10)
+    viol = np.where(at_lo, np.maximum(0.0, -grad),
+                    np.where(at_hi, np.maximum(0.0, grad), np.abs(grad)))
+    return float(viol.max(initial=0.0))
 
 
 # ----------------------------------------------------------------- solver
@@ -139,13 +135,18 @@ class Policy:
 class BoxFddp:
     """One solver instance bound to one shooting problem.
 
-    The problem object supplies nodes with ``calc``/``calc_diff``, a terminal
-    node, tangent-space ``diff``/``integrate`` helpers, and the initial state
-    ``x0``.  Regularization persists across ``solve_one_iteration`` calls;
-    a caller may set ``mu`` between them (the receding-horizon loop starts
-    every step from one warm value).  ``last_alpha`` and ``last_trials``
-    hold the accepted step length (0 when none) and the number of trial
-    rollouts of the last iteration.
+    The problem object supplies its nodes (each with ``calc``, ``nu`` and
+    control bounds), a terminal node with ``calc``/``calc_diff``,
+    tangent-space ``diff``/``integrate`` helpers and the initial state
+    ``x0``.  Its ``calc(xs, us)`` gives the cost and gaps of a whole
+    trajectory and its ``calc_diff(xs, us)`` the ``NodeDerivatives`` of
+    every node, so a problem may evaluate and differentiate its nodes
+    together (``ShootingProblem`` stacks them by group); the line search
+    calls the nodes one at a time.  Regularization persists across
+    ``solve_one_iteration`` calls; a caller may set ``mu`` between them (the
+    receding-horizon loop starts every step from one warm value).
+    ``last_alpha`` and ``last_trials`` hold the accepted step length (0 when
+    none) and the number of trial rollouts of the last iteration.
 
     The regularization mu follows the schedule of Box-FDDP (Mastalli et al.,
     "A feasibility-driven approach to control-limited DDP", Auton. Robots
@@ -225,8 +226,7 @@ class BoxFddp:
     def compute_derivatives(self):
         # refresh cost/gaps from scratch so scaled-gap bookkeeping never drifts
         self.cost, self.gaps = self.problem.calc(self.xs, self.us)
-        self._derivs = [node.calc_diff(x, u) for node, x, u
-                        in zip(self.problem.nodes, self.xs, self.us)]
+        self._derivs = self.problem.calc_diff(self.xs, self.us)
 
     def backward_pass(self):
         """Riccati sweep with gap terms and box-constrained feed-forward.
@@ -344,9 +344,10 @@ class BoxFddp:
     def expected_improvement(self, alpha: float, xs_try) -> float:
         dv = 0.0
         if not self.feasible:
-            for k in range(len(xs_try)):
-                dx = self.problem.diff(xs_try[k], self.xs[k])
-                dv -= float(self._fvxx[k] @ dx)
+            # one stacked difference for the whole trajectory
+            dxs = self.problem.diff(np.array(xs_try), np.array(self.xs))
+            for fvxx, dx in zip(self._fvxx, dxs):
+                dv -= float(fvxx @ dx)
         d1 = self._dg + dv
         d2 = self._dq - 2.0 * dv
         return alpha * (d1 + 0.5 * alpha * d2)
@@ -484,11 +485,6 @@ def _projected_qu_norm(Qu, kf, lo, hi) -> float:
     cannot be improved, so it does not count against convergence; free
     coordinates contribute their plain gradient magnitude.
     """
-    out = 0.0
-    for i in range(Qu.shape[0]):
-        if kf[i] <= lo[i] + 1e-12 and Qu[i] > 0.0:
-            continue
-        if kf[i] >= hi[i] - 1e-12 and Qu[i] < 0.0:
-            continue
-        out = max(out, abs(Qu[i]))
-    return out
+    clamped = (((kf <= lo + 1e-12) & (Qu > 0.0))
+               | ((kf >= hi - 1e-12) & (Qu < 0.0)))
+    return float(np.abs(Qu[~clamped]).max(initial=0.0))

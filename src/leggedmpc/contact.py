@@ -19,8 +19,13 @@ for its derivatives.
 The derivative routines differentiate the KKT conditions implicitly:
 ``dynamics.tangent_sweep`` gives the exact derivatives of the
 inverse-dynamics and constraint residuals at fixed (vdot, lambda) in one
-sweep over the tree, and the KKT matrix maps them onto the sensitivities of
-(vdot, lambda).
+sweep over the tree, and one solve with the KKT matrix maps them onto the
+state and control sensitivities of (vdot, lambda) together.
+
+Every routine also takes a stack of states (leading axes on q, v and u, a
+(B, nc) frame array in the ``ContactSet``) as one pass of array operations.
+Each state keeps its own rank check, and a state's results do not depend on
+the rest of the stack: alone, it gives the same bits.
 """
 
 from __future__ import annotations
@@ -29,10 +34,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import mass_matrix, nonlinear_effects, tangent_sweep
+from .dynamics import Tangents, mass_matrix, nonlinear_effects, tangent_sweep
 from .errors import DimensionMismatch, RankDeficientContacts
 from .kinematics import (
     Kinematics,
+    _frames,
+    _matvec,
+    _perp,
     bias_accelerations,
     body_twists,
     forward_kinematics,
@@ -51,35 +59,35 @@ class ContactSet:
 
     ``anchors`` maps frame index -> world-frame anchor point; frames without
     an anchor get velocity-only stabilization (no position drift term).
+    ``frames`` is a tuple, or a (B, nc) array that gives each of B stacked
+    states its own frames under the same parameters and anchors.
     """
 
-    frames: tuple[int, ...] = ()
+    frames: tuple[int, ...] | np.ndarray = ()
     baumgarte_freq: float = 20.0
     baumgarte_damping: float = 1.0
     anchors: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.frames = tuple(int(f) for f in self.frames)
+        if not (isinstance(self.frames, np.ndarray) and self.frames.ndim == 2):
+            self.frames = tuple(int(f) for f in self.frames)
 
     @property
     def nf(self) -> int:
-        return 2 * len(self.frames)
+        return 2 * np.shape(self.frames)[-1]
 
 
 @dataclass
 class ContactSolution:
+    """The solved dynamics; stacked states give fields with leading axes."""
+
     vdot: np.ndarray            # (nv,)
     forces: np.ndarray          # (nf,) stacked per frame (fx, fy)
     kkt_residual: float
     # cached terms reused by the derivative routine
     M: np.ndarray = None
     J: np.ndarray = None
-    a_C: np.ndarray = None
-    tau_b: np.ndarray = None
     kin: Kinematics = None
-
-    def frame_force(self, k: int) -> np.ndarray:
-        return self.forces[2 * k: 2 * k + 2]
 
 
 @dataclass
@@ -103,29 +111,29 @@ class DynamicsDerivatives:
 def actuation(model: RobotModel, u: np.ndarray) -> np.ndarray:
     """Map joint torques into generalized forces (base rows are zero)."""
     u = np.asarray(u, dtype=float)
-    if u.shape != (model.nu,):
-        raise DimensionMismatch(f"u has shape {u.shape}, expected ({model.nu},)")
-    tau = np.zeros(model.nv)
-    tau[3:] = u
+    if u.shape[-1:] != (model.nu,):
+        raise DimensionMismatch(f"u has shape {u.shape}, expected (..., {model.nu})")
+    tau = np.zeros(u.shape[:-1] + (model.nv,))
+    tau[..., 3:] = u
     return tau
 
 
 def _baumgarte(model: RobotModel, q, v, contacts: ContactSet, kin=None,
                tw=None) -> np.ndarray:
     """Stabilization bias psi stacked per frame (``tw``: body twists under v)."""
-    frames = contacts.frames
     w = contacts.baumgarte_freq
     z = contacts.baumgarte_damping
     if kin is None:
         kin = forward_kinematics(model, q)
-    vel = frame_velocities(model, q, v, frames, kin=kin, tw=tw).ravel()
-    psi = 2.0 * z * w * vel
+    frames = np.asarray(contacts.frames, dtype=int)
+    vel = frame_velocities(model, q, v, frames, kin=kin, tw=tw)
+    psi = 2.0 * z * w * vel.reshape(vel.shape[:-2] + (-1,))
     if contacts.anchors:
-        pos = frame_positions(model, kin, frames)
-        for k, f in enumerate(frames):
-            if f in contacts.anchors:
-                drift = pos[k] - np.asarray(contacts.anchors[f], dtype=float)
-                psi[2 * k: 2 * k + 2] += w * w * drift
+        anchor = np.array([contacts.anchors.get(f, (0.0, 0.0))
+                           for f in frames.ravel()]).reshape(frames.shape + (2,))
+        drift = np.where(np.isin(frames, list(contacts.anchors))[..., None],
+                         frame_positions(model, kin, frames) - anchor, 0.0)
+        psi += w * w * drift.reshape(psi.shape)
     return psi
 
 
@@ -133,19 +141,48 @@ def contact_jacobian_stack(model: RobotModel, q, frames, kin=None) -> np.ndarray
     """Stacked world point-velocity Jacobian (2*len(frames), nv) of contact frames.
 
     Frame k on body b at offset r moves with R_b (B_b[:2] + perp(r) B_b[2]),
-    evaluated for all frames in one batch.
+    evaluated for all frames (and all stacked states) in one batch.
     """
     if kin is None:
         kin = forward_kinematics(model, q)
-    idx = np.asarray(frames, dtype=int).reshape(-1)
-    b, r = model.contact_bodies[idx], model.contact_offsets[idx]
-    Bb = kin.B[b]
-    local = Bb[:, :2] + np.stack([-r[:, 1], r[:, 0]], -1)[:, :, None] * Bb[:, 2:]
-    return (kin.R[b] @ local).reshape(-1, model.nv)
+    rows, r = _frames(model, kin, frames)
+    Bb = kin.B[rows]
+    local = Bb[..., :2, :] + _perp(r)[..., None] * Bb[..., 2:, :]
+    return (kin.R[rows] @ local).reshape(r.shape[:-2] + (-1, model.nv))
+
+
+def _kkt_forward(M, J, rhs, bias, what: str):
+    """(x, lam, residual) of [[M, -J.T], [J, 0]] [x; lam] = [rhs; -bias].
+
+    One solve gives M^-1 [J.T | rhs]; the multipliers then come from the
+    contact-space inertia Mhat = J M^-1 J.T, whose condition is checked
+    for every stacked system.
+    """
+    Jt = J.swapaxes(-1, -2)
+    Minv = np.linalg.solve(M, np.concatenate([Jt, rhs[..., None]], -1))
+    Minv_Jt, x_free = Minv[..., :-1], Minv[..., -1]
+    Mhat = J @ Minv_Jt
+    # Mhat is symmetric positive semidefinite: its condition is the ratio of
+    # its extreme eigenvalues, infinite when the smallest is not positive
+    # (and not a number when Mhat is not finite)
+    eig = np.linalg.eigvalsh(Mhat) if J.shape[-2] else np.ones((1, 1))
+    cond = eig[..., -1] / np.maximum(eig[..., 0], 1e-300)
+    if not np.all(cond <= COND_LIMIT):
+        raise RankDeficientContacts(
+            f"{what} inertia condition {np.max(cond):.3e} exceeds {COND_LIMIT:.0e}")
+    lam = -np.linalg.solve(Mhat, (bias + _matvec(J, x_free))[..., None])[..., 0]
+    x = x_free + _matvec(Minv_Jt, lam)
+    res = np.maximum(np.abs(_matvec(M, x) - _matvec(Jt, lam) - rhs).max(-1),
+                     np.abs(_matvec(J, x) + bias).max(-1, initial=0.0))
+    return x, lam, res
 
 
 def contact_forward_dynamics(model: RobotModel, q, v, u, contacts: ContactSet) -> ContactSolution:
-    """Constrained acceleration and contact forces for torque command u."""
+    """Constrained acceleration and contact forces for torque command u.
+
+    Stacked states (leading axes on q, v and u, with (B, nc) frames in
+    ``contacts``) are solved in one pass.
+    """
     q = model.check_q(q)
     v = model.check_v(v)
     kin = forward_kinematics(model, q)
@@ -154,34 +191,18 @@ def contact_forward_dynamics(model: RobotModel, q, v, u, contacts: ContactSet) -
     bias = bias_accelerations(model, kin, v, tw)
     h = nonlinear_effects(model, q, v, kin=kin, tw=tw, bias=bias)
     tau_b = actuation(model, u) - h
-
-    if not contacts.frames:
-        vdot = np.linalg.solve(M, tau_b)
-        res = float(np.abs(M @ vdot - tau_b).max())
-        return ContactSolution(vdot=vdot, forces=np.zeros(0), kkt_residual=res,
-                               M=M, J=np.zeros((0, model.nv)), a_C=np.zeros(0),
-                               tau_b=tau_b, kin=kin)
-
+    if not contacts.nf:          # in flight: the unconstrained dynamics
+        vdot = np.linalg.solve(M, tau_b[..., None])[..., 0]
+        return ContactSolution(vdot=vdot, forces=np.zeros(vdot.shape[:-1] + (0,)),
+                               kkt_residual=np.abs(_matvec(M, vdot) - tau_b).max(-1),
+                               M=M, J=np.zeros(M.shape[:-2] + (0, model.nv)), kin=kin)
     J = contact_jacobian_stack(model, q, contacts.frames, kin=kin)
     a_C = (frame_acceleration_bias(model, q, v, contacts.frames, kin=kin, tw=tw,
                                    bias=bias)
            + _baumgarte(model, q, v, contacts, kin=kin, tw=tw))
-
-    Minv_Jt = np.linalg.solve(M, J.T)
-    Mhat = J @ Minv_Jt
-    cond = np.linalg.cond(Mhat)
-    if cond > COND_LIMIT:
-        raise RankDeficientContacts(
-            f"contact-space inertia condition {cond:.3e} exceeds {COND_LIMIT:.0e}"
-        )
-    lam = -np.linalg.solve(Mhat, a_C + Minv_Jt.T @ tau_b)
-    vdot = np.linalg.solve(M, tau_b + J.T @ lam)
-    res = max(
-        float(np.abs(M @ vdot - J.T @ lam - tau_b).max()),
-        float(np.abs(J @ vdot + a_C).max()),
-    )
-    return ContactSolution(vdot=vdot, forces=lam, kkt_residual=res,
-                           M=M, J=J, a_C=a_C, tau_b=tau_b, kin=kin)
+    vdot, lam, res = _kkt_forward(M, J, tau_b, a_C, "contact-space")
+    return ContactSolution(vdot=vdot, forces=lam, kkt_residual=res, M=M, J=J,
+                           kin=kin)
 
 
 def impulse_dynamics(model: RobotModel, q, v_minus, contacts: ContactSet,
@@ -189,7 +210,8 @@ def impulse_dynamics(model: RobotModel, q, v_minus, contacts: ContactSet,
     """Instantaneous velocity change when the given contacts gain closure.
 
     Post-impact contact-point velocity satisfies J v+ = -e * J v-; the
-    configuration is unchanged.
+    configuration is unchanged.  Stacked states run as one pass, as in
+    ``contact_forward_dynamics``.
     """
     q = model.check_q(q)
     v_minus = model.check_v(v_minus)
@@ -197,80 +219,67 @@ def impulse_dynamics(model: RobotModel, q, v_minus, contacts: ContactSet,
         raise ValueError("restitution must lie in [0, 1]")
     kin = forward_kinematics(model, q)
     M = mass_matrix(model, q, kin=kin)
-    if not contacts.frames:
-        return ImpulseSolution(v_plus=v_minus.copy(), impulses=np.zeros(0),
-                               kkt_residual=0.0, M=M, J=np.zeros((0, model.nv)),
-                               kin=kin)
     J = contact_jacobian_stack(model, q, contacts.frames, kin=kin)
-    Minv_Jt = np.linalg.solve(M, J.T)
-    Mhat = J @ Minv_Jt
-    if np.linalg.cond(Mhat) > COND_LIMIT:
-        raise RankDeficientContacts("impulse contact set is rank deficient")
-    Jv = J @ v_minus
-    imp = -np.linalg.solve(Mhat, (1.0 + restitution) * Jv)
-    v_plus = v_minus + Minv_Jt @ imp
-    res = max(
-        float(np.abs(M @ (v_plus - v_minus) - J.T @ imp).max()),
-        float(np.abs(J @ v_plus + restitution * Jv).max()),
-    )
-    return ImpulseSolution(v_plus=v_plus, impulses=imp, kkt_residual=res, M=M, J=J,
-                           kin=kin)
+    # the velocity jump dv = v+ - v- solves M dv = J.T imp, J dv = -(1 + e) J v-
+    dv, imp, res = _kkt_forward(M, J, np.zeros_like(v_minus),
+                                (1.0 + restitution) * _matvec(J, v_minus),
+                                "impulse contact-space")
+    return ImpulseSolution(v_plus=v_minus + dv, impulses=imp, kkt_residual=res, M=M,
+                           J=J, kin=kin)
 
 
 # ------------------------------------------------------------------ derivatives
 
-def _kkt_inverse_apply(M, J, rhs_top, rhs_bot):
-    """Solve [[M, -J.T], [J, 0]] [a; b] = [rhs_top; rhs_bot] for stacked RHS."""
-    nv = M.shape[0]
-    nf = J.shape[0]
-    K = np.zeros((nv + nf, nv + nf))
-    K[:nv, :nv] = M
-    K[:nv, nv:] = -J.T
-    K[nv:, :nv] = J
-    sol = np.linalg.solve(K, np.vstack([rhs_top, rhs_bot]))
-    return sol[:nv], sol[nv:]
+def _kkt_solve(M, J, rhs):
+    """Solve [[M, -J.T], [J, 0]] X = rhs for stacked KKT systems and RHS blocks.
+
+    Returns the top (nv) and bottom (nf) rows of X.
+    """
+    nv = M.shape[-1]
+    nf = J.shape[-2]
+    K = np.zeros(M.shape[:-2] + (nv + nf, nv + nf))
+    K[..., :nv, :nv] = M
+    K[..., :nv, nv:] = -J.swapaxes(-1, -2)
+    K[..., nv:, :nv] = J
+    sol = np.linalg.solve(K, rhs)
+    return sol[..., :nv, :], sol[..., nv:, :]
 
 
 def contact_dynamics_derivatives(model: RobotModel, q, v, u, contacts: ContactSet,
-                                 sol: ContactSolution | None = None) -> DynamicsDerivatives:
+                                 sol: ContactSolution | None = None,
+                                 tan: Tangents | None = None) -> DynamicsDerivatives:
     """First-order sensitivities of (vdot, lambda) w.r.t. state tangent and u.
 
     The residuals F1 = rnea(q, v, vdot, lambda) - S u and F2 = J vdot +
     Jdot v + psi vanish at the solution; one tangent sweep differentiates
-    both at fixed (vdot, lambda), and the KKT matrix maps them onto the
-    sensitivities.
+    both at fixed (vdot, lambda), and one solve with the KKT matrix maps
+    them, stacked with the actuation map S, onto the state and control
+    sensitivities.  ``tan`` is that sweep when the caller has it; its first
+    frames must be the contact frames.  Stacked states run as one pass.
     """
     q = model.check_q(q)
     v = model.check_v(v)
     if sol is None:
         sol = contact_forward_dynamics(model, q, v, u, contacts)
-    nv, nu, nf = model.nv, model.nu, contacts.nf
+    nv, nf = model.nv, contacts.nf
+    lead = q.shape[:-1]
     frames = contacts.frames
-    lam_map = {f: sol.frame_force(k) for k, f in enumerate(frames)}
-    tan = tangent_sweep(model, sol.kin, v, sol.vdot, lam_map, frames)
-    F1_x = tan.dtau
-
-    if nf == 0:
-        Minv = np.linalg.inv(sol.M)
-        return DynamicsDerivatives(
-            dvdot_dx=-Minv @ F1_x,
-            dvdot_du=Minv @ model.S,
-            dforces_dx=np.zeros((0, 2 * nv)),
-            dforces_du=np.zeros((0, nu)),
-        )
-
+    lam = sol.forces.reshape(lead + (-1, 2))
+    if tan is None:
+        tan = tangent_sweep(model, sol.kin, v, sol.vdot, (frames, lam), frames)
     # psi = 2 z w (frame velocity) + w^2 (anchored position drift)
     w, z = contacts.baumgarte_freq, contacts.baumgarte_damping
-    F2_x = tan.dacc + 2.0 * z * w * tan.dvel
-    for k, f in enumerate(frames):
-        if f in contacts.anchors:
-            F2_x[2 * k: 2 * k + 2, :nv] += w * w * sol.J[2 * k: 2 * k + 2]
-
-    dvdot_dx, dlam_dx = _kkt_inverse_apply(sol.M, sol.J, -F1_x, -F2_x)
-    dvdot_du, dlam_du = _kkt_inverse_apply(sol.M, sol.J, model.S,
-                                           np.zeros((nf, nu)))
-    return DynamicsDerivatives(dvdot_dx=dvdot_dx, dvdot_du=dvdot_du,
-                               dforces_dx=dlam_dx, dforces_du=dlam_du)
+    F2_x = tan.dacc[..., :nf, :] + 2.0 * z * w * tan.dvel[..., :nf, :]
+    if contacts.anchors:
+        anchored = np.isin(frames, list(contacts.anchors))
+        F2_x[..., :nv] += w * w * np.repeat(anchored, 2, -1)[..., None] * sol.J
+    rhs = np.zeros(lead + (nv + nf, 2 * nv + model.nu))
+    rhs[..., :nv, :2 * nv] = -tan.dtau
+    rhs[..., :nv, 2 * nv:] = model.S
+    rhs[..., nv:, :2 * nv] = -F2_x
+    top, bot = _kkt_solve(sol.M, sol.J, rhs)
+    return DynamicsDerivatives(dvdot_dx=top[..., :2 * nv], dvdot_du=top[..., 2 * nv:],
+                               dforces_dx=bot[..., :2 * nv], dforces_du=bot[..., 2 * nv:])
 
 
 def impulse_dynamics_derivatives(model: RobotModel, q, v_minus, contacts: ContactSet,
@@ -279,28 +288,29 @@ def impulse_dynamics_derivatives(model: RobotModel, q, v_minus, contacts: Contac
     """Sensitivities of (v+, impulses); there is no control channel.
 
     The residuals are the gravity-free momentum balance F1 = M (v+ - v-) -
-    J.T impulses and the closure F2 = J (v+ + e v-).
+    J.T impulses and the closure F2 = J (v+ + e v-).  Stacked states run
+    as one pass.
     """
     q = model.check_q(q)
     v_minus = model.check_v(v_minus)
     if sol is None:
         sol = impulse_dynamics(model, q, v_minus, contacts, restitution)
     nv, nf = model.nv, contacts.nf
+    lead = q.shape[:-1]
     frames = contacts.frames
-    lam_map = {f: sol.impulses[2 * k: 2 * k + 2] for k, f in enumerate(frames)}
-    zero = np.zeros(nv)
-    F1_x = np.empty((nv, 2 * nv))
-    F2_x = np.empty((nf, 2 * nv))
+    lam = sol.impulses.reshape(lead + (-1, 2))
+    rhs = np.empty(lead + (nv + nf, 2 * nv))
     # configuration block: F1 is rnea(q, 0, v+ - v-, impulses) without
     # gravity; F2 is the frame velocity under v+ + e v-
-    F1_x[:, :nv] = tangent_sweep(model, sol.kin, zero, sol.v_plus - v_minus,
-                                 lam_map, gravity=False).dtau[:, :nv]
-    F2_x[:, :nv] = tangent_sweep(model, sol.kin, sol.v_plus + restitution * v_minus,
-                                 frames=frames).dvel[:, :nv]
+    rhs[..., :nv, :nv] = -tangent_sweep(model, sol.kin, np.zeros_like(v_minus),
+                                        sol.v_plus - v_minus, (frames, lam),
+                                        gravity=False).dtau[..., :nv]
+    rhs[..., nv:, :nv] = -tangent_sweep(model, sol.kin,
+                                        sol.v_plus + restitution * v_minus,
+                                        frames=frames).dvel[..., :nv]
     # velocity block: dF1/dv- = -M, dF2/dv- = e*J
-    F1_x[:, nv:] = -sol.M
-    F2_x[:, nv:] = restitution * sol.J
-
-    dvp_dx, dlam_dx = _kkt_inverse_apply(sol.M, sol.J, -F1_x, -F2_x)
-    return DynamicsDerivatives(dvdot_dx=dvp_dx, dvdot_du=np.zeros((nv, 0)),
-                               dforces_dx=dlam_dx, dforces_du=np.zeros((nf, 0)))
+    rhs[..., :nv, nv:] = sol.M
+    rhs[..., nv:, nv:] = -restitution * sol.J
+    dvp_dx, dlam_dx = _kkt_solve(sol.M, sol.J, rhs)
+    return DynamicsDerivatives(dvdot_dx=dvp_dx, dvdot_du=np.zeros(lead + (nv, 0)),
+                               dforces_dx=dlam_dx, dforces_du=np.zeros(lead + (nf, 0)))

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import dynamics
 from .errors import ConfigError
-from .kinematics import forward_kinematics
+from .kinematics import Kinematics, forward_kinematics
 from .model import RobotModel
 
 
@@ -137,15 +137,16 @@ def cone_residual(C: np.ndarray, c: np.ndarray, lam: np.ndarray):
     ``lam`` stacks one (fx, fy) pair per contact.  The residual stacks
     max(0, c - C lam_k) per contact (3 rows each), so its weighted square is
     the cone penalty; the Jacobian (3n, 2n) is block diagonal with -C on the
-    violated rows and zero on the others.
+    violated rows and zero on the others.  Leading axes of ``lam`` carry
+    through to both.
     """
-    n = lam.size // 2
-    r = np.maximum(0.0, c - lam.reshape(n, 2) @ C.T)
-    J = np.zeros((n, 3, n, 2))
+    lead, n = lam.shape[:-1], lam.shape[-1] // 2
+    r = np.maximum(0.0, c - lam.reshape(lead + (n, 2)) @ C.T)
+    J = np.zeros(lead + (n, 3, n, 2))
     k = np.arange(n)
-    J[k, :, k] = -C
+    J[..., k, :, k, :] = -C
     J[r == 0.0] = 0.0
-    return r.ravel(), J.reshape(3 * n, 2 * n)
+    return r.reshape(lead + (3 * n,)), J.reshape(lead + (3 * n, 2 * n))
 
 
 # ----------------------------------------------------------- bound penalty
@@ -158,16 +159,23 @@ def interval_violation(z: np.ndarray, lb: np.ndarray, ub: np.ndarray):
 # ----------------------------------------------- quasi-static regularization
 
 def quasi_static_residual(model: RobotModel, q: np.ndarray, u: np.ndarray,
-                          lam_map: dict[int, np.ndarray]) -> np.ndarray:
-    """Static-equilibrium defect S u + J_C^T lam - g(q) (nv vector)."""
+                          lam_map, kin: Kinematics | None = None) -> np.ndarray:
+    """Static-equilibrium defect S u + J_C^T lam - g(q) (nv vector).
+
+    ``lam_map`` pairs contact frames with their forces (see
+    ``dynamics.rnea``); ``kin`` is the ``Kinematics`` at q when the
+    caller has it.
+    """
     from . import contact as ct
-    z = np.zeros(model.nv)
-    return ct.actuation(model, u) - dynamics.rnea(model, q, z, z, lam_map)
+    z = np.zeros(np.shape(u)[:-1] + (model.nv,))
+    return ct.actuation(model, u) - dynamics.rnea(model, q, z, z, lam_map, kin=kin)
 
 
-def quasi_static_residual_dq(model: RobotModel, q: np.ndarray,
-                             lam_map: dict[int, np.ndarray]) -> np.ndarray:
+def quasi_static_residual_dq(model: RobotModel, q: np.ndarray, lam_map,
+                             kin: Kinematics | None = None) -> np.ndarray:
     """d residual / d q-tangent at fixed forces: minus the static RNEA tangent."""
-    z = np.zeros(model.nv)
-    tan = dynamics.tangent_sweep(model, forward_kinematics(model, q), z, z, lam_map)
-    return -tan.dtau[:, :model.nv]
+    if kin is None:
+        kin = forward_kinematics(model, q)
+    z = np.zeros(kin.pose.shape[:-2] + (model.nv,))
+    tan = dynamics.tangent_sweep(model, kin, z, z, lam_map)
+    return -tan.dtau[..., :model.nv]

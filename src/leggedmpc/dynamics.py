@@ -14,7 +14,9 @@ applied *on* the robot at contact frames.
 Algorithms*, 2008): body twists are tw = B v, body accelerations come from
 one pass per tree depth, tau = sum_i B_i.T f_i is one product, and the
 joint-space inertia is M = sum_i B_i.T I_i B_i.  ``tangent_sweep``
-differentiates the same recursion body by body.
+differentiates the same recursion, one tree depth at a time too.  Every
+function takes stacked states (leading axes on q, v, a and the
+``Kinematics``) as one pass; alone, a state runs the same code.
 """
 
 from __future__ import annotations
@@ -23,29 +25,56 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import se2
 from .kinematics import (
     Kinematics,
+    _frames,
+    _matvec,
+    _perp,
     bias_accelerations,
-    crf,
-    crm,
     forward_kinematics,
 )
 from .model import RobotModel
 
+_MOTIONS = np.arange(3)
+
+
+def _subtract_contact_forces(model, kin, f, contact_forces, dth=None, df=None):
+    """Subtract world contact forces, as body wrenches, from body forces ``f``.
+
+    ``contact_forces`` is a pair of frame (..., k) and world force (..., k, 2)
+    arrays.  With ``dth`` (nb, nv), the body world-angle tangents, the
+    wrenches' tangent is subtracted from ``df``.
+    """
+    frames, lam = contact_forces
+    lam = np.asarray(lam, dtype=float)
+    if lam.size == 0:
+        return
+    rows, r = _frames(model, kin, frames)
+    fl = (lam[..., None, :] @ kin.R[rows])[..., 0, :]      # R_b.T lam, body frame
+    np.subtract.at(f, rows, np.concatenate(
+        [fl, r[..., :1] * fl[..., 1:] - r[..., 1:] * fl[..., :1]], -1))
+    if df is not None:
+        nv = model.nv
+        d = np.zeros(r.shape[:-1] + (3, 2 * nv))
+        d[..., :2, :nv] = -_perp(fl)[..., None] * dth[rows][..., None, :]
+        d[..., 2, :nv] = r[..., :1] * d[..., 1, :nv] - r[..., 1:] * d[..., 0, :nv]
+        np.subtract.at(df, rows, d)
+
 
 def rnea(model: RobotModel, q: np.ndarray, v: np.ndarray, a: np.ndarray,
-         contact_forces: dict[int, np.ndarray] | None = None,
+         contact_forces=None,
          kin: Kinematics | None = None, tw: np.ndarray | None = None,
          bias: np.ndarray | None = None) -> np.ndarray:
     """Generalized force tau = M(q) a + h(q, v) - J_C.T lambda.
 
-    ``contact_forces`` maps contact-frame index -> world-frame force (2,).
+    ``contact_forces`` pairs contact frames with their world-frame forces
+    (see ``_subtract_contact_forces``).
     Body accelerations are B a plus the velocity bias of
     ``bias_accelerations`` plus gravity, folded in as a fictitious upward
     world acceleration; each body's net force f_i then reaches tau as
     B_i.T f_i.  ``tw`` (body twists under v) and ``bias`` (their
-    ``bias_accelerations``) are reused when the caller has them.
+    ``bias_accelerations``) are reused when the caller has them.  Stacked
+    states (leading axes on q, v, a) run as one pass.
     """
     q = model.check_q(q)
     v = model.check_v(v)
@@ -54,28 +83,23 @@ def rnea(model: RobotModel, q: np.ndarray, v: np.ndarray, a: np.ndarray,
         kin = forward_kinematics(model, q)
     B, I = kin.B, model.spatial_inertias
     if tw is None:
-        tw = B @ v
+        tw = _matvec(B, v[..., None, :])
     if bias is None:
         bias = bias_accelerations(model, kin, v, tw)
-    ac = B @ a + bias
+    ac = _matvec(B, a[..., None, :]) + bias
     # world gravity seen in each body frame: R_i.T (-g)
-    ac[:, :2] -= model.gravity @ kin.R
-    mom = (I @ tw[:, :, None])[..., 0]
+    ac[..., :2] -= model.gravity @ kin.R
+    mom = _matvec(I, tw)
     # f = I ac + crf(tw) I tw
-    f = (I @ ac[:, :, None])[..., 0]
-    f[:, 0] -= tw[:, 2] * mom[:, 1]
-    f[:, 1] += tw[:, 2] * mom[:, 0]
-    f[:, 2] += tw[:, 0] * mom[:, 1] - tw[:, 1] * mom[:, 0]
-    if contact_forces:
-        frames = list(contact_forces)
-        b = model.contact_bodies[frames]
-        r = model.contact_offsets[frames]
-        lam = np.array([contact_forces[k] for k in frames], dtype=float)
-        fl = (lam[:, None, :] @ kin.R[b])[:, 0]      # R_b.T lam, body frame
-        w = np.column_stack([fl, r[:, 0] * fl[:, 1] - r[:, 1] * fl[:, 0]])
-        np.subtract.at(f, b, w)
-    tau = f.ravel() @ B.reshape(-1, model.nv)
-    tau[3:] += model.reflected_inertia * a[3:]
+    f = _matvec(I, ac)
+    f[..., 0] -= tw[..., 2] * mom[..., 1]
+    f[..., 1] += tw[..., 2] * mom[..., 0]
+    f[..., 2] += tw[..., 0] * mom[..., 1] - tw[..., 1] * mom[..., 0]
+    if contact_forces is not None:
+        _subtract_contact_forces(model, kin, f, contact_forces)
+    lead = B.shape[:-3]
+    tau = (f.reshape(lead + (1, -1)) @ B.reshape(lead + (-1, model.nv)))[..., 0, :]
+    tau[..., 3:] += model.reflected_inertia * a[..., 3:]
     return tau
 
 
@@ -86,7 +110,8 @@ class Tangents:
     ``dtau`` differentiates ``rnea(q, v, a, forces)`` at fixed (a, forces);
     ``dvel`` and ``dacc`` stack, per frame, the world velocity and the world
     classical acceleration (J a + Jdot v) of the requested contact frames.
-    The v block of ``dvel`` is the frame Jacobian itself.
+    The v block of ``dvel`` is the frame Jacobian itself.  Stacked states
+    give the same fields with leading axes.
     """
 
     dtau: np.ndarray | None     # (nv, 2nv), None without ``a``
@@ -95,127 +120,113 @@ class Tangents:
 
 
 def tangent_sweep(model: RobotModel, kin: Kinematics, v: np.ndarray,
-                  a: np.ndarray | None = None,
-                  contact_forces: dict[int, np.ndarray] | None = None,
+                  a: np.ndarray | None = None, contact_forces=None,
                   frames=(), gravity: bool = True) -> Tangents:
-    """Forward-mode derivatives of RNEA and of frame motion, in one tree sweep.
+    """Forward-mode derivatives of RNEA and of frame motion, one tree depth at a time.
 
     Configuration perturbations act on the right, as in ``integrate_q``, so a
     joint's transform moves by dX_i = -crm(S_i dq_i) X_i (S_i = I for the
     floating root).  The sweep carries the (3, 2nv) tangents of the body
     twist, the gravity-free body acceleration under ``a`` and the folded-in
-    gravity, and the tangent of each body's world angle; the backward pass
-    differentiates the force recursion of ``rnea`` term by term
-    (Carpentier & Mansard, RSS 2018).  Without ``a`` only the twists and
-    ``dvel`` are computed.  ``gravity=False`` drops gravity from ``dtau``.
+    gravity down the tree, all bodies of one depth (and all stacked states)
+    at once; the tangent of a body's world angle is the angular row of its
+    Jacobian.  The force recursion of ``rnea`` is then differentiated term
+    by term on the way back up (Carpentier & Mansard, RSS 2018).  Without
+    ``a`` only the twists and ``dvel`` are computed.  ``gravity=False``
+    drops gravity from ``dtau``.
     """
     nv, nb = model.nv, model.nbodies
     n = 2 * nv
+    lead = kin.pose.shape[:-2]
     dyn = a is not None
-    tw = np.empty((nb, 3))
-    dtw = np.zeros((nb, 3, n))
-    dth = np.zeros((nb, nv))          # world angle tangent, q block only
-    tw[0] = v[:3]
-    dtw[0, :, nv:nv + 3] = np.eye(3)
-    dth[0, 2] = 1.0
+    # the motions swept down the tree, on the last axis: body twist,
+    # gravity-free body acceleration under a, and gravity as an upward
+    # acceleration; dm holds their (3, 2nv) tangents
+    m = np.zeros(lead + (nb, 3, 3))
+    dm = np.zeros(lead + (nb, 3, 3, n))
+    m[..., 0, :, 0] = v[..., :3]
+    dm[..., 0, :, 0, nv:nv + 3] = np.eye(3)
     if dyn:
-        ac = np.empty((nb, 3))        # gravity-free body accelerations
-        dac = np.zeros((nb, 3, n))
-        gr = np.empty((nb, 3))        # gravity as an upward body acceleration
-        dgr = np.zeros((nb, 3, n))
-        g_world = (np.array([-model.gravity[0], -model.gravity[1], 0.0])
-                   if gravity else np.zeros(3))
-        ac[0] = a[:3]
-        gr[0] = kin.X[0] @ g_world
-        dgr[0, :, :3] = crm(gr[0])
-    for i in range(1, nb):
-        p = model.joints[i].parent
-        X = kin.X[i]
-        cq, cv = 2 + i, nv + 2 + i
-        vi = v[cq]
-        u = X @ tw[p]
-        tw[i] = u
-        tw[i, 2] += vi
-        dtw[i] = X @ dtw[p]
-        # -crm(S dq) X tw_p = crm(X tw_p) S dq
-        dtw[i, 0, cq] += u[1]
-        dtw[i, 1, cq] -= u[0]
-        dtw[i, 2, cv] += 1.0
-        dth[i] = dth[p]
-        dth[i, cq] += 1.0
+        m[..., 0, :, 1] = a[..., :3]
+        if gravity:
+            g = kin.X[..., 0, :, :] @ np.append(-model.gravity, 0.0)
+            # a base rotation turns g: its tangent is crm(g) dq, in column 2
+            m[..., 0, :, 2] = g
+            dm[..., 0, 0, 2, 2], dm[..., 0, 1, 2, 2] = g[..., 1], -g[..., 0]
+    for lv in model.levels:
+        i, p = lv.bodies, lv.parents
+        k, cq, cv = np.arange(len(i)), 2 + i, nv + 2 + i
+        X = kin.X[..., i, :, :]
+        mi = X @ m[..., p, :, :]
+        dmi = (X @ dm[..., p, :, :, :].reshape(lead + (len(i), 3, -1))).reshape(
+            mi.shape + (n,))
+        # -crm(S dq) X m_p = crm(X m_p) S dq, for every motion
+        dmi[..., k[:, None], 0, _MOTIONS, cq[:, None]] += mi[..., 1, :]
+        dmi[..., k[:, None], 1, _MOTIONS, cq[:, None]] -= mi[..., 0, :]
+        vi = v[..., cq]
+        mi[..., 2, 0] += vi
+        dmi[..., k, 2, 0, cv] += 1.0
         if dyn:
-            gi = X @ gr[p]
-            gr[i] = gi
-            dgr[i] = X @ dgr[p]
-            dgr[i, 0, cq] += gi[1]
-            dgr[i, 1, cq] -= gi[0]
-            y = X @ ac[p]
-            # crm(tw) S v_i = v_i (tw_y, -tw_x, 0)
-            ac[i] = y + np.array([vi * tw[i, 1], -vi * tw[i, 0], a[cq]])
-            dac[i] = X @ dac[p]
-            dac[i, 0, cq] += y[1]
-            dac[i, 1, cq] -= y[0]
-            dac[i, 0] += vi * dtw[i, 1]
-            dac[i, 1] -= vi * dtw[i, 0]
-            dac[i, 0, cv] += tw[i, 1]
-            dac[i, 1, cv] -= tw[i, 0]
+            # crm(tw) S v_i = v_i (tw_y, -tw_x, 0), plus the joint acceleration
+            t, dt_ = mi[..., 0], dmi[..., 0, :]
+            mi[..., 0, 1] += vi * t[..., 1]
+            mi[..., 1, 1] -= vi * t[..., 0]
+            mi[..., 2, 1] += a[..., cq]
+            dmi[..., 0, 1, :] += vi[..., None] * dt_[..., 1, :]
+            dmi[..., 1, 1, :] -= vi[..., None] * dt_[..., 0, :]
+            dmi[..., k, 0, 1, cv] += t[..., 1]
+            dmi[..., k, 1, 1, cv] -= t[..., 0]
+        m[..., i, :, :], dm[..., i, :, :, :] = mi, dmi
+    tw, dtw = m[..., 0], dm[..., 0, :]
 
-    dvel = np.empty((2 * len(frames), n))
-    dacc = np.empty((2 * len(frames), n)) if dyn else None
-    for k, frame in enumerate(frames):
-        c = model.contact_frames[frame]
-        b = c.body
-        r = np.asarray(c.offset, dtype=float)
-        pr = np.array([-r[1], r[0]])
-        R = se2.rot(kin.pose[b, 2])
-        t, dt_ = tw[b], dtw[b]
-        vel = t[:2] + t[2] * pr
-        dvl = dt_[:2] + np.outer(pr, dt_[2])
-        dvl[:, :nv] += np.outer([-vel[1], vel[0]], dth[b])
-        dvel[2 * k: 2 * k + 2] = R @ dvl
-        if dyn:
-            A, dA = ac[b], dac[b]
-            acc = A[:2] + A[2] * pr + t[2] * np.array([-t[1], t[0]]) - t[2] ** 2 * r
-            dal = (dA[:2] + np.outer(pr, dA[2]) + np.outer([-t[1], t[0]], dt_[2])
-                   + t[2] * np.stack([-dt_[1], dt_[0]])
-                   - 2.0 * t[2] * np.outer(r, dt_[2]))
-            dal[:, :nv] += np.outer([-acc[1], acc[0]], dth[b])
-            dacc[2 * k: 2 * k + 2] = R @ dal
+    dth = kin.B[..., 2, :]                    # world angle tangents, q block
+    rows, r = _frames(model, kin, frames)
+    R, pr, th = kin.R[rows], _perp(r), dth[rows][..., None, :]
+    t, dt_ = tw[rows], dtw[rows]
+    w, dw = t[..., 2:], dt_[..., 2:, :]
+    vel = t[..., :2] + w * pr
+    dvl = dt_[..., :2, :] + pr[..., None] * dw
+    dvl[..., :nv] += _perp(vel)[..., None] * th
+    dvel = (R @ dvl).reshape(r.shape[:-2] + (-1, n))
     if not dyn:
         return Tangents(dtau=None, dvel=dvel, dacc=None)
+    A, dA = m[..., 1][rows], dm[..., 1, :][rows]
+    acc = A[..., :2] + A[..., 2:] * pr + w * _perp(t[..., :2]) - w * w * r
+    dal = (dA[..., :2, :] + pr[..., None] * dA[..., 2:, :]
+           + _perp(t[..., :2])[..., None] * dw
+           + w[..., None] * np.stack([-dt_[..., 1, :], dt_[..., 0, :]], -2)
+           - 2.0 * (w * r)[..., None] * dw)
+    dal[..., :nv] += _perp(acc)[..., None] * th
+    dacc = (R @ dal).reshape(r.shape[:-2] + (-1, n))
 
+    # f = I (ac + gr) + crf(tw) h with h = I tw, and crf(x) h = Hm x, so
+    # df = I (dac + dgr) + (Hm + crf(tw) I) dtw
     I = model.spatial_inertias
-    f = np.empty((nb, 3))
-    df = np.empty((nb, 3, n))
-    for i in range(nb):
-        h = I[i] @ tw[i]
-        f[i] = I[i] @ (ac[i] + gr[i]) + crf(tw[i]) @ h
-        # d(crf(tw) h) = crf(dtw) h + crf(tw) I dtw, with crf(x) h = Hm x
-        Hm = np.array([[0.0, 0.0, -h[1]], [0.0, 0.0, h[0]], [h[1], -h[0], 0.0]])
-        df[i] = I[i] @ (dac[i] + dgr[i]) + (Hm + crf(tw[i]) @ I[i]) @ dtw[i]
-    if contact_forces:
-        for frame, lam in contact_forces.items():
-            c = model.contact_frames[frame]
-            b = c.body
-            fl = se2.rot(kin.pose[b, 2]).T @ np.asarray(lam, dtype=float)
-            rx, ry = c.offset
-            f[b, :2] -= fl
-            f[b, 2] -= rx * fl[1] - ry * fl[0]
-            dfl = np.outer([fl[1], -fl[0]], dth[b])
-            df[b, :2, :nv] -= dfl
-            df[b, 2, :nv] -= rx * dfl[1] - ry * dfl[0]
+    h = _matvec(I, tw)
+    Hm, crf = np.zeros((2,) + lead + (nb, 3, 3))
+    Hm[..., 0, 2], Hm[..., 1, 2] = -h[..., 1], h[..., 0]
+    Hm[..., 2, 0], Hm[..., 2, 1] = h[..., 1], -h[..., 0]
+    crf[..., 0, 1], crf[..., 1, 0] = -tw[..., 2], tw[..., 2]
+    crf[..., 2, 0], crf[..., 2, 1] = -tw[..., 1], tw[..., 0]
+    f = _matvec(I, m[..., 1] + m[..., 2]) + _matvec(Hm, tw)
+    df = I @ (dm[..., 1, :] + dm[..., 2, :]) + (Hm + crf @ I) @ dtw
+    if contact_forces is not None:
+        _subtract_contact_forces(model, kin, f, contact_forces, dth, df)
 
-    dtau = np.empty((nv, n))
-    for i in range(nb - 1, 0, -1):
-        p = model.joints[i].parent
-        X = kin.X[i]
-        dtau[2 + i] = df[i, 2]
+    dtau = np.empty(lead + (nv, n))
+    for lv in reversed(model.levels):
+        i, p = lv.bodies, lv.parents
+        k, cq = np.arange(len(i)), 2 + i
+        XT = kin.X[..., i, :, :].swapaxes(-1, -2)
+        fi, dfi = f[..., i, :], df[..., i, :, :]
+        dtau[..., cq, :] = dfi[..., 2, :]
         # d(X.T f) = X.T df + X.T crf(S dq) f
-        df[i, 0, 2 + i] -= f[i, 1]
-        df[i, 1, 2 + i] += f[i, 0]
-        f[p] += X.T @ f[i]
-        df[p] += X.T @ df[i]
-    dtau[:3] = df[0]
+        dfi[..., k, 0, cq] -= fi[..., 1]
+        dfi[..., k, 1, cq] += fi[..., 0]
+        # siblings share a parent: accumulate unbuffered
+        np.add.at(f, (Ellipsis, p, slice(None)), _matvec(XT, fi))
+        np.add.at(df, (Ellipsis, p, slice(None), slice(None)), XT @ dfi)
+    dtau[..., :3, :] = df[..., 0, :, :]
     return Tangents(dtau=dtau, dvel=dvel, dacc=dacc)
 
 
@@ -223,13 +234,13 @@ def nonlinear_effects(model: RobotModel, q: np.ndarray, v: np.ndarray,
                       kin: Kinematics | None = None, tw: np.ndarray | None = None,
                       bias: np.ndarray | None = None) -> np.ndarray:
     """Coriolis, centrifugal and gravity bias h(q, v) = rnea(q, v, 0)."""
-    return rnea(model, q, v, np.zeros(model.nv), kin=kin, tw=tw, bias=bias)
+    return rnea(model, q, v, np.zeros_like(v), kin=kin, tw=tw, bias=bias)
 
 
 def gravity_torque(model: RobotModel, q: np.ndarray,
                    kin: Kinematics | None = None) -> np.ndarray:
     """Static bias g(q) = rnea(q, 0, 0)."""
-    z = np.zeros(model.nv)
+    z = np.zeros(np.shape(q)[:-1] + (model.nv,))
     return rnea(model, q, z, z, kin=kin)
 
 
@@ -246,7 +257,9 @@ def mass_matrix(model: RobotModel, q: np.ndarray,
         kin = forward_kinematics(model, q)
     nv = model.nv
     B = kin.B
-    M = B.reshape(-1, nv).T @ (model.spatial_inertias @ B).reshape(-1, nv)
+    lead = B.shape[:-3]
+    M = (B.reshape(lead + (-1, nv)).swapaxes(-1, -2)
+         @ (model.spatial_inertias @ B).reshape(lead + (-1, nv)))
     joints = np.arange(3, nv)
-    M[joints, joints] += model.reflected_inertia
+    M[..., joints, joints] += model.reflected_inertia
     return M

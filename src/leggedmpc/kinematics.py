@@ -10,7 +10,8 @@ all bodies of one depth are placed, transformed and given their body
 Jacobian B_i in one batch of array operations, so a pass costs a few array
 operations per depth instead of per body.  With B_i, a body twist is
 tw_i = B_i v, and every contact-frame quantity below is evaluated for all
-requested frames at once from the (nb, 3) array of twists.
+requested frames at once from the (nb, 3) array of twists.  Stacked states
+(leading axes on q and v, frames (..., k) per state) run as one pass.
 """
 
 from __future__ import annotations
@@ -37,26 +38,28 @@ def motion_transform(pose: np.ndarray) -> np.ndarray:
     return X
 
 
-def crm(v: np.ndarray) -> np.ndarray:
-    """Motion cross-product matrix (planar)."""
-    vx, vy, w = v
-    return np.array([[0.0, -w, vy], [w, 0.0, -vx], [0.0, 0.0, 0.0]])
-
-
-def crf(v: np.ndarray) -> np.ndarray:
-    """Force cross-product matrix: crf(v) = -crm(v).T."""
-    vx, vy, w = v
-    return np.array([[0.0, -w, 0.0], [w, 0.0, 0.0], [-vy, vx, 0.0]])
-
-
 @dataclass
 class Kinematics:
-    """World poses, joint transforms, body Jacobians and world rotations."""
+    """World poses, joint transforms, body Jacobians and world rotations.
+
+    Stacked states give the same fields with leading axes.
+    """
 
     pose: np.ndarray      # (nb, 3) world poses
     X: np.ndarray         # (nb, 3, 3) motion transforms parent->body (root: world->body)
     B: np.ndarray         # (nb, 3, nv) body Jacobians: body twist i = B[i] @ v
     R: np.ndarray         # (nb, 2, 2) body-to-world rotations
+
+
+def _rows(idx: np.ndarray) -> tuple:
+    """Index of rows ``idx`` (..., k) of an array (..., n, ...), per leading index."""
+    lead = idx.shape[:-1]
+    return tuple(np.arange(n).reshape((n,) + (1,) * (len(lead) - d))
+                 for d, n in enumerate(lead)) + (idx,)
+
+
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return (A @ x[..., None])[..., 0]
 
 
 def forward_kinematics(model: RobotModel, q: np.ndarray) -> Kinematics:
@@ -66,45 +69,48 @@ def forward_kinematics(model: RobotModel, q: np.ndarray) -> Kinematics:
     q in one batch.  The world transforms and the body Jacobians
     B_i = X_i B_parent(i) + S_i (S_i: the joint's motion subspace) then take
     one batched step per depth of the tree.  World angles are the atan2 of
-    the world rotations, in [-pi, pi].
+    the world rotations, in [-pi, pi].  A stack of configurations (..., nq)
+    is one pass too, with the leading axes in front of every field.
     """
     q = model.check_q(q)
+    lead = q.shape[:-1]
     nb, nv = model.nbodies, model.nv
-    rel = model.placements.copy()
-    rel[0] = q[:3]
-    rel[1:, 2] += q[3:]
-    c, s = np.cos(rel[:, 2]), np.sin(rel[:, 2])
-    px, py = rel[:, 0], rel[:, 1]
+    rel = np.empty(lead + (nb, 3))
+    rel[...] = model.placements
+    rel[..., 0, :] = q[..., :3]
+    rel[..., 1:, 2] += q[..., 3:]
+    c, s = np.cos(rel[..., 2]), np.sin(rel[..., 2])
+    px, py = rel[..., 0], rel[..., 1]
     # T: homogeneous body->parent transforms, made body->world level by level
-    T = np.zeros((nb, 3, 3))
-    T[:, 0, 0] = c
-    T[:, 0, 1] = -s
-    T[:, 1, 0] = s
-    T[:, 1, 1] = c
-    T[:, :2, 2] = rel[:, :2]
-    T[:, 2, 2] = 1.0
-    X = np.zeros((nb, 3, 3))
-    X[:, :2, :2] = T[:, :2, :2].transpose(0, 2, 1)
-    X[:, 0, 2] = s * px - c * py
-    X[:, 1, 2] = c * px + s * py
-    X[:, 2, 2] = 1.0
-    B = np.zeros((nb, 3, nv))
-    B[0, :, :3] = _EYE3
+    T = np.zeros(lead + (nb, 3, 3))
+    T[..., 0, 0] = c
+    T[..., 0, 1] = -s
+    T[..., 1, 0] = s
+    T[..., 1, 1] = c
+    T[..., :2, 2] = rel[..., :2]
+    T[..., 2, 2] = 1.0
+    X = np.zeros(lead + (nb, 3, 3))
+    X[..., :2, :2] = T[..., :2, :2].swapaxes(-1, -2)
+    X[..., 0, 2] = s * px - c * py
+    X[..., 1, 2] = c * px + s * py
+    X[..., 2, 2] = 1.0
+    B = np.zeros(lead + (nb, 3, nv))
+    B[..., 0, :, :3] = _EYE3
     for lv in model.levels:
         i, p = lv.bodies, lv.parents
-        T[i] = T[p] @ T[i]
-        Bi = X[i] @ B[p]
+        T[..., i, :, :] = T[..., p, :, :] @ T[..., i, :, :]
+        Bi = X[..., i, :, :] @ B[..., p, :, :]
         Bi += lv.axes
-        B[i] = Bi
-    pose = np.empty((nb, 3))
-    pose[:, :2] = T[:, :2, 2]
-    pose[:, 2] = np.arctan2(T[:, 1, 0], T[:, 0, 0])
-    return Kinematics(pose=pose, X=X, B=B, R=T[:, :2, :2])
+        B[..., i, :, :] = Bi
+    pose = np.empty(lead + (nb, 3))
+    pose[..., :2] = T[..., :2, 2]
+    pose[..., 2] = np.arctan2(T[..., 1, 0], T[..., 0, 0])
+    return Kinematics(pose=pose, X=X, B=B, R=T[..., :2, :2])
 
 
 def body_twists(model: RobotModel, kin: Kinematics, v: np.ndarray) -> np.ndarray:
     """Body-frame twist of every body for generalized velocity ``v``, (nb, 3)."""
-    return kin.B @ model.check_v(v)
+    return _matvec(kin.B, model.check_v(v)[..., None, :])
 
 
 def bias_accelerations(model: RobotModel, kin: Kinematics, v: np.ndarray,
@@ -115,34 +121,40 @@ def bias_accelerations(model: RobotModel, kin: Kinematics, v: np.ndarray,
     are the body twists under ``v``.  The root's bias is zero, so the first
     depth below it is just its Coriolis terms.
     """
-    acc = np.zeros((model.nbodies, 3))
+    acc = np.zeros(tw.shape)
     # crm(tw_i) S_i v_i = v_i (tw_y, -tw_x, 0); body i >= 1 has rate v[2 + i]
-    acc[1:, 0] = v[3:] * tw[1:, 1]
-    acc[1:, 1] = -v[3:] * tw[1:, 0]
+    acc[..., 1:, 0] = v[..., 3:] * tw[..., 1:, 1]
+    acc[..., 1:, 1] = -v[..., 3:] * tw[..., 1:, 0]
     for lv in model.levels[1:]:
         i = lv.bodies
-        acc[i] += (kin.X[i] @ acc[lv.parents, :, None])[..., 0]
+        acc[..., i, :] += _matvec(kin.X[..., i, :, :], acc[..., lv.parents, :])
     return acc
 
 
-def _frames(model: RobotModel, frames):
-    idx = np.asarray(frames, dtype=int).reshape(-1)
-    return model.contact_bodies[idx], model.contact_offsets[idx]
+def _frames(model: RobotModel, kin: Kinematics, frames):
+    """Index of the bodies of ``frames`` (see ``_rows``) and the frame offsets.
+
+    ``frames`` (..., k) broadcasts over the leading axes of ``kin``.
+    """
+    idx = np.asarray(frames, dtype=int)
+    lead = kin.pose.shape[:-2]
+    if idx.shape[:-1] != lead:
+        idx = np.broadcast_to(idx, lead + idx.shape[-1:])
+    return _rows(model.contact_bodies[idx]), model.contact_offsets[idx]
+
+
+_FLIP = np.array([-1.0, 1.0])
 
 
 def _perp(r: np.ndarray) -> np.ndarray:
     """Rows rotated by +90 degrees: (x, y) -> (-y, x)."""
-    return np.stack([-r[..., 1], r[..., 0]], -1)
-
-
-def _to_world(kin: Kinematics, bodies: np.ndarray, local: np.ndarray) -> np.ndarray:
-    return (kin.R[bodies] @ local[..., None])[..., 0]
+    return r[..., ::-1] * _FLIP
 
 
 def frame_positions(model: RobotModel, kin: Kinematics, frames) -> np.ndarray:
     """World positions of contact frames, shape (len(frames), 2)."""
-    b, r = _frames(model, frames)
-    return kin.pose[b, :2] + _to_world(kin, b, r)
+    rows, r = _frames(model, kin, frames)
+    return kin.pose[rows][..., :2] + _matvec(kin.R[rows], r)
 
 
 def frame_position(model: RobotModel, kin: Kinematics, frame: int) -> np.ndarray:
@@ -160,9 +172,9 @@ def frame_velocities(model: RobotModel, q: np.ndarray, v: np.ndarray, frames,
         kin = forward_kinematics(model, q)
     if tw is None:
         tw = body_twists(model, kin, v)
-    b, r = _frames(model, frames)
-    t = tw[b]
-    return _to_world(kin, b, t[:, :2] + t[:, 2:] * _perp(r))
+    rows, r = _frames(model, kin, frames)
+    t = tw[rows]
+    return _matvec(kin.R[rows], t[..., :2] + t[..., 2:] * _perp(r))
 
 
 def frame_acceleration_bias(model: RobotModel, q: np.ndarray, v: np.ndarray, frames,
@@ -182,9 +194,8 @@ def frame_acceleration_bias(model: RobotModel, q: np.ndarray, v: np.ndarray, fra
     if tw is None:
         tw = body_twists(model, kin, v)
     acc = bias_accelerations(model, kin, v, tw) if bias is None else bias
-    b, r = _frames(model, frames)
-    t, a = tw[b], acc[b]
-    w = t[:, 2:]
-    local = a[:, :2] + a[:, 2:] * _perp(r) + w * _perp(t[:, :2] + w * _perp(r))
-    return _to_world(kin, b, local).ravel()
-
+    rows, r = _frames(model, kin, frames)
+    t, a = tw[rows], acc[rows]
+    w = t[..., 2:]
+    local = a[..., :2] + a[..., 2:] * _perp(r) + w * _perp(t[..., :2] + w * _perp(r))
+    return _matvec(kin.R[rows], local).reshape(r.shape[:-2] + (-1,))

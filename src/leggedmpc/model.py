@@ -6,12 +6,14 @@ and velocities are tangent vectors ``v = (base twist in body frame, joint
 rates)`` with the ordering (linear x, linear y, angular, joints) fixed
 everywhere in the package.  The configuration manifold is SE(2) x R^nj, so
 ``integrate``/``difference`` compose the base block through the group
-exponential/logarithm and treat joints additively.
+exponential/logarithm and treat joints additively.  The state functions
+take stacked states (leading axes) too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -154,24 +156,24 @@ class RobotModel:
                                         dtype=float).reshape(-1, 2)
         self.S = np.eye(self.nv, self.nu, -3)
 
-    # ---- dimensions -----------------------------------------------------
-    @property
+    # ---- dimensions (the tree never changes, so each is computed once) ----
+    @cached_property
     def nj(self) -> int:
         return len(self.joints) - 1
 
-    @property
+    @cached_property
     def nv(self) -> int:
         return 3 + self.nj
 
-    @property
+    @cached_property
     def nq(self) -> int:
         return 3 + self.nj
 
-    @property
+    @cached_property
     def nu(self) -> int:
         return self.nj
 
-    @property
+    @cached_property
     def nbodies(self) -> int:
         return len(self.bodies)
 
@@ -180,21 +182,23 @@ class RobotModel:
         return float(sum(b.mass for b in self.bodies))
 
     def check_q(self, q: np.ndarray) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        if q.shape != (self.nq,):
-            raise DimensionMismatch(f"q has shape {q.shape}, expected ({self.nq},)")
-        return q
+        return _check(q, self.nq, "q")
 
     def check_v(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.nv,):
-            raise DimensionMismatch(f"v has shape {v.shape}, expected ({self.nv},)")
-        return v
+        return _check(v, self.nv, "v")
+
+
+def _check(a, n: int, name: str) -> np.ndarray:
+    """``a`` as floats, its last axis of length n; leading axes index a batch."""
+    a = np.asarray(a, dtype=float)
+    if a.shape[-1:] != (n,):
+        raise DimensionMismatch(f"{name} has shape {a.shape}, expected (..., {n})")
+    return a
 
 
 def normalize_q(q: np.ndarray) -> np.ndarray:
     q = np.array(q, dtype=float)
-    q[2] = se2.wrap_angle(q[2])
+    q[..., 2] = se2.wrap_angle(q[..., 2])
     return q
 
 
@@ -202,14 +206,12 @@ def state(model: RobotModel, q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Pack (q, v) into a single state vector with the base angle wrapped."""
     q = normalize_q(model.check_q(q))
     v = model.check_v(v)
-    return np.concatenate([q, v])
+    return np.concatenate([q, v], -1)
 
 
 def split_state(model: RobotModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.nq + model.nv,):
-        raise DimensionMismatch(f"x has shape {x.shape}, expected ({model.nq + model.nv},)")
-    return x[: model.nq], x[model.nq:]
+    x = _check(x, model.nq + model.nv, "x")
+    return x[..., : model.nq], x[..., model.nq:]
 
 
 # ---- manifold operations ------------------------------------------------
@@ -218,37 +220,35 @@ def integrate_q(model: RobotModel, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
     """Configuration update q (+) dq: SE(2) composition for the base, additive joints."""
     q = model.check_q(q)
     dq = model.check_v(dq)
-    base = se2.compose(q[:3], se2.exp(dq[:3]))
-    return np.concatenate([base, q[3:] + dq[3:]])
+    base = se2.compose(q[..., :3], se2.exp(dq[..., :3]))
+    return np.concatenate([base, q[..., 3:] + dq[..., 3:]], -1)
 
 
 def difference_q(model: RobotModel, q1: np.ndarray, q0: np.ndarray) -> np.ndarray:
     """Tangent dq with q0 (+) dq = q1; base part via the SE(2) logarithm."""
     q1 = model.check_q(q1)
     q0 = model.check_q(q0)
-    base = se2.log(se2.compose(se2.inverse(q0[:3]), q1[:3]))
-    return np.concatenate([base, q1[3:] - q0[3:]])
+    base = se2.log(se2.compose(se2.inverse(q0[..., :3]), q1[..., :3]))
+    return np.concatenate([base, q1[..., 3:] - q0[..., 3:]], -1)
 
 
 def integrate(model: RobotModel, x: np.ndarray, dx: np.ndarray, dt: float = 1.0) -> np.ndarray:
     """State update x (+) dt*dx for a full tangent vector dx of size 2*nv."""
-    dx = np.asarray(dx, dtype=float)
-    if dx.shape != (2 * model.nv,):
-        raise DimensionMismatch(f"dx has shape {dx.shape}, expected ({2 * model.nv},)")
+    dx = _check(dx, 2 * model.nv, "dx")
     q, v = split_state(model, x)
-    qn = integrate_q(model, q, dt * dx[: model.nv])
-    return np.concatenate([qn, v + dt * dx[model.nv:]])
+    qn = integrate_q(model, q, dt * dx[..., : model.nv])
+    return np.concatenate([qn, v + dt * dx[..., model.nv:]], -1)
 
 
 def difference(model: RobotModel, x1: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """Tangent dx with x0 (+) dx = x1."""
     q1, v1 = split_state(model, x1)
     q0, v0 = split_state(model, x0)
-    return np.concatenate([difference_q(model, q1, q0), v1 - v0])
+    return np.concatenate([difference_q(model, q1, q0), v1 - v0], -1)
 
 
 def semi_implicit_step(model: RobotModel, q: np.ndarray, v: np.ndarray,
-                       vdot: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+                       vdot: np.ndarray, dt) -> tuple[np.ndarray, np.ndarray]:
     """Velocity first, then configuration with the updated velocity."""
     v_next = v + dt * np.asarray(vdot, dtype=float)
     q_next = integrate_q(model, q, dt * v_next)
@@ -257,6 +257,14 @@ def semi_implicit_step(model: RobotModel, q: np.ndarray, v: np.ndarray,
 
 # ---- integrator chain-rule blocks ----------------------------------------
 
+def _with_base_block(model: RobotModel, block: np.ndarray) -> np.ndarray:
+    """Identity (nv, nv) matrices, one per leading index, with base block ``block``."""
+    J = np.zeros(block.shape[:-2] + (model.nv, model.nv))
+    J[..., :, :] = np.eye(model.nv)
+    J[..., :3, :3] = block
+    return J
+
+
 def dintegrate_q(model: RobotModel, dq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Jacobians of integrate_q(q, dq) w.r.t. right perturbations of q and dq.
 
@@ -264,19 +272,12 @@ def dintegrate_q(model: RobotModel, dq: np.ndarray) -> tuple[np.ndarray, np.ndar
         integrate_q(q (+) e, dq)  =  integrate_q(q, dq) (+) Jq e   + O(e^2)
         integrate_q(q, dq + e)    =  integrate_q(q, dq) (+) Jdq e  + O(e^2)
     """
-    nv = model.nv
-    dq = model.check_v(dq)
-    Jq = np.eye(nv)
-    Jdq = np.eye(nv)
-    Jq[:3, :3] = se2.adjoint(se2.inverse(se2.exp(dq[:3])))
-    Jdq[:3, :3] = se2.right_jacobian(dq[:3])
-    return Jq, Jdq
+    base = model.check_v(dq)[..., :3]
+    return (_with_base_block(model, se2.adjoint(se2.inverse(se2.exp(base)))),
+            _with_base_block(model, se2.right_jacobian(base)))
 
 
 def ddifference_q(model: RobotModel, q1: np.ndarray, q0: np.ndarray) -> np.ndarray:
     """Jacobian of difference_q(q1, q0) w.r.t. a right perturbation of q1."""
-    nv = model.nv
     r = difference_q(model, q1, q0)
-    J = np.eye(nv)
-    J[:3, :3] = se2.right_jacobian_inv(r[:3])
-    return J
+    return _with_base_block(model, se2.right_jacobian_inv(r[..., :3]))

@@ -3,23 +3,30 @@
 A problem is an ordered list of action models — running nodes (contact
 dynamics integrated over ``dt``), impulse nodes (instantaneous velocity
 transitions at touchdowns, ``dt = 0``, no control), and one terminal node
-carrying state costs only.  Every node exposes ``calc`` (next state + cost)
-and ``calc_diff`` (first-order dynamics and Gauss-Newton cost expansion).
+carrying state costs only.  ``evaluate_nodes`` (next states and costs) and
+``differentiate_nodes`` (first-order dynamics and Gauss-Newton cost
+expansion) take any list of running and impulse nodes.  They group the
+nodes by kind and contact-set size and run each group as one pass over
+stacked (B, ...) arrays: the dynamics, one tangent sweep, the integrator
+chain rule and the cost expansion.  A node's results do not depend on the
+rest of its group, so a node's own ``calc`` is the same pass on a group of
+one and gives the same bits.
 
-Running and impulse nodes keep their last evaluation: copies of the inputs,
-the dynamics solution, the next state and the cost.  ``calc`` at exactly
-equal inputs returns the kept outputs, and ``calc_diff`` differentiates at
-the kept solution instead of solving the dynamics again (as Crocoddyl's
-``calcDiff`` reads the data its ``calc`` left).  The solver evaluates every
-node in its line search and again when it takes derivatives at the
-accepted iterate, so the second evaluation costs nothing.  ``configure``
-drops the kept evaluation.
+Running and impulse nodes keep their last evaluation: their row of the
+stacked pass they were evaluated in (copied inputs, dynamics solution, next
+state and cost).  An evaluation at exactly equal inputs returns the kept
+outputs, and the derivatives are taken at the kept solutions instead of
+solving the dynamics again (as Crocoddyl's ``calcDiff`` reads the data its
+``calc`` left); a group evaluated together is differentiated on its
+stacked solution as it is.  The solver evaluates every node in its line
+search and again when it takes derivatives at the accepted iterate, so the
+second evaluation costs nothing.  ``configure`` drops the kept evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -48,15 +55,20 @@ class NodeDerivatives:
     luu: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class _Evaluation:
-    """A node's last evaluation: its inputs (copied) and what they gave."""
+    """One stacked pass over ``nodes``: the inputs (copied) and what they gave.
 
+    Each node keeps ``(evaluation, row)``, row None for a lone node, whose
+    fields have no leading axis.
+    """
+
+    nodes: list
     x: np.ndarray
-    u: np.ndarray | None
+    u: np.ndarray
     sol: ct.ContactSolution | ct.ImpulseSolution
     x_next: np.ndarray
-    cost: float
+    cost: np.ndarray | float
 
 
 @dataclass
@@ -68,80 +80,108 @@ class SwingTarget:
 
 
 class _Expansion:
-    """Gauss-Newton accumulator for costs of the form sum w_i r_i(x,u)^2."""
+    """Gauss-Newton accumulator for costs of the form scale * sum w_i r_i(x,u)^2.
 
-    __slots__ = ("value", "lx", "lu", "lxx", "lxu", "luu")
+    Every field has the leading (batch) axes of ``scale``; residuals,
+    weights and Jacobians broadcast against them.
+    """
 
-    def __init__(self, ndx, nu):
+    __slots__ = ("scale", "value", "lx", "lu", "lxx", "lxu", "luu")
+
+    def __init__(self, scale, ndx, nu):
+        self.scale = np.asarray(scale, float)[..., None]
+        lead = self.scale.shape[:-1]
         self.value = 0.0
-        self.lx = np.zeros(ndx)
-        self.lu = np.zeros(nu)
-        self.lxx = np.zeros((ndx, ndx))
-        self.lxu = np.zeros((ndx, nu))
-        self.luu = np.zeros((nu, nu))
+        self.lx, self.lu = np.zeros(lead + (ndx,)), np.zeros(lead + (nu,))
+        self.lxx, self.lxu = np.zeros(lead + (ndx, ndx)), np.zeros(lead + (ndx, nu))
+        self.luu = np.zeros(lead + (nu, nu))
 
     def add(self, r, w, Jx=None, Ju=None):
-        w = np.asarray(w, float)
+        w = self.scale * w
         wr = w * r
-        self.value += float(r @ wr)
+        self.value = self.value + (r[..., None, :] @ wr[..., None])[..., 0, 0]
         if Jx is not None:
-            self.lx += 2.0 * (Jx.T @ wr)
-            WJx = w[:, None] * Jx if w.ndim else w * Jx
-            self.lxx += 2.0 * (Jx.T @ WJx)
+            JxT = Jx.swapaxes(-1, -2)
+            self.lx += 2.0 * (JxT @ wr[..., None])[..., 0]
+            self.lxx += 2.0 * (JxT @ (w[..., None] * Jx))
         if Ju is not None:
-            self.lu += 2.0 * (Ju.T @ wr)
-            WJu = w[:, None] * Ju if w.ndim else w * Ju
-            self.luu += 2.0 * (Ju.T @ WJu)
-        if Jx is not None and Ju is not None:
-            self.lxu += 2.0 * (Jx.T @ (w[:, None] * Ju if w.ndim else w * Ju))
-
-    def scaled(self, s):
-        self.value *= s
-        self.lx *= s
-        self.lu *= s
-        self.lxx *= s
-        self.lxu *= s
-        self.luu *= s
-        return self
+            JuT, WJu = Ju.swapaxes(-1, -2), w[..., None] * Ju
+            self.lu += 2.0 * (JuT @ wr[..., None])[..., 0]
+            self.luu += 2.0 * (JuT @ WJu)
+            if Jx is not None:
+                self.lxu += 2.0 * (JxT @ WJu)
 
 
-def _state_cost(model, q, v, weights, mult, acc, with_jac):
+def _state_costs(model, q, v, weights, bounds, acc, with_jac):
+    """Posture and velocity regularization, and the state-bound penalty."""
     nv = model.nv
-    rq = mod.difference_q(model, q, weights.q_ref)
+    Jq = Jv = None
     if with_jac:
-        Jq = np.zeros((nv, 2 * nv))
-        Jq[:, :nv] = mod.ddifference_q(model, q, weights.q_ref)
-        Jv = np.zeros((nv, 2 * nv))
-        Jv[:, nv:] = np.eye(nv)
-    else:
-        Jq = Jv = None
-    acc.add(rq, mult * weights.Q, Jx=Jq)
-    acc.add(v, mult * weights.N, Jx=Jv)
-
-
-def _bounds_cost(model, q, v, weights, bounds, mult, acc, with_jac):
-    nv = model.nv
-    w = mult * weights.w_statebounds
-    if w == 0.0 or bounds is None:
+        Jq = np.zeros(q.shape[:-1] + (nv, 2 * nv))
+        Jq[..., :nv] = mod.ddifference_q(model, q, weights.q_ref)
+        Jv = np.eye(nv, 2 * nv, nv)
+    acc.add(mod.difference_q(model, q, weights.q_ref), weights.Q, Jx=Jq)
+    acc.add(v, weights.N, Jx=Jv)
+    if not weights.w_statebounds or bounds is None:
         return
-    rq = co.interval_violation(q[3:], bounds.q_lb[3:], bounds.q_ub[3:])
+    rq = co.interval_violation(q[..., 3:], bounds.q_lb[3:], bounds.q_ub[3:])
     rv = co.interval_violation(v, bounds.v_lb, bounds.v_ub)
     if with_jac:
         # one-sided penalty: only coordinates outside the box carry slope
         # and curvature, so inactive rows must stay zero
-        Jq = np.zeros((nv - 3, 2 * nv))
-        Jq[:, 3:nv] = np.diag((rq != 0.0).astype(float))
-        Jv = np.zeros((nv, 2 * nv))
-        Jv[:, nv:] = np.diag((rv != 0.0).astype(float))
-    else:
-        Jq = Jv = None
-    acc.add(rq, np.full(nv - 3, w), Jx=Jq)
-    acc.add(rv, np.full(nv, w), Jx=Jv)
+        Jq = np.eye(nv - 3, 2 * nv, 3) * (rq != 0.0)[..., None]
+        Jv = Jv * (rv != 0.0)[..., None]
+    acc.add(rq, weights.w_statebounds, Jx=Jq)
+    acc.add(rv, weights.w_statebounds, Jx=Jv)
 
 
-def _swing_vel_dq(model, kin, v, frames):
-    """d(foot velocities)/d q-tangent, d(J v)/dq, stacked per frame."""
-    return tangent_sweep(model, kin, v, frames=frames).dvel[:, :model.nv]
+def _stack(rows):
+    """Rows of a group stacked along a new leading axis; a lone row as it is.
+
+    A group of one keeps no leading axis: a lone node runs the single-state
+    code, which gives the same bits as its row of a stacked pass.
+    """
+    if len(rows) == 1:
+        return rows[0]
+    if is_dataclass(rows[0]):
+        return type(rows[0])(*(_stack([getattr(r, f.name) for r in rows])
+                               for f in fields(rows[0])))
+    return np.stack(rows)
+
+
+def _row(obj, j):
+    """Row ``j`` of a group's result (see ``_stack``); all of it for j None."""
+    if j is None:
+        return obj
+    if is_dataclass(obj):
+        return type(obj)(*(_row(getattr(obj, f.name), j) for f in fields(obj)))
+    return obj[j]
+
+
+def _kept(node, name):
+    """Field ``name`` of the node's kept evaluation, for the node alone."""
+    ev, j = node._kept
+    return _row(getattr(ev, name), j)
+
+
+def _contacts(nodes) -> ct.ContactSet:
+    """The group's contact sets as one, with (B, nc) frames."""
+    c = nodes[0].contacts
+    if len(nodes) == 1:
+        return c
+    return replace(c, frames=np.array([n.contacts.frames for n in nodes],
+                                      dtype=int).reshape(len(nodes), -1))
+
+
+def _group_key(node):
+    """Nodes with equal keys evaluate as one stacked group."""
+    c = node.contacts
+    anchors = tuple((f, *np.asarray(a, float)) for f, a in sorted(c.anchors.items()))
+    return (type(node), id(node.model), id(node.weights), node._group_params(),
+            len(c.frames), c.baumgarte_freq, c.baumgarte_damping, anchors)
+
+
+_NO_TARGETS = (np.zeros(0, dtype=int), np.zeros((2, 0, 2)), np.zeros((2, 0)))
 
 
 class RunningNode:
@@ -161,17 +201,16 @@ class RunningNode:
         self.dt = 0.0
         self.weights = weights
         self.bounds = bounds
+        self.cone = cone
         self.cone_C, self.cone_c = (co.cone_matrices(cone) if cone is not None
                                     else (None, None))
         self.time = 0.0
-        self.contacts = ct.ContactSet()
-        self.swing: dict[int, SwingTarget] = {}
         nu = model.nu
         self.u_lb = (bounds.u_lb if bounds is not None
                      else np.full(nu, -np.inf))
         self.u_ub = (bounds.u_ub if bounds is not None
                      else np.full(nu, np.inf))
-        self._kept = None
+        self.configure(0.0, ct.ContactSet(), {})
 
     @property
     def nu(self):
@@ -185,114 +224,115 @@ class RunningNode:
         self.swing = swing
         if dt is not None:
             self.dt = float(dt)
+        # swing frames, target (positions, velocities) and their residual weights
+        targets = [swing[f] for f in sorted(swing)]
+        self._targets = _NO_TARGETS if not swing else (
+            np.array(sorted(swing), dtype=int),
+            np.array([[t.pos for t in targets], [t.vel for t in targets]],
+                     dtype=float).reshape(2, -1, 2),
+            np.repeat([[t.w_pos for t in targets], [t.w_vel for t in targets]],
+                      2, -1).astype(float).reshape(2, -1))
         self._kept = None
 
-    # -- cost pieces shared by calc / calc_diff -----------------------------
+    def _group_params(self):
+        return id(self.bounds), self.cone, len(self.swing)
 
-    def _costs(self, q, v, u, sol, der, acc):
-        model = self.model
-        nv, nu = model.nv, model.nu
+    # -- one group of running nodes, stacked along the leading axis ----------
+
+    @staticmethod
+    def _costs(nodes, q, v, u, sol, acc, der=None, tan=None):
+        """Running costs of the group; with ``der`` and ``tan`` (the dynamics
+        derivatives and the tangent sweep) their Gauss-Newton expansion too."""
+        n0 = nodes[0]
+        model, weights = n0.model, n0.weights
+        nv = model.nv
         with_jac = der is not None
-        _state_cost(model, q, v, self.weights, 1.0, acc, with_jac)
-        Ju = np.eye(nu) if with_jac else None
-        acc.add(u, self.weights.R, Ju=Ju)
-        _bounds_cost(model, q, v, self.weights, self.bounds, 1.0, acc, with_jac)
+        _state_costs(model, q, v, weights, n0.bounds, acc, with_jac)
+        acc.add(u, weights.R, Ju=np.eye(model.nu) if with_jac else None)
 
-        if self.swing:
-            frames = sorted(self.swing)
-            kin = sol.kin
-            pos = frame_positions(model, kin, frames)
-            vel = frame_velocities(model, q, v, frames, kin=kin)
+        if n0.swing:
+            frames, ref, w = (_stack([n._targets[i] for n in nodes]) for i in range(3))
+            Jp = Jv = None
             if with_jac:
-                Jp = np.zeros((2 * len(frames), 2 * nv))
-                Jp[:, :nv] = ct.contact_jacobian_stack(model, q, frames, kin=kin)
-                Jv = np.zeros((2 * len(frames), 2 * nv))
-                Jv[:, :nv] = _swing_vel_dq(model, kin, v, frames)
-                Jv[:, nv:] = Jp[:, :nv]
-            else:
-                Jp = Jv = None
-            wp = np.concatenate([[self.swing[f].w_pos] * 2 for f in frames])
-            wv = np.concatenate([[self.swing[f].w_vel] * 2 for f in frames])
-            rp = (pos - np.array([self.swing[f].pos for f in frames])).ravel()
-            rv = (vel - np.array([self.swing[f].vel for f in frames])).ravel()
-            acc.add(rp, wp, Jx=Jp)
-            acc.add(rv, wv, Jx=Jv)
+                # the sweep's last rows are the swing frames; the v block
+                # of a frame's velocity tangent is its Jacobian
+                Jv = tan.dvel[..., -w.shape[-1]:, :]
+                Jp = np.zeros_like(Jv)
+                Jp[..., :nv] = Jv[..., nv:]
+            wp, wv = w[..., 0, :], w[..., 1, :]
+            rp = frame_positions(model, sol.kin, frames) - ref[..., 0, :, :]
+            rv = frame_velocities(model, q, v, frames, kin=sol.kin) - ref[..., 1, :, :]
+            acc.add(rp.reshape(wp.shape), wp, Jx=Jp)
+            acc.add(rv.reshape(wv.shape), wv, Jx=Jv)
 
-        if self.contacts.nf:
+        nc = len(n0.contacts.frames)
+        if nc:
             lam = sol.forces
-            nf = self.contacts.nf
-            if with_jac:
-                Jlx, Jlu = der.dforces_dx, der.dforces_du
-            K = np.tile(self.weights.K, len(self.contacts.frames))
-            acc.add(lam, K, Jx=Jlx if with_jac else None,
-                    Ju=Jlu if with_jac else None)
-            if self.weights.w_cone and self.cone_C is not None:
-                r, Jr = co.cone_residual(self.cone_C, self.cone_c, lam)
-                acc.add(r, self.weights.w_cone,
-                        Jx=Jr @ Jlx if with_jac else None,
+            Jlx, Jlu = (der.dforces_dx, der.dforces_du) if with_jac else (None, None)
+            acc.add(lam, np.tile(weights.K, nc), Jx=Jlx, Ju=Jlu)
+            if weights.w_cone and n0.cone is not None:
+                r, Jr = co.cone_residual(n0.cone_C, n0.cone_c, lam)
+                acc.add(r, weights.w_cone, Jx=Jr @ Jlx if with_jac else None,
                         Ju=Jr @ Jlu if with_jac else None)
-            if self.weights.w_qstatic:
-                lam_map = {f: lam[2 * k: 2 * k + 2]
-                           for k, f in enumerate(self.contacts.frames)}
-                rqs = co.quasi_static_residual(model, q, u, lam_map)
-                J = sol.J
+            if weights.w_qstatic:
+                forces = (_contacts(nodes).frames, lam.reshape(lam.shape[:-1] + (nc, 2)))
+                rqs = co.quasi_static_residual(model, q, u, forces, kin=sol.kin)
+                Jx = Ju = None
                 if with_jac:
-                    Jx = np.zeros((nv, 2 * nv))
-                    Jx[:, :nv] = co.quasi_static_residual_dq(model, q, lam_map)
-                    Jx += J.T @ Jlx
-                    Ju2 = model.S + J.T @ Jlu
-                    acc.add(rqs, self.weights.w_qstatic * self.weights.N,
-                            Jx=Jx, Ju=Ju2)
-                else:
-                    acc.add(rqs, self.weights.w_qstatic * self.weights.N)
+                    Jt = sol.J.swapaxes(-1, -2)
+                    Jx = Jt @ Jlx
+                    Jx[..., :nv] += co.quasi_static_residual_dq(model, q, forces,
+                                                                kin=sol.kin)
+                    Ju = model.S + Jt @ Jlu
+                acc.add(rqs, weights.w_qstatic * weights.N, Jx=Jx, Ju=Ju)
 
-    def _evaluate(self, x, u) -> _Evaluation:
-        kept = self._kept
-        if (kept is not None and np.array_equal(kept.x, x)
-                and np.array_equal(kept.u, u)):
-            return kept
-        model = self.model
+    @staticmethod
+    def _evaluate_group(nodes, x, u):
+        model = nodes[0].model
         q, v = mod.split_state(model, x)
-        sol = ct.contact_forward_dynamics(model, q, v, u, self.contacts)
-        qn, vn = mod.semi_implicit_step(model, q, v, sol.vdot, self.dt)
-        acc = _Expansion(2 * model.nv, model.nu)
-        self._costs(q, v, u, sol, None, acc)
-        self._kept = _Evaluation(np.array(x, dtype=float), np.array(u, dtype=float),
-                                 sol, mod.state(model, qn, vn), self.dt * acc.value)
-        return self._kept
+        sol = ct.contact_forward_dynamics(model, q, v, u, _contacts(nodes))
+        dt = np.asarray(_stack([n.dt for n in nodes]))
+        qn, vn = mod.semi_implicit_step(model, q, v, sol.vdot, dt[..., None])
+        acc = _Expansion(dt, 2 * model.nv, model.nu)
+        RunningNode._costs(nodes, q, v, u, sol, acc)
+        return sol, mod.state(model, qn, vn), acc.value
+
+    @staticmethod
+    def _differentiate_group(nodes, x, u, sol):
+        model = nodes[0].model
+        nv = model.nv
+        q, v = mod.split_state(model, x)
+        contacts = _contacts(nodes)
+        lam = sol.forces.reshape(x.shape[:-1] + (-1, 2))
+        # one sweep carries the contact frames and then the swing frames
+        frames = np.concatenate([np.asarray(contacts.frames, dtype=int),
+                                 _stack([n._targets[0] for n in nodes])], -1)
+        tan = tangent_sweep(model, sol.kin, v, sol.vdot, (contacts.frames, lam),
+                            frames)
+        der = ct.contact_dynamics_derivatives(model, q, v, u, contacts, sol=sol,
+                                              tan=tan)
+        dt = np.asarray(_stack([n.dt for n in nodes]))[..., None, None]
+        # semi-implicit chain: v' = v + dt*a(x,u); q' = q (+) dt*v'
+        Av = np.eye(nv, 2 * nv, nv) + dt * der.dvdot_dx
+        Bv = dt * der.dvdot_du
+        Jq, Jdq = mod.dintegrate_q(model, dt[..., 0] * (v + dt[..., 0] * sol.vdot))
+        fx = np.concatenate([Jdq @ (dt * Av), Av], -2)
+        fx[..., :nv, :nv] += Jq
+        fu = np.concatenate([Jdq @ (dt * Bv), Bv], -2)
+        acc = _Expansion(dt[..., 0, 0], 2 * nv, model.nu)
+        RunningNode._costs(nodes, q, v, u, sol, acc, der, tan)
+        return fx, fu, acc
 
     # -- public API ----------------------------------------------------------
 
     def solution(self, x, u) -> ct.ContactSolution:
         """Contact dynamics at (x, u); the kept solution when the inputs match."""
-        return self._evaluate(x, u).sol
+        evaluate_nodes([self], [x], [u])
+        return _kept(self, "sol")
 
     def calc(self, x, u):
-        ev = self._evaluate(x, u)
-        return ev.x_next.copy(), ev.cost
-
-    def calc_diff(self, x, u):
-        model = self.model
-        nv, nu = model.nv, model.nu
-        q, v = mod.split_state(model, x)
-        sol = self.solution(x, u)
-        der = ct.contact_dynamics_derivatives(model, q, v, u, self.contacts,
-                                              sol=sol)
-        dt = self.dt
-        # semi-implicit chain: v' = v + dt*a(x,u); q' = q (+) dt*v'
-        Av = np.hstack([np.zeros((nv, nv)), np.eye(nv)]) + dt * der.dvdot_dx
-        Bv = dt * der.dvdot_du
-        Jq, Jdq = mod.dintegrate_q(model, dt * (v + dt * sol.vdot))
-        fx = np.vstack([
-            np.hstack([Jq, np.zeros((nv, nv))]) + Jdq @ (dt * Av),
-            Av,
-        ])
-        fu = np.vstack([Jdq @ (dt * Bv), Bv])
-        acc = _Expansion(2 * nv, nu)
-        self._costs(q, v, u, sol, der, acc)
-        acc.scaled(dt)
-        return NodeDerivatives(fx, fu, acc.lx, acc.lu, acc.lxx, acc.lxu,
-                               acc.luu)
+        x_next, cost = evaluate_nodes([self], [x], [u])[0]
+        return x_next.copy(), cost
 
 
 class ImpulseNode:
@@ -324,56 +364,109 @@ class ImpulseNode:
         self.gained = gained
         self._kept = None
 
-    def _costs(self, q, v, sol, acc, with_jac):
-        model = self.model
-        nv = model.nv
-        _state_cost(model, q, v, self.weights, 1.0, acc, with_jac)
-        if self.gained:
-            frames = sorted(self.gained)
-            kin = sol.kin
-            pos = frame_positions(model, kin, frames)
-            r = (pos - np.array([self.gained[f] for f in frames])).ravel()
-            if with_jac:
-                Jp = np.zeros((2 * len(frames), 2 * nv))
-                Jp[:, :nv] = ct.contact_jacobian_stack(model, q, frames, kin=kin)
-            else:
-                Jp = None
-            acc.add(r, np.full(2 * len(frames),
-                               self.weights.w_placement_terminal), Jx=Jp)
+    def _group_params(self):
+        return self.restitution, len(self.gained)
 
-    def _evaluate(self, x) -> _Evaluation:
-        kept = self._kept
-        if kept is not None and np.array_equal(kept.x, x):
-            return kept
-        model = self.model
+    # -- one group of impulse nodes, stacked along the leading axis ----------
+
+    @staticmethod
+    def _costs(nodes, q, v, sol, acc, with_jac):
+        n0 = nodes[0]
+        model = n0.model
+        nv = model.nv
+        _state_costs(model, q, v, n0.weights, None, acc, with_jac)
+        if n0.gained:
+            frames = _stack([np.array(sorted(n.gained)) for n in nodes])
+            target = _stack([np.array([n.gained[f] for f in sorted(n.gained)])
+                             for n in nodes])
+            r = (frame_positions(model, sol.kin, frames) - target).reshape(
+                q.shape[:-1] + (-1,))
+            Jp = None
+            if with_jac:
+                Jp = np.zeros(r.shape + (2 * nv,))
+                Jp[..., :nv] = ct.contact_jacobian_stack(model, q, frames,
+                                                         kin=sol.kin)
+            acc.add(r, n0.weights.w_placement_terminal, Jx=Jp)
+
+    @staticmethod
+    def _evaluate_group(nodes, x, u):
+        model = nodes[0].model
         q, v = mod.split_state(model, x)
-        sol = ct.impulse_dynamics(model, q, v, self.contacts, self.restitution)
-        acc = _Expansion(2 * model.nv, 0)
-        self._costs(q, v, sol, acc, False)
-        self._kept = _Evaluation(np.array(x, dtype=float), None, sol,
-                                 mod.state(model, q, sol.v_plus), acc.value)
-        return self._kept
+        sol = ct.impulse_dynamics(model, q, v, _contacts(nodes), nodes[0].restitution)
+        acc = _Expansion(np.ones(x.shape[:-1]), 2 * model.nv, 0)
+        ImpulseNode._costs(nodes, q, v, sol, acc, False)
+        return sol, mod.state(model, q, sol.v_plus), acc.value
+
+    @staticmethod
+    def _differentiate_group(nodes, x, u, sol):
+        model = nodes[0].model
+        nv = model.nv
+        q, v = mod.split_state(model, x)
+        der = ct.impulse_dynamics_derivatives(model, q, v, _contacts(nodes),
+                                              nodes[0].restitution, sol=sol)
+        fx = np.concatenate([np.broadcast_to(np.eye(nv, 2 * nv), der.dvdot_dx.shape),
+                             der.dvdot_dx], -2)
+        acc = _Expansion(np.ones(x.shape[:-1]), 2 * nv, 0)
+        ImpulseNode._costs(nodes, q, v, sol, acc, True)
+        return fx, np.zeros(x.shape[:-1] + (2 * nv, 0)), acc
 
     def calc(self, x, u=None):
-        ev = self._evaluate(x)
-        return ev.x_next.copy(), ev.cost
+        x_next, cost = evaluate_nodes([self], [x], [np.zeros(0)])[0]
+        return x_next.copy(), cost
 
-    def calc_diff(self, x, u=None):
-        model = self.model
-        nv = model.nv
-        q, v = mod.split_state(model, x)
-        sol = self._evaluate(x).sol
-        der = ct.impulse_dynamics_derivatives(model, q, v, self.contacts,
-                                              self.restitution, sol=sol)
-        fx = np.vstack([
-            np.hstack([np.eye(nv), np.zeros((nv, nv))]),
-            der.dvdot_dx,
-        ])
-        fu = np.zeros((2 * nv, 0))
-        acc = _Expansion(2 * nv, 0)
-        self._costs(q, v, sol, acc, True)
-        return NodeDerivatives(fx, fu, acc.lx, acc.lu, acc.lxx, acc.lxu,
-                               acc.luu)
+
+def _groups(nodes, indices):
+    """``indices`` of ``nodes`` split into stackable groups, in order."""
+    if len(indices) < 2:
+        return [indices] if indices else []
+    groups = {}
+    for k in indices:
+        groups.setdefault(_group_key(nodes[k]), []).append(k)
+    return groups.values()
+
+
+def evaluate_nodes(nodes, xs, us) -> list[tuple[np.ndarray, float]]:
+    """Each node's (next state, cost) at (xs[k], us[k]), one stacked pass per group.
+
+    Nodes whose kept evaluation matches their inputs are not evaluated
+    again; every other node keeps its new evaluation.
+    """
+    fresh = [k for k, n in enumerate(nodes) if n._kept is None
+             or not (np.array_equal(_kept(n, "x"), xs[k])
+                     and np.array_equal(_kept(n, "u"), us[k]))]
+    for ks in _groups(nodes, fresh):
+        group = [nodes[k] for k in ks]
+        x = _stack([np.array(xs[k], dtype=float) for k in ks])
+        u = _stack([np.array(us[k], dtype=float).reshape(-1) for k in ks])
+        ev = _Evaluation(group, x, u, *type(group[0])._evaluate_group(group, x, u))
+        for j, node in enumerate(group):
+            node._kept = (ev, j if len(ks) > 1 else None)
+    return [(_kept(n, "x_next"), _kept(n, "cost")) for n in nodes]
+
+
+def differentiate_nodes(nodes, xs, us) -> list[NodeDerivatives]:
+    """``NodeDerivatives`` of each node at (xs[k], us[k]), one stacked pass per group.
+
+    The derivatives are taken at the nodes' kept solutions; nodes without a
+    matching one are evaluated first (see ``evaluate_nodes``).  Kept
+    solutions from other passes (nodes evaluated alone, as in a line
+    search) are stacked into the group first.
+    """
+    evaluate_nodes(nodes, xs, us)
+    out = [None] * len(nodes)
+    for ks in _groups(nodes, range(len(nodes))):
+        group = [nodes[k] for k in ks]
+        ev = group[0]._kept[0]
+        if ev.nodes != group or any(n._kept[0] is not ev for n in group):
+            x, u, sol = (_stack([_kept(n, a) for n in group]) for a in ("x", "u", "sol"))
+        else:
+            x, u, sol = ev.x, ev.u, ev.sol
+        fx, fu, acc = type(group[0])._differentiate_group(group, x, u, sol)
+        split = list if len(ks) > 1 else (lambda a: [a])
+        for k, *row in zip(ks, *map(split, (fx, fu, acc.lx, acc.lu, acc.lxx,
+                                             acc.lxu, acc.luu))):
+            out[k] = NodeDerivatives(*row)
+    return out
 
 
 class TerminalNode:
@@ -395,22 +488,18 @@ class TerminalNode:
     def configure(self, time: float):
         self.time = time
 
-    def calc(self, x):
+    def _expansion(self, x, with_jac):
         model = self.model
         q, v = mod.split_state(model, x)
-        acc = _Expansion(2 * model.nv, 0)
-        mult = self.weights.terminal_multiplier
-        _state_cost(model, q, v, self.weights, mult, acc, False)
-        _bounds_cost(model, q, v, self.weights, self.bounds, mult, acc, False)
-        return acc.value
+        acc = _Expansion(self.weights.terminal_multiplier, 2 * model.nv, 0)
+        _state_costs(model, q, v, self.weights, self.bounds, acc, with_jac)
+        return acc
+
+    def calc(self, x):
+        return float(self._expansion(x, False).value)
 
     def calc_diff(self, x):
-        model = self.model
-        q, v = mod.split_state(model, x)
-        acc = _Expansion(2 * model.nv, 0)
-        mult = self.weights.terminal_multiplier
-        _state_cost(model, q, v, self.weights, mult, acc, True)
-        _bounds_cost(model, q, v, self.weights, self.bounds, mult, acc, True)
+        acc = self._expansion(x, True)
         return acc.lx, acc.lxx
 
 
@@ -509,15 +598,20 @@ class ShootingProblem:
         return mod.integrate(self.model, x, dx)
 
     def calc(self, xs, us):
-        """Total cost and per-node gaps f(x_k, u_k) (-) x_{k+1}."""
-        cost = 0.0
-        gaps = [self.diff(self.x0, xs[0])]
-        for k, node in enumerate(self.nodes):
-            xn, c = node.calc(xs[k], us[k])
-            cost += c
-            gaps.append(self.diff(xn, xs[k + 1]))
-        cost += self.terminal.calc(xs[-1])
-        return cost, gaps
+        """Total cost and per-node gaps f(x_k, u_k) (-) x_{k+1}.
+
+        Nodes without a kept evaluation at their inputs are evaluated one
+        stacked group at a time (``evaluate_nodes``), and the gaps are one
+        stacked ``difference``.
+        """
+        evs = evaluate_nodes(self.nodes, xs, us)
+        cost = sum(c for _, c in evs) + self.terminal.calc(xs[-1])
+        gaps = self.diff(np.array([self.x0] + [x for x, _ in evs]), np.array(xs))
+        return cost, list(gaps)
+
+    def calc_diff(self, xs, us) -> list[NodeDerivatives]:
+        """Derivatives of every node at (xs, us) (see ``differentiate_nodes``)."""
+        return differentiate_nodes(self.nodes, xs, us)
 
     def rollout(self, us, x0=None):
         x = self.x0 if x0 is None else x0

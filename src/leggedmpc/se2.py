@@ -8,7 +8,9 @@ the right (body-frame) Jacobian of ``exp``, i.e.
 
     exp(xi + dxi) ~= compose(exp(xi), exp(right_jacobian(xi) @ dxi))
 
-Angles produced by ``log``/``wrap_angle`` live in (-pi, pi].
+Angles produced by ``log``/``wrap_angle`` live in (-pi, pi].  Every function
+takes leading batch axes: a stack of poses has shape (..., 3), and each
+operation acts on each pose of the stack alone.
 """
 
 from __future__ import annotations
@@ -16,50 +18,103 @@ from __future__ import annotations
 import numpy as np
 
 _SMALL_ANGLE = 1e-8
+_TWO_PI = np.float64(2.0 * np.pi)
 
 
-def wrap_angle(a: float) -> float:
-    """Wrap an angle to the half-open interval (-pi, pi]."""
-    a = float(a) % (2.0 * np.pi)
-    if a > np.pi:
-        a -= 2.0 * np.pi
-    return a
+def wrap_angle(a):
+    """Wrap angles to the half-open interval (-pi, pi]."""
+    a = a % _TWO_PI
+    return a - _TWO_PI * (a > np.pi)
 
 
-def rot(theta: float) -> np.ndarray:
+def _split(p):
+    """The three components of poses or tangents (..., 3); scalars for one."""
+    p = np.asarray(p, dtype=float)
+    return (p[0], p[1], p[2]) if p.ndim == 1 else (p[..., 0], p[..., 1], p[..., 2])
+
+
+def _assemble(parts, shape) -> np.ndarray:
+    """Array of ``shape`` plus a last axis holding ``parts`` (each broadcast)."""
+    if not shape:
+        return np.array(parts, dtype=float)
+    return np.stack(np.broadcast_arrays(*parts), -1)
+
+
+def _pose(x, y, theta) -> np.ndarray:
+    return _assemble((x, y, wrap_angle(theta)), np.shape(theta))
+
+
+def _affine(r0, r1) -> np.ndarray:
+    """3x3 matrices with first rows r0, r1 (triples, each broadcast) and (0, 0, 1)."""
+    shape = np.shape(r0[0])
+    return _assemble((*r0, *r1, 0.0, 0.0, 1.0), shape).reshape(shape + (3, 3))
+
+
+def rot(theta) -> np.ndarray:
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
+    return _assemble((c, -s, s, c), np.shape(theta)).reshape(np.shape(theta) + (2, 2))
+
+
+def _act(p, px, py):
+    """Coordinates in the parent frame of the point (px, py) of the frame ``p``."""
+    x, y, th = _split(p)
+    c, s = np.cos(th), np.sin(th)
+    return x + (c * px - s * py), y + (s * px + c * py), th
 
 
 def compose(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     """Group composition p1 * p2 (apply p2 in the frame of p1)."""
-    t = p1[:2] + rot(p1[2]) @ p2[:2]
-    return np.array([t[0], t[1], wrap_angle(p1[2] + p2[2])])
+    x2, y2, th2 = _split(p2)
+    x, y, th = _act(p1, x2, y2)
+    return _pose(x, y, th + th2)
 
 
 def inverse(p: np.ndarray) -> np.ndarray:
-    t = -(rot(p[2]).T @ p[:2])
-    return np.array([t[0], t[1], wrap_angle(-p[2])])
+    x, y, th = _split(p)
+    c, s = np.cos(th), np.sin(th)
+    return _pose(-(c * x + s * y), s * x - c * y, -th)
 
 
 def act(p: np.ndarray, point: np.ndarray) -> np.ndarray:
     """Map a point from the frame of ``p`` into the parent frame."""
-    return p[:2] + rot(p[2]) @ point
+    point = np.asarray(point, dtype=float)
+    x, y, th = _act(p, point[..., 0], point[..., 1])
+    return _assemble((x, y), np.shape(x))
 
 
-def _v_coefficients(theta: float) -> tuple[float, float]:
+def _small(theta):
+    """Angles that take the series forms: None for none, True for all, else a mask."""
+    small = abs(theta) < _SMALL_ANGLE
+    if not small.ndim:
+        return True if small else None
+    return small if small.any() else None
+
+
+def _pick(small, theta, series, exact):
+    """``series`` where ``small`` (see ``_small``) holds, else ``exact(theta)``.
+
+    ``exact`` may divide by its argument: the small angles reach it as 1.
+    """
+    if small is None:
+        return exact(theta)
+    if small is True:
+        return series
+    return np.where(small, series, exact(np.where(small, 1.0, theta)))
+
+
+def _v_coefficients(theta, small):
     """(a, b) of the left Jacobian block V = [[a, -b], [b, a]] of ``exp``."""
-    if abs(theta) < _SMALL_ANGLE:
-        # second-order series keeps exp/log inverses tight near zero
-        return 1.0 - theta * theta / 6.0, 0.5 * theta - theta ** 3 / 24.0
-    return np.sin(theta) / theta, (1.0 - np.cos(theta)) / theta
+    # second-order series near zero keeps exp/log inverses tight
+    return (_pick(small, theta, 1.0 - theta * theta / 6.0, lambda t: np.sin(t) / t),
+            _pick(small, theta, 0.5 * theta - theta ** 3 / 24.0,
+                  lambda t: (1.0 - np.cos(t)) / t))
 
 
 def exp(xi: np.ndarray) -> np.ndarray:
     """SE(2) exponential of a tangent vector (vx, vy, omega)."""
-    x, y, theta = (float(c) for c in xi)
-    a, b = _v_coefficients(theta)
-    return np.array([a * x - b * y, b * x + a * y, wrap_angle(theta)])
+    x, y, theta = _split(xi)
+    a, b = _v_coefficients(theta, _small(theta))
+    return _pose(a * x - b * y, b * x + a * y, theta)
 
 
 def log(p: np.ndarray) -> np.ndarray:
@@ -67,45 +122,30 @@ def log(p: np.ndarray) -> np.ndarray:
 
     V^-1 = [[a, b], [-b, a]] / (a^2 + b^2) in closed form.
     """
-    theta = wrap_angle(p[2])
-    a, b = _v_coefficients(theta)
-    x, y = float(p[0]), float(p[1])
+    x, y, theta = _split(p)
+    theta = wrap_angle(theta)
+    a, b = _v_coefficients(theta, _small(theta))
     d = a * a + b * b
-    return np.array([(a * x + b * y) / d, (a * y - b * x) / d, theta])
+    return _pose((a * x + b * y) / d, (a * y - b * x) / d, theta)
 
 
 def adjoint(p: np.ndarray) -> np.ndarray:
     """Adjoint matrix of a pose acting on (vx, vy, omega) tangents."""
-    c, s = np.cos(p[2]), np.sin(p[2])
-    return np.array(
-        [
-            [c, -s, p[1]],
-            [s, c, -p[0]],
-            [0.0, 0.0, 1.0],
-        ]
-    )
+    x, y, th = _split(p)
+    c, s = np.cos(th), np.sin(th)
+    return _affine((c, -s, y), (s, c, -x))
 
 
 def right_jacobian(xi: np.ndarray) -> np.ndarray:
     """Right Jacobian of ``exp`` at ``xi`` (tangent ordering (vx, vy, omega))."""
-    rx, ry, th = (float(c) for c in xi)
-    if abs(th) < _SMALL_ANGLE:
-        a = 1.0 - th * th / 6.0          # sin(th)/th
-        b = 0.5 * th - th ** 3 / 24.0    # (1-cos(th))/th
-        j13 = (th / 6.0) * rx - 0.5 * ry + (th * th / 24.0) * ry
-        j23 = 0.5 * rx + (th / 6.0) * ry - (th * th / 24.0) * rx
-    else:
-        a = np.sin(th) / th
-        b = (1.0 - np.cos(th)) / th
-        j13 = ((1.0 - a) * rx - b * ry) / th
-        j23 = (b * rx + (1.0 - a) * ry) / th
-    return np.array(
-        [
-            [a, b, j13],
-            [-b, a, j23],
-            [0.0, 0.0, 1.0],
-        ]
-    )
+    rx, ry, th = _split(xi)
+    small = _small(th)
+    a, b = _v_coefficients(th, small)
+    j13 = _pick(small, th, (th / 6.0) * rx - 0.5 * ry + (th * th / 24.0) * ry,
+                lambda t: ((1.0 - a) * rx - b * ry) / t)
+    j23 = _pick(small, th, 0.5 * rx + (th / 6.0) * ry - (th * th / 24.0) * rx,
+                lambda t: (b * rx + (1.0 - a) * ry) / t)
+    return _affine((a, b, j13), (-b, a, j23))
 
 
 def right_jacobian_inv(xi: np.ndarray) -> np.ndarray:

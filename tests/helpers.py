@@ -256,3 +256,310 @@ def fd_centroidal_bias(m, q, v, eps=2.0 ** -17):
     qp = mod.integrate_q(m, q, eps * v)
     qm = mod.integrate_q(m, q, -eps * v)
     return (ref_centroidal(m, qp)[1] @ v - ref_centroidal(m, qm)[1] @ v) / (2.0 * eps)
+
+
+# ------------------------------------------------ per-node reference derivatives
+#
+# The node dynamics, its derivatives and its cost expansion written one node
+# and one body at a time.  The package evaluates and differentiates the nodes
+# of a window in stacked groups, one tree depth at a time; these functions
+# are the oracle it is checked against.
+
+def ref_tangent_sweep(m, kin, v, a=None, contact_forces=None, frames=(),
+                      gravity=True):
+    """(dtau, dvel, dacc) of ``dynamics.tangent_sweep``, one body at a time."""
+    nv, nb = m.nv, m.nbodies
+    n = 2 * nv
+    dyn = a is not None
+    tw = np.empty((nb, 3))
+    dtw = np.zeros((nb, 3, n))
+    dth = np.zeros((nb, nv))          # world angle tangent, q block only
+    tw[0] = v[:3]
+    dtw[0, :, nv:nv + 3] = np.eye(3)
+    dth[0, 2] = 1.0
+    if dyn:
+        ac = np.empty((nb, 3))        # gravity-free body accelerations
+        dac = np.zeros((nb, 3, n))
+        gr = np.empty((nb, 3))        # gravity as an upward body acceleration
+        dgr = np.zeros((nb, 3, n))
+        g_world = (np.array([-m.gravity[0], -m.gravity[1], 0.0])
+                   if gravity else np.zeros(3))
+        ac[0] = a[:3]
+        gr[0] = kin.X[0] @ g_world
+        dgr[0, :, :3] = ref_crm(gr[0])
+    for i in range(1, nb):
+        p = m.joints[i].parent
+        X = kin.X[i]
+        cq, cv = 2 + i, nv + 2 + i
+        vi = v[cq]
+        u = X @ tw[p]
+        tw[i] = u
+        tw[i, 2] += vi
+        dtw[i] = X @ dtw[p]
+        # -crm(S dq) X tw_p = crm(X tw_p) S dq
+        dtw[i, 0, cq] += u[1]
+        dtw[i, 1, cq] -= u[0]
+        dtw[i, 2, cv] += 1.0
+        dth[i] = dth[p]
+        dth[i, cq] += 1.0
+        if dyn:
+            gi = X @ gr[p]
+            gr[i] = gi
+            dgr[i] = X @ dgr[p]
+            dgr[i, 0, cq] += gi[1]
+            dgr[i, 1, cq] -= gi[0]
+            y = X @ ac[p]
+            ac[i] = y + np.array([vi * tw[i, 1], -vi * tw[i, 0], a[cq]])
+            dac[i] = X @ dac[p]
+            dac[i, 0, cq] += y[1]
+            dac[i, 1, cq] -= y[0]
+            dac[i, 0] += vi * dtw[i, 1]
+            dac[i, 1] -= vi * dtw[i, 0]
+            dac[i, 0, cv] += tw[i, 1]
+            dac[i, 1, cv] -= tw[i, 0]
+
+    dvel = np.empty((2 * len(frames), n))
+    dacc = np.empty((2 * len(frames), n)) if dyn else None
+    for k, frame in enumerate(frames):
+        c = m.contact_frames[frame]
+        b = c.body
+        r = np.asarray(c.offset, dtype=float)
+        pr = np.array([-r[1], r[0]])
+        R = se2.rot(kin.pose[b, 2])
+        t, dt_ = tw[b], dtw[b]
+        vel = t[:2] + t[2] * pr
+        dvl = dt_[:2] + np.outer(pr, dt_[2])
+        dvl[:, :nv] += np.outer([-vel[1], vel[0]], dth[b])
+        dvel[2 * k: 2 * k + 2] = R @ dvl
+        if dyn:
+            A, dA = ac[b], dac[b]
+            acc = A[:2] + A[2] * pr + t[2] * np.array([-t[1], t[0]]) - t[2] ** 2 * r
+            dal = (dA[:2] + np.outer(pr, dA[2]) + np.outer([-t[1], t[0]], dt_[2])
+                   + t[2] * np.stack([-dt_[1], dt_[0]])
+                   - 2.0 * t[2] * np.outer(r, dt_[2]))
+            dal[:, :nv] += np.outer([-acc[1], acc[0]], dth[b])
+            dacc[2 * k: 2 * k + 2] = R @ dal
+    if not dyn:
+        return None, dvel, None
+
+    f = np.empty((nb, 3))
+    df = np.empty((nb, 3, n))
+    for i in range(nb):
+        I = ref_inertia(m.bodies[i])
+        h = I @ tw[i]
+        f[i] = I @ (ac[i] + gr[i]) + ref_crf(tw[i]) @ h
+        # d(crf(tw) h) = crf(dtw) h + crf(tw) I dtw, with crf(x) h = Hm x
+        Hm = np.array([[0.0, 0.0, -h[1]], [0.0, 0.0, h[0]], [h[1], -h[0], 0.0]])
+        df[i] = I @ (dac[i] + dgr[i]) + (Hm + ref_crf(tw[i]) @ I) @ dtw[i]
+    for frame, lam in (contact_forces or {}).items():
+        c = m.contact_frames[frame]
+        b = c.body
+        fl = se2.rot(kin.pose[b, 2]).T @ np.asarray(lam, dtype=float)
+        rx, ry = c.offset
+        f[b, :2] -= fl
+        f[b, 2] -= rx * fl[1] - ry * fl[0]
+        dfl = np.outer([fl[1], -fl[0]], dth[b])
+        df[b, :2, :nv] -= dfl
+        df[b, 2, :nv] -= rx * dfl[1] - ry * dfl[0]
+
+    dtau = np.empty((nv, n))
+    for i in range(nb - 1, 0, -1):
+        p = m.joints[i].parent
+        X = kin.X[i]
+        dtau[2 + i] = df[i, 2]
+        # d(X.T f) = X.T df + X.T crf(S dq) f
+        df[i, 0, 2 + i] -= f[i, 1]
+        df[i, 1, 2 + i] += f[i, 0]
+        f[p] += X.T @ f[i]
+        df[p] += X.T @ df[i]
+    dtau[:3] = df[0]
+    return dtau, dvel, dacc
+
+
+def _ref_kkt_apply(M, J, rhs_top, rhs_bot):
+    nv, nf = M.shape[0], J.shape[0]
+    K = np.zeros((nv + nf, nv + nf))
+    K[:nv, :nv] = M
+    K[:nv, nv:] = -J.T
+    K[nv:, :nv] = J
+    sol = np.linalg.solve(K, np.vstack([rhs_top, rhs_bot]))
+    return sol[:nv], sol[nv:]
+
+
+def ref_contact_derivatives(m, q, v, contacts, sol):
+    """(dvdot_dx, dvdot_du, dlam_dx, dlam_du) of the contact dynamics at ``sol``."""
+    from leggedmpc.kinematics import forward_kinematics
+    nv, nu, nf = m.nv, m.nu, contacts.nf
+    frames = contacts.frames
+    lam_map = {f: sol.forces[2 * k: 2 * k + 2] for k, f in enumerate(frames)}
+    kin = forward_kinematics(m, q)
+    F1_x, dvel, dacc = ref_tangent_sweep(m, kin, v, sol.vdot, lam_map, frames)
+    if nf == 0:
+        Minv = np.linalg.inv(sol.M)
+        return -Minv @ F1_x, Minv @ m.S, np.zeros((0, 2 * nv)), np.zeros((0, nu))
+    w, z = contacts.baumgarte_freq, contacts.baumgarte_damping
+    F2_x = dacc + 2.0 * z * w * dvel
+    for k, f in enumerate(frames):
+        if f in contacts.anchors:
+            F2_x[2 * k: 2 * k + 2, :nv] += w * w * sol.J[2 * k: 2 * k + 2]
+    dvdot_dx, dlam_dx = _ref_kkt_apply(sol.M, sol.J, -F1_x, -F2_x)
+    dvdot_du, dlam_du = _ref_kkt_apply(sol.M, sol.J, m.S, np.zeros((nf, nu)))
+    return dvdot_dx, dvdot_du, dlam_dx, dlam_du
+
+
+def ref_impulse_derivatives(m, q, v_minus, contacts, restitution, sol):
+    """(dv+_dx, dimpulses_dx) of the impulse dynamics at ``sol``."""
+    from leggedmpc.kinematics import forward_kinematics
+    nv, nf = m.nv, contacts.nf
+    frames = contacts.frames
+    kin = forward_kinematics(m, q)
+    lam_map = {f: sol.impulses[2 * k: 2 * k + 2] for k, f in enumerate(frames)}
+    F1_x = np.empty((nv, 2 * nv))
+    F2_x = np.empty((nf, 2 * nv))
+    F1_x[:, :nv] = ref_tangent_sweep(m, kin, np.zeros(nv), sol.v_plus - v_minus,
+                                     lam_map, gravity=False)[0][:, :nv]
+    F2_x[:, :nv] = ref_tangent_sweep(m, kin, sol.v_plus + restitution * v_minus,
+                                     frames=frames)[1][:, :nv]
+    F1_x[:, nv:] = -sol.M
+    F2_x[:, nv:] = restitution * sol.J
+    return _ref_kkt_apply(sol.M, sol.J, -F1_x, -F2_x)
+
+
+class RefExpansion:
+    """Gauss-Newton accumulator for costs of the form sum w_i r_i(x,u)^2."""
+
+    def __init__(self, ndx, nu):
+        self.value = 0.0
+        self.lx, self.lu = np.zeros(ndx), np.zeros(nu)
+        self.lxx, self.lxu, self.luu = (np.zeros((ndx, ndx)), np.zeros((ndx, nu)),
+                                        np.zeros((nu, nu)))
+
+    def add(self, r, w, Jx=None, Ju=None):
+        w = np.broadcast_to(np.asarray(w, float), np.shape(r))
+        wr = w * r
+        self.value += float(r @ wr)
+        if Jx is not None:
+            self.lx += 2.0 * (Jx.T @ wr)
+            self.lxx += 2.0 * (Jx.T @ (w[:, None] * Jx))
+        if Ju is not None:
+            self.lu += 2.0 * (Ju.T @ wr)
+            self.luu += 2.0 * (Ju.T @ (w[:, None] * Ju))
+        if Jx is not None and Ju is not None:
+            self.lxu += 2.0 * (Jx.T @ (w[:, None] * Ju))
+
+
+def _ref_state_costs(m, node, q, v, acc, with_jac, bounds=None):
+    nv = m.nv
+    weights = node.weights
+    rq = mod.difference_q(m, q, weights.q_ref)
+    Jq = Jv = None
+    if with_jac:
+        Jq = np.eye(nv, 2 * nv)
+        Jq[:3, :3] = np.linalg.inv(se2.right_jacobian(rq[:3]))
+        Jv = np.zeros((nv, 2 * nv))
+        Jv[:, nv:] = np.eye(nv)
+    acc.add(rq, weights.Q, Jx=Jq)
+    acc.add(v, weights.N, Jx=Jv)
+    if bounds is not None and weights.w_statebounds:
+        from leggedmpc import costs as co
+        w = weights.w_statebounds
+        rq = co.interval_violation(q[3:], bounds.q_lb[3:], bounds.q_ub[3:])
+        rv = co.interval_violation(v, bounds.v_lb, bounds.v_ub)
+        Jq = Jv = None
+        if with_jac:
+            Jq = np.zeros((nv - 3, 2 * nv))
+            Jq[:, 3:nv] = np.diag((rq != 0.0).astype(float))
+            Jv = np.zeros((nv, 2 * nv))
+            Jv[:, nv:] = np.diag((rv != 0.0).astype(float))
+        acc.add(rq, w, Jx=Jq)
+        acc.add(rv, w, Jx=Jv)
+
+
+def ref_running(node, x, u):
+    """(x_next, cost, NodeDerivatives) of a running node, from its own data."""
+    from leggedmpc import contact as ct
+    from leggedmpc import costs as co
+    from leggedmpc import kinematics
+    from leggedmpc.problem import NodeDerivatives
+    m = node.model
+    nv, nu = m.nv, m.nu
+    weights = node.weights
+    q, v = x[:nv], x[nv:]
+    sol = ct.contact_forward_dynamics(m, q, v, u, node.contacts)
+    dt = node.dt
+    v_next = v + dt * sol.vdot
+    x_next = np.concatenate([mod.normalize_q(mod.integrate_q(m, q, dt * v_next)),
+                             v_next])
+    dvdot_dx, dvdot_du, Jlx, Jlu = ref_contact_derivatives(m, q, v, node.contacts,
+                                                           sol)
+    # semi-implicit chain: v' = v + dt*a(x,u); q' = q (+) dt*v'
+    Av = np.hstack([np.zeros((nv, nv)), np.eye(nv)]) + dt * dvdot_dx
+    Bv = dt * dvdot_du
+    Jq, Jdq = mod.dintegrate_q(m, dt * v_next)
+    fx = np.vstack([np.hstack([Jq, np.zeros((nv, nv))]) + Jdq @ (dt * Av), Av])
+    fu = np.vstack([Jdq @ (dt * Bv), Bv])
+
+    acc = RefExpansion(2 * nv, nu)
+    _ref_state_costs(m, node, q, v, acc, True, node.bounds)
+    acc.add(u, weights.R, Ju=np.eye(nu))
+    kin = kinematics.forward_kinematics(m, q)
+    if node.swing:
+        frames = sorted(node.swing)
+        pos, vel, _, jac = ref_frame_motion(m, q, v, frames)
+        Jp = np.zeros((2 * len(frames), 2 * nv))
+        Jp[:, :nv] = jac
+        Jv = np.zeros((2 * len(frames), 2 * nv))
+        Jv[:, :nv] = ref_tangent_sweep(m, kin, v, frames=frames)[1][:, :nv]
+        Jv[:, nv:] = jac
+        wp = np.repeat([node.swing[f].w_pos for f in frames], 2)
+        wv = np.repeat([node.swing[f].w_vel for f in frames], 2)
+        acc.add((pos - np.array([node.swing[f].pos for f in frames])).ravel(), wp,
+                Jx=Jp)
+        acc.add((vel - np.array([node.swing[f].vel for f in frames])).ravel(), wv,
+                Jx=Jv)
+    frames = node.contacts.frames
+    if frames:
+        lam = sol.forces
+        acc.add(lam, np.tile(weights.K, len(frames)), Jx=Jlx, Ju=Jlu)
+        if weights.w_cone and node.cone is not None:
+            r, Jr = co.cone_residual(*co.cone_matrices(node.cone), lam)
+            acc.add(r, weights.w_cone, Jx=Jr @ Jlx, Ju=Jr @ Jlu)
+        if weights.w_qstatic:
+            lam_map = {f: lam[2 * k: 2 * k + 2] for k, f in enumerate(frames)}
+            rqs = ref_rnea(m, q, np.zeros(nv), np.zeros(nv), lam_map)
+            rqs = ct.actuation(m, u) - rqs
+            Jx = np.zeros((nv, 2 * nv))
+            Jx[:, :nv] = -ref_tangent_sweep(m, kin, np.zeros(nv), np.zeros(nv),
+                                            lam_map)[0][:, :nv]
+            Jx += sol.J.T @ Jlx
+            acc.add(rqs, weights.w_qstatic * weights.N, Jx=Jx,
+                    Ju=m.S + sol.J.T @ Jlu)
+    der = NodeDerivatives(fx, fu, dt * acc.lx, dt * acc.lu, dt * acc.lxx,
+                          dt * acc.lxu, dt * acc.luu)
+    return x_next, dt * acc.value, der
+
+
+def ref_impulse(node, x):
+    """(x_next, cost, NodeDerivatives) of an impulse node, from its own data."""
+    from leggedmpc import contact as ct
+    from leggedmpc.problem import NodeDerivatives
+    m = node.model
+    nv = m.nv
+    q, v = x[:nv], x[nv:]
+    sol = ct.impulse_dynamics(m, q, v, node.contacts, node.restitution)
+    dvp_dx, _ = ref_impulse_derivatives(m, q, v, node.contacts, node.restitution,
+                                        sol)
+    fx = np.vstack([np.hstack([np.eye(nv), np.zeros((nv, nv))]), dvp_dx])
+    acc = RefExpansion(2 * nv, 0)
+    _ref_state_costs(m, node, q, v, acc, True)
+    if node.gained:
+        frames = sorted(node.gained)
+        pos, _, _, jac = ref_frame_motion(m, q, v, frames)
+        Jp = np.zeros((2 * len(frames), 2 * nv))
+        Jp[:, :nv] = jac
+        acc.add((pos - np.array([node.gained[f] for f in frames])).ravel(),
+                node.weights.w_placement_terminal, Jx=Jp)
+    x_next = np.concatenate([mod.normalize_q(q), sol.v_plus])
+    der = NodeDerivatives(fx, np.zeros((2 * nv, 0)), acc.lx, acc.lu, acc.lxx,
+                          acc.lxu, acc.luu)
+    return x_next, acc.value, der

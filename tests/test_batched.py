@@ -1,0 +1,183 @@
+"""Stacked evaluation and differentiation of nodes against the per-node oracle.
+
+``problem.evaluate_nodes`` and ``problem.differentiate_nodes`` run each
+group of nodes (same kind and contact-set size) as one pass over stacked
+arrays.  ``tests/helpers.py`` keeps the node dynamics, its derivatives and
+its cost expansion written one node and one body at a time; every field of
+the stacked results must match it, and a node evaluated alone must give the
+same bits as its row of a stack.
+"""
+
+import sys
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from leggedmpc import contact as ct
+from leggedmpc import costs as co
+from leggedmpc import kinematics, presets, problem, schedule
+from leggedmpc.boxfddp import BoxFddp
+
+from helpers import random_state, ref_impulse, ref_running, rel_err
+
+TOL = 1e-12
+FIELDS = ("fx", "fu", "lx", "lu", "lxx", "lxu", "luu")
+
+MODELS = {
+    "default_quadruped": presets.default_quadruped(),
+    "base_pendulum": presets.base_pendulum(),
+    "single_body": presets.single_body(com=(0.05, -0.02),
+                                       contact_offset=(0.1, -0.2)),
+}
+
+
+def build_nodes(m, rng, kind, nc, n, anchored, restitution, w_qstatic):
+    """``n`` nodes of one kind with ``nc`` contacts each, drawn from ``rng``."""
+    q_ref = (presets.nominal_configuration(m) if m.name == "planar_quadruped"
+             else np.zeros(m.nq))
+    weights = co.default_weights(m, q_ref)
+    weights.w_qstatic = w_qstatic
+    bounds = co.default_bounds(m, q_ref, joint_range=0.2, v_limit=0.5)
+    feet = np.arange(len(m.contact_frames))
+    anchors = ({f: rng.normal(size=2) for f in feet[::2]} if anchored else {})
+    nodes = []
+    for k in range(n):
+        frames = tuple(sorted(rng.choice(feet, nc, replace=False)))
+        contacts = ct.ContactSet(frames=frames, anchors=anchors)
+        others = [f for f in feet if f not in frames]
+        if kind == "running":
+            node = problem.RunningNode(m, weights, bounds, co.FrictionCone(mu=0.7))
+            swing = {f: problem.SwingTarget(rng.normal(size=2), rng.normal(size=2),
+                                            1e3, 1e2) for f in others}
+            # the first node of a window may be shorter than the grid period
+            node.configure(0.0, contacts, swing, 0.007 if k == 0 else 0.02)
+        else:
+            node = problem.ImpulseNode(m, weights, restitution)
+            node.configure(0.0, contacts, {f: rng.normal(size=2) for f in frames})
+        nodes.append(node)
+    return nodes
+
+
+def close(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and (a.size == 0 or rel_err(a, b) < TOL)
+
+
+@settings(max_examples=40)
+@given(name=st.sampled_from(sorted(MODELS)), kind=st.sampled_from(["running", "impulse"]),
+       data=st.data())
+def test_stacked_nodes_match_the_per_node_oracle(name, kind, data):
+    m = MODELS[name]
+    nframes = len(m.contact_frames)
+    nc = data.draw(st.integers(0 if kind == "running" else 1, nframes), label="nc")
+    n = data.draw(st.integers(1, 4), label="nodes")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16), label="seed"))
+    nodes = build_nodes(m, rng, kind, nc, n,
+                        anchored=data.draw(st.booleans(), label="anchored"),
+                        restitution=data.draw(st.sampled_from([0.0, 0.4]), label="e"),
+                        w_qstatic=data.draw(st.sampled_from([0.0, 0.5]), label="qs"))
+    xs = [random_state(m, rng, spread=0.2) for _ in nodes]
+    us = [rng.normal(size=node.nu) for node in nodes]
+
+    evs = problem.evaluate_nodes(nodes, xs, us)
+    ders = problem.differentiate_nodes(nodes, xs, us)
+    for node, x, u, ev, der in zip(nodes, xs, us, evs, ders):
+        x_next, cost, want = (ref_running(node, x, u) if kind == "running"
+                              else ref_impulse(node, x))
+        assert close(ev[0], x_next)
+        assert abs(ev[1] - cost) <= TOL * max(1.0, abs(cost))
+        for field in FIELDS:
+            assert close(getattr(der, field), getattr(want, field)), field
+        # a node evaluated alone gives the bits of its row of the stack
+        node._kept = None
+        alone = problem.evaluate_nodes([node], [x], [u])[0]
+        assert np.array_equal(alone[0], ev[0]) and alone[1] == ev[1]
+        der_alone = problem.differentiate_nodes([node], [x], [u])[0]
+        for field in FIELDS:
+            assert np.array_equal(getattr(der_alone, field), getattr(der, field)), field
+
+
+# ------------------------------------------------------------ structure
+
+def count_calls(monkeypatch, owner, attr):
+    calls = []
+    original = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name == "leggedmpc" or name.startswith("leggedmpc."):
+            for a, obj in list(vars(module).items()):
+                if obj is original:
+                    monkeypatch.setattr(module, a, counted)
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+def trot_solver(N):
+    quad = presets.default_quadruped()
+    q0 = presets.nominal_configuration(quad)
+    kin = kinematics.forward_kinematics(quad, q0)
+    placements = {f: kinematics.frame_position(quad, kin, f) for f in range(4)}
+    sched = schedule.trot((0, 2), (1, 3), placements, lead_in=0.04, swing=0.2,
+                          double_support=0.1, stride=0.1, cycles=3)
+    prob = problem.build_problem(quad, sched, co.default_weights(quad, q0),
+                                 co.default_bounds(quad, q0),
+                                 presets.nominal_state(quad), N=N, dt=0.02, t0=0.1)
+    solver = BoxFddp(prob)
+    solver.set_candidate(xs=[presets.nominal_state(quad)] * (len(prob.nodes) + 1),
+                         us=prob.zero_controls())
+    return solver
+
+
+def test_derivative_pass_does_not_grow_with_the_window(monkeypatch):
+    counts = {}
+    for N in (15, 30):
+        solver = trot_solver(N)
+        kinds = {problem._group_key(n) for n in solver.problem.nodes}
+        for node in solver.problem.nodes:
+            node._kept = None
+        with monkeypatch.context() as mp:
+            fk = count_calls(mp, kinematics, "forward_kinematics")
+            solves = count_calls(mp, np.linalg, "solve")
+            solver.compute_derivatives()
+        counts[N] = (len(kinds), len(fk), len(solves))
+    assert counts[15] == counts[30]
+    assert counts[15][0] == 3
+
+
+def test_shared_frames_broadcast_over_stacked_states():
+    # one contact set for every state of a stack equals each state alone
+    quad = MODELS["default_quadruped"]
+    rng = np.random.default_rng(4)
+    xs = np.array([random_state(quad, rng, spread=0.2) for _ in range(3)])
+    us = rng.normal(size=(3, quad.nu))
+    q, v = xs[:, :quad.nq], xs[:, quad.nq:]
+    anchors = {0: np.array([0.3, -0.4])}
+    stacked = ct.contact_dynamics_derivatives(
+        quad, q, v, us, ct.ContactSet(frames=(0, 3), anchors=anchors))
+    for k in range(3):
+        alone = ct.contact_dynamics_derivatives(
+            quad, q[k], v[k], us[k], ct.ContactSet(frames=(0, 3), anchors=anchors))
+        for field in ("dvdot_dx", "dvdot_du", "dforces_dx", "dforces_du"):
+            assert np.array_equal(getattr(stacked, field)[k], getattr(alone, field))
+
+
+def test_derivatives_read_the_stacked_evaluation(monkeypatch):
+    # a group evaluated together is differentiated at its stacked solution,
+    # without splitting it per node and stacking it again
+    m = MODELS["default_quadruped"]
+    rng = np.random.default_rng(5)
+    nodes = build_nodes(m, rng, "running", 2, 3, anchored=False, restitution=0.0,
+                        w_qstatic=0.0)
+    xs = [random_state(m, rng, spread=0.2) for _ in nodes]
+    us = [rng.normal(size=m.nu) for _ in nodes]
+    problem.evaluate_nodes(nodes, xs, us)
+    seen = []
+    original = problem.RunningNode._differentiate_group
+    monkeypatch.setattr(problem.RunningNode, "_differentiate_group", staticmethod(
+        lambda group, x, u, sol: seen.append(sol) or original(group, x, u, sol)))
+    problem.differentiate_nodes(nodes, xs, us)
+    assert len(seen) == 1 and seen[0] is nodes[0]._kept[0].sol

@@ -146,6 +146,9 @@ class EuclidProblem:
             gaps.append(xn - xs[k + 1])
         return cost + self.terminal.calc(xs[-1]), gaps
 
+    def calc_diff(self, xs, us):
+        return [node.calc_diff(xs[k], us[k]) for k, node in enumerate(self.nodes)]
+
     def rollout(self, us, x0=None):
         xs = [self.x0 if x0 is None else x0]
         for k, node in enumerate(self.nodes):

@@ -89,8 +89,8 @@ def test_inverse_dynamics_roundtrip(quad):
     u = rng.normal(size=quad.nu)
     contacts = stance_contacts(quad, presets.nominal_configuration(quad))
     sol = ct.contact_forward_dynamics(quad, q, v, u, contacts)
-    lam_map = {f: sol.frame_force(k) for k, f in enumerate(contacts.frames)}
-    tau = dynamics.rnea(quad, q, v, sol.vdot, lam_map)
+    tau = dynamics.rnea(quad, q, v, sol.vdot,
+                        (contacts.frames, sol.forces.reshape(-1, 2)))
     assert np.abs(tau - ct.actuation(quad, u)).max() < 1e-9
 
 

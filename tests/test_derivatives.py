@@ -53,7 +53,7 @@ def test_tangent_sweep_matches_fd(robot):
     q, v = mod.split_state(robot, x)
     a = rng.normal(size=robot.nv)
     frames = tuple(range(len(robot.contact_frames)))
-    lam = {f: rng.normal(size=2) for f in frames}
+    lam = (frames, rng.normal(size=(len(frames), 2)))
     tan = dynamics.tangent_sweep(robot, kinematics.forward_kinematics(robot, q),
                                  v, a, lam, frames)
 
@@ -111,11 +111,16 @@ def test_impulse_derivatives_exact(robot, restitution):
 
 
 def test_swing_vel_dq_exact(robot):
+    # a running node's sweep carries its contact frames and then its swing
+    # frames; the swing rows of the velocity tangent are d(J v)/dq
     rng = np.random.default_rng(3)
     q, v = mod.split_state(robot, random_state(robot, rng, spread=0.4))
     frames = tuple(range(len(robot.contact_frames)))
-    got = problem._swing_vel_dq(robot, kinematics.forward_kinematics(robot, q),
-                                v, frames)
+    stance = frames[:1]
+    lam = (stance, rng.normal(size=(len(stance), 2)))
+    tan = dynamics.tangent_sweep(robot, kinematics.forward_kinematics(robot, q), v,
+                                 rng.normal(size=robot.nv), lam, stance + frames)
+    got = tan.dvel[2 * len(stance):, :robot.nv]
     fd = fd_config_jacobian(
         robot, lambda qq: kinematics.frame_velocities(robot, qq, v, frames).ravel(), q)
     assert rel_err(got, fd) < TOL
@@ -125,7 +130,8 @@ def test_quasi_static_residual_dq_exact(robot):
     rng = np.random.default_rng(4)
     q, _ = mod.split_state(robot, random_state(robot, rng, spread=0.4))
     u = rng.normal(size=robot.nu)
-    lam = {f: rng.normal(size=2) for f in range(len(robot.contact_frames))}
+    frames = tuple(range(len(robot.contact_frames)))
+    lam = (frames, rng.normal(size=(len(frames), 2)))
     got = co.quasi_static_residual_dq(robot, q, lam)
     fd = fd_config_jacobian(
         robot, lambda qq: co.quasi_static_residual(robot, qq, u, lam), q)
@@ -150,27 +156,42 @@ def count_calls(monkeypatch, original):
     return calls
 
 
-def trot_stance_node(quad):
+def trot_stance_node(quad, w_qstatic=0.0):
     q0 = presets.nominal_configuration(quad)
     kin = kinematics.forward_kinematics(quad, q0)
     placements = {f: kinematics.frame_position(quad, kin, f) for f in range(4)}
     sched = schedule.trot((0, 2), (1, 3), placements, lead_in=0.04, swing=0.2,
                           double_support=0.1, stride=0.1, cycles=1)
-    prob = problem.build_problem(quad, sched, co.default_weights(quad, q0),
-                                 co.default_bounds(quad, q0),
+    weights = co.default_weights(quad, q0)
+    weights.w_qstatic = w_qstatic
+    prob = problem.build_problem(quad, sched, weights, co.default_bounds(quad, q0),
                                  presets.nominal_state(quad), N=10, dt=0.02)
     return next(n for n in prob.nodes if n.kind == "running"
                 and len(n.swing) == 2 and len(n.contacts.frames) == 2)
 
 
-def test_stance_calc_diff_runs_no_finite_differences(monkeypatch):
+def stance_kinematics_calls(monkeypatch, w_qstatic):
+    """Forward kinematics passes of one stance node's calc, then its derivatives."""
     quad = presets.default_quadruped()
-    node = trot_stance_node(quad)
+    node = trot_stance_node(quad, w_qstatic)
     x = random_state(quad, np.random.default_rng(5), spread=0.1)
     u = np.zeros(quad.nu)
     calls = count_calls(monkeypatch, kinematics.forward_kinematics)
-    node.calc_diff(x, u)
-    assert len(calls) <= 4
+    node.calc(x, u)
+    after_calc = len(calls)
+    problem.differentiate_nodes([node], [x], [u])
+    return after_calc, len(calls) - after_calc
+
+
+def test_stance_calc_diff_runs_no_finite_differences(monkeypatch):
+    # one kinematics pass evaluates the node; its derivatives and the swing
+    # terms read that pass
+    assert stance_kinematics_calls(monkeypatch, 0.0) == (1, 0)
+
+
+def test_quasi_static_residual_reads_the_solution_kinematics(monkeypatch):
+    # the quasi-static residual and its tangent reuse the solution's pass
+    assert stance_kinematics_calls(monkeypatch, 0.5) == (1, 0)
 
 
 def test_contact_forward_dynamics_runs_kinematics_once(monkeypatch):

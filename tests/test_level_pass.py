@@ -80,8 +80,9 @@ def test_rnea_matches_reference(name, data):
     frames = data.draw(frame_subsets(m))
     forces = {f: data.draw(vectors(2)) for f in frames}
     want = ref_rnea(m, q, v, a, forces)
-    assert rel_err(dynamics.rnea(m, q, v, a, forces), want) < TOL
-    assert rel_err(dynamics.rnea(m, q, v, a, forces,
+    pair = (list(forces), np.reshape(list(forces.values()), (-1, 2)))
+    assert rel_err(dynamics.rnea(m, q, v, a, pair), want) < TOL
+    assert rel_err(dynamics.rnea(m, q, v, a, pair,
                                  kin=kinematics.forward_kinematics(m, q)), want) < TOL
 
 

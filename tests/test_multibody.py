@@ -153,12 +153,12 @@ def test_rnea_linear_in_contact_forces(quad):
     x = random_state(quad, rng)
     q, v = x[: quad.nq], x[quad.nq:]
     a = rng.normal(size=quad.nv)
-    lam = {0: np.array([3.0, -1.0]), 2: np.array([0.5, 7.0])}
-    tau = dynamics.rnea(quad, q, v, a, lam)
+    lam = np.array([[3.0, -1.0], [0.5, 7.0]])
+    tau = dynamics.rnea(quad, q, v, a, ((0, 2), lam))
     tau_free = dynamics.rnea(quad, q, v, a)
     J0 = ct.contact_jacobian_stack(quad, q, [0])
     J2 = ct.contact_jacobian_stack(quad, q, [2])
-    expected = tau_free - J0.T @ lam[0] - J2.T @ lam[2]
+    expected = tau_free - J0.T @ lam[0] - J2.T @ lam[1]
     assert np.allclose(tau, expected, atol=1e-10)
 
 

@@ -293,7 +293,7 @@ def test_grid_nodes_take_the_node_period(quad):
         xa, ca = node.calc(x, u)
         xb, cb = fresh.calc(x, u)
         assert np.array_equal(xa, xb) and ca == cb
-        da, db = node.calc_diff(x, u), fresh.calc_diff(x, u)
+        da, db = problem.differentiate_nodes([node, fresh], [x, x], [u, u])
         for name in ("fx", "fu", "lx", "lu", "lxx", "lxu", "luu"):
             assert np.array_equal(getattr(da, name), getattr(db, name)), name
 
@@ -310,7 +310,7 @@ def test_window_inside_a_slot_shortens_the_first_node(quad):
     assert a.terminal.time == b.terminal.time
 
 
-# ------------------------------------------------------- node calc_diff FD
+# ---------------------------------------------- node derivatives against FD
 
 def node_fd(prob, node, x, u, eps=1e-6):
     ndx, nu = prob.ndx, node.nu
@@ -336,7 +336,7 @@ def node_fd(prob, node, x, u, eps=1e-6):
 
 
 def check_node(prob, node, x, u, tol=2e-4):
-    der = node.calc_diff(x, u) if node.kind != "terminal" else None
+    der = problem.differentiate_nodes([node], [x], [u])[0]
     fx, fu, lx, lu = node_fd(prob, node, x, u)
     for got, ref, name in ((der.fx, fx, "fx"), (der.fu, fu, "fu"),
                            (der.lx, lx, "lx"), (der.lu, lu, "lu")):
@@ -380,7 +380,7 @@ def test_impulse_node_derivatives(quad):
     node = next(n for n in prob.nodes if n.kind == "impulse")
     rng = np.random.default_rng(12)
     x = random_state(quad, rng, spread=0.1)
-    der = node.calc_diff(x)
+    der = problem.differentiate_nodes([node], [x], [np.zeros(0)])[0]
     assert der.fu.shape == (prob.ndx, 0)
     eps = 1e-6
     fx = np.empty((prob.ndx, prob.ndx))
@@ -426,7 +426,7 @@ def test_node_at_reference_zero_cost(quad):
     x = presets.nominal_state(quad)
     _, cost = prob.nodes[0].calc(x, np.zeros(quad.nu))
     assert cost == pytest.approx(0.0, abs=1e-20)
-    der = prob.nodes[0].calc_diff(x, np.zeros(quad.nu))
+    der = problem.differentiate_nodes(prob.nodes[:1], [x], [np.zeros(quad.nu)])[0]
     assert np.abs(der.lx).max() < 1e-12
 
 
@@ -440,6 +440,5 @@ def test_quasi_static_residual_zero_at_equilibrium(quad):
     S[3:, :] = np.eye(quad.nu)
     sol, *_ = np.linalg.lstsq(np.hstack([S, J.T]), g, rcond=None)
     u_qs, lam_qs = sol[: quad.nu], sol[quad.nu:]
-    lam_map = {f: lam_qs[2 * k: 2 * k + 2] for k, f in enumerate(contacts.frames)}
-    r = co.quasi_static_residual(quad, q, u_qs, lam_map)
+    r = co.quasi_static_residual(quad, q, u_qs, (contacts.frames, lam_qs.reshape(-1, 2)))
     assert np.abs(r).max() < 1e-9

@@ -1,6 +1,7 @@
 """The packaging metadata in ``pyproject.toml`` points at code that exists."""
 
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -18,3 +19,26 @@ def test_every_project_script_imports():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), name
+
+
+def test_test_extra_installs_what_the_suite_imports():
+    # conftest.py and the property tests import hypothesis at collection
+    extra = tomllib.loads(PYPROJECT.read_text())["project"]["optional-dependencies"]["test"]
+    names = {req.split(">")[0].split("=")[0].strip() for req in extra}
+    assert {"pytest", "hypothesis"} <= names
+
+
+# NumPy functions first released in 2.x, which the numpy>=1.24 floor excludes
+NUMPY2_ONLY = ("vecdot", "matvec", "vecmat", "unstack", "concat", "permute_dims",
+               "matrix_transpose", "cumulative_sum", "cumulative_prod", "astype",
+               "isdtype", "bitwise_count", "pow", "acos", "asin", "atan", "atan2")
+
+
+def test_package_keeps_to_its_numpy_floor():
+    deps = tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"]
+    assert "numpy>=1.24" in deps
+    call = re.compile(r"\bnp\.(?:linalg\.)?(%s)\b" % "|".join(NUMPY2_ONLY))
+    src = PYPROJECT.parent / "src" / "leggedmpc"
+    hits = [f"{path.name}: np.{m.group(1)}" for path in sorted(src.glob("*.py"))
+            for m in call.finditer(path.read_text())]
+    assert not hits

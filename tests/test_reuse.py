@@ -1,7 +1,7 @@
 """Each node is evaluated once per iterate.
 
-Running and impulse nodes keep their last evaluation; ``calc`` at equal
-inputs returns it and ``calc_diff`` differentiates at its solution.  Reuse
+Running and impulse nodes keep their last evaluation; an evaluation at
+equal inputs returns it and the derivatives are taken at its solution.  Reuse
 must change no result, and after an accepted step the solver's derivative
 pass and the MPC message must solve no dynamics at all.
 """
@@ -37,15 +37,18 @@ def jump_solver(candidate=True):
 
 
 def forget_before_every_call(monkeypatch):
-    """Drop each node's kept evaluation before every node call."""
-    methods = {problem.RunningNode: ("calc", "calc_diff", "solution"),
-               problem.ImpulseNode: ("calc", "calc_diff")}
-    for cls, names in methods.items():
-        for name in names:
-            def forgetful(self, *args, _original=getattr(cls, name)):
-                self._kept = None
-                return _original(self, *args)
-            monkeypatch.setattr(cls, name, forgetful)
+    """Drop the kept evaluations before every evaluation of nodes.
+
+    Node calls, the problem's stacked ``calc`` and its ``calc_diff`` all go
+    through ``evaluate_nodes``.
+    """
+    original = problem.evaluate_nodes
+
+    def forgetful(nodes, xs, us):
+        for node in nodes:
+            node._kept = None
+        return original(nodes, xs, us)
+    monkeypatch.setattr(problem, "evaluate_nodes", forgetful)
 
 
 def count_dynamics(monkeypatch):
