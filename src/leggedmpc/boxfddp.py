@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import MaxIterations, NonPDHessian, NoStepAccepted, RankDeficientContacts
+from .errors import NonPDHessian, NoStepAccepted
 
 FEAS_TOL = 1e-9
 
@@ -135,18 +135,21 @@ class Policy:
 class BoxFddp:
     """One solver instance bound to one shooting problem.
 
-    The problem object supplies its nodes (each with ``calc``, ``nu`` and
-    control bounds), a terminal node with ``calc``/``calc_diff``,
-    tangent-space ``diff``/``integrate`` helpers and the initial state
-    ``x0``.  Its ``calc(xs, us)`` gives the cost and gaps of a whole
-    trajectory and its ``calc_diff(xs, us)`` the ``NodeDerivatives`` of
-    every node, so a problem may evaluate and differentiate its nodes
-    together (``ShootingProblem`` stacks them by group); the line search
-    calls the nodes one at a time.  Regularization persists across
+    The problem object supplies its nodes (each with ``nu`` and control
+    bounds), a terminal node with ``calc``/``calc_diff``, tangent-space
+    ``diff``/``integrate`` helpers that take stacked states, and the
+    initial state ``x0``.  Its ``calc(xs, us)`` gives the cost and gaps of
+    a whole trajectory and its ``calc_diff(xs, us)`` the
+    ``NodeDerivatives`` of every node, so a problem may evaluate and
+    differentiate its nodes together (``ShootingProblem`` stacks them by
+    group).  The line search rolls its trials out as the rows of one
+    stacked trajectory, the full step alone and the shorter steps together:
+    ``calc_rows(k, x, u)`` evaluates node k on every row, and
+    ``keep(kept)`` hands back the accepted row.  Regularization persists across
     ``solve_one_iteration`` calls; a caller may set ``mu`` between them (the
     receding-horizon loop starts every step from one warm value).
     ``last_alpha`` and ``last_trials`` hold the accepted step length (0 when
-    none) and the number of trial rollouts of the last iteration.
+    none) and the number of step lengths the last iteration checked.
 
     The regularization mu follows the schedule of Box-FDDP (Mastalli et al.,
     "A feasibility-driven approach to control-limited DDP", Auton. Robots
@@ -295,51 +298,65 @@ class BoxFddp:
 
     # -- forward pass -----------------------------------------------------
 
-    def forward_pass(self, alpha: float, min_decrease: float | None = None):
-        """Nonlinear rollout at step length alpha with (1-alpha) gap opening.
+    def forward_pass(self, alphas, min_decrease=None):
+        """Roll the step lengths ``alphas`` out as the rows of one stacked trajectory.
 
-        Returns None when the trial diverges (non-finite state or cost) or
-        meets a singular contact set; numeric overflow along a rejected
-        rollout is expected, not an error.  With ``min_decrease`` given, the
-        rollout also returns None as soon as the running cost shows that
-        ``self.cost - cost_try < min_decrease``: node costs are weighted
-        squares, never negative, so the total can only grow from there.
+        Each row applies the policy at its alpha and, on an infeasible
+        iterate, opens the gaps by (1 - alpha); each node is evaluated once
+        on all live rows (``problem.calc_rows``), and a single alpha runs
+        the single-state code.  A row is dropped at a singular contact set,
+        at a non-finite state or cost, and, with ``min_decrease`` given (one
+        threshold per alpha), as soon as its running cost shows ``self.cost
+        - cost < min_decrease``: node costs are weighted squares, never
+        negative.  Overflow along a dropped row is expected, not an error.
+        Returns per alpha None (dropped) or ``(xs, us, cost, kept)``, with
+        ``kept`` the problem's evaluation of each node on that row.
         """
         problem = self.problem
-        nodes = problem.nodes
         policy = self.policy
         feasible = self.feasible
-        xs_try = [None] * len(self.xs)
-        us_try = [None] * len(self.us)
+        live = np.arange(len(alphas))       # the rows still rolling out
+        a = alphas[0] if len(alphas) == 1 else np.array(alphas)[:, None]
+
+        def rows(arr):                      # one row per live alpha
+            return np.reshape(arr, (len(live), -1))
+
         with np.errstate(over="ignore", invalid="ignore"):
-            xs_try[0] = problem.integrate(problem.x0, (alpha - 1.0) * self.gaps[0]) \
-                if not feasible else np.array(problem.x0, copy=True)
+            x = (problem.integrate(problem.x0, (a - 1.0) * self.gaps[0]) if not feasible
+                 else np.broadcast_to(problem.x0, np.shape(a)[:-1] + problem.x0.shape))
+            trials = {i: ([xi.copy()], [], []) for i, xi in zip(live.tolist(), rows(x))}
             cost = 0.0
-            for k, node in enumerate(nodes):
-                dx = problem.diff(xs_try[k], self.xs[k])
-                if node.nu:
-                    u = self.us[k] + alpha * policy.k_ff[k] - policy.K_fb[k] @ dx
-                    u = np.clip(u, node.u_lb, node.u_ub)
-                else:
-                    u = self.us[k]
-                us_try[k] = u
-                try:
-                    xnext, c = node.calc(xs_try[k], u)
-                except RankDeficientContacts:
-                    return None
-                cost += c
-                if not np.isfinite(cost):
-                    return None
-                if min_decrease is not None and self.cost - cost < min_decrease:
-                    return None
-                xs_try[k + 1] = xnext if feasible else \
-                    problem.integrate(xnext, (alpha - 1.0) * self.gaps[k + 1])
-                if not np.all(np.isfinite(xs_try[k + 1])):
-                    return None
-            cost += problem.terminal.calc(xs_try[-1])
-        if not np.isfinite(cost):
-            return None
-        return xs_try, us_try, cost
+            for k, node in enumerate(problem.nodes):
+                dx = problem.diff(x, self.xs[k])
+                u = np.clip(self.us[k] + a * policy.k_ff[k]
+                            - (policy.K_fb[k] @ dx[..., None])[..., 0],
+                            node.u_lb, node.u_ub)
+                x, c, kept = problem.calc_rows(k, x, u)
+                cost = cost + c
+                if not feasible:
+                    x = problem.integrate(x, (a - 1.0) * self.gaps[k + 1])
+                for i, xi, ui, ev in zip(live.tolist(), rows(x), rows(u), kept):
+                    trials[i][0].append(xi.copy())
+                    trials[i][1].append(ui.copy())
+                    trials[i][2].append(ev)
+                ok = np.isfinite(cost) & np.isfinite(x).all(-1)
+                if min_decrease is not None:
+                    ok = ok & ~(self.cost - cost < np.asarray(min_decrease)[live])
+                ok = np.reshape(ok, -1)
+                if not ok.all():
+                    live = live[ok]
+                    if not live.size:
+                        break
+                    x, cost, a = x[ok], cost[ok], a[ok]
+            else:
+                cost = cost + (problem.terminal.calc(x) if x.ndim == 1 else
+                               np.array([problem.terminal.calc(xi) for xi in x]))
+        out = [None] * len(alphas)
+        for i, c in zip(live.tolist(), [cost] if np.ndim(cost) == 0 else cost):
+            if np.isfinite(c):
+                xs_try, us_try, kept = trials[i]
+                out[i] = (xs_try, us_try, c, kept)
+        return out
 
     def expected_improvement(self, alpha: float, xs_try) -> float:
         dv = 0.0
@@ -400,28 +417,31 @@ class BoxFddp:
                 raise NoStepAccepted("no step length accepted at mu_max")
 
     def _line_search(self):
+        """The first step length of ``alphas`` that passes, or None: the full
+        step rolls out alone, the shorter ones together only when it fails."""
         was_feasible = self.feasible
-        for alpha in self.alphas:
+        for alphas in (self.alphas[:1], self.alphas[1:]):
             # without gaps the prediction does not depend on the trial, so
-            # the acceptance threshold is known before the rollout
-            min_decrease = (self._min_decrease(self.expected_improvement(alpha, None))
-                            if was_feasible else None)
-            out = self.forward_pass(alpha, min_decrease)
-            self.last_trials += 1
-            if out is None:
-                continue
-            xs_try, us_try, cost_try = out
-            if not was_feasible:
-                min_decrease = self._min_decrease(
-                    self.expected_improvement(alpha, xs_try))
-            actual = self.cost - cost_try
-            if not actual >= min_decrease:
-                continue
-            # with zero gaps the model always predicts improvement, so a
-            # feasible iterate never accepts a cost increase
-            if was_feasible and actual < -1e-12:
-                continue
-            return alpha, xs_try, us_try, cost_try
+            # the acceptance thresholds are known before the rollout
+            min_decrease = ([self._min_decrease(self.expected_improvement(a, None))
+                             for a in alphas] if was_feasible else None)
+            trials = self.forward_pass(alphas, min_decrease) if alphas else []
+            for j, (alpha, trial) in enumerate(zip(alphas, trials)):
+                self.last_trials += 1
+                if trial is None:
+                    continue
+                xs_try, us_try, cost_try, kept = trial
+                threshold = (min_decrease[j] if was_feasible else self._min_decrease(
+                    self.expected_improvement(alpha, xs_try)))
+                actual = self.cost - cost_try
+                if not actual >= threshold:
+                    continue
+                # with zero gaps the model always predicts improvement, so a
+                # feasible iterate never accepts a cost increase
+                if was_feasible and actual < -1e-12:
+                    continue
+                self.problem.keep(kept)
+                return alpha, xs_try, us_try, cost_try
         return None
 
     def _min_decrease(self, expected: float) -> float:

@@ -156,20 +156,25 @@ def _kkt_forward(M, J, rhs, bias, what: str):
 
     One solve gives M^-1 [J.T | rhs]; the multipliers then come from the
     contact-space inertia Mhat = J M^-1 J.T, whose condition is checked
-    for every stacked system.
+    for every stacked system; the ``rows`` of the RankDeficientContacts it
+    raises mark the singular ones.
     """
     Jt = J.swapaxes(-1, -2)
     Minv = np.linalg.solve(M, np.concatenate([Jt, rhs[..., None]], -1))
     Minv_Jt, x_free = Minv[..., :-1], Minv[..., -1]
     Mhat = J @ Minv_Jt
     # Mhat is symmetric positive semidefinite: its condition is the ratio of
-    # its extreme eigenvalues, infinite when the smallest is not positive
-    # (and not a number when Mhat is not finite)
-    eig = np.linalg.eigvalsh(Mhat) if J.shape[-2] else np.ones((1, 1))
+    # its extreme eigenvalues, infinite when the smallest is not positive; a
+    # system that is not finite counts as singular (and skips the eigensolver)
+    finite = np.isfinite(Mhat).all((-2, -1))
+    eig = (np.linalg.eigvalsh(np.where(finite[..., None, None], Mhat, 1.0))
+           if J.shape[-2] else np.ones((1, 1)))
     cond = eig[..., -1] / np.maximum(eig[..., 0], 1e-300)
-    if not np.all(cond <= COND_LIMIT):
+    singular = ~(finite & (cond <= COND_LIMIT))
+    if singular.any():
         raise RankDeficientContacts(
-            f"{what} inertia condition {np.max(cond):.3e} exceeds {COND_LIMIT:.0e}")
+            f"{what} inertia condition {np.max(cond):.3e} exceeds {COND_LIMIT:.0e}",
+            rows=singular)
     lam = -np.linalg.solve(Mhat, (bias + _matvec(J, x_free))[..., None])[..., 0]
     x = x_free + _matvec(Minv_Jt, lam)
     res = np.maximum(np.abs(_matvec(M, x) - _matvec(Jt, lam) - rhs).max(-1),

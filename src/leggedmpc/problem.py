@@ -10,7 +10,8 @@ nodes by kind and contact-set size and run each group as one pass over
 stacked (B, ...) arrays: the dynamics, one tangent sweep, the integrator
 chain rule and the cost expansion.  A node's results do not depend on the
 rest of its group, so a node's own ``calc`` is the same pass on a group of
-one and gives the same bits.
+one and gives the same bits; so do the line search's trial rows of one
+node (``ShootingProblem.calc_rows``).
 
 Running and impulse nodes keep their last evaluation: their row of the
 stacked pass they were evaluated in (copied inputs, dynamics solution, next
@@ -18,9 +19,9 @@ state and cost).  An evaluation at exactly equal inputs returns the kept
 outputs, and the derivatives are taken at the kept solutions instead of
 solving the dynamics again (as Crocoddyl's ``calcDiff`` reads the data its
 ``calc`` left); a group evaluated together is differentiated on its
-stacked solution as it is.  The solver evaluates every node in its line
-search and again when it takes derivatives at the accepted iterate, so the
-second evaluation costs nothing.  ``configure`` drops the kept evaluation.
+stacked solution as it is.  Each node keeps its row of the accepted line
+search trial (``ShootingProblem.keep``), so the derivatives at the new
+iterate solve no dynamics.  ``configure`` drops the kept evaluation.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from . import contact as ct
 from . import costs as co
 from . import model as mod
 from .dynamics import tangent_sweep
-from .errors import ScheduleError
+from .errors import RankDeficientContacts, ScheduleError
 from .kinematics import frame_positions, frame_velocities
 from .model import RobotModel
 from .schedule import ContactSchedule, evaluate_swing
@@ -425,6 +426,10 @@ def _groups(nodes, indices):
     return groups.values()
 
 
+def _evaluate(group, x, u) -> _Evaluation:
+    return _Evaluation(group, x, u, *type(group[0])._evaluate_group(group, x, u))
+
+
 def evaluate_nodes(nodes, xs, us) -> list[tuple[np.ndarray, float]]:
     """Each node's (next state, cost) at (xs[k], us[k]), one stacked pass per group.
 
@@ -436,9 +441,8 @@ def evaluate_nodes(nodes, xs, us) -> list[tuple[np.ndarray, float]]:
                      and np.array_equal(_kept(n, "u"), us[k]))]
     for ks in _groups(nodes, fresh):
         group = [nodes[k] for k in ks]
-        x = _stack([np.array(xs[k], dtype=float) for k in ks])
-        u = _stack([np.array(us[k], dtype=float).reshape(-1) for k in ks])
-        ev = _Evaluation(group, x, u, *type(group[0])._evaluate_group(group, x, u))
+        ev = _evaluate(group, _stack([np.array(xs[k], dtype=float) for k in ks]),
+                       _stack([np.array(us[k], dtype=float).reshape(-1) for k in ks]))
         for j, node in enumerate(group):
             node._kept = (ev, j if len(ks) > 1 else None)
     return [(_kept(n, "x_next"), _kept(n, "cost")) for n in nodes]
@@ -612,6 +616,39 @@ class ShootingProblem:
     def calc_diff(self, xs, us) -> list[NodeDerivatives]:
         """Derivatives of every node at (xs, us) (see ``differentiate_nodes``)."""
         return differentiate_nodes(self.nodes, xs, us)
+
+    def calc_rows(self, k, x, u):
+        """Next states, costs and kept evaluations (for ``keep``) of node
+        ``k`` at each row of ``x`` and ``u``, one group of ``evaluate_nodes``;
+        one row without a leading axis is the node's own evaluation.  A row
+        whose contact set is singular gives nan and no evaluation."""
+        node = self.nodes[k]
+        if x.ndim == 1:
+            try:
+                x_next, cost = evaluate_nodes([node], [x], [u])[0]
+            except RankDeficientContacts:
+                return np.full_like(x, np.nan), np.nan, [None]
+            return x_next, cost, [node._kept]
+        x, u = np.array(x, dtype=float), np.array(u, dtype=float)
+        try:
+            ev = _evaluate([node] * len(x), x, u)
+        except RankDeficientContacts as exc:
+            rows = np.flatnonzero(~exc.rows)
+        else:
+            return ev.x_next, ev.cost, [(ev, j) for j in range(len(x))]
+        x_next, cost = np.full_like(x, np.nan), np.full(len(x), np.nan)
+        kept = [None] * len(x)
+        if rows.size:
+            ev = _evaluate([node] * rows.size, x[rows], u[rows])
+            x_next[rows], cost[rows] = ev.x_next, ev.cost
+            for j, r in enumerate(rows):
+                kept[r] = (ev, j)
+        return x_next, cost, kept
+
+    def keep(self, kept):
+        """Leave each node's kept evaluation on its ``calc_rows`` row ``kept[k]``."""
+        for node, row in zip(self.nodes, kept):
+            node._kept = row
 
     def rollout(self, us, x0=None):
         x = self.x0 if x0 is None else x0

@@ -6,6 +6,8 @@ import numpy as np
 
 from leggedmpc import model as mod
 from leggedmpc import presets, se2
+from leggedmpc.boxfddp import BoxFddp
+from leggedmpc.errors import RankDeficientContacts
 
 
 def fd_jacobian(f, x, eps=1e-6):
@@ -563,3 +565,75 @@ def ref_impulse(node, x):
     der = NodeDerivatives(fx, np.zeros((2 * nv, 0)), acc.lx, acc.lu, acc.lxx,
                           acc.lxu, acc.luu)
     return x_next, acc.value, der
+
+
+# ------------------------------------------------- sequential line search
+#
+# Box-FDDP's backtracking line search written one step length at a time, as
+# in Mastalli et al., "A feasibility-driven approach to control-limited
+# DDP" (Auton. Robots 2022): each trial rolls the nodes out alone, through
+# ``node.calc``, and the first trial that passes wins.  The solver rolls the
+# step lengths out as the rows of one stacked trajectory; this loop is the
+# oracle it is checked against.
+
+class SequentialFddp(BoxFddp):
+    """Box-FDDP whose line search tries one step length after another."""
+
+    def trial(self, alpha, min_decrease=None):
+        """(xs, us, cost) of the rollout at ``alpha``, or None where the
+        stacked forward pass drops its row."""
+        problem = self.problem
+        policy = self.policy
+        feasible = self.feasible
+        xs_try = [None] * len(self.xs)
+        us_try = [None] * len(self.us)
+        with np.errstate(over="ignore", invalid="ignore"):
+            xs_try[0] = problem.integrate(problem.x0, (alpha - 1.0) * self.gaps[0]) \
+                if not feasible else np.array(problem.x0, copy=True)
+            cost = 0.0
+            for k, node in enumerate(problem.nodes):
+                dx = problem.diff(xs_try[k], self.xs[k])
+                if node.nu:
+                    u = self.us[k] + alpha * policy.k_ff[k] - policy.K_fb[k] @ dx
+                    u = np.clip(u, node.u_lb, node.u_ub)
+                else:
+                    u = self.us[k]
+                us_try[k] = u
+                try:
+                    xnext, c = node.calc(xs_try[k], u)
+                except RankDeficientContacts:
+                    return None
+                cost += c
+                if not np.isfinite(cost):
+                    return None
+                if min_decrease is not None and self.cost - cost < min_decrease:
+                    return None
+                xs_try[k + 1] = xnext if feasible else \
+                    problem.integrate(xnext, (alpha - 1.0) * self.gaps[k + 1])
+                if not np.all(np.isfinite(xs_try[k + 1])):
+                    return None
+            cost += problem.terminal.calc(xs_try[-1])
+        if not np.isfinite(cost):
+            return None
+        return xs_try, us_try, cost
+
+    def _line_search(self):
+        was_feasible = self.feasible
+        for alpha in self.alphas:
+            min_decrease = (self._min_decrease(self.expected_improvement(alpha, None))
+                            if was_feasible else None)
+            out = self.trial(alpha, min_decrease)
+            self.last_trials += 1
+            if out is None:
+                continue
+            xs_try, us_try, cost_try = out
+            if not was_feasible:
+                min_decrease = self._min_decrease(
+                    self.expected_improvement(alpha, xs_try))
+            actual = self.cost - cost_try
+            if not actual >= min_decrease:
+                continue
+            if was_feasible and actual < -1e-12:
+                continue
+            return alpha, xs_try, us_try, cost_try
+        return None

@@ -181,3 +181,27 @@ def test_derivatives_read_the_stacked_evaluation(monkeypatch):
         lambda group, x, u, sol: seen.append(sol) or original(group, x, u, sol)))
     problem.differentiate_nodes(nodes, xs, us)
     assert len(seen) == 1 and seen[0] is nodes[0]._kept[0].sol
+
+
+def test_rows_of_one_node_match_the_node_alone():
+    # calc_rows evaluates a node at stacked rows as one group: each row
+    # gives the bits of the node alone, and a row whose contact set is
+    # singular (here: not finite) gives nan and leaves the others as they are
+    solver = trot_solver(15)
+    prob = solver.problem
+    quad = prob.model
+    rng = np.random.default_rng(6)
+    stance = next(k for k, n in enumerate(prob.nodes) if n.nu and n.contacts.frames)
+    impulse = next(k for k, n in enumerate(prob.nodes) if n.kind == "impulse")
+    for k in (stance, impulse):
+        node = prob.nodes[k]
+        x = np.array([random_state(quad, rng, spread=0.05) for _ in range(4)])
+        u = rng.normal(size=(4, node.nu))
+        x[2, 3] = np.nan
+        with np.errstate(invalid="ignore"):
+            x_next, cost, kept = prob.calc_rows(k, x, u)
+        assert np.isnan(cost[2]) and np.isnan(x_next[2]).all() and kept[2] is None
+        for j in (0, 1, 3):
+            node._kept = None
+            alone = node.calc(x[j], u[j])
+            assert np.array_equal(alone[0], x_next[j]) and alone[1] == cost[j]

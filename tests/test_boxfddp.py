@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import scipy.optimize
 from leggedmpc import boxfddp, costs as co, presets, problem, schedule
 from leggedmpc.boxfddp import BoxFddp, boxqp, boxqp_kkt_violation
 from leggedmpc.errors import NonPDHessian, RankDeficientContacts
+
+from helpers import SequentialFddp
 
 
 # ----------------------------------------------------------------- box QP
@@ -149,6 +152,23 @@ class EuclidProblem:
     def calc_diff(self, xs, us):
         return [node.calc_diff(xs[k], us[k]) for k, node in enumerate(self.nodes)]
 
+    def calc_rows(self, k, x, u):
+        """Node ``k`` at each row, one row at a time; a singular row gives nan."""
+        if x.ndim == 1:
+            return (*self._calc_row(k, x, u), [None])
+        rows = [self._calc_row(k, xi, ui) for xi, ui in zip(x, u)]
+        return (np.array([r[0] for r in rows]), np.array([r[1] for r in rows]),
+                [None] * len(rows))
+
+    def _calc_row(self, k, x, u):
+        try:
+            return self.nodes[k].calc(x, u)
+        except RankDeficientContacts:
+            return np.full_like(x, np.nan), np.nan
+
+    def keep(self, kept):
+        pass
+
     def rollout(self, us, x0=None):
         xs = [self.x0 if x0 is None else x0]
         for k, node in enumerate(self.nodes):
@@ -232,7 +252,7 @@ def test_fddp_reduces_to_ddp_with_zero_gaps():
     assert solver.feasible
     solver.compute_derivatives()
     solver.backward_pass()
-    xs_try, us_try, _ = solver.forward_pass(1.0)
+    xs_try, us_try, _, _ = solver.forward_pass((1.0,))[0]
     assert solver.expected_improvement(1.0, xs_try) == pytest.approx(
         solver._dg + 0.5 * solver._dq)
 
@@ -272,29 +292,46 @@ def test_mu_floor_and_ceiling_after_accepted_steps():
     assert solver.mu == solver.mu_max
 
 
+def singular_rows(solver, node, alphas):
+    """Make ``node`` raise RankDeficientContacts on the rows of ``alphas``.
+
+    The test problem evaluates a stacked node one row at a time, in row
+    order; no row is dropped before the patched node.  Returns the
+    original ``calc``.
+    """
+    trial = {}
+    forward_pass = solver.forward_pass
+
+    def tracking_forward_pass(rows, *args):
+        trial.update(alphas=rows, row=0)
+        try:
+            return forward_pass(rows, *args)
+        finally:
+            trial.clear()
+
+    calc = node.calc
+
+    def calc_singular_on_rows(x, u):
+        if trial:
+            alpha = trial["alphas"][trial["row"]]
+            trial["row"] += 1
+            if alpha in alphas:
+                raise RankDeficientContacts("singular trial contact set")
+        return calc(x, u)
+
+    solver.forward_pass = tracking_forward_pass
+    node.calc = calc_singular_on_rows
+    return calc
+
+
 def test_singular_trial_contact_set_rejects_trial():
     prob, _ = make_lqr()
     solver = BoxFddp(prob)
     solver.set_candidate()
-    trial = {}
-    forward_pass = solver.forward_pass
-
-    def tracking_forward_pass(alpha, *args):
-        trial["alpha"] = alpha
-        return forward_pass(alpha, *args)
-
-    node = prob.nodes[3]
-    calc = node.calc
-
-    def calc_singular_at_full_step(x, u):
-        if trial.get("alpha") == 1.0:
-            raise RankDeficientContacts("singular trial contact set")
-        return calc(x, u)
-
-    solver.forward_pass = tracking_forward_pass
-    node.calc = calc_singular_at_full_step
+    # the full step alone, then a row of the stacked shorter steps
+    singular_rows(solver, prob.nodes[3], (1.0, 0.5))
     assert solver.solve_one_iteration() is False
-    assert solver.log[-1][4] == 0.5
+    assert solver.log[-1][4] == 0.25
 
 
 def test_last_iteration_reports_step_and_trials():
@@ -302,23 +339,9 @@ def test_last_iteration_reports_step_and_trials():
     solver = BoxFddp(prob)
     solver.set_candidate()
     rejected = prob.nodes[3]
-    calc = rejected.calc
-    trial = {}
-    forward_pass = solver.forward_pass
-
-    def tracking_forward_pass(alpha, *args):
-        trial["alpha"] = alpha
-        return forward_pass(alpha, *args)
-
-    def calc_singular_at_full_step(x, u):
-        if trial.get("alpha") == 1.0:
-            raise RankDeficientContacts("singular trial contact set")
-        return calc(x, u)
-
-    solver.forward_pass = tracking_forward_pass
-    rejected.calc = calc_singular_at_full_step
+    calc = singular_rows(solver, rejected, (1.0, 0.5))
     assert solver.solve_one_iteration() is False
-    assert (solver.last_alpha, solver.last_trials) == (0.5, 2)
+    assert (solver.last_alpha, solver.last_trials) == (0.25, 3)
     assert solver.last_alpha == solver.log[-1][4]
     rejected.calc = calc
     assert solver.solve_one_iteration() is False
@@ -341,8 +364,9 @@ def test_feasible_iterate_never_accepts_cost_increase(goldstein, expected):
     solver.backward_pass()
     solver.goldstein = goldstein
     solver.alphas = (1.0,)
-    xs_try, us_try, _ = solver.forward_pass(1.0)
-    solver.forward_pass = lambda alpha, *args: (xs_try, us_try, solver.cost + 1.0)
+    xs_try, us_try, _, kept = solver.forward_pass((1.0,))[0]
+    solver.forward_pass = lambda alphas, *args: [(xs_try, us_try, solver.cost + 1.0,
+                                                  kept)] * len(alphas)
     solver.expected_improvement = lambda alpha, xs: expected
     assert solver._line_search() is None
 
@@ -401,9 +425,9 @@ def test_gap_contraction():
     solver.compute_derivatives()
     solver.backward_pass()
     for alpha in (1.0, 0.5, 0.25):
-        out = solver.forward_pass(alpha)
+        out = solver.forward_pass((alpha,))[0]
         assert out is not None
-        xs_try, us_try, _ = out
+        xs_try, us_try, _, _ = out
         _, gaps_after = prob.calc(xs_try, us_try)
         for gb, ga in zip(gaps_before, gaps_after):
             assert np.abs(ga).max() <= (1 - alpha) * np.abs(gb).max() + 1e-10
@@ -458,7 +482,8 @@ def test_box_inactive_equals_unconstrained():
         assert np.abs(xa - xb).max() < 1e-8
 
 
-def test_jump_problem_solves():
+def jump_problem():
+    """The N = 30 jump: stance, flight and a touchdown impulse."""
     quad = presets.default_quadruped()
     from leggedmpc import kinematics
     kin = kinematics.forward_kinematics(quad, presets.nominal_configuration(quad))
@@ -467,8 +492,12 @@ def test_jump_problem_solves():
     q0 = presets.nominal_configuration(quad)
     w = co.default_weights(quad, q0)
     b = co.default_bounds(quad, q0)
-    prob = problem.build_problem(quad, sched, w, b, presets.nominal_state(quad),
+    return problem.build_problem(quad, sched, w, b, presets.nominal_state(quad),
                                  N=30, dt=0.02)
+
+
+def test_jump_problem_solves():
+    prob = jump_problem()
     solver = BoxFddp(prob, tol=1e-4)
     solver.set_candidate()
     c0 = solver.cost
@@ -668,23 +697,37 @@ def test_pendulum_clamped_gain_rows_zero():
 class FullRolloutFddp(BoxFddp):
     """Box-FDDP that rolls every trial out to the last node."""
 
-    def forward_pass(self, alpha, min_decrease=None):
-        return super().forward_pass(alpha)
+    def forward_pass(self, alphas, min_decrease=None):
+        return super().forward_pass(alphas)
+
+
+def rollout_lengths(passes):
+    """Nodes reached by each row of each forward pass, from the node calls.
+
+    ``passes`` holds the nodes called in each pass, once per row; rows
+    only ever drop out, so the rows that reach a node are those that
+    reached every node before it.
+    """
+    lengths = []
+    for called in passes:
+        rows = Counter(map(id, called)).values()
+        lengths += [sum(n > r for n in rows) for r in range(max(rows, default=0))]
+    return lengths
 
 
 def test_early_trial_stop_keeps_iterates_identical():
-    calcs = [0]     # node calcs per forward pass, last entry open
+    calcs = [[]]     # nodes called per forward pass, last entry open
 
     class CountingNode(PendulumNode):
         def calc(self, x, u):
-            calcs[-1] += 1
+            calcs[-1].append(self)
             return super().calc(x, u)
 
     def counted(cls):
         class Counted(cls):
-            def forward_pass(self, alpha, min_decrease=None):
-                calcs.append(0)
-                return super().forward_pass(alpha, min_decrease)
+            def forward_pass(self, alphas, min_decrease=None):
+                calcs.append([])
+                return super().forward_pass(alphas, min_decrease)
         return Counted
 
     for us0 in pend_control_guesses():
@@ -712,7 +755,89 @@ def test_early_trial_stop_keeps_iterates_identical():
         solver.policy.k_ff = [-2.0 * u for u in solver.us]
         del calcs[:]
         assert solver._line_search() is None
-        trials[solver] = list(calcs)
+        trials[solver] = rollout_lengths(calcs)
     assert len(trials[early]) == len(trials[full]) == len(BoxFddp.alphas)
     assert all(n == PEND_N for n in trials[full])
     assert min(trials[early]) < PEND_N
+
+
+# ------------------------------------------- sequential line-search oracle
+
+def misaligned_stand(solver_cls):
+    """The stand problem from reference states off its dynamics: every
+    trial opens the gaps by (1 - alpha)."""
+    prob, _ = quad_stand_problem()
+    solver = solver_cls(prob)
+    xs = [np.array(prob.x0) for _ in range(len(prob.nodes) + 1)]
+    for x in xs[1:]:
+        x[0] += 0.01
+    solver.set_candidate(xs=xs, us=None)
+    assert not solver.feasible
+    return solver
+
+
+def cold_jump(solver_cls):
+    solver = solver_cls(jump_problem(), tol=1e-4)
+    solver.set_candidate()
+    return solver
+
+
+def pendulum(us0):
+    def make(solver_cls):
+        prob = EuclidProblem(np.zeros(2), [PendulumNode() for _ in range(PEND_N)],
+                             PendulumTerminal())
+        solver = solver_cls(prob, tol=1e-7)
+        solver.set_candidate(xs=None, us=[np.array([v]) for v in us0])
+        return solver
+    return make
+
+
+def assert_same_iterates(a, b):
+    assert (a.last_alpha, a.last_trials, a.mu) == (b.last_alpha, b.last_trials, b.mu)
+    assert a.log == b.log
+    assert a.cost == b.cost
+    for x, y in zip(a.xs + a.us, b.xs + b.us):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("make, iterations", [
+    *((pendulum(us0), 300) for us0 in pend_control_guesses()),
+    (cold_jump, 2),
+    (misaligned_stand, 4),
+], ids=[*("pendulum%d" % i for i in range(6)), "jump", "misaligned_stand"])
+def test_stacked_line_search_matches_the_sequential_oracle(make, iterations):
+    stacked, sequential = make(BoxFddp), make(SequentialFddp)
+    for _ in range(iterations):
+        done = stacked.solve_one_iteration()
+        assert sequential.solve_one_iteration() == done
+        assert_same_iterates(stacked, sequential)
+        if done:
+            break
+
+
+@pytest.mark.parametrize("make", [cold_jump, misaligned_stand])
+def test_every_stacked_trial_matches_its_sequential_rollout(make):
+    # each row of one stacked rollout over every step length gives the bits
+    # of its own rollout, and is dropped exactly where that rollout stops
+    solver = make(SequentialFddp)
+    solver.compute_derivatives()
+    solver.backward_pass()
+    alphas = BoxFddp.alphas
+    thresholds = [None]
+    if solver.feasible:
+        thresholds.append([solver._min_decrease(solver.expected_improvement(a, None))
+                           for a in alphas])
+    for min_decrease in thresholds:
+        rows = BoxFddp.forward_pass(solver, alphas, min_decrease)
+        dropped = 0
+        for j, (alpha, row) in enumerate(zip(alphas, rows)):
+            want = solver.trial(alpha, None if min_decrease is None else min_decrease[j])
+            assert (row is None) == (want is None), alpha
+            if row is None:
+                dropped += 1
+                continue
+            assert row[2] == want[2]
+            for x, y in zip(row[0] + row[1], want[0] + want[1]):
+                assert np.array_equal(x, y)
+        if min_decrease is not None:
+            assert dropped      # the early stop cuts some step lengths short

@@ -112,6 +112,16 @@ def test_rank_deficient_contacts_raises(quad):
         ct.contact_forward_dynamics(quad, q, np.zeros(quad.nv), np.zeros(quad.nu), contacts)
 
 
+def test_singular_row_of_a_stack_is_flagged_alone(quad):
+    q = np.tile(presets.nominal_configuration(quad), (3, 1))
+    # the middle state pins one frame twice: only its contact set is singular
+    contacts = ct.ContactSet(frames=np.array([[0, 3], [1, 1], [1, 2]]))
+    with pytest.raises(RankDeficientContacts) as exc:
+        ct.contact_forward_dynamics(quad, q, np.zeros((3, quad.nv)),
+                                    np.zeros((3, quad.nu)), contacts)
+    assert exc.value.rows.tolist() == [False, True, False]
+
+
 # ------------------------------------------------------------------ impulse
 
 def test_impulse_point_mass_momentum():

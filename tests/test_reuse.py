@@ -6,6 +6,8 @@ must change no result, and after an accepted step the solver's derivative
 pass and the MPC message must solve no dynamics at all.
 """
 
+import sys
+
 import numpy as np
 
 from leggedmpc import contact as ct
@@ -89,9 +91,24 @@ def test_candidate_rollout_evaluates_each_node_once(monkeypatch):
 
 
 def test_derivatives_after_accepted_step_solve_no_dynamics(monkeypatch):
+    # the jump accepts a short step, found by the stacked rollout of the
+    # step lengths below 1; the nodes keep their rows of that rollout
     solver = jump_solver()
     assert not solver.solve_one_iteration()
+    assert solver.last_alpha < 1.0 and solver.last_trials > 1
     calls = count_dynamics(monkeypatch)
+    fk = []
+    original = kinematics.forward_kinematics
+
+    def counted_fk(*args, **kwargs):
+        fk.append(1)
+        return original(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("leggedmpc") and \
+                getattr(module, "forward_kinematics", None) is original:
+            monkeypatch.setattr(module, "forward_kinematics", counted_fk)
+    solver.problem.calc(solver.xs, solver.us)
+    assert calls == {"contact": 0, "impulse": 0} and fk == []
     solver.compute_derivatives()
     assert calls == {"contact": 0, "impulse": 0}
 
