@@ -15,7 +15,7 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NonPDHessian, NoStepAccepted
 
@@ -29,15 +29,19 @@ class BoxQPResult:
     x: np.ndarray
     free: np.ndarray          # boolean mask
     clamped: np.ndarray       # boolean mask
-    chol: tuple | None        # cho_factor of H[free][:, free]
+    chol: np.ndarray | None   # lower Cholesky factor of H[free][:, free]
     converged: bool
     iterations: int
 
     def solve_free(self, B: np.ndarray) -> np.ndarray:
         """Apply H_free^-1 to the free-row slice of B, zero elsewhere."""
+        if self.chol is None:
+            return np.zeros_like(B, dtype=float)
+        if self.free.all():
+            # C order as below: a Fortran-ordered gain rounds differently in BLAS
+            return np.ascontiguousarray(dpotrs(self.chol, B, lower=1)[0])
         out = np.zeros_like(B, dtype=float)
-        if self.chol is not None and self.free.any():
-            out[self.free] = scipy.linalg.cho_solve(self.chol, B[self.free])
+        out[self.free] = dpotrs(self.chol, B[self.free], lower=1)[0]
         return out
 
 
@@ -48,20 +52,25 @@ def boxqp(H: np.ndarray, g: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
     Projected-Newton iteration: clamp coordinates whose bound is active with
     an inward-pointing gradient, take a Newton step on the free block, and
-    backtrack along the projected arc.  Returns the free/clamped split and
-    the Cholesky factor of the free block for reuse by the caller.
+    backtrack along the projected arc; the free block is factored (LAPACK
+    ``dpotrf``) only when the free set changes.  Returns the free/clamped
+    split and the Cholesky factor of the free block for reuse by the
+    caller.  Raises NonPDHessian for non-finite ``H`` or ``g`` and for a
+    free block that is not positive definite.
     """
     n = g.shape[0]
     if n == 0:
         e = np.zeros(0, dtype=bool)
         return BoxQPResult(np.zeros(0), e, e, None, True, 0)
+    if not (np.isfinite(H).all() and np.isfinite(g).all()):
+        raise NonPDHessian("box-QP Hessian or gradient is not finite")
     x = np.clip(np.zeros(n) if x_init is None else np.asarray(x_init, float),
                 lo, hi)
 
     def value(z):
         return 0.5 * float(z @ H @ z) + float(g @ z)
 
-    chol = None
+    chol = factored = None
     free = np.ones(n, dtype=bool)
     converged = False
     it = 0
@@ -71,19 +80,17 @@ def boxqp(H: np.ndarray, g: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         at_hi = x >= hi - 1e-12 * np.maximum(1.0, np.abs(x))
         clamped = (at_lo & (grad > 0.0)) | (at_hi & (grad < 0.0))
         free = ~clamped
-        chol = None
-        if free.any():
-            Hff = H[np.ix_(free, free)]
-            try:
-                chol = scipy.linalg.cho_factor(Hff, lower=True)
-            except scipy.linalg.LinAlgError as exc:
-                raise NonPDHessian(
-                    "free-subspace Hessian is not positive definite") from exc
+        if free.any() and not np.array_equal(free, factored):
+            chol, info = dpotrf(H if free.all() else H[np.ix_(free, free)],
+                                lower=1, clean=0)
+            if info:
+                raise NonPDHessian("free-subspace Hessian is not positive definite")
+            factored = free
         if not free.any() or np.abs(grad[free]).max() < tol:
             converged = True
             break
         dx = np.zeros(n)
-        dx[free] = -scipy.linalg.cho_solve(chol, grad[free])
+        dx[free] = -dpotrs(chol, grad[free], lower=1)[0]
         f0 = value(x)
         step = 1.0
         improved = False
@@ -96,7 +103,7 @@ def boxqp(H: np.ndarray, g: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             step *= 0.5
         if not improved:
             break
-    return BoxQPResult(x, free, ~free, chol, converged, it)
+    return BoxQPResult(x, free, ~free, chol if free.any() else None, converged, it)
 
 
 def boxqp_kkt_violation(H, g, lo, hi, x) -> float:

@@ -83,7 +83,6 @@ class ContactSolution:
 
     vdot: np.ndarray            # (nv,)
     forces: np.ndarray          # (nf,) stacked per frame (fx, fy)
-    kkt_residual: float
     # cached terms reused by the derivative routine
     M: np.ndarray = None
     J: np.ndarray = None
@@ -94,7 +93,6 @@ class ContactSolution:
 class ImpulseSolution:
     v_plus: np.ndarray          # (nv,)
     impulses: np.ndarray        # (nf,)
-    kkt_residual: float
     M: np.ndarray = None
     J: np.ndarray = None
     kin: Kinematics = None
@@ -152,15 +150,14 @@ def contact_jacobian_stack(model: RobotModel, q, frames, kin=None) -> np.ndarray
 
 
 def _kkt_forward(M, J, rhs, bias, what: str):
-    """(x, lam, residual) of [[M, -J.T], [J, 0]] [x; lam] = [rhs; -bias].
+    """(x, lam) of [[M, -J.T], [J, 0]] [x; lam] = [rhs; -bias].
 
     One solve gives M^-1 [J.T | rhs]; the multipliers then come from the
     contact-space inertia Mhat = J M^-1 J.T, whose condition is checked
     for every stacked system; the ``rows`` of the RankDeficientContacts it
     raises mark the singular ones.
     """
-    Jt = J.swapaxes(-1, -2)
-    Minv = np.linalg.solve(M, np.concatenate([Jt, rhs[..., None]], -1))
+    Minv = np.linalg.solve(M, np.concatenate([J.swapaxes(-1, -2), rhs[..., None]], -1))
     Minv_Jt, x_free = Minv[..., :-1], Minv[..., -1]
     Mhat = J @ Minv_Jt
     # Mhat is symmetric positive semidefinite: its condition is the ratio of
@@ -176,10 +173,7 @@ def _kkt_forward(M, J, rhs, bias, what: str):
             f"{what} inertia condition {np.max(cond):.3e} exceeds {COND_LIMIT:.0e}",
             rows=singular)
     lam = -np.linalg.solve(Mhat, (bias + _matvec(J, x_free))[..., None])[..., 0]
-    x = x_free + _matvec(Minv_Jt, lam)
-    res = np.maximum(np.abs(_matvec(M, x) - _matvec(Jt, lam) - rhs).max(-1),
-                     np.abs(_matvec(J, x) + bias).max(-1, initial=0.0))
-    return x, lam, res
+    return x_free + _matvec(Minv_Jt, lam), lam
 
 
 def contact_forward_dynamics(model: RobotModel, q, v, u, contacts: ContactSet) -> ContactSolution:
@@ -199,15 +193,13 @@ def contact_forward_dynamics(model: RobotModel, q, v, u, contacts: ContactSet) -
     if not contacts.nf:          # in flight: the unconstrained dynamics
         vdot = np.linalg.solve(M, tau_b[..., None])[..., 0]
         return ContactSolution(vdot=vdot, forces=np.zeros(vdot.shape[:-1] + (0,)),
-                               kkt_residual=np.abs(_matvec(M, vdot) - tau_b).max(-1),
                                M=M, J=np.zeros(M.shape[:-2] + (0, model.nv)), kin=kin)
     J = contact_jacobian_stack(model, q, contacts.frames, kin=kin)
     a_C = (frame_acceleration_bias(model, q, v, contacts.frames, kin=kin, tw=tw,
                                    bias=bias)
            + _baumgarte(model, q, v, contacts, kin=kin, tw=tw))
-    vdot, lam, res = _kkt_forward(M, J, tau_b, a_C, "contact-space")
-    return ContactSolution(vdot=vdot, forces=lam, kkt_residual=res, M=M, J=J,
-                           kin=kin)
+    vdot, lam = _kkt_forward(M, J, tau_b, a_C, "contact-space")
+    return ContactSolution(vdot=vdot, forces=lam, M=M, J=J, kin=kin)
 
 
 def impulse_dynamics(model: RobotModel, q, v_minus, contacts: ContactSet,
@@ -226,11 +218,10 @@ def impulse_dynamics(model: RobotModel, q, v_minus, contacts: ContactSet,
     M = mass_matrix(model, q, kin=kin)
     J = contact_jacobian_stack(model, q, contacts.frames, kin=kin)
     # the velocity jump dv = v+ - v- solves M dv = J.T imp, J dv = -(1 + e) J v-
-    dv, imp, res = _kkt_forward(M, J, np.zeros_like(v_minus),
-                                (1.0 + restitution) * _matvec(J, v_minus),
-                                "impulse contact-space")
-    return ImpulseSolution(v_plus=v_minus + dv, impulses=imp, kkt_residual=res, M=M,
-                           J=J, kin=kin)
+    dv, imp = _kkt_forward(M, J, np.zeros_like(v_minus),
+                           (1.0 + restitution) * _matvec(J, v_minus),
+                           "impulse contact-space")
+    return ImpulseSolution(v_plus=v_minus + dv, impulses=imp, M=M, J=J, kin=kin)
 
 
 # ------------------------------------------------------------------ derivatives

@@ -9,7 +9,8 @@ windows share (the first node starts from the prediction when it lies
 inside a slot of the previous window; a rollout from the previous terminal
 state fills the receded tail), runs a fixed number of solver iterations (one
 by default) from one warm regularization, and emits the policy slice the
-tracking controller consumes.
+tracking controller consumes.  The shared nodes keep their evaluation at the
+previous iterate, so only the nodes of new slots solve dynamics in the shift.
 """
 
 from __future__ import annotations
@@ -272,13 +273,15 @@ class Mpc:
     def _shift_candidate(self, old_plan, old_xs, old_us, old_k_end: int):
         """Map the previous solution onto the new window by node time/kind.
 
-        A first node that starts between the previous window's nodes starts
-        from the predicted state ``problem.x0`` once a plan has been solved.
-        Nodes past the previous coverage are rolled out from the previous
-        terminal state, reusing the last converged stance control when the
-        contact set carries over (quasi-static torques otherwise).  This
-        keeps the receded tail dynamically consistent instead of opening a
-        gap against the nominal posture.
+        A node both windows hold takes its previous state and control, where
+        it kept its evaluation.  A first node that starts between the
+        previous window's nodes starts from the predicted state
+        ``problem.x0`` once a plan has been solved.  Nodes past the previous
+        coverage are rolled out from the previous terminal state, reusing
+        the last converged stance control when the contact set carries over
+        (quasi-static torques otherwise).  This keeps the receded tail
+        dynamically consistent instead of opening a gap against the nominal
+        posture; the rollout evaluates the nodes of new slots one at a time.
         """
         dt = self.config.node_dt
         # nodes of both windows carry bit-equal times

@@ -21,7 +21,9 @@ solving the dynamics again (as Crocoddyl's ``calcDiff`` reads the data its
 ``calc`` left); a group evaluated together is differentiated on its
 stacked solution as it is.  Each node keeps its row of the accepted line
 search trial (``ShootingProblem.keep``), so the derivatives at the new
-iterate solve no dynamics.  ``configure`` drops the kept evaluation.
+iterate solve no dynamics.  ``configure`` drops the kept evaluation and
+records the node's ``slot``; a node whose slot the next window holds too
+keeps both across ``ShootingProblem.set_window``.
 """
 
 from __future__ import annotations
@@ -174,12 +176,16 @@ def _contacts(nodes) -> ct.ContactSet:
                                       dtype=int).reshape(len(nodes), -1))
 
 
+def _contact_params(c: ct.ContactSet):
+    """The stabilization parameters and anchors of a contact set, hashable."""
+    anchors = tuple((f, *np.asarray(a, float)) for f, a in sorted(c.anchors.items()))
+    return c.baumgarte_freq, c.baumgarte_damping, anchors
+
+
 def _group_key(node):
     """Nodes with equal keys evaluate as one stacked group."""
-    c = node.contacts
-    anchors = tuple((f, *np.asarray(a, float)) for f, a in sorted(c.anchors.items()))
     return (type(node), id(node.model), id(node.weights), node._group_params(),
-            len(c.frames), c.baumgarte_freq, c.baumgarte_damping, anchors)
+            len(node.contacts.frames), *_contact_params(node.contacts))
 
 
 _NO_TARGETS = (np.zeros(0, dtype=int), np.zeros((2, 0, 2)), np.zeros((2, 0)))
@@ -219,7 +225,7 @@ class RunningNode:
 
     def configure(self, time: float, contacts: ct.ContactSet,
                   swing: dict[int, SwingTarget], dt: float | None = None):
-        """Retarget the node; the period stays as it was unless ``dt`` is given."""
+        """Retarget the node and record its ``slot``; a given ``dt`` sets the period."""
         self.time = time
         self.contacts = contacts
         self.swing = swing
@@ -233,7 +239,15 @@ class RunningNode:
                      dtype=float).reshape(2, -1, 2),
             np.repeat([[t.w_pos for t in targets], [t.w_vel for t in targets]],
                       2, -1).astype(float).reshape(2, -1))
+        self.slot = self.slot_of(time, contacts, swing, self.dt)
         self._kept = None
+
+    @staticmethod
+    def slot_of(time, contacts, swing, dt):
+        """The slot of a running node configured with these arguments."""
+        return ("running", time, dt, contacts.frames, *_contact_params(contacts),
+                tuple((f, t.pos.tobytes(), t.vel.tobytes(), t.w_pos, t.w_vel)
+                      for f, t in sorted(swing.items())))
 
     def _group_params(self):
         return id(self.bounds), self.cone, len(self.swing)
@@ -349,21 +363,27 @@ class ImpulseNode:
         self.model = model
         self.weights = weights
         self.restitution = restitution
-        self.time = 0.0
-        self.contacts = ct.ContactSet()
-        self.gained: dict[int, np.ndarray] = {}
         self.u_lb = np.zeros(0)
         self.u_ub = np.zeros(0)
-        self._kept = None
+        self.configure(0.0, ct.ContactSet(), {})
 
     nu = 0
 
     def configure(self, time: float, contacts: ct.ContactSet,
                   gained: dict[int, np.ndarray]):
+        """Retarget the node to the touchdowns ``gained`` and record its ``slot``."""
         self.time = time
         self.contacts = contacts
         self.gained = gained
+        self.slot = self.slot_of(time, contacts, gained)
         self._kept = None
+
+    @staticmethod
+    def slot_of(time, contacts, gained):
+        """The slot of an impulse node configured with these arguments."""
+        return ("impulse", time, contacts.frames, *_contact_params(contacts),
+                tuple((f, np.asarray(p, float).tobytes())
+                      for f, p in sorted(gained.items())))
 
     def _group_params(self):
         return self.restitution, len(self.gained)
@@ -538,6 +558,7 @@ class ShootingProblem:
         self.nodes = []
         self.terminal = TerminalNode(model, weights, bounds)
         self._pools = {"running": [], "impulse": []}
+        self._configs = {}
         self.set_window(x0, t0)
 
     def set_window(self, x0: np.ndarray, t0: float):
@@ -548,11 +569,12 @@ class ShootingProblem:
         and ends at the next grid node (k0 + 1)*dt, so its period is shorter
         than ``dt`` when ``t0`` lies inside the slot; it keeps the slot's
         contact set, and its swing targets are those at ``t0``.  Every later
-        node sits on the grid.  When the node-kind sequence of the new
-        window matches the current one, nodes are reconfigured in place;
-        otherwise the node list is recomposed from the pools, which
-        construct action models only when they run dry (visible through
-        ``NODE_ALLOCATIONS``).
+        node sits on the grid.  A node whose ``slot`` (kind, start time,
+        period, contact set, and swing targets or touchdown placements) is
+        also in the new window stays, with its kept evaluation; spare nodes
+        of the pools take the new slots, and the pools construct action
+        models only when they run dry (visible through ``NODE_ALLOCATIONS``).
+        The configurations of the window's slots are kept for the next call.
         """
         dt = self.dt
         k0 = int(round(t0 / dt))
@@ -562,15 +584,22 @@ class ShootingProblem:
             k0 = int(math.floor(t0 / dt))
             dt0 = (k0 + 1) * dt - t0
         plan = _node_schedule(self.schedule, k0, self.N, dt)
-        kinds = [p[0] for p in plan]
-        if kinds != [n.kind for n in self.nodes]:
-            self.reserve(kinds.count("running"), kinds.count("impulse"))
-            pools = {kind: iter(pool) for kind, pool in self._pools.items()}
-            self.nodes = [next(pools[kind]) for kind in kinds]
-        for i, ((kind, t, active, gained), node) in enumerate(zip(plan, self.nodes)):
-            start, period = (t0, dt0) if i == 0 else (t, dt)
-            _configure_node(node, self.schedule, self.weights, t, active,
-                            gained, dt, start, period)
+        configs = {}
+        for i, entry in enumerate(plan):
+            key = (entry, *((t0, dt0) if i == 0 else (entry[1], dt)))
+            configs[key] = (self._configs.get(key)
+                            or _configuration(self.schedule, self.weights, dt, *key))
+        kept = {node.slot: node for node in self.nodes}
+        nodes = [kept.pop(slot, None) for _args, slot in configs.values()]
+        kinds = [entry[0] for entry in plan]
+        self.reserve(kinds.count("running"), kinds.count("impulse"))
+        spare = {kind: (n for n in pool if n not in nodes)
+                 for kind, pool in self._pools.items()}
+        for i, (args, _slot) in enumerate(configs.values()):
+            if nodes[i] is None:
+                nodes[i] = next(spare[kinds[i]])
+                nodes[i].configure(*args)
+        self.nodes, self._configs = nodes, configs
         plan[0] = (plan[0][0], t0, *plan[0][2:])
         self.terminal.configure((k0 + self.N) * dt)
         self.x0 = np.asarray(x0, float)
@@ -699,17 +728,17 @@ def _snap_eps(dt: float) -> float:
     return 1e-9 * max(1.0, dt)
 
 
-def _configure_node(node, schedule: ContactSchedule, weights: co.CostWeights,
-                    t: float, active, gained, dt: float, start: float,
-                    period: float):
-    """Configure ``node`` for the grid slot at ``t``.
+def _configuration(schedule: ContactSchedule, weights: co.CostWeights, dt: float,
+                   entry, start: float, period: float):
+    """``configure`` arguments and slot of the node of the plan ``entry``.
 
-    A running node spans [start, start + period] inside the slot: its
+    A running node spans [start, start + period] inside its grid slot: its
     swing phases are those of the slot, evaluated at ``start``.
     """
+    kind, t, active, gained = entry
     contacts = ct.ContactSet(frames=tuple(active))
     half = 0.5 * dt * (1.0 - 1e-7)
-    if node.kind == "running":
+    if kind == "running":
         swing = {}
         for f in schedule.feet:
             if f in active:
@@ -719,11 +748,11 @@ def _configure_node(node, schedule: ContactSchedule, weights: co.CostWeights,
             swing[f] = SwingTarget(pos=pos, vel=vel,
                                    w_pos=weights.w_placement,
                                    w_vel=weights.w_velocity)
-        node.configure(start, contacts, swing, period)
-    else:
-        tq = min(t + half, schedule.end_time - _snap_eps(dt))
-        placements = {f: schedule.placement(f, tq) for f in gained}
-        node.configure(t, contacts, placements)
+        args = start, contacts, swing, period
+        return args, RunningNode.slot_of(*args)
+    tq = min(t + half, schedule.end_time - _snap_eps(dt))
+    args = t, contacts, {f: schedule.placement(f, tq) for f in gained}
+    return args, ImpulseNode.slot_of(*args)
 
 
 def build_problem(model: RobotModel, schedule: ContactSchedule,

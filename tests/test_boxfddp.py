@@ -8,7 +8,7 @@ import scipy.optimize
 
 from leggedmpc import boxfddp, costs as co, presets, problem, schedule
 from leggedmpc.boxfddp import BoxFddp, boxqp, boxqp_kkt_violation
-from leggedmpc.errors import NonPDHessian, RankDeficientContacts
+from leggedmpc.errors import NonPDHessian, NoStepAccepted, RankDeficientContacts
 
 from helpers import SequentialFddp
 
@@ -82,6 +82,33 @@ def test_boxqp_nonpd_raises():
     H = np.array([[1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(NonPDHessian):
         boxqp(H, np.ones(2), np.full(2, -np.inf), np.full(2, np.inf))
+
+
+@pytest.mark.parametrize("where", ["H", "g"])
+def test_boxqp_rejects_non_finite_data(where):
+    rng = np.random.default_rng(4)
+    H, g = random_pd(rng, 3), rng.normal(size=3)
+    if where == "H":
+        H[0, 2] = H[2, 0] = np.nan
+    else:
+        g[1] = np.nan
+    with pytest.raises(NonPDHessian):
+        boxqp(H, g, np.full(3, -1.0), np.full(3, 1.0))
+
+
+def test_boxqp_factors_once_per_free_set(monkeypatch):
+    # two iterations on one free set: the Newton step, then the check that
+    # finds the gradient zero; the factor is computed once
+    rng = np.random.default_rng(5)
+    H, g = random_pd(rng, 4), rng.normal(size=4)
+    calls = []
+
+    def counted(*args, _original=boxfddp.dpotrf, **kwargs):
+        calls.append(1)
+        return _original(*args, **kwargs)
+    monkeypatch.setattr(boxfddp, "dpotrf", counted)
+    res = boxqp(H, g, np.full(4, -np.inf), np.full(4, np.inf))
+    assert res.converged and res.iterations == 2 and len(calls) == 1
 
 
 # ------------------------------------------------------------ LQR oracle
@@ -242,6 +269,26 @@ def test_zero_horizon_policy():
     policy = solver.backward_pass()
     assert policy.k_ff == []
     assert np.allclose(policy.V_x[0], 2 * QT @ prob.x0)
+
+
+class NanGradientNode(LinearNode):
+    """A linear node whose control gradient is not finite."""
+
+    def calc_diff(self, x, u):
+        d = super().calc_diff(x, u)
+        d.lu = np.full_like(d.lu, np.nan)
+        return d
+
+
+def test_non_finite_derivatives_end_in_no_step_accepted():
+    prob, _ = make_lqr(N=4)
+    A, B, Q, R = (getattr(prob.nodes[0], a) for a in "ABQR")
+    prob.nodes[2] = NanGradientNode(A, B, Q, R)
+    solver = BoxFddp(prob)
+    solver.set_candidate()
+    with pytest.raises(NoStepAccepted):
+        solver.solve_one_iteration()
+    assert solver.mu == solver.mu_max
 
 
 def test_fddp_reduces_to_ddp_with_zero_gaps():

@@ -3,12 +3,16 @@
 Running and impulse nodes keep their last evaluation; an evaluation at
 equal inputs returns it and the derivatives are taken at its solution.  Reuse
 must change no result, and after an accepted step the solver's derivative
-pass and the MPC message must solve no dynamics at all.
+pass and the MPC message must solve no dynamics at all.  Across an MPC
+shift the nodes of the slots both windows share stay as they are, with
+their evaluations, so the shifted candidate solves dynamics only for the
+nodes of new slots.
 """
 
 import sys
 
 import numpy as np
+import pytest
 
 from leggedmpc import contact as ct
 from leggedmpc import costs as co
@@ -54,14 +58,16 @@ def forget_before_every_call(monkeypatch):
 
 
 def count_dynamics(monkeypatch):
-    calls = {"contact": 0, "impulse": 0}
+    """States solved by the contact and impulse dynamics; a stack of B
+    states counts B."""
+    rows = {"contact": 0, "impulse": 0}
     for key, name in (("contact", "contact_forward_dynamics"),
                       ("impulse", "impulse_dynamics")):
-        def counted(*args, _original=getattr(ct, name), _key=key, **kwargs):
-            calls[_key] += 1
-            return _original(*args, **kwargs)
+        def counted(model, q, *args, _original=getattr(ct, name), _key=key, **kwargs):
+            rows[_key] += len(q) if np.ndim(q) == 2 else 1
+            return _original(model, q, *args, **kwargs)
         monkeypatch.setattr(ct, name, counted)
-    return calls
+    return rows
 
 
 def three_jump_iterations():
@@ -143,3 +149,147 @@ def test_message_forces_come_from_the_nodes(monkeypatch):
                                           ctrl.problem.nodes[i].contacts)
         assert np.array_equal(forces, sol.forces)
         assert np.array_equal(forces, msg.forces_ref[i])
+
+
+# ------------------------------------------------------- across the MPC shift
+
+TROT_GAIT = dict(lead_in=0.04, swing=0.08, double_support=0.04, stride=0.05,
+                 cycles=8)
+
+
+def trot_schedule(quad):
+    return schedule.trot((0, 2), (1, 3), placements(quad), **TROT_GAIT)
+
+
+def trot_problem(quad, t0, x0=None):
+    q0 = presets.nominal_configuration(quad)
+    return problem.build_problem(
+        quad, trot_schedule(quad), co.default_weights(quad, q0),
+        co.default_bounds(quad, q0),
+        presets.nominal_state(quad) if x0 is None else x0, N=15, dt=0.02, t0=t0)
+
+
+def record_configure(m):
+    configured = []
+    for cls in (problem.RunningNode, problem.ImpulseNode):
+        def recorded(node, *args, _original=cls.configure):
+            configured.append(node)
+            return _original(node, *args)
+        m.setattr(cls, "configure", recorded)
+    return configured
+
+
+@pytest.fixture(scope="module")
+def shifted_trot():
+    """14 steps of the N = 15 trot (10 ms delay, exact measurements), each
+    seen when its shifted candidate is set: the nodes before and after the
+    shift, the dynamics rows solved and the nodes configured since
+    ``update_problem``, and the candidate with its cost, gaps and
+    derivatives."""
+    quad = presets.default_quadruped()
+    q0 = presets.nominal_configuration(quad)
+    cfg = rh.MpcConfig(horizon=0.3, node_dt=0.02, update_rate=50.0,
+                       expected_delay=0.01)
+    ctrl = rh.Mpc(quad, trot_schedule(quad),
+                  co.default_weights(quad, q0), co.default_bounds(quad, q0), cfg,
+                  presets.nominal_state(quad))
+    allocations = problem.NODE_ALLOCATIONS
+    steps = []
+    with pytest.MonkeyPatch.context() as m:
+        rows, configured = count_dynamics(m), record_configure(m)
+
+        def update(prob, x0, t0, _original=problem.update_problem):
+            rows.update(contact=0, impulse=0)
+            configured.clear()
+            return _original(prob, x0, t0)
+
+        def derivatives(solver, _original=BoxFddp.compute_derivatives):
+            prob = solver.problem
+            steps[-1].update(
+                rows=dict(rows), configured=list(configured),
+                nodes=[(n, n.slot) for n in prob.nodes],
+                t0=prob.plan[0][1], x0=prob.x0, xs=list(solver.xs),
+                us=list(solver.us), cost=solver.cost, gaps=list(solver.gaps),
+                derivs=prob.calc_diff(solver.xs, solver.us))
+            return _original(solver)
+        m.setattr(problem, "update_problem", update)
+        m.setattr(BoxFddp, "compute_derivatives", derivatives)
+        x = presets.nominal_state(quad)
+        for k in range(14):
+            steps.append({"old": [(n, n.slot) for n in ctrl.problem.nodes]})
+            msg = ctrl.step(x, k * 0.02)
+            assert not msg.diagnostics["degraded"]
+            x = np.array(msg.xs_ref[1])
+    assert problem.NODE_ALLOCATIONS == allocations
+    return quad, steps[1:]
+
+
+def new_slots(step):
+    """The nodes of slots that the window before the shift did not hold."""
+    old = {slot for _, slot in step["old"]}
+    return [n for n, slot in step["nodes"] if slot not in old]
+
+
+def test_shift_solves_dynamics_only_for_new_slots(shifted_trot):
+    _, steps = shifted_trot
+    for step in steps:
+        new = new_slots(step)
+        assert 1 <= len(new) <= 3
+        assert step["rows"] == {"contact": sum(n.kind == "running" for n in new),
+                                "impulse": sum(n.kind == "impulse" for n in new)}
+    # impulse nodes enter the window's tail as the gait goes on
+    assert any(n.kind == "impulse" for step in steps for n in new_slots(step))
+
+
+def test_shared_slots_keep_their_nodes_unconfigured(shifted_trot):
+    _, steps = shifted_trot
+    for step in steps:
+        old = {slot: n for n, slot in step["old"]}
+        kept = [(n, slot) for n, slot in step["nodes"] if slot in old]
+        assert len(kept) >= len(step["nodes"]) - 3
+        assert all(old[slot] is n for n, slot in kept)
+        assert not any(c is n for c in step["configured"] for n, _ in kept)
+        assert len(step["configured"]) == len(new_slots(step))
+
+
+def assert_same_evaluation(prob, xs, us, calc, derivs):
+    """``prob`` gives the cost, gaps and derivatives ``calc`` and ``derivs``
+    at (xs, us), bit for bit."""
+    cost, gaps = prob.calc(xs, us)
+    assert cost == calc[0]
+    assert all(np.array_equal(a, b) for a, b in zip(gaps, calc[1], strict=True))
+    for a, b in zip(prob.calc_diff(xs, us), derivs, strict=True):
+        for name in ("fx", "fu", "lx", "lu", "lxx", "lxu", "luu"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_shifted_candidate_matches_a_fresh_problem(shifted_trot):
+    quad, steps = shifted_trot
+    for step in steps:
+        fresh = trot_problem(quad, step["t0"], step["x0"])
+        assert [n.slot for n in fresh.nodes] == [slot for _, slot in step["nodes"]]
+        assert_same_evaluation(fresh, step["xs"], step["us"],
+                               (step["cost"], step["gaps"]), step["derivs"])
+
+
+@pytest.mark.parametrize("change", ["contacts", "period"])
+def test_node_of_another_configuration_is_not_kept(change, monkeypatch):
+    quad = presets.default_quadruped()
+    prob = trot_problem(quad, 0.1)
+    fresh = trot_problem(quad, 0.1)
+    xs = fresh.rollout(fresh.zero_controls())
+    us = fresh.zero_controls()
+    prob.calc(xs, us)
+    # node 3 keeps an evaluation under a configuration of its own, at the
+    # time of its slot: another contact set or another period
+    node = prob.nodes[3]
+    assert node.kind == "running"
+    frames = () if change == "contacts" else node.contacts.frames
+    period = node.dt if change == "contacts" else 0.5 * node.dt
+    node.configure(node.time, ct.ContactSet(frames=frames), node.swing, period)
+    node.calc(xs[3], us[3])
+    configured = record_configure(monkeypatch)
+    prob.set_window(prob.x0, 0.1)
+    assert [n.slot for n in prob.nodes] == [n.slot for n in fresh.nodes]
+    assert len(configured) == 1 and configured[0].slot == fresh.nodes[3].slot
+    assert_same_evaluation(fresh, xs, us, prob.calc(xs, us), prob.calc_diff(xs, us))
