@@ -106,16 +106,6 @@ def boxqp(H: np.ndarray, g: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return BoxQPResult(x, free, ~free, chol if free.any() else None, converged, it)
 
 
-def boxqp_kkt_violation(H, g, lo, hi, x) -> float:
-    """Max violation of the box-QP first-order conditions at x."""
-    grad = g + H @ x
-    at_lo = x <= lo + 1e-10
-    at_hi = ~at_lo & (x >= hi - 1e-10)
-    viol = np.where(at_lo, np.maximum(0.0, -grad),
-                    np.where(at_hi, np.maximum(0.0, grad), np.abs(grad)))
-    return float(viol.max(initial=0.0))
-
-
 # ----------------------------------------------------------------- solver
 
 @dataclass
@@ -142,17 +132,19 @@ class Policy:
 class BoxFddp:
     """One solver instance bound to one shooting problem.
 
-    The problem object supplies its nodes (each with ``nu`` and control
-    bounds), a terminal node with ``calc``/``calc_diff``, tangent-space
-    ``diff``/``integrate`` helpers that take stacked states, and the
-    initial state ``x0``.  Its ``calc(xs, us)`` gives the cost and gaps of
-    a whole trajectory and its ``calc_diff(xs, us)`` the
-    ``NodeDerivatives`` of every node, so a problem may evaluate and
-    differentiate its nodes together (``ShootingProblem`` stacks them by
-    group).  The line search rolls its trials out as the rows of one
-    stacked trajectory, the full step alone and the shorter steps together:
-    ``calc_rows(k, x, u)`` evaluates node k on every row, and
-    ``keep(kept)`` hands back the accepted row.  Regularization persists across
+    The problem supplies ``nodes`` (each with ``nu`` and control bounds)
+    and a ``terminal`` node with ``calc``/``calc_diff``; the initial state
+    ``x0`` and tangent size ``ndx``; ``diff``/``integrate``, which take
+    stacked states; ``calc(xs, us)``, the cost and gaps of a whole
+    trajectory; ``calc_diff(xs, us)``, the ``NodeDerivatives`` of every
+    node; ``calc_rows(k, x, u)``, the next states and costs of node k at
+    every row of ``x`` and ``u``; and ``rollout(us)`` and
+    ``zero_controls()`` for a candidate given without states or controls.
+    ``ShootingProblem`` evaluates and differentiates its nodes by stacked
+    group, and its nodes keep their ``calc_rows`` rows, so ``calc`` at the
+    accepted trial solves no dynamics.  The line search rolls its trials
+    out as the rows of one stacked trajectory, the full step alone and the
+    shorter steps together.  Regularization persists across
     ``solve_one_iteration`` calls; a caller may set ``mu`` between them (the
     receding-horizon loop starts every step from one warm value).
     ``last_alpha`` and ``last_trials`` hold the accepted step length (0 when
@@ -316,8 +308,7 @@ class BoxFddp:
         threshold per alpha), as soon as its running cost shows ``self.cost
         - cost < min_decrease``: node costs are weighted squares, never
         negative.  Overflow along a dropped row is expected, not an error.
-        Returns per alpha None (dropped) or ``(xs, us, cost, kept)``, with
-        ``kept`` the problem's evaluation of each node on that row.
+        Returns per alpha None (dropped) or ``(xs, us, cost)``.
         """
         problem = self.problem
         policy = self.policy
@@ -331,21 +322,20 @@ class BoxFddp:
         with np.errstate(over="ignore", invalid="ignore"):
             x = (problem.integrate(problem.x0, (a - 1.0) * self.gaps[0]) if not feasible
                  else np.broadcast_to(problem.x0, np.shape(a)[:-1] + problem.x0.shape))
-            trials = {i: ([xi.copy()], [], []) for i, xi in zip(live.tolist(), rows(x))}
+            trials = {i: ([xi.copy()], []) for i, xi in zip(live.tolist(), rows(x))}
             cost = 0.0
             for k, node in enumerate(problem.nodes):
                 dx = problem.diff(x, self.xs[k])
                 u = np.clip(self.us[k] + a * policy.k_ff[k]
                             - (policy.K_fb[k] @ dx[..., None])[..., 0],
                             node.u_lb, node.u_ub)
-                x, c, kept = problem.calc_rows(k, x, u)
+                x, c = problem.calc_rows(k, x, u)
                 cost = cost + c
                 if not feasible:
                     x = problem.integrate(x, (a - 1.0) * self.gaps[k + 1])
-                for i, xi, ui, ev in zip(live.tolist(), rows(x), rows(u), kept):
+                for i, xi, ui in zip(live.tolist(), rows(x), rows(u)):
                     trials[i][0].append(xi.copy())
                     trials[i][1].append(ui.copy())
-                    trials[i][2].append(ev)
                 ok = np.isfinite(cost) & np.isfinite(x).all(-1)
                 if min_decrease is not None:
                     ok = ok & ~(self.cost - cost < np.asarray(min_decrease)[live])
@@ -361,8 +351,7 @@ class BoxFddp:
         out = [None] * len(alphas)
         for i, c in zip(live.tolist(), [cost] if np.ndim(cost) == 0 else cost):
             if np.isfinite(c):
-                xs_try, us_try, kept = trials[i]
-                out[i] = (xs_try, us_try, c, kept)
+                out[i] = (*trials[i], c)
         return out
 
     def expected_improvement(self, alpha: float, xs_try) -> float:
@@ -437,7 +426,7 @@ class BoxFddp:
                 self.last_trials += 1
                 if trial is None:
                     continue
-                xs_try, us_try, cost_try, kept = trial
+                xs_try, us_try, cost_try = trial
                 threshold = (min_decrease[j] if was_feasible else self._min_decrease(
                     self.expected_improvement(alpha, xs_try)))
                 actual = self.cost - cost_try
@@ -447,7 +436,6 @@ class BoxFddp:
                 # feasible iterate never accepts a cost increase
                 if was_feasible and actual < -1e-12:
                     continue
-                self.problem.keep(kept)
                 return alpha, xs_try, us_try, cost_try
         return None
 
@@ -467,12 +455,11 @@ class BoxFddp:
         self.log.append((len(self.log), self.cost, self.gap_norm, self.mu,
                          alpha, self.qu_norm))
 
-    def solve(self, xs=None, us=None, max_iters: int = 100,
-              raise_on_failure: bool = False):
+    def solve(self, xs=None, us=None, max_iters: int = 100):
         """Iterate to convergence; returns (SolverState, Policy).
 
         On failure to accept any further step the best iterate is returned
-        with ``self.status`` set, unless ``raise_on_failure`` is true.
+        with ``self.status`` set.
         """
         if self.xs is None or xs is not None or us is not None:
             self.set_candidate(xs, us)
@@ -481,8 +468,6 @@ class BoxFddp:
             try:
                 done = self.solve_one_iteration()
             except NoStepAccepted:
-                if raise_on_failure:
-                    raise
                 self.status = "no_step"
                 return self.state(), self.policy
             if done:

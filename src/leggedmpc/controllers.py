@@ -231,12 +231,6 @@ def nullspace_basis(A: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
     return vt[rank:].T
 
 
-def nullspace_projector(A: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    """Orthogonal projector onto the null space: A @ P = 0."""
-    Z = nullspace_basis(A, rtol)
-    return Z @ Z.T
-
-
 def _stage_qp(G, d, W, lb, ub):
     """min ||G z - d||^2 subject to lb <= W z <= ub, from feasible z = 0.
 

@@ -169,20 +169,23 @@ def quasi_static_start(model: RobotModel, q_nom: np.ndarray,
     return y[:model.nu], y[model.nu:]
 
 
+# longest substep of the state prediction across the delay, s
+_MAX_SUBSTEP = 2.5e-3
+
+
 def predict_initial_state(model: RobotModel, x0: np.ndarray, u0: np.ndarray,
-                          contacts: ct.ContactSet, dt_delay: float,
-                          max_substep: float = 2.5e-3) -> np.ndarray:
+                          contacts: ct.ContactSet, dt_delay: float) -> np.ndarray:
     """Integrate x0 under constant u0 across the expected delay.
 
     Contact-consistent forward simulation with the current contact set;
-    sub-stepped so longer delays stay accurate.
+    sub-stepped (``_MAX_SUBSTEP``) so longer delays stay accurate.
     """
     if dt_delay < 0:
         raise ConfigError("delay must be non-negative")
     x = np.asarray(x0, float)
     if dt_delay == 0.0:
         return np.array(x)
-    n = max(1, int(math.ceil(dt_delay / max_substep - 1e-12)))
+    n = max(1, int(math.ceil(dt_delay / _MAX_SUBSTEP - 1e-12)))
     h = dt_delay / n
     q, v = mod.split_state(model, x)
     for _ in range(n):
@@ -270,22 +273,23 @@ class Mpc:
             return self.u_qs
         return np.asarray(msg.us_ff[msg.interval_at(t)], float)
 
-    def _shift_candidate(self, old_plan, old_xs, old_us, old_k_end: int):
-        """Map the previous solution onto the new window by node time/kind.
+    def _shift_candidate(self, old_plan, old_slots, old_xs, old_us, old_k_end: int):
+        """Map the previous solution onto the new window by node slot.
 
-        A node both windows hold takes its previous state and control, where
-        it kept its evaluation.  A first node that starts between the
-        previous window's nodes starts from the predicted state
-        ``problem.x0`` once a plan has been solved.  Nodes past the previous
-        coverage are rolled out from the previous terminal state, reusing
-        the last converged stance control when the contact set carries over
-        (quasi-static torques otherwise).  This keeps the receded tail
-        dynamically consistent instead of opening a gap against the nominal
-        posture; the rollout evaluates the nodes of new slots one at a time.
+        ``old_slots`` are the slots of the previous window's nodes.  A node
+        whose slot both windows hold (one ``set_window`` kept) takes its
+        previous state and control, at which it keeps its evaluation.  A
+        first node that starts between the previous window's nodes starts
+        from the predicted state ``problem.x0`` once a plan has been solved.
+        Nodes past the previous coverage are rolled out from the previous
+        terminal state, reusing the last converged stance control when the
+        contact set carries over (quasi-static torques otherwise).  This
+        keeps the receded tail dynamically consistent instead of opening a
+        gap against the nominal posture; the rollout evaluates the nodes of
+        new slots one at a time.
         """
         dt = self.config.node_dt
-        # nodes of both windows carry bit-equal times
-        index = {(kind, t): i for i, (kind, t, *_rest) in enumerate(old_plan)}
+        index = {slot: j for j, slot in enumerate(old_slots)}
         last_u, last_active = None, None
         for j in range(len(old_plan) - 1, -1, -1):
             if old_plan[j][0] == "running":
@@ -294,7 +298,7 @@ class Mpc:
         xs, us = [], []
         tail_x = None
         for i, (kind, t, active, _gained) in enumerate(self.problem.plan):
-            j = index.get((kind, t))
+            j = index.get(self.problem.nodes[i].slot)
             if j is not None:
                 xs.append(old_xs[j])
                 us.append(old_us[j])
@@ -409,10 +413,12 @@ class Mpc:
                                         contacts_now, cfg.expected_delay)
 
         old_plan, old_k0 = self.problem.plan, self.problem.k0
+        old_slots = [node.slot for node in self.problem.nodes]
         old_xs, old_us = self.solver.xs, self.solver.us
         pb.update_problem(self.problem, x0_pred,
                           t0=wall_time + cfg.expected_delay)
-        self._shift_candidate(old_plan, old_xs, old_us, old_k0 + cfg.n_nodes)
+        self._shift_candidate(old_plan, old_slots, old_xs, old_us,
+                              old_k0 + cfg.n_nodes)
         self.k0 = k_now
         self.solver.mu = self._MU_WARM
 

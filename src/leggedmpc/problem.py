@@ -13,17 +13,20 @@ rest of its group, so a node's own ``calc`` is the same pass on a group of
 one and gives the same bits; so do the line search's trial rows of one
 node (``ShootingProblem.calc_rows``).
 
-Running and impulse nodes keep their last evaluation: their row of the
-stacked pass they were evaluated in (copied inputs, dynamics solution, next
-state and cost).  An evaluation at exactly equal inputs returns the kept
-outputs, and the derivatives are taken at the kept solutions instead of
+Running and impulse nodes keep their evaluations, and one rule decides
+what a node reuses: an evaluation whose inputs are bit-equal to the new
+ones, compared as ``tobytes()`` (so ``-0.0`` is not ``0.0``).  That is the
+node's kept evaluation (its row of the stacked pass it was last evaluated
+in) or a row of its last stacked ``calc_rows`` (a line-search trial),
+which the next evaluation adopts as the kept one.  Derivatives are taken
+at the reused solutions, each group's rows stacked again, instead of
 solving the dynamics again (as Crocoddyl's ``calcDiff`` reads the data its
-``calc`` left); a group evaluated together is differentiated on its
-stacked solution as it is.  Each node keeps its row of the accepted line
-search trial (``ShootingProblem.keep``), so the derivatives at the new
-iterate solve no dynamics.  ``configure`` drops the kept evaluation and
-records the node's ``slot``; a node whose slot the next window holds too
-keeps both across ``ShootingProblem.set_window``.
+``calc`` left).  ``configure`` forgets both and leaves the node without a
+``slot``.  ``configure_slot`` configures the node from a plan key (plan
+entry, start time, period), which fixes its configuration because a
+problem's schedule, weights and ``dt`` never change, and keeps the key as
+the slot; ``ShootingProblem.set_window`` keeps a node whose slot the next
+window holds too, with its evaluations.
 """
 
 from __future__ import annotations
@@ -60,13 +63,12 @@ class NodeDerivatives:
 
 @dataclass(eq=False)
 class _Evaluation:
-    """One stacked pass over ``nodes``: the inputs (copied) and what they gave.
+    """One stacked pass over a group: the inputs (copied) and what they gave.
 
-    Each node keeps ``(evaluation, row)``, row None for a lone node, whose
-    fields have no leading axis.
+    A node's evaluation is ``(evaluation, row)``, row None for a lone node,
+    whose fields have no leading axis.
     """
 
-    nodes: list
     x: np.ndarray
     u: np.ndarray
     sol: ct.ContactSolution | ct.ImpulseSolution
@@ -161,9 +163,9 @@ def _row(obj, j):
     return obj[j]
 
 
-def _kept(node, name):
-    """Field ``name`` of the node's kept evaluation, for the node alone."""
-    ev, j = node._kept
+def _field(evaluation, name):
+    """Field ``name`` of a node's evaluation ``(evaluation, row)``, for the node alone."""
+    ev, j = evaluation
     return _row(getattr(ev, name), j)
 
 
@@ -176,22 +178,74 @@ def _contacts(nodes) -> ct.ContactSet:
                                       dtype=int).reshape(len(nodes), -1))
 
 
-def _contact_params(c: ct.ContactSet):
-    """The stabilization parameters and anchors of a contact set, hashable."""
-    anchors = tuple((f, *np.asarray(a, float)) for f, a in sorted(c.anchors.items()))
-    return c.baumgarte_freq, c.baumgarte_damping, anchors
-
-
 def _group_key(node):
     """Nodes with equal keys evaluate as one stacked group."""
+    c = node.contacts
+    anchors = tuple((f, *np.asarray(a, float)) for f, a in sorted(c.anchors.items()))
     return (type(node), id(node.model), id(node.weights), node._group_params(),
-            len(node.contacts.frames), *_contact_params(node.contacts))
+            len(c.frames), c.baumgarte_freq, c.baumgarte_damping, anchors)
 
 
 _NO_TARGETS = (np.zeros(0, dtype=int), np.zeros((2, 0, 2)), np.zeros((2, 0)))
 
 
-class RunningNode:
+def _key(x, u):
+    """The bytes of a node's inputs: an evaluation is reused at equal keys."""
+    return np.asarray(x, float).tobytes(), np.asarray(u, float).reshape(-1).tobytes()
+
+
+def _half(dt):
+    """Half a node period, less a rounding margin (see ``_node_schedule``)."""
+    return 0.5 * dt * (1.0 - 1e-7)
+
+
+class _DynamicsNode:
+    """The evaluations a running or impulse node keeps (module docstring)."""
+
+    def _retarget(self, time, contacts):
+        """Set the time and contact set; forget the evaluations and the slot."""
+        self.time, self.contacts = time, contacts
+        self.slot, self._kept, self._trials = None, None, {}
+
+    def _reuse(self, key):
+        """The evaluation at the inputs ``key``: the kept one, or a trial row,
+        kept from now on; None without either."""
+        if self._kept is not None and self._kept[0] == key:
+            return self._kept[1]
+        evaluation = self._trials.get(key)
+        return None if evaluation is None else self._keep(key, evaluation)
+
+    def _keep(self, key, evaluation):
+        self._kept = key, evaluation
+        return evaluation
+
+    def calc_rows(self, x, u):
+        """Next states and costs at each row of ``x`` and ``u``, one stacked
+        group whose rows become the node's trials; one row without a leading
+        axis is the node's own evaluation.  A row whose contact set is
+        singular gives nan and no trial."""
+        if x.ndim == 1:
+            try:
+                return evaluate_nodes([self], [x], [u])[0]
+            except RankDeficientContacts:
+                return np.full_like(x, np.nan), np.nan
+        x, u = np.array(x, dtype=float), np.array(u, dtype=float)
+        rows = np.arange(len(x))
+        try:
+            ev = _evaluate([self] * len(x), x, u)
+        except RankDeficientContacts as exc:
+            rows = np.flatnonzero(~exc.rows)
+            ev = _evaluate([self] * rows.size, x[rows], u[rows]) if rows.size else None
+        self._trials = {_key(x[r], u[r]): (ev, j) for j, r in enumerate(rows)}
+        if rows.size == len(x):
+            return ev.x_next, ev.cost
+        x_next, cost = np.full_like(x, np.nan), np.full(len(x), np.nan)
+        if rows.size:
+            x_next[rows], cost[rows] = ev.x_next, ev.cost
+        return x_next, cost
+
+
+class RunningNode(_DynamicsNode):
     """One integration step of the contact dynamics with its running cost.
 
     ``configure`` sets the node's start time, contact set, swing targets
@@ -211,7 +265,6 @@ class RunningNode:
         self.cone = cone
         self.cone_C, self.cone_c = (co.cone_matrices(cone) if cone is not None
                                     else (None, None))
-        self.time = 0.0
         nu = model.nu
         self.u_lb = (bounds.u_lb if bounds is not None
                      else np.full(nu, -np.inf))
@@ -225,9 +278,8 @@ class RunningNode:
 
     def configure(self, time: float, contacts: ct.ContactSet,
                   swing: dict[int, SwingTarget], dt: float | None = None):
-        """Retarget the node and record its ``slot``; a given ``dt`` sets the period."""
-        self.time = time
-        self.contacts = contacts
+        """Retarget the node, without a slot; a given ``dt`` sets the period."""
+        self._retarget(time, contacts)
         self.swing = swing
         if dt is not None:
             self.dt = float(dt)
@@ -239,15 +291,22 @@ class RunningNode:
                      dtype=float).reshape(2, -1, 2),
             np.repeat([[t.w_pos for t in targets], [t.w_vel for t in targets]],
                       2, -1).astype(float).reshape(2, -1))
-        self.slot = self.slot_of(time, contacts, swing, self.dt)
-        self._kept = None
 
-    @staticmethod
-    def slot_of(time, contacts, swing, dt):
-        """The slot of a running node configured with these arguments."""
-        return ("running", time, dt, contacts.frames, *_contact_params(contacts),
-                tuple((f, t.pos.tobytes(), t.vel.tobytes(), t.w_pos, t.w_vel)
-                      for f, t in sorted(swing.items())))
+    def configure_slot(self, schedule: ContactSchedule, dt: float, slot):
+        """Configure the node for the plan key ``slot`` (plan entry, start,
+        period) of a problem with node period ``dt``, and keep it as the slot.
+
+        The node spans [start, start + period] inside its grid slot: its
+        swing phases are those of the slot, evaluated at ``start``.
+        """
+        (_kind, t, active, _gained), start, period = slot
+        w = self.weights
+        phases = {f: schedule.phase_at(f, t + _half(dt))
+                  for f in schedule.feet if f not in active}
+        swing = {f: SwingTarget(*evaluate_swing(ph, start), w_pos=w.w_placement,
+                                w_vel=w.w_velocity) for f, ph in phases.items()}
+        self.configure(start, ct.ContactSet(frames=tuple(active)), swing, period)
+        self.slot = slot
 
     def _group_params(self):
         return id(self.bounds), self.cone, len(self.swing)
@@ -341,16 +400,15 @@ class RunningNode:
     # -- public API ----------------------------------------------------------
 
     def solution(self, x, u) -> ct.ContactSolution:
-        """Contact dynamics at (x, u); the kept solution when the inputs match."""
-        evaluate_nodes([self], [x], [u])
-        return _kept(self, "sol")
+        """Contact dynamics at (x, u); the reused solution when there is one."""
+        return _field(_evaluations([self], [x], [u])[0], "sol")
 
     def calc(self, x, u):
         x_next, cost = evaluate_nodes([self], [x], [u])[0]
         return x_next.copy(), cost
 
 
-class ImpulseNode:
+class ImpulseNode(_DynamicsNode):
     """Instantaneous inelastic velocity transition at a touchdown."""
 
     kind = "impulse"
@@ -371,19 +429,19 @@ class ImpulseNode:
 
     def configure(self, time: float, contacts: ct.ContactSet,
                   gained: dict[int, np.ndarray]):
-        """Retarget the node to the touchdowns ``gained`` and record its ``slot``."""
-        self.time = time
-        self.contacts = contacts
+        """Retarget the node to the touchdowns ``gained``, without a slot."""
+        self._retarget(time, contacts)
         self.gained = gained
-        self.slot = self.slot_of(time, contacts, gained)
-        self._kept = None
 
-    @staticmethod
-    def slot_of(time, contacts, gained):
-        """The slot of an impulse node configured with these arguments."""
-        return ("impulse", time, contacts.frames, *_contact_params(contacts),
-                tuple((f, np.asarray(p, float).tobytes())
-                      for f, p in sorted(gained.items())))
+    def configure_slot(self, schedule: ContactSchedule, dt: float, slot):
+        """Configure the node for the plan key ``slot`` (see
+        ``RunningNode.configure_slot``), its touchdowns at their placements,
+        and keep it as the slot."""
+        (_kind, t, active, gained), _start, _period = slot
+        tq = min(t + _half(dt), schedule.end_time - _snap_eps(dt))
+        self.configure(t, ct.ContactSet(frames=tuple(active)),
+                       {f: schedule.placement(f, tq) for f in gained})
+        self.slot = slot
 
     def _group_params(self):
         return self.restitution, len(self.gained)
@@ -447,44 +505,41 @@ def _groups(nodes, indices):
 
 
 def _evaluate(group, x, u) -> _Evaluation:
-    return _Evaluation(group, x, u, *type(group[0])._evaluate_group(group, x, u))
+    return _Evaluation(x, u, *type(group[0])._evaluate_group(group, x, u))
+
+
+def _evaluations(nodes, xs, us):
+    """Each node's evaluation at (xs[k], us[k]): the one it reuses, else a
+    new one, kept; one stacked pass per group of the new ones."""
+    keys = [_key(x, u) for x, u in zip(xs, us)]
+    evs = [node._reuse(key) for node, key in zip(nodes, keys)]
+    for ks in _groups(nodes, [k for k, ev in enumerate(evs) if ev is None]):
+        ev = _evaluate([nodes[k] for k in ks],
+                       _stack([np.array(xs[k], dtype=float) for k in ks]),
+                       _stack([np.array(us[k], dtype=float).reshape(-1) for k in ks]))
+        for j, k in enumerate(ks):
+            evs[k] = nodes[k]._keep(keys[k], (ev, j if len(ks) > 1 else None))
+    return evs
 
 
 def evaluate_nodes(nodes, xs, us) -> list[tuple[np.ndarray, float]]:
-    """Each node's (next state, cost) at (xs[k], us[k]), one stacked pass per group.
-
-    Nodes whose kept evaluation matches their inputs are not evaluated
-    again; every other node keeps its new evaluation.
-    """
-    fresh = [k for k, n in enumerate(nodes) if n._kept is None
-             or not (np.array_equal(_kept(n, "x"), xs[k])
-                     and np.array_equal(_kept(n, "u"), us[k]))]
-    for ks in _groups(nodes, fresh):
-        group = [nodes[k] for k in ks]
-        ev = _evaluate(group, _stack([np.array(xs[k], dtype=float) for k in ks]),
-                       _stack([np.array(us[k], dtype=float).reshape(-1) for k in ks]))
-        for j, node in enumerate(group):
-            node._kept = (ev, j if len(ks) > 1 else None)
-    return [(_kept(n, "x_next"), _kept(n, "cost")) for n in nodes]
+    """Each node's (next state, cost) at (xs[k], us[k]), one stacked pass per
+    group of the nodes that reuse no evaluation (module docstring)."""
+    return [(_field(ev, "x_next"), _field(ev, "cost"))
+            for ev in _evaluations(nodes, xs, us)]
 
 
 def differentiate_nodes(nodes, xs, us) -> list[NodeDerivatives]:
     """``NodeDerivatives`` of each node at (xs[k], us[k]), one stacked pass per group.
 
-    The derivatives are taken at the nodes' kept solutions; nodes without a
-    matching one are evaluated first (see ``evaluate_nodes``).  Kept
-    solutions from other passes (nodes evaluated alone, as in a line
-    search) are stacked into the group first.
+    The derivatives are taken at the nodes' evaluations at these inputs
+    (see ``evaluate_nodes``), their rows stacked group by group.
     """
-    evaluate_nodes(nodes, xs, us)
+    evs = _evaluations(nodes, xs, us)
     out = [None] * len(nodes)
     for ks in _groups(nodes, range(len(nodes))):
         group = [nodes[k] for k in ks]
-        ev = group[0]._kept[0]
-        if ev.nodes != group or any(n._kept[0] is not ev for n in group):
-            x, u, sol = (_stack([_kept(n, a) for n in group]) for a in ("x", "u", "sol"))
-        else:
-            x, u, sol = ev.x, ev.u, ev.sol
+        x, u, sol = (_stack([_field(evs[k], a) for k in ks]) for a in ("x", "u", "sol"))
         fx, fu, acc = type(group[0])._differentiate_group(group, x, u, sol)
         split = list if len(ks) > 1 else (lambda a: [a])
         for k, *row in zip(ks, *map(split, (fx, fu, acc.lx, acc.lu, acc.lxx,
@@ -558,7 +613,6 @@ class ShootingProblem:
         self.nodes = []
         self.terminal = TerminalNode(model, weights, bounds)
         self._pools = {"running": [], "impulse": []}
-        self._configs = {}
         self.set_window(x0, t0)
 
     def set_window(self, x0: np.ndarray, t0: float):
@@ -569,12 +623,12 @@ class ShootingProblem:
         and ends at the next grid node (k0 + 1)*dt, so its period is shorter
         than ``dt`` when ``t0`` lies inside the slot; it keeps the slot's
         contact set, and its swing targets are those at ``t0``.  Every later
-        node sits on the grid.  A node whose ``slot`` (kind, start time,
-        period, contact set, and swing targets or touchdown placements) is
-        also in the new window stays, with its kept evaluation; spare nodes
-        of the pools take the new slots, and the pools construct action
+        node sits on the grid.  A node's slot is its plan key: plan entry,
+        start time and period, bit-equal in every window that holds the slot
+        (a grid time is always k*dt).  A node whose slot is also in the new
+        window stays, with its evaluations; spare nodes of the pools take
+        the new slots (``configure_slot``), and the pools construct action
         models only when they run dry (visible through ``NODE_ALLOCATIONS``).
-        The configurations of the window's slots are kept for the next call.
         """
         dt = self.dt
         k0 = int(round(t0 / dt))
@@ -584,22 +638,19 @@ class ShootingProblem:
             k0 = int(math.floor(t0 / dt))
             dt0 = (k0 + 1) * dt - t0
         plan = _node_schedule(self.schedule, k0, self.N, dt)
-        configs = {}
-        for i, entry in enumerate(plan):
-            key = (entry, *((t0, dt0) if i == 0 else (entry[1], dt)))
-            configs[key] = (self._configs.get(key)
-                            or _configuration(self.schedule, self.weights, dt, *key))
+        slots = [(entry, *((t0, dt0) if i == 0 else (entry[1], dt)))
+                 for i, entry in enumerate(plan)]
         kept = {node.slot: node for node in self.nodes}
-        nodes = [kept.pop(slot, None) for _args, slot in configs.values()]
+        nodes = [kept.pop(slot, None) for slot in slots]
         kinds = [entry[0] for entry in plan]
         self.reserve(kinds.count("running"), kinds.count("impulse"))
         spare = {kind: (n for n in pool if n not in nodes)
                  for kind, pool in self._pools.items()}
-        for i, (args, _slot) in enumerate(configs.values()):
+        for i, slot in enumerate(slots):
             if nodes[i] is None:
                 nodes[i] = next(spare[kinds[i]])
-                nodes[i].configure(*args)
-        self.nodes, self._configs = nodes, configs
+                nodes[i].configure_slot(self.schedule, dt, slot)
+        self.nodes = nodes
         plan[0] = (plan[0][0], t0, *plan[0][2:])
         self.terminal.configure((k0 + self.N) * dt)
         self.x0 = np.asarray(x0, float)
@@ -633,7 +684,7 @@ class ShootingProblem:
     def calc(self, xs, us):
         """Total cost and per-node gaps f(x_k, u_k) (-) x_{k+1}.
 
-        Nodes without a kept evaluation at their inputs are evaluated one
+        Nodes that reuse no evaluation at their inputs are evaluated one
         stacked group at a time (``evaluate_nodes``), and the gaps are one
         stacked ``difference``.
         """
@@ -647,41 +698,13 @@ class ShootingProblem:
         return differentiate_nodes(self.nodes, xs, us)
 
     def calc_rows(self, k, x, u):
-        """Next states, costs and kept evaluations (for ``keep``) of node
-        ``k`` at each row of ``x`` and ``u``, one group of ``evaluate_nodes``;
-        one row without a leading axis is the node's own evaluation.  A row
-        whose contact set is singular gives nan and no evaluation."""
-        node = self.nodes[k]
-        if x.ndim == 1:
-            try:
-                x_next, cost = evaluate_nodes([node], [x], [u])[0]
-            except RankDeficientContacts:
-                return np.full_like(x, np.nan), np.nan, [None]
-            return x_next, cost, [node._kept]
-        x, u = np.array(x, dtype=float), np.array(u, dtype=float)
-        try:
-            ev = _evaluate([node] * len(x), x, u)
-        except RankDeficientContacts as exc:
-            rows = np.flatnonzero(~exc.rows)
-        else:
-            return ev.x_next, ev.cost, [(ev, j) for j in range(len(x))]
-        x_next, cost = np.full_like(x, np.nan), np.full(len(x), np.nan)
-        kept = [None] * len(x)
-        if rows.size:
-            ev = _evaluate([node] * rows.size, x[rows], u[rows])
-            x_next[rows], cost[rows] = ev.x_next, ev.cost
-            for j, r in enumerate(rows):
-                kept[r] = (ev, j)
-        return x_next, cost, kept
+        """Next states and costs of node ``k`` at each row of ``x`` and ``u``;
+        the node keeps the rows for its next evaluation to adopt (see
+        ``RunningNode.calc_rows``)."""
+        return self.nodes[k].calc_rows(x, u)
 
-    def keep(self, kept):
-        """Leave each node's kept evaluation on its ``calc_rows`` row ``kept[k]``."""
-        for node, row in zip(self.nodes, kept):
-            node._kept = row
-
-    def rollout(self, us, x0=None):
-        x = self.x0 if x0 is None else x0
-        xs = [np.asarray(x, float)]
+    def rollout(self, us):
+        xs = [np.asarray(self.x0, float)]
         for k, node in enumerate(self.nodes):
             xn, _ = node.calc(xs[-1], us[k])
             xs.append(xn)
@@ -707,7 +730,7 @@ def _node_schedule(schedule: ContactSchedule, k0: int, N: int, dt: float):
             f"needs {t_end:.6g}s")
     schedule.check_grid_alignment(dt, t_end=t_end)
     plan = []
-    half = 0.5 * dt * (1.0 - 1e-7)
+    half = _half(dt)
     for k in range(N + 1):
         t = (k0 + k) * dt
         active = schedule.active_set(min(t + half, schedule.end_time - _snap_eps(dt))) \
@@ -726,33 +749,6 @@ def _node_schedule(schedule: ContactSchedule, k0: int, N: int, dt: float):
 
 def _snap_eps(dt: float) -> float:
     return 1e-9 * max(1.0, dt)
-
-
-def _configuration(schedule: ContactSchedule, weights: co.CostWeights, dt: float,
-                   entry, start: float, period: float):
-    """``configure`` arguments and slot of the node of the plan ``entry``.
-
-    A running node spans [start, start + period] inside its grid slot: its
-    swing phases are those of the slot, evaluated at ``start``.
-    """
-    kind, t, active, gained = entry
-    contacts = ct.ContactSet(frames=tuple(active))
-    half = 0.5 * dt * (1.0 - 1e-7)
-    if kind == "running":
-        swing = {}
-        for f in schedule.feet:
-            if f in active:
-                continue
-            ph = schedule.phase_at(f, t + half)
-            pos, vel = evaluate_swing(ph, start)
-            swing[f] = SwingTarget(pos=pos, vel=vel,
-                                   w_pos=weights.w_placement,
-                                   w_vel=weights.w_velocity)
-        args = start, contacts, swing, period
-        return args, RunningNode.slot_of(*args)
-    tq = min(t + half, schedule.end_time - _snap_eps(dt))
-    args = t, contacts, {f: schedule.placement(f, tq) for f in gained}
-    return args, ImpulseNode.slot_of(*args)
 
 
 def build_problem(model: RobotModel, schedule: ContactSchedule,

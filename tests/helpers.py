@@ -73,6 +73,22 @@ def random_state(m, rng, spread=0.3, base_height=None):
 # quantities one tree depth at a time; these loops are the oracle it is
 # checked against.
 
+def forget(node):
+    """Drop the node's kept evaluation and its trial rows, so that its next
+    evaluation is fresh."""
+    node._kept, node._trials = None, {}
+
+
+def boxqp_kkt_violation(H, g, lo, hi, x) -> float:
+    """Max violation of the box-QP first-order conditions at x."""
+    grad = g + H @ x
+    at_lo = x <= lo + 1e-10
+    at_hi = ~at_lo & (x >= hi - 1e-10)
+    viol = np.where(at_lo, np.maximum(0.0, -grad),
+                    np.where(at_hi, np.maximum(0.0, grad), np.abs(grad)))
+    return float(viol.max(initial=0.0))
+
+
 def ref_joint_pose(m, joint, q):
     """Pose of body ``joint`` in its parent's frame (root: in the world)."""
     j = m.joints[joint]

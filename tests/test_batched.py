@@ -11,6 +11,7 @@ same bits as its row of a stack.
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,8 +19,9 @@ from leggedmpc import contact as ct
 from leggedmpc import costs as co
 from leggedmpc import kinematics, presets, problem, schedule
 from leggedmpc.boxfddp import BoxFddp
+from leggedmpc.errors import RankDeficientContacts
 
-from helpers import random_state, ref_impulse, ref_running, rel_err
+from helpers import forget, random_state, ref_impulse, ref_running, rel_err
 
 TOL = 1e-12
 FIELDS = ("fx", "fu", "lx", "lu", "lxx", "lxu", "luu")
@@ -90,7 +92,7 @@ def test_stacked_nodes_match_the_per_node_oracle(name, kind, data):
         for field in FIELDS:
             assert close(getattr(der, field), getattr(want, field)), field
         # a node evaluated alone gives the bits of its row of the stack
-        node._kept = None
+        forget(node)
         alone = problem.evaluate_nodes([node], [x], [u])[0]
         assert np.array_equal(alone[0], ev[0]) and alone[1] == ev[1]
         der_alone = problem.differentiate_nodes([node], [x], [u])[0]
@@ -138,7 +140,7 @@ def test_derivative_pass_does_not_grow_with_the_window(monkeypatch):
         solver = trot_solver(N)
         kinds = {problem._group_key(n) for n in solver.problem.nodes}
         for node in solver.problem.nodes:
-            node._kept = None
+            forget(node)
         with monkeypatch.context() as mp:
             fk = count_calls(mp, kinematics, "forward_kinematics")
             solves = count_calls(mp, np.linalg, "solve")
@@ -165,28 +167,12 @@ def test_shared_frames_broadcast_over_stacked_states():
             assert np.array_equal(getattr(stacked, field)[k], getattr(alone, field))
 
 
-def test_derivatives_read_the_stacked_evaluation(monkeypatch):
-    # a group evaluated together is differentiated at its stacked solution,
-    # without splitting it per node and stacking it again
-    m = MODELS["default_quadruped"]
-    rng = np.random.default_rng(5)
-    nodes = build_nodes(m, rng, "running", 2, 3, anchored=False, restitution=0.0,
-                        w_qstatic=0.0)
-    xs = [random_state(m, rng, spread=0.2) for _ in nodes]
-    us = [rng.normal(size=m.nu) for _ in nodes]
-    problem.evaluate_nodes(nodes, xs, us)
-    seen = []
-    original = problem.RunningNode._differentiate_group
-    monkeypatch.setattr(problem.RunningNode, "_differentiate_group", staticmethod(
-        lambda group, x, u, sol: seen.append(sol) or original(group, x, u, sol)))
-    problem.differentiate_nodes(nodes, xs, us)
-    assert len(seen) == 1 and seen[0] is nodes[0]._kept[0].sol
-
-
-def test_rows_of_one_node_match_the_node_alone():
+def test_rows_of_one_node_match_the_node_alone(monkeypatch):
     # calc_rows evaluates a node at stacked rows as one group: each row
     # gives the bits of the node alone, and a row whose contact set is
-    # singular (here: not finite) gives nan and leaves the others as they are
+    # singular (here: not finite) gives nan and leaves the others as they
+    # are.  The node adopts a row at bit-equal inputs, and never the
+    # singular one
     solver = trot_solver(15)
     prob = solver.problem
     quad = prob.model
@@ -199,9 +185,19 @@ def test_rows_of_one_node_match_the_node_alone():
         u = rng.normal(size=(4, node.nu))
         x[2, 3] = np.nan
         with np.errstate(invalid="ignore"):
-            x_next, cost, kept = prob.calc_rows(k, x, u)
-        assert np.isnan(cost[2]) and np.isnan(x_next[2]).all() and kept[2] is None
+            x_next, cost = prob.calc_rows(k, x, u)
+        assert np.isnan(cost[2]) and np.isnan(x_next[2]).all()
+        with monkeypatch.context() as m:
+            solves = count_calls(m, ct, "impulse_dynamics" if node.kind == "impulse"
+                                 else "contact_forward_dynamics")
+            for j in (0, 1, 3):
+                adopted = node.calc(x[j].copy(), u[j].copy())
+                assert np.array_equal(adopted[0], x_next[j]) and adopted[1] == cost[j]
+            assert solves == []
+            with pytest.raises(RankDeficientContacts), np.errstate(invalid="ignore"):
+                node.calc(x[2], u[2])
+            assert len(solves) == 1
         for j in (0, 1, 3):
-            node._kept = None
+            forget(node)
             alone = node.calc(x[j], u[j])
             assert np.array_equal(alone[0], x_next[j]) and alone[1] == cost[j]

@@ -7,10 +7,10 @@ import pytest
 import scipy.optimize
 
 from leggedmpc import boxfddp, costs as co, presets, problem, schedule
-from leggedmpc.boxfddp import BoxFddp, boxqp, boxqp_kkt_violation
+from leggedmpc.boxfddp import BoxFddp, boxqp
 from leggedmpc.errors import NonPDHessian, NoStepAccepted, RankDeficientContacts
 
-from helpers import SequentialFddp
+from helpers import SequentialFddp, boxqp_kkt_violation, forget
 
 
 # ----------------------------------------------------------------- box QP
@@ -182,10 +182,9 @@ class EuclidProblem:
     def calc_rows(self, k, x, u):
         """Node ``k`` at each row, one row at a time; a singular row gives nan."""
         if x.ndim == 1:
-            return (*self._calc_row(k, x, u), [None])
+            return self._calc_row(k, x, u)
         rows = [self._calc_row(k, xi, ui) for xi, ui in zip(x, u)]
-        return (np.array([r[0] for r in rows]), np.array([r[1] for r in rows]),
-                [None] * len(rows))
+        return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
 
     def _calc_row(self, k, x, u):
         try:
@@ -193,11 +192,8 @@ class EuclidProblem:
         except RankDeficientContacts:
             return np.full_like(x, np.nan), np.nan
 
-    def keep(self, kept):
-        pass
-
-    def rollout(self, us, x0=None):
-        xs = [self.x0 if x0 is None else x0]
+    def rollout(self, us):
+        xs = [self.x0]
         for k, node in enumerate(self.nodes):
             xs.append(node.calc(xs[k], us[k])[0])
         return xs
@@ -299,7 +295,7 @@ def test_fddp_reduces_to_ddp_with_zero_gaps():
     assert solver.feasible
     solver.compute_derivatives()
     solver.backward_pass()
-    xs_try, us_try, _, _ = solver.forward_pass((1.0,))[0]
+    xs_try, us_try, _ = solver.forward_pass((1.0,))[0]
     assert solver.expected_improvement(1.0, xs_try) == pytest.approx(
         solver._dg + 0.5 * solver._dq)
 
@@ -411,9 +407,9 @@ def test_feasible_iterate_never_accepts_cost_increase(goldstein, expected):
     solver.backward_pass()
     solver.goldstein = goldstein
     solver.alphas = (1.0,)
-    xs_try, us_try, _, kept = solver.forward_pass((1.0,))[0]
-    solver.forward_pass = lambda alphas, *args: [(xs_try, us_try, solver.cost + 1.0,
-                                                  kept)] * len(alphas)
+    xs_try, us_try, _ = solver.forward_pass((1.0,))[0]
+    solver.forward_pass = lambda alphas, *args: [(xs_try, us_try,
+                                                  solver.cost + 1.0)] * len(alphas)
     solver.expected_improvement = lambda alpha, xs: expected
     assert solver._line_search() is None
 
@@ -474,7 +470,7 @@ def test_gap_contraction():
     for alpha in (1.0, 0.5, 0.25):
         out = solver.forward_pass((alpha,))[0]
         assert out is not None
-        xs_try, us_try, _, _ = out
+        xs_try, us_try, _ = out
         _, gaps_after = prob.calc(xs_try, us_try)
         for gb, ga in zip(gaps_before, gaps_after):
             assert np.abs(ga).max() <= (1 - alpha) * np.abs(gb).max() + 1e-10
@@ -878,6 +874,9 @@ def test_every_stacked_trial_matches_its_sequential_rollout(make):
         rows = BoxFddp.forward_pass(solver, alphas, min_decrease)
         dropped = 0
         for j, (alpha, row) in enumerate(zip(alphas, rows)):
+            # the nodes keep the stacked rows: the oracle must not reuse them
+            for node in solver.problem.nodes:
+                forget(node)
             want = solver.trial(alpha, None if min_decrease is None else min_decrease[j])
             assert (row is None) == (want is None), alpha
             if row is None:

@@ -235,17 +235,19 @@ def test_reference_lookup_is_zero_order_hold(quad, solver_message):
 
 # ------------------------------------------------------------ hqp cascade
 
-def test_nullspace_projector_annihilates_rows():
+def test_nullspace_basis_annihilates_rows():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((3, 8))
-    P = trk.nullspace_projector(A)
-    assert np.abs(A @ P).max() < 1e-12
-    np.testing.assert_allclose(P, P.T, atol=1e-12)
-    np.testing.assert_allclose(P @ P, P, atol=1e-12)
+    Z = trk.nullspace_basis(A)
+    assert Z.shape == (8, 5)
+    assert np.abs(A @ Z).max() < 1e-12
+    np.testing.assert_allclose(Z.T @ Z, np.eye(5), atol=1e-12)
     # duplicated rows collapse to the same null space
     Z = trk.nullspace_basis(np.vstack([A[0], A[0], A[1]]))
     assert Z.shape == (8, 6)
     np.testing.assert_allclose(Z.T @ Z, np.eye(6), atol=1e-12)
+    Z2 = trk.nullspace_basis(A[:2])
+    np.testing.assert_allclose(Z @ Z.T, Z2 @ Z2.T, atol=1e-12)
 
 
 def test_hqp_single_stage_is_least_squares():

@@ -247,11 +247,12 @@ def test_shifted_warm_start_reproduces_overlap(quad):
     for i in range(3):
         ctrl.step(x0, i * 0.02)
     old_plan, old_k0 = ctrl.problem.plan, ctrl.problem.k0
+    old_slots = [n.slot for n in ctrl.problem.nodes]
     old_xs = [np.array(x) for x in ctrl.solver.xs]
     old_us = [np.array(u) for u in ctrl.solver.us]
     # shift one node ahead without iterating
     problem.update_problem(ctrl.problem, x0, t0=(old_k0 + 1) * 0.02)
-    ctrl._shift_candidate(old_plan, ctrl.solver.xs, ctrl.solver.us,
+    ctrl._shift_candidate(old_plan, old_slots, ctrl.solver.xs, ctrl.solver.us,
                           old_k0 + ctrl.problem.N)
     times = {int(round(t / 0.02)): i for i, (_, t, *_r) in enumerate(old_plan)}
     for i, (_, t, *_r) in enumerate(ctrl.problem.plan):

@@ -1,12 +1,12 @@
 """Each node is evaluated once per iterate.
 
-Running and impulse nodes keep their last evaluation; an evaluation at
-equal inputs returns it and the derivatives are taken at its solution.  Reuse
-must change no result, and after an accepted step the solver's derivative
-pass and the MPC message must solve no dynamics at all.  Across an MPC
-shift the nodes of the slots both windows share stay as they are, with
-their evaluations, so the shifted candidate solves dynamics only for the
-nodes of new slots.
+Running and impulse nodes keep their last evaluation and the rows of their
+last stacked ``calc_rows``; an evaluation at bit-equal inputs returns one of
+them and the derivatives are taken at its solution.  Reuse must change no
+result, and after an accepted step the solver's derivative pass and the MPC
+message must solve no dynamics at all.  Across an MPC shift the nodes of
+the slots both windows share stay as they are, with their evaluations, so
+the shifted candidate solves dynamics only for the nodes of new slots.
 """
 
 import sys
@@ -20,6 +20,8 @@ from leggedmpc import kinematics, presets, problem, schedule
 from leggedmpc import model as mod
 from leggedmpc import mpc as rh
 from leggedmpc.boxfddp import BoxFddp
+
+from helpers import forget
 
 
 def placements(quad):
@@ -43,18 +45,18 @@ def jump_solver(candidate=True):
 
 
 def forget_before_every_call(monkeypatch):
-    """Drop the kept evaluations before every evaluation of nodes.
+    """Drop the kept evaluations and trial rows before every evaluation of nodes.
 
-    Node calls, the problem's stacked ``calc`` and its ``calc_diff`` all go
-    through ``evaluate_nodes``.
+    Node calls and solutions, the problem's stacked ``calc`` and its
+    ``calc_diff`` all go through ``_evaluations``.
     """
-    original = problem.evaluate_nodes
+    original = problem._evaluations
 
     def forgetful(nodes, xs, us):
         for node in nodes:
-            node._kept = None
+            forget(node)
         return original(nodes, xs, us)
-    monkeypatch.setattr(problem, "evaluate_nodes", forgetful)
+    monkeypatch.setattr(problem, "_evaluations", forgetful)
 
 
 def count_dynamics(monkeypatch):
@@ -128,6 +130,39 @@ def test_configure_drops_the_kept_evaluation():
     node.configure(node.time, ct.ContactSet(frames=()), {})
     assert node.solution(x, u) is not first
     assert node.solution(x, u).forces.size == 0
+
+
+def test_trial_rows_die_with_configure(monkeypatch):
+    # a node adopts the rows of its calc_rows at bit-equal inputs until it
+    # is configured, even to the configuration it had
+    solver = jump_solver()
+    prob = solver.problem
+    k = next(k for k, n in enumerate(prob.nodes) if n.kind == "running")
+    node = prob.nodes[k]
+    # rows away from the kept evaluation at (xs[k], us[k])
+    x = np.array([solver.xs[k], solver.xs[k]])
+    u = np.array([solver.us[k] + 0.5, solver.us[k] + 1.0])
+    prob.calc_rows(k, x, u)
+    calls = count_dynamics(monkeypatch)
+    node.calc(x[0].copy(), u[0].copy())
+    assert calls == {"contact": 0, "impulse": 0}
+    node.configure(node.time, node.contacts, node.swing, node.dt)
+    node.calc(x[1], u[1])
+    assert calls == {"contact": 1, "impulse": 0}
+
+
+def test_reuse_is_bit_equality(monkeypatch):
+    # inputs that compare equal but differ in their bits are evaluated again
+    solver = jump_solver()
+    node, x, u = solver.problem.nodes[0], solver.xs[0], solver.us[0]
+    flipped = x.copy()
+    flipped[np.flatnonzero((x == 0.0) & ~np.signbit(x))[0]] = -0.0
+    assert np.array_equal(flipped, x)
+    calls = count_dynamics(monkeypatch)
+    node.calc(x.copy(), u.copy())
+    assert calls == {"contact": 0, "impulse": 0}
+    node.calc(flipped, u)
+    assert calls == {"contact": 1, "impulse": 0}
 
 
 def test_message_forces_come_from_the_nodes(monkeypatch):
