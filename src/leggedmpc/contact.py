@@ -22,6 +22,10 @@ inverse-dynamics and constraint residuals at fixed (vdot, lambda) in one
 sweep over the tree, and one solve with the KKT matrix maps them onto the
 state and control sensitivities of (vdot, lambda) together.
 
+``predict`` is the one forward prediction: semi-implicit steps under a
+constant torque and a fixed contact set, taken by the running nodes, the
+MPC loop's delay prediction and the tracking controllers' reference rollout.
+
 Every routine also takes a stack of states (leading axes on q, v and u, a
 (B, nc) frame array in the ``ContactSet``) as one pass of array operations.
 Each state keeps its own rank check, and a state's results do not depend on
@@ -48,7 +52,7 @@ from .kinematics import (
     frame_positions,
     frame_velocities,
 )
-from .model import RobotModel
+from .model import RobotModel, semi_implicit_step, split_state, state
 
 COND_LIMIT = 1e12
 
@@ -200,6 +204,27 @@ def contact_forward_dynamics(model: RobotModel, q, v, u, contacts: ContactSet) -
            + _baumgarte(model, q, v, contacts, kin=kin, tw=tw))
     vdot, lam = _kkt_forward(M, J, tau_b, a_C, "contact-space")
     return ContactSolution(vdot=vdot, forces=lam, M=M, J=J, kin=kin)
+
+
+def predict(model: RobotModel, x, u, contacts: ContactSet, h, n: int):
+    """``n`` semi-implicit steps of length ``h`` from x, u and contacts fixed.
+
+    Returns each step's ``ContactSolution`` and the state it reaches, as two
+    lists of ``n``.  Stacked states (leading axes on x, u and h, with (B, nc)
+    frames in ``contacts``) run as one pass.  The steps carry (q, v), not
+    the packed state: ``state`` wraps the base angle, and ``se2.wrap_angle``
+    is not idempotent (it moves some negative angles already in (-pi, pi]
+    by an ulp), so ``split_state(state(q, v))`` is not (q, v) bit for bit.
+    """
+    q, v = split_state(model, x)
+    h = np.asarray(h, dtype=float)[..., None]
+    sols, xs = [], []
+    for _ in range(n):
+        sol = contact_forward_dynamics(model, q, v, u, contacts)
+        q, v = semi_implicit_step(model, q, v, sol.vdot, h)
+        sols.append(sol)
+        xs.append(state(model, q, v))
+    return sols, xs
 
 
 def impulse_dynamics(model: RobotModel, q, v_minus, contacts: ContactSet,

@@ -4,17 +4,20 @@ Two interchangeable consumers of :class:`~leggedmpc.mpc.PolicyMessage`:
 
 * :class:`RiccatiController` applies the solver's feedback law directly,
   ``u = clamp(u_ff + K (x_ref (-) x))``.  References between nodes come
-  from a contact-consistent rollout of the feed-forward torque, and the
-  base columns of ``K`` are switched off when fewer than two feet are in
-  contact (leg odometry is unreliable there).
+  from a contact-consistent rollout of the feed-forward torque
+  (``contact.predict``), and the base columns of ``K`` are switched off
+  when fewer than two feet are in contact (leg odometry is unreliable
+  there).
 * :class:`WholeBodyController` resolves the classical task hierarchy --
   contact dynamics with actuation limits, swing feet, centre of mass,
   centroidal momentum, contact forces -- as a cascade of small quadratic
   programs in the accumulated null space.  Flight phases fall back to a
   joint-space PD around the feed-forward torque.
 
-Both hold their last command (flagged degraded) when the active message
-runs out instead of extrapolating it.
+Both look a tick's interval and reference state up by the same rule (a
+time within 1e-12 s before a node time belongs to that node), and both hold
+their last command (flagged degraded) when the active message runs out
+instead of extrapolating it.
 """
 
 from __future__ import annotations
@@ -82,9 +85,10 @@ def rollout_reference(model: RobotModel, msg: PolicyMessage,
                       control_dt: float):
     """Predict reference states at the control period across one message.
 
-    Each node interval is integrated from its own optimal state under the
-    interval's feed-forward torque and planned contact set; node times snap
-    back to the optimal states, so only the in-between ticks are predicted.
+    Each node interval is integrated (``contact.predict``) from its own
+    optimal state under the interval's feed-forward torque and planned
+    contact set, in equal steps near ``control_dt``; node times snap back to
+    the optimal states, so only the in-between ticks are predicted.
     Returns (times, states) with ``times`` sorted and spanning the message.
     """
     times, states = [], []
@@ -95,15 +99,9 @@ def rollout_reference(model: RobotModel, msg: PolicyMessage,
         h = (t1 - t0) / n
         contacts = ct.ContactSet(frames=tuple(msg.contacts[i]))
         x = np.asarray(msg.xs_ref[i], float)
-        times.append(t0)
-        states.append(x)
-        q, v = mod.split_state(model, x)
-        u = np.asarray(u, float)
-        for j in range(1, n):
-            sol = ct.contact_forward_dynamics(model, q, v, u, contacts)
-            q, v = mod.semi_implicit_step(model, q, v, sol.vdot, h)
-            times.append(t0 + j * h)
-            states.append(mod.state(model, q, v))
+        _sols, xs = ct.predict(model, x, np.asarray(u, float), contacts, h, n - 1)
+        times += [t0 + j * h for j in range(n)]
+        states += [x, *xs]
     times.append(float(msg.node_times[-1]))
     states.append(np.asarray(msg.xs_ref[-1], float))
     return np.asarray(times), states

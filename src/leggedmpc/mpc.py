@@ -2,15 +2,16 @@
 
 The loop owns one shooting problem and one solver instance for its whole
 lifetime.  Each step predicts the initial state across the expected
-communication delay and starts the problem window at that predicted time:
-the first node runs from it to the next node of the grid, and every later
-node stays on the grid.  It maps the previous solution onto the nodes both
-windows share (the first node starts from the prediction when it lies
-inside a slot of the previous window; a rollout from the previous terminal
-state fills the receded tail), runs a fixed number of solver iterations (one
-by default) from one warm regularization, and emits the policy slice the
-tracking controller consumes.  The shared nodes keep their evaluation at the
-previous iterate, so only the nodes of new slots solve dynamics in the shift.
+communication delay (``contact.predict`` under the schedule's contact set)
+and starts the problem window at that predicted time: the first node runs
+from it to the next node of the grid, and every later node stays on the
+grid.  It maps the previous solution onto the nodes both windows share (the
+first node starts from the prediction when it lies inside a slot of the
+previous window; a rollout from the previous terminal state fills the
+receded tail), runs one solver iteration from one warm regularization, and
+emits the policy slice the tracking controller consumes.  The shared nodes
+keep their evaluation at the previous iterate, so only the nodes of new
+slots solve dynamics in the shift.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ class MpcConfig:
     expected_delay: float = 0.0     # communication + computation delay, s;
                                     # the window starts this long after the
                                     # step's wall time
-    solver_tol: float = 1e-6
-    iterations_per_step: int = 1    # >1 only for offline convergence studies
 
     def __post_init__(self):
         if self.horizon <= 0 or self.node_dt <= 0:
@@ -61,8 +60,6 @@ class MpcConfig:
             raise ConfigError("update_rate must be positive")
         if self.expected_delay < 0:
             raise ConfigError("expected_delay must be non-negative")
-        if self.iterations_per_step < 1:
-            raise ConfigError("iterations_per_step must be >= 1")
 
     @property
     def n_nodes(self) -> int:
@@ -98,14 +95,13 @@ class PolicyMessage:
         return float(self.node_times[-1])
 
     def interval_at(self, t: float) -> int:
-        """Index of the control interval containing time t (clamped)."""
-        times = self.node_times
-        if t <= times[0]:
-            return 0
-        for i in range(len(self.us_ff)):
-            if t < times[i + 1]:
-                return i
-        return len(self.us_ff) - 1
+        """Index of the control interval containing time t (clamped).
+
+        A time less than 1e-12 s before a node time belongs to the interval
+        that node starts, as in the tracking controllers' reference lookup.
+        """
+        i = int(np.searchsorted(self.node_times, t + 1e-12, side="right")) - 1
+        return min(max(i, 0), len(self.us_ff) - 1)
 
     def to_json(self) -> str:
         payload = {
@@ -177,21 +173,15 @@ def predict_initial_state(model: RobotModel, x0: np.ndarray, u0: np.ndarray,
                           contacts: ct.ContactSet, dt_delay: float) -> np.ndarray:
     """Integrate x0 under constant u0 across the expected delay.
 
-    Contact-consistent forward simulation with the current contact set;
-    sub-stepped (``_MAX_SUBSTEP``) so longer delays stay accurate.
+    ``contact.predict`` under the current contact set, in the fewest equal
+    steps of at most ``_MAX_SUBSTEP``, so longer delays stay accurate.
     """
     if dt_delay < 0:
         raise ConfigError("delay must be non-negative")
-    x = np.asarray(x0, float)
     if dt_delay == 0.0:
-        return np.array(x)
+        return np.array(x0, float)
     n = max(1, int(math.ceil(dt_delay / _MAX_SUBSTEP - 1e-12)))
-    h = dt_delay / n
-    q, v = mod.split_state(model, x)
-    for _ in range(n):
-        sol = ct.contact_forward_dynamics(model, q, v, u0, contacts)
-        q, v = mod.semi_implicit_step(model, q, v, sol.vdot, h)
-    return mod.state(model, q, v)
+    return ct.predict(model, x0, u0, contacts, dt_delay / n, n)[1][-1]
 
 
 # ---------------------------------------------------------------- main loop
@@ -227,7 +217,7 @@ class Mpc:
                                         N=N, dt=config.node_dt, cone=cone)
         n_touchdowns = len(schedule.touchdowns_in(0.0, schedule.end_time))
         self.problem.reserve(n_running=N, n_impulse=n_touchdowns)
-        self.solver = BoxFddp(self.problem, tol=config.solver_tol)
+        self.solver = BoxFddp(self.problem)
         self._q_nom = q_nom
         self._useed_cache: dict[tuple, np.ndarray] = {}
         frames0 = self.problem.plan[0][2]
@@ -422,23 +412,16 @@ class Mpc:
         self.k0 = k_now
         self.solver.mu = self._MU_WARM
 
-        status = "stepped"
-        stepped = False
         try:
-            for _ in range(cfg.iterations_per_step):
-                if self.solver.solve_one_iteration():
-                    status = "converged"
-                    break
-                stepped = True
+            converged = self.solver.solve_one_iteration()
         except NoStepAccepted:
             # no progress at all this step: re-issue the previous policy,
             # marked degraded, rather than ship an unimproved warm start
-            if not stepped:
-                if self.last_message is None:
-                    raise
-                return self._reissue_degraded(wall_time)
+            if self.last_message is None:
+                raise
+            return self._reissue_degraded(wall_time)
 
-        msg = self._emit(wall_time, status)
+        msg = self._emit(wall_time, "converged" if converged else "stepped")
         self.last_message = msg
         self.steps += 1
         return msg

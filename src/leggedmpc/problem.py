@@ -363,13 +363,12 @@ class RunningNode(_DynamicsNode):
     @staticmethod
     def _evaluate_group(nodes, x, u):
         model = nodes[0].model
-        q, v = mod.split_state(model, x)
-        sol = ct.contact_forward_dynamics(model, q, v, u, _contacts(nodes))
         dt = np.asarray(_stack([n.dt for n in nodes]))
-        qn, vn = mod.semi_implicit_step(model, q, v, sol.vdot, dt[..., None])
+        (sol,), (x_next,) = ct.predict(model, x, u, _contacts(nodes), dt, 1)
+        q, v = mod.split_state(model, x)
         acc = _Expansion(dt, 2 * model.nv, model.nu)
         RunningNode._costs(nodes, q, v, u, sol, acc)
-        return sol, mod.state(model, qn, vn), acc.value
+        return sol, x_next, acc.value
 
     @staticmethod
     def _differentiate_group(nodes, x, u, sol):

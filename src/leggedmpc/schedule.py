@@ -129,18 +129,6 @@ class ContactSchedule:
         events.sort()
         return events
 
-    def swing_reference(self, foot: int, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Cycloidal foot target (position, velocity) during a swing phase.
-
-        The arc starts at the lift placement, peaks at ``apex`` above the
-        ground midway through, and lands on the touchdown target with zero
-        velocity in both components.
-        """
-        ph = self.phase_at(foot, t)
-        if ph.in_contact:
-            raise ScheduleError(f"foot {foot} is in stance at t={t:.6g}")
-        return evaluate_swing(ph, t)
-
     def check_grid_alignment(self, dt: float, t_end: float | None = None):
         """Raise when a finite phase boundary cannot be snapped to the grid.
 

@@ -126,6 +126,27 @@ def test_singular_row_of_a_stack_is_flagged_alone(quad):
     assert exc.value.rows.tolist() == [False, True, False]
 
 
+# ---------------------------------------------------------------- prediction
+
+def test_predict_rows_match_each_row_alone(quad):
+    rng = np.random.default_rng(11)
+    xs = np.array([random_state(quad, rng, spread=0.1) for _ in range(3)])
+    us = rng.normal(size=(3, quad.nu))
+    hs = np.array([2.5e-3, 2e-3, 1e-3])
+    frames = np.array([[0, 3], [1, 2], [0, 1]])
+    anchored = stance_contacts(quad, presets.nominal_configuration(quad))
+    stacked = ct.ContactSet(frames=frames, anchors=anchored.anchors)
+    sols, states = ct.predict(quad, xs, us, stacked, hs, 3)
+    assert len(sols) == len(states) == 3
+    for b in range(3):
+        alone = ct.ContactSet(frames=tuple(frames[b]), anchors=anchored.anchors)
+        sols_b, states_b = ct.predict(quad, xs[b], us[b], alone, hs[b], 3)
+        for k in range(3):
+            assert np.array_equal(states[k][b], states_b[k])
+            assert np.array_equal(sols[k].vdot[b], sols_b[k].vdot)
+            assert np.array_equal(sols[k].forces[b], sols_b[k].forces)
+
+
 # ------------------------------------------------------------------ impulse
 
 def test_impulse_point_mass_momentum():

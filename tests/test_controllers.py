@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,29 @@ def test_reference_lookup_is_zero_order_hold(quad, solver_message):
     # before the window starts, clamp to the first state
     np.testing.assert_allclose(ctrl.reference_at(-1.0),
                                solver_message.xs_ref[0], atol=0)
+
+
+@pytest.mark.parametrize("controller", [trk.RiccatiController,
+                                        trk.WholeBodyController])
+def test_tick_just_before_a_node_reads_one_interval(quad, solver_message,
+                                                    controller):
+    # the second interval plans a different contact set, so the command's
+    # contacts tell which interval the tick was given
+    forces = np.asarray(solver_message.forces_ref[1], float)
+    msg = replace(solver_message,
+                  contacts=[solver_message.contacts[0], (0, 3),
+                            *solver_message.contacts[2:]],
+                  forces_ref=[solver_message.forces_ref[0],
+                              np.concatenate([forces[:2], forces[6:]]),
+                              *solver_message.forces_ref[2:]])
+    ctrl = controller(quad, co.default_bounds(
+        quad, presets.nominal_configuration(quad)))
+    ctrl.update_message(msg)
+    t = np.nextafter(msg.node_times[1], -np.inf)
+    cmd = ctrl.control(np.array(msg.xs_ref[1]), t)
+    np.testing.assert_array_equal(cmd.x_ref, msg.xs_ref[1])
+    assert cmd.contacts == (0, 3)
+    np.testing.assert_array_equal(cmd.forces_ref, msg.forces_ref[1])
 
 
 # ------------------------------------------------------------ hqp cascade

@@ -52,7 +52,6 @@ def test_config_rejects_bad_fields():
                 dict(control_horizon_nodes=21),
                 dict(update_rate=0.0),
                 dict(expected_delay=-0.001),
-                dict(iterations_per_step=0),
                 dict(node_dt=-0.02)):
         with pytest.raises(ConfigError):
             rh.MpcConfig(**{**good, **bad})
@@ -355,7 +354,7 @@ def test_delayed_trot_swing_targets_at_predicted_time(delayed_trot):
     for k, swing in enumerate(swings):
         t_pred = k * 0.02 + 0.01
         for f, target in swing.items():
-            pos, vel = sched.swing_reference(f, t_pred)
+            pos, vel = schedule.evaluate_swing(sched.phase_at(f, t_pred), t_pred)
             assert np.array_equal(target.pos, pos)
             assert np.array_equal(target.vel, vel)
             seen += 1

@@ -62,12 +62,13 @@ def test_swing_reference_endpoints(quad):
     sched = schedule.jump(range(4), placements, stance=0.3, flight=0.4,
                           n_jumps=1, apex=0.08)
     p0 = placements[1]
-    pos, vel = sched.swing_reference(1, 0.3)
+    pos, vel = schedule.evaluate_swing(sched.phase_at(1, 0.3), 0.3)
     assert np.allclose(pos, p0, atol=1e-12)
     assert np.allclose(vel, 0.0, atol=1e-12)
-    pos, vel = sched.swing_reference(1, 0.5)  # mid swing: apex, moving up/none
+    # mid swing: apex, moving up/none
+    pos, vel = schedule.evaluate_swing(sched.phase_at(1, 0.5), 0.5)
     assert pos[1] == pytest.approx(p0[1] + 0.08)
-    pos, vel = sched.swing_reference(1, 0.7 - 1e-9)
+    pos, vel = schedule.evaluate_swing(sched.phase_at(1, 0.7 - 1e-9), 0.7 - 1e-9)
     assert np.allclose(pos, p0, atol=1e-7)
     assert np.allclose(vel, 0.0, atol=1e-5)
 
@@ -78,9 +79,9 @@ def test_swing_reference_consistent_with_fd(quad):
                           double_support=0.1, stride=0.15, cycles=2)
     eps = 1e-7
     for t in (0.25, 0.3, 0.42):
-        pos_p, _ = sched.swing_reference(0, t + eps)
-        pos_m, _ = sched.swing_reference(0, t - eps)
-        _, vel = sched.swing_reference(0, t)
+        pos_p, _ = schedule.evaluate_swing(sched.phase_at(0, t + eps), t + eps)
+        pos_m, _ = schedule.evaluate_swing(sched.phase_at(0, t - eps), t - eps)
+        _, vel = schedule.evaluate_swing(sched.phase_at(0, t), t)
         assert np.abs((pos_p - pos_m) / (2 * eps) - vel).max() < 1e-5
 
 
