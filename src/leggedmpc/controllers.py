@@ -290,17 +290,18 @@ def _stage_qp(G, d, W, lb, ub):
     raise MaxIterations("stage QP active-set iteration did not settle")
 
 
-def hqp_solve(tasks, ineq: RowBounds | None = None, ny: int | None = None,
+def hqp_solve(tasks, ineq: RowBounds | None = None,
               stage1_tol: float | None = None,
               y0: np.ndarray | None = None) -> HqpSolution:
     """Lexicographic least squares over a priority-ordered task list.
 
-    Every stage minimizes its own residual inside the accumulated null
-    space of all higher-priority task matrices; the inequality rows are
-    carried unchanged into each stage.  ``y0`` seeds the first stage and
-    must satisfy the inequality rows (each stage output stays feasible, so
-    later stages start feasible automatically); it defaults to zero, which
-    is only valid when the bounds contain the origin.  When ``stage1_tol``
+    The unknown has the width of the task matrices.  Every stage minimizes
+    its own residual inside the accumulated null space of all
+    higher-priority task matrices; the inequality rows are carried unchanged
+    into each stage.  ``y0`` seeds the first stage and must satisfy the
+    inequality rows (each stage output stays feasible, so later stages start
+    feasible automatically); it defaults to zero, which is only valid when
+    the bounds contain the origin.  When ``stage1_tol``
     is given, a first-stage residual above ``stage1_tol * max(1, |a_1|_inf)``
     raises :class:`Stage1Infeasible` (the dynamics cannot be realized
     within the actuation and cone limits).
@@ -308,8 +309,7 @@ def hqp_solve(tasks, ineq: RowBounds | None = None, ny: int | None = None,
     tasks = sorted(tasks, key=lambda task: task.rank)
     if not tasks:
         raise ConfigError("hqp_solve needs at least one task")
-    if ny is None:
-        ny = np.atleast_2d(tasks[0].A).shape[1]
+    ny = np.atleast_2d(tasks[0].A).shape[1]
     y = np.zeros(ny) if y0 is None else np.array(y0, dtype=float)
     Z = np.eye(ny)
     residuals, null_dims = [], []
@@ -495,15 +495,17 @@ class WholeBodyController(_MessageTracker):
     degraded flag set.
     """
 
+    # first-stage residual, relative to max(1, |a_1|_inf), above which the
+    # dynamics count as unrealizable (``hqp_solve``)
+    stage1_tol = 1e-6
+
     def __init__(self, model: RobotModel, bounds: Bounds,
                  gains: WbcGains | None = None,
                  cone: FrictionCone | None = None,
-                 control_dt: float = 1.0 / 400.0,
-                 stage1_tol: float = 1e-6):
+                 control_dt: float = 1.0 / 400.0):
         super().__init__(model, bounds, control_dt)
         self.gains = gains if gains is not None else WbcGains()
         self.cone = cone
-        self.stage1_tol = stage1_tol
         self.last_hqp: HqpSolution | None = None
 
     def control(self, x: np.ndarray, t: float) -> ControlCommand:
@@ -531,8 +533,7 @@ class WholeBodyController(_MessageTracker):
                                            self.cone, len(frames))
                 seed = wbc_seed(self.model, self.bounds, self.cone,
                                 len(frames))
-                sol = hqp_solve(tasks, ineq, ny=seed.size,
-                                stage1_tol=self.stage1_tol, y0=seed)
+                sol = hqp_solve(tasks, ineq, stage1_tol=self.stage1_tol, y0=seed)
                 self.last_hqp = sol
                 nv, nu = self.model.nv, self.model.nu
                 u = np.clip(sol.y[nv:nv + nu],

@@ -189,9 +189,9 @@ def predict_initial_state(model: RobotModel, x0: np.ndarray, u0: np.ndarray,
 class Mpc:
     """Predictive controller bound to one schedule, model, and cost set.
 
-    All problem memory is allocated in the constructor (node pools cover
-    every touchdown the schedule can bring into the window); ``step`` never
-    constructs an action model.
+    Each ``step`` keeps the nodes of the slots the shifted window shares
+    with the previous one and constructs a node for each new slot, one to
+    three per step of a trot.
     """
 
     # regularization every step starts from.  The mu left by the previous
@@ -212,15 +212,13 @@ class Mpc:
         self.config = config
         q_nom = weights.q_ref
         self.x_nominal = mod.state(model, q_nom, np.zeros(model.nv))
-        N = config.n_nodes
         self.problem = pb.build_problem(model, schedule, weights, bounds, x0,
-                                        N=N, dt=config.node_dt, cone=cone)
-        n_touchdowns = len(schedule.touchdowns_in(0.0, schedule.end_time))
-        self.problem.reserve(n_running=N, n_impulse=n_touchdowns)
+                                        N=config.n_nodes, dt=config.node_dt,
+                                        cone=cone)
         self.solver = BoxFddp(self.problem)
         self._q_nom = q_nom
         self._useed_cache: dict[tuple, np.ndarray] = {}
-        frames0 = self.problem.plan[0][2]
+        frames0 = self.problem.nodes[0].contacts.frames
         if frames0:
             self.u_qs, self.lam_qs = quasi_static_start(
                 model, q_nom, ct.ContactSet(frames=frames0))
@@ -250,8 +248,8 @@ class Mpc:
         """Startup guess: nominal posture, per-node quasi-static torques."""
         xs = [np.array(self.x_nominal)
               for _ in range(len(self.problem.nodes) + 1)]
-        us = [self._u_seed(active) if kind == "running" else np.zeros(0)
-              for kind, _t, active, _g in self.problem.plan]
+        us = [self._u_seed(n.contacts.frames) if n.kind == "running" else np.zeros(0)
+              for n in self.problem.nodes]
         self.solver.set_candidate(xs=xs, us=us)
 
     # -- per-step pieces --------------------------------------------------
@@ -263,12 +261,12 @@ class Mpc:
             return self.u_qs
         return np.asarray(msg.us_ff[msg.interval_at(t)], float)
 
-    def _shift_candidate(self, old_plan, old_slots, old_xs, old_us, old_k_end: int):
-        """Map the previous solution onto the new window by node slot.
+    def _shift_candidate(self, old_nodes, old_xs, old_us, old_k_end: int):
+        """Map the previous solution onto the new window by node.
 
-        ``old_slots`` are the slots of the previous window's nodes.  A node
-        whose slot both windows hold (one ``set_window`` kept) takes its
-        previous state and control, at which it keeps its evaluation.  A
+        ``old_nodes`` are the previous window's nodes, which no shift
+        changes.  A node both windows hold (one ``set_window`` kept) takes
+        its previous state and control, at which it keeps its evaluation.  A
         first node that starts between the previous window's nodes starts
         from the predicted state ``problem.x0`` once a plan has been solved.
         Nodes past the previous coverage are rolled out from the previous
@@ -279,16 +277,17 @@ class Mpc:
         new slots one at a time.
         """
         dt = self.config.node_dt
-        index = {slot: j for j, slot in enumerate(old_slots)}
+        index = {id(node): j for j, node in enumerate(old_nodes)}
         last_u, last_active = None, None
-        for j in range(len(old_plan) - 1, -1, -1):
-            if old_plan[j][0] == "running":
-                last_u, last_active = old_us[j], tuple(old_plan[j][2])
+        for j in range(len(old_nodes) - 1, -1, -1):
+            if old_nodes[j].kind == "running":
+                last_u, last_active = old_us[j], old_nodes[j].contacts.frames
                 break
         xs, us = [], []
         tail_x = None
-        for i, (kind, t, active, _gained) in enumerate(self.problem.plan):
-            j = index.get(self.problem.nodes[i].slot)
+        for i, node in enumerate(self.problem.nodes):
+            kind, t, active = node.kind, node.time, node.contacts.frames
+            j = index.get(id(node))
             if j is not None:
                 xs.append(old_xs[j])
                 us.append(old_us[j])
@@ -296,8 +295,8 @@ class Mpc:
                 continue
             cover = None
             if i == 0 and t < old_k_end * dt:
-                cover = max((m for m, (kind_m, t_m, *_r) in enumerate(old_plan)
-                             if kind_m == "running" and t_m <= t), default=None)
+                cover = max((m for m, n in enumerate(old_nodes)
+                             if n.kind == "running" and n.time <= t), default=None)
             if cover is not None:
                 # the window starts inside the slot of a previous node.  A
                 # solved plan goes on from the predicted state, under that
@@ -314,7 +313,7 @@ class Mpc:
                 u = np.zeros(0)
             elif cover is not None:
                 u = np.array(old_us[cover])
-            elif tuple(active) == last_active and last_u is not None:
+            elif active == last_active and last_u is not None:
                 # the appended node continues the previous window's last
                 # stance: its converged control is a far better guess than
                 # the static balance
@@ -324,7 +323,7 @@ class Mpc:
             xs.append(np.array(tail_x))
             us.append(u)
             with np.errstate(over="ignore", invalid="ignore"):
-                nxt, _cost = self.problem.nodes[i].calc(tail_x, u)
+                nxt, _cost = node.calc(tail_x, u)
             tail_x = nxt if np.all(np.isfinite(nxt)) \
                 else np.array(self.x_nominal)
         xs.append(np.array(tail_x) if tail_x is not None
@@ -334,13 +333,12 @@ class Mpc:
     def _emit(self, stamp: float, status: str) -> PolicyMessage:
         cfg = self.config
         nodes = self.problem.nodes
-        plan = self.problem.plan
         xs, us = self.solver.xs, self.solver.us
         gains = self.solver.policy.K_fb
         sel = [i for i, n in enumerate(nodes)
                if n.kind == "running"][:cfg.control_horizon_nodes]
-        node_times = [plan[i][1] for i in sel]
-        node_times.append(plan[sel[-1]][1] + nodes[sel[-1]].dt)
+        node_times = [nodes[i].time for i in sel]
+        node_times.append(nodes[sel[-1]].time + nodes[sel[-1]].dt)
         # the nodes kept their solutions from the solver's last evaluation
         forces = [nodes[i].solution(xs[i], us[i]).forces.copy() for i in sel]
         diag = {
@@ -361,7 +359,7 @@ class Mpc:
             us_ff=[np.array(us[i]) for i in sel],
             K_gains=[np.array(gains[i]) for i in sel],
             forces_ref=forces,
-            contacts=[tuple(plan[i][2]) for i in sel],
+            contacts=[nodes[i].contacts.frames for i in sel],
             diagnostics=diag,
         )
 
@@ -402,13 +400,11 @@ class Mpc:
         x0_pred = predict_initial_state(self.model, measurement, u_now,
                                         contacts_now, cfg.expected_delay)
 
-        old_plan, old_k0 = self.problem.plan, self.problem.k0
-        old_slots = [node.slot for node in self.problem.nodes]
+        old_nodes, old_k0 = self.problem.nodes, self.problem.k0
         old_xs, old_us = self.solver.xs, self.solver.us
         pb.update_problem(self.problem, x0_pred,
                           t0=wall_time + cfg.expected_delay)
-        self._shift_candidate(old_plan, old_slots, old_xs, old_us,
-                              old_k0 + cfg.n_nodes)
+        self._shift_candidate(old_nodes, old_xs, old_us, old_k0 + cfg.n_nodes)
         self.k0 = k_now
         self.solver.mu = self._MU_WARM
 

@@ -21,12 +21,12 @@ in) or a row of its last stacked ``calc_rows`` (a line-search trial),
 which the next evaluation adopts as the kept one.  Derivatives are taken
 at the reused solutions, each group's rows stacked again, instead of
 solving the dynamics again (as Crocoddyl's ``calcDiff`` reads the data its
-``calc`` left).  ``configure`` forgets both and leaves the node without a
-``slot``.  ``configure_slot`` configures the node from a plan key (plan
-entry, start time, period), which fixes its configuration because a
-problem's schedule, weights and ``dt`` never change, and keeps the key as
-the slot; ``ShootingProblem.set_window`` keeps a node whose slot the next
-window holds too, with its evaluations.
+``calc`` left).  A node is constructed with its whole configuration and
+never changes.  ``ShootingProblem`` builds each node for a slot: its plan
+key (plan entry, start time, period), which fixes the node because a
+problem's schedule, weights and ``dt`` never change.  ``set_window`` keeps
+the node of a slot the next window holds too, with its evaluations, and
+builds one for each new slot.
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ from .errors import RankDeficientContacts, ScheduleError
 from .kinematics import frame_positions, frame_velocities
 from .model import RobotModel
 from .schedule import ContactSchedule, evaluate_swing
-
-# Incremented whenever a node object is constructed; lets callers assert that
-# steady-state problem updates reuse the existing pool instead of rebuilding.
-NODE_ALLOCATIONS = 0
 
 
 @dataclass
@@ -202,10 +198,10 @@ def _half(dt):
 class _DynamicsNode:
     """The evaluations a running or impulse node keeps (module docstring)."""
 
-    def _retarget(self, time, contacts):
-        """Set the time and contact set; forget the evaluations and the slot."""
-        self.time, self.contacts = time, contacts
-        self.slot, self._kept, self._trials = None, None, {}
+    def __init__(self, model, weights, time, contacts, slot):
+        self.model, self.weights = model, weights
+        self.time, self.contacts, self.slot = time, contacts, slot
+        self._kept, self._trials = None, {}
 
     def _reuse(self, key):
         """The evaluation at the inputs ``key``: the kept one, or a trial row,
@@ -246,23 +242,21 @@ class _DynamicsNode:
 
 
 class RunningNode(_DynamicsNode):
-    """One integration step of the contact dynamics with its running cost.
-
-    ``configure`` sets the node's start time, contact set, swing targets
-    and period ``dt``.
-    """
+    """One integration step of the contact dynamics with its running cost:
+    from ``time`` over the period ``dt`` under ``contacts``, tracking the
+    targets ``swing`` of the feet in the air."""
 
     kind = "running"
 
     def __init__(self, model: RobotModel, weights: co.CostWeights,
-                 bounds: co.Bounds | None, cone: co.FrictionCone | None):
-        global NODE_ALLOCATIONS
-        NODE_ALLOCATIONS += 1
-        self.model = model
-        self.dt = 0.0
-        self.weights = weights
+                 bounds: co.Bounds | None, cone: co.FrictionCone | None,
+                 time: float, contacts: ct.ContactSet,
+                 swing: dict[int, SwingTarget], dt: float, slot=None):
+        super().__init__(model, weights, time, contacts, slot)
         self.bounds = bounds
         self.cone = cone
+        self.swing = swing
+        self.dt = float(dt)
         self.cone_C, self.cone_c = (co.cone_matrices(cone) if cone is not None
                                     else (None, None))
         nu = model.nu
@@ -270,19 +264,6 @@ class RunningNode(_DynamicsNode):
                      else np.full(nu, -np.inf))
         self.u_ub = (bounds.u_ub if bounds is not None
                      else np.full(nu, np.inf))
-        self.configure(0.0, ct.ContactSet(), {})
-
-    @property
-    def nu(self):
-        return self.model.nu
-
-    def configure(self, time: float, contacts: ct.ContactSet,
-                  swing: dict[int, SwingTarget], dt: float | None = None):
-        """Retarget the node, without a slot; a given ``dt`` sets the period."""
-        self._retarget(time, contacts)
-        self.swing = swing
-        if dt is not None:
-            self.dt = float(dt)
         # swing frames, target (positions, velocities) and their residual weights
         targets = [swing[f] for f in sorted(swing)]
         self._targets = _NO_TARGETS if not swing else (
@@ -292,21 +273,9 @@ class RunningNode(_DynamicsNode):
             np.repeat([[t.w_pos for t in targets], [t.w_vel for t in targets]],
                       2, -1).astype(float).reshape(2, -1))
 
-    def configure_slot(self, schedule: ContactSchedule, dt: float, slot):
-        """Configure the node for the plan key ``slot`` (plan entry, start,
-        period) of a problem with node period ``dt``, and keep it as the slot.
-
-        The node spans [start, start + period] inside its grid slot: its
-        swing phases are those of the slot, evaluated at ``start``.
-        """
-        (_kind, t, active, _gained), start, period = slot
-        w = self.weights
-        phases = {f: schedule.phase_at(f, t + _half(dt))
-                  for f in schedule.feet if f not in active}
-        swing = {f: SwingTarget(*evaluate_swing(ph, start), w_pos=w.w_placement,
-                                w_vel=w.w_velocity) for f, ph in phases.items()}
-        self.configure(start, ct.ContactSet(frames=tuple(active)), swing, period)
-        self.slot = slot
+    @property
+    def nu(self):
+        return self.model.nu
 
     def _group_params(self):
         return id(self.bounds), self.cone, len(self.swing)
@@ -408,39 +377,20 @@ class RunningNode(_DynamicsNode):
 
 
 class ImpulseNode(_DynamicsNode):
-    """Instantaneous inelastic velocity transition at a touchdown."""
+    """Instantaneous inelastic velocity transition at ``time`` into
+    ``contacts``; ``gained`` maps each foot touching down to its placement."""
 
     kind = "impulse"
     dt = 0.0
-
-    def __init__(self, model: RobotModel, weights: co.CostWeights,
-                 restitution: float = 0.0):
-        global NODE_ALLOCATIONS
-        NODE_ALLOCATIONS += 1
-        self.model = model
-        self.weights = weights
-        self.restitution = restitution
-        self.u_lb = np.zeros(0)
-        self.u_ub = np.zeros(0)
-        self.configure(0.0, ct.ContactSet(), {})
-
     nu = 0
+    u_lb = u_ub = np.zeros(0)
 
-    def configure(self, time: float, contacts: ct.ContactSet,
-                  gained: dict[int, np.ndarray]):
-        """Retarget the node to the touchdowns ``gained``, without a slot."""
-        self._retarget(time, contacts)
+    def __init__(self, model: RobotModel, weights: co.CostWeights, time: float,
+                 contacts: ct.ContactSet, gained: dict[int, np.ndarray],
+                 restitution: float = 0.0, slot=None):
+        super().__init__(model, weights, time, contacts, slot)
         self.gained = gained
-
-    def configure_slot(self, schedule: ContactSchedule, dt: float, slot):
-        """Configure the node for the plan key ``slot`` (see
-        ``RunningNode.configure_slot``), its touchdowns at their placements,
-        and keep it as the slot."""
-        (_kind, t, active, gained), _start, _period = slot
-        tq = min(t + _half(dt), schedule.end_time - _snap_eps(dt))
-        self.configure(t, ct.ContactSet(frames=tuple(active)),
-                       {f: schedule.placement(f, tq) for f in gained})
-        self.slot = slot
+        self.restitution = restitution
 
     def _group_params(self):
         return self.restitution, len(self.gained)
@@ -548,22 +498,17 @@ def differentiate_nodes(nodes, xs, us) -> list[NodeDerivatives]:
 
 
 class TerminalNode:
-    """State costs only; closes the horizon."""
+    """State costs only; closes the horizon at ``time``."""
 
     kind = "terminal"
     dt = 0.0
     nu = 0
 
     def __init__(self, model: RobotModel, weights: co.CostWeights,
-                 bounds: co.Bounds | None):
-        global NODE_ALLOCATIONS
-        NODE_ALLOCATIONS += 1
+                 bounds: co.Bounds | None, time: float):
         self.model = model
         self.weights = weights
         self.bounds = bounds
-        self.time = 0.0
-
-    def configure(self, time: float):
         self.time = time
 
     def _expansion(self, x, with_jac):
@@ -589,11 +534,9 @@ class ShootingProblem:
     (placed before the running node that starts there), and a terminal node
     closes the window.  The problem keeps what it was built from -- model,
     schedule, weights, bounds, friction cone (mu = 0.7 unless given), node
-    period ``dt`` and node count ``N`` -- and its node pools, so
-    ``set_window`` (and ``update_problem``) moves the window from a new
-    initial state and start time alone.  ``k0`` is the grid slot holding the
-    window's start and ``plan`` its per-slot timing plan; the first entry
-    carries the start time itself, which may lie inside its slot.
+    period ``dt`` and node count ``N`` -- so ``set_window`` (and
+    ``update_problem``) moves the window from a new initial state and start
+    time alone.  ``k0`` is the grid slot holding the window's start.
     """
 
     def __init__(self, model: RobotModel, schedule: ContactSchedule,
@@ -610,12 +553,10 @@ class ShootingProblem:
         self.N = N
         self.dt = dt
         self.nodes = []
-        self.terminal = TerminalNode(model, weights, bounds)
-        self._pools = {"running": [], "impulse": []}
         self.set_window(x0, t0)
 
     def set_window(self, x0: np.ndarray, t0: float):
-        """Retarget the nodes to the window [t0, (k0 + N)*dt] from state ``x0``.
+        """Move the window to [t0, (k0 + N)*dt], from state ``x0``.
 
         ``k0`` is the grid slot holding ``t0`` (a ``t0`` within rounding of
         a grid node is that node).  The first running node starts at ``t0``
@@ -625,9 +566,8 @@ class ShootingProblem:
         node sits on the grid.  A node's slot is its plan key: plan entry,
         start time and period, bit-equal in every window that holds the slot
         (a grid time is always k*dt).  A node whose slot is also in the new
-        window stays, with its evaluations; spare nodes of the pools take
-        the new slots (``configure_slot``), and the pools construct action
-        models only when they run dry (visible through ``NODE_ALLOCATIONS``).
+        window stays, with its evaluations; each new slot gets a new node
+        (``_node``), and the window a new terminal node.
         """
         dt = self.dt
         k0 = int(round(t0 / dt))
@@ -640,35 +580,34 @@ class ShootingProblem:
         slots = [(entry, *((t0, dt0) if i == 0 else (entry[1], dt)))
                  for i, entry in enumerate(plan)]
         kept = {node.slot: node for node in self.nodes}
-        nodes = [kept.pop(slot, None) for slot in slots]
-        kinds = [entry[0] for entry in plan]
-        self.reserve(kinds.count("running"), kinds.count("impulse"))
-        spare = {kind: (n for n in pool if n not in nodes)
-                 for kind, pool in self._pools.items()}
-        for i, slot in enumerate(slots):
-            if nodes[i] is None:
-                nodes[i] = next(spare[kinds[i]])
-                nodes[i].configure_slot(self.schedule, dt, slot)
-        self.nodes = nodes
-        plan[0] = (plan[0][0], t0, *plan[0][2:])
-        self.terminal.configure((k0 + self.N) * dt)
+        self.nodes = [kept[slot] if slot in kept else self._node(slot)
+                      for slot in slots]
+        self.terminal = TerminalNode(self.model, self.weights, self.bounds,
+                                     (k0 + self.N) * dt)
         self.x0 = np.asarray(x0, float)
         self.k0 = k0
-        self.plan = plan
 
-    def reserve(self, n_running: int = 0, n_impulse: int = 0):
-        """Grow the node pools so later window updates construct nothing.
+    def _node(self, slot):
+        """The node of the plan key ``slot`` (plan entry, start, period).
 
-        Receding-horizon callers size the impulse pool up front (one node per
-        touchdown the schedule can ever bring into view); ``set_window``
-        then recomposes the node list without allocating.
+        A running node spans [start, start + period] inside its grid slot:
+        its swing phases are those of the slot, evaluated at ``start``.  An
+        impulse node's touchdowns are at their placements.
         """
-        pool = self._pools
-        while len(pool["running"]) < n_running:
-            pool["running"].append(RunningNode(self.model, self.weights,
-                                               self.bounds, self.cone))
-        while len(pool["impulse"]) < n_impulse:
-            pool["impulse"].append(ImpulseNode(self.model, self.weights))
+        (kind, t, active, gained), start, period = slot
+        sched, half = self.schedule, _half(self.dt)
+        contacts = ct.ContactSet(frames=tuple(active))
+        if kind == "impulse":
+            tq = min(t + half, sched.end_time - _snap_eps(self.dt))
+            return ImpulseNode(self.model, self.weights, t, contacts,
+                               {f: sched.placement(f, tq) for f in gained},
+                               slot=slot)
+        w = self.weights
+        swing = {f: SwingTarget(*evaluate_swing(sched.phase_at(f, t + half), start),
+                                w_pos=w.w_placement, w_vel=w.w_velocity)
+                 for f in sched.feet if f not in active}
+        return RunningNode(self.model, w, self.bounds, self.cone, start,
+                           contacts, swing, period, slot=slot)
 
     @property
     def ndx(self):
@@ -760,7 +699,8 @@ def build_problem(model: RobotModel, schedule: ContactSchedule,
 
 def update_problem(problem: ShootingProblem, x0: np.ndarray,
                    t0: float) -> ShootingProblem:
-    """Move ``problem`` to the window starting at ``t0``, reusing its node pool.
+    """Move ``problem`` to the window starting at ``t0``, keeping the nodes of
+    the slots both windows hold.
 
     Schedule, weights, bounds, cone, ``N`` and ``dt`` stay those the problem
     was built with; see ``ShootingProblem.set_window``.

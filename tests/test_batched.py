@@ -49,14 +49,16 @@ def build_nodes(m, rng, kind, nc, n, anchored, restitution, w_qstatic):
         contacts = ct.ContactSet(frames=frames, anchors=anchors)
         others = [f for f in feet if f not in frames]
         if kind == "running":
-            node = problem.RunningNode(m, weights, bounds, co.FrictionCone(mu=0.7))
             swing = {f: problem.SwingTarget(rng.normal(size=2), rng.normal(size=2),
                                             1e3, 1e2) for f in others}
             # the first node of a window may be shorter than the grid period
-            node.configure(0.0, contacts, swing, 0.007 if k == 0 else 0.02)
+            node = problem.RunningNode(m, weights, bounds, co.FrictionCone(mu=0.7),
+                                       0.0, contacts, swing,
+                                       0.007 if k == 0 else 0.02)
         else:
-            node = problem.ImpulseNode(m, weights, restitution)
-            node.configure(0.0, contacts, {f: rng.normal(size=2) for f in frames})
+            node = problem.ImpulseNode(m, weights, 0.0, contacts,
+                                       {f: rng.normal(size=2) for f in frames},
+                                       restitution)
         nodes.append(node)
     return nodes
 

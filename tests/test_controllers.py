@@ -337,8 +337,8 @@ def test_hqp_later_stages_preserve_earlier_residuals(quad):
     bounds = co.default_bounds(quad, presets.nominal_configuration(quad))
     ineq = trk.wbc_inequality_rows(quad, bounds,
                                    co.FrictionCone(mu=0.8), len(frames))
-    ny = quad.nv + quad.nu + 2 * len(frames)
-    sol = trk.hqp_solve(tasks, ineq, ny=ny)
+    sol = trk.hqp_solve(tasks, ineq)
+    assert sol.y.size == quad.nv + quad.nu + 2 * len(frames)
     for task, recorded in zip(sorted(tasks, key=lambda t: t.rank),
                               sol.stage_residuals):
         final = np.abs(np.atleast_2d(task.A) @ sol.y
@@ -356,9 +356,8 @@ def test_swing_stage_unaffected_by_lower_priorities(quad):
     tasks = perturbed_stance_tasks(quad, frames, seed=4)
     bounds = co.default_bounds(quad, presets.nominal_configuration(quad))
     ineq = trk.wbc_inequality_rows(quad, bounds, None, len(frames))
-    ny = quad.nv + quad.nu + 2 * len(frames)
-    full = trk.hqp_solve(tasks, ineq, ny=ny)
-    head = trk.hqp_solve([t for t in tasks if t.rank <= 1], ineq, ny=ny)
+    full = trk.hqp_solve(tasks, ineq)
+    head = trk.hqp_solve([t for t in tasks if t.rank <= 1], ineq)
     np.testing.assert_allclose(full.stage_residuals[1],
                                head.stage_residuals[1], atol=1e-9)
 

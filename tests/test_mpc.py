@@ -245,17 +245,16 @@ def test_shifted_warm_start_reproduces_overlap(quad):
     x0 = presets.nominal_state(quad)
     for i in range(3):
         ctrl.step(x0, i * 0.02)
-    old_plan, old_k0 = ctrl.problem.plan, ctrl.problem.k0
-    old_slots = [n.slot for n in ctrl.problem.nodes]
+    old_nodes, old_k0 = ctrl.problem.nodes, ctrl.problem.k0
     old_xs = [np.array(x) for x in ctrl.solver.xs]
     old_us = [np.array(u) for u in ctrl.solver.us]
     # shift one node ahead without iterating
     problem.update_problem(ctrl.problem, x0, t0=(old_k0 + 1) * 0.02)
-    ctrl._shift_candidate(old_plan, old_slots, ctrl.solver.xs, ctrl.solver.us,
+    ctrl._shift_candidate(old_nodes, ctrl.solver.xs, ctrl.solver.us,
                           old_k0 + ctrl.problem.N)
-    times = {int(round(t / 0.02)): i for i, (_, t, *_r) in enumerate(old_plan)}
-    for i, (_, t, *_r) in enumerate(ctrl.problem.plan):
-        j = times.get(int(round(t / 0.02)))
+    times = {int(round(n.time / 0.02)): i for i, n in enumerate(old_nodes)}
+    for i, n in enumerate(ctrl.problem.nodes):
+        j = times.get(int(round(n.time / 0.02)))
         if j is None:
             continue
         assert np.abs(ctrl.solver.xs[i] - old_xs[j]).max() < 1e-8
@@ -382,18 +381,18 @@ def test_delay_prediction_becomes_problem_x0(quad):
     assert np.abs(ctrl.problem.x0 - x).max() > 1e-6  # prediction did something
 
 
-def test_no_allocation_after_construction(quad):
+def test_jump_sweep_keeps_the_nodes_of_shared_slots(quad):
     sched = schedule.jump(range(4), foot_placements(quad),
                           stance=0.30, flight=0.24, n_jumps=1)
     ctrl = make_mpc(quad, sched=sched, horizon=0.3, dt=0.03, ch=2)
     x = presets.nominal_state(quad)
-    before = problem.NODE_ALLOCATIONS
     # sweep the whole jump through the window: stance, flight, touchdown
     # impulse entering/leaving, and the settle tail
     for i in range(24):
+        old = {n.slot: n for n in ctrl.problem.nodes}
         msg = ctrl.step(x, i * 0.03)
+        assert all(old[n.slot] is n for n in ctrl.problem.nodes if n.slot in old)
         x = np.array(msg.xs_ref[1])
-    assert problem.NODE_ALLOCATIONS == before
     assert not msg.diagnostics["degraded"]
 
 
@@ -401,13 +400,13 @@ def test_impulse_node_enters_window(quad):
     sched = schedule.jump(range(4), foot_placements(quad),
                           stance=0.30, flight=0.24, n_jumps=1)
     ctrl = make_mpc(quad, sched=sched, horizon=0.3, dt=0.03, ch=2)
-    kinds = [p[0] for p in ctrl.problem.plan]
+    kinds = [n.kind for n in ctrl.problem.nodes]
     assert "impulse" not in kinds            # landing at 0.54 out of view
     x = presets.nominal_state(quad)
     for i in range(9):
         msg = ctrl.step(x, i * 0.03)
         x = np.array(msg.xs_ref[1])
-    kinds = [p[0] for p in ctrl.problem.plan]
+    kinds = [n.kind for n in ctrl.problem.nodes]
     assert kinds.count("impulse") == 1       # window [0.24, 0.54] sees it
 
 

@@ -272,23 +272,25 @@ def test_update_problem_reuses_nodes(quad):
     b = co.default_bounds(quad, presets.nominal_configuration(quad))
     x0 = presets.nominal_state(quad)
     prob = problem.build_problem(quad, sched, w, b, x0, N=10, dt=0.02)
-    before = problem.NODE_ALLOCATIONS
+    old = list(prob.nodes)
     out = problem.update_problem(prob, x0, t0=0.02)
     assert out is prob
-    assert problem.NODE_ALLOCATIONS == before
+    # one slot later: the nine slots both windows hold keep their nodes
+    assert all(a is b for a, b in zip(prob.nodes[:-1], old[1:], strict=True))
+    assert not any(prob.nodes[-1] is n for n in old)
     assert prob.nodes[0].time == pytest.approx(0.02)
 
 
 def test_grid_nodes_take_the_node_period(quad):
     # each running node of the jump problem evaluates exactly as a fresh
-    # node configured with the grid period
+    # node built with the grid period
     prob = make_problem(quad, "jump", N=30, dt=0.02)
     rng = np.random.default_rng(12)
     running = [n for n in prob.nodes if n.kind == "running"]
     for node in running[::4]:
         assert node.dt == 0.02
-        fresh = problem.RunningNode(quad, prob.weights, prob.bounds, prob.cone)
-        fresh.configure(node.time, node.contacts, node.swing, 0.02)
+        fresh = problem.RunningNode(quad, prob.weights, prob.bounds, prob.cone,
+                                    node.time, node.contacts, node.swing, 0.02)
         x = random_state(quad, rng, spread=0.1)
         u = rng.normal(size=quad.nu)
         xa, ca = node.calc(x, u)
@@ -303,7 +305,7 @@ def test_window_inside_a_slot_shortens_the_first_node(quad):
     a = make_problem(quad, "trot", N=12, dt=0.02, t0=0.02)
     b = make_problem(quad, "trot", N=12, dt=0.02, t0=0.033)
     assert b.k0 == a.k0 == 1
-    assert b.nodes[0].time == 0.033 and b.plan[0][1] == 0.033
+    assert b.nodes[0].time == 0.033
     assert b.nodes[0].dt == pytest.approx(0.007, abs=1e-15)
     assert b.nodes[0].contacts.frames == a.nodes[0].contacts.frames
     for na, nb in zip(a.nodes[1:], b.nodes[1:]):

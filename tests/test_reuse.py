@@ -121,36 +121,6 @@ def test_derivatives_after_accepted_step_solve_no_dynamics(monkeypatch):
     assert calls == {"contact": 0, "impulse": 0}
 
 
-def test_configure_drops_the_kept_evaluation():
-    solver = jump_solver()
-    node = next(n for n in solver.problem.nodes if n.kind == "running")
-    x, u = solver.xs[0], solver.us[0]
-    first = node.solution(x, u)
-    assert node.solution(x, u) is first
-    node.configure(node.time, ct.ContactSet(frames=()), {})
-    assert node.solution(x, u) is not first
-    assert node.solution(x, u).forces.size == 0
-
-
-def test_trial_rows_die_with_configure(monkeypatch):
-    # a node adopts the rows of its calc_rows at bit-equal inputs until it
-    # is configured, even to the configuration it had
-    solver = jump_solver()
-    prob = solver.problem
-    k = next(k for k, n in enumerate(prob.nodes) if n.kind == "running")
-    node = prob.nodes[k]
-    # rows away from the kept evaluation at (xs[k], us[k])
-    x = np.array([solver.xs[k], solver.xs[k]])
-    u = np.array([solver.us[k] + 0.5, solver.us[k] + 1.0])
-    prob.calc_rows(k, x, u)
-    calls = count_dynamics(monkeypatch)
-    node.calc(x[0].copy(), u[0].copy())
-    assert calls == {"contact": 0, "impulse": 0}
-    node.configure(node.time, node.contacts, node.swing, node.dt)
-    node.calc(x[1], u[1])
-    assert calls == {"contact": 1, "impulse": 0}
-
-
 def test_reuse_is_bit_equality(monkeypatch):
     # inputs that compare equal but differ in their bits are evaluated again
     solver = jump_solver()
@@ -204,23 +174,12 @@ def trot_problem(quad, t0, x0=None):
         presets.nominal_state(quad) if x0 is None else x0, N=15, dt=0.02, t0=t0)
 
 
-def record_configure(m):
-    configured = []
-    for cls in (problem.RunningNode, problem.ImpulseNode):
-        def recorded(node, *args, _original=cls.configure):
-            configured.append(node)
-            return _original(node, *args)
-        m.setattr(cls, "configure", recorded)
-    return configured
-
-
 @pytest.fixture(scope="module")
 def shifted_trot():
     """14 steps of the N = 15 trot (10 ms delay, exact measurements), each
     seen when its shifted candidate is set: the nodes before and after the
-    shift, the dynamics rows solved and the nodes configured since
-    ``update_problem``, and the candidate with its cost, gaps and
-    derivatives."""
+    shift, the dynamics rows solved since ``update_problem``, and the
+    candidate with its cost, gaps and derivatives."""
     quad = presets.default_quadruped()
     q0 = presets.nominal_configuration(quad)
     cfg = rh.MpcConfig(horizon=0.3, node_dt=0.02, update_rate=50.0,
@@ -228,41 +187,37 @@ def shifted_trot():
     ctrl = rh.Mpc(quad, trot_schedule(quad),
                   co.default_weights(quad, q0), co.default_bounds(quad, q0), cfg,
                   presets.nominal_state(quad))
-    allocations = problem.NODE_ALLOCATIONS
     steps = []
     with pytest.MonkeyPatch.context() as m:
-        rows, configured = count_dynamics(m), record_configure(m)
+        rows = count_dynamics(m)
 
         def update(prob, x0, t0, _original=problem.update_problem):
             rows.update(contact=0, impulse=0)
-            configured.clear()
             return _original(prob, x0, t0)
 
         def derivatives(solver, _original=BoxFddp.compute_derivatives):
             prob = solver.problem
             steps[-1].update(
-                rows=dict(rows), configured=list(configured),
-                nodes=[(n, n.slot) for n in prob.nodes],
-                t0=prob.plan[0][1], x0=prob.x0, xs=list(solver.xs),
-                us=list(solver.us), cost=solver.cost, gaps=list(solver.gaps),
+                rows=dict(rows), nodes=list(prob.nodes), t0=prob.nodes[0].time,
+                x0=prob.x0, xs=list(solver.xs), us=list(solver.us),
+                cost=solver.cost, gaps=list(solver.gaps),
                 derivs=prob.calc_diff(solver.xs, solver.us))
             return _original(solver)
         m.setattr(problem, "update_problem", update)
         m.setattr(BoxFddp, "compute_derivatives", derivatives)
         x = presets.nominal_state(quad)
         for k in range(14):
-            steps.append({"old": [(n, n.slot) for n in ctrl.problem.nodes]})
+            steps.append({"old": list(ctrl.problem.nodes)})
             msg = ctrl.step(x, k * 0.02)
             assert not msg.diagnostics["degraded"]
             x = np.array(msg.xs_ref[1])
-    assert problem.NODE_ALLOCATIONS == allocations
     return quad, steps[1:]
 
 
 def new_slots(step):
     """The nodes of slots that the window before the shift did not hold."""
-    old = {slot for _, slot in step["old"]}
-    return [n for n, slot in step["nodes"] if slot not in old]
+    old = {n.slot for n in step["old"]}
+    return [n for n in step["nodes"] if n.slot not in old]
 
 
 def test_shift_solves_dynamics_only_for_new_slots(shifted_trot):
@@ -279,12 +234,51 @@ def test_shift_solves_dynamics_only_for_new_slots(shifted_trot):
 def test_shared_slots_keep_their_nodes_unconfigured(shifted_trot):
     _, steps = shifted_trot
     for step in steps:
-        old = {slot: n for n, slot in step["old"]}
-        kept = [(n, slot) for n, slot in step["nodes"] if slot in old]
+        old = {n.slot: n for n in step["old"]}
+        kept = [n for n in step["nodes"] if n.slot in old]
         assert len(kept) >= len(step["nodes"]) - 3
-        assert all(old[slot] is n for n, slot in kept)
-        assert not any(c is n for c in step["configured"] for n, _ in kept)
-        assert len(step["configured"]) == len(new_slots(step))
+        assert all(old[n.slot] is n for n in kept)
+
+
+def node_record(node):
+    """What configures a running or impulse node, as comparable values."""
+    if node.kind == "running":
+        targets = {f: (t.pos.tobytes(), t.vel.tobytes(), t.w_pos, t.w_vel)
+                   for f, t in node.swing.items()}
+    else:
+        targets = {f: np.asarray(p).tobytes() for f, p in node.gained.items()}
+    return (node.kind, node.time, node.contacts.frames, node.dt, targets,
+            node.slot)
+
+
+def test_shift_changes_no_node_of_the_previous_window():
+    # over a trot (window starts inside a slot) and a jump (flight and
+    # touchdown impulses), a shift builds nodes for the new slots only and
+    # leaves every node of the previous window as it was
+    quad = presets.default_quadruped()
+    q0 = presets.nominal_configuration(quad)
+    jump = schedule.jump(range(4), placements(quad), stance=0.30, flight=0.24,
+                         n_jumps=1)
+    sweeps = ((trot_schedule(quad), 0.02, 0.01, 14), (jump, 0.03, 0.0, 24))
+    for sched, dt, delay, n_steps in sweeps:
+        cfg = rh.MpcConfig(horizon=0.3, node_dt=dt, update_rate=1.0 / dt,
+                           control_horizon_nodes=2, expected_delay=delay)
+        ctrl = rh.Mpc(quad, sched, co.default_weights(quad, q0),
+                      co.default_bounds(quad, q0), cfg, presets.nominal_state(quad))
+        x = presets.nominal_state(quad)
+        kinds = set()
+        for k in range(n_steps):
+            old = list(ctrl.problem.nodes)
+            before = [node_record(n) for n in old]
+            msg = ctrl.step(x, k * dt)
+            assert [node_record(n) for n in old] == before
+            old_ids, old_slots = {id(n) for n in old}, {n.slot for n in old}
+            new = [n for n in ctrl.problem.nodes if id(n) not in old_ids]
+            assert [n.slot for n in new] == [n.slot for n in ctrl.problem.nodes
+                                             if n.slot not in old_slots]
+            kinds.update(n.kind for n in new)
+            x = np.array(msg.xs_ref[1])
+        assert kinds == {"running", "impulse"}
 
 
 def assert_same_evaluation(prob, xs, us, calc, derivs):
@@ -302,29 +296,6 @@ def test_shifted_candidate_matches_a_fresh_problem(shifted_trot):
     quad, steps = shifted_trot
     for step in steps:
         fresh = trot_problem(quad, step["t0"], step["x0"])
-        assert [n.slot for n in fresh.nodes] == [slot for _, slot in step["nodes"]]
+        assert [n.slot for n in fresh.nodes] == [n.slot for n in step["nodes"]]
         assert_same_evaluation(fresh, step["xs"], step["us"],
                                (step["cost"], step["gaps"]), step["derivs"])
-
-
-@pytest.mark.parametrize("change", ["contacts", "period"])
-def test_node_of_another_configuration_is_not_kept(change, monkeypatch):
-    quad = presets.default_quadruped()
-    prob = trot_problem(quad, 0.1)
-    fresh = trot_problem(quad, 0.1)
-    xs = fresh.rollout(fresh.zero_controls())
-    us = fresh.zero_controls()
-    prob.calc(xs, us)
-    # node 3 keeps an evaluation under a configuration of its own, at the
-    # time of its slot: another contact set or another period
-    node = prob.nodes[3]
-    assert node.kind == "running"
-    frames = () if change == "contacts" else node.contacts.frames
-    period = node.dt if change == "contacts" else 0.5 * node.dt
-    node.configure(node.time, ct.ContactSet(frames=frames), node.swing, period)
-    node.calc(xs[3], us[3])
-    configured = record_configure(monkeypatch)
-    prob.set_window(prob.x0, 0.1)
-    assert [n.slot for n in prob.nodes] == [n.slot for n in fresh.nodes]
-    assert len(configured) == 1 and configured[0].slot == fresh.nodes[3].slot
-    assert_same_evaluation(fresh, xs, us, prob.calc(xs, us), prob.calc_diff(xs, us))
