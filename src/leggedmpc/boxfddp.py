@@ -188,8 +188,6 @@ class BoxFddp:
         self.cost = np.inf
         self.policy = Policy()
         self.qu_norm = np.inf
-        self.iterations = 0
-        self.accepted_steps = 0
         self.last_alpha = 0.0
         self.last_trials = 0
         self.log: list[tuple] = []
@@ -405,8 +403,6 @@ class BoxFddp:
                 elif alpha <= self.short_step:
                     # at mu_max the accepted step still stands
                     self._increase_mu()
-                self.accepted_steps += 1
-                self.iterations += 1
                 self._log_row(alpha=alpha)
                 return False
             if not self._increase_mu():

@@ -6,15 +6,16 @@ solve the primal-dual system
     [ M  -J_C.T ] [ vdot   ]   [ S u - h ]
     [ J_C   0   ] [ lambda ] = [ -a_C    ]
 
-with a_C = Jdot*v + psi the constraint-space bias and psi a Baumgarte
-stabilization term 2*zeta*omega*(frame velocity) + omega^2*(position drift).
-The solve goes through the contact-space inertia (Schur complement)
-Mhat = J M^-1 J.T.  One call runs forward kinematics once, and the body
-twists and their bias accelerations once: M, h, the contact Jacobian
-(stacked from the body Jacobians for all frames at once), the frame
-acceleration bias and the Baumgarte velocities all read that
-``Kinematics`` and those arrays, and the solution keeps the ``Kinematics``
-for its derivatives.
+with a_C = Jdot*v + psi the constraint-space bias and psi = BAUMGARTE_GAIN *
+(frame velocity) the velocity-level Baumgarte (1972) stabilization, which
+damps slip and leaves position drift alone.  A touchdown is an inelastic
+impulse: the contact points come to rest, J v+ = 0.  The solve goes through
+the contact-space inertia (Schur complement) Mhat = J M^-1 J.T.  One call
+runs forward kinematics once, and the body twists and their bias
+accelerations once: M, h, the contact Jacobian (stacked from the body
+Jacobians for all frames at once), the frame acceleration bias and the
+Baumgarte velocities all read that ``Kinematics`` and those arrays, and the
+solution keeps the ``Kinematics`` for its derivatives.
 
 The derivative routines differentiate the KKT conditions implicitly:
 ``dynamics.tangent_sweep`` gives the exact derivatives of the
@@ -34,7 +35,7 @@ the rest of the stack: alone, it gives the same bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,28 +50,23 @@ from .kinematics import (
     body_twists,
     forward_kinematics,
     frame_acceleration_bias,
-    frame_positions,
     frame_velocities,
 )
 from .model import RobotModel, semi_implicit_step, split_state, state
 
 COND_LIMIT = 1e12
+# Baumgarte velocity gain 2*zeta*omega of the contact constraint, with
+# critical damping zeta = 1 and omega = 20 rad/s
+BAUMGARTE_GAIN = 40.0
 
 
 @dataclass
 class ContactSet:
-    """Active point contacts plus their stabilization parameters.
-
-    ``anchors`` maps frame index -> world-frame anchor point; frames without
-    an anchor get velocity-only stabilization (no position drift term).
+    """The active point contacts, each held by the module's Baumgarte term:
     ``frames`` is a tuple, or a (B, nc) array that gives each of B stacked
-    states its own frames under the same parameters and anchors.
-    """
+    states its own frames."""
 
     frames: tuple[int, ...] | np.ndarray = ()
-    baumgarte_freq: float = 20.0
-    baumgarte_damping: float = 1.0
-    anchors: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         if not (isinstance(self.frames, np.ndarray) and self.frames.ndim == 2):
@@ -118,25 +114,6 @@ def actuation(model: RobotModel, u: np.ndarray) -> np.ndarray:
     tau = np.zeros(u.shape[:-1] + (model.nv,))
     tau[..., 3:] = u
     return tau
-
-
-def _baumgarte(model: RobotModel, q, v, contacts: ContactSet, kin=None,
-               tw=None) -> np.ndarray:
-    """Stabilization bias psi stacked per frame (``tw``: body twists under v)."""
-    w = contacts.baumgarte_freq
-    z = contacts.baumgarte_damping
-    if kin is None:
-        kin = forward_kinematics(model, q)
-    frames = np.asarray(contacts.frames, dtype=int)
-    vel = frame_velocities(model, q, v, frames, kin=kin, tw=tw)
-    psi = 2.0 * z * w * vel.reshape(vel.shape[:-2] + (-1,))
-    if contacts.anchors:
-        anchor = np.array([contacts.anchors.get(f, (0.0, 0.0))
-                           for f in frames.ravel()]).reshape(frames.shape + (2,))
-        drift = np.where(np.isin(frames, list(contacts.anchors))[..., None],
-                         frame_positions(model, kin, frames) - anchor, 0.0)
-        psi += w * w * drift.reshape(psi.shape)
-    return psi
 
 
 def contact_jacobian_stack(model: RobotModel, q, frames, kin=None) -> np.ndarray:
@@ -199,9 +176,10 @@ def contact_forward_dynamics(model: RobotModel, q, v, u, contacts: ContactSet) -
         return ContactSolution(vdot=vdot, forces=np.zeros(vdot.shape[:-1] + (0,)),
                                M=M, J=np.zeros(M.shape[:-2] + (0, model.nv)), kin=kin)
     J = contact_jacobian_stack(model, q, contacts.frames, kin=kin)
+    vel = frame_velocities(model, q, v, contacts.frames, kin=kin, tw=tw)
     a_C = (frame_acceleration_bias(model, q, v, contacts.frames, kin=kin, tw=tw,
                                    bias=bias)
-           + _baumgarte(model, q, v, contacts, kin=kin, tw=tw))
+           + BAUMGARTE_GAIN * vel.reshape(vel.shape[:-2] + (-1,)))
     vdot, lam = _kkt_forward(M, J, tau_b, a_C, "contact-space")
     return ContactSolution(vdot=vdot, forces=lam, M=M, J=J, kin=kin)
 
@@ -227,24 +205,21 @@ def predict(model: RobotModel, x, u, contacts: ContactSet, h, n: int):
     return sols, xs
 
 
-def impulse_dynamics(model: RobotModel, q, v_minus, contacts: ContactSet,
-                     restitution: float = 0.0) -> ImpulseSolution:
-    """Instantaneous velocity change when the given contacts gain closure.
+def impulse_dynamics(model: RobotModel, q, v_minus,
+                     contacts: ContactSet) -> ImpulseSolution:
+    """Instantaneous inelastic velocity change when the given contacts gain closure.
 
-    Post-impact contact-point velocity satisfies J v+ = -e * J v-; the
-    configuration is unchanged.  Stacked states run as one pass, as in
+    The contact points come to rest, J v+ = 0; the configuration is
+    unchanged.  Stacked states run as one pass, as in
     ``contact_forward_dynamics``.
     """
     q = model.check_q(q)
     v_minus = model.check_v(v_minus)
-    if not (0.0 <= restitution <= 1.0):
-        raise ValueError("restitution must lie in [0, 1]")
     kin = forward_kinematics(model, q)
     M = mass_matrix(model, q, kin=kin)
     J = contact_jacobian_stack(model, q, contacts.frames, kin=kin)
-    # the velocity jump dv = v+ - v- solves M dv = J.T imp, J dv = -(1 + e) J v-
-    dv, imp = _kkt_forward(M, J, np.zeros_like(v_minus),
-                           (1.0 + restitution) * _matvec(J, v_minus),
+    # the velocity jump dv = v+ - v- solves M dv = J.T imp, J dv = -J v-
+    dv, imp = _kkt_forward(M, J, np.zeros_like(v_minus), _matvec(J, v_minus),
                            "impulse contact-space")
     return ImpulseSolution(v_plus=v_minus + dv, impulses=imp, M=M, J=J, kin=kin)
 
@@ -288,12 +263,8 @@ def contact_dynamics_derivatives(model: RobotModel, q, v, u, contacts: ContactSe
     lam = sol.forces.reshape(lead + (-1, 2))
     if tan is None:
         tan = tangent_sweep(model, sol.kin, v, sol.vdot, (frames, lam), frames)
-    # psi = 2 z w (frame velocity) + w^2 (anchored position drift)
-    w, z = contacts.baumgarte_freq, contacts.baumgarte_damping
-    F2_x = tan.dacc[..., :nf, :] + 2.0 * z * w * tan.dvel[..., :nf, :]
-    if contacts.anchors:
-        anchored = np.isin(frames, list(contacts.anchors))
-        F2_x[..., :nv] += w * w * np.repeat(anchored, 2, -1)[..., None] * sol.J
+    # psi = BAUMGARTE_GAIN * (frame velocity)
+    F2_x = tan.dacc[..., :nf, :] + BAUMGARTE_GAIN * tan.dvel[..., :nf, :]
     rhs = np.zeros(lead + (nv + nf, 2 * nv + model.nu))
     rhs[..., :nv, :2 * nv] = -tan.dtau
     rhs[..., :nv, 2 * nv:] = model.S
@@ -304,34 +275,31 @@ def contact_dynamics_derivatives(model: RobotModel, q, v, u, contacts: ContactSe
 
 
 def impulse_dynamics_derivatives(model: RobotModel, q, v_minus, contacts: ContactSet,
-                                 restitution: float = 0.0,
                                  sol: ImpulseSolution | None = None) -> DynamicsDerivatives:
     """Sensitivities of (v+, impulses); there is no control channel.
 
     The residuals are the gravity-free momentum balance F1 = M (v+ - v-) -
-    J.T impulses and the closure F2 = J (v+ + e v-).  Stacked states run
-    as one pass.
+    J.T impulses and the closure F2 = J v+.  Stacked states run as one pass.
     """
     q = model.check_q(q)
     v_minus = model.check_v(v_minus)
     if sol is None:
-        sol = impulse_dynamics(model, q, v_minus, contacts, restitution)
+        sol = impulse_dynamics(model, q, v_minus, contacts)
     nv, nf = model.nv, contacts.nf
     lead = q.shape[:-1]
     frames = contacts.frames
     lam = sol.impulses.reshape(lead + (-1, 2))
     rhs = np.empty(lead + (nv + nf, 2 * nv))
     # configuration block: F1 is rnea(q, 0, v+ - v-, impulses) without
-    # gravity; F2 is the frame velocity under v+ + e v-
+    # gravity; F2 is the frame velocity under v+
     rhs[..., :nv, :nv] = -tangent_sweep(model, sol.kin, np.zeros_like(v_minus),
                                         sol.v_plus - v_minus, (frames, lam),
                                         gravity=False).dtau[..., :nv]
-    rhs[..., nv:, :nv] = -tangent_sweep(model, sol.kin,
-                                        sol.v_plus + restitution * v_minus,
+    rhs[..., nv:, :nv] = -tangent_sweep(model, sol.kin, sol.v_plus,
                                         frames=frames).dvel[..., :nv]
-    # velocity block: dF1/dv- = -M, dF2/dv- = e*J
+    # velocity block: dF1/dv- = -M, dF2/dv- = 0
     rhs[..., :nv, nv:] = sol.M
-    rhs[..., nv:, nv:] = -restitution * sol.J
+    rhs[..., nv:, nv:] = 0.0
     dvp_dx, dlam_dx = _kkt_solve(sol.M, sol.J, rhs)
     return DynamicsDerivatives(dvdot_dx=dvp_dx, dvdot_du=np.zeros(lead + (nv, 0)),
                                dforces_dx=dlam_dx, dforces_du=np.zeros(lead + (nf, 0)))

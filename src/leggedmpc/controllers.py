@@ -17,7 +17,8 @@ Two interchangeable consumers of :class:`~leggedmpc.mpc.PolicyMessage`:
 Both look a tick's interval and reference state up by the same rule (a
 time within 1e-12 s before a node time belongs to that node), and both hold
 their last command (flagged degraded) when the active message runs out
-instead of extrapolating it.
+instead of extrapolating it, or when the measured state is not finite
+(``InvalidMeasurement`` with no command to hold).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from . import model as mod
 from .centroidal import centroidal
 from .costs import Bounds, FrictionCone, cone_matrices
 from .dynamics import mass_matrix, nonlinear_effects
-from .errors import ConfigError, MaxIterations, Stage1Infeasible
+from .errors import ConfigError, InvalidMeasurement, MaxIterations, Stage1Infeasible
 from .kinematics import (bias_accelerations, body_twists, forward_kinematics,
                          frame_acceleration_bias, frame_positions,
                          frame_velocities)
@@ -107,6 +108,22 @@ def rollout_reference(model: RobotModel, msg: PolicyMessage,
     return np.asarray(times), states
 
 
+def _check_message(msg: PolicyMessage):
+    """``ConfigError`` unless ``msg`` has one state per node time, one torque,
+    gain, force vector and contact set per interval (at least one) between
+    strictly increasing node times, and finite numbers only."""
+    n = len(msg.us_ff)
+    if n < 1 or [len(msg.node_times), len(msg.xs_ref), len(msg.K_gains) + 1,
+            len(msg.forces_ref) + 1, len(msg.contacts) + 1] != [n + 1] * 5:
+        raise ConfigError("message lists do not match its node times")
+    if not np.all(np.diff(np.asarray(msg.node_times, float)) > 0):
+        raise ConfigError("message node times do not strictly increase")
+    if not all(np.isfinite(np.asarray(a, float)).all() for a in (
+            msg.stamp, msg.node_times, *msg.xs_ref, *msg.us_ff, *msg.K_gains,
+            *msg.forces_ref)):
+        raise ConfigError("message holds a non-finite number")
+
+
 class _MessageTracker:
     """Message ingestion plus the shared reference-rollout cache.
 
@@ -129,6 +146,8 @@ class _MessageTracker:
         self._last: ControlCommand | None = None
 
     def update_message(self, msg: PolicyMessage):
+        """Make ``msg`` the active message, unless ``_check_message`` rejects it."""
+        _check_message(msg)
         times, states = rollout_reference(self.model, msg, self.control_dt)
         self._times, self._states = times, states
         self.message = msg
@@ -138,9 +157,14 @@ class _MessageTracker:
         j = min(max(j, 0), len(self._states) - 1)
         return self._states[j]
 
-    def _stale(self, t: float) -> bool:
-        return (self.message is None
-                or t > self.message.validity_end + 1e-9)
+    def _holds(self, x: np.ndarray, t: float) -> bool:
+        """Whether the tick holds the last command: the message has run out,
+        or ``x`` is not finite (``InvalidMeasurement`` with none to hold)."""
+        if np.all(np.isfinite(x)):
+            return self.message is None or t > self.message.validity_end + 1e-9
+        if self._last is None:
+            raise InvalidMeasurement("measurement holds a non-finite value")
+        return True
 
     def _hold_last(self) -> ControlCommand:
         if self._last is None:
@@ -168,7 +192,7 @@ class RiccatiController(_MessageTracker):
     """
 
     def control(self, x: np.ndarray, t: float) -> ControlCommand:
-        if self._stale(t):
+        if self._holds(x, t):
             return self._hold_last()
         msg = self.message
         i = msg.interval_at(t)
@@ -509,7 +533,7 @@ class WholeBodyController(_MessageTracker):
         self.last_hqp: HqpSolution | None = None
 
     def control(self, x: np.ndarray, t: float) -> ControlCommand:
-        if self._stale(t):
+        if self._holds(x, t):
             return self._hold_last()
         msg = self.message
         i = msg.interval_at(t)

@@ -11,20 +11,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dynamics
 from .errors import ConfigError
-from .kinematics import Kinematics, forward_kinematics
 from .model import RobotModel
 
 
 @dataclass
 class CostWeights:
-    """Diagonal weights of the running/terminal cost and penalty scales.
+    """Diagonal weights of the one running/terminal cost and penalty scales.
 
     Q, N, R weight posture, velocity, and control regularization; K weights
     the per-contact force regularizer (tangential, normal).  The ``w_*``
-    scalars scale the quadratic penalties.  ``w_qstatic`` weights the
-    quasi-static control regularizer and is disabled by default.
+    scalars scale the quadratic penalties; every swing foot tracks its
+    target with ``w_placement`` and ``w_velocity``.
     """
 
     Q: np.ndarray
@@ -37,7 +35,6 @@ class CostWeights:
     w_placement_terminal: float = 1e6
     w_velocity: float = 1e3
     w_statebounds: float = 1e3
-    w_qstatic: float = 0.0
     terminal_multiplier: float = 10.0
 
     def __post_init__(self):
@@ -50,8 +47,7 @@ class CostWeights:
             if np.any(getattr(self, name) < 0):
                 raise ConfigError(f"cost weight {name} has negative entries")
         for name in ("w_cone", "w_placement", "w_placement_terminal",
-                     "w_velocity", "w_statebounds", "w_qstatic",
-                     "terminal_multiplier"):
+                     "w_velocity", "w_statebounds", "terminal_multiplier"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
 
@@ -155,27 +151,3 @@ def interval_violation(z: np.ndarray, lb: np.ndarray, ub: np.ndarray):
     """Signed distance outside [lb, ub], zero inside."""
     return np.maximum(0.0, z - ub) + np.minimum(0.0, z - lb)
 
-
-# ----------------------------------------------- quasi-static regularization
-
-def quasi_static_residual(model: RobotModel, q: np.ndarray, u: np.ndarray,
-                          lam_map, kin: Kinematics | None = None) -> np.ndarray:
-    """Static-equilibrium defect S u + J_C^T lam - g(q) (nv vector).
-
-    ``lam_map`` pairs contact frames with their forces (see
-    ``dynamics.rnea``); ``kin`` is the ``Kinematics`` at q when the
-    caller has it.
-    """
-    from . import contact as ct
-    z = np.zeros(np.shape(u)[:-1] + (model.nv,))
-    return ct.actuation(model, u) - dynamics.rnea(model, q, z, z, lam_map, kin=kin)
-
-
-def quasi_static_residual_dq(model: RobotModel, q: np.ndarray, lam_map,
-                             kin: Kinematics | None = None) -> np.ndarray:
-    """d residual / d q-tangent at fixed forces: minus the static RNEA tangent."""
-    if kin is None:
-        kin = forward_kinematics(model, q)
-    z = np.zeros(kin.pose.shape[:-2] + (model.nv,))
-    tan = dynamics.tangent_sweep(model, kin, z, z, lam_map)
-    return -tan.dtau[..., :model.nv]

@@ -43,4 +43,5 @@ class ScheduleError(LeggedMpcError):
 
 
 class ConfigError(LeggedMpcError):
-    """A scenario or model file fails schema validation."""
+    """A configuration fails validation, or a policy message is not whole
+    (see ``controllers._check_message``)."""

@@ -220,10 +220,10 @@ class Mpc:
         self._useed_cache: dict[tuple, np.ndarray] = {}
         frames0 = self.problem.nodes[0].contacts.frames
         if frames0:
-            self.u_qs, self.lam_qs = quasi_static_start(
-                model, q_nom, ct.ContactSet(frames=frames0))
+            self.u_qs, _ = quasi_static_start(model, q_nom,
+                                              ct.ContactSet(frames=frames0))
         else:
-            self.u_qs, self.lam_qs = np.zeros(model.nu), np.zeros(0)
+            self.u_qs = np.zeros(model.nu)
         self.k0 = 0
         self.steps = 0
         self.last_message: PolicyMessage | None = None

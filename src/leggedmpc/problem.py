@@ -32,7 +32,7 @@ builds one for each new slot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -76,8 +76,6 @@ class _Evaluation:
 class SwingTarget:
     pos: np.ndarray
     vel: np.ndarray
-    w_pos: float
-    w_vel: float
 
 
 class _Expansion:
@@ -167,22 +165,19 @@ def _field(evaluation, name):
 
 def _contacts(nodes) -> ct.ContactSet:
     """The group's contact sets as one, with (B, nc) frames."""
-    c = nodes[0].contacts
     if len(nodes) == 1:
-        return c
-    return replace(c, frames=np.array([n.contacts.frames for n in nodes],
-                                      dtype=int).reshape(len(nodes), -1))
+        return nodes[0].contacts
+    return ct.ContactSet(frames=np.array([n.contacts.frames for n in nodes],
+                                         dtype=int).reshape(len(nodes), -1))
 
 
 def _group_key(node):
     """Nodes with equal keys evaluate as one stacked group."""
-    c = node.contacts
-    anchors = tuple((f, *np.asarray(a, float)) for f, a in sorted(c.anchors.items()))
     return (type(node), id(node.model), id(node.weights), node._group_params(),
-            len(c.frames), c.baumgarte_freq, c.baumgarte_damping, anchors)
+            len(node.contacts.frames))
 
 
-_NO_TARGETS = (np.zeros(0, dtype=int), np.zeros((2, 0, 2)), np.zeros((2, 0)))
+_NO_TARGETS = (np.zeros(0, dtype=int), np.zeros((2, 0, 2)))
 
 
 def _key(x, u):
@@ -264,14 +259,12 @@ class RunningNode(_DynamicsNode):
                      else np.full(nu, -np.inf))
         self.u_ub = (bounds.u_ub if bounds is not None
                      else np.full(nu, np.inf))
-        # swing frames, target (positions, velocities) and their residual weights
+        # swing frames and their target (positions, velocities)
         targets = [swing[f] for f in sorted(swing)]
         self._targets = _NO_TARGETS if not swing else (
             np.array(sorted(swing), dtype=int),
             np.array([[t.pos for t in targets], [t.vel for t in targets]],
-                     dtype=float).reshape(2, -1, 2),
-            np.repeat([[t.w_pos for t in targets], [t.w_vel for t in targets]],
-                      2, -1).astype(float).reshape(2, -1))
+                     dtype=float).reshape(2, -1, 2))
 
     @property
     def nu(self):
@@ -294,19 +287,18 @@ class RunningNode(_DynamicsNode):
         acc.add(u, weights.R, Ju=np.eye(model.nu) if with_jac else None)
 
         if n0.swing:
-            frames, ref, w = (_stack([n._targets[i] for n in nodes]) for i in range(3))
+            frames, ref = (_stack([n._targets[i] for n in nodes]) for i in range(2))
             Jp = Jv = None
             if with_jac:
                 # the sweep's last rows are the swing frames; the v block
                 # of a frame's velocity tangent is its Jacobian
-                Jv = tan.dvel[..., -w.shape[-1]:, :]
+                Jv = tan.dvel[..., -2 * frames.shape[-1]:, :]
                 Jp = np.zeros_like(Jv)
                 Jp[..., :nv] = Jv[..., nv:]
-            wp, wv = w[..., 0, :], w[..., 1, :]
             rp = frame_positions(model, sol.kin, frames) - ref[..., 0, :, :]
             rv = frame_velocities(model, q, v, frames, kin=sol.kin) - ref[..., 1, :, :]
-            acc.add(rp.reshape(wp.shape), wp, Jx=Jp)
-            acc.add(rv.reshape(wv.shape), wv, Jx=Jv)
+            acc.add(rp.reshape(rp.shape[:-2] + (-1,)), weights.w_placement, Jx=Jp)
+            acc.add(rv.reshape(rv.shape[:-2] + (-1,)), weights.w_velocity, Jx=Jv)
 
         nc = len(n0.contacts.frames)
         if nc:
@@ -317,17 +309,6 @@ class RunningNode(_DynamicsNode):
                 r, Jr = co.cone_residual(n0.cone_C, n0.cone_c, lam)
                 acc.add(r, weights.w_cone, Jx=Jr @ Jlx if with_jac else None,
                         Ju=Jr @ Jlu if with_jac else None)
-            if weights.w_qstatic:
-                forces = (_contacts(nodes).frames, lam.reshape(lam.shape[:-1] + (nc, 2)))
-                rqs = co.quasi_static_residual(model, q, u, forces, kin=sol.kin)
-                Jx = Ju = None
-                if with_jac:
-                    Jt = sol.J.swapaxes(-1, -2)
-                    Jx = Jt @ Jlx
-                    Jx[..., :nv] += co.quasi_static_residual_dq(model, q, forces,
-                                                                kin=sol.kin)
-                    Ju = model.S + Jt @ Jlu
-                acc.add(rqs, weights.w_qstatic * weights.N, Jx=Jx, Ju=Ju)
 
     @staticmethod
     def _evaluate_group(nodes, x, u):
@@ -378,7 +359,8 @@ class RunningNode(_DynamicsNode):
 
 class ImpulseNode(_DynamicsNode):
     """Instantaneous inelastic velocity transition at ``time`` into
-    ``contacts``; ``gained`` maps each foot touching down to its placement."""
+    ``contacts``: the contact points come to rest (``ct.impulse_dynamics``).
+    ``gained`` maps each foot touching down to its placement."""
 
     kind = "impulse"
     dt = 0.0
@@ -387,13 +369,12 @@ class ImpulseNode(_DynamicsNode):
 
     def __init__(self, model: RobotModel, weights: co.CostWeights, time: float,
                  contacts: ct.ContactSet, gained: dict[int, np.ndarray],
-                 restitution: float = 0.0, slot=None):
+                 slot=None):
         super().__init__(model, weights, time, contacts, slot)
         self.gained = gained
-        self.restitution = restitution
 
     def _group_params(self):
-        return self.restitution, len(self.gained)
+        return len(self.gained)
 
     # -- one group of impulse nodes, stacked along the leading axis ----------
 
@@ -420,7 +401,7 @@ class ImpulseNode(_DynamicsNode):
     def _evaluate_group(nodes, x, u):
         model = nodes[0].model
         q, v = mod.split_state(model, x)
-        sol = ct.impulse_dynamics(model, q, v, _contacts(nodes), nodes[0].restitution)
+        sol = ct.impulse_dynamics(model, q, v, _contacts(nodes))
         acc = _Expansion(np.ones(x.shape[:-1]), 2 * model.nv, 0)
         ImpulseNode._costs(nodes, q, v, sol, acc, False)
         return sol, mod.state(model, q, sol.v_plus), acc.value
@@ -430,8 +411,7 @@ class ImpulseNode(_DynamicsNode):
         model = nodes[0].model
         nv = model.nv
         q, v = mod.split_state(model, x)
-        der = ct.impulse_dynamics_derivatives(model, q, v, _contacts(nodes),
-                                              nodes[0].restitution, sol=sol)
+        der = ct.impulse_dynamics_derivatives(model, q, v, _contacts(nodes), sol=sol)
         fx = np.concatenate([np.broadcast_to(np.eye(nv, 2 * nv), der.dvdot_dx.shape),
                              der.dvdot_dx], -2)
         acc = _Expansion(np.ones(x.shape[:-1]), 2 * nv, 0)
@@ -602,11 +582,9 @@ class ShootingProblem:
             return ImpulseNode(self.model, self.weights, t, contacts,
                                {f: sched.placement(f, tq) for f in gained},
                                slot=slot)
-        w = self.weights
-        swing = {f: SwingTarget(*evaluate_swing(sched.phase_at(f, t + half), start),
-                                w_pos=w.w_placement, w_vel=w.w_velocity)
+        swing = {f: SwingTarget(*evaluate_swing(sched.phase_at(f, t + half), start))
                  for f in sched.feet if f not in active}
-        return RunningNode(self.model, w, self.bounds, self.cone, start,
+        return RunningNode(self.model, self.weights, self.bounds, self.cone, start,
                            contacts, swing, period, slot=slot)
 
     @property

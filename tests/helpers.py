@@ -406,6 +406,7 @@ def _ref_kkt_apply(M, J, rhs_top, rhs_bot):
 
 def ref_contact_derivatives(m, q, v, contacts, sol):
     """(dvdot_dx, dvdot_du, dlam_dx, dlam_du) of the contact dynamics at ``sol``."""
+    from leggedmpc import contact as ct
     from leggedmpc.kinematics import forward_kinematics
     nv, nu, nf = m.nv, m.nu, contacts.nf
     frames = contacts.frames
@@ -415,17 +416,13 @@ def ref_contact_derivatives(m, q, v, contacts, sol):
     if nf == 0:
         Minv = np.linalg.inv(sol.M)
         return -Minv @ F1_x, Minv @ m.S, np.zeros((0, 2 * nv)), np.zeros((0, nu))
-    w, z = contacts.baumgarte_freq, contacts.baumgarte_damping
-    F2_x = dacc + 2.0 * z * w * dvel
-    for k, f in enumerate(frames):
-        if f in contacts.anchors:
-            F2_x[2 * k: 2 * k + 2, :nv] += w * w * sol.J[2 * k: 2 * k + 2]
+    F2_x = dacc + ct.BAUMGARTE_GAIN * dvel
     dvdot_dx, dlam_dx = _ref_kkt_apply(sol.M, sol.J, -F1_x, -F2_x)
     dvdot_du, dlam_du = _ref_kkt_apply(sol.M, sol.J, m.S, np.zeros((nf, nu)))
     return dvdot_dx, dvdot_du, dlam_dx, dlam_du
 
 
-def ref_impulse_derivatives(m, q, v_minus, contacts, restitution, sol):
+def ref_impulse_derivatives(m, q, v_minus, contacts, sol):
     """(dv+_dx, dimpulses_dx) of the impulse dynamics at ``sol``."""
     from leggedmpc.kinematics import forward_kinematics
     nv, nf = m.nv, contacts.nf
@@ -436,10 +433,9 @@ def ref_impulse_derivatives(m, q, v_minus, contacts, restitution, sol):
     F2_x = np.empty((nf, 2 * nv))
     F1_x[:, :nv] = ref_tangent_sweep(m, kin, np.zeros(nv), sol.v_plus - v_minus,
                                      lam_map, gravity=False)[0][:, :nv]
-    F2_x[:, :nv] = ref_tangent_sweep(m, kin, sol.v_plus + restitution * v_minus,
-                                     frames=frames)[1][:, :nv]
+    F2_x[:, :nv] = ref_tangent_sweep(m, kin, sol.v_plus, frames=frames)[1][:, :nv]
     F1_x[:, nv:] = -sol.M
-    F2_x[:, nv:] = restitution * sol.J
+    F2_x[:, nv:] = 0.0
     return _ref_kkt_apply(sol.M, sol.J, -F1_x, -F2_x)
 
 
@@ -529,12 +525,10 @@ def ref_running(node, x, u):
         Jv = np.zeros((2 * len(frames), 2 * nv))
         Jv[:, :nv] = ref_tangent_sweep(m, kin, v, frames=frames)[1][:, :nv]
         Jv[:, nv:] = jac
-        wp = np.repeat([node.swing[f].w_pos for f in frames], 2)
-        wv = np.repeat([node.swing[f].w_vel for f in frames], 2)
-        acc.add((pos - np.array([node.swing[f].pos for f in frames])).ravel(), wp,
-                Jx=Jp)
-        acc.add((vel - np.array([node.swing[f].vel for f in frames])).ravel(), wv,
-                Jx=Jv)
+        acc.add((pos - np.array([node.swing[f].pos for f in frames])).ravel(),
+                weights.w_placement, Jx=Jp)
+        acc.add((vel - np.array([node.swing[f].vel for f in frames])).ravel(),
+                weights.w_velocity, Jx=Jv)
     frames = node.contacts.frames
     if frames:
         lam = sol.forces
@@ -542,16 +536,6 @@ def ref_running(node, x, u):
         if weights.w_cone and node.cone is not None:
             r, Jr = co.cone_residual(*co.cone_matrices(node.cone), lam)
             acc.add(r, weights.w_cone, Jx=Jr @ Jlx, Ju=Jr @ Jlu)
-        if weights.w_qstatic:
-            lam_map = {f: lam[2 * k: 2 * k + 2] for k, f in enumerate(frames)}
-            rqs = ref_rnea(m, q, np.zeros(nv), np.zeros(nv), lam_map)
-            rqs = ct.actuation(m, u) - rqs
-            Jx = np.zeros((nv, 2 * nv))
-            Jx[:, :nv] = -ref_tangent_sweep(m, kin, np.zeros(nv), np.zeros(nv),
-                                            lam_map)[0][:, :nv]
-            Jx += sol.J.T @ Jlx
-            acc.add(rqs, weights.w_qstatic * weights.N, Jx=Jx,
-                    Ju=m.S + sol.J.T @ Jlu)
     der = NodeDerivatives(fx, fu, dt * acc.lx, dt * acc.lu, dt * acc.lxx,
                           dt * acc.lxu, dt * acc.luu)
     return x_next, dt * acc.value, der
@@ -564,9 +548,8 @@ def ref_impulse(node, x):
     m = node.model
     nv = m.nv
     q, v = x[:nv], x[nv:]
-    sol = ct.impulse_dynamics(m, q, v, node.contacts, node.restitution)
-    dvp_dx, _ = ref_impulse_derivatives(m, q, v, node.contacts, node.restitution,
-                                        sol)
+    sol = ct.impulse_dynamics(m, q, v, node.contacts)
+    dvp_dx, _ = ref_impulse_derivatives(m, q, v, node.contacts, sol)
     fx = np.vstack([np.hstack([np.eye(nv), np.zeros((nv, nv))]), dvp_dx])
     acc = RefExpansion(2 * nv, 0)
     _ref_state_costs(m, node, q, v, acc, True)

@@ -34,31 +34,28 @@ MODELS = {
 }
 
 
-def build_nodes(m, rng, kind, nc, n, anchored, restitution, w_qstatic):
+def build_nodes(m, rng, kind, nc, n):
     """``n`` nodes of one kind with ``nc`` contacts each, drawn from ``rng``."""
     q_ref = (presets.nominal_configuration(m) if m.name == "planar_quadruped"
              else np.zeros(m.nq))
     weights = co.default_weights(m, q_ref)
-    weights.w_qstatic = w_qstatic
     bounds = co.default_bounds(m, q_ref, joint_range=0.2, v_limit=0.5)
     feet = np.arange(len(m.contact_frames))
-    anchors = ({f: rng.normal(size=2) for f in feet[::2]} if anchored else {})
     nodes = []
     for k in range(n):
         frames = tuple(sorted(rng.choice(feet, nc, replace=False)))
-        contacts = ct.ContactSet(frames=frames, anchors=anchors)
+        contacts = ct.ContactSet(frames=frames)
         others = [f for f in feet if f not in frames]
         if kind == "running":
-            swing = {f: problem.SwingTarget(rng.normal(size=2), rng.normal(size=2),
-                                            1e3, 1e2) for f in others}
+            swing = {f: problem.SwingTarget(rng.normal(size=2), rng.normal(size=2))
+                     for f in others}
             # the first node of a window may be shorter than the grid period
             node = problem.RunningNode(m, weights, bounds, co.FrictionCone(mu=0.7),
                                        0.0, contacts, swing,
                                        0.007 if k == 0 else 0.02)
         else:
             node = problem.ImpulseNode(m, weights, 0.0, contacts,
-                                       {f: rng.normal(size=2) for f in frames},
-                                       restitution)
+                                       {f: rng.normal(size=2) for f in frames})
         nodes.append(node)
     return nodes
 
@@ -77,10 +74,7 @@ def test_stacked_nodes_match_the_per_node_oracle(name, kind, data):
     nc = data.draw(st.integers(0 if kind == "running" else 1, nframes), label="nc")
     n = data.draw(st.integers(1, 4), label="nodes")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16), label="seed"))
-    nodes = build_nodes(m, rng, kind, nc, n,
-                        anchored=data.draw(st.booleans(), label="anchored"),
-                        restitution=data.draw(st.sampled_from([0.0, 0.4]), label="e"),
-                        w_qstatic=data.draw(st.sampled_from([0.0, 0.5]), label="qs"))
+    nodes = build_nodes(m, rng, kind, nc, n)
     xs = [random_state(m, rng, spread=0.2) for _ in nodes]
     us = [rng.normal(size=node.nu) for node in nodes]
 
@@ -159,12 +153,10 @@ def test_shared_frames_broadcast_over_stacked_states():
     xs = np.array([random_state(quad, rng, spread=0.2) for _ in range(3)])
     us = rng.normal(size=(3, quad.nu))
     q, v = xs[:, :quad.nq], xs[:, quad.nq:]
-    anchors = {0: np.array([0.3, -0.4])}
-    stacked = ct.contact_dynamics_derivatives(
-        quad, q, v, us, ct.ContactSet(frames=(0, 3), anchors=anchors))
+    stacked = ct.contact_dynamics_derivatives(quad, q, v, us, ct.ContactSet(frames=(0, 3)))
     for k in range(3):
-        alone = ct.contact_dynamics_derivatives(
-            quad, q[k], v[k], us[k], ct.ContactSet(frames=(0, 3), anchors=anchors))
+        alone = ct.contact_dynamics_derivatives(quad, q[k], v[k], us[k],
+                                                ct.ContactSet(frames=(0, 3)))
         for field in ("dvdot_dx", "dvdot_du", "dforces_dx", "dforces_du"):
             assert np.array_equal(getattr(stacked, field)[k], getattr(alone, field))
 

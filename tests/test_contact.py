@@ -20,11 +20,11 @@ def dense_kkt(model, q, v, u, contacts):
     h = dynamics.nonlinear_effects(model, q, v)
     tau_b = ct.actuation(model, u) - h
     J = ct.contact_jacobian_stack(model, q, contacts.frames)
-    from leggedmpc.kinematics import frame_acceleration_bias
+    from leggedmpc.kinematics import frame_acceleration_bias, frame_velocities
 
-    a_C = frame_acceleration_bias(model, q, v, contacts.frames) + ct._baumgarte(
-        model, q, v, contacts
-    )
+    # Baumgarte velocity gain 2*zeta*omega, zeta = 1 and omega = 20 rad/s
+    a_C = (frame_acceleration_bias(model, q, v, contacts.frames)
+           + 2.0 * 1.0 * 20.0 * frame_velocities(model, q, v, contacts.frames).ravel())
     nv, nf = model.nv, contacts.nf
     K = np.zeros((nv + nf, nv + nf))
     K[:nv, :nv] = M
@@ -38,16 +38,6 @@ def dense_kkt_solve(model, q, v, u, contacts):
     return sol[:model.nv], -sol[model.nv:]
 
 
-def stance_contacts(model, q, frames=(0, 1, 2, 3)):
-    anchors = {}
-    from leggedmpc import kinematics
-
-    kin = kinematics.forward_kinematics(model, q)
-    for f in frames:
-        anchors[f] = kinematics.frame_position(model, kin, f)
-    return ct.ContactSet(frames=tuple(frames), anchors=anchors)
-
-
 # ------------------------------------------------------------- forward solve
 
 def test_matches_dense_kkt(quad):
@@ -56,7 +46,7 @@ def test_matches_dense_kkt(quad):
         x = random_state(quad, rng, spread=0.2)
         q, v = x[: quad.nq], x[quad.nq:]
         u = rng.normal(size=quad.nu)
-        contacts = stance_contacts(quad, presets.nominal_configuration(quad))
+        contacts = ct.ContactSet(frames=(0, 1, 2, 3))
         sol = ct.contact_forward_dynamics(quad, q, v, u, contacts)
         vd_o, lam_o = dense_kkt_solve(quad, q, v, u, contacts)
         assert np.abs(sol.vdot - vd_o).max() < 1e-8
@@ -67,7 +57,7 @@ def test_matches_dense_kkt(quad):
 
 def test_resting_box_normal_force():
     sb = presets.single_body(mass=4.0, inertia=0.3)
-    contacts = ct.ContactSet(frames=(0,), anchors={0: np.zeros(2)})
+    contacts = ct.ContactSet(frames=(0,))
     sol = ct.contact_forward_dynamics(sb, np.zeros(3), np.zeros(3), np.zeros(0), contacts)
     assert np.abs(sol.vdot).max() < 1e-10
     assert np.allclose(sol.forces, [0.0, 4.0 * 9.81], atol=1e-10)
@@ -91,21 +81,11 @@ def test_inverse_dynamics_roundtrip(quad):
     x = random_state(quad, rng, spread=0.1)
     q, v = x[: quad.nq], x[quad.nq:]
     u = rng.normal(size=quad.nu)
-    contacts = stance_contacts(quad, presets.nominal_configuration(quad))
+    contacts = ct.ContactSet(frames=(0, 1, 2, 3))
     sol = ct.contact_forward_dynamics(quad, q, v, u, contacts)
     tau = dynamics.rnea(quad, q, v, sol.vdot,
                         (contacts.frames, sol.forces.reshape(-1, 2)))
     assert np.abs(tau - ct.actuation(quad, u)).max() < 1e-9
-
-
-def test_baumgarte_pulls_back_to_anchor():
-    # static box displaced from its anchor accelerates toward it
-    sb = presets.single_body(mass=1.0, inertia=0.1)
-    contacts = ct.ContactSet(frames=(0,), anchors={0: np.array([0.1, 0.0])})
-    sol = ct.contact_forward_dynamics(sb, np.zeros(3), np.zeros(3), np.zeros(0), contacts)
-    # constraint row: J vdot = -omega^2 * drift, drift = (0,0) - (0.1,0)
-    w = contacts.baumgarte_freq
-    assert np.allclose(sol.vdot[:2], [w * w * 0.1, 0.0], atol=1e-9)
 
 
 def test_rank_deficient_contacts_raises(quad):
@@ -134,12 +114,11 @@ def test_predict_rows_match_each_row_alone(quad):
     us = rng.normal(size=(3, quad.nu))
     hs = np.array([2.5e-3, 2e-3, 1e-3])
     frames = np.array([[0, 3], [1, 2], [0, 1]])
-    anchored = stance_contacts(quad, presets.nominal_configuration(quad))
-    stacked = ct.ContactSet(frames=frames, anchors=anchored.anchors)
+    stacked = ct.ContactSet(frames=frames)
     sols, states = ct.predict(quad, xs, us, stacked, hs, 3)
     assert len(sols) == len(states) == 3
     for b in range(3):
-        alone = ct.ContactSet(frames=tuple(frames[b]), anchors=anchored.anchors)
+        alone = ct.ContactSet(frames=tuple(frames[b]))
         sols_b, states_b = ct.predict(quad, xs[b], us[b], alone, hs[b], 3)
         for k in range(3):
             assert np.array_equal(states[k][b], states_b[k])
@@ -152,36 +131,34 @@ def test_predict_rows_match_each_row_alone(quad):
 def test_impulse_point_mass_momentum():
     sb = presets.single_body(mass=2.0, inertia=0.1)
     v_minus = np.array([0.0, -3.0, 0.0])
-    sol = ct.impulse_dynamics(sb, np.zeros(3), v_minus, ct.ContactSet(frames=(0,)), 0.0)
+    sol = ct.impulse_dynamics(sb, np.zeros(3), v_minus, ct.ContactSet(frames=(0,)))
     assert np.allclose(sol.impulses, [0.0, 2.0 * 3.0], atol=1e-12)
     assert np.allclose(sol.v_plus, np.zeros(3), atol=1e-12)
 
 
 def test_impulse_restitution_sign(quad):
+    # inelastic: the contact points come to rest, J v+ = 0
     rng = np.random.default_rng(3)
     q = presets.nominal_configuration(quad)
     v = rng.normal(size=quad.nv)
     contacts = ct.ContactSet(frames=(0, 2))
     J = ct.contact_jacobian_stack(quad, q, contacts.frames)
     M = dynamics.mass_matrix(quad, q)
-    for e in (0.0, 0.35, 1.0):
-        sol = ct.impulse_dynamics(quad, q, v, contacts, e)
-        assert np.abs(J @ sol.v_plus + e * (J @ v)).max() < 1e-9
-        assert np.abs(M @ (sol.v_plus - v) - J.T @ sol.impulses).max() < 1e-9
+    sol = ct.impulse_dynamics(quad, q, v, contacts)
+    assert np.abs(J @ sol.v_plus).max() < 1e-9
+    assert np.abs(M @ (sol.v_plus - v) - J.T @ sol.impulses).max() < 1e-9
 
 
 def test_impulse_energy_non_increasing(quad):
     rng = np.random.default_rng(4)
-    for e in (0.0, 0.25, 0.5, 0.75, 1.0):
+    for _ in range(5):
         x = random_state(quad, rng, spread=0.4)
         q, v = x[: quad.nq], x[quad.nq:]
         M = dynamics.mass_matrix(quad, q)
-        sol = ct.impulse_dynamics(quad, q, v, ct.ContactSet(frames=(1, 3)), e)
+        sol = ct.impulse_dynamics(quad, q, v, ct.ContactSet(frames=(1, 3)))
         ke_minus = 0.5 * v @ M @ v
         ke_plus = 0.5 * sol.v_plus @ M @ sol.v_plus
         assert ke_plus <= ke_minus + 1e-10
-        if e == 1.0:
-            assert abs(ke_plus - ke_minus) < 1e-8  # elastic: energy preserved
 
 
 def test_impulse_configuration_unchanged(quad):
@@ -189,7 +166,7 @@ def test_impulse_configuration_unchanged(quad):
     # not returning any configuration at all
     q = presets.nominal_configuration(quad)
     v = np.ones(quad.nv)
-    sol = ct.impulse_dynamics(quad, q, v, ct.ContactSet(frames=(0,)), 0.0)
+    sol = ct.impulse_dynamics(quad, q, v, ct.ContactSet(frames=(0,)))
     assert sol.v_plus.shape == (quad.nv,)
     assert not hasattr(sol, "q_plus")
 
@@ -243,7 +220,7 @@ def test_contact_derivatives_match_fd(quad):
         x = random_state(quad, rng, spread=0.15)
         q, v = x[: quad.nq], x[quad.nq:]
         u = rng.normal(size=quad.nu)
-        contacts = stance_contacts(quad, presets.nominal_configuration(quad), frames=(0, 1, 2, 3))
+        contacts = ct.ContactSet(frames=(0, 1, 2, 3))
         der = ct.contact_dynamics_derivatives(quad, q, v, u, contacts)
         fd = fd_dynamics(quad, q, v, u, contacts)
         _assert_close(der.dvdot_dx, fd[0], 1e-4)
@@ -269,7 +246,7 @@ def test_control_force_sensitivity_closed_form(quad):
     q = presets.nominal_configuration(quad)
     v = np.zeros(quad.nv)
     u = np.zeros(quad.nu)
-    contacts = stance_contacts(quad, q)
+    contacts = ct.ContactSet(frames=(0, 1, 2, 3))
     sol = ct.contact_forward_dynamics(quad, q, v, u, contacts)
     der = ct.contact_dynamics_derivatives(quad, q, v, u, contacts, sol=sol)
     M, J = sol.M, sol.J
@@ -282,11 +259,11 @@ def test_control_force_sensitivity_closed_form(quad):
 
 def test_impulse_derivatives_match_fd(quad):
     rng = np.random.default_rng(7)
-    for e in (0.0, 0.4):
+    for _ in range(2):
         x = random_state(quad, rng, spread=0.2)
         q, v = x[: quad.nq], x[quad.nq:]
         contacts = ct.ContactSet(frames=(0, 3))
-        der = ct.impulse_dynamics_derivatives(quad, q, v, contacts, e)
+        der = ct.impulse_dynamics_derivatives(quad, q, v, contacts)
         eps = 1e-6
         nv = quad.nv
         fd_v = np.empty((nv, 2 * nv))
@@ -294,12 +271,12 @@ def test_impulse_derivatives_match_fd(quad):
         for i in range(nv):
             d = np.zeros(nv)
             d[i] = eps
-            sp = ct.impulse_dynamics(quad, mod.integrate_q(quad, q, d), v, contacts, e)
-            sm = ct.impulse_dynamics(quad, mod.integrate_q(quad, q, -d), v, contacts, e)
+            sp = ct.impulse_dynamics(quad, mod.integrate_q(quad, q, d), v, contacts)
+            sm = ct.impulse_dynamics(quad, mod.integrate_q(quad, q, -d), v, contacts)
             fd_v[:, i] = (sp.v_plus - sm.v_plus) / (2 * eps)
             fd_l[:, i] = (sp.impulses - sm.impulses) / (2 * eps)
-            sp = ct.impulse_dynamics(quad, q, v + d, contacts, e)
-            sm = ct.impulse_dynamics(quad, q, v - d, contacts, e)
+            sp = ct.impulse_dynamics(quad, q, v + d, contacts)
+            sm = ct.impulse_dynamics(quad, q, v - d, contacts)
             fd_v[:, nv + i] = (sp.v_plus - sm.v_plus) / (2 * eps)
             fd_l[:, nv + i] = (sp.impulses - sm.impulses) / (2 * eps)
         _assert_close(der.dvdot_dx, fd_v, 1e-4)

@@ -11,7 +11,8 @@ from leggedmpc import model as mod
 from leggedmpc import mpc as rh
 from leggedmpc import presets, schedule
 from leggedmpc.centroidal import centroidal
-from leggedmpc.errors import ConfigError, MaxIterations, Stage1Infeasible
+from leggedmpc.errors import (ConfigError, InvalidMeasurement, MaxIterations,
+                              Stage1Infeasible)
 
 
 @pytest.fixture(scope="module")
@@ -22,16 +23,16 @@ def quad():
 @pytest.fixture(scope="module")
 def statics(quad):
     q0 = presets.nominal_configuration(quad)
-    u_qs, lam_qs = rh.quasi_static_start(
+    u_qs, forces_qs = rh.quasi_static_start(
         quad, q0, ct.ContactSet(frames=(0, 1, 2, 3)))
-    return q0, u_qs, lam_qs
+    return q0, u_qs, forces_qs
 
 
 def all_feet(model):
     return tuple(range(len(model.contact_frames)))
 
 
-def equilibrium_message(model, q0, u_qs, lam_qs, n_intervals=2, dt=0.02):
+def equilibrium_message(model, q0, u_qs, forces_qs, n_intervals=2, dt=0.02):
     """A message whose optimal trajectory is the standing fixed point."""
     x0 = mod.state(model, q0, np.zeros(model.nv))
     K = np.zeros((model.nu, 2 * model.nv))
@@ -41,7 +42,7 @@ def equilibrium_message(model, q0, u_qs, lam_qs, n_intervals=2, dt=0.02):
         xs_ref=[np.array(x0) for _ in range(n_intervals + 1)],
         us_ff=[np.array(u_qs) for _ in range(n_intervals)],
         K_gains=[np.array(K) for _ in range(n_intervals)],
-        forces_ref=[np.array(lam_qs) for _ in range(n_intervals)],
+        forces_ref=[np.array(forces_qs) for _ in range(n_intervals)],
         contacts=[all_feet(model) for _ in range(n_intervals)],
         diagnostics={},
     )
@@ -193,6 +194,55 @@ def test_tracker_requires_a_message_before_holding(quad):
                                np.zeros(quad.nv)), 0.0)
 
 
+@pytest.mark.parametrize("controller", [trk.RiccatiController,
+                                        trk.WholeBodyController])
+def test_non_finite_measurement_holds_the_last_command(quad, solver_message,
+                                                       controller):
+    # as in Mpc.step: the last command comes back flagged degraded, and
+    # without one to hold the measurement is rejected
+    ctrl = controller(quad, co.default_bounds(
+        quad, presets.nominal_configuration(quad)))
+    ctrl.update_message(solver_message)
+    t0 = solver_message.node_times[0]
+    x = np.array(solver_message.xs_ref[0])
+    bad = x.copy()
+    bad[3] = np.nan
+    with pytest.raises(InvalidMeasurement):
+        ctrl.control(bad, t0)
+    live = ctrl.control(x, t0)
+    held = ctrl.control(bad, t0 + ctrl.control_dt)
+    assert held.degraded and held.mode == "hold"
+    np.testing.assert_array_equal(held.u, live.u)
+
+
+def test_message_that_is_not_whole_is_rejected(quad, solver_message):
+    # a rejected message leaves the active message and its reference as
+    # they were
+    ctrl = trk.RiccatiController(quad, co.default_bounds(
+        quad, presets.nominal_configuration(quad)))
+    ctrl.update_message(solver_message)
+    t = solver_message.node_times[1] + 0.4 * ctrl.control_dt
+    before = ctrl.reference_at(t)
+    times = list(solver_message.node_times)
+    times[1], times[2] = times[2], times[1]
+    K = [np.array(k) for k in solver_message.K_gains]
+    K[1][0, 0] = np.nan
+    forces = [np.array(f) for f in solver_message.forces_ref]
+    forces[0][1] = np.inf
+    for broken in (dict(xs_ref=solver_message.xs_ref[:-1]),
+                   dict(contacts=solver_message.contacts[1:]),
+                   dict(node_times=times[:1], xs_ref=solver_message.xs_ref[:1],
+                        us_ff=[], K_gains=[], forces_ref=[], contacts=[]),
+                   dict(node_times=times),
+                   dict(K_gains=K),
+                   dict(forces_ref=forces),
+                   dict(stamp=np.nan)):
+        with pytest.raises(ConfigError):
+            ctrl.update_message(replace(solver_message, **broken))
+        assert ctrl.message is solver_message
+        np.testing.assert_array_equal(ctrl.reference_at(t), before)
+
+
 def test_tracker_rejects_bad_control_period(quad):
     bounds = co.default_bounds(quad, presets.nominal_configuration(quad))
     with pytest.raises(ConfigError):
@@ -323,10 +373,10 @@ def perturbed_stance_tasks(model, frames, seed=0):
     x_ref = mod.state(model, q0, np.zeros(model.nv))
     rng = np.random.default_rng(seed)
     x = mod.integrate(model, x_ref, 0.05 * rng.standard_normal(2 * model.nv))
-    u_qs, lam_qs = rh.quasi_static_start(model, q0,
+    u_qs, forces_qs = rh.quasi_static_start(model, q0,
                                          ct.ContactSet(frames=frames))
     return trk.stance_tasks(model, trk.WbcGains(), x, x_ref, u_qs,
-                            frames, lam_qs)
+                            frames, forces_qs)
 
 
 def test_hqp_later_stages_preserve_earlier_residuals(quad):
@@ -365,8 +415,8 @@ def test_swing_stage_unaffected_by_lower_priorities(quad):
 # ---------------------------------------------------- whole-body controller
 
 def test_wbc_reproduces_statics_at_equilibrium(quad, statics):
-    q0, u_qs, lam_qs = statics
-    msg = equilibrium_message(quad, q0, u_qs, lam_qs)
+    q0, u_qs, forces_qs = statics
+    msg = equilibrium_message(quad, q0, u_qs, forces_qs)
     bounds = co.default_bounds(quad, q0)
     wbc = trk.WholeBodyController(quad, bounds)
     wbc.update_message(msg)
@@ -376,7 +426,7 @@ def test_wbc_reproduces_statics_at_equilibrium(quad, statics):
     np.testing.assert_allclose(cmd.u, u_qs, atol=1e-6)
     # the cascade recovers the planned contact forces as well
     nv, nu = quad.nv, quad.nu
-    np.testing.assert_allclose(wbc.last_hqp.y[nv + nu:], lam_qs, atol=1e-6)
+    np.testing.assert_allclose(wbc.last_hqp.y[nv + nu:], forces_qs, atol=1e-6)
     assert max(wbc.last_hqp.stage_residuals) < 1e-8
 
     # the Riccati law lands on the same torque at the fixed point
@@ -386,8 +436,8 @@ def test_wbc_reproduces_statics_at_equilibrium(quad, statics):
 
 
 def test_wbc_with_cone_matches_unconstrained_at_equilibrium(quad, statics):
-    q0, u_qs, lam_qs = statics
-    msg = equilibrium_message(quad, q0, u_qs, lam_qs)
+    q0, u_qs, forces_qs = statics
+    msg = equilibrium_message(quad, q0, u_qs, forces_qs)
     bounds = co.default_bounds(quad, q0)
     wbc = trk.WholeBodyController(quad, bounds,
                                   cone=co.FrictionCone(mu=0.8))
@@ -398,8 +448,8 @@ def test_wbc_with_cone_matches_unconstrained_at_equilibrium(quad, statics):
 
 def test_wbc_forces_stay_in_cone_despite_bad_reference(quad, statics):
     # a force reference far outside the cone must not drag the solution out
-    q0, u_qs, lam_qs = statics
-    lam_bad = np.array(lam_qs)
+    q0, u_qs, forces_qs = statics
+    lam_bad = np.array(forces_qs)
     lam_bad[0::2] += 300.0          # huge tangential components
     msg = equilibrium_message(quad, q0, u_qs, lam_bad)
     cone = co.FrictionCone(mu=0.5, lambda_min=1.0)
@@ -418,9 +468,9 @@ def test_wbc_forces_stay_in_cone_despite_bad_reference(quad, statics):
 def test_wbc_minimum_normal_force_binds(quad, statics):
     # a preload larger than the static per-foot share forces the solution
     # onto the cone floor: every foot must push at least lambda_min
-    q0, u_qs, lam_qs = statics
-    assert lam_qs[1::2].max() < 50.0  # the preload really exceeds statics
-    msg = equilibrium_message(quad, q0, u_qs, lam_qs)
+    q0, u_qs, forces_qs = statics
+    assert forces_qs[1::2].max() < 50.0  # the preload really exceeds statics
+    msg = equilibrium_message(quad, q0, u_qs, forces_qs)
     cone = co.FrictionCone(mu=0.8, lambda_min=50.0)
     wbc = trk.WholeBodyController(quad, co.default_bounds(quad, q0),
                                   cone=cone)
@@ -435,8 +485,8 @@ def test_wbc_minimum_normal_force_binds(quad, statics):
 def test_wbc_infeasible_dynamics_falls_back(quad, statics):
     # a cone demanding a meganewton of preload cannot be satisfied: the
     # dynamics stage fails and the controller re-issues its previous torque
-    q0, u_qs, lam_qs = statics
-    msg = equilibrium_message(quad, q0, u_qs, lam_qs)
+    q0, u_qs, forces_qs = statics
+    msg = equilibrium_message(quad, q0, u_qs, forces_qs)
     bounds = co.default_bounds(quad, q0)
     wbc = trk.WholeBodyController(quad, bounds,
                                   cone=co.FrictionCone(mu=0.8,
@@ -458,10 +508,10 @@ def test_wbc_unsettled_stage_qp_holds_previous_torque(quad, statics,
                                                      monkeypatch):
     # a stage QP whose active set does not settle re-issues the previous
     # clamped torque marked degraded instead of escaping the tick
-    q0, u_qs, lam_qs = statics
+    q0, u_qs, forces_qs = statics
     wbc = trk.WholeBodyController(quad, co.default_bounds(quad, q0),
                                   cone=co.FrictionCone(mu=0.8))
-    wbc.update_message(equilibrium_message(quad, q0, u_qs, lam_qs))
+    wbc.update_message(equilibrium_message(quad, q0, u_qs, forces_qs))
     x0 = mod.state(quad, q0, np.zeros(quad.nv))
     good = wbc.control(x0, 0.0)
     assert not good.degraded

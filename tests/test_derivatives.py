@@ -1,7 +1,7 @@
 """Exact derivatives of the node dynamics against finite-difference oracles.
 
-``dynamics.tangent_sweep`` feeds every derivative of the contact, impulse,
-swing and quasi-static terms; here each consumer is checked against
+``dynamics.tangent_sweep`` feeds every derivative of the contact, impulse
+and swing terms; here each consumer is checked against
 central differences of the function it differentiates, and a call count
 keeps finite differences from creeping back into the runtime paths
 (``centroidal``'s momentum drift included).
@@ -36,15 +36,12 @@ def robot(request):
     return MODELS[request.param]()
 
 
-def contact_sets(m, kin):
-    """Every subset of the model's feet, without and with offset anchors."""
+def contact_sets(m):
+    """Every subset of the model's feet."""
     feet = range(len(m.contact_frames))
     for r in range(len(m.contact_frames) + 1):
         for frames in itertools.combinations(feet, r):
             yield ct.ContactSet(frames=frames)
-            if frames:
-                yield ct.ContactSet(frames=frames, anchors={
-                    f: kinematics.frame_position(m, kin, f) + 0.01 for f in frames})
 
 
 def test_tangent_sweep_matches_fd(robot):
@@ -76,8 +73,7 @@ def test_tangent_sweep_matches_fd(robot):
 
 def test_contact_derivatives_exact(robot):
     rng = np.random.default_rng(1)
-    q0, _ = mod.split_state(robot, random_state(robot, rng, spread=0.2))
-    for contacts in contact_sets(robot, kinematics.forward_kinematics(robot, q0)):
+    for contacts in contact_sets(robot):
         x = random_state(robot, rng, spread=0.2)
         q, v = mod.split_state(robot, x)
         u = rng.normal(size=robot.nu)
@@ -90,20 +86,17 @@ def test_contact_derivatives_exact(robot):
 
         fd = fd_state_jacobian(robot, solve, x)
         got = np.vstack([der.dvdot_dx, der.dforces_dx])
-        assert rel_err(got, fd) < TOL, (contacts.frames, bool(contacts.anchors))
+        assert rel_err(got, fd) < TOL, contacts.frames
 
 
-@pytest.mark.parametrize("restitution", [0.0, 0.4])
-def test_impulse_derivatives_exact(robot, restitution):
+def test_impulse_derivatives_exact(robot):
     rng = np.random.default_rng(2)
     x = random_state(robot, rng, spread=0.2)
     contacts = ct.ContactSet(frames=tuple(range(min(2, len(robot.contact_frames)))))
-    der = ct.impulse_dynamics_derivatives(robot, *mod.split_state(robot, x),
-                                          contacts, restitution)
+    der = ct.impulse_dynamics_derivatives(robot, *mod.split_state(robot, x), contacts)
 
     def solve(xx):
-        sol = ct.impulse_dynamics(robot, *mod.split_state(robot, xx), contacts,
-                                  restitution)
+        sol = ct.impulse_dynamics(robot, *mod.split_state(robot, xx), contacts)
         return np.concatenate([sol.v_plus, sol.impulses])
 
     fd = fd_state_jacobian(robot, solve, x)
@@ -126,18 +119,6 @@ def test_swing_vel_dq_exact(robot):
     assert rel_err(got, fd) < TOL
 
 
-def test_quasi_static_residual_dq_exact(robot):
-    rng = np.random.default_rng(4)
-    q, _ = mod.split_state(robot, random_state(robot, rng, spread=0.4))
-    u = rng.normal(size=robot.nu)
-    frames = tuple(range(len(robot.contact_frames)))
-    lam = (frames, rng.normal(size=(len(frames), 2)))
-    got = co.quasi_static_residual_dq(robot, q, lam)
-    fd = fd_config_jacobian(
-        robot, lambda qq: co.quasi_static_residual(robot, qq, u, lam), q)
-    assert rel_err(got, fd) < TOL
-
-
 # ------------------------------------------------- no runtime finite differences
 
 def count_calls(monkeypatch, original):
@@ -156,42 +137,31 @@ def count_calls(monkeypatch, original):
     return calls
 
 
-def trot_stance_node(quad, w_qstatic=0.0):
+def trot_stance_node(quad):
     q0 = presets.nominal_configuration(quad)
     kin = kinematics.forward_kinematics(quad, q0)
     placements = {f: kinematics.frame_position(quad, kin, f) for f in range(4)}
     sched = schedule.trot((0, 2), (1, 3), placements, lead_in=0.04, swing=0.2,
                           double_support=0.1, stride=0.1, cycles=1)
-    weights = co.default_weights(quad, q0)
-    weights.w_qstatic = w_qstatic
-    prob = problem.build_problem(quad, sched, weights, co.default_bounds(quad, q0),
+    prob = problem.build_problem(quad, sched, co.default_weights(quad, q0),
+                                 co.default_bounds(quad, q0),
                                  presets.nominal_state(quad), N=10, dt=0.02)
     return next(n for n in prob.nodes if n.kind == "running"
                 and len(n.swing) == 2 and len(n.contacts.frames) == 2)
 
 
-def stance_kinematics_calls(monkeypatch, w_qstatic):
-    """Forward kinematics passes of one stance node's calc, then its derivatives."""
+def test_stance_calc_diff_runs_no_finite_differences(monkeypatch):
+    # one kinematics pass evaluates the node; its derivatives and the swing
+    # terms read that pass
     quad = presets.default_quadruped()
-    node = trot_stance_node(quad, w_qstatic)
+    node = trot_stance_node(quad)
     x = random_state(quad, np.random.default_rng(5), spread=0.1)
     u = np.zeros(quad.nu)
     calls = count_calls(monkeypatch, kinematics.forward_kinematics)
     node.calc(x, u)
-    after_calc = len(calls)
+    assert len(calls) == 1
     problem.differentiate_nodes([node], [x], [u])
-    return after_calc, len(calls) - after_calc
-
-
-def test_stance_calc_diff_runs_no_finite_differences(monkeypatch):
-    # one kinematics pass evaluates the node; its derivatives and the swing
-    # terms read that pass
-    assert stance_kinematics_calls(monkeypatch, 0.0) == (1, 0)
-
-
-def test_quasi_static_residual_reads_the_solution_kinematics(monkeypatch):
-    # the quasi-static residual and its tangent reuse the solution's pass
-    assert stance_kinematics_calls(monkeypatch, 0.5) == (1, 0)
+    assert len(calls) == 1
 
 
 def test_contact_forward_dynamics_runs_kinematics_once(monkeypatch):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from leggedmpc import contact as ct
 from leggedmpc import costs as co
 from leggedmpc import model as mod
 from leggedmpc import presets, problem, schedule
@@ -187,7 +186,7 @@ def test_weights_validation(quad):
 
 # ------------------------------------------------------- problem structure
 
-def make_problem(quad, kind="stand", N=10, dt=0.02, t0=0.0, w=None):
+def make_problem(quad, kind="stand", N=10, dt=0.02, t0=0.0):
     placements = foot_placements(quad)
     if kind == "stand":
         sched = schedule.stand(range(4), placements)
@@ -197,8 +196,7 @@ def make_problem(quad, kind="stand", N=10, dt=0.02, t0=0.0, w=None):
         sched = schedule.trot((0, 2), (1, 3), placements, lead_in=0.2,
                               swing=0.2, double_support=0.1, stride=0.1,
                               cycles=3)
-    if w is None:
-        w = co.default_weights(quad, presets.nominal_configuration(quad))
+    w = co.default_weights(quad, presets.nominal_configuration(quad))
     b = co.default_bounds(quad, presets.nominal_configuration(quad))
     return problem.build_problem(quad, sched, w, b, presets.nominal_state(quad),
                                  N=N, dt=dt, t0=t0)
@@ -357,9 +355,7 @@ def test_running_node_derivatives_stance(quad):
 
 
 def test_running_node_derivatives_swing_and_cone(quad):
-    w = co.default_weights(quad, presets.nominal_configuration(quad))
-    w.w_qstatic = 0.5  # exercise the full chain including the static residual
-    prob = make_problem(quad, "trot", N=20, w=w)
+    prob = make_problem(quad, "trot", N=20)
     swing_nodes = [n for n in prob.nodes
                    if n.kind == "running" and n.swing and n.contacts.nf]
     node = swing_nodes[len(swing_nodes) // 2]
@@ -432,16 +428,3 @@ def test_node_at_reference_zero_cost(quad):
     der = problem.differentiate_nodes(prob.nodes[:1], [x], [np.zeros(quad.nu)])[0]
     assert np.abs(der.lx).max() < 1e-12
 
-
-def test_quasi_static_residual_zero_at_equilibrium(quad):
-    q = presets.nominal_configuration(quad)
-    contacts = ct.ContactSet(frames=(0, 1, 2, 3))
-    J = ct.contact_jacobian_stack(quad, q, contacts.frames)
-    from leggedmpc import dynamics
-    g = dynamics.gravity_torque(quad, q)
-    S = np.zeros((quad.nv, quad.nu))
-    S[3:, :] = np.eye(quad.nu)
-    sol, *_ = np.linalg.lstsq(np.hstack([S, J.T]), g, rcond=None)
-    u_qs, lam_qs = sol[: quad.nu], sol[quad.nu:]
-    r = co.quasi_static_residual(quad, q, u_qs, (contacts.frames, lam_qs.reshape(-1, 2)))
-    assert np.abs(r).max() < 1e-9
