@@ -199,7 +199,10 @@ class BoxFddp:
     # -- candidate management -------------------------------------------
 
     def set_candidate(self, xs=None, us=None):
+        """Start from ``(xs, us)`` (zero controls and their rollout by
+        default), with a new iteration log."""
         problem = self.problem
+        self.log = []
         if us is None:
             us = problem.zero_controls()
         self.us = [np.asarray(u, float) for u in us]

@@ -10,14 +10,15 @@ Two interchangeable consumers of :class:`~leggedmpc.mpc.PolicyMessage`:
   there).
 * :class:`WholeBodyController` resolves the classical task hierarchy --
   contact dynamics with actuation limits, swing feet, centre of mass,
-  centroidal momentum, contact forces -- as a cascade of small quadratic
+  angular momentum, contact forces -- as a cascade of small quadratic
   programs in the accumulated null space.  Flight phases fall back to a
   joint-space PD around the feed-forward torque.
 
-Both look a tick's interval and reference state up by the same rule (a
-time within 1e-12 s before a node time belongs to that node), and both hold
-their last command (flagged degraded) when the active message runs out
-instead of extrapolating it, or when the measured state is not finite
+Both run the same tick and differ only in their torque law.  The tick looks
+the interval and reference state up by one rule (a time within 1e-12 s
+before a node time belongs to that node), and holds the last command
+(flagged degraded) when the active message runs out instead of
+extrapolating it, or when the measured state is not finite
 (``InvalidMeasurement`` with no command to hold).
 """
 
@@ -37,15 +38,15 @@ from .kinematics import (bias_accelerations, body_twists, forward_kinematics,
                          frame_acceleration_bias, frame_positions,
                          frame_velocities)
 from .model import RobotModel
-from .mpc import PolicyMessage
+from .mpc import PolicyMessage, _index_at
 
 
 @dataclass
 class WbcGains:
     """Feedback gains of the task hierarchy (all non-negative).
 
-    Swing and CoM pairs map tracking errors to accelerations; the momentum
-    pair maps CoM and angular-momentum errors to a centroidal momentum
+    Swing and CoM pairs map tracking errors to accelerations;
+    ``momentum_dk`` maps the angular-momentum error to an angular-momentum
     rate; the flight pair is the joint-space PD used when fewer than two
     feet are in contact.
     """
@@ -54,8 +55,6 @@ class WbcGains:
     swing_kd: float = 25.0
     com_kp: float = 60.0
     com_kd: float = 90.0
-    momentum_kl: float = 30.0
-    momentum_dl: float = 10.0
     momentum_dk: float = 10.0
     flight_kp: float = 60.0
     flight_kd: float = 2.0
@@ -125,7 +124,7 @@ def _check_message(msg: PolicyMessage):
 
 
 class _MessageTracker:
-    """Message ingestion plus the shared reference-rollout cache.
+    """Message ingestion, the shared reference-rollout cache and the tick.
 
     The cache is rebuilt completely before the message pointer is swapped,
     so a reader never observes a half-updated reference (single consumer;
@@ -142,7 +141,6 @@ class _MessageTracker:
         self.message: PolicyMessage | None = None
         self._times = None
         self._states = None
-        self._u_prev = np.zeros(model.nu)
         self._last: ControlCommand | None = None
 
     def update_message(self, msg: PolicyMessage):
@@ -153,9 +151,24 @@ class _MessageTracker:
         self.message = msg
 
     def reference_at(self, t: float) -> np.ndarray:
-        j = int(np.searchsorted(self._times, t + 1e-12, side="right")) - 1
-        j = min(max(j, 0), len(self._states) - 1)
-        return self._states[j]
+        return self._states[_index_at(self._times, t, len(self._states))]
+
+    def _tick(self, x: np.ndarray, t: float, law) -> ControlCommand:
+        """One control tick under ``law(msg, i, x, x_ref) -> (u, mode,
+        degraded)``, the controller's torque law on interval ``i``; held
+        instead when ``_holds``."""
+        if self._holds(x, t):
+            return self._hold_last()
+        msg = self.message
+        i = msg.interval_at(t)
+        x_ref = self.reference_at(t)
+        u, mode, degraded = law(msg, i, x, x_ref)
+        q_d, v_d = mod.split_state(self.model, x_ref)
+        self._last = ControlCommand(
+            u=u, q_joints=q_d[3:], v_joints=v_d[3:], x_ref=np.array(x_ref),
+            forces_ref=np.asarray(msg.forces_ref[i], float),
+            contacts=tuple(msg.contacts[i]), mode=mode, degraded=degraded)
+        return self._last
 
     def _holds(self, x: np.ndarray, t: float) -> bool:
         """Whether the tick holds the last command: the message has run out,
@@ -168,10 +181,13 @@ class _MessageTracker:
 
     def _hold_last(self) -> ControlCommand:
         if self._last is None:
-            raise ConfigError("no policy message received")
-        cmd = replace(self._last, degraded=True, mode="hold")
-        self._last = cmd
-        return cmd
+            if self.message is None:
+                raise ConfigError("no policy message received")
+            raise ConfigError(
+                f"policy message stamped {self.message.stamp:g} s expired at "
+                f"{self.message.validity_end:g} s, before the first tick")
+        self._last = replace(self._last, degraded=True, mode="hold")
+        return self._last
 
 
 # -------------------------------------------------- Riccati state feedback
@@ -192,39 +208,18 @@ class RiccatiController(_MessageTracker):
     """
 
     def control(self, x: np.ndarray, t: float) -> ControlCommand:
-        if self._holds(x, t):
-            return self._hold_last()
-        msg = self.message
-        i = msg.interval_at(t)
-        x_ref = self.reference_at(t)
+        return self._tick(x, t, self._feedback)
+
+    def _feedback(self, msg, i, x, x_ref):
         K = np.asarray(msg.K_gains[i], float)
-        frames = tuple(msg.contacts[i])
-        if len(frames) < 2:
+        if len(msg.contacts[i]) < 2:
             K = mask_base_gain(K, self.model.nv)
         err = mod.difference(self.model, x_ref, x)
         u = np.asarray(msg.us_ff[i], float) + K @ err
-        u = np.clip(u, self.bounds.u_lb, self.bounds.u_ub)
-        q_d, v_d = mod.split_state(self.model, x_ref)
-        cmd = ControlCommand(
-            u=u, q_joints=q_d[3:], v_joints=v_d[3:], x_ref=np.array(x_ref),
-            forces_ref=np.asarray(msg.forces_ref[i], float),
-            contacts=frames, mode="riccati")
-        self._u_prev = u
-        self._last = cmd
-        return cmd
+        return np.clip(u, self.bounds.u_lb, self.bounds.u_ub), "riccati", False
 
 
 # ------------------------------------------------- hierarchical QP cascade
-
-@dataclass
-class WbcTask:
-    """One priority level: minimize ||A y - a|| inside what is left over."""
-
-    A: np.ndarray
-    a: np.ndarray
-    rank: int = 0
-    name: str = ""
-
 
 @dataclass
 class RowBounds:
@@ -242,14 +237,14 @@ class HqpSolution:
     null_dims: list           # remaining null-space dimension per stage
 
 
-def nullspace_basis(A: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of the right null space of A."""
+def nullspace_basis(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the right null space of A (singular values
+    below 1e-10 of the largest count as zero)."""
     A = np.atleast_2d(np.asarray(A, float))
-    n = A.shape[1]
     if A.size == 0:
-        return np.eye(n)
+        return np.eye(A.shape[1])
     _, s, vt = np.linalg.svd(A)
-    rank = int(np.sum(s > rtol * s[0])) if s.size else 0
+    rank = int(np.sum(s > 1e-10 * s[0]))
     return vt[rank:].T
 
 
@@ -263,7 +258,7 @@ def _stage_qp(G, d, W, lb, ub):
     """
     n = G.shape[1]
     z = np.zeros(n)
-    if W is None or W.size == 0:
+    if W.size == 0:
         return np.linalg.lstsq(G, d, rcond=None)[0]
     m = W.shape[0]
     if np.any(lb > 1e-9) or np.any(ub < -1e-9):
@@ -314,69 +309,54 @@ def _stage_qp(G, d, W, lb, ub):
     raise MaxIterations("stage QP active-set iteration did not settle")
 
 
-def hqp_solve(tasks, ineq: RowBounds | None = None,
-              stage1_tol: float | None = None,
-              y0: np.ndarray | None = None) -> HqpSolution:
-    """Lexicographic least squares over a priority-ordered task list.
+# first-stage residual, relative to max(1, |a_1|_inf), above which the
+# dynamics count as unrealizable
+STAGE1_TOL = 1e-6
 
-    The unknown has the width of the task matrices.  Every stage minimizes
-    its own residual inside the accumulated null space of all
-    higher-priority task matrices; the inequality rows are carried unchanged
-    into each stage.  ``y0`` seeds the first stage and must satisfy the
-    inequality rows (each stage output stays feasible, so later stages start
-    feasible automatically); it defaults to zero, which is only valid when
-    the bounds contain the origin.  When ``stage1_tol``
-    is given, a first-stage residual above ``stage1_tol * max(1, |a_1|_inf)``
-    raises :class:`Stage1Infeasible` (the dynamics cannot be realized
-    within the actuation and cone limits).
+
+def hqp_solve(tasks, ineq: RowBounds, y0: np.ndarray) -> HqpSolution:
+    """Lexicographic least squares over ``(A, a)`` tasks in priority order.
+
+    The unknown has the width of ``y0``.  Every stage minimizes its own
+    residual ``|A y - a|`` inside the accumulated null space of all
+    higher-priority task matrices; the inequality rows (possibly none) are
+    carried unchanged into each stage.  ``y0`` seeds the first stage and
+    must satisfy the inequality rows (each stage output stays feasible, so
+    later stages start feasible automatically).  A first-stage residual
+    above ``STAGE1_TOL * max(1, |a_1|_inf)`` raises
+    :class:`Stage1Infeasible` (the dynamics cannot be realized within the
+    actuation and cone limits).
     """
-    tasks = sorted(tasks, key=lambda task: task.rank)
     if not tasks:
         raise ConfigError("hqp_solve needs at least one task")
-    ny = np.atleast_2d(tasks[0].A).shape[1]
-    y = np.zeros(ny) if y0 is None else np.array(y0, dtype=float)
-    Z = np.eye(ny)
+    y = np.array(y0, dtype=float)
+    Z = np.eye(y.size)
     residuals, null_dims = [], []
-    for idx, task in enumerate(tasks):
-        A = np.atleast_2d(np.asarray(task.A, float))
-        a = np.atleast_1d(np.asarray(task.a, float))
+    for A, a in tasks:
+        A = np.atleast_2d(np.asarray(A, float))
+        a = np.atleast_1d(np.asarray(a, float))
         if Z.shape[1]:
             G = A @ Z
-            d = a - A @ y
-            if ineq is None:
-                w, *_ = np.linalg.lstsq(G, d, rcond=None)
-            else:
-                w = _stage_qp(G, d, ineq.B @ Z,
-                              ineq.lb - ineq.B @ y, ineq.ub - ineq.B @ y)
+            w = _stage_qp(G, a - A @ y, ineq.B @ Z,
+                          ineq.lb - ineq.B @ y, ineq.ub - ineq.B @ y)
             y = y + Z @ w
             Z = Z @ nullspace_basis(G)
         res = float(np.abs(A @ y - a).max()) if a.size else 0.0
+        if not residuals and res > STAGE1_TOL * max(1.0, np.abs(a).max()):
+            raise Stage1Infeasible(
+                f"dynamics-stage residual {res:.3g} exceeds tolerance")
         residuals.append(res)
         null_dims.append(Z.shape[1])
-        if idx == 0 and stage1_tol is not None:
-            scale = max(1.0, float(np.abs(a).max()))
-            if res > stage1_tol * scale:
-                raise Stage1Infeasible(
-                    f"dynamics-stage residual {res:.3g} exceeds tolerance")
     return HqpSolution(y=y, stage_residuals=residuals, null_dims=null_dims)
 
 
 # ----------------------------------------------------- whole-body control
 
-def momentum_policy(gains: WbcGains, m_tot: float, cen, cen_ref,
-                    hdot_ref: np.ndarray) -> np.ndarray:
-    """Commanded centroidal momentum rate (lx, ly, k) from tracking errors.
-
-    Linear part: mass times the referenced CoM acceleration corrected by
-    CoM position/velocity errors; angular part: referenced angular rate
-    corrected by the angular-momentum error.
-    """
-    acc_ref = hdot_ref[:2] / m_tot
-    ldot = m_tot * (acc_ref
-                    + gains.momentum_kl * (cen_ref.p_G - cen.p_G)
-                    + gains.momentum_dl * (cen_ref.v_G - cen.v_G))
-    kdot = hdot_ref[2] + gains.momentum_dk * (cen_ref.k_G - cen.k_G)
-    return np.array([ldot[0], ldot[1], kdot])
+def momentum_policy(gains: WbcGains, cen, cen_ref,
+                    hdot_ref: np.ndarray) -> float:
+    """Commanded angular-momentum rate: the referenced rate corrected by
+    the angular-momentum error."""
+    return hdot_ref[2] + gains.momentum_dk * (cen_ref.k_G - cen.k_G)
 
 
 def wbc_seed(model: RobotModel, bounds: Bounds,
@@ -422,13 +402,16 @@ def wbc_inequality_rows(model: RobotModel, bounds: Bounds,
 
 
 def stance_tasks(model: RobotModel, gains: WbcGains, x, x_ref, u_ff,
-                 frames, lam_ref) -> list[WbcTask]:
-    """Build the stance hierarchy at one tick.
+                 frames, lam_ref) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Build the stance hierarchy at one tick as ``(A, a)`` pairs.
 
     Priorities: (0) contact dynamics, (1) swing feet, (2) centre of mass,
-    (3) centroidal momentum, (4) contact forces.  All task references are
-    evaluated on the rollout state ``x_ref`` under the feed-forward torque,
-    so a perfectly tracking robot sees consistent, zero-error targets.
+    (3) angular momentum, (4) contact forces.  The linear momentum is the
+    CoM rows times the total mass, so the CoM stage already fixes it and
+    the momentum stage holds the angular row alone.  All task references
+    are evaluated on the rollout state ``x_ref`` under the feed-forward
+    torque, so a perfectly tracking robot sees consistent, zero-error
+    targets.
     """
     frames = tuple(frames)
     q, v = mod.split_state(model, x)
@@ -452,7 +435,7 @@ def stance_tasks(model: RobotModel, gains: WbcGains, x, x_ref, u_ff,
     A1[nv:, :nv] = Jc
     a1 = np.concatenate([-h, -frame_acceleration_bias(model, q, v, frames,
                                                       kin=kin, tw=tw, bias=bias)])
-    tasks = [WbcTask(A1, a1, rank=0, name="dynamics")]
+    tasks = [(A1, a1)]
 
     # reference accelerations are contact-consistent under the feed-forward
     contacts = ct.ContactSet(frames=frames)
@@ -477,8 +460,8 @@ def stance_tasks(model: RobotModel, gains: WbcGains, x, x_ref, u_ff,
                   + gains.swing_kd * (vel_d - vel))
         A = np.zeros((2 * len(swing), ny))
         A[:, :nv] = ct.contact_jacobian_stack(model, q, swing, kin=kin)
-        tasks.append(WbcTask(A, target - frame_acceleration_bias(
-            model, q, v, swing, kin=kin, tw=tw, bias=bias), rank=1, name="swing"))
+        tasks.append((A, target - frame_acceleration_bias(
+            model, q, v, swing, kin=kin, tw=tw, bias=bias)))
 
     # CoM rows are the linear momentum rows scaled by the total mass
     acc_com_d = hdot_ref[:2] / m_tot
@@ -486,17 +469,16 @@ def stance_tasks(model: RobotModel, gains: WbcGains, x, x_ref, u_ff,
               + gains.com_kd * (cen_ref.v_G - cen.v_G))
     A = np.zeros((2, ny))
     A[:, :nv] = cen.A_G[:2] / m_tot
-    tasks.append(WbcTask(A, target - cen.Adot_v[:2] / m_tot, rank=2, name="com"))
+    tasks.append((A, target - cen.Adot_v[:2] / m_tot))
 
-    hdot_c = momentum_policy(gains, m_tot, cen, cen_ref, hdot_ref)
-    A = np.zeros((3, ny))
-    A[:, :nv] = cen.A_G
-    tasks.append(WbcTask(A, hdot_c - cen.Adot_v, rank=3, name="momentum"))
+    kdot_c = momentum_policy(gains, cen, cen_ref, hdot_ref)
+    A = np.zeros((1, ny))
+    A[:, :nv] = cen.A_G[2:]
+    tasks.append((A, kdot_c - cen.Adot_v[2:]))
 
     A = np.zeros((nf, ny))
     A[:, nv + nu:] = np.eye(nf)
-    tasks.append(WbcTask(A, np.asarray(lam_ref, float), rank=4,
-                         name="forces"))
+    tasks.append((A, np.asarray(lam_ref, float)))
     return tasks
 
 
@@ -519,10 +501,6 @@ class WholeBodyController(_MessageTracker):
     degraded flag set.
     """
 
-    # first-stage residual, relative to max(1, |a_1|_inf), above which the
-    # dynamics count as unrealizable (``hqp_solve``)
-    stage1_tol = 1e-6
-
     def __init__(self, model: RobotModel, bounds: Bounds,
                  gains: WbcGains | None = None,
                  cone: FrictionCone | None = None,
@@ -530,50 +508,32 @@ class WholeBodyController(_MessageTracker):
         super().__init__(model, bounds, control_dt)
         self.gains = gains if gains is not None else WbcGains()
         self.cone = cone
-        self.last_hqp: HqpSolution | None = None
 
     def control(self, x: np.ndarray, t: float) -> ControlCommand:
-        if self._holds(x, t):
-            return self._hold_last()
-        msg = self.message
-        i = msg.interval_at(t)
-        x_ref = self.reference_at(t)
+        return self._tick(x, t, self._hierarchy)
+
+    def _hierarchy(self, msg, i, x, x_ref):
+        model, bounds = self.model, self.bounds
         frames = tuple(msg.contacts[i])
         u_ff = np.asarray(msg.us_ff[i], float)
-        lam_ref = np.asarray(msg.forces_ref[i], float)
-        q_d, v_d = mod.split_state(self.model, x_ref)
-        degraded = False
         if len(frames) < 2:
-            q, v = mod.split_state(self.model, x)
+            q, v = mod.split_state(model, x)
+            q_d, v_d = mod.split_state(model, x_ref)
             u = flight_pd(u_ff, q[3:], v[3:], q_d[3:], v_d[3:],
                           self.gains.flight_kp, self.gains.flight_kd,
-                          self.bounds.u_lb, self.bounds.u_ub)
-            mode = "flight_pd"
-        else:
-            try:
-                tasks = stance_tasks(self.model, self.gains, x, x_ref,
-                                     u_ff, frames, lam_ref)
-                ineq = wbc_inequality_rows(self.model, self.bounds,
-                                           self.cone, len(frames))
-                seed = wbc_seed(self.model, self.bounds, self.cone,
-                                len(frames))
-                sol = hqp_solve(tasks, ineq, stage1_tol=self.stage1_tol, y0=seed)
-                self.last_hqp = sol
-                nv, nu = self.model.nv, self.model.nu
-                u = np.clip(sol.y[nv:nv + nu],
-                            self.bounds.u_lb, self.bounds.u_ub)
-                mode = "wbc"
-            except (Stage1Infeasible, MaxIterations):
-                u = np.clip(self._u_prev, self.bounds.u_lb, self.bounds.u_ub)
-                mode = "wbc"
-                degraded = True
-        cmd = ControlCommand(
-            u=u, q_joints=q_d[3:], v_joints=v_d[3:], x_ref=np.array(x_ref),
-            forces_ref=lam_ref, contacts=frames, mode=mode,
-            degraded=degraded)
-        self._u_prev = u
-        self._last = cmd
-        return cmd
+                          bounds.u_lb, bounds.u_ub)
+            return u, "flight_pd", False
+        try:
+            tasks = stance_tasks(model, self.gains, x, x_ref, u_ff, frames,
+                                 np.asarray(msg.forces_ref[i], float))
+            ineq = wbc_inequality_rows(model, bounds, self.cone, len(frames))
+            seed = wbc_seed(model, bounds, self.cone, len(frames))
+            y = hqp_solve(tasks, ineq, seed).y
+        except (Stage1Infeasible, MaxIterations):
+            u = self._last.u if self._last is not None else np.zeros(model.nu)
+            return np.clip(u, bounds.u_lb, bounds.u_ub), "wbc", True
+        u = y[model.nv:model.nv + model.nu]
+        return np.clip(u, bounds.u_lb, bounds.u_ub), "wbc", False
 
 
 # ------------------------------------------------------------ tick logging

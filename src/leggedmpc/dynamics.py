@@ -99,7 +99,6 @@ def rnea(model: RobotModel, q: np.ndarray, v: np.ndarray, a: np.ndarray,
         _subtract_contact_forces(model, kin, f, contact_forces)
     lead = B.shape[:-3]
     tau = (f.reshape(lead + (1, -1)) @ B.reshape(lead + (-1, model.nv)))[..., 0, :]
-    tau[..., 3:] += model.reflected_inertia * a[..., 3:]
     return tau
 
 
@@ -246,11 +245,10 @@ def gravity_torque(model: RobotModel, q: np.ndarray,
 
 def mass_matrix(model: RobotModel, q: np.ndarray,
                 kin: Kinematics | None = None) -> np.ndarray:
-    """Joint-space inertia M = sum_i B_i.T I_i B_i plus the reflected inertia.
+    """Joint-space inertia M = sum_i B_i.T I_i B_i.
 
     Symmetric positive definite.  The sum is one product of the stacked body
-    Jacobians with the inertia-weighted ones; the reflected inertia adds to
-    the joint diagonal.
+    Jacobians with the inertia-weighted ones.
     """
     q = model.check_q(q)
     if kin is None:
@@ -258,8 +256,5 @@ def mass_matrix(model: RobotModel, q: np.ndarray,
     nv = model.nv
     B = kin.B
     lead = B.shape[:-3]
-    M = (B.reshape(lead + (-1, nv)).swapaxes(-1, -2)
-         @ (model.spatial_inertias @ B).reshape(lead + (-1, nv)))
-    joints = np.arange(3, nv)
-    M[..., joints, joints] += model.reflected_inertia
-    return M
+    return (B.reshape(lead + (-1, nv)).swapaxes(-1, -2)
+            @ (model.spatial_inertias @ B).reshape(lead + (-1, nv)))

@@ -97,7 +97,6 @@ class RobotModel:
     contact_frames: list[ContactFrame]
     torque_limit: np.ndarray          # (nu,) positive; bounds are [-tl, +tl]
     gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, -9.81]))
-    reflected_inertia: np.ndarray | None = None  # (nu,) additive joint-space inertia
     levels: tuple[TreeLevel, ...] = field(init=False, repr=False, compare=False)
     placements: np.ndarray = field(init=False, repr=False, compare=False)
     spatial_inertias: np.ndarray = field(init=False, repr=False, compare=False)
@@ -126,10 +125,6 @@ class RobotModel:
         if np.any(self.torque_limit <= 0.0):
             raise DimensionMismatch("torque limits must be positive")
         self.gravity = np.asarray(self.gravity, dtype=float).reshape(2)
-        if self.reflected_inertia is None:
-            self.reflected_inertia = np.zeros(self.nu)
-        else:
-            self.reflected_inertia = np.asarray(self.reflected_inertia, dtype=float).reshape(self.nu)
         for c in self.contact_frames:
             if not (0 <= c.body < len(self.bodies)):
                 raise DimensionMismatch(f"contact frame {c.name}: bad body index")

@@ -70,6 +70,15 @@ _MESSAGE_FIELDS = ("stamp", "node_times", "xs_ref", "us_ff", "K_gains",
                    "forces_ref", "contacts", "diagnostics")
 
 
+def _index_at(times, t: float, n: int) -> int:
+    """Index of the last of ``times`` at or before ``t``, clamped to
+    ``[0, n - 1]``: a time less than 1e-12 s before a node time belongs to
+    that node.  Message intervals and the tracking controllers' reference
+    ticks are both looked up by it."""
+    i = int(np.searchsorted(times, t + 1e-12, side="right")) - 1
+    return min(max(i, 0), n - 1)
+
+
 @dataclass
 class PolicyMessage:
     """One control-horizon slice of the current plan.
@@ -95,13 +104,8 @@ class PolicyMessage:
         return float(self.node_times[-1])
 
     def interval_at(self, t: float) -> int:
-        """Index of the control interval containing time t (clamped).
-
-        A time less than 1e-12 s before a node time belongs to the interval
-        that node starts, as in the tracking controllers' reference lookup.
-        """
-        i = int(np.searchsorted(self.node_times, t + 1e-12, side="right")) - 1
-        return min(max(i, 0), len(self.us_ff) - 1)
+        """Index of the control interval containing time t (clamped)."""
+        return _index_at(self.node_times, t, len(self.us_ff))
 
     def to_json(self) -> str:
         payload = {

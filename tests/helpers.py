@@ -185,7 +185,7 @@ def ref_rnea(m, q, v, a, contact_forces=None):
         f[c.body, 2] -= rx * fl[1] - ry * fl[0]
     tau = np.zeros(m.nv)
     for i in range(nb - 1, 0, -1):
-        tau[2 + i] = f[i, 2] + m.reflected_inertia[i - 1] * a[2 + i]
+        tau[2 + i] = f[i, 2]
         f[m.joints[i].parent] += X[i].T @ f[i]
     tau[:3] = f[0]
     return tau
@@ -203,7 +203,7 @@ def ref_mass_matrix(m, q):
     for i in range(1, nb):
         F = Ic[i][:, 2].copy()
         row = 2 + i
-        M[row, row] = F[2] + m.reflected_inertia[i - 1]
+        M[row, row] = F[2]
         j = i
         while m.joints[j].parent >= 0:
             F = X[j].T @ F

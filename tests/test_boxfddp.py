@@ -335,7 +335,7 @@ def test_mu_floor_and_ceiling_after_full_and_short_steps():
     solver.mu = solver.mu_max
     solver.alphas = (2.0 ** -6,)
     assert solver.solve_one_iteration() is False
-    assert steps_taken(solver) == 2
+    assert steps_taken(solver) == 1   # set_candidate started a new log
     assert solver.log[-1][4] == 2.0 ** -6
     assert solver.mu == solver.mu_max
 

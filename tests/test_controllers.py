@@ -48,6 +48,25 @@ def equilibrium_message(model, q0, u_qs, forces_qs, n_intervals=2, dt=0.02):
     )
 
 
+@pytest.fixture
+def hqp_solutions(monkeypatch):
+    """The ``HqpSolution`` of every cascade the controllers solve, in order."""
+    sols = []
+    solve = trk.hqp_solve
+
+    def recording(*args):
+        sols.append(solve(*args))
+        return sols[-1]
+
+    monkeypatch.setattr(trk, "hqp_solve", recording)
+    return sols
+
+
+def no_rows(ny):
+    """Inequality rows of a cascade without inequalities."""
+    return trk.RowBounds(B=np.zeros((0, ny)), lb=np.zeros(0), ub=np.zeros(0))
+
+
 @pytest.fixture(scope="module")
 def solver_message(quad):
     """A real solver message for the standing task (non-trivial gains)."""
@@ -196,6 +215,20 @@ def test_tracker_requires_a_message_before_holding(quad):
 
 @pytest.mark.parametrize("controller", [trk.RiccatiController,
                                         trk.WholeBodyController])
+def test_stale_first_tick_names_the_expired_message(quad, solver_message,
+                                                    controller):
+    # a message was received but ran out before the first tick: there is
+    # nothing to hold, and the error says why
+    ctrl = controller(quad, co.default_bounds(
+        quad, presets.nominal_configuration(quad)))
+    ctrl.update_message(solver_message)
+    with pytest.raises(ConfigError, match="expired"):
+        ctrl.control(np.array(solver_message.xs_ref[-1]),
+                     solver_message.validity_end + 0.5)
+
+
+@pytest.mark.parametrize("controller", [trk.RiccatiController,
+                                        trk.WholeBodyController])
 def test_non_finite_measurement_holds_the_last_command(quad, solver_message,
                                                        controller):
     # as in Mpc.step: the last command comes back flagged degraded, and
@@ -329,7 +362,7 @@ def test_hqp_single_stage_is_least_squares():
     rng = np.random.default_rng(8)
     A = rng.standard_normal((4, 7))
     a = rng.standard_normal(4)
-    sol = trk.hqp_solve([trk.WbcTask(A, a, rank=0)])
+    sol = trk.hqp_solve([(A, a)], no_rows(7), np.zeros(7))
     np.testing.assert_allclose(sol.y, np.linalg.pinv(A) @ a, atol=1e-8)
     assert sol.stage_residuals[0] < 1e-9
     assert sol.null_dims[0] == 3
@@ -337,10 +370,10 @@ def test_hqp_single_stage_is_least_squares():
 
 def test_hqp_priority_order_wins_conflicts():
     # stage 0 pins y0 = 1; stage 1 asks for y0 = 5 (impossible now) and
-    # y1 = 2 (still free).  Listing them out of order must not matter.
-    t0 = trk.WbcTask(np.array([[1.0, 0.0]]), np.array([1.0]), rank=0)
-    t1 = trk.WbcTask(np.eye(2), np.array([5.0, 2.0]), rank=1)
-    sol = trk.hqp_solve([t1, t0])
+    # y1 = 2 (still free).
+    t0 = (np.array([[1.0, 0.0]]), np.array([1.0]))
+    t1 = (np.eye(2), np.array([5.0, 2.0]))
+    sol = trk.hqp_solve([t0, t1], no_rows(2), np.zeros(2))
     np.testing.assert_allclose(sol.y, [1.0, 2.0], atol=1e-10)
     assert sol.stage_residuals[0] < 1e-12
     np.testing.assert_allclose(sol.stage_residuals[1], 4.0, atol=1e-10)
@@ -348,13 +381,15 @@ def test_hqp_priority_order_wins_conflicts():
 
 
 def test_hqp_inequalities_clamp_each_stage():
-    # unconstrained optimum (10, 10) gets clipped to the box corner; a
-    # duplicated row keeps the active set honest about degeneracy.
+    # stage 0 leaves the line y0 = y1 / 2 free; along it the stage-1
+    # optimum (10, 10) gets clipped to the box corner; a duplicated row
+    # keeps the active set honest about degeneracy.
     ineq = trk.RowBounds(B=np.vstack([np.eye(2), [[1.0, 0.0]]]),
                          lb=np.array([-1.0, -2.0, -1.0]),
                          ub=np.array([1.0, 2.0, 1.0]))
-    sol = trk.hqp_solve([trk.WbcTask(np.eye(2), np.array([10.0, 10.0]))],
-                        ineq=ineq)
+    line = (np.array([[1.0, -0.5]]), np.zeros(1))
+    sol = trk.hqp_solve([line, (np.eye(2), np.array([10.0, 10.0]))],
+                        ineq, np.zeros(2))
     np.testing.assert_allclose(sol.y, [1.0, 2.0], atol=1e-9)
 
 
@@ -362,10 +397,7 @@ def test_hqp_stage_one_failure_raises():
     A = np.array([[1.0, 0.0], [1.0, 0.0]])
     a = np.array([0.0, 1.0])
     with pytest.raises(Stage1Infeasible):
-        trk.hqp_solve([trk.WbcTask(A, a, rank=0)], stage1_tol=1e-6)
-    # without the tolerance the inconsistency is just recorded
-    sol = trk.hqp_solve([trk.WbcTask(A, a, rank=0)])
-    np.testing.assert_allclose(sol.stage_residuals[0], 0.5, atol=1e-10)
+        trk.hqp_solve([(A, a)], no_rows(2), np.zeros(2))
 
 
 def perturbed_stance_tasks(model, frames, seed=0):
@@ -387,12 +419,11 @@ def test_hqp_later_stages_preserve_earlier_residuals(quad):
     bounds = co.default_bounds(quad, presets.nominal_configuration(quad))
     ineq = trk.wbc_inequality_rows(quad, bounds,
                                    co.FrictionCone(mu=0.8), len(frames))
-    sol = trk.hqp_solve(tasks, ineq)
-    assert sol.y.size == quad.nv + quad.nu + 2 * len(frames)
-    for task, recorded in zip(sorted(tasks, key=lambda t: t.rank),
-                              sol.stage_residuals):
-        final = np.abs(np.atleast_2d(task.A) @ sol.y
-                       - np.atleast_1d(task.a)).max()
+    ny = quad.nv + quad.nu + 2 * len(frames)
+    sol = trk.hqp_solve(tasks, ineq, np.zeros(ny))
+    assert sol.y.size == ny
+    for (A, a), recorded in zip(tasks, sol.stage_residuals):
+        final = np.abs(A @ sol.y - a).max()
         np.testing.assert_allclose(final, recorded, atol=1e-9)
     assert all(d1 >= d2 for d1, d2 in zip(sol.null_dims, sol.null_dims[1:]))
     # dynamics must be satisfied essentially exactly
@@ -406,15 +437,43 @@ def test_swing_stage_unaffected_by_lower_priorities(quad):
     tasks = perturbed_stance_tasks(quad, frames, seed=4)
     bounds = co.default_bounds(quad, presets.nominal_configuration(quad))
     ineq = trk.wbc_inequality_rows(quad, bounds, None, len(frames))
-    full = trk.hqp_solve(tasks, ineq)
-    head = trk.hqp_solve([t for t in tasks if t.rank <= 1], ineq)
+    y0 = np.zeros(quad.nv + quad.nu + 2 * len(frames))
+    full = trk.hqp_solve(tasks, ineq, y0)
+    head = trk.hqp_solve(tasks[:2], ineq, y0)
     np.testing.assert_allclose(full.stage_residuals[1],
                                head.stage_residuals[1], atol=1e-9)
 
 
 # ---------------------------------------------------- whole-body controller
 
-def test_wbc_reproduces_statics_at_equilibrium(quad, statics):
+def test_com_stage_fixes_linear_momentum(quad, solver_message):
+    # the linear momentum rows are the CoM rows times the total mass, so
+    # in the null space the CoM stage leaves they vanish to rounding: the
+    # angular row is all the momentum stage has left to act on
+    wbc = trk.WholeBodyController(quad, co.default_bounds(
+        quad, presets.nominal_configuration(quad)))
+    wbc.update_message(solver_message)
+    rng = np.random.default_rng(29)
+    msg = solver_message
+    for t in np.arange(msg.node_times[0], msg.validity_end, wbc.control_dt):
+        i = msg.interval_at(t)
+        frames = tuple(msg.contacts[i])
+        assert len(frames) >= 2          # a stance tick
+        x = mod.integrate(quad, wbc.reference_at(t),
+                          1e-3 * rng.standard_normal(2 * quad.nv))
+        tasks = trk.stance_tasks(quad, wbc.gains, x, wbc.reference_at(t),
+                                 msg.us_ff[i], frames, msg.forces_ref[i])
+        A_com = tasks[1][0]              # dynamics, CoM: no swing feet
+        Z = np.eye(A_com.shape[1])
+        for A, _ in tasks[:2]:
+            Z = Z @ trk.nullspace_basis(A @ Z)
+        A_lin = np.zeros_like(A_com)
+        cen = centroidal(quad, *mod.split_state(quad, x))
+        A_lin[:, :quad.nv] = cen.A_G[:2]
+        assert np.abs(A_lin @ Z).max() <= 1e-12 * np.abs(A_lin).max()
+
+
+def test_wbc_reproduces_statics_at_equilibrium(quad, statics, hqp_solutions):
     q0, u_qs, forces_qs = statics
     msg = equilibrium_message(quad, q0, u_qs, forces_qs)
     bounds = co.default_bounds(quad, q0)
@@ -426,8 +485,9 @@ def test_wbc_reproduces_statics_at_equilibrium(quad, statics):
     np.testing.assert_allclose(cmd.u, u_qs, atol=1e-6)
     # the cascade recovers the planned contact forces as well
     nv, nu = quad.nv, quad.nu
-    np.testing.assert_allclose(wbc.last_hqp.y[nv + nu:], forces_qs, atol=1e-6)
-    assert max(wbc.last_hqp.stage_residuals) < 1e-8
+    sol, = hqp_solutions
+    np.testing.assert_allclose(sol.y[nv + nu:], forces_qs, atol=1e-6)
+    assert max(sol.stage_residuals) < 1e-8
 
     # the Riccati law lands on the same torque at the fixed point
     ric = trk.RiccatiController(quad, bounds)
@@ -446,7 +506,8 @@ def test_wbc_with_cone_matches_unconstrained_at_equilibrium(quad, statics):
     np.testing.assert_allclose(wbc.control(x0, 0.0).u, u_qs, atol=1e-6)
 
 
-def test_wbc_forces_stay_in_cone_despite_bad_reference(quad, statics):
+def test_wbc_forces_stay_in_cone_despite_bad_reference(quad, statics,
+                                                      hqp_solutions):
     # a force reference far outside the cone must not drag the solution out
     q0, u_qs, forces_qs = statics
     lam_bad = np.array(forces_qs)
@@ -460,12 +521,12 @@ def test_wbc_forces_stay_in_cone_despite_bad_reference(quad, statics):
     cmd = wbc.control(x0, 0.0)
     assert not cmd.degraded
     C, c = co.cone_matrices(cone)
-    lam = wbc.last_hqp.y[quad.nv + quad.nu:]
+    lam = hqp_solutions[-1].y[quad.nv + quad.nu:]
     for k in range(4):
         assert np.all(C @ lam[2 * k:2 * k + 2] >= c - 1e-8)
 
 
-def test_wbc_minimum_normal_force_binds(quad, statics):
+def test_wbc_minimum_normal_force_binds(quad, statics, hqp_solutions):
     # a preload larger than the static per-foot share forces the solution
     # onto the cone floor: every foot must push at least lambda_min
     q0, u_qs, forces_qs = statics
@@ -477,9 +538,10 @@ def test_wbc_minimum_normal_force_binds(quad, statics):
     wbc.update_message(msg)
     cmd = wbc.control(mod.state(quad, q0, np.zeros(quad.nv)), 0.0)
     assert not cmd.degraded
-    lam = wbc.last_hqp.y[quad.nv + quad.nu:]
+    sol, = hqp_solutions
+    lam = sol.y[quad.nv + quad.nu:]
     assert np.all(lam[1::2] >= 50.0 - 1e-8)
-    assert wbc.last_hqp.stage_residuals[0] < 1e-6
+    assert sol.stage_residuals[0] < 1e-6
 
 
 def test_wbc_infeasible_dynamics_falls_back(quad, statics):
@@ -625,14 +687,9 @@ def test_momentum_policy_gains(quad):
     cen_ref = centroidal(quad, q0, np.zeros(quad.nv))
     cen = centroidal(quad, q0, v)
     hdot_ref = np.zeros(3)
-    out = trk.momentum_policy(gains, quad.total_mass, cen, cen_ref, hdot_ref)
-    m = quad.total_mass
+    out = trk.momentum_policy(gains, cen, cen_ref, hdot_ref)
     np.testing.assert_allclose(
-        out[:2], m * (gains.momentum_kl * (cen_ref.p_G - cen.p_G)
-                      + gains.momentum_dl * (cen_ref.v_G - cen.v_G)),
-        atol=1e-12)
-    np.testing.assert_allclose(
-        out[2], gains.momentum_dk * (cen_ref.k_G - cen.k_G), atol=1e-12)
+        out, gains.momentum_dk * (cen_ref.k_G - cen.k_G), atol=1e-12)
 
 
 # ------------------------------------------------------------- tick logging

@@ -22,18 +22,11 @@ from helpers import (fd_centroidal_bias, ref_centroidal, ref_forward_kinematics,
 TOL = 1e-12
 
 
-def _with_reflected_inertia(m):
-    m.reflected_inertia = 0.03 * np.arange(1, m.nu + 1)
-    return m
-
-
 MODELS = {
     "default_quadruped": presets.default_quadruped(),
     "base_pendulum": presets.base_pendulum(),
     "single_body": presets.single_body(com=(0.05, -0.02),
                                        contact_offset=(0.1, -0.2)),
-    "default_quadruped+reflected": _with_reflected_inertia(presets.default_quadruped()),
-    "base_pendulum+reflected": _with_reflected_inertia(presets.base_pendulum()),
 }
 
 names = st.sampled_from(sorted(MODELS))

@@ -334,6 +334,17 @@ def delayed_trot(quad):
     return messages, pre_gaps, swings, sched
 
 
+def test_solver_log_keeps_only_the_latest_step(quad):
+    # every step starts the solver from a new candidate, and with it a new
+    # iteration log, so a long-running Mpc does not grow one
+    ctrl = make_mpc(quad)
+    x = presets.nominal_state(quad)
+    for k in range(4):
+        msg = ctrl.step(x, k * 0.02)
+        assert len(ctrl.solver.log) <= 1
+        x = np.array(msg.xs_ref[1])
+
+
 def test_delayed_trot_takes_full_steps(delayed_trot):
     messages, _, _, _ = delayed_trot
     assert not any(m.diagnostics["degraded"] for m in messages)

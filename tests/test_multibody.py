@@ -137,17 +137,6 @@ def test_mass_matrix_matches_rnea_probing(quad):
         assert np.linalg.eigvalsh(M).min() > 0.0
 
 
-def test_reflected_inertia_adds_to_diagonal(quad):
-    m2 = presets.default_quadruped()
-    m2.reflected_inertia = 0.05 * np.ones(m2.nu)
-    q = presets.nominal_configuration(quad)
-    M0 = dynamics.mass_matrix(quad, q)
-    M1 = dynamics.mass_matrix(m2, q)
-    diff = M1 - M0
-    assert np.allclose(np.diag(diff)[3:], 0.05, atol=1e-14)
-    assert np.abs(diff - np.diag(np.diag(diff))).max() < 1e-14
-
-
 def test_rnea_linear_in_contact_forces(quad):
     rng = np.random.default_rng(4)
     x = random_state(quad, rng)
