@@ -137,14 +137,19 @@ class BoxFddp:
     ``x0`` and tangent size ``ndx``; ``diff``/``integrate``, which take
     stacked states; ``calc(xs, us)``, the cost and gaps of a whole
     trajectory; ``calc_diff(xs, us)``, the ``NodeDerivatives`` of every
-    node; ``calc_rows(k, x, u)``, the next states and costs of node k at
-    every row of ``x`` and ``u``; and ``rollout(us)`` and
-    ``zero_controls()`` for a candidate given without states or controls.
-    ``ShootingProblem`` evaluates and differentiates its nodes by stacked
-    group, and its nodes keep their ``calc_rows`` rows, so ``calc`` at the
-    accepted trial solves no dynamics.  The line search rolls its trials
-    out as the rows of one stacked trajectory, the full step alone and the
-    shorter steps together.  Regularization persists across
+    node; ``step_rows(k, x, u)``, the next states of node k at every row
+    of ``x`` and ``u``, and ``trial_costs(xs, us)``, the costs of the rows
+    just stepped; and ``rollout(us)`` and ``zero_controls()`` for a
+    candidate given without states or controls.  ``ShootingProblem``
+    evaluates and differentiates its nodes by stacked group, and the group
+    evaluations of ``trial_costs`` become its nodes' trials, so ``calc`` and
+    ``calc_diff`` at the accepted trial solve no dynamics.  The line search
+    tries its step lengths in at most two batches, each the rows of one
+    stacked trajectory: every step length at or above the one the
+    candidate last accepted (the full step alone after ``set_candidate``),
+    then, only when none of those passes, the shorter ones.  A batch rolls
+    out the dynamics alone and is costed after the rollout in one stacked
+    pass.  Regularization persists across
     ``solve_one_iteration`` calls; a caller may set ``mu`` between them (the
     receding-horizon loop starts every step from one warm value).
     ``last_alpha`` and ``last_trials`` hold the accepted step length (0 when
@@ -190,6 +195,7 @@ class BoxFddp:
         self.qu_norm = np.inf
         self.last_alpha = 0.0
         self.last_trials = 0
+        self._last_accepted = 1.0   # the first batch's shortest step length
         self.log: list[tuple] = []
         self._derivs = None
         self._dg = 0.0
@@ -203,6 +209,7 @@ class BoxFddp:
         default), with a new iteration log."""
         problem = self.problem
         self.log = []
+        self._last_accepted = 1.0
         if us is None:
             us = problem.zero_controls()
         self.us = [np.asarray(u, float) for u in us]
@@ -298,61 +305,50 @@ class BoxFddp:
 
     # -- forward pass -----------------------------------------------------
 
-    def forward_pass(self, alphas, min_decrease=None):
+    def forward_pass(self, alphas):
         """Roll the step lengths ``alphas`` out as the rows of one stacked trajectory.
 
         Each row applies the policy at its alpha and, on an infeasible
-        iterate, opens the gaps by (1 - alpha); each node is evaluated once
-        on all live rows (``problem.calc_rows``), and a single alpha runs
-        the single-state code.  A row is dropped at a singular contact set,
-        at a non-finite state or cost, and, with ``min_decrease`` given (one
-        threshold per alpha), as soon as its running cost shows ``self.cost
-        - cost < min_decrease``: node costs are weighted squares, never
-        negative.  Overflow along a dropped row is expected, not an error.
-        Returns per alpha None (dropped) or ``(xs, us, cost)``.
+        iterate, opens the gaps by (1 - alpha).  The loop over the nodes
+        rolls out the dynamics alone (``problem.step_rows``, one stacked
+        group per node; a single alpha runs the single-state code) and drops
+        a row at a singular contact set or a non-finite state.  The rows
+        that reach the end are costed after the loop, in one stacked pass
+        per node group (``problem.trial_costs``).  Overflow along a dropped
+        row is expected, not an error.  Returns per alpha None (dropped or a
+        non-finite cost) or ``(xs, us, cost)``.
         """
         problem = self.problem
         policy = self.policy
         feasible = self.feasible
         live = np.arange(len(alphas))       # the rows still rolling out
         a = alphas[0] if len(alphas) == 1 else np.array(alphas)[:, None]
-
-        def rows(arr):                      # one row per live alpha
-            return np.reshape(arr, (len(live), -1))
-
+        out = [None] * len(alphas)
         with np.errstate(over="ignore", invalid="ignore"):
             x = (problem.integrate(problem.x0, (a - 1.0) * self.gaps[0]) if not feasible
                  else np.broadcast_to(problem.x0, np.shape(a)[:-1] + problem.x0.shape))
-            trials = {i: ([xi.copy()], []) for i, xi in zip(live.tolist(), rows(x))}
-            cost = 0.0
+            xs, us = [np.array(x)], []
             for k, node in enumerate(problem.nodes):
                 dx = problem.diff(x, self.xs[k])
                 u = np.clip(self.us[k] + a * policy.k_ff[k]
                             - (policy.K_fb[k] @ dx[..., None])[..., 0],
                             node.u_lb, node.u_ub)
-                x, c = problem.calc_rows(k, x, u)
-                cost = cost + c
+                x = problem.step_rows(k, x, u)
                 if not feasible:
                     x = problem.integrate(x, (a - 1.0) * self.gaps[k + 1])
-                for i, xi, ui in zip(live.tolist(), rows(x), rows(u)):
-                    trials[i][0].append(xi.copy())
-                    trials[i][1].append(ui.copy())
-                ok = np.isfinite(cost) & np.isfinite(x).all(-1)
-                if min_decrease is not None:
-                    ok = ok & ~(self.cost - cost < np.asarray(min_decrease)[live])
-                ok = np.reshape(ok, -1)
+                xs.append(x)
+                us.append(u)
+                ok = np.isfinite(x).all(-1)
                 if not ok.all():
-                    live = live[ok]
-                    if not live.size:
-                        break
-                    x, cost, a = x[ok], cost[ok], a[ok]
-            else:
-                cost = cost + (problem.terminal.calc(x) if x.ndim == 1 else
-                               np.array([problem.terminal.calc(xi) for xi in x]))
-        out = [None] * len(alphas)
-        for i, c in zip(live.tolist(), [cost] if np.ndim(cost) == 0 else cost):
+                    if not ok.any():
+                        return out
+                    live, a, x = live[ok], a[ok], x[ok]
+                    xs, us = [y[ok] for y in xs], [v[ok] for v in us]
+            cost = problem.trial_costs(xs, us)
+        for r, (i, c) in enumerate(zip(live.tolist(), cost)):
             if np.isfinite(c):
-                out[i] = (*trials[i], c)
+                out[i] = ((xs, us, c) if len(alphas) == 1 else
+                          ([y[r] for y in xs], [v[r] for v in us], c))
         return out
 
     def expected_improvement(self, alpha: float, xs_try) -> float:
@@ -397,7 +393,7 @@ class BoxFddp:
             step = self._line_search()
             if step is not None:
                 alpha, xs_try, us_try, cost_try = step
-                self.last_alpha = alpha
+                self.last_alpha = self._last_accepted = alpha
                 self.xs, self.us = xs_try, us_try
                 self.cost = cost_try
                 self.gaps = [(1.0 - alpha) * g for g in self.gaps]
@@ -412,22 +408,23 @@ class BoxFddp:
                 raise NoStepAccepted("no step length accepted at mu_max")
 
     def _line_search(self):
-        """The first step length of ``alphas`` that passes, or None: the full
-        step rolls out alone, the shorter ones together only when it fails."""
+        """The first step length of ``alphas`` that passes, or None.
+
+        The first batch holds every step length at or above the one the
+        candidate last accepted (the full step alone after
+        ``set_candidate``); the shorter ones roll out together only when
+        that batch fails.
+        """
         was_feasible = self.feasible
-        for alphas in (self.alphas[:1], self.alphas[1:]):
-            # without gaps the prediction does not depend on the trial, so
-            # the acceptance thresholds are known before the rollout
-            min_decrease = ([self._min_decrease(self.expected_improvement(a, None))
-                             for a in alphas] if was_feasible else None)
-            trials = self.forward_pass(alphas, min_decrease) if alphas else []
-            for j, (alpha, trial) in enumerate(zip(alphas, trials)):
+        first = sum(alpha >= self._last_accepted for alpha in self.alphas)
+        for alphas in (self.alphas[:first], self.alphas[first:]):
+            trials = self.forward_pass(alphas) if alphas else []
+            for alpha, trial in zip(alphas, trials):
                 self.last_trials += 1
                 if trial is None:
                     continue
                 xs_try, us_try, cost_try = trial
-                threshold = (min_decrease[j] if was_feasible else self._min_decrease(
-                    self.expected_improvement(alpha, xs_try)))
+                threshold = self._min_decrease(self.expected_improvement(alpha, xs_try))
                 actual = self.cost - cost_try
                 if not actual >= threshold:
                     continue

@@ -10,16 +10,17 @@ nodes by kind and contact-set size and run each group as one pass over
 stacked (B, ...) arrays: the dynamics, one tangent sweep, the integrator
 chain rule and the cost expansion.  A node's results do not depend on the
 rest of its group, so a node's own ``calc`` is the same pass on a group of
-one and gives the same bits; so do the line search's trial rows of one
-node (``ShootingProblem.calc_rows``).
+one and gives the same bits; so do the line search's trial rows, solved
+one node at a time (``ShootingProblem.step_rows``) and costed in one pass
+per group (``ShootingProblem.trial_costs``).
 
 Running and impulse nodes keep their evaluations, and one rule decides
 what a node reuses: an evaluation whose inputs are bit-equal to the new
 ones, compared as ``tobytes()`` (so ``-0.0`` is not ``0.0``).  That is the
 node's kept evaluation (its row of the stacked pass it was last evaluated
-in) or a row of its last stacked ``calc_rows`` (a line-search trial),
-which the next evaluation adopts as the kept one.  Derivatives are taken
-at the reused solutions, each group's rows stacked again, instead of
+in) or its row of the last ``trial_costs`` (a line-search trial), which
+the next evaluation adopts as the kept one.  Derivatives are taken at the
+reused solutions, gathered by one index per source evaluation, instead of
 solving the dynamics again (as Crocoddyl's ``calcDiff`` reads the data its
 ``calc`` left).  A node is constructed with its whole configuration and
 never changes.  ``ShootingProblem`` builds each node for a slot: its plan
@@ -62,7 +63,7 @@ class _Evaluation:
     """One stacked pass over a group: the inputs (copied) and what they gave.
 
     A node's evaluation is ``(evaluation, row)``, row None for a lone node,
-    whose fields have no leading axis.
+    whose fields have no leading axis.  A step (``step_rows``) has no cost.
     """
 
     x: np.ndarray
@@ -140,27 +141,35 @@ def _stack(rows):
     A group of one keeps no leading axis: a lone node runs the single-state
     code, which gives the same bits as its row of a stacked pass.
     """
-    if len(rows) == 1:
-        return rows[0]
-    if is_dataclass(rows[0]):
-        return type(rows[0])(*(_stack([getattr(r, f.name) for r in rows])
-                               for f in fields(rows[0])))
-    return np.stack(rows)
+    return rows[0] if len(rows) == 1 else np.stack(rows)
 
 
-def _row(obj, j):
-    """Row ``j`` of a group's result (see ``_stack``); all of it for j None."""
-    if j is None:
-        return obj
-    if is_dataclass(obj):
-        return type(obj)(*(_row(getattr(obj, f.name), j) for f in fields(obj)))
-    return obj[j]
+def _gather(parts):
+    """Rows of group results (arrays, or dataclasses of them), stacked in
+    order.  ``parts`` pairs a result with its rows: a list; an int, one row
+    alone; or None, all of a lone result (``_stack``), stacked as one row."""
+    first = parts[0][0]
+    if is_dataclass(first):
+        return type(first)(*(_gather([(getattr(obj, f.name), j) for obj, j in parts])
+                             for f in fields(first)))
+    if len(parts) == 1:
+        obj, j = parts[0]
+        return obj if j is None else obj[j]
+    return np.concatenate([obj[None] if j is None else obj[j] for obj, j in parts])
 
 
-def _field(evaluation, name):
-    """Field ``name`` of a node's evaluation ``(evaluation, row)``, for the node alone."""
-    ev, j = evaluation
-    return _row(getattr(ev, name), j)
+def _group_rows(evs, *names):
+    """Fields ``names`` of the node evaluations ``evs`` ((evaluation, row)
+    pairs), stacked by ``_gather``: the consecutive rows of one source share
+    one index list, and one node keeps its own row."""
+    parts = []
+    for ev, j in evs:
+        if j is not None and parts and parts[-1][0] is ev:
+            parts[-1][1].append(j)
+        else:
+            parts.append((ev, None if j is None else [j]))
+    parts = evs if len(evs) == 1 else parts
+    return [_gather([(getattr(ev, name), j) for ev, j in parts]) for name in names]
 
 
 def _contacts(nodes) -> ct.ContactSet:
@@ -196,7 +205,7 @@ class _DynamicsNode:
     def __init__(self, model, weights, time, contacts, slot):
         self.model, self.weights = model, weights
         self.time, self.contacts, self.slot = time, contacts, slot
-        self._kept, self._trials = None, {}
+        self._kept, self._trials, self._steps = None, {}, {}
 
     def _reuse(self, key):
         """The evaluation at the inputs ``key``: the kept one, or a trial row,
@@ -210,30 +219,32 @@ class _DynamicsNode:
         self._kept = key, evaluation
         return evaluation
 
-    def calc_rows(self, x, u):
-        """Next states and costs at each row of ``x`` and ``u``, one stacked
-        group whose rows become the node's trials; one row without a leading
-        axis is the node's own evaluation.  A row whose contact set is
-        singular gives nan and no trial."""
-        if x.ndim == 1:
-            try:
-                return evaluate_nodes([self], [x], [u])[0]
-            except RankDeficientContacts:
-                return np.full_like(x, np.nan), np.nan
+    def calc(self, x, u=()):
+        x_next, cost = evaluate_nodes([self], [x], [u])[0]
+        return x_next.copy(), cost
+
+    def step_rows(self, x, u):
+        """Next states at each row of ``x`` and ``u``, one stacked group (one
+        row without a leading axis runs the single-state code); nan at a row
+        whose contact set is singular.  The node keeps each row's dynamics
+        solution, by its input bytes, for ``ShootingProblem.trial_costs``."""
         x, u = np.array(x, dtype=float), np.array(u, dtype=float)
-        rows = np.arange(len(x))
+        lone = x.ndim == 1
+        rows = np.arange(1 if lone else len(x))
         try:
-            ev = _evaluate([self] * len(x), x, u)
+            ev = self._step_group([self] * rows.size, x, u)
         except RankDeficientContacts as exc:
-            rows = np.flatnonzero(~exc.rows)
-            ev = _evaluate([self] * rows.size, x[rows], u[rows]) if rows.size else None
-        self._trials = {_key(x[r], u[r]): (ev, j) for j, r in enumerate(rows)}
-        if rows.size == len(x):
-            return ev.x_next, ev.cost
-        x_next, cost = np.full_like(x, np.nan), np.full(len(x), np.nan)
+            rows = rows[~np.reshape(exc.rows, -1)]
+            ev = (self._step_group([self] * rows.size, x[rows], u[rows])
+                  if rows.size else None)
+        if lone:
+            self._steps = {_key(x, u): (ev, None)} if rows.size else {}
+            return ev.x_next if rows.size else np.full_like(x, np.nan)
+        self._steps = {_key(x[r], u[r]): (ev, j) for j, r in enumerate(rows)}
+        x_next = np.full_like(x, np.nan)
         if rows.size:
-            x_next[rows], cost[rows] = ev.x_next, ev.cost
-        return x_next, cost
+            x_next[rows] = ev.x_next
+        return x_next
 
 
 class RunningNode(_DynamicsNode):
@@ -311,14 +322,20 @@ class RunningNode(_DynamicsNode):
                         Ju=Jr @ Jlu if with_jac else None)
 
     @staticmethod
-    def _evaluate_group(nodes, x, u):
-        model = nodes[0].model
+    def _step_group(nodes, x, u):
         dt = np.asarray(_stack([n.dt for n in nodes]))
-        (sol,), (x_next,) = ct.predict(model, x, u, _contacts(nodes), dt, 1)
-        q, v = mod.split_state(model, x)
-        acc = _Expansion(dt, 2 * model.nv, model.nu)
-        RunningNode._costs(nodes, q, v, u, sol, acc)
-        return sol, x_next, acc.value
+        (sol,), (x_next,) = ct.predict(nodes[0].model, x, u, _contacts(nodes), dt, 1)
+        return _Evaluation(x, u, sol, x_next, None)
+
+    @staticmethod
+    def _cost_group(nodes, ev):
+        model = nodes[0].model
+        q, v = mod.split_state(model, ev.x)
+        acc = _Expansion(np.asarray(_stack([n.dt for n in nodes])), 2 * model.nv,
+                         model.nu)
+        RunningNode._costs(nodes, q, v, ev.u, ev.sol, acc)
+        ev.cost = acc.value
+        return ev
 
     @staticmethod
     def _differentiate_group(nodes, x, u, sol):
@@ -350,11 +367,7 @@ class RunningNode(_DynamicsNode):
 
     def solution(self, x, u) -> ct.ContactSolution:
         """Contact dynamics at (x, u); the reused solution when there is one."""
-        return _field(_evaluations([self], [x], [u])[0], "sol")
-
-    def calc(self, x, u):
-        x_next, cost = evaluate_nodes([self], [x], [u])[0]
-        return x_next.copy(), cost
+        return _group_rows(_evaluations([self], [x], [u]), "sol")[0]
 
 
 class ImpulseNode(_DynamicsNode):
@@ -398,13 +411,20 @@ class ImpulseNode(_DynamicsNode):
             acc.add(r, n0.weights.w_placement_terminal, Jx=Jp)
 
     @staticmethod
-    def _evaluate_group(nodes, x, u):
+    def _step_group(nodes, x, u):
         model = nodes[0].model
         q, v = mod.split_state(model, x)
         sol = ct.impulse_dynamics(model, q, v, _contacts(nodes))
-        acc = _Expansion(np.ones(x.shape[:-1]), 2 * model.nv, 0)
-        ImpulseNode._costs(nodes, q, v, sol, acc, False)
-        return sol, mod.state(model, q, sol.v_plus), acc.value
+        return _Evaluation(x, u, sol, mod.state(model, q, sol.v_plus), None)
+
+    @staticmethod
+    def _cost_group(nodes, ev):
+        model = nodes[0].model
+        q, v = mod.split_state(model, ev.x)
+        acc = _Expansion(np.ones(ev.x.shape[:-1]), 2 * model.nv, 0)
+        ImpulseNode._costs(nodes, q, v, ev.sol, acc, False)
+        ev.cost = acc.value
+        return ev
 
     @staticmethod
     def _differentiate_group(nodes, x, u, sol):
@@ -418,10 +438,6 @@ class ImpulseNode(_DynamicsNode):
         ImpulseNode._costs(nodes, q, v, sol, acc, True)
         return fx, np.zeros(x.shape[:-1] + (2 * nv, 0)), acc
 
-    def calc(self, x, u=None):
-        x_next, cost = evaluate_nodes([self], [x], [np.zeros(0)])[0]
-        return x_next.copy(), cost
-
 
 def _groups(nodes, indices):
     """``indices`` of ``nodes`` split into stackable groups, in order."""
@@ -433,19 +449,16 @@ def _groups(nodes, indices):
     return groups.values()
 
 
-def _evaluate(group, x, u) -> _Evaluation:
-    return _Evaluation(x, u, *type(group[0])._evaluate_group(group, x, u))
-
-
 def _evaluations(nodes, xs, us):
     """Each node's evaluation at (xs[k], us[k]): the one it reuses, else a
     new one, kept; one stacked pass per group of the new ones."""
     keys = [_key(x, u) for x, u in zip(xs, us)]
     evs = [node._reuse(key) for node, key in zip(nodes, keys)]
     for ks in _groups(nodes, [k for k, ev in enumerate(evs) if ev is None]):
-        ev = _evaluate([nodes[k] for k in ks],
-                       _stack([np.array(xs[k], dtype=float) for k in ks]),
-                       _stack([np.array(us[k], dtype=float).reshape(-1) for k in ks]))
+        group = [nodes[k] for k in ks]
+        x = _stack([np.array(xs[k], dtype=float) for k in ks])
+        u = _stack([np.array(us[k], dtype=float).reshape(-1) for k in ks])
+        ev = group[0]._cost_group(group, group[0]._step_group(group, x, u))
         for j, k in enumerate(ks):
             evs[k] = nodes[k]._keep(keys[k], (ev, j if len(ks) > 1 else None))
     return evs
@@ -454,7 +467,7 @@ def _evaluations(nodes, xs, us):
 def evaluate_nodes(nodes, xs, us) -> list[tuple[np.ndarray, float]]:
     """Each node's (next state, cost) at (xs[k], us[k]), one stacked pass per
     group of the nodes that reuse no evaluation (module docstring)."""
-    return [(_field(ev, "x_next"), _field(ev, "cost"))
+    return [tuple(_group_rows([ev], "x_next", "cost"))
             for ev in _evaluations(nodes, xs, us)]
 
 
@@ -462,13 +475,14 @@ def differentiate_nodes(nodes, xs, us) -> list[NodeDerivatives]:
     """``NodeDerivatives`` of each node at (xs[k], us[k]), one stacked pass per group.
 
     The derivatives are taken at the nodes' evaluations at these inputs
-    (see ``evaluate_nodes``), their rows stacked group by group.
+    (see ``evaluate_nodes``), each group's rows gathered from their source
+    evaluations (``_group_rows``).
     """
     evs = _evaluations(nodes, xs, us)
     out = [None] * len(nodes)
     for ks in _groups(nodes, range(len(nodes))):
         group = [nodes[k] for k in ks]
-        x, u, sol = (_stack([_field(evs[k], a) for k in ks]) for a in ("x", "u", "sol"))
+        x, u, sol = _group_rows([evs[k] for k in ks], "x", "u", "sol")
         fx, fu, acc = type(group[0])._differentiate_group(group, x, u, sol)
         split = list if len(ks) > 1 else (lambda a: [a])
         for k, *row in zip(ks, *map(split, (fx, fu, acc.lx, acc.lu, acc.lxx,
@@ -532,7 +546,7 @@ class ShootingProblem:
         self.cone = cone if cone is not None else co.FrictionCone(mu=0.7)
         self.N = N
         self.dt = dt
-        self.nodes = []
+        self.nodes, self._read = [], {}
         self.set_window(x0, t0)
 
     def set_window(self, x0: np.ndarray, t0: float):
@@ -547,7 +561,8 @@ class ShootingProblem:
         start time and period, bit-equal in every window that holds the slot
         (a grid time is always k*dt).  A node whose slot is also in the new
         window stays, with its evaluations; each new slot gets a new node
-        (``_node``), and the window a new terminal node.
+        (``_node``), and the window a new terminal node.  The schedule is
+        read only for the grid slots the previous window did not hold.
         """
         dt = self.dt
         k0 = int(round(t0 / dt))
@@ -556,7 +571,7 @@ class ShootingProblem:
         else:
             k0 = int(math.floor(t0 / dt))
             dt0 = (k0 + 1) * dt - t0
-        plan = _node_schedule(self.schedule, k0, self.N, dt)
+        plan, self._read = _node_schedule(self.schedule, k0, self.N, dt, self._read)
         slots = [(entry, *((t0, dt0) if i == 0 else (entry[1], dt)))
                  for i, entry in enumerate(plan)]
         kept = {node.slot: node for node in self.nodes}
@@ -613,11 +628,37 @@ class ShootingProblem:
         """Derivatives of every node at (xs, us) (see ``differentiate_nodes``)."""
         return differentiate_nodes(self.nodes, xs, us)
 
-    def calc_rows(self, k, x, u):
-        """Next states and costs of node ``k`` at each row of ``x`` and ``u``;
-        the node keeps the rows for its next evaluation to adopt (see
-        ``RunningNode.calc_rows``)."""
-        return self.nodes[k].calc_rows(x, u)
+    def step_rows(self, k, x, u):
+        """Next states of node ``k`` at each row (``_DynamicsNode.step_rows``)."""
+        return self.nodes[k].step_rows(x, u)
+
+    def trial_costs(self, xs, us):
+        """The cost of each row of ``xs`` and ``us`` (one array per node, one
+        row without a leading axis), whose rows every node just stepped.
+
+        The nodes' kept dynamics solutions are costed in one stacked pass
+        per group over nodes x rows; these evaluations become the nodes'
+        trials.  Node costs add up in node order.
+        """
+        nodes, lone = self.nodes, np.ndim(xs[0]) == 1
+        if lone:
+            xs, us = [x[None] for x in xs], [u[None] for u in us]
+        n = len(xs[0])
+        costs = np.empty((len(nodes), n))
+        for ks in _groups(nodes, range(len(nodes))):
+            group = [nodes[k] for k in ks for _ in range(n)]
+            keys = [_key(x, u) for k in ks for x, u in zip(xs[k], us[k])]
+            ev = group[0]._cost_group(group, _Evaluation(*_group_rows(
+                [node._steps[key] for node, key in zip(group, keys)],
+                "x", "u", "sol", "x_next"), None))
+            for i, k in enumerate(ks):
+                nodes[k]._trials = {keys[j]: (ev, j if len(group) > 1 else None)
+                                    for j in range(i * n, (i + 1) * n)}
+            costs[list(ks)] = np.reshape(ev.cost, (len(ks), n))
+        total = np.zeros(n)
+        for cost in costs:
+            total = total + cost
+        return total + [self.terminal.calc(x) for x in xs[-1]]
 
     def rollout(self, us):
         xs = [np.asarray(self.x0, float)]
@@ -632,12 +673,15 @@ class ShootingProblem:
 
 # ------------------------------------------------------------ construction
 
-def _node_schedule(schedule: ContactSchedule, k0: int, N: int, dt: float):
+def _node_schedule(schedule: ContactSchedule, k0: int, N: int, dt: float, known):
     """Per-slot timing plan: (kind, node_time, contact frames, gained feet).
 
     Phase membership for slot k is sampled mid-interval at t_k + dt/2, which
     matches the nearest-node snapping of phase boundaries: a boundary within
-    half a node period of t_k is treated as happening exactly at t_k.
+    half a node period of t_k is treated as happening exactly at t_k.  Also
+    returns each grid slot's contact set and touchdowns by (slot, closing),
+    as the closing slot samples clamped to the schedule; the slots ``known``
+    from the previous window are not read again.
     """
     t_end = (k0 + N) * dt
     if not schedule.covers(t_end):
@@ -645,22 +689,21 @@ def _node_schedule(schedule: ContactSchedule, k0: int, N: int, dt: float):
             f"schedule ends at {schedule.end_time:.6g}s but the horizon "
             f"needs {t_end:.6g}s")
     schedule.check_grid_alignment(dt, t_end=t_end)
-    plan = []
+    plan, read = [], {}
     half = _half(dt)
     for k in range(N + 1):
         t = (k0 + k) * dt
-        active = schedule.active_set(min(t + half, schedule.end_time - _snap_eps(dt))) \
-            if k == N else schedule.active_set(t + half)
-        if k > 0:
-            gained = [f for (tt, f)
-                      in schedule.touchdowns_in(t - half, t + half)]
-            if gained:
-                plan.append(("impulse", t,
-                             tuple(sorted(set(active) | set(gained))),
-                             tuple(sorted(gained))))
+        slot = (k0 + k, k == N)
+        active, gained = read[slot] = known.get(slot) or (
+            schedule.active_set(min(t + half, schedule.end_time - _snap_eps(dt)))
+            if k == N else schedule.active_set(t + half),
+            [f for (tt, f) in schedule.touchdowns_in(t - half, t + half)])
+        if k > 0 and gained:
+            plan.append(("impulse", t, tuple(sorted(set(active) | set(gained))),
+                         tuple(sorted(gained))))
         if k < N:
             plan.append(("running", t, tuple(active), ()))
-    return plan
+    return plan, read
 
 
 def _snap_eps(dt: float) -> float:

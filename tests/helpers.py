@@ -579,8 +579,10 @@ class SequentialFddp(BoxFddp):
     """Box-FDDP whose line search tries one step length after another."""
 
     def trial(self, alpha, min_decrease=None):
-        """(xs, us, cost) of the rollout at ``alpha``, or None where the
-        stacked forward pass drops its row."""
+        """(xs, us, cost) of the rollout at ``alpha``, or None at a singular
+        contact set or a non-finite value and, with ``min_decrease`` given,
+        as soon as the running cost shows ``self.cost - cost <
+        min_decrease`` (node costs are never negative)."""
         problem = self.problem
         policy = self.policy
         feasible = self.feasible

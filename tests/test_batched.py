@@ -162,36 +162,46 @@ def test_shared_frames_broadcast_over_stacked_states():
 
 
 def test_rows_of_one_node_match_the_node_alone(monkeypatch):
-    # calc_rows evaluates a node at stacked rows as one group: each row
-    # gives the bits of the node alone, and a row whose contact set is
+    # step_rows solves a node's dynamics at stacked rows as one group: each
+    # row gives the bits of the node alone, and a row whose contact set is
     # singular (here: not finite) gives nan and leaves the others as they
-    # are.  The node adopts a row at bit-equal inputs, and never the
+    # are.  trial_costs costs the kept rows of every node, solving no
+    # dynamics; a node then adopts a row at bit-equal inputs, and never the
     # singular one
     solver = trot_solver(15)
     prob = solver.problem
     quad = prob.model
+    nodes = prob.nodes
     rng = np.random.default_rng(6)
-    stance = next(k for k, n in enumerate(prob.nodes) if n.nu and n.contacts.frames)
-    impulse = next(k for k, n in enumerate(prob.nodes) if n.kind == "impulse")
+    stance = next(k for k, n in enumerate(nodes) if n.nu and n.contacts.frames)
+    impulse = next(k for k, n in enumerate(nodes) if n.kind == "impulse")
+    xs = [np.array([random_state(quad, rng, spread=0.05) for _ in range(4)])
+          for _ in range(len(nodes) + 1)]
+    us = [rng.normal(size=(4, node.nu)) for node in nodes]
     for k in (stance, impulse):
-        node = prob.nodes[k]
-        x = np.array([random_state(quad, rng, spread=0.05) for _ in range(4)])
-        u = rng.normal(size=(4, node.nu))
-        x[2, 3] = np.nan
-        with np.errstate(invalid="ignore"):
-            x_next, cost = prob.calc_rows(k, x, u)
-        assert np.isnan(cost[2]) and np.isnan(x_next[2]).all()
-        with monkeypatch.context() as m:
-            solves = count_calls(m, ct, "impulse_dynamics" if node.kind == "impulse"
-                                 else "contact_forward_dynamics")
-            for j in (0, 1, 3):
-                adopted = node.calc(x[j].copy(), u[j].copy())
-                assert np.array_equal(adopted[0], x_next[j]) and adopted[1] == cost[j]
-            assert solves == []
+        xs[k][2, 3] = np.nan
+    with np.errstate(invalid="ignore"):
+        x_next = [prob.step_rows(k, xs[k], us[k]) for k in range(len(nodes))]
+    for k in (stance, impulse):
+        assert np.isnan(x_next[k][2]).all()
+    rows = [0, 1, 3]
+    with monkeypatch.context() as m:
+        solves = (count_calls(m, ct, "impulse_dynamics"),
+                  count_calls(m, ct, "contact_forward_dynamics"))
+        cost = prob.trial_costs([x[rows] for x in xs], [u[rows] for u in us])
+        adopted = [[node.calc(xs[k][r].copy(), us[k][r].copy())
+                    for k, node in enumerate(nodes)] for r in rows]
+        assert solves == ([], [])
+        for k in (stance, impulse):
             with pytest.raises(RankDeficientContacts), np.errstate(invalid="ignore"):
-                node.calc(x[2], u[2])
-            assert len(solves) == 1
-        for j in (0, 1, 3):
+                nodes[k].calc(xs[k][2], us[k][2])
+        assert sum(map(len, solves)) == 2
+    for j, r in enumerate(rows):
+        total = 0.0
+        for k, node in enumerate(nodes):
+            assert np.array_equal(adopted[j][k][0], x_next[k][r])
+            total = total + adopted[j][k][1]
             forget(node)
-            alone = node.calc(x[j], u[j])
-            assert np.array_equal(alone[0], x_next[j]) and alone[1] == cost[j]
+            alone = node.calc(xs[k][r], us[k][r])
+            assert np.array_equal(alone[0], x_next[k][r]) and alone[1] == adopted[j][k][1]
+        assert total + prob.terminal.calc(xs[-1][r]) == cost[j]

@@ -1,6 +1,5 @@
 import itertools
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -160,6 +159,7 @@ class EuclidProblem:
         self.nodes = nodes
         self.terminal = terminal
         self.ndx = self.x0.shape[0]
+        self._costs = {}
 
     def diff(self, x1, x0):
         return x1 - x0
@@ -179,18 +179,27 @@ class EuclidProblem:
     def calc_diff(self, xs, us):
         return [node.calc_diff(xs[k], us[k]) for k, node in enumerate(self.nodes)]
 
-    def calc_rows(self, k, x, u):
-        """Node ``k`` at each row, one row at a time; a singular row gives nan."""
-        if x.ndim == 1:
-            return self._calc_row(k, x, u)
-        rows = [self._calc_row(k, xi, ui) for xi, ui in zip(x, u)]
-        return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+    def step_rows(self, k, x, u):
+        """Node ``k`` at each row, one row at a time; a singular row gives
+        nan.  Each row's cost is kept by its input bytes for ``trial_costs``."""
+        self._costs[k] = {}
+        x_next = np.empty_like(np.atleast_2d(x))
+        for i, (xi, ui) in enumerate(zip(np.atleast_2d(x), np.atleast_2d(u))):
+            try:
+                x_next[i], self._costs[k][xi.tobytes(), ui.tobytes()] = \
+                    self.nodes[k].calc(xi, ui)
+            except RankDeficientContacts:
+                x_next[i] = np.nan
+        return x_next if x.ndim > 1 else x_next[0]
 
-    def _calc_row(self, k, x, u):
-        try:
-            return self.nodes[k].calc(x, u)
-        except RankDeficientContacts:
-            return np.full_like(x, np.nan), np.nan
+    def trial_costs(self, xs, us):
+        """The kept costs of each row summed in node order, then the terminal."""
+        cost = np.zeros(len(np.atleast_2d(xs[0])))
+        for k in range(len(self.nodes)):
+            cost = cost + np.array([self._costs[k][xi.tobytes(), ui.tobytes()]
+                                    for xi, ui in zip(np.atleast_2d(xs[k]),
+                                                      np.atleast_2d(us[k]))])
+        return cost + [self.terminal.calc(x) for x in np.atleast_2d(xs[-1])]
 
     def rollout(self, us):
         xs = [self.x0]
@@ -742,73 +751,6 @@ def test_pendulum_clamped_gain_rows_zero():
     assert saw_clamped
 
 
-class FullRolloutFddp(BoxFddp):
-    """Box-FDDP that rolls every trial out to the last node."""
-
-    def forward_pass(self, alphas, min_decrease=None):
-        return super().forward_pass(alphas)
-
-
-def rollout_lengths(passes):
-    """Nodes reached by each row of each forward pass, from the node calls.
-
-    ``passes`` holds the nodes called in each pass, once per row; rows
-    only ever drop out, so the rows that reach a node are those that
-    reached every node before it.
-    """
-    lengths = []
-    for called in passes:
-        rows = Counter(map(id, called)).values()
-        lengths += [sum(n > r for n in rows) for r in range(max(rows, default=0))]
-    return lengths
-
-
-def test_early_trial_stop_keeps_iterates_identical():
-    calcs = [[]]     # nodes called per forward pass, last entry open
-
-    class CountingNode(PendulumNode):
-        def calc(self, x, u):
-            calcs[-1].append(self)
-            return super().calc(x, u)
-
-    def counted(cls):
-        class Counted(cls):
-            def forward_pass(self, alphas, min_decrease=None):
-                calcs.append([])
-                return super().forward_pass(alphas, min_decrease)
-        return Counted
-
-    for us0 in pend_control_guesses():
-        solvers = []
-        for cls in (BoxFddp, FullRolloutFddp):
-            prob = EuclidProblem(np.zeros(2),
-                                 [CountingNode() for _ in range(PEND_N)],
-                                 PendulumTerminal())
-            solver = counted(cls)(prob, tol=1e-7)
-            solver.set_candidate(xs=None, us=[np.array([v]) for v in us0])
-            solver.solve(max_iters=300)
-            solvers.append(solver)
-        early, full = solvers
-        assert early.status == full.status
-        assert early.iteration_log_csv() == full.iteration_log_csv()
-        for a, b in zip(early.xs + early.us, full.xs + full.us):
-            assert np.array_equal(a, b)
-
-    # from the swing-up optimum, a reversed feed-forward dooms every trial;
-    # the full rollouts reject the same steps the early stops cut short
-    trials = {}
-    for solver in (early, full):
-        solver.compute_derivatives()
-        solver.backward_pass()
-        solver.policy.k_ff = [-2.0 * u for u in solver.us]
-        del calcs[:]
-        assert solver._line_search() is None
-        trials[solver] = rollout_lengths(calcs)
-    assert len(trials[early]) == len(trials[full]) == len(BoxFddp.alphas)
-    assert all(n == PEND_N for n in trials[full])
-    assert min(trials[early]) < PEND_N
-
-
 # ------------------------------------------- sequential line-search oracle
 
 def misaligned_stand(solver_cls):
@@ -850,7 +792,7 @@ def assert_same_iterates(a, b):
 
 @pytest.mark.parametrize("make, iterations", [
     *((pendulum(us0), 300) for us0 in pend_control_guesses()),
-    (cold_jump, 2),
+    (cold_jump, 4),
     (misaligned_stand, 4),
 ], ids=[*("pendulum%d" % i for i in range(6)), "jump", "misaligned_stand"])
 def test_stacked_line_search_matches_the_sequential_oracle(make, iterations):
@@ -863,32 +805,64 @@ def test_stacked_line_search_matches_the_sequential_oracle(make, iterations):
             break
 
 
+def test_first_batch_starts_at_the_last_accepted_step():
+    # after set_candidate the full step rolls out alone; within a solve the
+    # first batch holds every step length at or above the last accepted
+    # one, and the shorter ones follow together
+    solver = cold_jump(BoxFddp)
+    batches = []
+    forward_pass = solver.forward_pass
+
+    def recording(alphas):
+        batches.append(tuple(alphas))
+        return forward_pass(alphas)
+    solver.forward_pass = recording
+    last = 1.0
+    for _ in range(4):
+        del batches[:]
+        assert not solver.solve_one_iteration()
+        first = tuple(a for a in BoxFddp.alphas if a >= last)
+        assert batches[:2] == [first, BoxFddp.alphas[len(first):]][:len(batches)]
+        last = solver.last_alpha
+        assert last < 1.0      # the jump accepts short steps only
+    solver.set_candidate(solver.xs, solver.us)
+    del batches[:]
+    solver.solve_one_iteration()
+    assert batches[0] == (1.0,)
+
+
 @pytest.mark.parametrize("make", [cold_jump, misaligned_stand])
 def test_every_stacked_trial_matches_its_sequential_rollout(make):
     # each row of one stacked rollout over every step length gives the bits
-    # of its own rollout, and is dropped exactly where that rollout stops
+    # of its own rollout.  The oracle's early stop on a feasible iterate
+    # drops only rows that fail acceptance, so it decides no step
     solver = make(SequentialFddp)
     solver.compute_derivatives()
     solver.backward_pass()
     alphas = BoxFddp.alphas
-    thresholds = [None]
-    if solver.feasible:
-        thresholds.append([solver._min_decrease(solver.expected_improvement(a, None))
-                           for a in alphas])
-    for min_decrease in thresholds:
-        rows = BoxFddp.forward_pass(solver, alphas, min_decrease)
-        dropped = 0
-        for j, (alpha, row) in enumerate(zip(alphas, rows)):
-            # the nodes keep the stacked rows: the oracle must not reuse them
-            for node in solver.problem.nodes:
-                forget(node)
-            want = solver.trial(alpha, None if min_decrease is None else min_decrease[j])
-            assert (row is None) == (want is None), alpha
-            if row is None:
-                dropped += 1
-                continue
+    rows = BoxFddp.forward_pass(solver, alphas)
+
+    def accepted(alpha, trial):
+        if trial is None:
+            return False
+        actual = solver.cost - trial[2]
+        return (actual >= solver._min_decrease(solver.expected_improvement(alpha, trial[0]))
+                and not (solver.feasible and actual < -1e-12))
+
+    dropped = 0
+    for alpha, row in zip(alphas, rows):
+        # the nodes keep the stacked rows: the oracle must not reuse them
+        for node in solver.problem.nodes:
+            forget(node)
+        want = solver.trial(alpha)
+        assert (row is None) == (want is None), alpha
+        if row is not None:
             assert row[2] == want[2]
             for x, y in zip(row[0] + row[1], want[0] + want[1]):
                 assert np.array_equal(x, y)
-        if min_decrease is not None:
-            assert dropped      # the early stop cuts some step lengths short
+        if solver.feasible:
+            threshold = solver._min_decrease(solver.expected_improvement(alpha, None))
+            early = solver.trial(alpha, threshold)
+            assert accepted(alpha, early) == accepted(alpha, row)
+            dropped += early is None and row is not None
+    assert dropped or not solver.feasible    # the early stop cuts some rows short

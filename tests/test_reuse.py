@@ -1,8 +1,8 @@
 """Each node is evaluated once per iterate.
 
-Running and impulse nodes keep their last evaluation and the rows of their
-last stacked ``calc_rows``; an evaluation at bit-equal inputs returns one of
-them and the derivatives are taken at its solution.  Reuse must change no
+Running and impulse nodes keep their last evaluation and their rows of the
+line search's last stacked ``trial_costs``; an evaluation at bit-equal inputs
+returns one of them and the derivatives are taken at its solution.  Reuse must change no
 result, and after an accepted step the solver's derivative pass and the MPC
 message must solve no dynamics at all.  Across an MPC shift the nodes of
 the slots both windows share stay as they are, with their evaluations, so
@@ -238,6 +238,24 @@ def test_shared_slots_keep_their_nodes_unconfigured(shifted_trot):
         kept = [n for n in step["nodes"] if n.slot in old]
         assert len(kept) >= len(step["nodes"]) - 3
         assert all(old[n.slot] is n for n in kept)
+
+
+def test_shift_reads_the_schedule_only_for_new_slots(monkeypatch):
+    # a window that moves by s grid slots reads s + 1 of them: the new ones
+    # and the old closing slot, now an inner one (a closing slot samples its
+    # contact set clamped to the schedule's end); a window that stays in its
+    # slot reads none
+    prob = trot_problem(presets.default_quadruped(), 0.0)
+    reads = []
+    touchdowns_in = prob.schedule.touchdowns_in
+    monkeypatch.setattr(prob.schedule, "touchdowns_in",
+                        lambda *t: reads.append(t) or touchdowns_in(*t))
+    for t0, n in ((0.01, 0), (0.02, 2), (0.035, 0), (0.04, 2), (0.1, 4)):
+        del reads[:]
+        problem.update_problem(prob, prob.x0, t0)
+        assert len(reads) == n
+        fresh = problem._node_schedule(prob.schedule, prob.k0, prob.N, prob.dt, {})[0]
+        assert [node.slot[0] for node in prob.nodes] == fresh
 
 
 def node_record(node):
