@@ -141,9 +141,9 @@ class BoxFddp:
     of ``x`` and ``u``, and ``trial_costs(xs, us)``, the costs of the rows
     just stepped; and ``rollout(us)`` and ``zero_controls()`` for a
     candidate given without states or controls.  ``ShootingProblem``
-    evaluates and differentiates its nodes by stacked group, and the group
-    evaluations of ``trial_costs`` become its nodes' trials, so ``calc`` and
-    ``calc_diff`` at the accepted trial solve no dynamics.  The line search
+    evaluates and differentiates its nodes by stacked group, and each node
+    stores its rows of the last batch, costed by ``trial_costs``, so ``calc``
+    and ``calc_diff`` at the accepted trial solve no dynamics.  The line search
     tries its step lengths in at most two batches, each the rows of one
     stacked trajectory: every step length at or above the one the
     candidate last accepted (the full step alone after ``set_candidate``),

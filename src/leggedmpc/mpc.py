@@ -207,7 +207,7 @@ class Mpc:
     _MU_WARM = 1.0
 
     def __init__(self, model: RobotModel, schedule: ContactSchedule,
-                 weights: co.CostWeights, bounds: co.Bounds | None,
+                 weights: co.CostWeights, bounds: co.Bounds,
                  config: MpcConfig, x0: np.ndarray,
                  cone: co.FrictionCone | None = None):
         self.model = model

@@ -14,13 +14,13 @@ one and gives the same bits; so do the line search's trial rows, solved
 one node at a time (``ShootingProblem.step_rows``) and costed in one pass
 per group (``ShootingProblem.trial_costs``).
 
-Running and impulse nodes keep their evaluations, and one rule decides
-what a node reuses: an evaluation whose inputs are bit-equal to the new
-ones, compared as ``tobytes()`` (so ``-0.0`` is not ``0.0``).  That is the
-node's kept evaluation (its row of the stacked pass it was last evaluated
-in) or its row of the last ``trial_costs`` (a line-search trial), which
-the next evaluation adopts as the kept one.  Derivatives are taken at the
-reused solutions, gathered by one index per source evaluation, instead of
+Each running and impulse node keeps one store, ``_store``, that maps the
+bytes of its inputs (``_key``, so ``-0.0`` is not ``0.0``) to its row of a
+stacked pass, and one rule fills it: the store holds the rows of the node's
+last write.  A write is a ``step_rows`` batch, whose rows stay uncosted
+until ``trial_costs`` costs them in place, or a fresh evaluation, made when
+the store holds no costed row at the inputs.  Derivatives are taken at the
+stored solutions, gathered by one index per source evaluation, instead of
 solving the dynamics again (as Crocoddyl's ``calcDiff`` reads the data its
 ``calc`` left).  A node is constructed with its whole configuration and
 never changes.  ``ShootingProblem`` builds each node for a slot: its plan
@@ -60,14 +60,12 @@ class NodeDerivatives:
 
 @dataclass(eq=False)
 class _Evaluation:
-    """One stacked pass over a group: the inputs (copied) and what they gave.
+    """What one stacked pass over a group gave; its inputs key the rows.
 
     A node's evaluation is ``(evaluation, row)``, row None for a lone node,
-    whose fields have no leading axis.  A step (``step_rows``) has no cost.
+    whose fields have no leading axis; a step is uncosted until ``trial_costs``.
     """
 
-    x: np.ndarray
-    u: np.ndarray
     sol: ct.ContactSolution | ct.ImpulseSolution
     x_next: np.ndarray
     cost: np.ndarray | float
@@ -190,7 +188,7 @@ _NO_TARGETS = (np.zeros(0, dtype=int), np.zeros((2, 0, 2)))
 
 
 def _key(x, u):
-    """The bytes of a node's inputs: an evaluation is reused at equal keys."""
+    """The bytes of a node's inputs, its store's key."""
     return np.asarray(x, float).tobytes(), np.asarray(u, float).reshape(-1).tobytes()
 
 
@@ -200,24 +198,12 @@ def _half(dt):
 
 
 class _DynamicsNode:
-    """The evaluations a running or impulse node keeps (module docstring)."""
+    """The store of a running or impulse node (module docstring)."""
 
     def __init__(self, model, weights, time, contacts, slot):
         self.model, self.weights = model, weights
         self.time, self.contacts, self.slot = time, contacts, slot
-        self._kept, self._trials, self._steps = None, {}, {}
-
-    def _reuse(self, key):
-        """The evaluation at the inputs ``key``: the kept one, or a trial row,
-        kept from now on; None without either."""
-        if self._kept is not None and self._kept[0] == key:
-            return self._kept[1]
-        evaluation = self._trials.get(key)
-        return None if evaluation is None else self._keep(key, evaluation)
-
-    def _keep(self, key, evaluation):
-        self._kept = key, evaluation
-        return evaluation
+        self._store = {}
 
     def calc(self, x, u=()):
         x_next, cost = evaluate_nodes([self], [x], [u])[0]
@@ -226,8 +212,8 @@ class _DynamicsNode:
     def step_rows(self, x, u):
         """Next states at each row of ``x`` and ``u``, one stacked group (one
         row without a leading axis runs the single-state code); nan at a row
-        whose contact set is singular.  The node keeps each row's dynamics
-        solution, by its input bytes, for ``ShootingProblem.trial_costs``."""
+        whose contact set is singular.  The rows solved become the node's
+        store, uncosted until ``ShootingProblem.trial_costs``."""
         x, u = np.array(x, dtype=float), np.array(u, dtype=float)
         lone = x.ndim == 1
         rows = np.arange(1 if lone else len(x))
@@ -238,9 +224,9 @@ class _DynamicsNode:
             ev = (self._step_group([self] * rows.size, x[rows], u[rows])
                   if rows.size else None)
         if lone:
-            self._steps = {_key(x, u): (ev, None)} if rows.size else {}
+            self._store = {_key(x, u): (ev, None)} if rows.size else {}
             return ev.x_next if rows.size else np.full_like(x, np.nan)
-        self._steps = {_key(x[r], u[r]): (ev, j) for j, r in enumerate(rows)}
+        self._store = {_key(x[r], u[r]): (ev, j) for j, r in enumerate(rows)}
         x_next = np.full_like(x, np.nan)
         if rows.size:
             x_next[rows] = ev.x_next
@@ -255,21 +241,14 @@ class RunningNode(_DynamicsNode):
     kind = "running"
 
     def __init__(self, model: RobotModel, weights: co.CostWeights,
-                 bounds: co.Bounds | None, cone: co.FrictionCone | None,
+                 bounds: co.Bounds, cone: co.FrictionCone,
                  time: float, contacts: ct.ContactSet,
                  swing: dict[int, SwingTarget], dt: float, slot=None):
         super().__init__(model, weights, time, contacts, slot)
-        self.bounds = bounds
-        self.cone = cone
-        self.swing = swing
+        self.bounds, self.cone, self.swing = bounds, cone, swing
         self.dt = float(dt)
-        self.cone_C, self.cone_c = (co.cone_matrices(cone) if cone is not None
-                                    else (None, None))
-        nu = model.nu
-        self.u_lb = (bounds.u_lb if bounds is not None
-                     else np.full(nu, -np.inf))
-        self.u_ub = (bounds.u_ub if bounds is not None
-                     else np.full(nu, np.inf))
+        self.cone_C, self.cone_c = co.cone_matrices(cone)
+        self.u_lb, self.u_ub = bounds.u_lb, bounds.u_ub
         # swing frames and their target (positions, velocities)
         targets = [swing[f] for f in sorted(swing)]
         self._targets = _NO_TARGETS if not swing else (
@@ -316,7 +295,7 @@ class RunningNode(_DynamicsNode):
             lam = sol.forces
             Jlx, Jlu = (der.dforces_dx, der.dforces_du) if with_jac else (None, None)
             acc.add(lam, np.tile(weights.K, nc), Jx=Jlx, Ju=Jlu)
-            if weights.w_cone and n0.cone is not None:
+            if weights.w_cone:
                 r, Jr = co.cone_residual(n0.cone_C, n0.cone_c, lam)
                 acc.add(r, weights.w_cone, Jx=Jr @ Jlx if with_jac else None,
                         Ju=Jr @ Jlu if with_jac else None)
@@ -325,15 +304,15 @@ class RunningNode(_DynamicsNode):
     def _step_group(nodes, x, u):
         dt = np.asarray(_stack([n.dt for n in nodes]))
         (sol,), (x_next,) = ct.predict(nodes[0].model, x, u, _contacts(nodes), dt, 1)
-        return _Evaluation(x, u, sol, x_next, None)
+        return _Evaluation(sol, x_next, None)
 
     @staticmethod
-    def _cost_group(nodes, ev):
+    def _cost_group(nodes, x, u, ev):
         model = nodes[0].model
-        q, v = mod.split_state(model, ev.x)
+        q, v = mod.split_state(model, x)
         acc = _Expansion(np.asarray(_stack([n.dt for n in nodes])), 2 * model.nv,
                          model.nu)
-        RunningNode._costs(nodes, q, v, ev.u, ev.sol, acc)
+        RunningNode._costs(nodes, q, v, u, ev.sol, acc)
         ev.cost = acc.value
         return ev
 
@@ -366,7 +345,7 @@ class RunningNode(_DynamicsNode):
     # -- public API ----------------------------------------------------------
 
     def solution(self, x, u) -> ct.ContactSolution:
-        """Contact dynamics at (x, u); the reused solution when there is one."""
+        """Contact dynamics at (x, u); the stored solution when there is one."""
         return _group_rows(_evaluations([self], [x], [u]), "sol")[0]
 
 
@@ -415,13 +394,13 @@ class ImpulseNode(_DynamicsNode):
         model = nodes[0].model
         q, v = mod.split_state(model, x)
         sol = ct.impulse_dynamics(model, q, v, _contacts(nodes))
-        return _Evaluation(x, u, sol, mod.state(model, q, sol.v_plus), None)
+        return _Evaluation(sol, mod.state(model, q, sol.v_plus), None)
 
     @staticmethod
-    def _cost_group(nodes, ev):
+    def _cost_group(nodes, x, u, ev):
         model = nodes[0].model
-        q, v = mod.split_state(model, ev.x)
-        acc = _Expansion(np.ones(ev.x.shape[:-1]), 2 * model.nv, 0)
+        q, v = mod.split_state(model, x)
+        acc = _Expansion(np.ones(x.shape[:-1]), 2 * model.nv, 0)
         ImpulseNode._costs(nodes, q, v, ev.sol, acc, False)
         ev.cost = acc.value
         return ev
@@ -450,17 +429,19 @@ def _groups(nodes, indices):
 
 
 def _evaluations(nodes, xs, us):
-    """Each node's evaluation at (xs[k], us[k]): the one it reuses, else a
-    new one, kept; one stacked pass per group of the new ones."""
+    """Each node's costed row at (xs[k], us[k]) in its store, else a new
+    evaluation, its whole store from now on; one pass per group of these."""
     keys = [_key(x, u) for x, u in zip(xs, us)]
-    evs = [node._reuse(key) for node, key in zip(nodes, keys)]
-    for ks in _groups(nodes, [k for k, ev in enumerate(evs) if ev is None]):
+    evs = [node._store.get(key) for node, key in zip(nodes, keys)]
+    for ks in _groups(nodes, [k for k, ev in enumerate(evs)
+                              if ev is None or ev[0].cost is None]):
         group = [nodes[k] for k in ks]
         x = _stack([np.array(xs[k], dtype=float) for k in ks])
         u = _stack([np.array(us[k], dtype=float).reshape(-1) for k in ks])
-        ev = group[0]._cost_group(group, group[0]._step_group(group, x, u))
+        ev = group[0]._cost_group(group, x, u, group[0]._step_group(group, x, u))
         for j, k in enumerate(ks):
-            evs[k] = nodes[k]._keep(keys[k], (ev, j if len(ks) > 1 else None))
+            evs[k] = ev, j if len(ks) > 1 else None
+            nodes[k]._store = {keys[k]: evs[k]}
     return evs
 
 
@@ -474,15 +455,17 @@ def evaluate_nodes(nodes, xs, us) -> list[tuple[np.ndarray, float]]:
 def differentiate_nodes(nodes, xs, us) -> list[NodeDerivatives]:
     """``NodeDerivatives`` of each node at (xs[k], us[k]), one stacked pass per group.
 
-    The derivatives are taken at the nodes' evaluations at these inputs
-    (see ``evaluate_nodes``), each group's rows gathered from their source
-    evaluations (``_group_rows``).
+    The derivatives are taken at the dynamics solutions of the nodes'
+    evaluations at these inputs (see ``evaluate_nodes``), each group's rows
+    gathered from their source evaluations (``_group_rows``).
     """
     evs = _evaluations(nodes, xs, us)
     out = [None] * len(nodes)
     for ks in _groups(nodes, range(len(nodes))):
         group = [nodes[k] for k in ks]
-        x, u, sol = _group_rows([evs[k] for k in ks], "x", "u", "sol")
+        x = _stack([np.asarray(xs[k], float) for k in ks])
+        u = _stack([np.asarray(us[k], float).reshape(-1) for k in ks])
+        sol, = _group_rows([evs[k] for k in ks], "sol")
         fx, fu, acc = type(group[0])._differentiate_group(group, x, u, sol)
         split = list if len(ks) > 1 else (lambda a: [a])
         for k, *row in zip(ks, *map(split, (fx, fu, acc.lx, acc.lu, acc.lxx,
@@ -499,7 +482,7 @@ class TerminalNode:
     nu = 0
 
     def __init__(self, model: RobotModel, weights: co.CostWeights,
-                 bounds: co.Bounds | None, time: float):
+                 bounds: co.Bounds, time: float):
         self.model = model
         self.weights = weights
         self.bounds = bounds
@@ -534,11 +517,12 @@ class ShootingProblem:
     """
 
     def __init__(self, model: RobotModel, schedule: ContactSchedule,
-                 weights: co.CostWeights, bounds: co.Bounds | None,
+                 weights: co.CostWeights, bounds: co.Bounds,
                  x0: np.ndarray, N: int, dt: float, t0: float = 0.0,
                  cone: co.FrictionCone | None = None):
         if dt <= 0:
             raise ScheduleError("dt must be positive")
+        schedule.check_grid_alignment(dt)
         self.model = model
         self.schedule = schedule
         self.weights = weights
@@ -636,9 +620,10 @@ class ShootingProblem:
         """The cost of each row of ``xs`` and ``us`` (one array per node, one
         row without a leading axis), whose rows every node just stepped.
 
-        The nodes' kept dynamics solutions are costed in one stacked pass
-        per group over nodes x rows; these evaluations become the nodes'
-        trials.  Node costs add up in node order.
+        The dynamics solutions in the nodes' stores are costed in one stacked
+        pass per group over nodes x rows, and each node's rows in its store
+        become their costed rows of that pass.  Node costs add up in node
+        order.
         """
         nodes, lone = self.nodes, np.ndim(xs[0]) == 1
         if lone:
@@ -647,13 +632,13 @@ class ShootingProblem:
         costs = np.empty((len(nodes), n))
         for ks in _groups(nodes, range(len(nodes))):
             group = [nodes[k] for k in ks for _ in range(n)]
-            keys = [_key(x, u) for k in ks for x, u in zip(xs[k], us[k])]
-            ev = group[0]._cost_group(group, _Evaluation(*_group_rows(
-                [node._steps[key] for node, key in zip(group, keys)],
-                "x", "u", "sol", "x_next"), None))
-            for i, k in enumerate(ks):
-                nodes[k]._trials = {keys[j]: (ev, j if len(group) > 1 else None)
-                                    for j in range(i * n, (i + 1) * n)}
+            keys = [_key(*row) for k in ks for row in zip(xs[k], us[k])]
+            x, u = (_stack([row for k in ks for row in a[k]]) for a in (xs, us))
+            stored = [node._store[key] for node, key in zip(group, keys)]
+            ev = group[0]._cost_group(group, x, u, _Evaluation(
+                *_group_rows(stored, "sol", "x_next"), None))
+            for j, (node, key) in enumerate(zip(group, keys)):
+                node._store[key] = ev, j if len(group) > 1 else None
             costs[list(ks)] = np.reshape(ev.cost, (len(ks), n))
         total = np.zeros(n)
         for cost in costs:
@@ -688,7 +673,6 @@ def _node_schedule(schedule: ContactSchedule, k0: int, N: int, dt: float, known)
         raise ScheduleError(
             f"schedule ends at {schedule.end_time:.6g}s but the horizon "
             f"needs {t_end:.6g}s")
-    schedule.check_grid_alignment(dt, t_end=t_end)
     plan, read = [], {}
     half = _half(dt)
     for k in range(N + 1):
@@ -711,7 +695,7 @@ def _snap_eps(dt: float) -> float:
 
 
 def build_problem(model: RobotModel, schedule: ContactSchedule,
-                  weights: co.CostWeights, bounds: co.Bounds | None,
+                  weights: co.CostWeights, bounds: co.Bounds,
                   x0: np.ndarray, N: int, dt: float, t0: float = 0.0,
                   cone: co.FrictionCone | None = None) -> ShootingProblem:
     """The problem over the window [t0, t0 + N*dt] (see ``ShootingProblem``)."""

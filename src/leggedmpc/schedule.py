@@ -129,7 +129,7 @@ class ContactSchedule:
         events.sort()
         return events
 
-    def check_grid_alignment(self, dt: float, t_end: float | None = None):
+    def check_grid_alignment(self, dt: float):
         """Raise when a finite phase boundary cannot be snapped to the grid.
 
         Boundaries snap to the nearest multiple of ``dt``; an offset at (or
@@ -139,7 +139,7 @@ class ContactSchedule:
         for foot, phases in self._phases.items():
             for ph in phases:
                 for edge in (ph.start, ph.end):
-                    if math.isinf(edge) or (t_end is not None and edge > t_end + _TOL):
+                    if math.isinf(edge):
                         continue
                     off = abs(edge - dt * round(edge / dt))
                     if off >= 0.5 * dt * (1.0 - 1e-9):

@@ -74,9 +74,8 @@ def random_state(m, rng, spread=0.3, base_height=None):
 # checked against.
 
 def forget(node):
-    """Drop the node's kept evaluation and its trial rows, so that its next
-    evaluation is fresh."""
-    node._kept, node._trials = None, {}
+    """Empty the node's store, so that its next evaluation is fresh."""
+    node._store = {}
 
 
 def boxqp_kkt_violation(H, g, lo, hi, x) -> float:

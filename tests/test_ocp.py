@@ -104,19 +104,20 @@ def test_grid_alignment_rejects_half_offset(quad):
                 schedule.Segment(active=math.inf)] for f in range(4)}
     sched = schedule.ContactSchedule(segs, placements)
     with pytest.raises(ScheduleError):
-        sched.check_grid_alignment(0.01, t_end=0.5)
+        sched.check_grid_alignment(0.01)
     # on-grid boundaries pass
-    schedule.jump(range(4), placements, stance=0.3, flight=0.4).check_grid_alignment(0.01, t_end=1.0)
+    schedule.jump(range(4), placements, stance=0.3, flight=0.4).check_grid_alignment(0.01)
 
 
 def test_schedule_too_short_raises(quad):
     placements = foot_placements(quad)
     segs = {f: [schedule.Segment(active=0.2)] for f in range(4)}
     sched = schedule.ContactSchedule(segs, placements)
-    w = co.default_weights(quad, presets.nominal_configuration(quad))
+    q0 = presets.nominal_configuration(quad)
     with pytest.raises(ScheduleError):
-        problem.build_problem(quad, sched, w, None, presets.nominal_state(quad),
-                              N=30, dt=0.02)
+        problem.build_problem(quad, sched, co.default_weights(quad, q0),
+                              co.default_bounds(quad, q0),
+                              presets.nominal_state(quad), N=30, dt=0.02)
 
 
 # ------------------------------------------------------------ friction cone

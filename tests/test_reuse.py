@@ -1,8 +1,9 @@
 """Each node is evaluated once per iterate.
 
-Running and impulse nodes keep their last evaluation and their rows of the
-line search's last stacked ``trial_costs``; an evaluation at bit-equal inputs
-returns one of them and the derivatives are taken at its solution.  Reuse must change no
+Running and impulse nodes keep one store of the rows of their last write:
+a fresh evaluation, or the line search's last ``step_rows`` batch, costed
+by ``trial_costs``.  An evaluation at bit-equal inputs returns its costed
+row and the derivatives are taken at its solution.  Reuse must change no
 result, and after an accepted step the solver's derivative pass and the MPC
 message must solve no dynamics at all.  Across an MPC shift the nodes of
 the slots both windows share stay as they are, with their evaluations, so
@@ -45,7 +46,7 @@ def jump_solver(candidate=True):
 
 
 def forget_before_every_call(monkeypatch):
-    """Drop the kept evaluations and trial rows before every evaluation of nodes.
+    """Empty the nodes' stores before every evaluation of nodes.
 
     Node calls and solutions, the problem's stacked ``calc`` and its
     ``calc_diff`` all go through ``_evaluations``.
@@ -133,6 +134,57 @@ def test_reuse_is_bit_equality(monkeypatch):
     assert calls == {"contact": 0, "impulse": 0}
     node.calc(flipped, u)
     assert calls == {"contact": 1, "impulse": 0}
+
+
+def test_an_uncosted_row_is_evaluated_afresh(monkeypatch):
+    # a row the node stepped but nothing costed is solved again, once, and
+    # gives the bits of a fresh node
+    solver = jump_solver()
+    nodes = solver.problem.nodes
+    fresh = jump_solver(candidate=False).problem.nodes
+    rng = np.random.default_rng(3)
+    for kind in ("running", "impulse"):
+        k = next(k for k, n in enumerate(nodes) if n.kind == kind and n.contacts.frames)
+        x = solver.xs[k] + 1e-3 * rng.standard_normal((3, len(solver.xs[k])))
+        u = solver.us[k] + 1e-3 * rng.standard_normal((3, nodes[k].nu))
+        nodes[k].step_rows(x, u)
+        with monkeypatch.context() as m:
+            calls = count_dynamics(m)
+            stepped = nodes[k].calc(x[1], u[1])
+            again = nodes[k].calc(x[1], u[1])
+        assert calls == {"contact": kind == "running", "impulse": kind == "impulse"}
+        want = fresh[k].calc(x[1], u[1])
+        for got in (stepped, again):
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+
+def store_sizes(prob):
+    return [len(node._store) for node in prob.nodes]
+
+
+def test_stores_hold_at_most_one_batch_of_step_lengths():
+    # a node's store holds its last write, one line-search batch at most;
+    # the jump's short steps come from a batch of several rows
+    solver = jump_solver()
+    sizes = []
+    for _ in range(4):
+        solver.solve_one_iteration()
+        sizes += store_sizes(solver.problem)
+    assert max(sizes) <= len(BoxFddp.alphas) and max(sizes) > 1
+
+    quad = presets.default_quadruped()
+    q0 = presets.nominal_configuration(quad)
+    cfg = rh.MpcConfig(horizon=0.3, node_dt=0.02, update_rate=50.0,
+                       expected_delay=0.01)
+    ctrl = rh.Mpc(quad, trot_schedule(quad), co.default_weights(quad, q0),
+                  co.default_bounds(quad, q0), cfg, presets.nominal_state(quad))
+    rng = np.random.default_rng(1)
+    x = presets.nominal_state(quad)
+    for k in range(26):
+        x[quad.nq:] += 0.05 * rng.standard_normal(quad.nv)
+        msg = ctrl.step(x, k * 0.02)
+        assert max(store_sizes(ctrl.problem)) <= len(BoxFddp.alphas)
+        x = np.array(msg.xs_ref[1])
 
 
 def test_message_forces_come_from_the_nodes(monkeypatch):
