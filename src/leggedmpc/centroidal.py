@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import se2
-from .dynamics import gravity_torque, mass_matrix, nonlinear_effects
-from .kinematics import Kinematics, forward_kinematics, motion_transform
+from .dynamics import Multibody, _gravity
+from .kinematics import motion_transform
 from .model import RobotModel
 
 
@@ -38,26 +38,18 @@ class CentroidalQuantities:
     Adot_v: np.ndarray     # momentum-matrix drift (dA_G/dt) v (3,)
 
 
-def centroidal(model: RobotModel, q: np.ndarray, v: np.ndarray,
-               kin: Kinematics | None = None, M: np.ndarray | None = None,
-               h: np.ndarray | None = None) -> CentroidalQuantities:
-    """Centroidal momentum, its matrix and drift at (q, v), on one kinematics pass.
+def centroidal(model: RobotModel, mb: Multibody, v: np.ndarray) -> CentroidalQuantities:
+    """Centroidal momentum, its matrix and drift at velocity v, on the
+    multibody pass ``mb`` at (q, v) (``dynamics.multibody``).
 
-    The centre of mass comes from the composite base inertia M[:3, :3]
-    (first moment over mass, in the base frame); I_G is the angular entry
-    of A_G for a unit base rotation with the joints locked.  The
-    ``Kinematics`` at q, M(q) and h(q, v) are reused when the caller has
-    them.
+    The centre of mass comes from the composite base inertia M[:3, :3] of
+    the pass (first moment over mass, in the base frame); I_G is the angular
+    entry of A_G for a unit base rotation with the joints locked.  The drift
+    reads the pass's h, less g(q) on the pass's kinematics.
     """
-    q = model.check_q(q)
     v = model.check_v(v)
-    if kin is None:
-        kin = forward_kinematics(model, q)
-    if M is None:
-        M = mass_matrix(model, q, kin=kin)
-    if h is None:
-        h = nonlinear_effects(model, q, v, kin=kin)
-    coriolis = h - gravity_torque(model, q, kin=kin)
+    kin, M = mb.kin, mb.M
+    coriolis = mb.h - _gravity(model, kin)
     m_tot = model.total_mass
     base = kin.pose[0]
     p_G = se2.act(base, np.array([M[1, 2], -M[0, 2]]) / M[0, 0])

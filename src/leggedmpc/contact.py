@@ -11,11 +11,11 @@ with a_C = Jdot*v + psi the constraint-space bias and psi = BAUMGARTE_GAIN *
 damps slip and leaves position drift alone.  A touchdown is an inelastic
 impulse: the contact points come to rest, J v+ = 0.  The solve goes through
 the contact-space inertia (Schur complement) Mhat = J M^-1 J.T.  One call
-runs forward kinematics once, and the body twists and their bias
-accelerations once: M, h, the contact Jacobian (stacked from the body
-Jacobians for all frames at once), the frame acceleration bias and the
-Baumgarte velocities all read that ``Kinematics`` and those arrays, and the
-solution keeps the ``Kinematics`` for its derivatives.
+runs one multibody pass (``dynamics.multibody``: kinematics, body twists,
+bias accelerations, M and h) and one frame gather
+(``dynamics.frame_motion``: the contact Jacobian, the frame velocities of
+the Baumgarte term and the frame acceleration bias), and the solution keeps
+the pass for its derivatives and the costs.
 
 The derivative routines differentiate the KKT conditions implicitly:
 ``dynamics.tangent_sweep`` gives the exact derivatives of the
@@ -39,19 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Tangents, mass_matrix, nonlinear_effects, tangent_sweep
+from .dynamics import Multibody, Tangents, frame_motion, multibody, tangent_sweep
 from .errors import DimensionMismatch, RankDeficientContacts
-from .kinematics import (
-    Kinematics,
-    _frames,
-    _matvec,
-    _perp,
-    bias_accelerations,
-    body_twists,
-    forward_kinematics,
-    frame_acceleration_bias,
-    frame_velocities,
-)
+# ``forward_kinematics`` is also a name of this module: the benchmark's
+# tracer test checks that tracing rebinds such imported names
+from .kinematics import _matvec, forward_kinematics  # noqa: F401
 from .model import RobotModel, semi_implicit_step, split_state, state
 
 COND_LIMIT = 1e12
@@ -83,19 +75,17 @@ class ContactSolution:
 
     vdot: np.ndarray            # (nv,)
     forces: np.ndarray          # (nf,) stacked per frame (fx, fy)
-    # cached terms reused by the derivative routine
-    M: np.ndarray = None
-    J: np.ndarray = None
-    kin: Kinematics = None
+    # the terms the derivatives and the costs read
+    J: np.ndarray               # (nf, nv) contact Jacobian
+    mb: Multibody
 
 
 @dataclass
 class ImpulseSolution:
     v_plus: np.ndarray          # (nv,)
     impulses: np.ndarray        # (nf,)
-    M: np.ndarray = None
-    J: np.ndarray = None
-    kin: Kinematics = None
+    J: np.ndarray               # (nf, nv)
+    mb: Multibody
 
 
 @dataclass
@@ -116,18 +106,11 @@ def actuation(model: RobotModel, u: np.ndarray) -> np.ndarray:
     return tau
 
 
-def contact_jacobian_stack(model: RobotModel, q, frames, kin=None) -> np.ndarray:
-    """Stacked world point-velocity Jacobian (2*len(frames), nv) of contact frames.
-
-    Frame k on body b at offset r moves with R_b (B_b[:2] + perp(r) B_b[2]),
-    evaluated for all frames (and all stacked states) in one batch.
-    """
-    if kin is None:
-        kin = forward_kinematics(model, q)
-    rows, r = _frames(model, kin, frames)
-    Bb = kin.B[rows]
-    local = Bb[..., :2, :] + _perp(r)[..., None] * Bb[..., 2:, :]
-    return (kin.R[rows] @ local).reshape(r.shape[:-2] + (-1, model.nv))
+def contact_jacobian_stack(model: RobotModel, q, frames) -> np.ndarray:
+    """Stacked world point-velocity Jacobian (2*len(frames), nv) of contact
+    frames: the Jacobian of ``frame_motion``, which does not depend on v."""
+    v = np.zeros(np.shape(q)[:-1] + (model.nv,))
+    return frame_motion(model, multibody(model, q, v), frames)[1]
 
 
 def _kkt_forward(M, J, rhs, bias, what: str):
@@ -163,25 +146,16 @@ def contact_forward_dynamics(model: RobotModel, q, v, u, contacts: ContactSet) -
     Stacked states (leading axes on q, v and u, with (B, nc) frames in
     ``contacts``) are solved in one pass.
     """
-    q = model.check_q(q)
-    v = model.check_v(v)
-    kin = forward_kinematics(model, q)
-    M = mass_matrix(model, q, kin=kin)
-    tw = body_twists(model, kin, v)
-    bias = bias_accelerations(model, kin, v, tw)
-    h = nonlinear_effects(model, q, v, kin=kin, tw=tw, bias=bias)
-    tau_b = actuation(model, u) - h
+    mb = multibody(model, q, v)
+    tau_b = actuation(model, u) - mb.h
     if not contacts.nf:          # in flight: the unconstrained dynamics
-        vdot = np.linalg.solve(M, tau_b[..., None])[..., 0]
+        vdot = np.linalg.solve(mb.M, tau_b[..., None])[..., 0]
         return ContactSolution(vdot=vdot, forces=np.zeros(vdot.shape[:-1] + (0,)),
-                               M=M, J=np.zeros(M.shape[:-2] + (0, model.nv)), kin=kin)
-    J = contact_jacobian_stack(model, q, contacts.frames, kin=kin)
-    vel = frame_velocities(model, q, v, contacts.frames, kin=kin, tw=tw)
-    a_C = (frame_acceleration_bias(model, q, v, contacts.frames, kin=kin, tw=tw,
-                                   bias=bias)
-           + BAUMGARTE_GAIN * vel.reshape(vel.shape[:-2] + (-1,)))
-    vdot, lam = _kkt_forward(M, J, tau_b, a_C, "contact-space")
-    return ContactSolution(vdot=vdot, forces=lam, M=M, J=J, kin=kin)
+                               J=np.zeros(mb.M.shape[:-2] + (0, model.nv)), mb=mb)
+    _, J, vel, bias = frame_motion(model, mb, contacts.frames)
+    a_C = bias + BAUMGARTE_GAIN * vel.reshape(vel.shape[:-2] + (-1,))
+    vdot, lam = _kkt_forward(mb.M, J, tau_b, a_C, "contact-space")
+    return ContactSolution(vdot=vdot, forces=lam, J=J, mb=mb)
 
 
 def predict(model: RobotModel, x, u, contacts: ContactSet, h, n: int):
@@ -213,15 +187,13 @@ def impulse_dynamics(model: RobotModel, q, v_minus,
     unchanged.  Stacked states run as one pass, as in
     ``contact_forward_dynamics``.
     """
-    q = model.check_q(q)
     v_minus = model.check_v(v_minus)
-    kin = forward_kinematics(model, q)
-    M = mass_matrix(model, q, kin=kin)
-    J = contact_jacobian_stack(model, q, contacts.frames, kin=kin)
+    mb = multibody(model, q, v_minus)
+    _, J, _, _ = frame_motion(model, mb, contacts.frames)
     # the velocity jump dv = v+ - v- solves M dv = J.T imp, J dv = -J v-
-    dv, imp = _kkt_forward(M, J, np.zeros_like(v_minus), _matvec(J, v_minus),
+    dv, imp = _kkt_forward(mb.M, J, np.zeros_like(v_minus), _matvec(J, v_minus),
                            "impulse contact-space")
-    return ImpulseSolution(v_plus=v_minus + dv, impulses=imp, M=M, J=J, kin=kin)
+    return ImpulseSolution(v_plus=v_minus + dv, impulses=imp, J=J, mb=mb)
 
 
 # ------------------------------------------------------------------ derivatives
@@ -262,14 +234,14 @@ def contact_dynamics_derivatives(model: RobotModel, q, v, u, contacts: ContactSe
     frames = contacts.frames
     lam = sol.forces.reshape(lead + (-1, 2))
     if tan is None:
-        tan = tangent_sweep(model, sol.kin, v, sol.vdot, (frames, lam), frames)
+        tan = tangent_sweep(model, sol.mb.kin, v, sol.vdot, (frames, lam), frames)
     # psi = BAUMGARTE_GAIN * (frame velocity)
     F2_x = tan.dacc[..., :nf, :] + BAUMGARTE_GAIN * tan.dvel[..., :nf, :]
     rhs = np.zeros(lead + (nv + nf, 2 * nv + model.nu))
     rhs[..., :nv, :2 * nv] = -tan.dtau
     rhs[..., :nv, 2 * nv:] = model.S
     rhs[..., nv:, :2 * nv] = -F2_x
-    top, bot = _kkt_solve(sol.M, sol.J, rhs)
+    top, bot = _kkt_solve(sol.mb.M, sol.J, rhs)
     return DynamicsDerivatives(dvdot_dx=top[..., :2 * nv], dvdot_du=top[..., 2 * nv:],
                                dforces_dx=bot[..., :2 * nv], dforces_du=bot[..., 2 * nv:])
 
@@ -292,14 +264,14 @@ def impulse_dynamics_derivatives(model: RobotModel, q, v_minus, contacts: Contac
     rhs = np.empty(lead + (nv + nf, 2 * nv))
     # configuration block: F1 is rnea(q, 0, v+ - v-, impulses) without
     # gravity; F2 is the frame velocity under v+
-    rhs[..., :nv, :nv] = -tangent_sweep(model, sol.kin, np.zeros_like(v_minus),
+    rhs[..., :nv, :nv] = -tangent_sweep(model, sol.mb.kin, np.zeros_like(v_minus),
                                         sol.v_plus - v_minus, (frames, lam),
                                         gravity=False).dtau[..., :nv]
-    rhs[..., nv:, :nv] = -tangent_sweep(model, sol.kin, sol.v_plus,
+    rhs[..., nv:, :nv] = -tangent_sweep(model, sol.mb.kin, sol.v_plus,
                                         frames=frames).dvel[..., :nv]
     # velocity block: dF1/dv- = -M, dF2/dv- = 0
-    rhs[..., :nv, nv:] = sol.M
+    rhs[..., :nv, nv:] = sol.mb.M
     rhs[..., nv:, nv:] = 0.0
-    dvp_dx, dlam_dx = _kkt_solve(sol.M, sol.J, rhs)
+    dvp_dx, dlam_dx = _kkt_solve(sol.mb.M, sol.J, rhs)
     return DynamicsDerivatives(dvdot_dx=dvp_dx, dvdot_du=np.zeros(lead + (nv, 0)),
                                dforces_dx=dlam_dx, dforces_du=np.zeros(lead + (nf, 0)))

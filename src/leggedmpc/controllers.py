@@ -32,11 +32,8 @@ from . import contact as ct
 from . import model as mod
 from .centroidal import centroidal
 from .costs import Bounds, FrictionCone, cone_matrices
-from .dynamics import mass_matrix, nonlinear_effects
+from .dynamics import frame_motion, multibody
 from .errors import ConfigError, InvalidMeasurement, MaxIterations, Stage1Infeasible
-from .kinematics import (bias_accelerations, body_twists, forward_kinematics,
-                         frame_acceleration_bias, frame_positions,
-                         frame_velocities)
 from .model import RobotModel
 from .mpc import PolicyMessage, _index_at
 
@@ -420,48 +417,39 @@ def stance_tasks(model: RobotModel, gains: WbcGains, x, x_ref, u_ff,
     nf = 2 * len(frames)
     ny = nv + nu + nf
 
-    # one kinematics pass per state: the measured one here, the reference
-    # one inside the reference dynamics below
-    kin = forward_kinematics(model, q)
-    tw = body_twists(model, kin, v)
-    bias = bias_accelerations(model, kin, v, tw)
-    M = mass_matrix(model, q, kin=kin)
-    h = nonlinear_effects(model, q, v, kin=kin, tw=tw, bias=bias)
-    Jc = ct.contact_jacobian_stack(model, q, frames, kin=kin)
+    # one multibody pass and one frame gather per state: the measured ones
+    # here, for the contact and swing feet together; the reference pass
+    # inside the reference dynamics, and a gather for its swing feet
+    swing = tuple(f for f in range(len(model.contact_frames))
+                  if f not in frames)
+    mb = multibody(model, q, v)
+    pos, J, vel, bias = frame_motion(model, mb, frames + swing)
     A1 = np.zeros((nv + nf, ny))
-    A1[:nv, :nv] = M
+    A1[:nv, :nv] = mb.M
     A1[:nv, nv:nv + nu] = -model.S
-    A1[:nv, nv + nu:] = -Jc.T
-    A1[nv:, :nv] = Jc
-    a1 = np.concatenate([-h, -frame_acceleration_bias(model, q, v, frames,
-                                                      kin=kin, tw=tw, bias=bias)])
+    A1[:nv, nv + nu:] = -J[:nf].T
+    A1[nv:, :nv] = J[:nf]
+    a1 = np.concatenate([-mb.h, -bias[:nf]])
     tasks = [(A1, a1)]
 
     # reference accelerations are contact-consistent under the feed-forward
     contacts = ct.ContactSet(frames=frames)
     ref = ct.contact_forward_dynamics(
         model, q_d, v_d, np.asarray(u_ff, float), contacts)
-    vdot_ref, kin_d = ref.vdot, ref.kin
-    cen = centroidal(model, q, v, kin=kin, M=M, h=h)
-    cen_ref = centroidal(model, q_d, v_d, kin=kin_d, M=ref.M)
-    hdot_ref = cen_ref.A_G @ vdot_ref + cen_ref.Adot_v
+    cen = centroidal(model, mb, v)
+    cen_ref = centroidal(model, ref.mb, v_d)
+    hdot_ref = cen_ref.A_G @ ref.vdot + cen_ref.Adot_v
     m_tot = model.total_mass
 
-    swing = tuple(f for f in range(len(model.contact_frames))
-                  if f not in frames)
     if swing:
-        pos = frame_positions(model, kin, swing).ravel()
-        pos_d = frame_positions(model, kin_d, swing).ravel()
-        vel = frame_velocities(model, q, v, swing, kin=kin, tw=tw).ravel()
-        vel_d = frame_velocities(model, q_d, v_d, swing, kin=kin_d).ravel()
-        acc_d = (ct.contact_jacobian_stack(model, q_d, swing, kin=kin_d) @ vdot_ref
-                 + frame_acceleration_bias(model, q_d, v_d, swing, kin=kin_d))
-        target = (acc_d + gains.swing_kp * (pos_d - pos)
-                  + gains.swing_kd * (vel_d - vel))
+        k = len(frames)
+        pos_d, J_d, vel_d, bias_d = frame_motion(model, ref.mb, swing)
+        target = (J_d @ ref.vdot + bias_d
+                  + gains.swing_kp * (pos_d.ravel() - pos[k:].ravel())
+                  + gains.swing_kd * (vel_d.ravel() - vel[k:].ravel()))
         A = np.zeros((2 * len(swing), ny))
-        A[:, :nv] = ct.contact_jacobian_stack(model, q, swing, kin=kin)
-        tasks.append((A, target - frame_acceleration_bias(
-            model, q, v, swing, kin=kin, tw=tw, bias=bias)))
+        A[:, :nv] = J[nf:]
+        tasks.append((A, target - bias[nf:]))
 
     # CoM rows are the linear momentum rows scaled by the total mass
     acc_com_d = hdot_ref[:2] / m_tot
@@ -566,8 +554,8 @@ def log_columns(model: RobotModel) -> list:
 def log_row(model: RobotModel, t: float, u_cmd, u_meas, x, x_ref,
             lam_dense, lam_ref_dense, active_frames) -> list:
     """One log record matching :func:`log_columns` (dense force layout)."""
-    k_g = centroidal(model, *mod.split_state(model, x)).k_G
-    k_g_ref = centroidal(model, *mod.split_state(model, x_ref)).k_G
+    k_g, k_g_ref = (centroidal(model, multibody(model, q, v), v).k_G
+                    for q, v in (mod.split_state(model, y) for y in (x, x_ref)))
     flags = [1.0 if f in tuple(active_frames) else 0.0
              for f in range(len(model.contact_frames))]
     return ([float(t)] + list(map(float, u_cmd)) + list(map(float, u_meas))

@@ -1,4 +1,4 @@
-"""Inverse dynamics, its exact tangent sweep and the mass matrix.
+"""The multibody pass, the frame gather, inverse dynamics and its exact tangent sweep.
 
 Sign conventions: ``rnea(model, q, v, a, forces)`` returns the generalized
 force tau with
@@ -9,11 +9,14 @@ so gravity enters as a bias (``rnea(q, 0, 0)`` is the force needed to hold
 the robot statically) and contact forces ``lambda`` are world-frame forces
 applied *on* the robot at contact frames.
 
-``rnea`` and ``mass_matrix`` work on the body Jacobians B_i that
-``forward_kinematics`` returns (Featherstone, *Rigid Body Dynamics
-Algorithms*, 2008): body twists are tw = B v, body accelerations come from
-one pass per tree depth, tau = sum_i B_i.T f_i is one product, and the
-joint-space inertia is M = sum_i B_i.T I_i B_i.  ``tangent_sweep``
+Everything works on the body Jacobians B_i that ``forward_kinematics``
+returns (Featherstone, *Rigid Body Dynamics Algorithms*, 2008): body twists
+are tw = B v, body accelerations come from one pass per tree depth, tau =
+sum_i B_i.T f_i is one product, and the joint-space inertia is M = sum_i
+B_i.T I_i B_i.  ``multibody`` is the one pass per state: kinematics,
+twists, bias accelerations, M and h (as Pinocchio's ``computeAllTerms``).
+``frame_motion`` is the one gather of contact frames from a pass: their
+positions, Jacobian, velocities and acceleration bias.  ``tangent_sweep``
 differentiates the same recursion, one tree depth at a time too.  Every
 function takes stacked states (leading axes on q, v, a and the
 ``Kinematics``) as one pass; alone, a state runs the same code.
@@ -61,31 +64,14 @@ def _subtract_contact_forces(model, kin, f, contact_forces, dth=None, df=None):
         np.subtract.at(df, rows, d)
 
 
-def rnea(model: RobotModel, q: np.ndarray, v: np.ndarray, a: np.ndarray,
-         contact_forces=None,
-         kin: Kinematics | None = None, tw: np.ndarray | None = None,
-         bias: np.ndarray | None = None) -> np.ndarray:
-    """Generalized force tau = M(q) a + h(q, v) - J_C.T lambda.
+def _rnea(model, kin, tw, bias, a, contact_forces=None):
+    """``rnea`` on a kinematics pass, its body twists ``tw`` and their ``bias``.
 
-    ``contact_forces`` pairs contact frames with their world-frame forces
-    (see ``_subtract_contact_forces``).
-    Body accelerations are B a plus the velocity bias of
-    ``bias_accelerations`` plus gravity, folded in as a fictitious upward
-    world acceleration; each body's net force f_i then reaches tau as
-    B_i.T f_i.  ``tw`` (body twists under v) and ``bias`` (their
-    ``bias_accelerations``) are reused when the caller has them.  Stacked
-    states (leading axes on q, v, a) run as one pass.
+    Body accelerations are B a plus the velocity bias plus gravity, folded
+    in as a fictitious upward world acceleration; each body's net force f_i
+    then reaches tau as B_i.T f_i.
     """
-    q = model.check_q(q)
-    v = model.check_v(v)
-    a = model.check_v(a)
-    if kin is None:
-        kin = forward_kinematics(model, q)
     B, I = kin.B, model.spatial_inertias
-    if tw is None:
-        tw = _matvec(B, v[..., None, :])
-    if bias is None:
-        bias = bias_accelerations(model, kin, v, tw)
     ac = _matvec(B, a[..., None, :]) + bias
     # world gravity seen in each body frame: R_i.T (-g)
     ac[..., :2] -= model.gravity @ kin.R
@@ -100,6 +86,94 @@ def rnea(model: RobotModel, q: np.ndarray, v: np.ndarray, a: np.ndarray,
     lead = B.shape[:-3]
     tau = (f.reshape(lead + (1, -1)) @ B.reshape(lead + (-1, model.nv)))[..., 0, :]
     return tau
+
+
+def rnea(model: RobotModel, q: np.ndarray, v: np.ndarray, a: np.ndarray,
+         contact_forces=None) -> np.ndarray:
+    """Generalized force tau = M(q) a + h(q, v) - J_C.T lambda.
+
+    ``contact_forces`` pairs contact frames with their world-frame forces
+    (see ``_subtract_contact_forces``).  Stacked states (leading axes on q,
+    v, a) run as one pass.
+    """
+    q = model.check_q(q)
+    v = model.check_v(v)
+    a = model.check_v(a)
+    kin = forward_kinematics(model, q)
+    return _rnea(model, kin, *bias_accelerations(model, kin, v), a, contact_forces)
+
+
+def _gravity(model, kin):
+    """Static bias g(q) = rnea(q, 0, 0) on the kinematics pass at q."""
+    z = np.zeros(kin.pose.shape[:-2] + (model.nv,))
+    return _rnea(model, kin, *bias_accelerations(model, kin, z), z)
+
+
+def gravity_torque(model: RobotModel, q: np.ndarray) -> np.ndarray:
+    """Static bias g(q) = rnea(q, 0, 0)."""
+    return _gravity(model, forward_kinematics(model, model.check_q(q)))
+
+
+@dataclass
+class Multibody:
+    """The rigid-body terms at one state (q, v), from ``multibody``.
+
+    Stacked states give the same fields with leading axes.
+    """
+
+    kin: Kinematics
+    tw: np.ndarray        # (nb, 3) body twists B v
+    bias: np.ndarray      # (nb, 3) body accelerations at zero vdot, no gravity
+    M: np.ndarray         # (nv, nv) joint-space inertia
+    h: np.ndarray         # (nv,) nonlinear effects rnea(q, v, 0)
+
+
+def multibody(model: RobotModel, q: np.ndarray, v: np.ndarray) -> Multibody:
+    """Kinematics, body twists, bias accelerations, M and h at (q, v), in one pass.
+
+    One ``forward_kinematics`` places the bodies and one
+    ``bias_accelerations`` gives the twists and their bias.  The joint-space
+    inertia M = sum_i B_i.T I_i B_i is one product of the stacked body
+    Jacobians with the inertia-weighted ones, and the Coriolis, centrifugal
+    and gravity bias h = rnea(q, v, 0) reads the same twists and bias, with
+    the bits of ``rnea``.  Stacked states (leading axes on q and v) run as
+    one pass, and a state of a stack gives the same bits as the same state
+    alone.
+    """
+    q = model.check_q(q)
+    v = model.check_v(v)
+    kin = forward_kinematics(model, q)
+    tw, bias = bias_accelerations(model, kin, v)
+    B, nv = kin.B, model.nv
+    lead = B.shape[:-3]
+    M = (B.reshape(lead + (-1, nv)).swapaxes(-1, -2)
+         @ (model.spatial_inertias @ B).reshape(lead + (-1, nv)))
+    return Multibody(kin, tw, bias, M, _rnea(model, kin, tw, bias, np.zeros_like(v)))
+
+
+def frame_motion(model: RobotModel, mb: Multibody, frames):
+    """World positions, Jacobian, velocities and acceleration bias of contact
+    frames, from one gather of their bodies.
+
+    Frame k on body b at offset r is at p_b + R_b r and moves with
+    R_b (B_b[:2] + perp(r) B_b[2]) v.  The bias is the classical (point)
+    acceleration at zero generalized acceleration, the Jdot v of
+    d/dt(J v) = J vdot + Jdot v.  Returns positions (k, 2), the stacked
+    Jacobian (2k, nv), velocities (k, 2) and the bias (2k,), for all frames
+    (and all stacked states) at once.
+    """
+    kin = mb.kin
+    rows, r = _frames(model, kin, frames)
+    R, pr = kin.R[rows], _perp(r)
+    pos = kin.pose[rows][..., :2] + _matvec(R, r)
+    Bb = kin.B[rows]
+    local = Bb[..., :2, :] + pr[..., None] * Bb[..., 2:, :]
+    J = (R @ local).reshape(r.shape[:-2] + (-1, model.nv))
+    t, acc = mb.tw[rows], mb.bias[rows]
+    w = t[..., 2:]
+    vel = _matvec(R, t[..., :2] + w * pr)
+    local = acc[..., :2] + acc[..., 2:] * pr + w * _perp(t[..., :2] + w * pr)
+    return pos, J, vel, _matvec(R, local).reshape(r.shape[:-2] + (-1,))
 
 
 @dataclass
@@ -227,34 +301,3 @@ def tangent_sweep(model: RobotModel, kin: Kinematics, v: np.ndarray,
         np.add.at(df, (Ellipsis, p, slice(None), slice(None)), XT @ dfi)
     dtau[..., :3, :] = df[..., 0, :, :]
     return Tangents(dtau=dtau, dvel=dvel, dacc=dacc)
-
-
-def nonlinear_effects(model: RobotModel, q: np.ndarray, v: np.ndarray,
-                      kin: Kinematics | None = None, tw: np.ndarray | None = None,
-                      bias: np.ndarray | None = None) -> np.ndarray:
-    """Coriolis, centrifugal and gravity bias h(q, v) = rnea(q, v, 0)."""
-    return rnea(model, q, v, np.zeros_like(v), kin=kin, tw=tw, bias=bias)
-
-
-def gravity_torque(model: RobotModel, q: np.ndarray,
-                   kin: Kinematics | None = None) -> np.ndarray:
-    """Static bias g(q) = rnea(q, 0, 0)."""
-    z = np.zeros(np.shape(q)[:-1] + (model.nv,))
-    return rnea(model, q, z, z, kin=kin)
-
-
-def mass_matrix(model: RobotModel, q: np.ndarray,
-                kin: Kinematics | None = None) -> np.ndarray:
-    """Joint-space inertia M = sum_i B_i.T I_i B_i.
-
-    Symmetric positive definite.  The sum is one product of the stacked body
-    Jacobians with the inertia-weighted ones.
-    """
-    q = model.check_q(q)
-    if kin is None:
-        kin = forward_kinematics(model, q)
-    nv = model.nv
-    B = kin.B
-    lead = B.shape[:-3]
-    return (B.reshape(lead + (-1, nv)).swapaxes(-1, -2)
-            @ (model.spatial_inertias @ B).reshape(lead + (-1, nv)))

@@ -9,9 +9,11 @@ forces back to the parent.
 all bodies of one depth are placed, transformed and given their body
 Jacobian B_i in one batch of array operations, so a pass costs a few array
 operations per depth instead of per body.  With B_i, a body twist is
-tw_i = B_i v, and every contact-frame quantity below is evaluated for all
-requested frames at once from the (nb, 3) array of twists.  Stacked states
-(leading axes on q and v, frames (..., k) per state) run as one pass.
+tw_i = B_i v, and ``bias_accelerations`` gives the twists and their
+velocity bias one depth at a time.  Contact frames are gathered for all
+requested frames at once (``_frames``); ``dynamics.frame_motion`` reads
+their motion from the multibody pass.  Stacked states (leading axes on q
+and v, frames (..., k) per state) run as one pass.
 """
 
 from __future__ import annotations
@@ -108,19 +110,15 @@ def forward_kinematics(model: RobotModel, q: np.ndarray) -> Kinematics:
     return Kinematics(pose=pose, X=X, B=B, R=T[..., :2, :2])
 
 
-def body_twists(model: RobotModel, kin: Kinematics, v: np.ndarray) -> np.ndarray:
-    """Body-frame twist of every body for generalized velocity ``v``, (nb, 3)."""
-    return _matvec(kin.B, model.check_v(v)[..., None, :])
+def bias_accelerations(model: RobotModel, kin: Kinematics, v: np.ndarray):
+    """Body twists tw = B v and body accelerations at zero generalized
+    acceleration (and no gravity), each (nb, 3).
 
-
-def bias_accelerations(model: RobotModel, kin: Kinematics, v: np.ndarray,
-                       tw: np.ndarray) -> np.ndarray:
-    """Body accelerations at zero generalized acceleration (and no gravity), (nb, 3).
-
-    a_i = X_i a_parent + crm(tw_i) S_i v_i, one tree depth at a time; ``tw``
-    are the body twists under ``v``.  The root's bias is zero, so the first
-    depth below it is just its Coriolis terms.
+    a_i = X_i a_parent + crm(tw_i) S_i v_i, one tree depth at a time.  The
+    root's bias is zero, so the first depth below it is just its Coriolis
+    terms.
     """
+    tw = _matvec(kin.B, v[..., None, :])
     acc = np.zeros(tw.shape)
     # crm(tw_i) S_i v_i = v_i (tw_y, -tw_x, 0); body i >= 1 has rate v[2 + i]
     acc[..., 1:, 0] = v[..., 3:] * tw[..., 1:, 1]
@@ -128,7 +126,7 @@ def bias_accelerations(model: RobotModel, kin: Kinematics, v: np.ndarray,
     for lv in model.levels[1:]:
         i = lv.bodies
         acc[..., i, :] += _matvec(kin.X[..., i, :, :], acc[..., lv.parents, :])
-    return acc
+    return tw, acc
 
 
 def _frames(model: RobotModel, kin: Kinematics, frames):
@@ -159,43 +157,3 @@ def frame_positions(model: RobotModel, kin: Kinematics, frames) -> np.ndarray:
 
 def frame_position(model: RobotModel, kin: Kinematics, frame: int) -> np.ndarray:
     return frame_positions(model, kin, (frame,))[0]
-
-
-def frame_velocities(model: RobotModel, q: np.ndarray, v: np.ndarray, frames,
-                     kin: Kinematics | None = None,
-                     tw: np.ndarray | None = None) -> np.ndarray:
-    """World linear velocities of contact frames, shape (len(frames), 2).
-
-    ``tw`` are the body twists under ``v`` when the caller has them.
-    """
-    if kin is None:
-        kin = forward_kinematics(model, q)
-    if tw is None:
-        tw = body_twists(model, kin, v)
-    rows, r = _frames(model, kin, frames)
-    t = tw[rows]
-    return _matvec(kin.R[rows], t[..., :2] + t[..., 2:] * _perp(r))
-
-
-def frame_acceleration_bias(model: RobotModel, q: np.ndarray, v: np.ndarray, frames,
-                            kin: Kinematics | None = None,
-                            tw: np.ndarray | None = None,
-                            bias: np.ndarray | None = None) -> np.ndarray:
-    """World acceleration of contact points under zero generalized acceleration.
-
-    This is the classical (point) acceleration, i.e. the Jdot*v term of
-    d/dt(J v) = J vdot + Jdot v, stacked per frame into a vector of length
-    2*len(frames).  ``tw`` are the body twists under ``v`` and ``bias``
-    their ``bias_accelerations``, when the caller has them.
-    """
-    v = model.check_v(v)
-    if kin is None:
-        kin = forward_kinematics(model, model.check_q(q))
-    if tw is None:
-        tw = body_twists(model, kin, v)
-    acc = bias_accelerations(model, kin, v, tw) if bias is None else bias
-    rows, r = _frames(model, kin, frames)
-    t, a = tw[rows], acc[rows]
-    w = t[..., 2:]
-    local = a[..., :2] + a[..., 2:] * _perp(r) + w * _perp(t[..., :2] + w * _perp(r))
-    return _matvec(kin.R[rows], local).reshape(r.shape[:-2] + (-1,))

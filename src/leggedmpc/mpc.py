@@ -27,7 +27,7 @@ from . import costs as co
 from . import model as mod
 from . import problem as pb
 from .boxfddp import BoxFddp
-from .dynamics import gravity_torque
+from .dynamics import frame_motion, multibody
 from .errors import (ConfigError, InvalidMeasurement, NoStepAccepted,
                      RankDeficientContacts)
 from .model import RobotModel
@@ -146,8 +146,10 @@ def _static_balance(model: RobotModel, q: np.ndarray, frames):
     relative to max(1, max|g|), which is at rounding level when the contacts
     can hold the posture.
     """
-    g = gravity_torque(model, q)
-    A = np.hstack([model.S, ct.contact_jacobian_stack(model, q, frames).T])
+    # at v = 0 the pass's h is g(q)
+    mb = multibody(model, q, np.zeros(model.nv))
+    g = mb.h
+    A = np.hstack([model.S, frame_motion(model, mb, frames)[1].T])
     y, *_ = np.linalg.lstsq(A, g, rcond=None)
     return y, np.abs(A @ y - g).max() / max(1.0, np.abs(g).max())
 

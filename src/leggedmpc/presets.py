@@ -50,33 +50,3 @@ def nominal_configuration(model: RobotModel) -> np.ndarray:
 
 def nominal_state(model: RobotModel) -> np.ndarray:
     return np.concatenate([nominal_configuration(model), np.zeros(model.nv)])
-
-
-def single_body(mass: float = 1.0, inertia: float = 0.1,
-                com=(0.0, 0.0), contact_offset=(0.0, 0.0)) -> RobotModel:
-    """Free-floating single body with one contact frame; handy for analytics."""
-    return RobotModel(
-        name="single_body",
-        bodies=[Body("box", mass, tuple(com), inertia)],
-        joints=[Joint(FLOATING, -1, (0.0, 0.0, 0.0))],
-        contact_frames=[ContactFrame("corner", 0, tuple(contact_offset))],
-        torque_limit=np.zeros(0),
-    )
-
-
-def base_pendulum(mass: float = 1.0, length: float = 0.5,
-                  base_mass: float = 1.0) -> RobotModel:
-    """Floating base carrying a single hanging rod (point mass at distance l)."""
-    return RobotModel(
-        name="base_pendulum",
-        bodies=[
-            Body("base", base_mass, (0.0, 0.0), 0.05),
-            Body("rod", mass, (0.0, -length), 0.0),
-        ],
-        joints=[
-            Joint(FLOATING, -1, (0.0, 0.0, 0.0)),
-            Joint(REVOLUTE, 0, (0.0, 0.0, 0.0)),
-        ],
-        contact_frames=[ContactFrame("tip", 1, (0.0, -2.0 * length))],
-        torque_limit=np.array([50.0]),
-    )

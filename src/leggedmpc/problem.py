@@ -40,9 +40,8 @@ import numpy as np
 from . import contact as ct
 from . import costs as co
 from . import model as mod
-from .dynamics import tangent_sweep
+from .dynamics import frame_motion, tangent_sweep
 from .errors import RankDeficientContacts, ScheduleError
-from .kinematics import frame_positions, frame_velocities
 from .model import RobotModel
 from .schedule import ContactSchedule, evaluate_swing
 
@@ -159,14 +158,16 @@ def _gather(parts):
 def _group_rows(evs, *names):
     """Fields ``names`` of the node evaluations ``evs`` ((evaluation, row)
     pairs), stacked by ``_gather``: the consecutive rows of one source share
-    one index list, and one node keeps its own row."""
+    one index array, made once for every field, and one node keeps its own
+    row."""
     parts = []
     for ev, j in evs:
         if j is not None and parts and parts[-1][0] is ev:
             parts[-1][1].append(j)
         else:
             parts.append((ev, None if j is None else [j]))
-    parts = evs if len(evs) == 1 else parts
+    parts = evs if len(evs) == 1 else [(ev, j if j is None else np.array(j))
+                                       for ev, j in parts]
     return [_gather([(getattr(ev, name), j) for ev, j in parts]) for name in names]
 
 
@@ -285,8 +286,9 @@ class RunningNode(_DynamicsNode):
                 Jv = tan.dvel[..., -2 * frames.shape[-1]:, :]
                 Jp = np.zeros_like(Jv)
                 Jp[..., :nv] = Jv[..., nv:]
-            rp = frame_positions(model, sol.kin, frames) - ref[..., 0, :, :]
-            rv = frame_velocities(model, q, v, frames, kin=sol.kin) - ref[..., 1, :, :]
+            pos, _, vel, _ = frame_motion(model, sol.mb, frames)
+            rp = pos - ref[..., 0, :, :]
+            rv = vel - ref[..., 1, :, :]
             acc.add(rp.reshape(rp.shape[:-2] + (-1,)), weights.w_placement, Jx=Jp)
             acc.add(rv.reshape(rv.shape[:-2] + (-1,)), weights.w_velocity, Jx=Jv)
 
@@ -326,7 +328,7 @@ class RunningNode(_DynamicsNode):
         # one sweep carries the contact frames and then the swing frames
         frames = np.concatenate([np.asarray(contacts.frames, dtype=int),
                                  _stack([n._targets[0] for n in nodes])], -1)
-        tan = tangent_sweep(model, sol.kin, v, sol.vdot, (contacts.frames, lam),
+        tan = tangent_sweep(model, sol.mb.kin, v, sol.vdot, (contacts.frames, lam),
                             frames)
         der = ct.contact_dynamics_derivatives(model, q, v, u, contacts, sol=sol,
                                               tan=tan)
@@ -380,13 +382,12 @@ class ImpulseNode(_DynamicsNode):
             frames = _stack([np.array(sorted(n.gained)) for n in nodes])
             target = _stack([np.array([n.gained[f] for f in sorted(n.gained)])
                              for n in nodes])
-            r = (frame_positions(model, sol.kin, frames) - target).reshape(
-                q.shape[:-1] + (-1,))
+            pos, J, _, _ = frame_motion(model, sol.mb, frames)
+            r = (pos - target).reshape(q.shape[:-1] + (-1,))
             Jp = None
             if with_jac:
                 Jp = np.zeros(r.shape + (2 * nv,))
-                Jp[..., :nv] = ct.contact_jacobian_stack(model, q, frames,
-                                                         kin=sol.kin)
+                Jp[..., :nv] = J
             acc.add(r, n0.weights.w_placement_terminal, Jx=Jp)
 
     @staticmethod

@@ -4,10 +4,57 @@ from __future__ import annotations
 
 import numpy as np
 
+from leggedmpc import dynamics, presets, se2
 from leggedmpc import model as mod
-from leggedmpc import presets, se2
 from leggedmpc.boxfddp import BoxFddp
+from leggedmpc.centroidal import centroidal
 from leggedmpc.errors import RankDeficientContacts
+from leggedmpc.model import FLOATING, REVOLUTE, Body, ContactFrame, Joint, RobotModel
+
+
+# ------------------------------------------------------------- small models
+
+def single_body(mass: float = 1.0, inertia: float = 0.1,
+                com=(0.0, 0.0), contact_offset=(0.0, 0.0)) -> RobotModel:
+    """Free-floating single body with one contact frame; handy for analytics."""
+    return RobotModel(
+        name="single_body",
+        bodies=[Body("box", mass, tuple(com), inertia)],
+        joints=[Joint(FLOATING, -1, (0.0, 0.0, 0.0))],
+        contact_frames=[ContactFrame("corner", 0, tuple(contact_offset))],
+        torque_limit=np.zeros(0),
+    )
+
+
+def base_pendulum(mass: float = 1.0, length: float = 0.5,
+                  base_mass: float = 1.0) -> RobotModel:
+    """Floating base carrying a single hanging rod (point mass at distance l)."""
+    return RobotModel(
+        name="base_pendulum",
+        bodies=[
+            Body("base", base_mass, (0.0, 0.0), 0.05),
+            Body("rod", mass, (0.0, -length), 0.0),
+        ],
+        joints=[
+            Joint(FLOATING, -1, (0.0, 0.0, 0.0)),
+            Joint(REVOLUTE, 0, (0.0, 0.0, 0.0)),
+        ],
+        contact_frames=[ContactFrame("tip", 1, (0.0, -2.0 * length))],
+        torque_limit=np.array([50.0]),
+    )
+
+
+# --------------------------------------------------- the pass at (q, v)
+
+def frame_motion_at(m, q, v, frames):
+    """``dynamics.frame_motion`` on the multibody pass at (q, v): positions,
+    Jacobian, velocities and acceleration bias of ``frames``."""
+    return dynamics.frame_motion(m, dynamics.multibody(m, q, v), frames)
+
+
+def centroidal_at(m, q, v):
+    """``centroidal`` on the multibody pass at (q, v)."""
+    return centroidal(m, dynamics.multibody(m, q, v), v)
 
 
 def fd_jacobian(f, x, eps=1e-6):
@@ -413,11 +460,11 @@ def ref_contact_derivatives(m, q, v, contacts, sol):
     kin = forward_kinematics(m, q)
     F1_x, dvel, dacc = ref_tangent_sweep(m, kin, v, sol.vdot, lam_map, frames)
     if nf == 0:
-        Minv = np.linalg.inv(sol.M)
+        Minv = np.linalg.inv(sol.mb.M)
         return -Minv @ F1_x, Minv @ m.S, np.zeros((0, 2 * nv)), np.zeros((0, nu))
     F2_x = dacc + ct.BAUMGARTE_GAIN * dvel
-    dvdot_dx, dlam_dx = _ref_kkt_apply(sol.M, sol.J, -F1_x, -F2_x)
-    dvdot_du, dlam_du = _ref_kkt_apply(sol.M, sol.J, m.S, np.zeros((nf, nu)))
+    dvdot_dx, dlam_dx = _ref_kkt_apply(sol.mb.M, sol.J, -F1_x, -F2_x)
+    dvdot_du, dlam_du = _ref_kkt_apply(sol.mb.M, sol.J, m.S, np.zeros((nf, nu)))
     return dvdot_dx, dvdot_du, dlam_dx, dlam_du
 
 
@@ -433,9 +480,9 @@ def ref_impulse_derivatives(m, q, v_minus, contacts, sol):
     F1_x[:, :nv] = ref_tangent_sweep(m, kin, np.zeros(nv), sol.v_plus - v_minus,
                                      lam_map, gravity=False)[0][:, :nv]
     F2_x[:, :nv] = ref_tangent_sweep(m, kin, sol.v_plus, frames=frames)[1][:, :nv]
-    F1_x[:, nv:] = -sol.M
+    F1_x[:, nv:] = -sol.mb.M
     F2_x[:, nv:] = 0.0
-    return _ref_kkt_apply(sol.M, sol.J, -F1_x, -F2_x)
+    return _ref_kkt_apply(sol.mb.M, sol.J, -F1_x, -F2_x)
 
 
 class RefExpansion:

@@ -21,15 +21,16 @@ from leggedmpc import kinematics, presets, problem, schedule
 from leggedmpc.boxfddp import BoxFddp
 from leggedmpc.errors import RankDeficientContacts
 
-from helpers import forget, random_state, ref_impulse, ref_running, rel_err
+from helpers import (base_pendulum, forget, random_state, ref_impulse, ref_running,
+                     rel_err, single_body)
 
 TOL = 1e-12
 FIELDS = ("fx", "fu", "lx", "lu", "lxx", "lxu", "luu")
 
 MODELS = {
     "default_quadruped": presets.default_quadruped(),
-    "base_pendulum": presets.base_pendulum(),
-    "single_body": presets.single_body(com=(0.05, -0.02),
+    "base_pendulum": base_pendulum(),
+    "single_body": single_body(com=(0.05, -0.02),
                                        contact_offset=(0.1, -0.2)),
 }
 

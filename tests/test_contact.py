@@ -6,7 +6,7 @@ from leggedmpc import dynamics, presets
 from leggedmpc import model as mod
 from leggedmpc.errors import RankDeficientContacts
 
-from helpers import random_state
+from helpers import random_state, single_body
 
 
 @pytest.fixture(scope="module")
@@ -16,15 +16,14 @@ def quad():
 
 def dense_kkt(model, q, v, u, contacts):
     """Independent oracle: the full saddle-point system K [vdot; -lam] = rhs."""
-    M = dynamics.mass_matrix(model, q)
-    h = dynamics.nonlinear_effects(model, q, v)
+    mb = dynamics.multibody(model, q, v)
+    M, h = mb.M, mb.h
     tau_b = ct.actuation(model, u) - h
     J = ct.contact_jacobian_stack(model, q, contacts.frames)
-    from leggedmpc.kinematics import frame_acceleration_bias, frame_velocities
+    _, _, vel, bias = dynamics.frame_motion(model, mb, contacts.frames)
 
     # Baumgarte velocity gain 2*zeta*omega, zeta = 1 and omega = 20 rad/s
-    a_C = (frame_acceleration_bias(model, q, v, contacts.frames)
-           + 2.0 * 1.0 * 20.0 * frame_velocities(model, q, v, contacts.frames).ravel())
+    a_C = bias + 2.0 * 1.0 * 20.0 * vel.ravel()
     nv, nf = model.nv, contacts.nf
     K = np.zeros((nv + nf, nv + nf))
     K[:nv, :nv] = M
@@ -56,7 +55,7 @@ def test_matches_dense_kkt(quad):
 
 
 def test_resting_box_normal_force():
-    sb = presets.single_body(mass=4.0, inertia=0.3)
+    sb = single_body(mass=4.0, inertia=0.3)
     contacts = ct.ContactSet(frames=(0,))
     sol = ct.contact_forward_dynamics(sb, np.zeros(3), np.zeros(3), np.zeros(0), contacts)
     assert np.abs(sol.vdot).max() < 1e-10
@@ -69,8 +68,8 @@ def test_no_contacts_free_dynamics(quad):
     q, v = x[: quad.nq], x[quad.nq:]
     u = rng.normal(size=quad.nu)
     sol = ct.contact_forward_dynamics(quad, q, v, u, ct.ContactSet())
-    M = dynamics.mass_matrix(quad, q)
-    h = dynamics.nonlinear_effects(quad, q, v)
+    mb = dynamics.multibody(quad, q, v)
+    M, h = mb.M, mb.h
     assert np.allclose(sol.vdot, np.linalg.solve(M, ct.actuation(quad, u) - h), atol=1e-10)
     assert sol.forces.size == 0
 
@@ -129,7 +128,7 @@ def test_predict_rows_match_each_row_alone(quad):
 # ------------------------------------------------------------------ impulse
 
 def test_impulse_point_mass_momentum():
-    sb = presets.single_body(mass=2.0, inertia=0.1)
+    sb = single_body(mass=2.0, inertia=0.1)
     v_minus = np.array([0.0, -3.0, 0.0])
     sol = ct.impulse_dynamics(sb, np.zeros(3), v_minus, ct.ContactSet(frames=(0,)))
     assert np.allclose(sol.impulses, [0.0, 2.0 * 3.0], atol=1e-12)
@@ -143,7 +142,7 @@ def test_impulse_restitution_sign(quad):
     v = rng.normal(size=quad.nv)
     contacts = ct.ContactSet(frames=(0, 2))
     J = ct.contact_jacobian_stack(quad, q, contacts.frames)
-    M = dynamics.mass_matrix(quad, q)
+    M = dynamics.multibody(quad, q, v).M
     sol = ct.impulse_dynamics(quad, q, v, contacts)
     assert np.abs(J @ sol.v_plus).max() < 1e-9
     assert np.abs(M @ (sol.v_plus - v) - J.T @ sol.impulses).max() < 1e-9
@@ -154,7 +153,7 @@ def test_impulse_energy_non_increasing(quad):
     for _ in range(5):
         x = random_state(quad, rng, spread=0.4)
         q, v = x[: quad.nq], x[quad.nq:]
-        M = dynamics.mass_matrix(quad, q)
+        M = dynamics.multibody(quad, q, v).M
         sol = ct.impulse_dynamics(quad, q, v, ct.ContactSet(frames=(1, 3)))
         ke_minus = 0.5 * v @ M @ v
         ke_plus = 0.5 * sol.v_plus @ M @ sol.v_plus
@@ -249,7 +248,7 @@ def test_control_force_sensitivity_closed_form(quad):
     contacts = ct.ContactSet(frames=(0, 1, 2, 3))
     sol = ct.contact_forward_dynamics(quad, q, v, u, contacts)
     der = ct.contact_dynamics_derivatives(quad, q, v, u, contacts, sol=sol)
-    M, J = sol.M, sol.J
+    M, J = sol.mb.M, sol.J
     S = np.zeros((quad.nv, quad.nu))
     S[3:, :] = np.eye(quad.nu)
     Mhat = J @ np.linalg.solve(M, J.T)

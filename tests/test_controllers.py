@@ -10,9 +10,10 @@ from leggedmpc import kinematics
 from leggedmpc import model as mod
 from leggedmpc import mpc as rh
 from leggedmpc import presets, schedule
-from leggedmpc.centroidal import centroidal
 from leggedmpc.errors import (ConfigError, InvalidMeasurement, MaxIterations,
                               Stage1Infeasible)
+
+from helpers import centroidal_at
 
 
 @pytest.fixture(scope="module")
@@ -468,7 +469,7 @@ def test_com_stage_fixes_linear_momentum(quad, solver_message):
         for A, _ in tasks[:2]:
             Z = Z @ trk.nullspace_basis(A @ Z)
         A_lin = np.zeros_like(A_com)
-        cen = centroidal(quad, *mod.split_state(quad, x))
+        cen = centroidal_at(quad, *mod.split_state(quad, x))
         A_lin[:, :quad.nv] = cen.A_G[:2]
         assert np.abs(A_lin @ Z).max() <= 1e-12 * np.abs(A_lin).max()
 
@@ -648,7 +649,7 @@ def test_momentum_rate_matches_newton_euler_in_free_fall(quad):
         u = 10.0 * rng.standard_normal(quad.nu)
         sol = ct.contact_forward_dynamics(quad, q, v, u,
                                           ct.ContactSet(frames=()))
-        cen = centroidal(quad, q, v)
+        cen = centroidal_at(quad, q, v)
         hdot = cen.A_G @ sol.vdot + cen.Adot_v
         expect = np.array([0.0, -quad.total_mass * 9.81, 0.0])
         np.testing.assert_allclose(hdot, expect, atol=1e-6)
@@ -664,7 +665,7 @@ def test_momentum_rate_matches_contact_wrench(quad):
     frames = (0, 1, 2, 3)
     sol = ct.contact_forward_dynamics(quad, q, v, u,
                                       ct.ContactSet(frames=frames))
-    cen = centroidal(quad, q, v)
+    cen = centroidal_at(quad, q, v)
     hdot = cen.A_G @ sol.vdot + cen.Adot_v
 
     kin = kinematics.forward_kinematics(quad, q)
@@ -684,8 +685,8 @@ def test_momentum_policy_gains(quad):
     q0 = presets.nominal_configuration(quad)
     rng = np.random.default_rng(23)
     v = 0.1 * rng.standard_normal(quad.nv)
-    cen_ref = centroidal(quad, q0, np.zeros(quad.nv))
-    cen = centroidal(quad, q0, v)
+    cen_ref = centroidal_at(quad, q0, np.zeros(quad.nv))
+    cen = centroidal_at(quad, q0, v)
     hdot_ref = np.zeros(3)
     out = trk.momentum_policy(gains, cen, cen_ref, hdot_ref)
     np.testing.assert_allclose(

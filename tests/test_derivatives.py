@@ -18,16 +18,16 @@ from leggedmpc import controllers as trk
 from leggedmpc import costs as co
 from leggedmpc import dynamics, kinematics, presets, problem, schedule
 from leggedmpc import model as mod
-from leggedmpc.centroidal import centroidal
 
-from helpers import fd_config_jacobian, fd_state_jacobian, rel_err, random_state
+from helpers import (base_pendulum, centroidal_at, fd_config_jacobian, fd_state_jacobian,
+                     frame_motion_at, rel_err, random_state, single_body)
 
 TOL = 1e-6
 
 MODELS = {
     "default_quadruped": presets.default_quadruped,
-    "base_pendulum": presets.base_pendulum,
-    "single_body": lambda: presets.single_body(contact_offset=(0.1, -0.2)),
+    "base_pendulum": base_pendulum,
+    "single_body": lambda: single_body(contact_offset=(0.1, -0.2)),
 }
 
 
@@ -58,13 +58,12 @@ def test_tangent_sweep_matches_fd(robot):
         return dynamics.rnea(robot, *mod.split_state(robot, xx), a, lam)
 
     def vel(xx):
-        return kinematics.frame_velocities(
-            robot, *mod.split_state(robot, xx), frames).ravel()
+        return frame_motion_at(robot, *mod.split_state(robot, xx), frames)[2].ravel()
 
     def acc(xx):
         qq, vv = mod.split_state(robot, xx)
         return (ct.contact_jacobian_stack(robot, qq, frames) @ a
-                + kinematics.frame_acceleration_bias(robot, qq, vv, frames))
+                + frame_motion_at(robot, qq, vv, frames)[3])
 
     assert rel_err(tan.dtau, fd_state_jacobian(robot, tau, x)) < TOL
     assert rel_err(tan.dvel, fd_state_jacobian(robot, vel, x)) < TOL
@@ -115,7 +114,7 @@ def test_swing_vel_dq_exact(robot):
                                  rng.normal(size=robot.nv), lam, stance + frames)
     got = tan.dvel[2 * len(stance):, :robot.nv]
     fd = fd_config_jacobian(
-        robot, lambda qq: kinematics.frame_velocities(robot, qq, v, frames).ravel(), q)
+        robot, lambda qq: frame_motion_at(robot, qq, v, frames)[2].ravel(), q)
     assert rel_err(got, fd) < TOL
 
 
@@ -198,5 +197,31 @@ def test_centroidal_runs_kinematics_once(monkeypatch):
     quad = presets.default_quadruped()
     q, v = mod.split_state(quad, random_state(quad, np.random.default_rng(3)))
     calls = count_calls(monkeypatch, kinematics.forward_kinematics)
-    centroidal(quad, q, v)
+    centroidal_at(quad, q, v)
     assert len(calls) == 1
+
+
+def test_contact_forward_dynamics_gathers_its_frames_once(monkeypatch):
+    # the Jacobian, the Baumgarte velocities and the frame bias come from
+    # one frame gather
+    quad = presets.default_quadruped()
+    q, v = mod.split_state(quad, random_state(quad, np.random.default_rng(6)))
+    gathers = count_calls(monkeypatch, kinematics._frames)
+    ct.contact_forward_dynamics(quad, q, v, np.zeros(quad.nu),
+                                ct.ContactSet(frames=(0, 2)))
+    assert len(gathers) == 1
+
+
+def test_stance_tasks_read_one_pass_per_state(monkeypatch):
+    # a two-foot tick with two swing feet: one gather for the measured
+    # state's feet, one inside the reference dynamics and one for the
+    # reference's swing feet; the recursion runs for h and g at each state
+    quad = presets.default_quadruped()
+    rng = np.random.default_rng(7)
+    x, x_ref = (random_state(quad, rng, spread=0.1) for _ in range(2))
+    gathers = count_calls(monkeypatch, kinematics._frames)
+    recursions = count_calls(monkeypatch, dynamics._rnea)
+    trk.stance_tasks(quad, trk.WbcGains(), x, x_ref, np.zeros(quad.nu),
+                     (0, 2), np.zeros(4))
+    assert len(gathers) == 3
+    assert len(recursions) == 4

@@ -1,12 +1,18 @@
 """The level-batched multibody pass against the per-body reference recursions.
 
-``forward_kinematics``, ``rnea``, ``mass_matrix`` and the contact-frame
-quantities evaluate one tree depth at a time, and ``centroidal`` reads the
-base rows of M and h; ``tests/helpers.py`` keeps the body-by-body recursions
-(forward kinematics, RNEA, CRBA, centroidal sums) as the oracle, and a
-finite difference of A_G v as the oracle of the momentum drift.  Summation
-order differs, so results agree to rounding, not bit for bit.
+``forward_kinematics``, ``rnea``, the multibody pass (``dynamics.multibody``:
+twists, bias accelerations, M and h) and the frame gather
+(``dynamics.frame_motion``: positions, Jacobian, velocities and bias of
+contact frames) evaluate one tree depth at a time, and ``centroidal`` reads
+the base rows of the pass's M and h; ``tests/helpers.py`` keeps the
+body-by-body recursions (forward kinematics, RNEA, CRBA, centroidal sums)
+as the oracle, and a finite difference of A_G v as the oracle of the
+momentum drift.  Summation order differs, so results agree to rounding, not
+bit for bit.  Within the package the pass is exact: its h has the bits of
+``rnea(q, v, 0)``, and a state of a stack the bits of the state alone.
 """
+
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,18 +20,18 @@ from hypothesis import strategies as st
 
 from leggedmpc import contact as ct
 from leggedmpc import dynamics, kinematics, presets, se2
-from leggedmpc.centroidal import centroidal
 
-from helpers import (fd_centroidal_bias, ref_centroidal, ref_forward_kinematics,
-                     ref_frame_motion, ref_mass_matrix, ref_rnea, rel_err)
+from helpers import (base_pendulum, centroidal_at, fd_centroidal_bias, frame_motion_at,
+                     random_state, ref_centroidal, ref_forward_kinematics,
+                     ref_frame_motion, ref_mass_matrix, ref_rnea, rel_err, single_body)
 
 TOL = 1e-12
 
 
 MODELS = {
     "default_quadruped": presets.default_quadruped(),
-    "base_pendulum": presets.base_pendulum(),
-    "single_body": presets.single_body(com=(0.05, -0.02),
+    "base_pendulum": base_pendulum(),
+    "single_body": single_body(com=(0.05, -0.02),
                                        contact_offset=(0.1, -0.2)),
 }
 
@@ -75,8 +81,8 @@ def test_rnea_matches_reference(name, data):
     want = ref_rnea(m, q, v, a, forces)
     pair = (list(forces), np.reshape(list(forces.values()), (-1, 2)))
     assert rel_err(dynamics.rnea(m, q, v, a, pair), want) < TOL
-    assert rel_err(dynamics.rnea(m, q, v, a, pair,
-                                 kin=kinematics.forward_kinematics(m, q)), want) < TOL
+    assert rel_err(dynamics.multibody(m, q, v).h,
+                   ref_rnea(m, q, v, np.zeros(m.nv), {})) < TOL
 
 
 @settings(max_examples=60)
@@ -84,7 +90,7 @@ def test_rnea_matches_reference(name, data):
 def test_mass_matrix_matches_reference(name, data):
     m = MODELS[name]
     q = data.draw(vectors(m.nq))
-    M = dynamics.mass_matrix(m, q)
+    M = dynamics.multibody(m, q, np.zeros(m.nv)).M
     assert rel_err(M, ref_mass_matrix(m, q)) < TOL
     assert rel_err(M, M.T) < TOL
 
@@ -97,9 +103,12 @@ def test_frame_motion_matches_reference(name, data):
     frames = data.draw(frame_subsets(m))
     pos, vel, bias, jac = ref_frame_motion(m, q, v, frames)
     kin = kinematics.forward_kinematics(m, q)
+    got_pos, got_jac, got_vel, got_bias = frame_motion_at(m, q, v, frames)
     assert close(kinematics.frame_positions(m, kin, frames), pos)
-    assert close(kinematics.frame_velocities(m, q, v, frames), vel)
-    assert close(kinematics.frame_acceleration_bias(m, q, v, frames), bias)
+    assert close(got_pos, pos)
+    assert close(got_vel, vel)
+    assert close(got_bias, bias)
+    assert close(got_jac, jac)
     assert close(ct.contact_jacobian_stack(m, q, frames), jac)
 
 
@@ -108,12 +117,42 @@ def test_frame_motion_matches_reference(name, data):
 def test_centroidal_matches_reference(name, data):
     m = MODELS[name]
     q, v = data.draw(vectors(m.nq)), data.draw(vectors(m.nv))
-    cen = centroidal(m, q, v)
+    cen = centroidal_at(m, q, v)
     p_G, A_G, I_G = ref_centroidal(m, q)
     assert rel_err(cen.p_G, p_G) < TOL
     assert rel_err(cen.A_G, A_G) < TOL
     assert rel_err(cen.I_G, I_G) < TOL
     assert rel_err(cen.Adot_v, fd_centroidal_bias(m, q, v)) < 1e-6
+
+
+def _bits(obj):
+    """The bytes of every array of a (nested) dataclass, signs of zero included."""
+    if is_dataclass(obj):
+        return [b for f in fields(obj) for b in _bits(getattr(obj, f.name))]
+    return [np.asarray(obj).tobytes()]
+
+
+def _row(obj, k):
+    """Row k of every array of a (nested) dataclass."""
+    if is_dataclass(obj):
+        return type(obj)(*(_row(getattr(obj, f.name), k) for f in fields(obj)))
+    return obj[k]
+
+
+def test_the_pass_has_the_bits_of_rnea_alone_and_stacked():
+    m = MODELS["default_quadruped"]
+    rng = np.random.default_rng(4)
+    x = np.array([random_state(m, rng) for _ in range(3)])
+    x[1, m.nq:] = 0.0          # at rest h is g(q), and zeros keep their signs
+    q, v = x[:, :m.nq], x[:, m.nq:]
+    stacked = dynamics.multibody(m, q, v)
+    assert _bits(stacked.h) == _bits(dynamics.rnea(m, q, v, np.zeros_like(v)))
+    for k in range(len(x)):
+        alone = dynamics.multibody(m, q[k], v[k])
+        assert _bits(alone.h) == _bits(dynamics.rnea(m, q[k], v[k], np.zeros(m.nv)))
+        assert _bits(_row(stacked, k)) == _bits(alone)
+    assert _bits(dynamics.multibody(m, q[1], v[1]).h) == _bits(
+        dynamics.gravity_torque(m, q[1]))
 
 
 def test_tree_levels_cover_every_body_once():

@@ -14,6 +14,8 @@ from leggedmpc import presets, problem, schedule
 from leggedmpc.errors import (ConfigError, InvalidMeasurement, NoStepAccepted,
                               RankDeficientContacts)
 
+from helpers import single_body
+
 
 @pytest.fixture(scope="module")
 def quad():
@@ -92,13 +94,13 @@ def test_quasi_static_needs_contact(quad):
 def test_quasi_static_single_support_offset_is_singular():
     # one contact not below the center of mass: gravity needs a moment the
     # contact force cannot produce
-    box = presets.single_body(mass=2.0, inertia=0.05, contact_offset=(0.3, -0.2))
+    box = single_body(mass=2.0, inertia=0.05, contact_offset=(0.3, -0.2))
     with pytest.raises(RankDeficientContacts):
         rh.quasi_static_start(box, np.zeros(3), ct.ContactSet(frames=(0,)))
 
 
 def test_quasi_static_single_support_under_com():
-    box = presets.single_body(mass=2.0, inertia=0.05, contact_offset=(0.0, -0.2))
+    box = single_body(mass=2.0, inertia=0.05, contact_offset=(0.0, -0.2))
     u, lam = rh.quasi_static_start(box, np.zeros(3), ct.ContactSet(frames=(0,)))
     assert u.shape == (0,)
     assert lam == pytest.approx([0.0, 2.0 * 9.81])
@@ -133,7 +135,7 @@ def test_predict_zero_delay_is_identity(quad):
 
 
 def test_predict_free_fall_velocity_exact():
-    box = presets.single_body(mass=1.5, inertia=0.1)
+    box = single_body(mass=1.5, inertia=0.1)
     x = mod.state(box, np.array([0.0, 1.0, 0.0]), np.zeros(3))
     dt = 0.012
     out = rh.predict_initial_state(box, x, np.zeros(0), ct.ContactSet(), dt)
@@ -154,7 +156,7 @@ def test_predict_equilibrium_unchanged(quad):
 
 
 def test_predict_substepping_limits_step():
-    box = presets.single_body()
+    box = single_body()
     x = mod.state(box, np.zeros(3), np.zeros(3))
     # one long delay vs. the same delay in halves should agree closely
     a = rh.predict_initial_state(box, x, np.zeros(0), ct.ContactSet(), 0.02)

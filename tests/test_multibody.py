@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from leggedmpc import centroidal, dynamics, kinematics, presets, se2
+from leggedmpc import dynamics, kinematics, presets, se2
 from leggedmpc import contact as ct
 from leggedmpc import model as mod
 from leggedmpc.errors import DimensionMismatch
 
-from helpers import fd_config_jacobian, random_state
+from helpers import (base_pendulum, centroidal_at, fd_config_jacobian, frame_motion_at,
+                     random_state, single_body)
 
 
 @pytest.fixture(scope="module")
@@ -94,13 +95,13 @@ def test_integrate_chain_rule_blocks(quad):
 # ---------------------------------------------------------------- dynamics
 
 def test_static_single_body_wrench():
-    sb = presets.single_body(mass=2.5, inertia=0.2)
+    sb = single_body(mass=2.5, inertia=0.2)
     tau = dynamics.rnea(sb, np.zeros(3), np.zeros(3), np.zeros(3))
     assert np.allclose(tau, [0.0, 2.5 * 9.81, 0.0], atol=1e-12)
 
 
 def test_static_pendulum_torque():
-    pend = presets.base_pendulum(mass=1.3, length=0.4)
+    pend = base_pendulum(mass=1.3, length=0.4)
     for th in (0.3, -1.1, 2.0, 0.0):
         q = np.array([0.0, 0.0, 0.0, th])
         tau = dynamics.rnea(pend, q, np.zeros(4), np.zeros(4))
@@ -108,8 +109,8 @@ def test_static_pendulum_torque():
 
 
 def test_single_body_mass_matrix_closed_form():
-    sb = presets.single_body(mass=3.0, inertia=0.7, com=(0.2, -0.1))
-    M = dynamics.mass_matrix(sb, np.zeros(3))
+    sb = single_body(mass=3.0, inertia=0.7, com=(0.2, -0.1))
+    M = dynamics.multibody(sb, np.zeros(3), np.zeros(3)).M
     cx, cy, m, I = 0.2, -0.1, 3.0, 0.7
     expected = np.array(
         [
@@ -126,7 +127,7 @@ def test_mass_matrix_matches_rnea_probing(quad):
     for _ in range(10):
         x = random_state(quad, rng, spread=0.5)
         q = x[: quad.nq]
-        M = dynamics.mass_matrix(quad, q)
+        M = dynamics.multibody(quad, q, np.zeros(quad.nv)).M
         g = dynamics.gravity_torque(quad, q)
         for i in range(quad.nv):
             e = np.zeros(quad.nv)
@@ -174,7 +175,7 @@ def test_frame_velocity_consistent_with_jacobian(quad):
     x = random_state(quad, rng)
     q, v = x[: quad.nq], x[quad.nq:]
     J = ct.contact_jacobian_stack(quad, q, [1, 3])
-    vel = kinematics.frame_velocities(quad, q, v, [1, 3]).ravel()
+    vel = frame_motion_at(quad, q, v, [1, 3])[2].ravel()
     assert np.allclose(J @ v, vel, atol=1e-12)
 
 
@@ -185,12 +186,12 @@ def test_acceleration_bias_matches_fd(quad):
         x = random_state(quad, rng)
         q, v = x[: quad.nq], x[quad.nq:]
         frames = [0, 2]
-        bias = kinematics.frame_acceleration_bias(quad, q, v, frames)
+        bias = frame_motion_at(quad, q, v, frames)[3]
         eps = 1e-6
         qp = mod.integrate_q(quad, q, eps * v)
         qm = mod.integrate_q(quad, q, -eps * v)
-        vp = kinematics.frame_velocities(quad, qp, v, frames).ravel()
-        vm = kinematics.frame_velocities(quad, qm, v, frames).ravel()
+        vp = frame_motion_at(quad, qp, v, frames)[2].ravel()
+        vm = frame_motion_at(quad, qm, v, frames)[2].ravel()
         assert np.abs((vp - vm) / (2 * eps) - bias).max() < 1e-5
 
 
@@ -198,8 +199,8 @@ def test_acceleration_bias_matches_fd(quad):
 
 def _body_sum_momentum(m, q, v, p_G):
     """World-frame momentum from per-body geometric reasoning (oracle)."""
-    kin = kinematics.forward_kinematics(m, q)
-    tw = kinematics.body_twists(m, kin, v)
+    mb = dynamics.multibody(m, q, v)
+    kin, tw = mb.kin, mb.tw
     l = np.zeros(2)
     k = 0.0
     for i, b in enumerate(m.bodies):
@@ -218,7 +219,7 @@ def test_centroidal_matches_body_sum(quad):
     for _ in range(20):
         x = random_state(quad, rng, spread=0.8)
         q, v = x[: quad.nq], x[quad.nq:]
-        cq = centroidal.centroidal(quad, q, v)
+        cq = centroidal_at(quad, q, v)
         l, k = _body_sum_momentum(quad, q, v, cq.p_G)
         assert np.abs(cq.A_G @ v - np.concatenate([l, [k]])).max() < 1e-10
         assert np.abs(cq.l_G - quad.total_mass * cq.v_G).max() < 1e-12
@@ -229,11 +230,11 @@ def test_com_velocity_matches_fd(quad):
     rng = np.random.default_rng(16)
     x = random_state(quad, rng)
     q, v = x[: quad.nq], x[quad.nq:]
-    cq = centroidal.centroidal(quad, q, v)
+    cq = centroidal_at(quad, q, v)
     eps = 1e-7
     qp = mod.integrate_q(quad, q, eps * v)
     qm = mod.integrate_q(quad, q, -eps * v)
-    vG_fd = (centroidal.centroidal(quad, qp, v).p_G - centroidal.centroidal(quad, qm, v).p_G) / (2 * eps)
+    vG_fd = (centroidal_at(quad, qp, v).p_G - centroidal_at(quad, qm, v).p_G) / (2 * eps)
     assert np.abs(cq.v_G - vG_fd).max() < 1e-6
 
 
@@ -247,7 +248,7 @@ def _free_rollout_energy_drift(m, dt, steps, rng_seed=0):
     g = m.gravity
 
     def energy(q, v):
-        M = dynamics.mass_matrix(m, q)
+        M = dynamics.multibody(m, q, v).M
         kin = kinematics.forward_kinematics(m, q)
         pe = 0.0
         for i, b in enumerate(m.bodies):
@@ -257,8 +258,8 @@ def _free_rollout_energy_drift(m, dt, steps, rng_seed=0):
     e0 = energy(q, v)
     drift = 0.0
     for _ in range(steps):
-        h = dynamics.nonlinear_effects(m, q, v)
-        vd = np.linalg.solve(dynamics.mass_matrix(m, q), -h)
+        mb = dynamics.multibody(m, q, v)
+        vd = np.linalg.solve(mb.M, -mb.h)
         q, v = mod.semi_implicit_step(m, q, v, vd, dt)
         drift = max(drift, abs(energy(q, v) - e0))
     return drift
@@ -279,15 +280,15 @@ def test_flight_angular_momentum_drift_bounded(quad):
     q = presets.nominal_configuration(quad)
     q[1] += 1.0
     v = rng.normal(size=quad.nv)
-    k0 = centroidal.centroidal(quad, q, v).k_G
+    k0 = centroidal_at(quad, q, v).k_G
     for dt, steps in ((2e-3, 100), (1e-3, 200)):
         qq, vv = q.copy(), v.copy()
         worst = 0.0
         for _ in range(steps):
-            h = dynamics.nonlinear_effects(quad, qq, vv)
-            vd = np.linalg.solve(dynamics.mass_matrix(quad, qq), -h)
+            mb = dynamics.multibody(quad, qq, vv)
+            vd = np.linalg.solve(mb.M, -mb.h)
             qq, vv = mod.semi_implicit_step(quad, qq, vv, vd, dt)
-            worst = max(worst, abs(centroidal.centroidal(quad, qq, vv).k_G - k0))
+            worst = max(worst, abs(centroidal_at(quad, qq, vv).k_G - k0))
         # per-step error is O(dt^2); over t/dt steps the bound is C*dt*t
         assert worst < 60.0 * dt * (dt * steps)
 
