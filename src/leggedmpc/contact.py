@@ -166,7 +166,11 @@ def predict(model: RobotModel, x, u, contacts: ContactSet, h, n: int):
     frames in ``contacts``) run as one pass.  The steps carry (q, v), not
     the packed state: ``state`` wraps the base angle, and ``se2.wrap_angle``
     is not idempotent (it moves some negative angles already in (-pi, pi]
-    by an ulp), so ``split_state(state(q, v))`` is not (q, v) bit for bit.
+    by an ulp), so ``split_state(state(q, v))`` need not be (q, v) bit for
+    bit.  It is for the states returned here: their angles come out of
+    ``integrate_q``, already wrapped, and ``wrap_angle`` moves no angle it
+    produced.  So ``split_state(xs[k])`` is, bit for bit, the (q, v) that
+    ``sols[k + 1]`` was solved at.
     """
     q, v = split_state(model, x)
     h = np.asarray(h, dtype=float)[..., None]
@@ -213,28 +217,21 @@ def _kkt_solve(M, J, rhs):
     return sol[..., :nv, :], sol[..., nv:, :]
 
 
-def contact_dynamics_derivatives(model: RobotModel, q, v, u, contacts: ContactSet,
-                                 sol: ContactSolution | None = None,
-                                 tan: Tangents | None = None) -> DynamicsDerivatives:
+def contact_dynamics_derivatives(model: RobotModel, contacts: ContactSet,
+                                 sol: ContactSolution,
+                                 tan: Tangents) -> DynamicsDerivatives:
     """First-order sensitivities of (vdot, lambda) w.r.t. state tangent and u.
 
     The residuals F1 = rnea(q, v, vdot, lambda) - S u and F2 = J vdot +
-    Jdot v + psi vanish at the solution; one tangent sweep differentiates
-    both at fixed (vdot, lambda), and one solve with the KKT matrix maps
-    them, stacked with the actuation map S, onto the state and control
-    sensitivities.  ``tan`` is that sweep when the caller has it; its first
-    frames must be the contact frames.  Stacked states run as one pass.
+    Jdot v + psi vanish at the solution ``sol``; ``tan``, the tangent sweep
+    at (v, vdot) under the solved forces, differentiates both at fixed
+    (vdot, lambda) (its first frames must be the contact frames), and one
+    solve with the KKT matrix maps them, stacked with the actuation map S,
+    onto the state and control sensitivities.  Stacked states run as one
+    pass.
     """
-    q = model.check_q(q)
-    v = model.check_v(v)
-    if sol is None:
-        sol = contact_forward_dynamics(model, q, v, u, contacts)
     nv, nf = model.nv, contacts.nf
-    lead = q.shape[:-1]
-    frames = contacts.frames
-    lam = sol.forces.reshape(lead + (-1, 2))
-    if tan is None:
-        tan = tangent_sweep(model, sol.mb.kin, v, sol.vdot, (frames, lam), frames)
+    lead = sol.vdot.shape[:-1]
     # psi = BAUMGARTE_GAIN * (frame velocity)
     F2_x = tan.dacc[..., :nf, :] + BAUMGARTE_GAIN * tan.dvel[..., :nf, :]
     rhs = np.zeros(lead + (nv + nf, 2 * nv + model.nu))
@@ -246,19 +243,17 @@ def contact_dynamics_derivatives(model: RobotModel, q, v, u, contacts: ContactSe
                                dforces_dx=bot[..., :2 * nv], dforces_du=bot[..., 2 * nv:])
 
 
-def impulse_dynamics_derivatives(model: RobotModel, q, v_minus, contacts: ContactSet,
-                                 sol: ImpulseSolution | None = None) -> DynamicsDerivatives:
-    """Sensitivities of (v+, impulses); there is no control channel.
+def impulse_dynamics_derivatives(model: RobotModel, v_minus, contacts: ContactSet,
+                                 sol: ImpulseSolution) -> DynamicsDerivatives:
+    """Sensitivities of (v+, impulses) at the solution ``sol`` from
+    ``v_minus``; there is no control channel.
 
     The residuals are the gravity-free momentum balance F1 = M (v+ - v-) -
     J.T impulses and the closure F2 = J v+.  Stacked states run as one pass.
     """
-    q = model.check_q(q)
     v_minus = model.check_v(v_minus)
-    if sol is None:
-        sol = impulse_dynamics(model, q, v_minus, contacts)
     nv, nf = model.nv, contacts.nf
-    lead = q.shape[:-1]
+    lead = v_minus.shape[:-1]
     frames = contacts.frames
     lam = sol.impulses.reshape(lead + (-1, 2))
     rhs = np.empty(lead + (nv + nf, 2 * nv))

@@ -20,6 +20,12 @@ before a node time belongs to that node), and holds the last command
 (flagged degraded) when the active message runs out instead of
 extrapolating it, or when the measured state is not finite
 (``InvalidMeasurement`` with no command to hold).
+
+Work that does not change from tick to tick is done once: the reference
+rollout keeps the contact dynamics it solved at each reference state, and
+the whole-body tick reads them there; only at a state no rollout step
+starts from does the tick solve them, once.  Its inequality rows and seed
+are built once per friction cone and contact count.
 """
 
 from __future__ import annotations
@@ -86,9 +92,13 @@ def rollout_reference(model: RobotModel, msg: PolicyMessage,
     optimal state under the interval's feed-forward torque and planned
     contact set, in equal steps near ``control_dt``; node times snap back to
     the optimal states, so only the in-between ticks are predicted.
-    Returns (times, states) with ``times`` sorted and spanning the message.
+    Returns (times, states, sols) with ``times`` sorted and spanning the
+    message.  ``sols[j]`` is the ``ContactSolution`` that ``predict``
+    solved at ``states[j]`` (the state splits back into the (q, v) it was
+    solved at, bit for bit), and None where no step starts: at each
+    interval's last state and at the message's final state.
     """
-    times, states = [], []
+    times, states, sols = [], [], []
     for i, u in enumerate(msg.us_ff):
         t0 = float(msg.node_times[i])
         t1 = float(msg.node_times[i + 1])
@@ -96,12 +106,14 @@ def rollout_reference(model: RobotModel, msg: PolicyMessage,
         h = (t1 - t0) / n
         contacts = ct.ContactSet(frames=tuple(msg.contacts[i]))
         x = np.asarray(msg.xs_ref[i], float)
-        _sols, xs = ct.predict(model, x, np.asarray(u, float), contacts, h, n - 1)
+        steps, xs = ct.predict(model, x, np.asarray(u, float), contacts, h, n - 1)
         times += [t0 + j * h for j in range(n)]
         states += [x, *xs]
+        sols += [*steps, None]
     times.append(float(msg.node_times[-1]))
     states.append(np.asarray(msg.xs_ref[-1], float))
-    return np.asarray(times), states
+    sols.append(None)
+    return np.asarray(times), states, sols
 
 
 def _check_message(msg: PolicyMessage):
@@ -123,9 +135,12 @@ def _check_message(msg: PolicyMessage):
 class _MessageTracker:
     """Message ingestion, the shared reference-rollout cache and the tick.
 
-    The cache is rebuilt completely before the message pointer is swapped,
-    so a reader never observes a half-updated reference (single consumer;
-    the swap is the only cross-thread boundary).
+    The cache holds the rollout's times, states and the contact dynamics
+    solved at each state (see ``rollout_reference``).  It is rebuilt
+    completely before the message pointer is swapped, so a reader never
+    observes a half-updated reference (single consumer; the swap is the only
+    cross-thread boundary).  A tick that needs the dynamics at a state the
+    rollout did not solve at solves them once and keeps them there.
     """
 
     def __init__(self, model: RobotModel, bounds: Bounds,
@@ -136,30 +151,45 @@ class _MessageTracker:
         self.bounds = bounds
         self.control_dt = float(control_dt)
         self.message: PolicyMessage | None = None
-        self._times = None
-        self._states = None
+        self._times = self._states = self._sols = None
         self._last: ControlCommand | None = None
 
     def update_message(self, msg: PolicyMessage):
         """Make ``msg`` the active message, unless ``_check_message`` rejects it."""
         _check_message(msg)
-        times, states = rollout_reference(self.model, msg, self.control_dt)
-        self._times, self._states = times, states
+        self._times, self._states, self._sols = rollout_reference(
+            self.model, msg, self.control_dt)
         self.message = msg
 
+    def _reference_index(self, t: float) -> int:
+        return _index_at(self._times, t, len(self._states))
+
     def reference_at(self, t: float) -> np.ndarray:
-        return self._states[_index_at(self._times, t, len(self._states))]
+        return self._states[self._reference_index(t)]
+
+    def _reference_dynamics(self, i: int, j: int) -> ct.ContactSolution:
+        """The contact dynamics at reference state ``j`` under interval
+        ``i``'s feed-forward torque and contacts (``j`` lies in interval
+        ``i``): the rollout's solution, else solved here once and kept."""
+        if self._sols[j] is None:
+            msg = self.message
+            q_d, v_d = mod.split_state(self.model, self._states[j])
+            self._sols[j] = ct.contact_forward_dynamics(
+                self.model, q_d, v_d, np.asarray(msg.us_ff[i], float),
+                ct.ContactSet(frames=tuple(msg.contacts[i])))
+        return self._sols[j]
 
     def _tick(self, x: np.ndarray, t: float, law) -> ControlCommand:
-        """One control tick under ``law(msg, i, x, x_ref) -> (u, mode,
-        degraded)``, the controller's torque law on interval ``i``; held
-        instead when ``_holds``."""
+        """One control tick under ``law(msg, i, j, x) -> (u, mode,
+        degraded)``, the controller's torque law on interval ``i`` at
+        reference state ``j``; held instead when ``_holds``."""
         if self._holds(x, t):
             return self._hold_last()
         msg = self.message
         i = msg.interval_at(t)
-        x_ref = self.reference_at(t)
-        u, mode, degraded = law(msg, i, x, x_ref)
+        j = self._reference_index(t)
+        x_ref = self._states[j]
+        u, mode, degraded = law(msg, i, j, x)
         q_d, v_d = mod.split_state(self.model, x_ref)
         self._last = ControlCommand(
             u=u, q_joints=q_d[3:], v_joints=v_d[3:], x_ref=np.array(x_ref),
@@ -207,11 +237,11 @@ class RiccatiController(_MessageTracker):
     def control(self, x: np.ndarray, t: float) -> ControlCommand:
         return self._tick(x, t, self._feedback)
 
-    def _feedback(self, msg, i, x, x_ref):
+    def _feedback(self, msg, i, j, x):
         K = np.asarray(msg.K_gains[i], float)
         if len(msg.contacts[i]) < 2:
             K = mask_base_gain(K, self.model.nv)
-        err = mod.difference(self.model, x_ref, x)
+        err = mod.difference(self.model, self._states[j], x)
         u = np.asarray(msg.us_ff[i], float) + K @ err
         return np.clip(u, self.bounds.u_lb, self.bounds.u_ub), "riccati", False
 
@@ -334,8 +364,8 @@ def hqp_solve(tasks, ineq: RowBounds, y0: np.ndarray) -> HqpSolution:
         a = np.atleast_1d(np.asarray(a, float))
         if Z.shape[1]:
             G = A @ Z
-            w = _stage_qp(G, a - A @ y, ineq.B @ Z,
-                          ineq.lb - ineq.B @ y, ineq.ub - ineq.B @ y)
+            By = ineq.B @ y
+            w = _stage_qp(G, a - A @ y, ineq.B @ Z, ineq.lb - By, ineq.ub - By)
             y = y + Z @ w
             Z = Z @ nullspace_basis(G)
         res = float(np.abs(A @ y - a).max()) if a.size else 0.0
@@ -398,28 +428,30 @@ def wbc_inequality_rows(model: RobotModel, bounds: Bounds,
                      ub=np.concatenate(highs))
 
 
-def stance_tasks(model: RobotModel, gains: WbcGains, x, x_ref, u_ff,
-                 frames, lam_ref) -> list[tuple[np.ndarray, np.ndarray]]:
+def stance_tasks(model: RobotModel, gains: WbcGains, x, x_ref,
+                 ref: ct.ContactSolution, frames,
+                 lam_ref) -> list[tuple[np.ndarray, np.ndarray]]:
     """Build the stance hierarchy at one tick as ``(A, a)`` pairs.
 
     Priorities: (0) contact dynamics, (1) swing feet, (2) centre of mass,
     (3) angular momentum, (4) contact forces.  The linear momentum is the
     CoM rows times the total mass, so the CoM stage already fixes it and
     the momentum stage holds the angular row alone.  All task references
-    are evaluated on the rollout state ``x_ref`` under the feed-forward
-    torque, so a perfectly tracking robot sees consistent, zero-error
-    targets.
+    are evaluated on the rollout state ``x_ref`` with ``ref``, the contact
+    dynamics solved there under the feed-forward torque and ``frames``, so
+    a perfectly tracking robot sees consistent, zero-error targets.  No
+    dynamics are solved here.
     """
     frames = tuple(frames)
     q, v = mod.split_state(model, x)
-    q_d, v_d = mod.split_state(model, x_ref)
+    v_d = mod.split_state(model, x_ref)[1]
     nv, nu = model.nv, model.nu
     nf = 2 * len(frames)
     ny = nv + nu + nf
 
     # one multibody pass and one frame gather per state: the measured ones
     # here, for the contact and swing feet together; the reference pass
-    # inside the reference dynamics, and a gather for its swing feet
+    # from the reference dynamics, and a gather for its swing feet
     swing = tuple(f for f in range(len(model.contact_frames))
                   if f not in frames)
     mb = multibody(model, q, v)
@@ -432,10 +464,6 @@ def stance_tasks(model: RobotModel, gains: WbcGains, x, x_ref, u_ff,
     a1 = np.concatenate([-mb.h, -bias[:nf]])
     tasks = [(A1, a1)]
 
-    # reference accelerations are contact-consistent under the feed-forward
-    contacts = ct.ContactSet(frames=frames)
-    ref = ct.contact_forward_dynamics(
-        model, q_d, v_d, np.asarray(u_ff, float), contacts)
     cen = centroidal(model, mb, v)
     cen_ref = centroidal(model, ref.mb, v_d)
     hdot_ref = cen_ref.A_G @ ref.vdot + cen_ref.Adot_v
@@ -496,14 +524,27 @@ class WholeBodyController(_MessageTracker):
         super().__init__(model, bounds, control_dt)
         self.gains = gains if gains is not None else WbcGains()
         self.cone = cone
+        self._rows = {}
 
     def control(self, x: np.ndarray, t: float) -> ControlCommand:
         return self._tick(x, t, self._hierarchy)
 
-    def _hierarchy(self, msg, i, x, x_ref):
+    def _constraints(self, n_contacts: int) -> tuple[RowBounds, np.ndarray]:
+        """The inequality rows and the seed of a stance cascade, built once
+        per cone and contact count (the model and the bounds are fixed)."""
+        key = (self.cone, n_contacts)
+        if key not in self._rows:
+            self._rows[key] = (
+                wbc_inequality_rows(self.model, self.bounds, self.cone,
+                                    n_contacts),
+                wbc_seed(self.model, self.bounds, self.cone, n_contacts))
+        return self._rows[key]
+
+    def _hierarchy(self, msg, i, j, x):
         model, bounds = self.model, self.bounds
         frames = tuple(msg.contacts[i])
         u_ff = np.asarray(msg.us_ff[i], float)
+        x_ref = self._states[j]
         if len(frames) < 2:
             q, v = mod.split_state(model, x)
             q_d, v_d = mod.split_state(model, x_ref)
@@ -512,11 +553,10 @@ class WholeBodyController(_MessageTracker):
                           bounds.u_lb, bounds.u_ub)
             return u, "flight_pd", False
         try:
-            tasks = stance_tasks(model, self.gains, x, x_ref, u_ff, frames,
+            tasks = stance_tasks(model, self.gains, x, x_ref,
+                                 self._reference_dynamics(i, j), frames,
                                  np.asarray(msg.forces_ref[i], float))
-            ineq = wbc_inequality_rows(model, bounds, self.cone, len(frames))
-            seed = wbc_seed(model, bounds, self.cone, len(frames))
-            y = hqp_solve(tasks, ineq, seed).y
+            y = hqp_solve(tasks, *self._constraints(len(frames))).y
         except (Stage1Infeasible, MaxIterations):
             u = self._last.u if self._last is not None else np.zeros(model.nu)
             return np.clip(u, bounds.u_lb, bounds.u_ub), "wbc", True

@@ -330,8 +330,7 @@ class RunningNode(_DynamicsNode):
                                  _stack([n._targets[0] for n in nodes])], -1)
         tan = tangent_sweep(model, sol.mb.kin, v, sol.vdot, (contacts.frames, lam),
                             frames)
-        der = ct.contact_dynamics_derivatives(model, q, v, u, contacts, sol=sol,
-                                              tan=tan)
+        der = ct.contact_dynamics_derivatives(model, contacts, sol, tan)
         dt = np.asarray(_stack([n.dt for n in nodes]))[..., None, None]
         # semi-implicit chain: v' = v + dt*a(x,u); q' = q (+) dt*v'
         Av = np.eye(nv, 2 * nv, nv) + dt * der.dvdot_dx
@@ -411,7 +410,7 @@ class ImpulseNode(_DynamicsNode):
         model = nodes[0].model
         nv = model.nv
         q, v = mod.split_state(model, x)
-        der = ct.impulse_dynamics_derivatives(model, q, v, _contacts(nodes), sol=sol)
+        der = ct.impulse_dynamics_derivatives(model, v, _contacts(nodes), sol)
         fx = np.concatenate([np.broadcast_to(np.eye(nv, 2 * nv), der.dvdot_dx.shape),
                              der.dvdot_dx], -2)
         acc = _Expansion(np.ones(x.shape[:-1]), 2 * nv, 0)

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
+from leggedmpc import contact as ct
+from leggedmpc import controllers as trk
 from leggedmpc import dynamics, presets, se2
 from leggedmpc import model as mod
 from leggedmpc.boxfddp import BoxFddp
 from leggedmpc.centroidal import centroidal
-from leggedmpc.errors import RankDeficientContacts
+from leggedmpc.errors import MaxIterations, RankDeficientContacts, Stage1Infeasible
 from leggedmpc.model import FLOATING, REVOLUTE, Body, ContactFrame, Joint, RobotModel
 
 
@@ -55,6 +59,72 @@ def frame_motion_at(m, q, v, frames):
 def centroidal_at(m, q, v):
     """``centroidal`` on the multibody pass at (q, v)."""
     return centroidal(m, dynamics.multibody(m, q, v), v)
+
+
+def count_calls(monkeypatch, original):
+    """Count calls of a package function, rebinding every imported copy."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "leggedmpc" or name.startswith("leggedmpc."):
+            for attr, obj in list(vars(module).items()):
+                if obj is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def solved_derivatives(m, q, v, u, contacts):
+    """The derivatives of the contact dynamics under torque ``u`` at (q, v),
+    or of the impulse dynamics from ``v`` when ``u`` is None, by the nodes'
+    route: solve, sweep (the contact frames first), then differentiate.
+    Stacked states run as one pass."""
+    if u is None:
+        return ct.impulse_dynamics_derivatives(
+            m, v, contacts, ct.impulse_dynamics(m, q, v, contacts))
+    sol = ct.contact_forward_dynamics(m, q, v, u, contacts)
+    lam = sol.forces.reshape(sol.vdot.shape[:-1] + (-1, 2))
+    tan = dynamics.tangent_sweep(m, sol.mb.kin, np.asarray(v, float), sol.vdot,
+                                 (contacts.frames, lam), contacts.frames)
+    return ct.contact_dynamics_derivatives(m, contacts, sol, tan)
+
+
+# ------------------------------------------------------ whole-body tick oracle
+
+def reference_dynamics(ctrl, t):
+    """The contact dynamics at the tick's reference state, solved afresh at
+    ``split_state(x_ref)`` under the feed-forward torque and contacts of the
+    tick's interval ``msg.interval_at(t)``."""
+    msg = ctrl.message
+    i = msg.interval_at(t)
+    q_d, v_d = mod.split_state(ctrl.model, ctrl.reference_at(t))
+    return ct.contact_forward_dynamics(
+        ctrl.model, q_d, v_d, np.asarray(msg.us_ff[i], float),
+        ct.ContactSet(frames=tuple(msg.contacts[i])))
+
+
+def wbc_stance_tick(wbc, x, t, held):
+    """(u, mode, degraded) of a stance tick of ``wbc`` at (x, t) that reuses
+    nothing: ``reference_dynamics``, and rows and seed built anew.  ``held``
+    is the torque a degraded tick re-issues."""
+    model, bounds, msg = wbc.model, wbc.bounds, wbc.message
+    i = msg.interval_at(t)
+    frames = tuple(msg.contacts[i])
+    assert len(frames) >= 2
+    tasks = trk.stance_tasks(model, wbc.gains, x, wbc.reference_at(t),
+                             reference_dynamics(wbc, t), frames,
+                             np.asarray(msg.forces_ref[i], float))
+    try:
+        y = trk.hqp_solve(
+            tasks, trk.wbc_inequality_rows(model, bounds, wbc.cone, len(frames)),
+            trk.wbc_seed(model, bounds, wbc.cone, len(frames))).y
+    except (Stage1Infeasible, MaxIterations):
+        return np.clip(held, bounds.u_lb, bounds.u_ub), "wbc", True
+    u = y[model.nv:model.nv + model.nu]
+    return np.clip(u, bounds.u_lb, bounds.u_ub), "wbc", False
 
 
 def fd_jacobian(f, x, eps=1e-6):

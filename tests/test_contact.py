@@ -6,7 +6,7 @@ from leggedmpc import dynamics, presets
 from leggedmpc import model as mod
 from leggedmpc.errors import RankDeficientContacts
 
-from helpers import random_state, single_body
+from helpers import random_state, single_body, solved_derivatives
 
 
 @pytest.fixture(scope="module")
@@ -220,7 +220,7 @@ def test_contact_derivatives_match_fd(quad):
         q, v = x[: quad.nq], x[quad.nq:]
         u = rng.normal(size=quad.nu)
         contacts = ct.ContactSet(frames=(0, 1, 2, 3))
-        der = ct.contact_dynamics_derivatives(quad, q, v, u, contacts)
+        der = solved_derivatives(quad, q, v, u, contacts)
         fd = fd_dynamics(quad, q, v, u, contacts)
         _assert_close(der.dvdot_dx, fd[0], 1e-4)
         _assert_close(der.dvdot_du, fd[1], 1e-4)
@@ -234,7 +234,7 @@ def test_contact_derivatives_free_match_fd(quad):
     q, v = x[: quad.nq], x[quad.nq:]
     u = rng.normal(size=quad.nu)
     contacts = ct.ContactSet()
-    der = ct.contact_dynamics_derivatives(quad, q, v, u, contacts)
+    der = solved_derivatives(quad, q, v, u, contacts)
     fd = fd_dynamics(quad, q, v, u, contacts)
     _assert_close(der.dvdot_dx, fd[0], 1e-4)
     _assert_close(der.dvdot_du, fd[1], 1e-4)
@@ -247,7 +247,7 @@ def test_control_force_sensitivity_closed_form(quad):
     u = np.zeros(quad.nu)
     contacts = ct.ContactSet(frames=(0, 1, 2, 3))
     sol = ct.contact_forward_dynamics(quad, q, v, u, contacts)
-    der = ct.contact_dynamics_derivatives(quad, q, v, u, contacts, sol=sol)
+    der = solved_derivatives(quad, q, v, u, contacts)
     M, J = sol.mb.M, sol.J
     S = np.zeros((quad.nv, quad.nu))
     S[3:, :] = np.eye(quad.nu)
@@ -262,7 +262,7 @@ def test_impulse_derivatives_match_fd(quad):
         x = random_state(quad, rng, spread=0.2)
         q, v = x[: quad.nq], x[quad.nq:]
         contacts = ct.ContactSet(frames=(0, 3))
-        der = ct.impulse_dynamics_derivatives(quad, q, v, contacts)
+        der = solved_derivatives(quad, q, v, None, contacts)
         eps = 1e-6
         nv = quad.nv
         fd_v = np.empty((nv, 2 * nv))

@@ -13,7 +13,7 @@ from leggedmpc import presets, schedule
 from leggedmpc.errors import (ConfigError, InvalidMeasurement, MaxIterations,
                               Stage1Infeasible)
 
-from helpers import centroidal_at
+from helpers import centroidal_at, count_calls, reference_dynamics, wbc_stance_tick
 
 
 @pytest.fixture(scope="module")
@@ -287,7 +287,7 @@ def test_tracker_rejects_bad_control_period(quad):
 
 def test_rollout_matches_manual_integration(quad, solver_message):
     dt = 1.0 / 400.0
-    times, states = trk.rollout_reference(quad, solver_message, dt)
+    times, states, _ = trk.rollout_reference(quad, solver_message, dt)
     assert times[0] == solver_message.node_times[0]
     assert times[-1] == solver_message.node_times[-1]
     assert np.all(np.diff(times) > 0)
@@ -304,6 +304,31 @@ def test_rollout_matches_manual_integration(quad, solver_message):
     # node times snap back onto the optimal states
     k = int(np.searchsorted(times, solver_message.node_times[1] - 1e-12))
     np.testing.assert_allclose(states[k], solver_message.xs_ref[1], atol=0)
+
+
+def test_rollout_keeps_the_dynamics_at_each_state_it_stepped_from(
+        quad, solver_message):
+    # each kept solution has the bits of a fresh solve at its state under
+    # the state's interval; there is none at an interval's last state (the
+    # next state is the next node's) nor at the final state
+    dt = 1.0 / 400.0
+    times, states, sols = trk.rollout_reference(quad, solver_message, dt)
+    assert len(sols) == len(states)
+    node = {float(t) for t in solver_message.node_times}
+    for j, (t, x, sol) in enumerate(zip(times, states, sols)):
+        last = j + 1 == len(times) or float(times[j + 1]) in node
+        assert (sol is None) == last
+        if last:
+            continue
+        i = solver_message.interval_at(t)
+        fresh = ct.contact_forward_dynamics(
+            quad, *mod.split_state(quad, x),
+            np.asarray(solver_message.us_ff[i], float),
+            ct.ContactSet(frames=tuple(solver_message.contacts[i])))
+        for field in ("vdot", "forces", "J"):
+            assert getattr(sol, field).tobytes() == getattr(fresh, field).tobytes()
+        assert sol.mb.M.tobytes() == fresh.mb.M.tobytes()
+        assert sol.mb.h.tobytes() == fresh.mb.h.tobytes()
 
 
 def test_reference_lookup_is_zero_order_hold(quad, solver_message):
@@ -408,7 +433,9 @@ def perturbed_stance_tasks(model, frames, seed=0):
     x = mod.integrate(model, x_ref, 0.05 * rng.standard_normal(2 * model.nv))
     u_qs, forces_qs = rh.quasi_static_start(model, q0,
                                          ct.ContactSet(frames=frames))
-    return trk.stance_tasks(model, trk.WbcGains(), x, x_ref, u_qs,
+    ref = ct.contact_forward_dynamics(model, *mod.split_state(model, x_ref),
+                                      u_qs, ct.ContactSet(frames=frames))
+    return trk.stance_tasks(model, trk.WbcGains(), x, x_ref, ref,
                             frames, forces_qs)
 
 
@@ -463,7 +490,8 @@ def test_com_stage_fixes_linear_momentum(quad, solver_message):
         x = mod.integrate(quad, wbc.reference_at(t),
                           1e-3 * rng.standard_normal(2 * quad.nv))
         tasks = trk.stance_tasks(quad, wbc.gains, x, wbc.reference_at(t),
-                                 msg.us_ff[i], frames, msg.forces_ref[i])
+                                 reference_dynamics(wbc, t), frames,
+                                 msg.forces_ref[i])
         A_com = tasks[1][0]              # dynamics, CoM: no swing feet
         Z = np.eye(A_com.shape[1])
         for A, _ in tasks[:2]:
@@ -472,6 +500,74 @@ def test_com_stage_fixes_linear_momentum(quad, solver_message):
         cen = centroidal_at(quad, *mod.split_state(quad, x))
         A_lin[:, :quad.nv] = cen.A_G[:2]
         assert np.abs(A_lin @ Z).max() <= 1e-12 * np.abs(A_lin).max()
+
+
+@pytest.mark.parametrize("which", ["solver", "equilibrium"])
+def test_wbc_tick_equals_a_tick_that_solves_its_reference_afresh(
+        quad, statics, solver_message, which):
+    # reading the rollout's dynamics and the kept rows gives the bits of a
+    # tick that solves and builds everything anew, at every tick time
+    msg = (solver_message if which == "solver"
+           else equilibrium_message(quad, *statics))
+    wbc = trk.WholeBodyController(quad, co.default_bounds(
+        quad, presets.nominal_configuration(quad)),
+        cone=co.FrictionCone(mu=0.7))
+    wbc.update_message(msg)
+    times = trk.rollout_reference(quad, msg, wbc.control_dt)[0]
+    rng = np.random.default_rng(31)
+    held = np.zeros(quad.nu)
+    for t in times:
+        x = mod.integrate(quad, wbc.reference_at(t),
+                          1e-3 * rng.standard_normal(2 * quad.nv))
+        u, mode, degraded = wbc_stance_tick(wbc, x, t, held)
+        cmd = wbc.control(x, t)
+        assert cmd.u.tobytes() == u.tobytes()
+        assert (cmd.mode, cmd.degraded) == (mode, degraded)
+        held = cmd.u
+
+
+def test_wbc_tick_solves_the_reference_only_where_the_rollout_did_not(
+        quad, solver_message, monkeypatch):
+    wbc = trk.WholeBodyController(quad, co.default_bounds(
+        quad, presets.nominal_configuration(quad)))
+    wbc.update_message(solver_message)
+    times, _, sols = trk.rollout_reference(quad, solver_message,
+                                           wbc.control_dt)
+    last = next(j for j, sol in enumerate(sols) if sol is None)
+    assert 1 < last < len(sols) - 1      # an interval's last state
+    solves = count_calls(monkeypatch, ct.contact_forward_dynamics)
+    for j, expected in ((0, 0), (1, 0), (last, 1), (last, 0)):
+        before = len(solves)
+        x = np.array(wbc.reference_at(times[j]))
+        assert wbc.control(x, times[j]).mode == "wbc"
+        assert len(solves) - before == expected
+
+
+def test_wbc_builds_rows_once_per_cone_and_contact_count(quad, statics,
+                                                         monkeypatch):
+    q0, u_qs, forces_qs = statics
+    msg = equilibrium_message(quad, q0, u_qs, forces_qs)
+    wbc = trk.WholeBodyController(quad, co.default_bounds(quad, q0),
+                                  cone=co.FrictionCone(mu=0.8))
+    wbc.update_message(msg)
+    rows = count_calls(monkeypatch, trk.wbc_inequality_rows)
+    seeds = count_calls(monkeypatch, trk.wbc_seed)
+    x0 = mod.state(quad, q0, np.zeros(quad.nv))
+    for t in (0.0, wbc.control_dt, 2 * wbc.control_dt):
+        wbc.control(x0, t)
+    assert len(rows) == len(seeds) == 1
+    wbc.cone = co.FrictionCone(mu=0.5)
+    wbc.control(x0, 0.0)
+    assert len(rows) == len(seeds) == 2
+    wbc.cone = co.FrictionCone(mu=0.8)   # an equal cone finds its rows
+    wbc.control(x0, 0.0)
+    assert len(rows) == len(seeds) == 2
+    forces = np.asarray(forces_qs, float)
+    wbc.update_message(replace(
+        msg, contacts=[(0, 3)] * 2,
+        forces_ref=[np.concatenate([forces[:2], forces[6:]])] * 2))
+    wbc.control(x0, 0.0)
+    assert len(rows) == len(seeds) == 3
 
 
 def test_wbc_reproduces_statics_at_equilibrium(quad, statics, hqp_solutions):

@@ -8,7 +8,6 @@ keeps finite differences from creeping back into the runtime paths
 """
 
 import itertools
-import sys
 
 import numpy as np
 import pytest
@@ -19,8 +18,9 @@ from leggedmpc import costs as co
 from leggedmpc import dynamics, kinematics, presets, problem, schedule
 from leggedmpc import model as mod
 
-from helpers import (base_pendulum, centroidal_at, fd_config_jacobian, fd_state_jacobian,
-                     frame_motion_at, rel_err, random_state, single_body)
+from helpers import (base_pendulum, centroidal_at, count_calls, fd_config_jacobian,
+                     fd_state_jacobian, frame_motion_at, rel_err, random_state,
+                     single_body, solved_derivatives)
 
 TOL = 1e-6
 
@@ -76,7 +76,7 @@ def test_contact_derivatives_exact(robot):
         x = random_state(robot, rng, spread=0.2)
         q, v = mod.split_state(robot, x)
         u = rng.normal(size=robot.nu)
-        der = ct.contact_dynamics_derivatives(robot, q, v, u, contacts)
+        der = solved_derivatives(robot, q, v, u, contacts)
 
         def solve(xx):
             sol = ct.contact_forward_dynamics(robot, *mod.split_state(robot, xx),
@@ -92,7 +92,7 @@ def test_impulse_derivatives_exact(robot):
     rng = np.random.default_rng(2)
     x = random_state(robot, rng, spread=0.2)
     contacts = ct.ContactSet(frames=tuple(range(min(2, len(robot.contact_frames)))))
-    der = ct.impulse_dynamics_derivatives(robot, *mod.split_state(robot, x), contacts)
+    der = solved_derivatives(robot, *mod.split_state(robot, x), None, contacts)
 
     def solve(xx):
         sol = ct.impulse_dynamics(robot, *mod.split_state(robot, xx), contacts)
@@ -119,22 +119,6 @@ def test_swing_vel_dq_exact(robot):
 
 
 # ------------------------------------------------- no runtime finite differences
-
-def count_calls(monkeypatch, original):
-    """Count calls of a package function, rebinding every imported copy."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name == "leggedmpc" or name.startswith("leggedmpc."):
-            for attr, obj in list(vars(module).items()):
-                if obj is original:
-                    monkeypatch.setattr(module, attr, counted)
-    return calls
-
 
 def trot_stance_node(quad):
     q0 = presets.nominal_configuration(quad)
@@ -181,6 +165,16 @@ def test_contact_forward_dynamics_runs_bias_accelerations_once(monkeypatch):
     assert len(calls) == 1
 
 
+def stance_tasks_solved(quad, x, x_ref, frames):
+    """The reference dynamics at ``x_ref`` under zero torque, then the stance
+    tasks on them: the work of a tick that finds no rollout solution."""
+    ref = ct.contact_forward_dynamics(quad, *mod.split_state(quad, x_ref),
+                                      np.zeros(quad.nu),
+                                      ct.ContactSet(frames=frames))
+    return trk.stance_tasks(quad, trk.WbcGains(), x, x_ref, ref, frames,
+                            np.zeros(2 * len(frames)))
+
+
 def test_stance_tasks_run_kinematics_once_per_state(monkeypatch):
     # one pass at the measured state and one at the reference state, on a
     # two-foot tick with two swing feet
@@ -188,8 +182,7 @@ def test_stance_tasks_run_kinematics_once_per_state(monkeypatch):
     rng = np.random.default_rng(7)
     x, x_ref = (random_state(quad, rng, spread=0.1) for _ in range(2))
     calls = count_calls(monkeypatch, kinematics.forward_kinematics)
-    trk.stance_tasks(quad, trk.WbcGains(), x, x_ref, np.zeros(quad.nu),
-                     (0, 2), np.zeros(4))
+    stance_tasks_solved(quad, x, x_ref, (0, 2))
     assert len(calls) == 2
 
 
@@ -221,7 +214,6 @@ def test_stance_tasks_read_one_pass_per_state(monkeypatch):
     x, x_ref = (random_state(quad, rng, spread=0.1) for _ in range(2))
     gathers = count_calls(monkeypatch, kinematics._frames)
     recursions = count_calls(monkeypatch, dynamics._rnea)
-    trk.stance_tasks(quad, trk.WbcGains(), x, x_ref, np.zeros(quad.nu),
-                     (0, 2), np.zeros(4))
+    stance_tasks_solved(quad, x, x_ref, (0, 2))
     assert len(gathers) == 3
     assert len(recursions) == 4

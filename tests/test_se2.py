@@ -140,3 +140,14 @@ def test_state_difference_inverts_integrate(x, dx):
     dx[2] = np.clip(dx[2], -3.1, 3.1)
     x1 = mod.integrate(m, x, dx)
     assert np.allclose(mod.difference(m, x1, x), dx, atol=1e-9)
+
+
+def test_wrap_angle_moves_no_angle_it_produced():
+    # wrap_angle moves some angles already in (-pi, pi] by an ulp, but none
+    # that it returned: a reference state rebuilt by ``model.state`` splits
+    # back into the (q, v) its contact dynamics were solved at
+    rng = np.random.default_rng(11)
+    for a in (np.linspace(-np.pi, np.pi, 2_000_002)[1:],
+              rng.uniform(-50.0, 50.0, 2_000_000)):
+        w = se2.wrap_angle(a)
+        assert se2.wrap_angle(w).tobytes() == w.tobytes()
