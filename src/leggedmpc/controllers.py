@@ -26,6 +26,18 @@ rollout keeps the contact dynamics it solved at each reference state, and
 the whole-body tick reads them there; only at a state no rollout step
 starts from does the tick solve them, once.  Its inequality rows and seed
 are built once per friction cone and contact count.
+
+Each stage of the cascade is a small QP solved by a primal active set from
+LAPACK factorizations called directly (``scipy.linalg.lapack``): one QR of
+the working set's rows gives its null space and its multipliers, and one
+QR least squares gives the step.  A ridge of 1e-9 times the norm of the
+stage matrix makes every working-set subproblem strictly convex, and a row
+that depends on the working set never enters it, with ties going to the
+smallest row index, so the active set cannot cycle.  The null space passed
+to the next stage comes from a QR of the stage matrix with its rank fixed
+by the task dimensions, so the stage widths depend on the contact count
+alone.  Each tick is a function of its inputs: nothing carries over from
+the previous tick.
 """
 
 from __future__ import annotations
@@ -33,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.lapack import dgels, dgeqrf, dorgqr, dormqr, dtrtrs
 
 from . import contact as ct
 from . import model as mod
@@ -262,77 +275,105 @@ class HqpSolution:
     y: np.ndarray
     stage_residuals: list     # inf-norm residual right after each stage
     null_dims: list           # remaining null-space dimension per stage
+    iterations: list          # active-set iterations of each stage QP
 
 
-def nullspace_basis(A: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the right null space of A (singular values
-    below 1e-10 of the largest count as zero)."""
-    A = np.atleast_2d(np.asarray(A, float))
-    if A.size == 0:
-        return np.eye(A.shape[1])
-    _, s, vt = np.linalg.svd(A)
-    rank = int(np.sum(s > 1e-10 * s[0]))
-    return vt[rank:].T
+# ridge of a stage QP, relative to the Frobenius norm of its matrix
+STAGE_RIDGE = 1e-9
+# a row whose part outside the working set's row space is below this share
+# of its norm depends on the working set
+DEPENDENT_ROW = 1e-9
+
+
+def _working_set(W, active, n):
+    """(R, Q, Z) of the working set's rows A: A^T = Q R with Q square
+    (``dgeqrf``, ``dorgqr``), so that the trailing columns Z of Q span the
+    null space of A."""
+    k = len(active)
+    if not k:
+        return None, None, np.eye(n)
+    qr, tau = dgeqrf(W[[j for j, _ in active]].T)[:2]
+    Q = np.zeros((n, n))
+    Q[:, :k] = qr
+    Q = dorgqr(Q, tau)[0]
+    return qr[:k], Q, Q[:, k:]
 
 
 def _stage_qp(G, d, W, lb, ub):
-    """min ||G z - d||^2 subject to lb <= W z <= ub, from feasible z = 0.
+    """min ||G z - d||^2 + eps ||z||^2 subject to lb <= W z <= ub, from
+    the feasible z = 0.  Returns z and the active-set iterations taken.
 
-    Primal active-set iteration; each working-set subproblem is a plain
-    least squares solved by SVD (minimum norm in flat directions), which
-    keeps the step accurate without squaring the conditioning through
-    normal equations.  Problem sizes here are tens of rows and columns.
+    Primal active-set iteration on linearly independent working sets.  The
+    working set's rows A factor once per set, A^T = Q R (``dgeqrf``,
+    ``dorgqr``): the trailing columns Z of Q span its null space, and R
+    gives the multipliers.  With H = [G; sqrt(eps) I] and h = [d; 0] the
+    objective is ||H z - h||^2, and the step Z w solves the augmented least
+    squares ``[G Z; sqrt(eps) Z] w ~ h - H z`` by QR (``dgels``), never the
+    normal equations.  ``sqrt(eps)`` is ``STAGE_RIDGE`` times the norm of
+    G, so every subproblem is strictly convex and its solution unique.
+    Anti-cycling: a row that depends on the working set never enters it (it
+    cannot block a step in the working set's null space), and ties between
+    blocking rows, and between equally negative multipliers, go to the
+    smallest row index.  Without rows this is the plain minimum-norm least
+    squares.
     """
     n = G.shape[1]
-    z = np.zeros(n)
     if W.size == 0:
-        return np.linalg.lstsq(G, d, rcond=None)[0]
+        return np.linalg.lstsq(G, d, rcond=None)[0], 0
     m = W.shape[0]
-    if np.any(lb > 1e-9) or np.any(ub < -1e-9):
+    if lb.max() > 1e-9 or ub.min() < -1e-9:
         # a primal active-set method cannot recover from this; the caller
         # owns the starting point and must seed it inside the bounds
         raise ConfigError("stage QP starting point violates its bounds")
-    active: list[tuple[int, int]] = []   # (row, side); +1 upper, -1 lower
-    for _ in range(30 * (n + m) + 30):
-        if active:
-            Z = nullspace_basis(np.vstack([W[j] for j, _ in active]))
-        else:
-            Z = np.eye(n)
-        if Z.shape[1]:
-            w, *_ = np.linalg.lstsq(G @ Z, d - G @ z, rcond=None)
-            p = Z @ w
-        else:
-            p = np.zeros(n)
-        if np.abs(p).max() <= 1e-9 * max(1.0, np.abs(z).max()):
-            if not active:
-                return z
-            grad = G.T @ (G @ z - d)
-            V = np.vstack([s * W[j] for j, s in active])
-            lam, *_ = np.linalg.lstsq(V.T, -grad, rcond=None)
-            worst = int(np.argmin(lam))
-            if lam[worst] >= -1e-9 * max(1.0, float(np.abs(lam).max())):
-                return z
+    H = np.concatenate((G, STAGE_RIDGE * (np.linalg.norm(G) or 1.0) * np.eye(n)))
+    h = np.concatenate((d, np.zeros(n)))
+    dependent = (DEPENDENT_ROW ** 2 * np.einsum("ij,ij->i", W, W)).tolist()
+    upper, lower = np.isfinite(ub).tolist(), np.isfinite(lb).tolist()
+    ub, lb = ub.tolist(), lb.tolist()
+    z = np.zeros(n)
+    active: list[tuple[int, int]] = []   # sorted (row, side); +1 upper
+    R, Q, Z = _working_set(W, active, n)
+    settled = False                      # z minimizes on the working set
+    for it in range(1, 3 * (n + m) + 1):
+        k = len(active)
+        if not settled and k < n:
+            w = dgels(H @ Z, h - H @ z)[1][:n - k]
+            settled = w @ w <= 1e-24 * max(1.0, z @ z)
+        if settled or k == n:
+            if not k:
+                return z, it
+            grad = H.T @ (H @ z - h)
+            lam = dtrtrs(R, Q[:, :k].T @ grad)[0].tolist()
+            lam = [-s * g for (_, s), g in zip(active, lam)]
+            worst = min(range(k), key=lam.__getitem__)
+            if lam[worst] >= -1e-9 * max(1.0, max(map(abs, lam))):
+                return z, it
             active.pop(worst)
+            R, Q, Z = _working_set(W, active, n)
+            settled = False
             continue
-        # step to the nearest blocking row
+        # step to the nearest blocking row, skipping rows that depend on
+        # the working set (W_j Z = 0 up to rounding)
+        p = Z @ w
         alpha, hit = 1.0, None
-        Wp = W @ p
-        Wz = W @ z
-        taken = {j for j, _ in active}
-        for j in range(m):
-            if j in taken:
+        for j, wp, wz in zip(range(m), (W @ p).tolist(), (W @ z).tolist()):
+            if wp > 1e-13 and upper[j]:
+                a, side = (ub[j] - wz) / wp, 1
+            elif wp < -1e-13 and lower[j]:
+                a, side = (lb[j] - wz) / wp, -1
+            else:
                 continue
-            if Wp[j] > 1e-13 and np.isfinite(ub[j]):
-                a = (ub[j] - Wz[j]) / Wp[j]
-                if a < alpha:
-                    alpha, hit = a, (j, 1)
-            elif Wp[j] < -1e-13 and np.isfinite(lb[j]):
-                a = (lb[j] - Wz[j]) / Wp[j]
-                if a < alpha:
-                    alpha, hit = a, (j, -1)
+            if a < alpha:
+                row = W[j] @ Z
+                if row @ row > dependent[j]:
+                    alpha, hit = a, (j, side)
         z = z + max(alpha, 0.0) * p
-        if hit is not None:
+        if hit is None:
+            settled = True
+        else:
             active.append(hit)
+            active.sort()
+            R, Q, Z = _working_set(W, active, n)
     raise MaxIterations("stage QP active-set iteration did not settle")
 
 
@@ -353,28 +394,51 @@ def hqp_solve(tasks, ineq: RowBounds, y0: np.ndarray) -> HqpSolution:
     above ``STAGE1_TOL * max(1, |a_1|_inf)`` raises
     :class:`Stage1Infeasible` (the dynamics cannot be realized within the
     actuation and cone limits).
+
+    A stage with rows is the ridged QP of ``_stage_qp``; a stage without is
+    the exact minimum-norm least squares.  The null space left for the
+    next stage is that of the stage matrix G = A Z, from a QR of G^T with
+    the rank taken as min(rows, columns): the tasks have full structural
+    rank, so no rank is decided from the numbers.
     """
     if not tasks:
         raise ConfigError("hqp_solve needs at least one task")
     y = np.array(y0, dtype=float)
     Z = np.eye(y.size)
-    residuals, null_dims = [], []
+    residuals, null_dims, iterations = [], [], []
     for A, a in tasks:
         A = np.atleast_2d(np.asarray(A, float))
         a = np.atleast_1d(np.asarray(a, float))
+        its = 0
         if Z.shape[1]:
             G = A @ Z
             By = ineq.B @ y
-            w = _stage_qp(G, a - A @ y, ineq.B @ Z, ineq.lb - By, ineq.ub - By)
+            w, its = _stage_qp(G, a - A @ y, ineq.B @ Z, ineq.lb - By,
+                               ineq.ub - By)
             y = y + Z @ w
-            Z = Z @ nullspace_basis(G)
+            Z = _narrow(Z, G)
         res = float(np.abs(A @ y - a).max()) if a.size else 0.0
         if not residuals and res > STAGE1_TOL * max(1.0, np.abs(a).max()):
             raise Stage1Infeasible(
                 f"dynamics-stage residual {res:.3g} exceeds tolerance")
         residuals.append(res)
         null_dims.append(Z.shape[1])
-    return HqpSolution(y=y, stage_residuals=residuals, null_dims=null_dims)
+        iterations.append(its)
+    return HqpSolution(y=y, stage_residuals=residuals, null_dims=null_dims,
+                       iterations=iterations)
+
+
+def _narrow(Z: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """``Z`` times an orthonormal basis of the null space of ``G``, whose
+    rank is taken as full, the smaller of its dimensions: the trailing
+    columns of Q in G^T = Q R (``dgeqrf``), applied to Z by ``dormqr``."""
+    rank = min(G.shape)
+    if rank == Z.shape[1]:
+        return Z[:, :0]
+    if not rank:
+        return Z
+    qr, tau = dgeqrf(G.T)[:2]
+    return dormqr("R", "N", qr, tau, Z, lwork=64 * max(Z.shape))[0][:, rank:]
 
 
 # ----------------------------------------------------- whole-body control

@@ -127,6 +127,17 @@ def wbc_stance_tick(wbc, x, t, held):
     return np.clip(u, bounds.u_lb, bounds.u_ub), "wbc", False
 
 
+def nullspace_basis(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the right null space of A (singular values
+    below 1e-10 of the largest count as zero)."""
+    A = np.atleast_2d(np.asarray(A, float))
+    if A.size == 0:
+        return np.eye(A.shape[1])
+    _, s, vt = np.linalg.svd(A)
+    rank = int(np.sum(s > 1e-10 * s[0]))
+    return vt[rank:].T
+
+
 def fd_jacobian(f, x, eps=1e-6):
     """Central-difference Jacobian of f: R^n -> R^m at x."""
     x = np.asarray(x, dtype=float)

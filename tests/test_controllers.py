@@ -1,7 +1,9 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from leggedmpc import contact as ct
 from leggedmpc import controllers as trk
@@ -13,7 +15,8 @@ from leggedmpc import presets, schedule
 from leggedmpc.errors import (ConfigError, InvalidMeasurement, MaxIterations,
                               Stage1Infeasible)
 
-from helpers import centroidal_at, count_calls, reference_dynamics, wbc_stance_tick
+from helpers import (centroidal_at, count_calls, nullspace_basis, reference_dynamics,
+                     wbc_stance_tick)
 
 
 @pytest.fixture(scope="module")
@@ -372,15 +375,15 @@ def test_tick_just_before_a_node_reads_one_interval(quad, solver_message,
 def test_nullspace_basis_annihilates_rows():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((3, 8))
-    Z = trk.nullspace_basis(A)
+    Z = nullspace_basis(A)
     assert Z.shape == (8, 5)
     assert np.abs(A @ Z).max() < 1e-12
     np.testing.assert_allclose(Z.T @ Z, np.eye(5), atol=1e-12)
     # duplicated rows collapse to the same null space
-    Z = trk.nullspace_basis(np.vstack([A[0], A[0], A[1]]))
+    Z = nullspace_basis(np.vstack([A[0], A[0], A[1]]))
     assert Z.shape == (8, 6)
     np.testing.assert_allclose(Z.T @ Z, np.eye(6), atol=1e-12)
-    Z2 = trk.nullspace_basis(A[:2])
+    Z2 = nullspace_basis(A[:2])
     np.testing.assert_allclose(Z @ Z.T, Z2 @ Z2.T, atol=1e-12)
 
 
@@ -472,6 +475,83 @@ def test_swing_stage_unaffected_by_lower_priorities(quad):
                                head.stage_residuals[1], atol=1e-9)
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def assert_kkt(G, d, W, lb, ub, z):
+    """z is feasible within 1e-9 and a KKT point of the ridged stage QP:
+    minus the gradient is a non-negative combination (``nnls``) of the
+    outward normals of the rows at their bounds."""
+    eps = (trk.STAGE_RIDGE * np.linalg.norm(G)) ** 2
+    Wz = W @ z
+    assert np.all(Wz >= lb - 1e-9) and np.all(Wz <= ub + 1e-9)
+    upper = np.isfinite(ub) & (Wz >= ub - 1e-9)
+    lower = np.isfinite(lb) & (Wz <= lb + 1e-9)
+    V = np.vstack([W[upper], -W[lower]])
+    grad = G.T @ (G @ z - d) + eps * z
+    scale = max(1.0, np.abs(G.T @ d).max())
+    if not len(V):
+        assert np.abs(grad).max() <= 1e-9 * scale
+        return
+    _, res = nnls(V.T, -grad)
+    assert res <= 1e-9 * scale
+
+
+def test_stage_qp_that_cycled_settles_at_a_kkt_point():
+    # a centre-of-mass stage (four feet down, 2 x 8, 20 rows) captured from
+    # the trot_track benchmark, seed 1, episode 1, on which the active set
+    # without the anti-cycling rule ran out of iterations
+    qp = np.load(DATA / "com_stage_cycle.npz")
+    G, d, W, lb, ub = (qp[k] for k in ("G", "d", "W", "lb", "ub"))
+    z, iterations = trk._stage_qp(G, d, W, lb, ub)
+    assert_kkt(G, d, W, lb, ub, z)
+    assert iterations <= G.shape[1] + W.shape[0]
+
+
+def test_stage_qp_settles_at_a_kkt_point_from_the_cone_apex(quad):
+    # four feet with lambda_min = 0: the seed puts every force at its cone's
+    # apex, where all three rows of a foot hold and any two span its force
+    # plane.  References pull the feet below the apex, far outside, onto an
+    # edge and inside their cones.
+    cone = co.FrictionCone(mu=0.7)
+    bounds = co.default_bounds(quad, presets.nominal_configuration(quad))
+    ineq = trk.wbc_inequality_rows(quad, bounds, cone, 4)
+    y0 = trk.wbc_seed(quad, bounds, cone, 4)
+    By = ineq.B @ y0
+    cone_rows = slice(quad.nu, None)
+    assert np.all(By[cone_rows] == ineq.lb[cone_rows])
+    ny, nf = y0.size, 8
+    G = np.zeros((nf, ny))
+    G[:, ny - nf:] = np.eye(nf)
+    for lam_ref in ([0.0, -50.0, 40.0, -10.0, 10.0, 30.0, 60.0, 20.0],
+                    [0.0, -1.0, 0.0, -1.0, 0.0, -1.0, 0.0, -1.0]):
+        d = np.asarray(lam_ref) - G @ y0
+        args = (G, d, ineq.B, ineq.lb - By, ineq.ub - By)
+        z, iterations = trk._stage_qp(*args)
+        assert_kkt(*args, z)
+        assert iterations <= ny + ineq.B.shape[0]
+
+
+def test_stage_qp_settles_at_a_kkt_point_of_random_degenerate_qps():
+    # rank-deficient G, repeated and dependent rows, one-sided rows and
+    # rows tight at the start (a zero bound) over 500 random sizes
+    rng = np.random.default_rng(43)
+    for _ in range(500):
+        n, r, m = rng.integers(1, 10), rng.integers(1, 6), rng.integers(4, 16)
+        G = rng.standard_normal((r, n)) * 10.0 ** rng.uniform(-3, 2)
+        G[-1] = G[0]
+        d = rng.standard_normal(r) * 10.0 ** rng.uniform(-1, 2)
+        W = rng.standard_normal((m, n))
+        W[1] = W[0]
+        W[2] = W[0] + 0.5 * W[3]
+        lb = -rng.uniform(0, 2, m) * (rng.random(m) < 0.8)
+        ub = rng.uniform(0, 2, m) * (rng.random(m) < 0.8)
+        lb[rng.random(m) < 0.2] = -np.inf
+        ub[rng.random(m) < 0.2] = np.inf
+        z, _ = trk._stage_qp(G, d, W, lb, ub)
+        assert_kkt(G, d, W, lb, ub, z)
+
+
 # ---------------------------------------------------- whole-body controller
 
 def test_com_stage_fixes_linear_momentum(quad, solver_message):
@@ -495,7 +575,7 @@ def test_com_stage_fixes_linear_momentum(quad, solver_message):
         A_com = tasks[1][0]              # dynamics, CoM: no swing feet
         Z = np.eye(A_com.shape[1])
         for A, _ in tasks[:2]:
-            Z = Z @ trk.nullspace_basis(A @ Z)
+            Z = Z @ nullspace_basis(A @ Z)
         A_lin = np.zeros_like(A_com)
         cen = centroidal_at(quad, *mod.split_state(quad, x))
         A_lin[:, :quad.nv] = cen.A_G[:2]
@@ -524,6 +604,69 @@ def test_wbc_tick_equals_a_tick_that_solves_its_reference_afresh(
         assert cmd.u.tobytes() == u.tobytes()
         assert (cmd.mode, cmd.degraded) == (mode, degraded)
         held = cmd.u
+
+
+def test_wbc_torque_is_continuous_in_the_measured_state(quad, solver_message,
+                                                       hqp_solutions):
+    # a 1e-12 relative change of the measured state moves the torque by at
+    # most about 1e-9 relative at every tick time, and the null-space widths
+    # follow from the contact count alone
+    wbc = trk.WholeBodyController(quad, co.default_bounds(
+        quad, presets.nominal_configuration(quad)),
+        cone=co.FrictionCone(mu=0.7))
+    wbc.update_message(solver_message)
+    times = trk.rollout_reference(quad, solver_message, wbc.control_dt)[0]
+    rng = np.random.default_rng(37)
+    for t in times:
+        x = mod.integrate(quad, wbc.reference_at(t),
+                          1e-3 * rng.standard_normal(2 * quad.nv))
+        u = wbc.control(x, t).u
+        dx = 1e-12 * np.abs(x).max() * rng.standard_normal(2 * quad.nv)
+        cmd = wbc.control(mod.integrate(quad, x, dx), t)
+        assert cmd.mode == "wbc" and not cmd.degraded
+        assert np.abs(cmd.u - u).max() <= 1e-9 * np.abs(u).max()
+    assert len(hqp_solutions) == 2 * len(times)
+    assert {tuple(sol.null_dims) for sol in hqp_solutions} == {(8, 6, 5, 0)}
+
+
+@pytest.mark.parametrize("frames", [(0, 3), (0, 1, 3), (0, 1, 2, 3)])
+def test_null_dims_follow_the_contact_count(quad, frames):
+    # stage widths: 8 after the dynamics, less two per swing foot, two for
+    # the centre of mass and one for the angular momentum, then none
+    bounds = co.default_bounds(quad, presets.nominal_configuration(quad))
+    cone = co.FrictionCone(mu=0.7)
+    n = len(frames)
+    swing = 2 * (4 - n)
+    expected = [8] + ([8 - swing] if swing else []) + [
+        6 - swing, 5 - swing, 0]
+    for seed in range(4):
+        tasks = perturbed_stance_tasks(quad, frames, seed=seed)
+        sol = trk.hqp_solve(tasks, trk.wbc_inequality_rows(quad, bounds, cone, n),
+                            trk.wbc_seed(quad, bounds, cone, n))
+        assert sol.null_dims == expected
+
+
+def test_stage_qp_iterations_stay_below_size(quad, statics, solver_message,
+                                             hqp_solutions):
+    # every stage of every tick settles within n + m active-set iterations
+    # (n free directions, m rows), so a cycling active set cannot hide
+    cone = co.FrictionCone(mu=0.7)
+    bounds = co.default_bounds(quad, presets.nominal_configuration(quad))
+    rng = np.random.default_rng(41)
+    for msg in (solver_message, equilibrium_message(quad, *statics)):
+        wbc = trk.WholeBodyController(quad, bounds, cone=cone)
+        wbc.update_message(msg)
+        for t in trk.rollout_reference(quad, msg, wbc.control_dt)[0]:
+            x = mod.integrate(quad, wbc.reference_at(t),
+                              1e-2 * rng.standard_normal(2 * quad.nv))
+            assert not wbc.control(x, t).degraded
+    m = trk.wbc_inequality_rows(quad, bounds, cone, 4).B.shape[0]
+    assert hqp_solutions
+    for sol in hqp_solutions:
+        widths = [sol.y.size] + sol.null_dims[:-1]
+        assert len(sol.iterations) == len(widths)
+        for n, iterations in zip(widths, sol.iterations):
+            assert iterations <= n + m
 
 
 def test_wbc_tick_solves_the_reference_only_where_the_rollout_did_not(
