@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
+from . import _kernels
 from .errors import NonPDHessian, NoStepAccepted
 
 FEAS_TOL = 1e-9
@@ -64,8 +65,8 @@ def boxqp(H: np.ndarray, g: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         return BoxQPResult(np.zeros(0), e, e, None, True, 0)
     if not (np.isfinite(H).all() and np.isfinite(g).all()):
         raise NonPDHessian("box-QP Hessian or gradient is not finite")
-    x = np.clip(np.zeros(n) if x_init is None else np.asarray(x_init, float),
-                lo, hi)
+    x = _kernels.clip(np.zeros(n) if x_init is None else np.asarray(x_init, float),
+                      lo, hi)
 
     def value(z):
         return 0.5 * float(z @ H @ z) + float(g @ z)
@@ -80,13 +81,14 @@ def boxqp(H: np.ndarray, g: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         at_hi = x >= hi - 1e-12 * np.maximum(1.0, np.abs(x))
         clamped = (at_lo & (grad > 0.0)) | (at_hi & (grad < 0.0))
         free = ~clamped
-        if free.any() and not np.array_equal(free, factored):
-            chol, info = dpotrf(H if free.all() else H[np.ix_(free, free)],
+        nfree = np.count_nonzero(free)
+        if nfree and free.tobytes() != factored:
+            chol, info = dpotrf(H if nfree == n else H[np.ix_(free, free)],
                                 lower=1, clean=0)
             if info:
                 raise NonPDHessian("free-subspace Hessian is not positive definite")
-            factored = free
-        if not free.any() or np.abs(grad[free]).max() < tol:
+            factored = free.tobytes()
+        if not nfree or np.abs(grad[free]).max() < tol:
             converged = True
             break
         dx = np.zeros(n)
@@ -95,7 +97,7 @@ def boxqp(H: np.ndarray, g: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         step = 1.0
         improved = False
         for _ in range(24):
-            xc = np.clip(x + step * dx, lo, hi)
+            xc = _kernels.clip(x + step * dx, lo, hi)
             if value(xc) <= f0 + 0.1 * float(grad @ (xc - x)):
                 x = xc
                 improved = True
@@ -224,8 +226,8 @@ class BoxFddp:
 
     @property
     def gap_norm(self) -> float:
-        return max((float(np.abs(g).max()) if g.size else 0.0)
-                   for g in self.gaps)
+        # each gap's max in one stacked reduction, then their max in order
+        return max(np.abs(np.array(self.gaps)).max(-1, initial=0.0).tolist())
 
     def state(self) -> SolverState:
         return SolverState(self.xs, self.us, self.gaps, self.mu, self.cost,
@@ -261,7 +263,7 @@ class BoxFddp:
         dg -= float(Vx[-1] @ self.gaps[-1])
         dq += float(self.gaps[-1] @ fvxx[-1])
         qu_norm = 0.0
-        mu_eye = mu * np.eye(ndx)
+        mu_eye = mu * _kernels.eye(ndx)
         for k in range(len(nodes) - 1, -1, -1):
             d = self._derivs[k]
             gap = self.gaps[k + 1]
@@ -272,8 +274,9 @@ class BoxFddp:
             nu = nodes[k].nu
             if nu:
                 Qu = d.lu + d.fu.T @ Vx_next
-                Qux = d.lxu.T + d.fu.T @ Vxx_reg @ d.fx
-                Quu = d.luu + d.fu.T @ Vxx_reg @ d.fu + mu * np.eye(nu)
+                fuV = d.fu.T @ Vxx_reg
+                Qux = d.lxu.T + fuV @ d.fx
+                Quu = d.luu + fuV @ d.fu + mu * _kernels.eye(nu)
                 Quu = 0.5 * (Quu + Quu.T)
                 lo = nodes[k].u_lb - self.us[k]
                 hi = nodes[k].u_ub - self.us[k]
@@ -296,7 +299,7 @@ class BoxFddp:
             fvxx[k] = Vxx[k] @ self.gaps[k]
             dg -= float(Vx[k] @ self.gaps[k])
             dq += float(self.gaps[k] @ fvxx[k])
-            if not np.all(np.isfinite(Vx[k])):
+            if not np.isfinite(Vx[k]).all():
                 raise NonPDHessian("backward pass produced non-finite values")
         self.policy = Policy(k_ff, K_fb, Vx, Vxx)
         self._dg, self._dq, self._fvxx = dg, dq, fvxx
@@ -330,9 +333,9 @@ class BoxFddp:
             xs, us = [np.array(x)], []
             for k, node in enumerate(problem.nodes):
                 dx = problem.diff(x, self.xs[k])
-                u = np.clip(self.us[k] + a * policy.k_ff[k]
-                            - (policy.K_fb[k] @ dx[..., None])[..., 0],
-                            node.u_lb, node.u_ub)
+                u = _kernels.clip(self.us[k] + a * policy.k_ff[k]
+                                  - (policy.K_fb[k] @ dx[..., None])[..., 0],
+                                  node.u_lb, node.u_ub)
                 x = problem.step_rows(k, x, u)
                 if not feasible:
                     x = problem.integrate(x, (a - 1.0) * self.gaps[k + 1])

@@ -10,12 +10,15 @@ with a_C = Jdot*v + psi the constraint-space bias and psi = BAUMGARTE_GAIN *
 (frame velocity) the velocity-level Baumgarte (1972) stabilization, which
 damps slip and leaves position drift alone.  A touchdown is an inelastic
 impulse: the contact points come to rest, J v+ = 0.  The solve goes through
-the contact-space inertia (Schur complement) Mhat = J M^-1 J.T.  One call
-runs one multibody pass (``dynamics.multibody``: kinematics, body twists,
-bias accelerations, M and h) and one frame gather
+the contact-space inertia (Schur complement) Mhat = J M^-1 J.T.  A forward
+solve runs one multibody pass (``dynamics.multibody``: kinematics, body
+twists, bias accelerations, M and h) and one frame gather
 (``dynamics.frame_motion``: the contact Jacobian, the frame velocities of
 the Baumgarte term and the frame acceleration bias), and the solution keeps
-the pass for its derivatives and the costs.
+the pass for its derivatives and the costs.  An impulse reads no
+velocity-dependent term: it computes the kinematics, M and the contact
+Jacobian alone (``dynamics.mass_matrix``, ``dynamics.frame_jacobian``), and
+its solution keeps those.
 
 The derivative routines differentiate the KKT conditions implicitly:
 ``dynamics.tangent_sweep`` gives the exact derivatives of the
@@ -31,6 +34,11 @@ Every routine also takes a stack of states (leading axes on q, v and u, a
 (B, nc) frame array in the ``ContactSet``) as one pass of array operations.
 Each state keeps its own rank check, and a state's results do not depend on
 the rest of the stack: alone, it gives the same bits.
+
+The solves call numpy's LAPACK gufuncs directly (``_kernels.solve`` and
+``_kernels.eigvalsh``), the kernels beneath ``np.linalg.solve`` and
+``np.linalg.eigvalsh``: the same bits without the wrappers' dispatch.
+scipy's LAPACK is not bit-equal to them.
 """
 
 from __future__ import annotations
@@ -39,11 +47,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Multibody, Tangents, frame_motion, multibody, tangent_sweep
+from . import _kernels
+from .dynamics import (Multibody, Tangents, frame_jacobian, frame_motion, mass_matrix,
+                       multibody, tangent_sweep)
 from .errors import DimensionMismatch, RankDeficientContacts
-# ``forward_kinematics`` is also a name of this module: the benchmark's
-# tracer test checks that tracing rebinds such imported names
-from .kinematics import _matvec, forward_kinematics  # noqa: F401
+from .kinematics import Kinematics, _matvec, forward_kinematics
 from .model import RobotModel, semi_implicit_step, split_state, state
 
 COND_LIMIT = 1e12
@@ -66,7 +74,8 @@ class ContactSet:
 
     @property
     def nf(self) -> int:
-        return 2 * np.shape(self.frames)[-1]
+        frames = self.frames
+        return 2 * (len(frames) if type(frames) is tuple else frames.shape[-1])
 
 
 @dataclass
@@ -82,10 +91,13 @@ class ContactSolution:
 
 @dataclass
 class ImpulseSolution:
+    """The solved impulse, with the terms its derivatives and costs read."""
+
     v_plus: np.ndarray          # (nv,)
     impulses: np.ndarray        # (nf,)
     J: np.ndarray               # (nf, nv)
-    mb: Multibody
+    kin: Kinematics
+    M: np.ndarray               # (nv, nv)
 
 
 @dataclass
@@ -108,9 +120,8 @@ def actuation(model: RobotModel, u: np.ndarray) -> np.ndarray:
 
 def contact_jacobian_stack(model: RobotModel, q, frames) -> np.ndarray:
     """Stacked world point-velocity Jacobian (2*len(frames), nv) of contact
-    frames: the Jacobian of ``frame_motion``, which does not depend on v."""
-    v = np.zeros(np.shape(q)[:-1] + (model.nv,))
-    return frame_motion(model, multibody(model, q, v), frames)[1]
+    frames (``dynamics.frame_jacobian``)."""
+    return frame_jacobian(model, forward_kinematics(model, q), frames)[1]
 
 
 def _kkt_forward(M, J, rhs, bias, what: str):
@@ -121,22 +132,22 @@ def _kkt_forward(M, J, rhs, bias, what: str):
     for every stacked system; the ``rows`` of the RankDeficientContacts it
     raises mark the singular ones.
     """
-    Minv = np.linalg.solve(M, np.concatenate([J.swapaxes(-1, -2), rhs[..., None]], -1))
+    Minv = _kernels.solve(M, np.concatenate([J.swapaxes(-1, -2), rhs[..., None]], -1))
     Minv_Jt, x_free = Minv[..., :-1], Minv[..., -1]
     Mhat = J @ Minv_Jt
     # Mhat is symmetric positive semidefinite: its condition is the ratio of
     # its extreme eigenvalues, infinite when the smallest is not positive; a
     # system that is not finite counts as singular (and skips the eigensolver)
     finite = np.isfinite(Mhat).all((-2, -1))
-    eig = (np.linalg.eigvalsh(np.where(finite[..., None, None], Mhat, 1.0))
+    eig = (_kernels.eigvalsh(np.where(finite[..., None, None], Mhat, 1.0))
            if J.shape[-2] else np.ones((1, 1)))
     cond = eig[..., -1] / np.maximum(eig[..., 0], 1e-300)
     singular = ~(finite & (cond <= COND_LIMIT))
-    if singular.any():
+    if np.count_nonzero(singular):
         raise RankDeficientContacts(
             f"{what} inertia condition {np.max(cond):.3e} exceeds {COND_LIMIT:.0e}",
             rows=singular)
-    lam = -np.linalg.solve(Mhat, (bias + _matvec(J, x_free))[..., None])[..., 0]
+    lam = -_kernels.solve(Mhat, (bias + _matvec(J, x_free))[..., None])[..., 0]
     return x_free + _matvec(Minv_Jt, lam), lam
 
 
@@ -149,7 +160,7 @@ def contact_forward_dynamics(model: RobotModel, q, v, u, contacts: ContactSet) -
     mb = multibody(model, q, v)
     tau_b = actuation(model, u) - mb.h
     if not contacts.nf:          # in flight: the unconstrained dynamics
-        vdot = np.linalg.solve(mb.M, tau_b[..., None])[..., 0]
+        vdot = _kernels.solve(mb.M, tau_b[..., None])[..., 0]
         return ContactSolution(vdot=vdot, forces=np.zeros(vdot.shape[:-1] + (0,)),
                                J=np.zeros(mb.M.shape[:-2] + (0, model.nv)), mb=mb)
     _, J, vel, bias = frame_motion(model, mb, contacts.frames)
@@ -188,16 +199,18 @@ def impulse_dynamics(model: RobotModel, q, v_minus,
     """Instantaneous inelastic velocity change when the given contacts gain closure.
 
     The contact points come to rest, J v+ = 0; the configuration is
-    unchanged.  Stacked states run as one pass, as in
-    ``contact_forward_dynamics``.
+    unchanged.  It reads no velocity-dependent term, so it takes the
+    kinematics, M and the contact Jacobian alone.  Stacked states run as one
+    pass, as in ``contact_forward_dynamics``.
     """
     v_minus = model.check_v(v_minus)
-    mb = multibody(model, q, v_minus)
-    _, J, _, _ = frame_motion(model, mb, contacts.frames)
+    kin = forward_kinematics(model, q)
+    M = mass_matrix(model, kin)
+    J = frame_jacobian(model, kin, contacts.frames)[1]
     # the velocity jump dv = v+ - v- solves M dv = J.T imp, J dv = -J v-
-    dv, imp = _kkt_forward(mb.M, J, np.zeros_like(v_minus), _matvec(J, v_minus),
+    dv, imp = _kkt_forward(M, J, np.zeros(v_minus.shape), _matvec(J, v_minus),
                            "impulse contact-space")
-    return ImpulseSolution(v_plus=v_minus + dv, impulses=imp, J=J, mb=mb)
+    return ImpulseSolution(v_plus=v_minus + dv, impulses=imp, J=J, kin=kin, M=M)
 
 
 # ------------------------------------------------------------------ derivatives
@@ -213,7 +226,7 @@ def _kkt_solve(M, J, rhs):
     K[..., :nv, :nv] = M
     K[..., :nv, nv:] = -J.swapaxes(-1, -2)
     K[..., nv:, :nv] = J
-    sol = np.linalg.solve(K, rhs)
+    sol = _kernels.solve(K, rhs)
     return sol[..., :nv, :], sol[..., nv:, :]
 
 
@@ -259,14 +272,14 @@ def impulse_dynamics_derivatives(model: RobotModel, v_minus, contacts: ContactSe
     rhs = np.empty(lead + (nv + nf, 2 * nv))
     # configuration block: F1 is rnea(q, 0, v+ - v-, impulses) without
     # gravity; F2 is the frame velocity under v+
-    rhs[..., :nv, :nv] = -tangent_sweep(model, sol.mb.kin, np.zeros_like(v_minus),
+    rhs[..., :nv, :nv] = -tangent_sweep(model, sol.kin, np.zeros(v_minus.shape),
                                         sol.v_plus - v_minus, (frames, lam),
                                         gravity=False).dtau[..., :nv]
-    rhs[..., nv:, :nv] = -tangent_sweep(model, sol.mb.kin, sol.v_plus,
+    rhs[..., nv:, :nv] = -tangent_sweep(model, sol.kin, sol.v_plus,
                                         frames=frames).dvel[..., :nv]
     # velocity block: dF1/dv- = -M, dF2/dv- = 0
-    rhs[..., :nv, nv:] = sol.mb.M
+    rhs[..., :nv, nv:] = sol.M
     rhs[..., nv:, nv:] = 0.0
-    dvp_dx, dlam_dx = _kkt_solve(sol.mb.M, sol.J, rhs)
+    dvp_dx, dlam_dx = _kkt_solve(sol.M, sol.J, rhs)
     return DynamicsDerivatives(dvdot_dx=dvp_dx, dvdot_du=np.zeros(lead + (nv, 0)),
                                dforces_dx=dlam_dx, dforces_du=np.zeros(lead + (nf, 0)))

@@ -16,7 +16,10 @@ sum_i B_i.T f_i is one product, and the joint-space inertia is M = sum_i
 B_i.T I_i B_i.  ``multibody`` is the one pass per state: kinematics,
 twists, bias accelerations, M and h (as Pinocchio's ``computeAllTerms``).
 ``frame_motion`` is the one gather of contact frames from a pass: their
-positions, Jacobian, velocities and acceleration bias.  ``tangent_sweep``
+positions, Jacobian, velocities and acceleration bias.  A caller that needs
+no velocities (the impulse dynamics, placement costs) takes the kinematics,
+``mass_matrix`` and ``frame_jacobian`` alone, the same code without the
+twists.  ``tangent_sweep``
 differentiates the same recursion, one tree depth at a time too.  Every
 function takes stacked states (leading axes on q, v, a and the
 ``Kinematics``) as one pass; alone, a state runs the same code.
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .kinematics import (
     Kinematics,
     _frames,
@@ -54,14 +58,20 @@ def _subtract_contact_forces(model, kin, f, contact_forces, dth=None, df=None):
         return
     rows, r = _frames(model, kin, frames)
     fl = (lam[..., None, :] @ kin.R[rows])[..., 0, :]      # R_b.T lam, body frame
-    np.subtract.at(f, rows, np.concatenate(
-        [fl, r[..., :1] * fl[..., 1:] - r[..., 1:] * fl[..., :1]], -1))
+    w = np.concatenate([fl, r[..., :1] * fl[..., 1:] - r[..., 1:] * fl[..., :1]], -1)
     if df is not None:
         nv = model.nv
         d = np.zeros(r.shape[:-1] + (3, 2 * nv))
         d[..., :2, :nv] = -_perp(fl)[..., None] * dth[rows][..., None, :]
         d[..., 2, :nv] = r[..., :1] * d[..., 1, :nv] - r[..., 1:] * d[..., 0, :nv]
-        np.subtract.at(df, rows, d)
+    # frames may share a body: subtract frame by frame, in order (the
+    # differences of an unbuffered np.subtract.at, without its indexing)
+    lead, idx = tuple(a[..., 0] for a in rows[:-1]), rows[-1]
+    for j in range(idx.shape[-1]):
+        at = lead + (idx[..., j],)
+        f[at] -= w[..., j, :]
+        if df is not None:
+            df[at] -= d[..., j, :, :]
 
 
 def _rnea(model, kin, tw, bias, a, contact_forces=None):
@@ -144,36 +154,55 @@ def multibody(model: RobotModel, q: np.ndarray, v: np.ndarray) -> Multibody:
     v = model.check_v(v)
     kin = forward_kinematics(model, q)
     tw, bias = bias_accelerations(model, kin, v)
+    return Multibody(kin, tw, bias, mass_matrix(model, kin),
+                     _rnea(model, kin, tw, bias, np.zeros(v.shape)))
+
+
+def mass_matrix(model: RobotModel, kin: Kinematics) -> np.ndarray:
+    """Joint-space inertia M = sum_i B_i.T I_i B_i on a kinematics pass."""
     B, nv = kin.B, model.nv
     lead = B.shape[:-3]
-    M = (B.reshape(lead + (-1, nv)).swapaxes(-1, -2)
-         @ (model.spatial_inertias @ B).reshape(lead + (-1, nv)))
-    return Multibody(kin, tw, bias, M, _rnea(model, kin, tw, bias, np.zeros_like(v)))
+    return (B.reshape(lead + (-1, nv)).swapaxes(-1, -2)
+            @ (model.spatial_inertias @ B).reshape(lead + (-1, nv)))
 
 
-def frame_motion(model: RobotModel, mb: Multibody, frames):
-    """World positions, Jacobian, velocities and acceleration bias of contact
-    frames, from one gather of their bodies.
+def _gather_frames(model, kin, frames):
+    """Body rows, offsets r, world rotations R and perp(r) of contact frames,
+    with their world positions and stacked Jacobian.
 
     Frame k on body b at offset r is at p_b + R_b r and moves with
-    R_b (B_b[:2] + perp(r) B_b[2]) v.  The bias is the classical (point)
-    acceleration at zero generalized acceleration, the Jdot v of
-    d/dt(J v) = J vdot + Jdot v.  Returns positions (k, 2), the stacked
-    Jacobian (2k, nv), velocities (k, 2) and the bias (2k,), for all frames
-    (and all stacked states) at once.
+    R_b (B_b[:2] + perp(r) B_b[2]) v.
     """
-    kin = mb.kin
     rows, r = _frames(model, kin, frames)
     R, pr = kin.R[rows], _perp(r)
     pos = kin.pose[rows][..., :2] + _matvec(R, r)
     Bb = kin.B[rows]
     local = Bb[..., :2, :] + pr[..., None] * Bb[..., 2:, :]
     J = (R @ local).reshape(r.shape[:-2] + (-1, model.nv))
+    return rows, R, pr, pos, J
+
+
+def frame_jacobian(model: RobotModel, kin: Kinematics, frames):
+    """World positions (k, 2) and stacked Jacobian (2k, nv) of contact
+    frames on a kinematics pass: ``frame_motion`` without the velocities."""
+    return _gather_frames(model, kin, frames)[3:]
+
+
+def frame_motion(model: RobotModel, mb: Multibody, frames):
+    """World positions, Jacobian, velocities and acceleration bias of contact
+    frames, from one gather of their bodies.
+
+    The bias is the classical (point) acceleration at zero generalized
+    acceleration, the Jdot v of d/dt(J v) = J vdot + Jdot v.  Returns
+    positions (k, 2), the stacked Jacobian (2k, nv), velocities (k, 2) and
+    the bias (2k,), for all frames (and all stacked states) at once.
+    """
+    rows, R, pr, pos, J = _gather_frames(model, mb.kin, frames)
     t, acc = mb.tw[rows], mb.bias[rows]
     w = t[..., 2:]
     vel = _matvec(R, t[..., :2] + w * pr)
     local = acc[..., :2] + acc[..., 2:] * pr + w * _perp(t[..., :2] + w * pr)
-    return pos, J, vel, _matvec(R, local).reshape(r.shape[:-2] + (-1,))
+    return pos, J, vel, _matvec(R, local).reshape(pr.shape[:-2] + (-1,))
 
 
 @dataclass
@@ -218,7 +247,7 @@ def tangent_sweep(model: RobotModel, kin: Kinematics, v: np.ndarray,
     m = np.zeros(lead + (nb, 3, 3))
     dm = np.zeros(lead + (nb, 3, 3, n))
     m[..., 0, :, 0] = v[..., :3]
-    dm[..., 0, :, 0, nv:nv + 3] = np.eye(3)
+    dm[..., 0, :, 0, nv:nv + 3] = _kernels.eye(3)
     if dyn:
         m[..., 0, :, 1] = a[..., :3]
         if gravity:
@@ -227,12 +256,12 @@ def tangent_sweep(model: RobotModel, kin: Kinematics, v: np.ndarray,
             m[..., 0, :, 2] = g
             dm[..., 0, 0, 2, 2], dm[..., 0, 1, 2, 2] = g[..., 1], -g[..., 0]
     for lv in model.levels:
-        i, p = lv.bodies, lv.parents
-        k, cq, cv = np.arange(len(i)), 2 + i, nv + 2 + i
+        i, p, b = lv.at, lv.parents_at, lv.bodies
+        k, cq, cv = np.arange(len(b)), 2 + b, nv + 2 + b
         X = kin.X[..., i, :, :]
         mi = X @ m[..., p, :, :]
-        dmi = (X @ dm[..., p, :, :, :].reshape(lead + (len(i), 3, -1))).reshape(
-            mi.shape + (n,))
+        dmp = dm[..., p, :, :, :]
+        dmi = (X @ dmp.reshape(dmp.shape[:-2] + (-1,))).reshape(mi.shape + (n,))
         # -crm(S dq) X m_p = crm(X m_p) S dq, for every motion
         dmi[..., k[:, None], 0, _MOTIONS, cq[:, None]] += mi[..., 1, :]
         dmi[..., k[:, None], 1, _MOTIONS, cq[:, None]] -= mi[..., 0, :]
@@ -288,16 +317,20 @@ def tangent_sweep(model: RobotModel, kin: Kinematics, v: np.ndarray,
 
     dtau = np.empty(lead + (nv, n))
     for lv in reversed(model.levels):
-        i, p = lv.bodies, lv.parents
-        k, cq = np.arange(len(i)), 2 + i
+        i, b = lv.at, lv.bodies
+        k, cq = np.arange(len(b)), 2 + b
         XT = kin.X[..., i, :, :].swapaxes(-1, -2)
+        # views where ``i`` is a slice: the level's own rows are not read again
         fi, dfi = f[..., i, :], df[..., i, :, :]
         dtau[..., cq, :] = dfi[..., 2, :]
         # d(X.T f) = X.T df + X.T crf(S dq) f
         dfi[..., k, 0, cq] -= fi[..., 1]
         dfi[..., k, 1, cq] += fi[..., 0]
-        # siblings share a parent: accumulate unbuffered
-        np.add.at(f, (Ellipsis, p, slice(None)), _matvec(XT, fi))
-        np.add.at(df, (Ellipsis, p, slice(None), slice(None)), XT @ dfi)
+        # siblings share a parent: add child by child, in order (the sums
+        # of an unbuffered np.add.at, without its indexing machinery)
+        fp, dfp = _matvec(XT, fi), XT @ dfi
+        for j, p in enumerate(lv.parents.tolist()):
+            f[..., p, :] += fp[..., j, :]
+            df[..., p, :, :] += dfp[..., j, :, :]
     dtau[..., :3, :] = df[..., 0, :, :]
     return Tangents(dtau=dtau, dvel=dvel, dacc=dacc)

@@ -22,10 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import se2
+from . import _kernels, se2
 from .model import RobotModel
-
-_EYE3 = np.eye(3)
 
 
 def motion_transform(pose: np.ndarray) -> np.ndarray:
@@ -97,9 +95,9 @@ def forward_kinematics(model: RobotModel, q: np.ndarray) -> Kinematics:
     X[..., 1, 2] = c * px + s * py
     X[..., 2, 2] = 1.0
     B = np.zeros(lead + (nb, 3, nv))
-    B[..., 0, :, :3] = _EYE3
+    B[..., 0, :, :3] = _kernels.eye(3)
     for lv in model.levels:
-        i, p = lv.bodies, lv.parents
+        i, p = lv.at, lv.parents_at
         T[..., i, :, :] = T[..., p, :, :] @ T[..., i, :, :]
         Bi = X[..., i, :, :] @ B[..., p, :, :]
         Bi += lv.axes
@@ -124,8 +122,8 @@ def bias_accelerations(model: RobotModel, kin: Kinematics, v: np.ndarray):
     acc[..., 1:, 0] = v[..., 3:] * tw[..., 1:, 1]
     acc[..., 1:, 1] = -v[..., 3:] * tw[..., 1:, 0]
     for lv in model.levels[1:]:
-        i = lv.bodies
-        acc[..., i, :] += _matvec(kin.X[..., i, :, :], acc[..., lv.parents, :])
+        i = lv.at
+        acc[..., i, :] += _matvec(kin.X[..., i, :, :], acc[..., lv.parents_at, :])
     return tw, acc
 
 

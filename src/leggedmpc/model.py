@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import se2
+from . import _kernels, se2
 from .errors import DimensionMismatch
 
 FLOATING = "floating"
@@ -65,12 +65,17 @@ class TreeLevel:
     ``axes`` (n, 3, nv) are their joint motion subspaces: a unit angular
     rate in the body's velocity column ``2 + body``.  Every parent sits one
     level up, so a pass over the levels in order sees each parent finished
-    before its children.
+    before its children.  ``at`` and ``parents_at`` index the bodies and
+    the parents in a per-body array: a basic slice where they run evenly
+    upwards (a quadruped's legs), so the passes read and write views, and a
+    parent that all of them share as a one-row slice, which broadcasts.
     """
 
     bodies: np.ndarray
     parents: np.ndarray
     axes: np.ndarray
+    at: slice | np.ndarray
+    parents_at: slice | np.ndarray
 
 
 @dataclass
@@ -140,7 +145,11 @@ class RobotModel:
             parents = np.array([self.joints[i].parent for i in bodies])
             axes = np.zeros((len(bodies), 3, self.nv))
             axes[np.arange(len(bodies)), 2, bodies + 2] = 1.0
-            levels.append(TreeLevel(bodies, parents, axes))
+            p = parents.tolist()
+            parents_at = (slice(p[0], p[0] + 1) if len(set(p)) == 1
+                          else _kernels.basic_index(p))
+            levels.append(TreeLevel(bodies, parents, axes,
+                                    _kernels.basic_index(bodies.tolist()), parents_at))
         self.levels = tuple(levels)
         self.placements = np.array([j.placement for j in self.joints], dtype=float)
         self.spatial_inertias = np.array(
@@ -255,7 +264,7 @@ def semi_implicit_step(model: RobotModel, q: np.ndarray, v: np.ndarray,
 def _with_base_block(model: RobotModel, block: np.ndarray) -> np.ndarray:
     """Identity (nv, nv) matrices, one per leading index, with base block ``block``."""
     J = np.zeros(block.shape[:-2] + (model.nv, model.nv))
-    J[..., :, :] = np.eye(model.nv)
+    J[..., :, :] = _kernels.eye(model.nv)
     J[..., :3, :3] = block
     return J
 

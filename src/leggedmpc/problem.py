@@ -37,10 +37,11 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
+from . import _kernels
 from . import contact as ct
 from . import costs as co
 from . import model as mod
-from .dynamics import frame_motion, tangent_sweep
+from .dynamics import frame_jacobian, frame_motion, tangent_sweep
 from .errors import RankDeficientContacts, ScheduleError
 from .model import RobotModel
 from .schedule import ContactSchedule, evaluate_swing
@@ -116,7 +117,7 @@ def _state_costs(model, q, v, weights, bounds, acc, with_jac):
     if with_jac:
         Jq = np.zeros(q.shape[:-1] + (nv, 2 * nv))
         Jq[..., :nv] = mod.ddifference_q(model, q, weights.q_ref)
-        Jv = np.eye(nv, 2 * nv, nv)
+        Jv = _kernels.eye(nv, 2 * nv, nv)
     acc.add(mod.difference_q(model, q, weights.q_ref), weights.Q, Jx=Jq)
     acc.add(v, weights.N, Jx=Jv)
     if not weights.w_statebounds or bounds is None:
@@ -126,7 +127,7 @@ def _state_costs(model, q, v, weights, bounds, acc, with_jac):
     if with_jac:
         # one-sided penalty: only coordinates outside the box carry slope
         # and curvature, so inactive rows must stay zero
-        Jq = np.eye(nv - 3, 2 * nv, 3) * (rq != 0.0)[..., None]
+        Jq = _kernels.eye(nv - 3, 2 * nv, 3) * (rq != 0.0)[..., None]
         Jv = Jv * (rv != 0.0)[..., None]
     acc.add(rq, weights.w_statebounds, Jx=Jq)
     acc.add(rv, weights.w_statebounds, Jx=Jv)
@@ -138,7 +139,7 @@ def _stack(rows):
     A group of one keeps no leading axis: a lone node runs the single-state
     code, which gives the same bits as its row of a stacked pass.
     """
-    return rows[0] if len(rows) == 1 else np.stack(rows)
+    return rows[0] if len(rows) == 1 else np.array(rows)
 
 
 def _gather(parts):
@@ -158,16 +159,16 @@ def _gather(parts):
 def _group_rows(evs, *names):
     """Fields ``names`` of the node evaluations ``evs`` ((evaluation, row)
     pairs), stacked by ``_gather``: the consecutive rows of one source share
-    one index array, made once for every field, and one node keeps its own
-    row."""
+    one index, made once for every field (a basic slice when they run evenly,
+    as a group's rows do), and one node keeps its own row."""
     parts = []
     for ev, j in evs:
         if j is not None and parts and parts[-1][0] is ev:
             parts[-1][1].append(j)
         else:
             parts.append((ev, None if j is None else [j]))
-    parts = evs if len(evs) == 1 else [(ev, j if j is None else np.array(j))
-                                       for ev, j in parts]
+    parts = evs if len(evs) == 1 else [
+        (ev, j if j is None else _kernels.basic_index(j)) for ev, j in parts]
     return [_gather([(getattr(ev, name), j) for ev, j in parts]) for name in names]
 
 
@@ -226,9 +227,9 @@ class _DynamicsNode:
                   if rows.size else None)
         if lone:
             self._store = {_key(x, u): (ev, None)} if rows.size else {}
-            return ev.x_next if rows.size else np.full_like(x, np.nan)
+            return ev.x_next if rows.size else np.full(x.shape, np.nan)
         self._store = {_key(x[r], u[r]): (ev, j) for j, r in enumerate(rows)}
-        x_next = np.full_like(x, np.nan)
+        x_next = np.full(x.shape, np.nan)
         if rows.size:
             x_next[rows] = ev.x_next
         return x_next
@@ -250,6 +251,7 @@ class RunningNode(_DynamicsNode):
         self.dt = float(dt)
         self.cone_C, self.cone_c = co.cone_matrices(cone)
         self.u_lb, self.u_ub = bounds.u_lb, bounds.u_ub
+        self._force_weights = np.tile(weights.K, len(contacts.frames))
         # swing frames and their target (positions, velocities)
         targets = [swing[f] for f in sorted(swing)]
         self._targets = _NO_TARGETS if not swing else (
@@ -275,7 +277,7 @@ class RunningNode(_DynamicsNode):
         nv = model.nv
         with_jac = der is not None
         _state_costs(model, q, v, weights, n0.bounds, acc, with_jac)
-        acc.add(u, weights.R, Ju=np.eye(model.nu) if with_jac else None)
+        acc.add(u, weights.R, Ju=_kernels.eye(model.nu) if with_jac else None)
 
         if n0.swing:
             frames, ref = (_stack([n._targets[i] for n in nodes]) for i in range(2))
@@ -292,11 +294,10 @@ class RunningNode(_DynamicsNode):
             acc.add(rp.reshape(rp.shape[:-2] + (-1,)), weights.w_placement, Jx=Jp)
             acc.add(rv.reshape(rv.shape[:-2] + (-1,)), weights.w_velocity, Jx=Jv)
 
-        nc = len(n0.contacts.frames)
-        if nc:
+        if n0.contacts.frames:
             lam = sol.forces
             Jlx, Jlu = (der.dforces_dx, der.dforces_du) if with_jac else (None, None)
-            acc.add(lam, np.tile(weights.K, nc), Jx=Jlx, Ju=Jlu)
+            acc.add(lam, n0._force_weights, Jx=Jlx, Ju=Jlu)
             if weights.w_cone:
                 r, Jr = co.cone_residual(n0.cone_C, n0.cone_c, lam)
                 acc.add(r, weights.w_cone, Jx=Jr @ Jlx if with_jac else None,
@@ -333,7 +334,7 @@ class RunningNode(_DynamicsNode):
         der = ct.contact_dynamics_derivatives(model, contacts, sol, tan)
         dt = np.asarray(_stack([n.dt for n in nodes]))[..., None, None]
         # semi-implicit chain: v' = v + dt*a(x,u); q' = q (+) dt*v'
-        Av = np.eye(nv, 2 * nv, nv) + dt * der.dvdot_dx
+        Av = _kernels.eye(nv, 2 * nv, nv) + dt * der.dvdot_dx
         Bv = dt * der.dvdot_du
         Jq, Jdq = mod.dintegrate_q(model, dt[..., 0] * (v + dt[..., 0] * sol.vdot))
         fx = np.concatenate([Jdq @ (dt * Av), Av], -2)
@@ -381,7 +382,7 @@ class ImpulseNode(_DynamicsNode):
             frames = _stack([np.array(sorted(n.gained)) for n in nodes])
             target = _stack([np.array([n.gained[f] for f in sorted(n.gained)])
                              for n in nodes])
-            pos, J, _, _ = frame_motion(model, sol.mb, frames)
+            pos, J = frame_jacobian(model, sol.kin, frames)
             r = (pos - target).reshape(q.shape[:-1] + (-1,))
             Jp = None
             if with_jac:
@@ -411,7 +412,7 @@ class ImpulseNode(_DynamicsNode):
         nv = model.nv
         q, v = mod.split_state(model, x)
         der = ct.impulse_dynamics_derivatives(model, v, _contacts(nodes), sol)
-        fx = np.concatenate([np.broadcast_to(np.eye(nv, 2 * nv), der.dvdot_dx.shape),
+        fx = np.concatenate([np.broadcast_to(_kernels.eye(nv, 2 * nv), der.dvdot_dx.shape),
                              der.dvdot_dx], -2)
         acc = _Expansion(np.ones(x.shape[:-1]), 2 * nv, 0)
         ImpulseNode._costs(nodes, q, v, sol, acc, True)

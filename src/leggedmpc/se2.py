@@ -10,12 +10,21 @@ the right (body-frame) Jacobian of ``exp``, i.e.
 
 Angles produced by ``log``/``wrap_angle`` live in (-pi, pi].  Every function
 takes leading batch axes: a stack of poses has shape (..., 3), and each
-operation acts on each pose of the stack alone.
+operation acts on each pose of the stack alone, and one pose gives the bits
+of its row of a stack.
+
+These maps run many times per solver step, so they call numpy's kernels
+directly: results are assembled in one preallocated array, shapes are read
+off the arrays, and ``right_jacobian_inv`` calls the LAPACK gufunc of
+``np.linalg.inv`` (``_kernels``), with ``np.linalg``'s bits.  scipy's
+LAPACK is not bit-equal to it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from . import _kernels
 
 _SMALL_ANGLE = 1e-8
 _TWO_PI = np.float64(2.0 * np.pi)
@@ -37,22 +46,27 @@ def _assemble(parts, shape) -> np.ndarray:
     """Array of ``shape`` plus a last axis holding ``parts`` (each broadcast)."""
     if not shape:
         return np.array(parts, dtype=float)
-    return np.stack(np.broadcast_arrays(*parts), -1)
+    out = np.empty(shape + (len(parts),))
+    for i, part in enumerate(parts):
+        out[..., i] = part
+    return out
 
 
 def _pose(x, y, theta) -> np.ndarray:
-    return _assemble((x, y, wrap_angle(theta)), np.shape(theta))
+    theta = wrap_angle(theta)
+    return _assemble((x, y, theta), theta.shape)
 
 
 def _affine(r0, r1) -> np.ndarray:
-    """3x3 matrices with first rows r0, r1 (triples, each broadcast) and (0, 0, 1)."""
-    shape = np.shape(r0[0])
+    """3x3 matrices with first rows r0, r1 (triples of arrays of one shape)
+    and (0, 0, 1)."""
+    shape = r0[0].shape
     return _assemble((*r0, *r1, 0.0, 0.0, 1.0), shape).reshape(shape + (3, 3))
 
 
 def rot(theta) -> np.ndarray:
     c, s = np.cos(theta), np.sin(theta)
-    return _assemble((c, -s, s, c), np.shape(theta)).reshape(np.shape(theta) + (2, 2))
+    return _assemble((c, -s, s, c), c.shape).reshape(c.shape + (2, 2))
 
 
 def _act(p, px, py):
@@ -79,7 +93,7 @@ def act(p: np.ndarray, point: np.ndarray) -> np.ndarray:
     """Map a point from the frame of ``p`` into the parent frame."""
     point = np.asarray(point, dtype=float)
     x, y, th = _act(p, point[..., 0], point[..., 1])
-    return _assemble((x, y), np.shape(x))
+    return _assemble((x, y), x.shape)
 
 
 def _small(theta):
@@ -87,7 +101,7 @@ def _small(theta):
     small = abs(theta) < _SMALL_ANGLE
     if not small.ndim:
         return True if small else None
-    return small if small.any() else None
+    return small if np.count_nonzero(small) else None
 
 
 def _pick(small, theta, series, exact):
@@ -149,4 +163,4 @@ def right_jacobian(xi: np.ndarray) -> np.ndarray:
 
 
 def right_jacobian_inv(xi: np.ndarray) -> np.ndarray:
-    return np.linalg.inv(right_jacobian(xi))
+    return _kernels.inv(right_jacobian(xi))

@@ -48,6 +48,24 @@ def base_pendulum(mass: float = 1.0, length: float = 0.5,
     )
 
 
+def branched_tree() -> RobotModel:
+    """A base with three limbs, one of them forked: tree levels whose bodies
+    (1, 3, 4 and 2, 5, 6) and parents (1, 4, 4) do not run evenly, so the
+    level passes index them by arrays, not slices."""
+    parents = [-1, 0, 1, 0, 0, 4, 4]
+    return RobotModel(
+        name="branched_tree",
+        bodies=[Body(f"b{i}", 1.0 + 0.2 * i, (0.03 * i, -0.1), 0.02 + 0.01 * i)
+                for i in range(len(parents))],
+        joints=[Joint(FLOATING, -1, (0.0, 0.0, 0.0))] + [
+            Joint(REVOLUTE, p, (0.1 * i - 0.3, -0.2 + 0.05 * i, 0.1 * i))
+            for i, p in enumerate(parents[1:], start=1)],
+        contact_frames=[ContactFrame(f"tip{b}", b, (0.02 * b, -0.25))
+                        for b in (2, 3, 5, 6)],
+        torque_limit=np.full(len(parents) - 1, 40.0),
+    )
+
+
 # --------------------------------------------------- the pass at (q, v)
 
 def frame_motion_at(m, q, v, frames):
@@ -561,9 +579,9 @@ def ref_impulse_derivatives(m, q, v_minus, contacts, sol):
     F1_x[:, :nv] = ref_tangent_sweep(m, kin, np.zeros(nv), sol.v_plus - v_minus,
                                      lam_map, gravity=False)[0][:, :nv]
     F2_x[:, :nv] = ref_tangent_sweep(m, kin, sol.v_plus, frames=frames)[1][:, :nv]
-    F1_x[:, nv:] = -sol.mb.M
+    F1_x[:, nv:] = -sol.M
     F2_x[:, nv:] = 0.0
-    return _ref_kkt_apply(sol.mb.M, sol.J, -F1_x, -F2_x)
+    return _ref_kkt_apply(sol.M, sol.J, -F1_x, -F2_x)
 
 
 class RefExpansion:

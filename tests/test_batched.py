@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leggedmpc import _kernels
 from leggedmpc import contact as ct
 from leggedmpc import costs as co
 from leggedmpc import kinematics, presets, problem, schedule
@@ -205,3 +206,21 @@ def test_rows_of_one_node_match_the_node_alone(monkeypatch):
             alone = node.calc(xs[k][r], us[k][r])
             assert np.array_equal(alone[0], x_next[k][r]) and alone[1] == adopted[j][k][1]
         assert total + prob.terminal.calc(xs[-1][r]) == cost[j]
+
+
+def test_evenly_spaced_rows_gather_as_views():
+    # a group's rows, or one node's trial rows, run evenly: they index a
+    # basic slice, a view; any other run gathers a copy by an index array
+    assert _kernels.basic_index([1, 3, 5]) == slice(1, 6, 2)
+    assert _kernels.basic_index([4]) == slice(4, 5, 1)
+    for rows in ([0, 2, 3], [3, 1], [2, 2]):
+        assert isinstance(_kernels.basic_index(rows), np.ndarray)
+    x = np.arange(24.0).reshape(6, 4)
+    ev = problem._Evaluation(sol=None, x_next=x, cost=x[:, 0])
+    other = problem._Evaluation(sol=None, x_next=-x, cost=-x[:, 0])
+    x_next, cost = problem._group_rows([(ev, 1), (ev, 3), (ev, 5)], "x_next", "cost")
+    assert np.shares_memory(x_next, x) and np.array_equal(x_next, x[[1, 3, 5]])
+    assert np.array_equal(cost, x[[1, 3, 5], 0])
+    x_next, = problem._group_rows([(ev, 0), (ev, 2), (ev, 3), (other, 4)], "x_next")
+    assert not np.shares_memory(x_next, x)
+    assert np.array_equal(x_next, np.concatenate([x[[0, 2, 3]], -x[[4]]]))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from leggedmpc import _kernels
 from leggedmpc import contact as ct
 from leggedmpc import dynamics, presets
 from leggedmpc import model as mod
@@ -281,3 +282,74 @@ def test_impulse_derivatives_match_fd(quad):
         _assert_close(der.dvdot_dx, fd_v, 1e-4)
         _assert_close(der.dforces_dx, fd_l, 1e-4)
         assert der.dvdot_du.shape[1] == 0
+
+
+# ------------------------------------------------- the kernels the solves call
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (5,), (2, 3)])
+def test_bound_kernels_have_the_bits_of_np_linalg(lead):
+    rng = np.random.default_rng(8)
+    A = rng.normal(size=lead + (11, 11))
+    M = A @ A.swapaxes(-1, -2) + 0.1 * np.eye(11)
+    B = rng.normal(size=lead + (11, 9))
+    assert _bits(_kernels.solve(M, B)) == _bits(np.linalg.solve(M, B))
+    assert _bits(_kernels.eigvalsh(M)) == _bits(np.linalg.eigvalsh(M))
+    assert _bits(_kernels.inv(M)) == _bits(np.linalg.inv(M))
+    lo, hi = -np.ones(9), np.zeros(9)
+    assert _bits(_kernels.clip(B, lo, hi)) == _bits(np.clip(B, lo, hi))
+    if lead:
+        # a system alone gives the bits of its row of a stack
+        row = (0,) * len(lead)
+        assert _bits(_kernels.solve(M[row], B[row])) == _bits(_kernels.solve(M, B)[row])
+        assert _bits(_kernels.eigvalsh(M[row])) == _bits(_kernels.eigvalsh(M)[row])
+
+
+def test_bound_kernels_pass_nan_through():
+    rng = np.random.default_rng(9)
+    A = rng.normal(size=(2, 6, 6))
+    M = A @ A.swapaxes(-1, -2) + np.eye(6)
+    B = rng.normal(size=(2, 6, 3))
+    M[1, 2, 3] = M[1, 3, 2] = np.nan
+    B[0, 4, 1] = np.nan
+    # the row without NaN keeps its bits; NaN stays NaN, as in np.linalg
+    assert _bits(_kernels.solve(M, B)) == _bits(np.linalg.solve(M, B))
+    assert np.isnan(_kernels.solve(M, B)[1]).all()
+    assert _bits(_kernels.inv(M)) == _bits(np.linalg.inv(M))
+    # where np.linalg.eigvalsh raises LinAlgError, the kernel returns NaN
+    # (``_kkt_forward`` masks a non-finite system before it)
+    with np.errstate(invalid="ignore"):
+        eig = _kernels.eigvalsh(M)
+    assert np.isnan(eig[1]).all()
+    assert _bits(eig[0]) == _bits(np.linalg.eigvalsh(M[0]))
+    # a zero bound clips to 0.0, not -0.0
+    assert _bits(_kernels.clip(np.array([-1.0, 0.5]), np.zeros(2), np.zeros(2))) == \
+        _bits(np.zeros(2))
+
+
+def test_impulse_reads_the_bits_of_the_multibody_pass(quad):
+    # the impulse takes kinematics, M and J alone; they are the multibody
+    # pass's and the frame gather's, bit for bit
+    rng = np.random.default_rng(10)
+    x = np.array([random_state(quad, rng, spread=0.2) for _ in range(3)])
+    q, v = x[:, :quad.nq], x[:, quad.nq:]
+    frames = np.array([[0, 3], [1, 2], [0, 3]])
+    for qq, vv, ff in ((q, v, frames), (q[1], v[1], tuple(frames[1]))):
+        sol = ct.impulse_dynamics(quad, qq, vv, ct.ContactSet(frames=ff))
+        mb = dynamics.multibody(quad, qq, vv)
+        pos, J, _, _ = dynamics.frame_motion(quad, mb, ff)
+        assert _bits(sol.M) == _bits(mb.M)
+        assert _bits(sol.J) == _bits(J)
+        assert [_bits(getattr(sol.kin, f)) for f in ("pose", "X", "B", "R")] == \
+            [_bits(getattr(mb.kin, f)) for f in ("pose", "X", "B", "R")]
+        assert [_bits(a) for a in dynamics.frame_jacobian(quad, sol.kin, ff)] == \
+            [_bits(pos), _bits(J)]
+        assert _bits(ct.contact_jacobian_stack(quad, qq, ff)) == _bits(J)
+    lone = ct.impulse_dynamics(quad, q[1], v[1], ct.ContactSet(frames=(1, 2)))
+    stacked = ct.impulse_dynamics(quad, q, v, ct.ContactSet(frames=frames))
+    assert _bits(lone.v_plus) == _bits(stacked.v_plus[1])
+    assert _bits(lone.impulses) == _bits(stacked.impulses[1])

@@ -18,15 +18,16 @@ from leggedmpc import costs as co
 from leggedmpc import dynamics, kinematics, presets, problem, schedule
 from leggedmpc import model as mod
 
-from helpers import (base_pendulum, centroidal_at, count_calls, fd_config_jacobian,
-                     fd_state_jacobian, frame_motion_at, rel_err, random_state,
-                     single_body, solved_derivatives)
+from helpers import (base_pendulum, branched_tree, centroidal_at, count_calls,
+                     fd_config_jacobian, fd_state_jacobian, frame_motion_at, rel_err,
+                     random_state, single_body, solved_derivatives)
 
 TOL = 1e-6
 
 MODELS = {
     "default_quadruped": presets.default_quadruped,
     "base_pendulum": base_pendulum,
+    "branched_tree": branched_tree,
     "single_body": lambda: single_body(contact_offset=(0.1, -0.2)),
 }
 

@@ -15,15 +15,17 @@ bit for bit.  Within the package the pass is exact: its h has the bits of
 from dataclasses import fields, is_dataclass
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leggedmpc import contact as ct
 from leggedmpc import dynamics, kinematics, presets, se2
 
-from helpers import (base_pendulum, centroidal_at, fd_centroidal_bias, frame_motion_at,
-                     random_state, ref_centroidal, ref_forward_kinematics,
-                     ref_frame_motion, ref_mass_matrix, ref_rnea, rel_err, single_body)
+from helpers import (base_pendulum, branched_tree, centroidal_at, fd_centroidal_bias,
+                     frame_motion_at, random_state, ref_centroidal,
+                     ref_forward_kinematics, ref_frame_motion, ref_mass_matrix, ref_rnea,
+                     rel_err, single_body)
 
 TOL = 1e-12
 
@@ -31,6 +33,7 @@ TOL = 1e-12
 MODELS = {
     "default_quadruped": presets.default_quadruped(),
     "base_pendulum": base_pendulum(),
+    "branched_tree": branched_tree(),
     "single_body": single_body(com=(0.05, -0.02),
                                        contact_offset=(0.1, -0.2)),
 }
@@ -165,5 +168,37 @@ def test_tree_levels_cover_every_body_once():
             for k, b in enumerate(lv.bodies):
                 assert np.flatnonzero(lv.axes[k]).tolist() == [2 * m.nv + 2 + b]
             seen += list(lv.bodies)
+            # the passes' indices read the same rows (a shared parent broadcasts)
+            rows = np.arange(m.nbodies)
+            assert np.array_equal(rows[lv.at], lv.bodies)
+            assert np.array_equal(np.broadcast_to(rows[lv.parents_at], lv.parents.shape),
+                                  lv.parents)
         assert sorted(seen) == list(range(m.nbodies))
     assert len(MODELS["default_quadruped"].levels) == 2
+
+
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+def test_contact_wrenches_subtract_with_the_bits_of_ufunc_at(lead):
+    # frames that share a body subtract in frame order, as an unbuffered
+    # np.subtract.at does: the reference below keeps that form
+    m = MODELS["default_quadruped"]
+    rng = np.random.default_rng(12)
+    q = presets.nominal_configuration(m) + 0.1 * rng.normal(size=lead + (m.nq,))
+    kin = kinematics.forward_kinematics(m, q)
+    frames = rng.integers(0, len(m.contact_frames), size=lead + (6,))
+    lam = rng.normal(size=lead + (6, 2))
+    dth = kin.B[..., 2, :]
+    f = rng.normal(size=lead + (m.nbodies, 3))
+    df = rng.normal(size=lead + (m.nbodies, 3, 2 * m.nv))
+    got_f, got_df = f.copy(), df.copy()
+    dynamics._subtract_contact_forces(m, kin, got_f, (frames, lam), dth, got_df)
+    rows, r = kinematics._frames(m, kin, frames)
+    fl = (lam[..., None, :] @ kin.R[rows])[..., 0, :]
+    np.subtract.at(f, rows, np.concatenate(
+        [fl, r[..., :1] * fl[..., 1:] - r[..., 1:] * fl[..., :1]], -1))
+    d = np.zeros(r.shape[:-1] + (3, 2 * m.nv))
+    d[..., :2, :m.nv] = -kinematics._perp(fl)[..., None] * dth[rows][..., None, :]
+    d[..., 2, :m.nv] = r[..., :1] * d[..., 1, :m.nv] - r[..., 1:] * d[..., 0, :m.nv]
+    np.subtract.at(df, rows, d)
+    assert _bits(got_f) == _bits(f)
+    assert _bits(got_df) == _bits(df)

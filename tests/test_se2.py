@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -151,3 +152,73 @@ def test_wrap_angle_moves_no_angle_it_produced():
               rng.uniform(-50.0, 50.0, 2_000_000)):
         w = se2.wrap_angle(a)
         assert se2.wrap_angle(w).tobytes() == w.tobytes()
+
+
+# ---------------------------------------------- one pose against its stack row
+
+# small-angle series and exact forms, the seam at +-pi, and both zeros
+EDGE_ANGLES = (0.0, -0.0, 3e-9, -7e-9, 1e-15, np.pi, -np.pi,
+               np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0), 1.3, -2.9)
+
+
+def _poses(seed):
+    rng = np.random.default_rng(seed)
+    xy = rng.normal(size=(len(EDGE_ANGLES), 2))
+    xy[0] = (-0.0, 0.0)
+    return np.column_stack([xy, EDGE_ANGLES])
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.shape, a.tobytes()
+
+
+SE2_MAPS = {
+    "compose": lambda a, b: se2.compose(a, b),
+    "inverse": lambda a, b: se2.inverse(a),
+    "exp": lambda a, b: se2.exp(a),
+    "log": lambda a, b: se2.log(a),
+    "act": lambda a, b: se2.act(a, b[..., :2]),
+    "adjoint": lambda a, b: se2.adjoint(a),
+    "right_jacobian": lambda a, b: se2.right_jacobian(a),
+    "right_jacobian_inv": lambda a, b: se2.right_jacobian_inv(a),
+    "rot": lambda a, b: se2.rot(a[..., 2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SE2_MAPS))
+def test_one_pose_has_the_bits_of_its_stack_row(name):
+    # a lone pose runs the scalar path, a stack the array path: every row
+    # of the stack must be the lone result bit for bit
+    f = SE2_MAPS[name]
+    a, b = _poses(1), _poses(2)
+    stacked = f(a, b)
+    for k in range(len(a)):
+        assert _bits(f(a[k], b[k])) == _bits(stacked[k]), (name, EDGE_ANGLES[k])
+
+
+def _states(seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(len(EDGE_ANGLES), QUAD.nq + QUAD.nv))
+    x[:, 2] = EDGE_ANGLES
+    return x
+
+
+STATE_MAPS = {
+    "integrate_q": lambda m, a, b: mod.integrate_q(m, a[..., :m.nq], b[..., :m.nv]),
+    "difference_q": lambda m, a, b: mod.difference_q(m, a[..., :m.nq], b[..., :m.nq]),
+    "integrate": lambda m, a, b: mod.integrate(m, a, np.concatenate(
+        [b[..., :m.nv], b[..., m.nq:]], -1)),
+    "difference": lambda m, a, b: mod.difference(m, a, b),
+    "ddifference_q": lambda m, a, b: mod.ddifference_q(m, a[..., :m.nq], b[..., :m.nq]),
+    "dintegrate_q": lambda m, a, b: np.stack(mod.dintegrate_q(m, b[..., :m.nv]), -3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATE_MAPS))
+def test_one_state_has_the_bits_of_its_stack_row(name):
+    f = STATE_MAPS[name]
+    a, b = _states(3), _states(4)
+    stacked = f(QUAD, a, b)
+    for k in range(len(a)):
+        assert _bits(f(QUAD, a[k], b[k])) == _bits(stacked[k]), (name, EDGE_ANGLES[k])
