@@ -203,6 +203,7 @@ class BoxFddp:
         self._dg = 0.0
         self._dq = 0.0
         self._fvxx = None
+        self._calc_at = None        # what set_candidate's cost and gaps belong to
 
     # -- candidate management -------------------------------------------
 
@@ -219,6 +220,12 @@ class BoxFddp:
             xs = problem.rollout(self.us)
         self.xs = [np.asarray(x, float) for x in xs]
         self.cost, self.gaps = problem.calc(self.xs, self.us)
+        self._calc_at = self._iterate()
+
+    def _iterate(self):
+        """The objects that fix the cost and gaps: the candidate's lists and
+        the problem's window."""
+        return self.xs, self.us, self.problem.nodes, self.problem.x0
 
     @property
     def feasible(self) -> bool:
@@ -236,8 +243,11 @@ class BoxFddp:
     # -- backward pass ----------------------------------------------------
 
     def compute_derivatives(self):
-        # refresh cost/gaps from scratch so scaled-gap bookkeeping never drifts
-        self.cost, self.gaps = self.problem.calc(self.xs, self.us)
+        # refresh cost/gaps from scratch so scaled-gap bookkeeping never
+        # drifts, unless set_candidate has just computed them at this iterate
+        at, self._calc_at = self._calc_at, None
+        if at is None or any(a is not b for a, b in zip(at, self._iterate())):
+            self.cost, self.gaps = self.problem.calc(self.xs, self.us)
         self._derivs = self.problem.calc_diff(self.xs, self.us)
 
     def backward_pass(self):
@@ -326,6 +336,10 @@ class BoxFddp:
         feasible = self.feasible
         live = np.arange(len(alphas))       # the rows still rolling out
         a = alphas[0] if len(alphas) == 1 else np.array(alphas)[:, None]
+        # a lone full step closes every (finite) gap: x (+) 0 is x for a
+        # stepped state, whose angle wrap_angle gave, unless an entry is
+        # -0.0 (it turns +0.0)
+        full = len(alphas) == 1 and a == 1.0 and bool(np.isfinite(self.gaps).all())
         out = [None] * len(alphas)
         with np.errstate(over="ignore", invalid="ignore"):
             x = (problem.integrate(problem.x0, (a - 1.0) * self.gaps[0]) if not feasible
@@ -337,7 +351,7 @@ class BoxFddp:
                                   - (policy.K_fb[k] @ dx[..., None])[..., 0],
                                   node.u_lb, node.u_ub)
                 x = problem.step_rows(k, x, u)
-                if not feasible:
+                if not feasible and not (full and not _has_negative_zero(x)):
                     x = problem.integrate(x, (a - 1.0) * self.gaps[k + 1])
                 xs.append(x)
                 us.append(u)
@@ -480,6 +494,11 @@ class BoxFddp:
         for row in self.log:
             buf.write("%d,%r,%r,%r,%r,%r\n" % row)
         return buf.getvalue()
+
+
+def _has_negative_zero(x) -> bool:
+    zero = x == 0.0
+    return bool(zero.any()) and bool(np.signbit(x[zero]).any())
 
 
 def k_ff_init(k_ff, k, nu):

@@ -66,9 +66,12 @@ def _subtract_contact_forces(model, kin, f, contact_forces, dth=None, df=None):
         d[..., 2, :nv] = r[..., :1] * d[..., 1, :nv] - r[..., 1:] * d[..., 0, :nv]
     # frames may share a body: subtract frame by frame, in order (the
     # differences of an unbuffered np.subtract.at, without its indexing)
-    lead, idx = tuple(a[..., 0] for a in rows[:-1]), rows[-1]
-    for j in range(idx.shape[-1]):
-        at = lead + (idx[..., j],)
+    if isinstance(rows, tuple):         # stacked states
+        lead, idx = tuple(a[..., 0] for a in rows[:-1]), rows[-1]
+        bodies = [lead + (idx[..., j],) for j in range(idx.shape[-1])]
+    else:
+        bodies = model.frame_plan(frames).bodies
+    for j, at in enumerate(bodies):
         f[at] -= w[..., j, :]
         if df is not None:
             df[at] -= d[..., j, :, :]

@@ -14,6 +14,14 @@ velocity bias one depth at a time.  Contact frames are gathered for all
 requested frames at once (``_frames``); ``dynamics.frame_motion`` reads
 their motion from the multibody pass.  Stacked states (leading axes on q
 and v, frames (..., k) per state) run as one pass.
+
+One state reads its frames by a plan (``RobotModel.frame_plan``), built
+once per frames tuple: the bodies' rows as a basic slice where they run
+evenly upwards, with the frame offsets.  The gathers of poses, rotations,
+Jacobians and twists are then views, not index-array copies, with the same
+bits; bodies that do not run evenly (or repeat) keep an index array.
+Stacked states index per leading index, so their frames may differ per
+state.
 """
 
 from __future__ import annotations
@@ -128,12 +136,17 @@ def bias_accelerations(model: RobotModel, kin: Kinematics, v: np.ndarray):
 
 
 def _frames(model: RobotModel, kin: Kinematics, frames):
-    """Index of the bodies of ``frames`` (see ``_rows``) and the frame offsets.
+    """Index of the bodies of ``frames`` and the frame offsets.
 
+    One state reads its ``model.frame_plan``: a basic slice where the bodies
+    run evenly.  Stacked states index per leading index (see ``_rows``):
     ``frames`` (..., k) broadcasts over the leading axes of ``kin``.
     """
-    idx = np.asarray(frames, dtype=int)
     lead = kin.pose.shape[:-2]
+    if not lead:
+        plan = model.frame_plan(frames)
+        return plan.at, plan.offsets
+    idx = np.asarray(frames, dtype=int)
     if idx.shape[:-1] != lead:
         idx = np.broadcast_to(idx, lead + idx.shape[-1:])
     return _rows(model.contact_bodies[idx]), model.contact_offsets[idx]

@@ -78,6 +78,21 @@ class TreeLevel:
     parents_at: slice | np.ndarray
 
 
+@dataclass(frozen=True)
+class FramePlan:
+    """How one state's pass reads a tuple of contact frames.
+
+    ``at`` indexes the frames' bodies in a per-body array: a basic slice
+    where they run evenly upwards (a quadruped's feet), so the gathers are
+    views, else an index array.  ``bodies`` holds the body of each frame
+    and ``offsets`` (k, 2) the frames' points in their body frames.
+    """
+
+    at: slice | np.ndarray
+    bodies: tuple[int, ...]
+    offsets: np.ndarray
+
+
 @dataclass
 class RobotModel:
     """Immutable description of a planar floating-base kinematic tree.
@@ -93,7 +108,8 @@ class RobotModel:
     and offset of each contact frame (``contact_bodies``,
     ``contact_offsets``).  ``S`` (nv, nu) is the actuation map: joint
     torques u enter the dynamics as the generalized force S u, zero on the
-    base rows.
+    base rows.  ``frame_plan`` builds, once per tuple of contact frames,
+    how one state's pass reads those frames.
     """
 
     name: str
@@ -108,6 +124,7 @@ class RobotModel:
     contact_bodies: np.ndarray = field(init=False, repr=False, compare=False)
     contact_offsets: np.ndarray = field(init=False, repr=False, compare=False)
     S: np.ndarray = field(init=False, repr=False, compare=False)
+    _frame_plans: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.bodies) != len(self.joints):
@@ -159,6 +176,21 @@ class RobotModel:
         self.contact_offsets = np.array([c.offset for c in self.contact_frames],
                                         dtype=float).reshape(-1, 2)
         self.S = np.eye(self.nv, self.nu, -3)
+        self._frame_plans = {}
+
+    def frame_plan(self, frames) -> FramePlan:
+        """The ``FramePlan`` of the contact frames ``frames`` (a sequence of
+        frame indices), built on first use and kept per frames tuple."""
+        key = frames if type(frames) is tuple else tuple(np.asarray(frames).tolist())
+        plan = self._frame_plans.get(key)
+        if plan is None:
+            bodies = tuple(self.contact_frames[f].body for f in key)
+            offsets = self.contact_offsets[list(key)]
+            offsets.flags.writeable = False
+            plan = self._frame_plans[key] = FramePlan(
+                _kernels.basic_index(list(bodies)) if bodies else slice(0, 0),
+                bodies, offsets)
+        return plan
 
     # ---- dimensions (the tree never changes, so each is computed once) ----
     @cached_property
@@ -224,6 +256,10 @@ def integrate_q(model: RobotModel, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
     """Configuration update q (+) dq: SE(2) composition for the base, additive joints."""
     q = model.check_q(q)
     dq = model.check_v(dq)
+    if q.ndim == dq.ndim == 1:      # one pose: SE(2) on floats (``se2``)
+        out = q + dq
+        out[:3] = se2._compose1(q[:3].tolist(), se2._exp1(*dq[:3].tolist()))
+        return out
     base = se2.compose(q[..., :3], se2.exp(dq[..., :3]))
     return np.concatenate([base, q[..., 3:] + dq[..., 3:]], -1)
 
@@ -232,6 +268,11 @@ def difference_q(model: RobotModel, q1: np.ndarray, q0: np.ndarray) -> np.ndarra
     """Tangent dq with q0 (+) dq = q1; base part via the SE(2) logarithm."""
     q1 = model.check_q(q1)
     q0 = model.check_q(q0)
+    if q1.ndim == q0.ndim == 1:
+        out = q1 - q0
+        out[:3] = se2._log1(*se2._compose1(se2._inverse1(*q0[:3].tolist()),
+                                           q1[:3].tolist()))
+        return out
     base = se2.log(se2.compose(se2.inverse(q0[..., :3]), q1[..., :3]))
     return np.concatenate([base, q1[..., 3:] - q0[..., 3:]], -1)
 

@@ -109,28 +109,47 @@ class _Expansion:
             if Jx is not None:
                 self.lxu += 2.0 * (JxT @ WJu)
 
+    def add_selection(self, r, w, x_at=None, u_at=None, one_sided=False):
+        """``add`` for a term whose Jacobian selects coordinates: the entries
+        of ``r`` are the x coordinates from ``x_at`` on, or the u coordinates
+        from ``u_at`` on (neither: the value alone).
+
+        Their gradient gains 2 w r and their Hessian diagonal 2 w, the bits
+        of ``add`` with the selection matrix, whose products only multiply
+        by 1.0 and add +0.0.  ``one_sided`` keeps slope and curvature only
+        where ``r`` is nonzero (a penalty outside a box).
+        """
+        w = self.scale * w
+        wr = w * r
+        self.value = self.value + (r[..., None, :] @ wr[..., None])[..., 0, 0]
+        if x_at is None and u_at is None:
+            return
+        if one_sided:
+            w = w * (r != 0.0)
+        g, H, at = (self.lx, self.lxx, x_at) if u_at is None else (self.lu, self.luu, u_at)
+        n, end = H.shape[-1], at + r.shape[-1]
+        g[..., at:end] += 2.0 * wr
+        # H is a fresh C-ordered array: its diagonal is every (n + 1)-th entry
+        H.reshape(H.shape[:-2] + (n * n,))[..., ::n + 1][..., at:end] += 2.0 * w
+
 
 def _state_costs(model, q, v, weights, bounds, acc, with_jac):
     """Posture and velocity regularization, and the state-bound penalty."""
     nv = model.nv
-    Jq = Jv = None
+    Jq = None
     if with_jac:
         Jq = np.zeros(q.shape[:-1] + (nv, 2 * nv))
         Jq[..., :nv] = mod.ddifference_q(model, q, weights.q_ref)
-        Jv = _kernels.eye(nv, 2 * nv, nv)
     acc.add(mod.difference_q(model, q, weights.q_ref), weights.Q, Jx=Jq)
-    acc.add(v, weights.N, Jx=Jv)
+    # the velocity and the joint angles are coordinates of x
+    v_at, joints_at = (nv, 3) if with_jac else (None, None)
+    acc.add_selection(v, weights.N, x_at=v_at)
     if not weights.w_statebounds or bounds is None:
         return
     rq = co.interval_violation(q[..., 3:], bounds.q_lb[3:], bounds.q_ub[3:])
     rv = co.interval_violation(v, bounds.v_lb, bounds.v_ub)
-    if with_jac:
-        # one-sided penalty: only coordinates outside the box carry slope
-        # and curvature, so inactive rows must stay zero
-        Jq = _kernels.eye(nv - 3, 2 * nv, 3) * (rq != 0.0)[..., None]
-        Jv = Jv * (rv != 0.0)[..., None]
-    acc.add(rq, weights.w_statebounds, Jx=Jq)
-    acc.add(rv, weights.w_statebounds, Jx=Jv)
+    acc.add_selection(rq, weights.w_statebounds, x_at=joints_at, one_sided=True)
+    acc.add_selection(rv, weights.w_statebounds, x_at=v_at, one_sided=True)
 
 
 def _stack(rows):
@@ -277,7 +296,7 @@ class RunningNode(_DynamicsNode):
         nv = model.nv
         with_jac = der is not None
         _state_costs(model, q, v, weights, n0.bounds, acc, with_jac)
-        acc.add(u, weights.R, Ju=_kernels.eye(model.nu) if with_jac else None)
+        acc.add_selection(u, weights.R, u_at=0 if with_jac else None)
 
         if n0.swing:
             frames, ref = (_stack([n._targets[i] for n in nodes]) for i in range(2))

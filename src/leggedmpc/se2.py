@@ -18,9 +18,26 @@ directly: results are assembled in one preallocated array, shapes are read
 off the arrays, and ``right_jacobian_inv`` calls the LAPACK gufunc of
 ``np.linalg.inv`` (``_kernels``), with ``np.linalg``'s bits.  scipy's
 LAPACK is not bit-equal to it.
+
+``model.integrate_q`` and ``difference_q`` run one pose on Python floats
+(``_exp1``, ``_compose1``, ``_inverse1``, ``_log1`` and ``_wrap1``, which
+take and return tuples), so each operation is one interpreter step instead
+of a numpy scalar or array call.  ``+ - * / %`` and ``**`` on floats are
+the IEEE operations numpy's scalars run, with the same bits.  Cosine and
+sine stay ``np.cos``/``np.sin``, called on the float: that is the ufunc
+the array path calls, so a pose keeps the bits of its row of a stack also
+on a numpy build whose vectorized sin and cos differ from the C library's
+(``math.cos`` is the C library's).  The one operation that can round
+differently between a pose and its row is the cube of the series branch
+(|theta| < 1e-8): an array's ``**`` need not round as ``pow`` does, but
+the cube lies below the rounding of ``0.5 theta - theta^3 / 24``, so the
+coefficient keeps its bits (``tests/test_se2.py`` pins this on 10,000
+poses).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -28,6 +45,7 @@ from . import _kernels
 
 _SMALL_ANGLE = 1e-8
 _TWO_PI = np.float64(2.0 * np.pi)
+_TWO_PI_F = float(_TWO_PI)
 
 
 def wrap_angle(a):
@@ -35,6 +53,50 @@ def wrap_angle(a):
     a = a % _TWO_PI
     return a - _TWO_PI * (a > np.pi)
 
+
+# ---- one pose on Python floats (module docstring) ------------------------
+
+def _wrap1(a: float) -> float:
+    a = a % _TWO_PI_F
+    return a - _TWO_PI_F * (a > math.pi)
+
+
+def _cos_sin(theta: float) -> tuple[float, float]:
+    return float(np.cos(theta)), float(np.sin(theta))
+
+
+def _coefficients1(theta: float) -> tuple[float, float]:
+    """``_v_coefficients`` of one angle."""
+    if abs(theta) < _SMALL_ANGLE:
+        return 1.0 - theta * theta / 6.0, 0.5 * theta - theta ** 3 / 24.0
+    c, s = _cos_sin(theta)
+    return s / theta, (1.0 - c) / theta
+
+
+def _exp1(x: float, y: float, theta: float) -> tuple:
+    a, b = _coefficients1(theta)
+    return a * x - b * y, b * x + a * y, _wrap1(theta)
+
+
+def _compose1(p1, p2) -> tuple:
+    (x1, y1, th1), (x2, y2, th2) = p1, p2
+    c, s = _cos_sin(th1)
+    return x1 + (c * x2 - s * y2), y1 + (s * x2 + c * y2), _wrap1(th1 + th2)
+
+
+def _inverse1(x: float, y: float, theta: float) -> tuple:
+    c, s = _cos_sin(theta)
+    return -(c * x + s * y), s * x - c * y, _wrap1(-theta)
+
+
+def _log1(x: float, y: float, theta: float) -> tuple:
+    theta = _wrap1(theta)
+    a, b = _coefficients1(theta)
+    d = a * a + b * b
+    return (a * x + b * y) / d, (a * y - b * x) / d, _wrap1(theta)
+
+
+# ---- the array path --------------------------------------------------------
 
 def _split(p):
     """The three components of poses or tangents (..., 3); scalars for one."""

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from leggedmpc import boxfddp, costs as co, presets, problem, schedule
+from leggedmpc import boxfddp, costs as co, kinematics, presets, problem, schedule
+from leggedmpc import model as mod
+from leggedmpc import mpc as rh
 from leggedmpc.boxfddp import BoxFddp, boxqp
 from leggedmpc.errors import NonPDHessian, NoStepAccepted, RankDeficientContacts
 
@@ -866,3 +868,149 @@ def test_every_stacked_trial_matches_its_sequential_rollout(make):
             assert accepted(alpha, early) == accepted(alpha, row)
             dropped += early is None and row is not None
     assert dropped or not solver.feasible    # the early stop cuts some rows short
+
+
+# ------------------------------------------- one cost refresh, no zero-gap integrate
+
+class RefreshingFddp(BoxFddp):
+    """Box-FDDP that refreshes the cost and gaps at every iteration, also
+    right after ``set_candidate`` computed them."""
+
+    def compute_derivatives(self):
+        self.cost, self.gaps = self.problem.calc(self.xs, self.us)
+        self._derivs = self.problem.calc_diff(self.xs, self.us)
+
+
+def _bits(arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+def trot_mpc(steps):
+    """The N = 15 trot Mpc (10 ms delay) after ``steps`` steps on its own plans."""
+    quad = presets.default_quadruped()
+    q0 = presets.nominal_configuration(quad)
+    kin = kinematics.forward_kinematics(quad, q0)
+    feet = {f: kinematics.frame_position(quad, kin, f) for f in range(4)}
+    sched = schedule.trot((0, 2), (1, 3), feet, lead_in=0.04, swing=0.08,
+                          double_support=0.04, stride=0.05, cycles=8)
+    cfg = rh.MpcConfig(horizon=0.3, node_dt=0.02, update_rate=50.0,
+                       control_horizon_nodes=4, expected_delay=0.01)
+    x = mod.state(quad, q0, np.zeros(quad.nv))
+    ctrl = rh.Mpc(quad, sched, co.default_weights(quad, q0), co.default_bounds(quad, q0),
+                  cfg, x)
+    for k in range(steps):
+        x = np.array(ctrl.step(x, k * 0.02).xs_ref[1])
+    return ctrl, x
+
+
+@pytest.mark.parametrize("make", [cold_jump, misaligned_stand])
+def test_an_iteration_after_set_candidate_reads_its_cost_and_gaps(make, monkeypatch):
+    # set_candidate has just computed the cost and gaps at (xs, us): the
+    # iteration reuses them and gives the bits of one that computes them again
+    got, want = make(BoxFddp), make(RefreshingFddp)
+    calls = []
+    calc = got.problem.calc
+    monkeypatch.setattr(got.problem, "calc", lambda *a: calls.append(1) or calc(*a))
+    got.compute_derivatives()
+    assert not calls
+    got.backward_pass()
+    want.compute_derivatives()
+    want.backward_pass()
+    assert got.cost == want.cost
+    assert _bits(got.gaps) == _bits(want.gaps)
+    for field in ("k_ff", "K_fb", "V_x", "V_xx"):
+        assert _bits(getattr(got.policy, field)) == _bits(getattr(want.policy, field))
+    got.solve_one_iteration()      # a new iterate: the refresh runs again
+    assert calls == [1]
+    want.solve_one_iteration()
+    assert (got.last_alpha, got.cost, got.mu) == (want.last_alpha, want.cost, want.mu)
+    assert _bits(got.xs + got.us + got.gaps) == _bits(want.xs + want.us + want.gaps)
+
+
+def test_a_replaced_candidate_gets_its_own_cost_and_gaps():
+    solver = misaligned_stand(BoxFddp)
+    xs = [np.array(x) for x in solver.xs]
+    xs[1][1] += 0.02
+    solver.xs = xs
+    solver.compute_derivatives()
+    cost, gaps = solver.problem.calc(xs, solver.us)
+    assert solver.cost == cost
+    assert _bits(solver.gaps) == _bits(gaps)
+
+
+def test_the_full_step_of_an_infeasible_trot_candidate_skips_zero_gap_integrates(
+        monkeypatch):
+    # at alpha = 1 each gap closes by 0 * gap; x (+) 0 is x for every stepped
+    # state without a -0.0, so the rollout needs the integrate only at x0.
+    # The candidate is the one Mpc.step predicts and shifts, with its gaps
+    ctrl, x = trot_mpc(steps=3)
+    solver, prob = ctrl.solver, ctrl.problem
+    rollouts = []
+
+    def full_steps():
+        assert not solver.feasible
+        solver.compute_derivatives()
+        solver.backward_pass()
+        integrates = []
+        integrate = prob.integrate
+        monkeypatch.setattr(prob, "integrate",
+                            lambda *a: integrates.append(1) or integrate(*a))
+        rollouts.append(solver.forward_pass((1.0,))[0])
+        assert len(integrates) == 1
+        with monkeypatch.context() as m:
+            m.setattr(boxfddp, "_has_negative_zero", lambda x: True)
+            rollouts.append(solver.forward_pass((1.0,))[0])
+        assert len(integrates) == 2 + len(prob.nodes)
+        return True
+
+    monkeypatch.setattr(solver, "solve_one_iteration", full_steps)
+    ctrl.step(x, 3 * 0.02)
+    got, want = rollouts
+    assert got[2] == want[2]
+    assert _bits(got[0] + got[1]) == _bits(want[0] + want[1])
+
+
+def test_a_stepped_state_with_a_negative_zero_takes_the_integrate(monkeypatch):
+    # integrate turns -0.0 into +0.0, so such a row is not its own x (+) 0
+    solver = misaligned_stand(BoxFddp)
+    solver.compute_derivatives()
+    solver.backward_pass()
+    prob = solver.problem
+    step_rows = prob.step_rows
+
+    def negative_zero(k, x, u):
+        x_next = step_rows(k, x, u)
+        if k == 2:
+            x_next = x_next.copy()
+            x_next[5] = -0.0
+        return x_next
+
+    integrated = []
+    integrate = prob.integrate
+
+    def recording(x, dx):
+        integrated.append(np.array(x))
+        return integrate(x, dx)
+
+    monkeypatch.setattr(prob, "step_rows", negative_zero)
+    monkeypatch.setattr(prob, "integrate", recording)
+    xs = solver.forward_pass((1.0,))[0][0]
+    # x0, then the one row holding -0.0
+    assert len(integrated) == 2 and np.signbit(integrated[1][5])
+    assert _bits([xs[3]]) == _bits([integrate(integrated[1], 0.0 * solver.gaps[3])])
+    assert boxfddp._has_negative_zero(np.array([1.0, -0.0]))
+    assert not boxfddp._has_negative_zero(np.array([1.0, 0.0, -2.0]))
+
+
+def test_a_lone_short_step_still_opens_its_gaps():
+    # only alpha = 1 closes the gaps by zero: a step length below it, rolled
+    # out alone, keeps the integrate of every node and its oracle's bits
+    solver = misaligned_stand(SequentialFddp)
+    solver.compute_derivatives()
+    solver.backward_pass()
+    got = solver.forward_pass((0.5,))[0]
+    for node in solver.problem.nodes:
+        forget(node)
+    want = solver.trial(0.5)
+    assert got[2] == want[2]
+    assert _bits(got[0] + got[1]) == _bits(want[0] + want[1])

@@ -12,6 +12,7 @@ bit for bit.  Within the package the pass is exact: its h has the bits of
 ``rnea(q, v, 0)``, and a state of a stack the bits of the state alone.
 """
 
+import itertools
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -177,22 +178,33 @@ def test_tree_levels_cover_every_body_once():
     assert len(MODELS["default_quadruped"].levels) == 2
 
 
-@pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
-def test_contact_wrenches_subtract_with_the_bits_of_ufunc_at(lead):
+@pytest.mark.parametrize("lead, frames", [
+    pytest.param((), None, id="lead0"),
+    pytest.param((5,), None, id="lead1"),
+    pytest.param((2, 3), None, id="lead2"),
+    # one state's frame tuples read a frame plan: bodies 2, 6, 6, 4, 8, 2
+    # as an index array, bodies 2, 4, 6, 8 as a basic slice
+    pytest.param((), (0, 2, 2, 1, 3, 0), id="lone-tuple-shared-bodies"),
+    pytest.param((), (0, 1, 2, 3), id="lone-tuple-even-bodies"),
+])
+def test_contact_wrenches_subtract_with_the_bits_of_ufunc_at(lead, frames):
     # frames that share a body subtract in frame order, as an unbuffered
-    # np.subtract.at does: the reference below keeps that form
+    # np.subtract.at does: the reference below keeps that form, on
+    # index-array gathers
     m = MODELS["default_quadruped"]
     rng = np.random.default_rng(12)
     q = presets.nominal_configuration(m) + 0.1 * rng.normal(size=lead + (m.nq,))
     kin = kinematics.forward_kinematics(m, q)
-    frames = rng.integers(0, len(m.contact_frames), size=lead + (6,))
-    lam = rng.normal(size=lead + (6, 2))
+    if frames is None:
+        frames = rng.integers(0, len(m.contact_frames), size=lead + (6,))
+    idx = np.asarray(frames)
+    lam = rng.normal(size=idx.shape + (2,))
     dth = kin.B[..., 2, :]
     f = rng.normal(size=lead + (m.nbodies, 3))
     df = rng.normal(size=lead + (m.nbodies, 3, 2 * m.nv))
     got_f, got_df = f.copy(), df.copy()
     dynamics._subtract_contact_forces(m, kin, got_f, (frames, lam), dth, got_df)
-    rows, r = kinematics._frames(m, kin, frames)
+    rows, r = kinematics._rows(m.contact_bodies[idx]), m.contact_offsets[idx]
     fl = (lam[..., None, :] @ kin.R[rows])[..., 0, :]
     np.subtract.at(f, rows, np.concatenate(
         [fl, r[..., :1] * fl[..., 1:] - r[..., 1:] * fl[..., :1]], -1))
@@ -202,3 +214,65 @@ def test_contact_wrenches_subtract_with_the_bits_of_ufunc_at(lead):
     np.subtract.at(df, rows, d)
     assert _bits(got_f) == _bits(f)
     assert _bits(got_df) == _bits(df)
+
+
+def _frame_tuples(m):
+    """Every ordered tuple of distinct contact frames, and two with repeats."""
+    n = len(m.contact_frames)
+    return [fs for k in range(n + 1) for fs in itertools.permutations(range(n), k)
+            ] + [(0, 0), (1, 0, 1)]
+
+
+def _lone_and_row(f, m, q, v, frames):
+    """The bytes of ``f`` on one state, and on the same state as a stack of
+    one (whose frames gather by index arrays), row 0."""
+    lone = f(m, q, v, frames)
+    stacked = f(m, q[None], v[None], np.array([frames], dtype=int).reshape(1, -1))
+    return ([(a.shape, a.tobytes()) for a in lone],
+            [(a[0].shape, a[0].tobytes()) for a in stacked])
+
+
+def _motion(m, q, v, frames):
+    return dynamics.frame_motion(m, dynamics.multibody(m, q, v), frames)
+
+
+def _sweep(m, q, v, frames):
+    # the sweep at (q, v) under an acceleration and forces at the frames
+    a = np.broadcast_to(np.cos(np.arange(m.nv)), v.shape)
+    k = np.shape(frames)[-1]
+    lam = np.broadcast_to(np.sin(np.arange(2 * k)).reshape(k, 2), np.shape(frames) + (2,))
+    tan = dynamics.tangent_sweep(m, kinematics.forward_kinematics(m, q), v, a,
+                                 (frames, lam), frames)
+    return tan.dtau, tan.dvel, tan.dacc
+
+
+@pytest.mark.parametrize("name", ["default_quadruped", "branched_tree"])
+def test_frame_plans_gather_the_bits_of_index_arrays(name):
+    # one state gathers its frames' bodies by the model's frame plan (a
+    # view where they run evenly), a stack by index arrays: every gather,
+    # and the frame motion and sweep that read them, keep the bits
+    m = MODELS[name]
+    rng = np.random.default_rng(23)
+    q, v = np.split(random_state(m, rng), [m.nq])
+    mb = dynamics.multibody(m, q, v)
+    kinds = set()
+    for frames in _frame_tuples(m):
+        plan = m.frame_plan(frames)
+        assert m.frame_plan(np.array(frames, dtype=int)) is plan
+        kinds.add(type(plan.at))
+        idx = np.array(frames, dtype=int)
+        rows = m.contact_bodies[idx]
+        assert plan.bodies == tuple(rows.tolist())
+        assert _bits(plan.offsets) == _bits(m.contact_offsets[idx])
+        for a in (mb.kin.pose, mb.kin.R, mb.kin.B, mb.kin.X, mb.tw, mb.bias):
+            assert _bits(a[plan.at]) == _bits(a[rows]), frames
+        lone, row = _lone_and_row(
+            lambda m, q, v, fr: dynamics.frame_jacobian(
+                m, kinematics.forward_kinematics(m, q), fr), m, q, v, frames)
+        assert lone == row, frames
+        lone, row = _lone_and_row(_motion, m, q, v, frames)
+        assert lone == row, frames
+        lone, row = _lone_and_row(_sweep, m, q, v, frames)
+        assert lone == row, frames
+    # slices, and the index-array fallback of bodies that do not run evenly
+    assert kinds == {slice, np.ndarray}

@@ -5,7 +5,7 @@ import pytest
 
 from leggedmpc import costs as co
 from leggedmpc import model as mod
-from leggedmpc import presets, problem, schedule
+from leggedmpc import _kernels, presets, problem, schedule
 from leggedmpc.errors import ConfigError, ScheduleError
 
 from helpers import random_state
@@ -429,3 +429,51 @@ def test_node_at_reference_zero_cost(quad):
     der = problem.differentiate_nodes(prob.nodes[:1], [x], [np.zeros(quad.nu)])[0]
     assert np.abs(der.lx).max() < 1e-12
 
+
+
+# ------------------------------------------------- selection terms, on the diagonal
+
+def _expansion_bits(acc):
+    return [np.asarray(getattr(acc, f)).tobytes() for f in ("value", "lx", "lu", "lxx",
+                                                             "lxu", "luu")]
+
+
+def _seeded_expansion(rng, lead, ndx=22, nu=8):
+    """An accumulator that already holds a dense term in x and u."""
+    acc = problem._Expansion(rng.uniform(0.5, 2.0, size=lead), ndx, nu)
+    acc.add(rng.normal(size=lead + (5,)), rng.uniform(0.1, 3.0, 5),
+            Jx=rng.normal(size=lead + (5, ndx)), Ju=rng.normal(size=lead + (5, nu)))
+    return acc
+
+
+@pytest.mark.parametrize("lead", [(), (4,)], ids=["lone", "stacked"])
+@pytest.mark.parametrize("active", ["all", "some", "none", "unmasked"])
+@pytest.mark.parametrize("block", ["x", "u"])
+def test_selection_terms_have_the_bits_of_the_dense_expansion(lead, active, block):
+    # a term whose Jacobian selects coordinates adds 2 w r and 2 w on the
+    # diagonal; the dense route multiplies by the selection matrix (1.0 and
+    # 0.0 only).  Both give the same bits, for one-sided (masked) box rows too
+    rng = np.random.default_rng(len(lead) * 8 + len(active) + len(block))
+    n, at = (11, 11) if block == "x" else (8, 0)
+    ndx, nu = 22, 8
+    r = rng.normal(size=lead + (n,))
+    if active != "unmasked":
+        off = {"all": np.zeros(n, bool), "none": np.ones(n, bool),
+               "some": rng.random(n) < 0.5}[active]
+        r[..., off] = 0.0
+    if active == "some":
+        r[..., 0] = -0.0        # inside the box too: no slope, no curvature
+    w = rng.uniform(0.1, 3.0, n)
+    got, want = (_seeded_expansion(np.random.default_rng(9), lead, ndx, nu)
+                 for _ in range(2))
+    one_sided = active != "unmasked"
+    got.add_selection(r, w, **{f"{block}_at": at}, one_sided=one_sided)
+    J = _kernels.eye(n, ndx if block == "x" else nu, at)
+    if one_sided:
+        J = J * (r != 0.0)[..., None]
+    want.add(r, w, **{f"J{block}": J})
+    assert _expansion_bits(got) == _expansion_bits(want)
+    # without a Jacobian only the value moves, as in ``add``
+    got.add_selection(r, w)
+    want.add(r, w)
+    assert _expansion_bits(got) == _expansion_bits(want)
