@@ -11,7 +11,6 @@ first-class citizens.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +20,8 @@ from . import _kernels
 from .errors import NonPDHessian, NoStepAccepted
 
 FEAS_TOL = 1e-9
+BOXQP_MAX_ITERS = 100
+BOXQP_TOL = 1e-8
 
 
 # ----------------------------------------------------------------- box QP
@@ -47,8 +48,7 @@ class BoxQPResult:
 
 
 def boxqp(H: np.ndarray, g: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-          x_init: np.ndarray | None = None, max_iters: int = 100,
-          tol: float = 1e-8) -> BoxQPResult:
+          x_init: np.ndarray | None = None) -> BoxQPResult:
     """Minimize 0.5 x'Hx + g'x subject to lo <= x <= hi (H positive definite).
 
     Projected-Newton iteration: clamp coordinates whose bound is active with
@@ -75,7 +75,7 @@ def boxqp(H: np.ndarray, g: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     free = np.ones(n, dtype=bool)
     converged = False
     it = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, BOXQP_MAX_ITERS + 1):
         grad = g + H @ x
         at_lo = x <= lo + 1e-12 * np.maximum(1.0, np.abs(x))
         at_hi = x >= hi - 1e-12 * np.maximum(1.0, np.abs(x))
@@ -88,7 +88,7 @@ def boxqp(H: np.ndarray, g: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             if info:
                 raise NonPDHessian("free-subspace Hessian is not positive definite")
             factored = free.tobytes()
-        if not nfree or np.abs(grad[free]).max() < tol:
+        if not nfree or np.abs(grad[free]).max() < BOXQP_TOL:
             converged = True
             break
         dx = np.zeros(n)
@@ -156,6 +156,11 @@ class BoxFddp:
     receding-horizon loop starts every step from one warm value).
     ``last_alpha`` and ``last_trials`` hold the accepted step length (0 when
     none) and the number of step lengths the last iteration checked.
+    ``log`` holds one row per iteration that converged or accepted a step,
+    restarted by ``set_candidate``: ``(iter, cost, gap_inf, mu, alpha,
+    qu_norm)``, the row index, the cost, the largest gap entry and mu after
+    the iteration, the accepted step length (0 on convergence) and the norm
+    of the backward pass's ``Qu``.
 
     The regularization mu follows the schedule of Box-FDDP (Mastalli et al.,
     "A feasibility-driven approach to control-limited DDP", Auton. Robots
@@ -487,13 +492,6 @@ class BoxFddp:
                 self.status = "converged"
                 return self.state(), self.policy
         return self.state(), self.policy
-
-    def iteration_log_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("iter,cost,gap_inf,mu,alpha,qu_norm\n")
-        for row in self.log:
-            buf.write("%d,%r,%r,%r,%r,%r\n" % row)
-        return buf.getvalue()
 
 
 def _has_negative_zero(x) -> bool:

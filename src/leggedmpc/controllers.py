@@ -626,44 +626,3 @@ class WholeBodyController(_MessageTracker):
             return np.clip(u, bounds.u_lb, bounds.u_ub), "wbc", True
         u = y[model.nv:model.nv + model.nu]
         return np.clip(u, bounds.u_lb, bounds.u_ub), "wbc", False
-
-
-# ------------------------------------------------------------ tick logging
-
-def dense_forces(model: RobotModel, frames, stacked) -> np.ndarray:
-    """Spread per-active-frame (fx, fy) pairs over all feet, zeros elsewhere."""
-    out = np.zeros(2 * len(model.contact_frames))
-    stacked = np.asarray(stacked, float)
-    for k, f in enumerate(frames):
-        out[2 * f:2 * f + 2] = stacked[2 * k:2 * k + 2]
-    return out
-
-
-def log_columns(model: RobotModel) -> list:
-    """Fixed column order of the per-tick controller log."""
-    nx = model.nq + model.nv
-    feet = range(len(model.contact_frames))
-    cols = ["t"]
-    cols += [f"u_cmd_{i}" for i in range(model.nu)]
-    cols += [f"u_meas_{i}" for i in range(model.nu)]
-    cols += [f"x_{i}" for i in range(nx)]
-    cols += [f"x_ref_{i}" for i in range(nx)]
-    cols += ["k_G", "k_G_ref"]
-    cols += [f"lam_{a}{f}" for f in feet for a in ("x", "y")]
-    cols += [f"lam_ref_{a}{f}" for f in feet for a in ("x", "y")]
-    cols += [f"contact_{f}" for f in feet]
-    return cols
-
-
-def log_row(model: RobotModel, t: float, u_cmd, u_meas, x, x_ref,
-            lam_dense, lam_ref_dense, active_frames) -> list:
-    """One log record matching :func:`log_columns` (dense force layout)."""
-    k_g, k_g_ref = (centroidal(model, multibody(model, q, v), v).k_G
-                    for q, v in (mod.split_state(model, y) for y in (x, x_ref)))
-    flags = [1.0 if f in tuple(active_frames) else 0.0
-             for f in range(len(model.contact_frames))]
-    return ([float(t)] + list(map(float, u_cmd)) + list(map(float, u_meas))
-            + list(map(float, x)) + list(map(float, x_ref))
-            + [float(k_g), float(k_g_ref)]
-            + list(map(float, lam_dense)) + list(map(float, lam_ref_dense))
-            + flags)

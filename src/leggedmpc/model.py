@@ -277,12 +277,12 @@ def difference_q(model: RobotModel, q1: np.ndarray, q0: np.ndarray) -> np.ndarra
     return np.concatenate([base, q1[..., 3:] - q0[..., 3:]], -1)
 
 
-def integrate(model: RobotModel, x: np.ndarray, dx: np.ndarray, dt: float = 1.0) -> np.ndarray:
-    """State update x (+) dt*dx for a full tangent vector dx of size 2*nv."""
+def integrate(model: RobotModel, x: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """State update x (+) dx for a full tangent vector dx of size 2*nv."""
     dx = _check(dx, 2 * model.nv, "dx")
     q, v = split_state(model, x)
-    qn = integrate_q(model, q, dt * dx[..., : model.nv])
-    return np.concatenate([qn, v + dt * dx[..., model.nv:]], -1)
+    qn = integrate_q(model, q, dx[..., : model.nv])
+    return np.concatenate([qn, v + dx[..., model.nv:]], -1)
 
 
 def difference(model: RobotModel, x1: np.ndarray, x0: np.ndarray) -> np.ndarray:

@@ -388,7 +388,9 @@ class Mpc:
 
         A measurement with a non-finite value changes nothing: the previous
         policy is re-issued marked degraded, or ``InvalidMeasurement`` is
-        raised when there is none yet.
+        raised when there is none yet.  So does one at which the delay
+        prediction meets a singular contact set (every leg straight, say),
+        which raises ``RankDeficientContacts`` when there is no policy yet.
         """
         if not np.all(np.isfinite(measurement)):
             if self.last_message is None:
@@ -403,8 +405,13 @@ class Mpc:
         u_now = self._feedforward_at(wall_time)
         t_now = min(wall_time, self.schedule.end_time - 1e-12 * max(1.0, dt))
         contacts_now = ct.ContactSet(frames=self.schedule.active_set(t_now))
-        x0_pred = predict_initial_state(self.model, measurement, u_now,
-                                        contacts_now, cfg.expected_delay)
+        try:
+            x0_pred = predict_initial_state(self.model, measurement, u_now,
+                                            contacts_now, cfg.expected_delay)
+        except RankDeficientContacts:
+            if self.last_message is None:
+                raise
+            return self._reissue_degraded(wall_time)
 
         old_nodes, old_k0 = self.problem.nodes, self.problem.k0
         old_xs, old_us = self.solver.xs, self.solver.us

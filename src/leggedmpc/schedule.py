@@ -14,7 +14,7 @@ is considered in contact at the exact touchdown instant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -561,9 +561,8 @@ def test_jump_problem_solves():
     solver.set_candidate()
     c0 = solver.cost
     state, _ = solver.solve(max_iters=40)
-    rows = solver.iteration_log_csv().splitlines()
-    why = "status=%s cost/c0=%.4f\n%s" % (
-        solver.status, state.cost / c0, "\n".join(rows[:1] + rows[-8:]))
+    why = "status=%s cost/c0=%.4f\n(iter, cost, gap_inf, mu, alpha, qu_norm)\n%s" % (
+        solver.status, state.cost / c0, "\n".join(map(repr, solver.log[-8:])))
     assert state.cost < 0.2 * c0, why
     assert state.feasible, why
 

@@ -930,26 +930,3 @@ def test_momentum_policy_gains(quad):
     out = trk.momentum_policy(gains, cen, cen_ref, hdot_ref)
     np.testing.assert_allclose(
         out, gains.momentum_dk * (cen_ref.k_G - cen.k_G), atol=1e-12)
-
-
-# ------------------------------------------------------------- tick logging
-
-def test_dense_forces_layout(quad):
-    out = trk.dense_forces(quad, (1, 3), np.array([1.0, 2.0, 3.0, 4.0]))
-    np.testing.assert_allclose(out, [0, 0, 1, 2, 0, 0, 3, 4], atol=0)
-
-
-def test_log_row_matches_columns(quad):
-    cols = trk.log_columns(quad)
-    nx = quad.nq + quad.nv
-    x = mod.state(quad, presets.nominal_configuration(quad),
-                  np.zeros(quad.nv))
-    row = trk.log_row(quad, 0.25, np.zeros(quad.nu), np.zeros(quad.nu),
-                      x, x, np.zeros(8), np.zeros(8), (0, 2))
-    assert len(row) == len(cols)
-    assert cols[0] == "t" and row[0] == 0.25
-    flags = row[-4:]
-    assert flags == [1.0, 0.0, 1.0, 0.0]
-    # both states equal: logged spin momenta agree
-    k, k_ref = row[1 + 2 * quad.nu + 2 * nx:1 + 2 * quad.nu + 2 * nx + 2]
-    assert k == k_ref

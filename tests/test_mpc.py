@@ -462,14 +462,22 @@ def test_feedforward_held_between_nodes(quad):
     assert np.array_equal(u, np.asarray(msg.us_ff[1]))
 
 
-def test_non_finite_measurement_reissues_previous_policy(quad):
+def straight_legs(model):
+    """A standing state with every leg straight: the stance contact set is
+    singular there."""
+    q = presets.nominal_configuration(model)
+    q[3:] = 0.0
+    return mod.state(model, q, np.zeros(model.nv))
+
+
+def assert_bad_measurement_reissues(quad, bad):
+    """``bad`` at the second step re-issues the first policy marked degraded
+    and changes nothing the third step depends on."""
     ctrl = make_mpc(quad, delay=0.01)
     clean = make_mpc(quad, delay=0.01)
     x0 = presets.nominal_state(quad)
     first = ctrl.step(x0, 0.0)
     clean.step(x0, 0.0)
-    bad = x0.copy()
-    bad[quad.nq + 1] = np.nan
     msg = ctrl.step(bad, 0.02)
     assert msg.diagnostics["degraded"]
     assert msg.stamp == pytest.approx(0.02)
@@ -484,10 +492,27 @@ def test_non_finite_measurement_reissues_previous_policy(quad):
             assert np.array_equal(a, b), field
 
 
+def test_non_finite_measurement_reissues_previous_policy(quad):
+    bad = presets.nominal_state(quad)
+    bad[quad.nq + 1] = np.nan
+    assert_bad_measurement_reissues(quad, bad)
+
+
+def test_singular_measurement_reissues_previous_policy(quad):
+    assert_bad_measurement_reissues(quad, straight_legs(quad))
+
+
 def test_non_finite_first_measurement_raises(quad):
     ctrl = make_mpc(quad, delay=0.01)
     bad = presets.nominal_state(quad)
     bad[0] = np.inf
     with pytest.raises(InvalidMeasurement):
         ctrl.step(bad, 0.0)
+    assert ctrl.last_message is None and ctrl.steps == 0
+
+
+def test_singular_first_measurement_raises(quad):
+    ctrl = make_mpc(quad, delay=0.01)
+    with pytest.raises(RankDeficientContacts):
+        ctrl.step(straight_legs(quad), 0.0)
     assert ctrl.last_message is None and ctrl.steps == 0

@@ -21,7 +21,7 @@ def test_integrate_pure_translation(quad):
     x = presets.nominal_state(quad)
     dx = np.zeros(2 * quad.nv)
     dx[0] = 1.0
-    xn = mod.integrate(quad, x, dx, dt=0.1)
+    xn = mod.integrate(quad, x, 0.1 * dx)
     assert np.isclose(xn[0] - x[0], 0.1)
     assert np.isclose(xn[1], x[1])
     assert np.isclose(xn[2], 0.0)

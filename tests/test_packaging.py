@@ -1,7 +1,10 @@
 """The packaging metadata in ``pyproject.toml`` points at code that exists."""
 
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +45,14 @@ def test_package_keeps_to_its_numpy_floor():
     hits = [f"{path.name}: np.{m.group(1)}" for path in sorted(src.glob("*.py"))
             for m in call.finditer(path.read_text())]
     assert not hits
+
+
+def test_package_imports_without_a_warning():
+    # ``_kernels`` binds numpy's private LAPACK gufuncs and ufuncs; a numpy
+    # that moves or deprecates one warns (or fails) at import
+    src = str(PYPROJECT.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-W", "error", "-c", "import leggedmpc"],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
