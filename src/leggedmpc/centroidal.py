@@ -13,6 +13,11 @@ humanoid robot*, Auton. Robots 2013):
 with X_G the motion transform from the centre-of-mass frame into the base
 frame.  M[:3, :3] is the composite inertia of the whole robot about the base
 frame, so it also holds the total mass and the centre of mass.
+
+Gravity is the base accelerating upwards with the joints locked, so the
+drift needs no second recursion: g(q) = M[:, :3] a_g with a_g = (-R_base.T
+g, 0), and the base rows of g come from M's base block, g[:3] = M[:3, :3]
+a_g.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import se2
-from .dynamics import Multibody, _gravity
+from .dynamics import Multibody
 from .kinematics import motion_transform
 from .model import RobotModel
 
@@ -45,11 +50,12 @@ def centroidal(model: RobotModel, mb: Multibody, v: np.ndarray) -> CentroidalQua
     The centre of mass comes from the composite base inertia M[:3, :3] of
     the pass (first moment over mass, in the base frame); I_G is the angular
     entry of A_G for a unit base rotation with the joints locked.  The drift
-    reads the pass's h, less g(q) on the pass's kinematics.
+    reads the pass's h, less g(q) from M's base block.
     """
     v = model.check_v(v)
     kin, M = mb.kin, mb.M
-    coriolis = mb.h - _gravity(model, kin)
+    # (h - g)[:3] with g[:3] = M[:3, :3] a_g, a_g = (-R_base.T g, 0)
+    coriolis = mb.h[:3] + M[:3, :2] @ (model.gravity @ kin.R[0])
     m_tot = model.total_mass
     base = kin.pose[0]
     p_G = se2.act(base, np.array([M[1, 2], -M[0, 2]]) / M[0, 0])
@@ -65,5 +71,5 @@ def centroidal(model: RobotModel, mb: Multibody, v: np.ndarray) -> CentroidalQua
         A_G=A_G,
         I_G=float(A_G[2, 2]),
         v_G=momentum[:2] / m_tot,
-        Adot_v=XGt @ coriolis[:3],
+        Adot_v=XGt @ coriolis,
     )

@@ -36,8 +36,12 @@ that depends on the working set never enters it, with ties going to the
 smallest row index, so the active set cannot cycle.  The null space passed
 to the next stage comes from a QR of the stage matrix with its rank fixed
 by the task dimensions, so the stage widths depend on the contact count
-alone.  Each tick is a function of its inputs: nothing carries over from
-the previous tick.
+alone.  Each stage starts from the working set the stage above it ended on,
+as hierarchical active-set solvers do (Escande, Mansard & Wieber, IJRR
+2014): those rows are tight where the stage starts, and the rows that are
+still tight and independent there are factored once, before its first
+iteration.  Each tick is a function of its inputs: nothing carries over from
+the previous tick, the working set included.
 """
 
 from __future__ import annotations
@@ -275,7 +279,8 @@ class HqpSolution:
     y: np.ndarray
     stage_residuals: list     # inf-norm residual right after each stage
     null_dims: list           # remaining null-space dimension per stage
-    iterations: list          # active-set iterations of each stage QP
+    iterations: list          # active-set iterations of each stage QP; the
+                              # warm rows it starts from are not counted
 
 
 # ridge of a stage QP, relative to the Frobenius norm of its matrix
@@ -299,9 +304,25 @@ def _working_set(W, active, n):
     return qr[:k], Q, Q[:, k:]
 
 
-def _stage_qp(G, d, W, lb, ub):
+def _warm_rows(W, lb, ub, warm, dependent):
+    """The rows of ``warm``, sorted (row, side) pairs, that start a working
+    set at z = 0: tight there on their side (within 1e-9) and, read off one
+    QR of the tight rows in index order, not dependent on the rows before
+    them (``DEPENDENT_ROW``)."""
+    tight = [(j, side) for j, side in warm
+             if abs((ub if side > 0 else lb)[j]) <= 1e-9]
+    if not tight:
+        return []
+    r = np.diagonal(dgeqrf(W[[j for j, _ in tight]].T)[0]).tolist()
+    return [(j, side) for (j, side), rii in zip(tight, r)
+            if rii * rii > dependent[j]]
+
+
+def _stage_qp(G, d, W, lb, ub, warm=()):
     """min ||G z - d||^2 + eps ||z||^2 subject to lb <= W z <= ub, from
-    the feasible z = 0.  Returns z and the active-set iterations taken.
+    the feasible z = 0.  Returns z, the active-set iterations taken and the
+    final working set, sorted (row, side) pairs with side +1 for an upper
+    bound.
 
     Primal active-set iteration on linearly independent working sets.  The
     working set's rows A factor once per set, A^T = Q R (``dgeqrf``,
@@ -316,10 +337,15 @@ def _stage_qp(G, d, W, lb, ub):
     blocking rows, and between equally negative multipliers, go to the
     smallest row index.  Without rows this is the plain minimum-norm least
     squares.
+
+    The working set starts from the rows of ``warm`` (the previous stage's
+    final working set) that ``_warm_rows`` admits, factored once before the
+    first iteration; admitting them is not an iteration, and the iteration,
+    its anti-cycling rules and its cap are those of a cold start.
     """
     n = G.shape[1]
     if W.size == 0:
-        return np.linalg.lstsq(G, d, rcond=None)[0], 0
+        return np.linalg.lstsq(G, d, rcond=None)[0], 0, []
     m = W.shape[0]
     if lb.max() > 1e-9 or ub.min() < -1e-9:
         # a primal active-set method cannot recover from this; the caller
@@ -331,7 +357,7 @@ def _stage_qp(G, d, W, lb, ub):
     upper, lower = np.isfinite(ub).tolist(), np.isfinite(lb).tolist()
     ub, lb = ub.tolist(), lb.tolist()
     z = np.zeros(n)
-    active: list[tuple[int, int]] = []   # sorted (row, side); +1 upper
+    active = _warm_rows(W, lb, ub, warm, dependent)
     R, Q, Z = _working_set(W, active, n)
     settled = False                      # z minimizes on the working set
     for it in range(1, 3 * (n + m) + 1):
@@ -341,13 +367,13 @@ def _stage_qp(G, d, W, lb, ub):
             settled = w @ w <= 1e-24 * max(1.0, z @ z)
         if settled or k == n:
             if not k:
-                return z, it
+                return z, it, active
             grad = H.T @ (H @ z - h)
             lam = dtrtrs(R, Q[:, :k].T @ grad)[0].tolist()
             lam = [-s * g for (_, s), g in zip(active, lam)]
             worst = min(range(k), key=lam.__getitem__)
             if lam[worst] >= -1e-9 * max(1.0, max(map(abs, lam))):
-                return z, it
+                return z, it, active
             active.pop(worst)
             R, Q, Z = _working_set(W, active, n)
             settled = False
@@ -390,10 +416,12 @@ def hqp_solve(tasks, ineq: RowBounds, y0: np.ndarray) -> HqpSolution:
     higher-priority task matrices; the inequality rows (possibly none) are
     carried unchanged into each stage.  ``y0`` seeds the first stage and
     must satisfy the inequality rows (each stage output stays feasible, so
-    later stages start feasible automatically).  A first-stage residual
-    above ``STAGE1_TOL * max(1, |a_1|_inf)`` raises
-    :class:`Stage1Infeasible` (the dynamics cannot be realized within the
-    actuation and cone limits).
+    later stages start feasible automatically).  The first stage starts from
+    an empty working set and each later one from the final working set of
+    the stage before it (``_stage_qp``'s ``warm``); no working set outlives
+    the call.  A first-stage residual above ``STAGE1_TOL * max(1,
+    |a_1|_inf)`` raises :class:`Stage1Infeasible` (the dynamics cannot be
+    realized within the actuation and cone limits).
 
     A stage with rows is the ridged QP of ``_stage_qp``; a stage without is
     the exact minimum-norm least squares.  The null space left for the
@@ -406,6 +434,7 @@ def hqp_solve(tasks, ineq: RowBounds, y0: np.ndarray) -> HqpSolution:
     y = np.array(y0, dtype=float)
     Z = np.eye(y.size)
     residuals, null_dims, iterations = [], [], []
+    active = []
     for A, a in tasks:
         A = np.atleast_2d(np.asarray(A, float))
         a = np.atleast_1d(np.asarray(a, float))
@@ -413,8 +442,8 @@ def hqp_solve(tasks, ineq: RowBounds, y0: np.ndarray) -> HqpSolution:
         if Z.shape[1]:
             G = A @ Z
             By = ineq.B @ y
-            w, its = _stage_qp(G, a - A @ y, ineq.B @ Z, ineq.lb - By,
-                               ineq.ub - By)
+            w, its, active = _stage_qp(G, a - A @ y, ineq.B @ Z, ineq.lb - By,
+                                       ineq.ub - By, active)
             y = y + Z @ w
             Z = _narrow(Z, G)
         res = float(np.abs(A @ y - a).max()) if a.size else 0.0

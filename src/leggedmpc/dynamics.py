@@ -116,15 +116,11 @@ def rnea(model: RobotModel, q: np.ndarray, v: np.ndarray, a: np.ndarray,
     return _rnea(model, kin, *bias_accelerations(model, kin, v), a, contact_forces)
 
 
-def _gravity(model, kin):
-    """Static bias g(q) = rnea(q, 0, 0) on the kinematics pass at q."""
-    z = np.zeros(kin.pose.shape[:-2] + (model.nv,))
-    return _rnea(model, kin, *bias_accelerations(model, kin, z), z)
-
-
 def gravity_torque(model: RobotModel, q: np.ndarray) -> np.ndarray:
     """Static bias g(q) = rnea(q, 0, 0)."""
-    return _gravity(model, forward_kinematics(model, model.check_q(q)))
+    kin = forward_kinematics(model, model.check_q(q))
+    z = np.zeros(kin.pose.shape[:-2] + (model.nv,))
+    return _rnea(model, kin, *bias_accelerations(model, kin, z), z)
 
 
 @dataclass

@@ -389,8 +389,9 @@ class Mpc:
         A measurement with a non-finite value changes nothing: the previous
         policy is re-issued marked degraded, or ``InvalidMeasurement`` is
         raised when there is none yet.  So does one at which the delay
-        prediction meets a singular contact set (every leg straight, say),
-        which raises ``RankDeficientContacts`` when there is no policy yet.
+        prediction, or the rollout of the shifted window's new slots, meets a
+        singular contact set (every leg straight, say), which raises
+        ``RankDeficientContacts`` when there is no policy yet.
         """
         if not np.all(np.isfinite(measurement)):
             if self.last_message is None:
@@ -413,11 +414,21 @@ class Mpc:
                 raise
             return self._reissue_degraded(wall_time)
 
+        window = self.problem.window()
         old_nodes, old_k0 = self.problem.nodes, self.problem.k0
         old_xs, old_us = self.solver.xs, self.solver.us
         pb.update_problem(self.problem, x0_pred,
                           t0=wall_time + cfg.expected_delay)
-        self._shift_candidate(old_nodes, old_xs, old_us, old_k0 + cfg.n_nodes)
+        try:
+            self._shift_candidate(old_nodes, old_xs, old_us,
+                                  old_k0 + cfg.n_nodes)
+        except RankDeficientContacts:
+            # a new slot rolled out from a singular state; the solver's
+            # candidate is only replaced once the shift is whole
+            self.problem.restore_window(window)
+            if self.last_message is None:
+                raise
+            return self._reissue_degraded(wall_time)
         self.k0 = k_now
         self.solver.mu = self._MU_WARM
 

@@ -586,6 +586,15 @@ class ShootingProblem:
         self.x0 = np.asarray(x0, float)
         self.k0 = k0
 
+    def window(self):
+        """What ``set_window`` replaces: the nodes, the terminal node, the
+        initial state, ``k0`` and the schedule read.  ``restore_window``
+        puts a window back, its nodes with their evaluations."""
+        return self.nodes, self.terminal, self.x0, self.k0, self._read
+
+    def restore_window(self, window):
+        self.nodes, self.terminal, self.x0, self.k0, self._read = window
+
     def _node(self, slot):
         """The node of the plan key ``slot`` (plan entry, start, period).
 

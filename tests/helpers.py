@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from unittest import mock
 
 import numpy as np
 
@@ -79,6 +80,16 @@ def centroidal_at(m, q, v):
     return centroidal(m, dynamics.multibody(m, q, v), v)
 
 
+def drift_by_rnea(m, q, v):
+    """The momentum-matrix drift X_G.T (h - g)[:3] with g(q) from its own
+    zero-velocity recursion (``dynamics.gravity_torque``) and the centre of
+    mass from the body-by-body sums (``ref_centroidal``)."""
+    mb = dynamics.multibody(m, q, v)
+    rel = mb.kin.pose[0].copy()
+    rel[:2] -= ref_centroidal(m, q)[0]
+    return ref_motion_transform(rel).T @ (mb.h - dynamics.gravity_torque(m, q))[:3]
+
+
 def count_calls(monkeypatch, original):
     """Count calls of a package function, rebinding every imported copy."""
     calls = []
@@ -124,10 +135,9 @@ def reference_dynamics(ctrl, t):
         ct.ContactSet(frames=tuple(msg.contacts[i])))
 
 
-def wbc_stance_tick(wbc, x, t, held):
-    """(u, mode, degraded) of a stance tick of ``wbc`` at (x, t) that reuses
-    nothing: ``reference_dynamics``, and rows and seed built anew.  ``held``
-    is the torque a degraded tick re-issues."""
+def wbc_stance_cascade(wbc, x, t):
+    """(tasks, rows, seed) of the cascade a stance tick of ``wbc`` at (x, t)
+    solves, built anew on ``reference_dynamics``."""
     model, bounds, msg = wbc.model, wbc.bounds, wbc.message
     i = msg.interval_at(t)
     frames = tuple(msg.contacts[i])
@@ -135,14 +145,32 @@ def wbc_stance_tick(wbc, x, t, held):
     tasks = trk.stance_tasks(model, wbc.gains, x, wbc.reference_at(t),
                              reference_dynamics(wbc, t), frames,
                              np.asarray(msg.forces_ref[i], float))
+    return (tasks, trk.wbc_inequality_rows(model, bounds, wbc.cone, len(frames)),
+            trk.wbc_seed(model, bounds, wbc.cone, len(frames)))
+
+
+def wbc_stance_tick(wbc, x, t, held):
+    """(u, mode, degraded) of a stance tick of ``wbc`` at (x, t) that reuses
+    nothing: ``reference_dynamics``, and rows and seed built anew.  ``held``
+    is the torque a degraded tick re-issues."""
+    model, bounds = wbc.model, wbc.bounds
     try:
-        y = trk.hqp_solve(
-            tasks, trk.wbc_inequality_rows(model, bounds, wbc.cone, len(frames)),
-            trk.wbc_seed(model, bounds, wbc.cone, len(frames))).y
+        y = trk.hqp_solve(*wbc_stance_cascade(wbc, x, t)).y
     except (Stage1Infeasible, MaxIterations):
         return np.clip(held, bounds.u_lb, bounds.u_ub), "wbc", True
     u = y[model.nv:model.nv + model.nu]
     return np.clip(u, bounds.u_lb, bounds.u_ub), "wbc", False
+
+
+def cold_hqp_solve(tasks, ineq, y0):
+    """``hqp_solve`` with every stage QP started from an empty working set."""
+    stage_qp = trk._stage_qp
+
+    def cold(G, d, W, lb, ub, warm=()):
+        return stage_qp(G, d, W, lb, ub)
+
+    with mock.patch.object(trk, "_stage_qp", cold):
+        return trk.hqp_solve(tasks, ineq, y0)
 
 
 def nullspace_basis(A: np.ndarray) -> np.ndarray:

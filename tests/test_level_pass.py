@@ -7,7 +7,8 @@ contact frames) evaluate one tree depth at a time, and ``centroidal`` reads
 the base rows of the pass's M and h; ``tests/helpers.py`` keeps the
 body-by-body recursions (forward kinematics, RNEA, CRBA, centroidal sums)
 as the oracle, and a finite difference of A_G v as the oracle of the
-momentum drift.  Summation order differs, so results agree to rounding, not
+momentum drift, which also matches the drift with g(q) from its own
+recursion.  Summation order differs, so results agree to rounding, not
 bit for bit.  Within the package the pass is exact: its h has the bits of
 ``rnea(q, v, 0)``, and a state of a stack the bits of the state alone.
 """
@@ -22,9 +23,10 @@ from hypothesis import strategies as st
 
 from leggedmpc import contact as ct
 from leggedmpc import dynamics, kinematics, presets, se2
+from leggedmpc.centroidal import centroidal
 
-from helpers import (base_pendulum, branched_tree, centroidal_at, fd_centroidal_bias,
-                     frame_motion_at, random_state, ref_centroidal,
+from helpers import (base_pendulum, branched_tree, centroidal_at, drift_by_rnea,
+                     fd_centroidal_bias, frame_motion_at, random_state, ref_centroidal,
                      ref_forward_kinematics, ref_frame_motion, ref_mass_matrix, ref_rnea,
                      rel_err, single_body)
 
@@ -127,6 +129,20 @@ def test_centroidal_matches_reference(name, data):
     assert rel_err(cen.A_G, A_G) < TOL
     assert rel_err(cen.I_G, I_G) < TOL
     assert rel_err(cen.Adot_v, fd_centroidal_bias(m, q, v)) < 1e-6
+
+
+@pytest.mark.parametrize("name", ["default_quadruped", "branched_tree"])
+def test_gravity_and_drift_come_from_the_base_block(name):
+    # gravity is the base accelerating upwards with the joints locked:
+    # g(q) = M[:, :3] a_g with a_g = (-R_base.T g, 0)
+    m = MODELS[name]
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        q, v = np.split(random_state(m, rng), [m.nq])
+        mb = dynamics.multibody(m, q, v)
+        a_g = np.append(-mb.kin.R[0].T @ m.gravity, 0.0)
+        assert rel_err(mb.M[:, :3] @ a_g, dynamics.gravity_torque(m, q)) < TOL
+        assert rel_err(centroidal(m, mb, v).Adot_v, drift_by_rnea(m, q, v)) < TOL
 
 
 def _bits(obj):

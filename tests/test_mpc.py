@@ -470,22 +470,26 @@ def straight_legs(model):
     return mod.state(model, q, np.zeros(model.nv))
 
 
-def assert_bad_measurement_reissues(quad, bad):
-    """``bad`` at the second step re-issues the first policy marked degraded
-    and changes nothing the third step depends on."""
-    ctrl = make_mpc(quad, delay=0.01)
-    clean = make_mpc(quad, delay=0.01)
+def assert_bad_measurement_reissues(quad, bad, delay=0.01,
+                                    times=(0.0, 0.02, 0.04)):
+    """``bad`` at the second of three step ``times`` re-issues the first
+    policy marked degraded and changes nothing the third step depends on."""
+    ctrl = make_mpc(quad, delay=delay)
+    clean = make_mpc(quad, delay=delay)
     x0 = presets.nominal_state(quad)
-    first = ctrl.step(x0, 0.0)
-    clean.step(x0, 0.0)
-    msg = ctrl.step(bad, 0.02)
+    first = ctrl.step(x0, times[0])
+    clean.step(x0, times[0])
+    nodes, k0 = list(ctrl.problem.nodes), ctrl.problem.k0
+    msg = ctrl.step(bad, times[1])
     assert msg.diagnostics["degraded"]
-    assert msg.stamp == pytest.approx(0.02)
+    assert msg.stamp == pytest.approx(times[1])
     for a, b in zip(msg.us_ff, first.us_ff):
         assert np.array_equal(a, b)
+    assert ctrl.problem.k0 == k0
+    assert all(a is b for a, b in zip(ctrl.problem.nodes, nodes, strict=True))
     # the bad measurement changed nothing the next step depends on
-    got = ctrl.step(x0, 0.04)
-    want = clean.step(x0, 0.04)
+    got = ctrl.step(x0, times[2])
+    want = clean.step(x0, times[2])
     assert not got.diagnostics["degraded"]
     for field in ("xs_ref", "us_ff", "K_gains"):
         for a, b in zip(getattr(got, field), getattr(want, field)):
@@ -500,6 +504,13 @@ def test_non_finite_measurement_reissues_previous_policy(quad):
 
 def test_singular_measurement_reissues_previous_policy(quad):
     assert_bad_measurement_reissues(quad, straight_legs(quad))
+
+
+def test_singular_measurement_off_the_grid_reissues_previous_policy(quad):
+    # without a delay, a window starting inside a slot rolls its first node
+    # out from the measured state itself
+    assert_bad_measurement_reissues(quad, straight_legs(quad), delay=0.0,
+                                    times=(0.013, 0.033, 0.053))
 
 
 def test_non_finite_first_measurement_raises(quad):
