@@ -4,8 +4,8 @@ Two interchangeable consumers of :class:`~leggedmpc.mpc.PolicyMessage`:
 
 * :class:`RiccatiController` applies the solver's feedback law directly,
   ``u = clamp(u_ff + K (x_ref (-) x))``.  References between nodes come
-  from a contact-consistent rollout of the feed-forward torque
-  (``contact.predict``), and the base columns of ``K`` are switched off
+  from a contact-consistent rollout of the feed-forward torque (the step of
+  ``contact.predict``), and the base columns of ``K`` are switched off
   when fewer than two feet are in contact (leg odometry is unreliable
   there).
 * :class:`WholeBodyController` resolves the classical task hierarchy --
@@ -21,11 +21,21 @@ before a node time belongs to that node), and holds the last command
 extrapolating it, or when the measured state is not finite
 (``InvalidMeasurement`` with no command to hold).
 
-Work that does not change from tick to tick is done once: the reference
-rollout keeps the contact dynamics it solved at each reference state, and
-the whole-body tick reads them there; only at a state no rollout step
-starts from does the tick solve them, once.  Its inequality rows and seed
-are built once per friction cone and contact count.
+Work that does not change from tick to tick is done once, and work no tick
+reads is not done.  ``update_message`` rolls out the message's first
+interval alone, which holds the ticks up to the plan's next node (all
+ticks of a 50 Hz message on a 20 ms node grid), and the whole-body
+controller prepares each of its states there: the contact dynamics,
+including at the interval's last state, and the reference side of the
+stance tasks (``stance_reference``).  A tick in that interval solves no
+dynamics and evaluates nothing at the reference state.  A later interval is
+rolled out from its own node state when a tick or ``reference_at`` first
+reads it; such a tick pays the steps it fills and, on the whole-body
+controller, the preparation of its own state, once.  The new message is
+swapped in only once its first interval is ready, and a fill writes only
+once all of it succeeded, so a ``RankDeficientContacts`` leaves no
+half-filled reference behind.  The whole-body controller's inequality rows
+and seed are built once per friction cone and contact count.
 
 Each stage of the cascade is a small QP solved by a primal active set from
 LAPACK factorizations called directly (``scipy.linalg.lapack``): one QR of
@@ -40,20 +50,23 @@ alone.  Each stage starts from the working set the stage above it ended on,
 as hierarchical active-set solvers do (Escande, Mansard & Wieber, IJRR
 2014): those rows are tight where the stage starts, and the rows that are
 still tight and independent there are factored once, before its first
-iteration.  Each tick is a function of its inputs: nothing carries over from
-the previous tick, the working set included.
+iteration.  Each command is a function of the tick's inputs and the message:
+what a fill keeps has the same bits whichever tick filled it, and no working
+set carries over from the previous tick.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgels, dgeqrf, dorgqr, dormqr, dtrtrs
 
+from . import _kernels
 from . import contact as ct
 from . import model as mod
-from .centroidal import centroidal
+from .centroidal import CentroidalQuantities, centroidal
 from .costs import Bounds, FrictionCone, cone_matrices
 from .dynamics import frame_motion, multibody
 from .errors import ConfigError, InvalidMeasurement, MaxIterations, Stage1Infeasible
@@ -101,36 +114,54 @@ class ControlCommand:
 
 # ------------------------------------------------------- reference rollout
 
-def rollout_reference(model: RobotModel, msg: PolicyMessage,
-                      control_dt: float):
-    """Predict reference states at the control period across one message.
+@dataclass
+class _Reference:
+    """One message's reference states at the control period, filled as far
+    as the ticks have read them.
 
-    Each node interval is integrated (``contact.predict``) from its own
-    optimal state under the interval's feed-forward torque and planned
-    contact set, in equal steps near ``control_dt``; node times snap back to
-    the optimal states, so only the in-between ticks are predicted.
-    Returns (times, states, sols) with ``times`` sorted and spanning the
-    message.  ``sols[j]`` is the ``ContactSolution`` that ``predict``
-    solved at ``states[j]`` (the state splits back into the (q, v) it was
-    solved at, bit for bit), and None where no step starts: at each
-    interval's last state and at the message's final state.
+    Each node interval runs in equal steps near the control period from its
+    own optimal state; node times snap back to the optimal states, so only
+    the in-between states are predicted (``contact.predict``'s step).
     """
-    times, states, sols = [], [], []
-    for i, u in enumerate(msg.us_ff):
+
+    msg: PolicyMessage
+    times: np.ndarray   # every reference time, sorted, spanning the message
+    starts: list        # index of each interval's node state, then the final
+    steps: list         # step length of each interval
+    states: list        # reference state at each time; None until filled
+    sols: list          # contact dynamics kept at a state (whole-body only)
+    terms: list         # StanceReference at a stance state (whole-body only)
+
+
+def _plan(msg: PolicyMessage, control_dt: float) -> _Reference:
+    """The reference grid of ``msg`` with its node states alone filled."""
+    times, starts, steps = [], [], []
+    for i in range(len(msg.us_ff)):
         t0 = float(msg.node_times[i])
         t1 = float(msg.node_times[i + 1])
         n = max(1, int(round((t1 - t0) / control_dt)))
         h = (t1 - t0) / n
-        contacts = ct.ContactSet(frames=tuple(msg.contacts[i]))
-        x = np.asarray(msg.xs_ref[i], float)
-        steps, xs = ct.predict(model, x, np.asarray(u, float), contacts, h, n - 1)
+        starts.append(len(times))
+        steps.append(h)
         times += [t0 + j * h for j in range(n)]
-        states += [x, *xs]
-        sols += [*steps, None]
+    starts.append(len(times))
     times.append(float(msg.node_times[-1]))
-    states.append(np.asarray(msg.xs_ref[-1], float))
-    sols.append(None)
-    return np.asarray(times), states, sols
+    states = [None] * len(times)
+    for k, x in zip(starts, msg.xs_ref):
+        states[k] = np.asarray(x, float)
+    return _Reference(msg, np.asarray(times), starts, steps, states,
+                      [None] * len(times), [None] * len(times))
+
+
+def _interval(msg: PolicyMessage, i: int):
+    """Interval ``i``'s feed-forward torque and planned contact set."""
+    return (np.asarray(msg.us_ff[i], float),
+            ct.ContactSet(frames=tuple(msg.contacts[i])))
+
+
+def _put(held: list, new: dict):
+    for k, value in new.items():
+        held[k] = value
 
 
 def _check_message(msg: PolicyMessage):
@@ -150,14 +181,18 @@ def _check_message(msg: PolicyMessage):
 
 
 class _MessageTracker:
-    """Message ingestion, the shared reference-rollout cache and the tick.
+    """Message ingestion, the message's reference and the tick.
 
-    The cache holds the rollout's times, states and the contact dynamics
-    solved at each state (see ``rollout_reference``).  It is rebuilt
-    completely before the message pointer is swapped, so a reader never
-    observes a half-updated reference (single consumer; the swap is the only
-    cross-thread boundary).  A tick that needs the dynamics at a state the
-    rollout did not solve at solves them once and keeps them there.
+    ``update_message`` builds the new message's reference in locals: its
+    grid, and its first interval, where the message's first ticks land,
+    rolled out and prepared for them (``_fill``).  Only then
+    is it swapped in, in one assignment, so a rejected message leaves the
+    previous one, its reference and the last command in place (single
+    consumer; the swap is the only cross-thread boundary).  A later interval
+    is rolled out from its own node state when a tick or ``reference_at``
+    first reads it.  A fill writes what it computed only once all of it
+    succeeded, so a ``RankDeficientContacts`` met there leaves nothing
+    half-filled, and the same read raises again.
     """
 
     def __init__(self, model: RobotModel, bounds: Bounds,
@@ -167,46 +202,76 @@ class _MessageTracker:
         self.model = model
         self.bounds = bounds
         self.control_dt = float(control_dt)
-        self.message: PolicyMessage | None = None
-        self._times = self._states = self._sols = None
+        self._ref: _Reference | None = None
         self._last: ControlCommand | None = None
 
-    def update_message(self, msg: PolicyMessage):
-        """Make ``msg`` the active message, unless ``_check_message`` rejects it."""
-        _check_message(msg)
-        self._times, self._states, self._sols = rollout_reference(
-            self.model, msg, self.control_dt)
-        self.message = msg
+    @property
+    def message(self) -> PolicyMessage | None:
+        """The active message."""
+        return None if self._ref is None else self._ref.msg
 
-    def _reference_index(self, t: float) -> int:
-        return _index_at(self._times, t, len(self._states))
+    def update_message(self, msg: PolicyMessage):
+        """Make ``msg`` the active message, unless ``_check_message`` rejects
+        it (``ConfigError``) or its first interval meets a singular contact
+        set (``RankDeficientContacts``)."""
+        _check_message(msg)
+        ref = _plan(msg, self.control_dt)
+        first = range(ref.starts[1])
+        self._fill(ref, 0, first[-1], first)
+        self._ref = ref
+
+    def _lookup(self, t: float):
+        """The active reference, and the interval and reference index of
+        time ``t``."""
+        ref = self._ref
+        return ref, ref.msg.interval_at(t), _index_at(ref.times, t,
+                                                      len(ref.states))
 
     def reference_at(self, t: float) -> np.ndarray:
-        return self._states[self._reference_index(t)]
+        ref, i, j = self._lookup(t)
+        self._fill(ref, i, j, ())
+        return ref.states[j]
 
-    def _reference_dynamics(self, i: int, j: int) -> ct.ContactSolution:
-        """The contact dynamics at reference state ``j`` under interval
-        ``i``'s feed-forward torque and contacts (``j`` lies in interval
-        ``i``): the rollout's solution, else solved here once and kept."""
-        if self._sols[j] is None:
-            msg = self.message
-            q_d, v_d = mod.split_state(self.model, self._states[j])
-            self._sols[j] = ct.contact_forward_dynamics(
-                self.model, q_d, v_d, np.asarray(msg.us_ff[i], float),
-                ct.ContactSet(frames=tuple(msg.contacts[i])))
-        return self._sols[j]
+    def _rollout(self, ref: _Reference, i: int, j: int):
+        """The states that carry interval ``i`` of ``ref`` from its last
+        filled state through state ``j``, and the contact dynamics solved on
+        the way, as ``{index: value}``; a step from a state whose dynamics
+        ``ref`` keeps solves none.  Nothing is written to ``ref``."""
+        k = j
+        while ref.states[k] is None:
+            k -= 1
+        states, sols = {}, {}
+        if k == j:
+            return states, sols
+        model = self.model
+        u, contacts = _interval(ref.msg, i)
+        q, v = mod.split_state(model, ref.states[k])
+        for m in range(k, j):
+            sol = ref.sols[m]
+            if sol is None:
+                sol = sols[m] = ct.contact_forward_dynamics(model, q, v, u,
+                                                            contacts)
+            q, v = mod.semi_implicit_step(model, q, v, sol.vdot, ref.steps[i])
+            states[m + 1] = mod.state(model, q, v)
+        return states, sols
+
+    def _fill(self, ref: _Reference, i: int, j: int, ticks):
+        """Fill interval ``i`` of ``ref`` through state ``j`` and prepare it
+        for ticks at the states ``ticks``: the states alone here."""
+        if ref.states[j] is None:
+            _put(ref.states, self._rollout(ref, i, j)[0])
 
     def _tick(self, x: np.ndarray, t: float, law) -> ControlCommand:
-        """One control tick under ``law(msg, i, j, x) -> (u, mode,
+        """One control tick under ``law(ref, i, j, x) -> (u, mode,
         degraded)``, the controller's torque law on interval ``i`` at
-        reference state ``j``; held instead when ``_holds``."""
+        reference state ``j`` of ``ref``; held instead when ``_holds``."""
         if self._holds(x, t):
             return self._hold_last()
-        msg = self.message
-        i = msg.interval_at(t)
-        j = self._reference_index(t)
-        x_ref = self._states[j]
-        u, mode, degraded = law(msg, i, j, x)
+        ref, i, j = self._lookup(t)
+        self._fill(ref, i, j, (j,))
+        msg = ref.msg
+        x_ref = ref.states[j]
+        u, mode, degraded = law(ref, i, j, x)
         q_d, v_d = mod.split_state(self.model, x_ref)
         self._last = ControlCommand(
             u=u, q_joints=q_d[3:], v_joints=v_d[3:], x_ref=np.array(x_ref),
@@ -249,16 +314,19 @@ class RiccatiController(_MessageTracker):
     The gain acts on the manifold error ``x_ref (-) x``; when the planned
     interval has fewer than two feet in contact the base columns are
     masked, leaving pure joint feedback around the feed-forward torque.
+    Its reference keeps states alone: no contact dynamics outlive the
+    rollout step that solved them.
     """
 
     def control(self, x: np.ndarray, t: float) -> ControlCommand:
         return self._tick(x, t, self._feedback)
 
-    def _feedback(self, msg, i, j, x):
+    def _feedback(self, ref, i, j, x):
+        msg = ref.msg
         K = np.asarray(msg.K_gains[i], float)
         if len(msg.contacts[i]) < 2:
             K = mask_base_gain(K, self.model.nv)
-        err = mod.difference(self.model, self._states[j], x)
+        err = mod.difference(self.model, ref.states[j], x)
         u = np.asarray(msg.us_ff[i], float) + K @ err
         return np.clip(u, self.bounds.u_lb, self.bounds.u_ub), "riccati", False
 
@@ -296,12 +364,19 @@ def _working_set(W, active, n):
     null space of A."""
     k = len(active)
     if not k:
-        return None, None, np.eye(n)
+        return None, None, _kernels.eye(n)
     qr, tau = dgeqrf(W[[j for j, _ in active]].T)[:2]
     Q = np.zeros((n, n))
     Q[:, :k] = qr
     Q = dorgqr(Q, tau)[0]
     return qr[:k], Q, Q[:, k:]
+
+
+def _frobenius(G) -> float:
+    """``np.linalg.norm(G)`` by the code it runs for a matrix, without its
+    argument handling: the root of the dot of G raveled in memory order."""
+    g = G.ravel(order="K")
+    return math.sqrt(g.dot(g))
 
 
 def _warm_rows(W, lb, ub, warm, dependent):
@@ -351,7 +426,8 @@ def _stage_qp(G, d, W, lb, ub, warm=()):
         # a primal active-set method cannot recover from this; the caller
         # owns the starting point and must seed it inside the bounds
         raise ConfigError("stage QP starting point violates its bounds")
-    H = np.concatenate((G, STAGE_RIDGE * (np.linalg.norm(G) or 1.0) * np.eye(n)))
+    ridge = STAGE_RIDGE * (_frobenius(G) or 1.0)
+    H = np.concatenate((G, ridge * _kernels.eye(n)))
     h = np.concatenate((d, np.zeros(n)))
     dependent = (DEPENDENT_ROW ** 2 * np.einsum("ij,ij->i", W, W)).tolist()
     upper, lower = np.isfinite(ub).tolist(), np.isfinite(lb).tolist()
@@ -521,32 +597,65 @@ def wbc_inequality_rows(model: RobotModel, bounds: Bounds,
                      ub=np.concatenate(highs))
 
 
-def stance_tasks(model: RobotModel, gains: WbcGains, x, x_ref,
-                 ref: ct.ContactSolution, frames,
+@dataclass
+class StanceReference:
+    """The reference side of a stance tick: what ``stance_tasks`` reads of
+    the reference state and of the contact dynamics solved there, none of
+    which the measurement changes."""
+
+    cen: CentroidalQuantities       # centroidal terms at the reference state
+    hdot: np.ndarray                # momentum rate A_G vdot + Adot_v (3,)
+    swing_pos: np.ndarray | None    # swing-foot positions, stacked (2 each);
+    swing_vel: np.ndarray | None    # their velocities and accelerations
+    swing_acc: np.ndarray | None    # J vdot + bias; None without swing feet
+
+
+def _swing(model: RobotModel, frames: tuple) -> tuple:
+    return tuple(f for f in range(len(model.contact_frames))
+                 if f not in frames)
+
+
+def stance_reference(model: RobotModel, x_ref, ref: ct.ContactSolution,
+                     frames) -> StanceReference:
+    """The reference side of a stance tick at the reference state ``x_ref``,
+    read off ``ref``, the contact dynamics solved there under the
+    feed-forward torque and ``frames``: one centroidal evaluation and one
+    gather of the swing feet on its multibody pass."""
+    v_d = mod.split_state(model, x_ref)[1]
+    cen = centroidal(model, ref.mb, v_d)
+    hdot = cen.A_G @ ref.vdot + cen.Adot_v
+    swing = _swing(model, tuple(frames))
+    if not swing:
+        return StanceReference(cen, hdot, None, None, None)
+    pos, J, vel, bias = frame_motion(model, ref.mb, swing)
+    return StanceReference(cen, hdot, pos.ravel(), vel.ravel(),
+                           J @ ref.vdot + bias)
+
+
+def stance_tasks(model: RobotModel, gains: WbcGains, x,
+                 ref: StanceReference, frames,
                  lam_ref) -> list[tuple[np.ndarray, np.ndarray]]:
     """Build the stance hierarchy at one tick as ``(A, a)`` pairs.
 
     Priorities: (0) contact dynamics, (1) swing feet, (2) centre of mass,
     (3) angular momentum, (4) contact forces.  The linear momentum is the
     CoM rows times the total mass, so the CoM stage already fixes it and
-    the momentum stage holds the angular row alone.  All task references
-    are evaluated on the rollout state ``x_ref`` with ``ref``, the contact
-    dynamics solved there under the feed-forward torque and ``frames``, so
-    a perfectly tracking robot sees consistent, zero-error targets.  No
-    dynamics are solved here.
+    the momentum stage holds the angular row alone.  The task references
+    come prepared in ``ref`` (``stance_reference``), from the rollout state
+    and the contact dynamics solved there under the feed-forward torque and
+    ``frames``, so a perfectly tracking robot sees consistent, zero-error
+    targets.  Only the measured state is evaluated here; no dynamics are
+    solved.
     """
     frames = tuple(frames)
     q, v = mod.split_state(model, x)
-    v_d = mod.split_state(model, x_ref)[1]
     nv, nu = model.nv, model.nu
     nf = 2 * len(frames)
     ny = nv + nu + nf
 
-    # one multibody pass and one frame gather per state: the measured ones
-    # here, for the contact and swing feet together; the reference pass
-    # from the reference dynamics, and a gather for its swing feet
-    swing = tuple(f for f in range(len(model.contact_frames))
-                  if f not in frames)
+    # one multibody pass and one frame gather at the measured state, for the
+    # contact and swing feet together
+    swing = _swing(model, frames)
     mb = multibody(model, q, v)
     pos, J, vel, bias = frame_motion(model, mb, frames + swing)
     A1 = np.zeros((nv + nf, ny))
@@ -558,29 +667,27 @@ def stance_tasks(model: RobotModel, gains: WbcGains, x, x_ref,
     tasks = [(A1, a1)]
 
     cen = centroidal(model, mb, v)
-    cen_ref = centroidal(model, ref.mb, v_d)
-    hdot_ref = cen_ref.A_G @ ref.vdot + cen_ref.Adot_v
+    cen_ref = ref.cen
     m_tot = model.total_mass
 
     if swing:
         k = len(frames)
-        pos_d, J_d, vel_d, bias_d = frame_motion(model, ref.mb, swing)
-        target = (J_d @ ref.vdot + bias_d
-                  + gains.swing_kp * (pos_d.ravel() - pos[k:].ravel())
-                  + gains.swing_kd * (vel_d.ravel() - vel[k:].ravel()))
+        target = (ref.swing_acc
+                  + gains.swing_kp * (ref.swing_pos - pos[k:].ravel())
+                  + gains.swing_kd * (ref.swing_vel - vel[k:].ravel()))
         A = np.zeros((2 * len(swing), ny))
         A[:, :nv] = J[nf:]
         tasks.append((A, target - bias[nf:]))
 
     # CoM rows are the linear momentum rows scaled by the total mass
-    acc_com_d = hdot_ref[:2] / m_tot
+    acc_com_d = ref.hdot[:2] / m_tot
     target = (acc_com_d + gains.com_kp * (cen_ref.p_G - cen.p_G)
               + gains.com_kd * (cen_ref.v_G - cen.v_G))
     A = np.zeros((2, ny))
     A[:, :nv] = cen.A_G[:2] / m_tot
     tasks.append((A, target - cen.Adot_v[:2] / m_tot))
 
-    kdot_c = momentum_policy(gains, cen, cen_ref, hdot_ref)
+    kdot_c = momentum_policy(gains, cen, cen_ref, ref.hdot)
     A = np.zeros((1, ny))
     A[:, :nv] = cen.A_G[2:]
     tasks.append((A, kdot_c - cen.Adot_v[2:]))
@@ -633,21 +740,43 @@ class WholeBodyController(_MessageTracker):
                 wbc_seed(self.model, self.bounds, self.cone, n_contacts))
         return self._rows[key]
 
-    def _hierarchy(self, msg, i, j, x):
-        model, bounds = self.model, self.bounds
+    def _fill(self, ref, i, j, ticks):
+        """Fill interval ``i`` of ``ref`` through state ``j`` and, in a
+        stance interval, prepare each state of ``ticks``: the contact
+        dynamics there, solved once by whichever of its rollout step or its
+        tick comes first, and its ``stance_reference``.  The dynamics solved
+        on the way are kept."""
+        frames = tuple(ref.msg.contacts[i])
+        ticks = [k for k in ticks if len(frames) >= 2 and ref.terms[k] is None]
+        if ref.states[j] is not None and not ticks:
+            return
+        states, sols = self._rollout(ref, i, j)
+        terms = {}
+        for k in ticks:
+            x = states[k] if k in states else ref.states[k]
+            sol = sols[k] if k in sols else ref.sols[k]
+            if sol is None:
+                sol = sols[k] = ct.contact_forward_dynamics(
+                    self.model, *mod.split_state(self.model, x),
+                    *_interval(ref.msg, i))
+            terms[k] = stance_reference(self.model, x, sol, frames)
+        _put(ref.states, states)
+        _put(ref.sols, sols)
+        _put(ref.terms, terms)
+
+    def _hierarchy(self, ref, i, j, x):
+        model, bounds, msg = self.model, self.bounds, ref.msg
         frames = tuple(msg.contacts[i])
         u_ff = np.asarray(msg.us_ff[i], float)
-        x_ref = self._states[j]
         if len(frames) < 2:
             q, v = mod.split_state(model, x)
-            q_d, v_d = mod.split_state(model, x_ref)
+            q_d, v_d = mod.split_state(model, ref.states[j])
             u = flight_pd(u_ff, q[3:], v[3:], q_d[3:], v_d[3:],
                           self.gains.flight_kp, self.gains.flight_kd,
                           bounds.u_lb, bounds.u_ub)
             return u, "flight_pd", False
         try:
-            tasks = stance_tasks(model, self.gains, x, x_ref,
-                                 self._reference_dynamics(i, j), frames,
+            tasks = stance_tasks(model, self.gains, x, ref.terms[j], frames,
                                  np.asarray(msg.forces_ref[i], float))
             y = hqp_solve(tasks, *self._constraints(len(frames))).y
         except (Stage1Infeasible, MaxIterations):

@@ -67,6 +67,14 @@ def branched_tree() -> RobotModel:
     )
 
 
+def straight_legs(model):
+    """A standing state with every leg straight: the stance contact set is
+    singular there."""
+    q = presets.nominal_configuration(model)
+    q[3:] = 0.0
+    return mod.state(model, q, np.zeros(model.nv))
+
+
 # --------------------------------------------------- the pass at (q, v)
 
 def frame_motion_at(m, q, v, frames):
@@ -123,6 +131,55 @@ def solved_derivatives(m, q, v, u, contacts):
 
 # ------------------------------------------------------ whole-body tick oracle
 
+def rollout_reference(model, msg, control_dt):
+    """Predict reference states at the control period across one message,
+    every interval at once: the eager oracle of the trackers' reference.
+
+    Each node interval is integrated (``contact.predict``) from its own
+    optimal state under the interval's feed-forward torque and planned
+    contact set, in equal steps near ``control_dt``; node times snap back to
+    the optimal states, so only the in-between ticks are predicted.
+    Returns (times, states, sols) with ``times`` sorted and spanning the
+    message.  ``sols[j]`` is the ``ContactSolution`` that ``predict``
+    solved at ``states[j]`` (the state splits back into the (q, v) it was
+    solved at, bit for bit), and None where no step starts: at each
+    interval's last state and at the message's final state.
+    """
+    times, states, sols = [], [], []
+    for i, u in enumerate(msg.us_ff):
+        t0 = float(msg.node_times[i])
+        t1 = float(msg.node_times[i + 1])
+        n = max(1, int(round((t1 - t0) / control_dt)))
+        h = (t1 - t0) / n
+        contacts = ct.ContactSet(frames=tuple(msg.contacts[i]))
+        x = np.asarray(msg.xs_ref[i], float)
+        steps, xs = ct.predict(model, x, np.asarray(u, float), contacts, h, n - 1)
+        times += [t0 + j * h for j in range(n)]
+        states += [x, *xs]
+        sols += [*steps, None]
+    times.append(float(msg.node_times[-1]))
+    states.append(np.asarray(msg.xs_ref[-1], float))
+    sols.append(None)
+    return np.asarray(times), states, sols
+
+
+def reference_terms(model, x_ref, sol, frames):
+    """The reference side of a stance tick at ``x_ref`` from the contact
+    dynamics ``sol`` solved there, term by term as a tick once computed it:
+    centroidal terms, the momentum rate, and the swing feet's positions,
+    velocities and accelerations ``J vdot + bias``."""
+    v_d = mod.split_state(model, x_ref)[1]
+    cen = centroidal(model, sol.mb, v_d)
+    hdot = cen.A_G @ sol.vdot + cen.Adot_v
+    swing = tuple(f for f in range(len(model.contact_frames))
+                  if f not in tuple(frames))
+    if not swing:
+        return trk.StanceReference(cen, hdot, None, None, None)
+    pos_d, J_d, vel_d, bias_d = dynamics.frame_motion(model, sol.mb, swing)
+    return trk.StanceReference(cen, hdot, pos_d.ravel(), vel_d.ravel(),
+                               J_d @ sol.vdot + bias_d)
+
+
 def reference_dynamics(ctrl, t):
     """The contact dynamics at the tick's reference state, solved afresh at
     ``split_state(x_ref)`` under the feed-forward torque and contacts of the
@@ -137,13 +194,14 @@ def reference_dynamics(ctrl, t):
 
 def wbc_stance_cascade(wbc, x, t):
     """(tasks, rows, seed) of the cascade a stance tick of ``wbc`` at (x, t)
-    solves, built anew on ``reference_dynamics``."""
+    solves, built anew on ``reference_dynamics`` and ``reference_terms``."""
     model, bounds, msg = wbc.model, wbc.bounds, wbc.message
     i = msg.interval_at(t)
     frames = tuple(msg.contacts[i])
     assert len(frames) >= 2
-    tasks = trk.stance_tasks(model, wbc.gains, x, wbc.reference_at(t),
-                             reference_dynamics(wbc, t), frames,
+    ref = reference_terms(model, wbc.reference_at(t),
+                          reference_dynamics(wbc, t), frames)
+    tasks = trk.stance_tasks(model, wbc.gains, x, ref, frames,
                              np.asarray(msg.forces_ref[i], float))
     return (tasks, trk.wbc_inequality_rows(model, bounds, wbc.cone, len(frames)),
             trk.wbc_seed(model, bounds, wbc.cone, len(frames)))

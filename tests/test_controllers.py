@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import nnls
 
 from leggedmpc import contact as ct
@@ -13,10 +15,12 @@ from leggedmpc import model as mod
 from leggedmpc import mpc as rh
 from leggedmpc import presets, schedule
 from leggedmpc.errors import (ConfigError, InvalidMeasurement, MaxIterations,
-                              Stage1Infeasible)
+                              RankDeficientContacts, Stage1Infeasible)
 
 from helpers import (centroidal_at, cold_hqp_solve, count_calls, nullspace_basis,
-                     reference_dynamics, rel_err, wbc_stance_cascade, wbc_stance_tick)
+                     reference_dynamics, reference_terms, rel_err,
+                     rollout_reference, straight_legs, wbc_stance_cascade,
+                     wbc_stance_tick)
 
 
 @pytest.fixture(scope="module")
@@ -290,7 +294,7 @@ def test_tracker_rejects_bad_control_period(quad):
 
 def test_rollout_matches_manual_integration(quad, solver_message):
     dt = 1.0 / 400.0
-    times, states, _ = trk.rollout_reference(quad, solver_message, dt)
+    times, states, _ = rollout_reference(quad, solver_message, dt)
     assert times[0] == solver_message.node_times[0]
     assert times[-1] == solver_message.node_times[-1]
     assert np.all(np.diff(times) > 0)
@@ -315,7 +319,7 @@ def test_rollout_keeps_the_dynamics_at_each_state_it_stepped_from(
     # the state's interval; there is none at an interval's last state (the
     # next state is the next node's) nor at the final state
     dt = 1.0 / 400.0
-    times, states, sols = trk.rollout_reference(quad, solver_message, dt)
+    times, states, sols = rollout_reference(quad, solver_message, dt)
     assert len(sols) == len(states)
     node = {float(t) for t in solver_message.node_times}
     for j, (t, x, sol) in enumerate(zip(times, states, sols)):
@@ -438,7 +442,8 @@ def perturbed_stance_tasks(model, frames, seed=0):
                                          ct.ContactSet(frames=frames))
     ref = ct.contact_forward_dynamics(model, *mod.split_state(model, x_ref),
                                       u_qs, ct.ContactSet(frames=frames))
-    return trk.stance_tasks(model, trk.WbcGains(), x, x_ref, ref,
+    return trk.stance_tasks(model, trk.WbcGains(), x,
+                            trk.stance_reference(model, x_ref, ref, frames),
                             frames, forces_qs)
 
 
@@ -573,6 +578,23 @@ def test_stage_qp_admits_only_tight_independent_warm_rows():
     assert_kkt(G, d, W, lb, ub, z)
 
 
+def test_stage_ridge_norm_has_the_bits_of_numpys_norm():
+    # the stage QP scales its ridge by the code np.linalg.norm runs for a
+    # matrix's Frobenius norm: equal bits over stage shapes (A Z products
+    # among them, and matrices in Fortran order) and scales
+    rng = np.random.default_rng(47)
+    for k in range(20_000):
+        m, n = rng.integers(1, 24, size=2)
+        scale = 10.0 ** rng.uniform(-6.0, 6.0)
+        if k % 3 == 0:
+            G = scale * rng.standard_normal((m, n))
+        elif k % 3 == 1:
+            G = (scale * rng.standard_normal((m, 23))) @ rng.standard_normal((23, n))
+        else:
+            G = np.asfortranarray(scale * rng.standard_normal((m, n)))
+        assert trk._frobenius(G) == np.linalg.norm(G)
+
+
 @pytest.mark.parametrize("which", ["solver", "equilibrium"])
 def test_warm_cascade_matches_cold_stages_in_fewer_iterations(
         quad, statics, solver_message, which):
@@ -591,7 +613,7 @@ def test_warm_cascade_matches_cold_stages_in_fewer_iterations(
     wbc.update_message(msg)
     rng = np.random.default_rng(41)
     warm_its = cold_its = 0
-    for t in trk.rollout_reference(quad, msg, wbc.control_dt)[0]:
+    for t in rollout_reference(quad, msg, wbc.control_dt)[0]:
         noise = np.concatenate([0.01 * rng.standard_normal(quad.nv),
                                 0.1 * rng.standard_normal(quad.nv)])
         x = mod.integrate(quad, wbc.reference_at(t), noise)
@@ -620,8 +642,9 @@ def test_com_stage_fixes_linear_momentum(quad, solver_message):
         assert len(frames) >= 2          # a stance tick
         x = mod.integrate(quad, wbc.reference_at(t),
                           1e-3 * rng.standard_normal(2 * quad.nv))
-        tasks = trk.stance_tasks(quad, wbc.gains, x, wbc.reference_at(t),
-                                 reference_dynamics(wbc, t), frames,
+        ref = trk.stance_reference(quad, wbc.reference_at(t),
+                                   reference_dynamics(wbc, t), frames)
+        tasks = trk.stance_tasks(quad, wbc.gains, x, ref, frames,
                                  msg.forces_ref[i])
         A_com = tasks[1][0]              # dynamics, CoM: no swing feet
         Z = np.eye(A_com.shape[1])
@@ -644,7 +667,7 @@ def test_wbc_tick_equals_a_tick_that_solves_its_reference_afresh(
         quad, presets.nominal_configuration(quad)),
         cone=co.FrictionCone(mu=0.7))
     wbc.update_message(msg)
-    times = trk.rollout_reference(quad, msg, wbc.control_dt)[0]
+    times = rollout_reference(quad, msg, wbc.control_dt)[0]
     rng = np.random.default_rng(31)
     held = np.zeros(quad.nu)
     for t in times:
@@ -666,7 +689,7 @@ def test_wbc_torque_is_continuous_in_the_measured_state(quad, solver_message,
         quad, presets.nominal_configuration(quad)),
         cone=co.FrictionCone(mu=0.7))
     wbc.update_message(solver_message)
-    times = trk.rollout_reference(quad, solver_message, wbc.control_dt)[0]
+    times = rollout_reference(quad, solver_message, wbc.control_dt)[0]
     rng = np.random.default_rng(37)
     for t in times:
         x = mod.integrate(quad, wbc.reference_at(t),
@@ -707,7 +730,7 @@ def test_stage_qp_iterations_stay_below_size(quad, statics, solver_message,
     for msg in (solver_message, equilibrium_message(quad, *statics)):
         wbc = trk.WholeBodyController(quad, bounds, cone=cone)
         wbc.update_message(msg)
-        for t in trk.rollout_reference(quad, msg, wbc.control_dt)[0]:
+        for t in rollout_reference(quad, msg, wbc.control_dt)[0]:
             x = mod.integrate(quad, wbc.reference_at(t),
                               1e-2 * rng.standard_normal(2 * quad.nv))
             assert not wbc.control(x, t).degraded
@@ -722,19 +745,202 @@ def test_stage_qp_iterations_stay_below_size(quad, statics, solver_message,
 
 def test_wbc_tick_solves_the_reference_only_where_the_rollout_did_not(
         quad, solver_message, monkeypatch):
+    # ingestion prepared every state of the first interval, its last state
+    # included, so no tick there solves; a tick that first reaches a later
+    # interval solves the steps it fills plus the dynamics at its own state,
+    # a step from a state a tick prepared reuses its dynamics, and a
+    # repeated tick, or one at a state a step already solved, solves none
     wbc = trk.WholeBodyController(quad, co.default_bounds(
         quad, presets.nominal_configuration(quad)))
     wbc.update_message(solver_message)
-    times, _, sols = trk.rollout_reference(quad, solver_message,
-                                           wbc.control_dt)
+    times, states, sols = rollout_reference(quad, solver_message,
+                                            wbc.control_dt)
     last = next(j for j, sol in enumerate(sols) if sol is None)
-    assert 1 < last < len(sols) - 1      # an interval's last state
+    assert 1 < last < len(sols) - 5      # the first interval's last state
+    second = last + 1                    # the second interval's node state
     solves = count_calls(monkeypatch, ct.contact_forward_dynamics)
-    for j, expected in ((0, 0), (1, 0), (last, 1), (last, 0)):
+    reads = [(j, 0) for j in range(last + 1)] + [
+        (last, 0), (second + 3, 3 + 1), (second + 3, 0), (second + 4, 0 + 1),
+        (second + 1, 0)]
+    for j, expected in reads:
         before = len(solves)
-        x = np.array(wbc.reference_at(times[j]))
-        assert wbc.control(x, times[j]).mode == "wbc"
+        assert wbc.control(np.array(states[j]), times[j]).mode == "wbc"
         assert len(solves) - before == expected
+
+
+@pytest.mark.parametrize("controller, own", [(trk.RiccatiController, 0),
+                                             (trk.WholeBodyController, 1)])
+def test_ingestion_rolls_out_the_first_interval_alone(
+        quad, solver_message, monkeypatch, controller, own):
+    # n0 states in stance: n0 - 1 steps, and for the whole-body controller
+    # the dynamics at the last state too; no tick inside the interval
+    # solves, and the Riccati tracker keeps states alone
+    ctrl = controller(quad, co.default_bounds(
+        quad, presets.nominal_configuration(quad)))
+    times, states, sols = rollout_reference(quad, solver_message,
+                                            ctrl.control_dt)
+    n0 = next(j for j, sol in enumerate(sols) if sol is None) + 1
+    assert n0 == 8
+    solves = count_calls(monkeypatch, ct.contact_forward_dynamics)
+    ctrl.update_message(solver_message)
+    assert len(solves) == n0 - 1 + own
+    for j in range(n0):
+        ctrl.control(np.array(states[j]), times[j])
+    assert len(solves) == n0 - 1 + own
+    filled = [x is not None for x in ctrl._ref.states]
+    assert filled[:n0] == [True] * n0
+    assert sum(filled) == n0 + len(solver_message.us_ff)   # and node states
+    if controller is trk.RiccatiController:
+        assert ctrl._ref.sols == ctrl._ref.terms == [None] * len(states)
+
+
+def assert_same_bits(a, b):
+    """Equal bytes field by field, for arrays, floats, None and dataclasses."""
+    if hasattr(a, "__dataclass_fields__"):
+        assert type(a) is type(b)
+        for name in a.__dataclass_fields__:
+            assert_same_bits(getattr(a, name), getattr(b, name))
+    elif a is None or b is None:
+        assert a is b
+    else:
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def assert_reads_match_the_oracle(quad, msg, order):
+    """Ticks of a whole-body controller and reference reads of a Riccati
+    controller at the reference indices in ``order`` leave, at every index
+    read, the bits of the eager oracle: the state, and for the whole-body
+    controller the contact dynamics there and their ``reference_terms``."""
+    bounds = co.default_bounds(quad, presets.nominal_configuration(quad))
+    wbc = trk.WholeBodyController(quad, bounds, cone=co.FrictionCone(mu=0.7))
+    ric = trk.RiccatiController(quad, bounds)
+    wbc.update_message(msg)
+    ric.update_message(msg)
+    times, states, sols = rollout_reference(quad, msg, wbc.control_dt)
+    for j in order:
+        t = times[j]
+        i = msg.interval_at(t)
+        frames = tuple(msg.contacts[i])
+        wbc.control(np.array(states[j]), t)
+        assert ric.reference_at(t).tobytes() == states[j].tobytes()
+        ref = wbc._ref
+        assert ref.states[j].tobytes() == states[j].tobytes()
+        sol = sols[j] or ct.contact_forward_dynamics(
+            quad, *mod.split_state(quad, states[j]),
+            np.asarray(msg.us_ff[i], float), ct.ContactSet(frames=frames))
+        for field in ("vdot", "forces", "J"):
+            assert_same_bits(getattr(ref.sols[j], field), getattr(sol, field))
+        assert_same_bits(ref.sols[j].mb.M, sol.mb.M)
+        assert_same_bits(ref.sols[j].mb.h, sol.mb.h)
+        assert_same_bits(ref.terms[j],
+                         reference_terms(quad, states[j], sol, frames))
+
+
+@pytest.mark.parametrize("which", ["solver", "equilibrium"])
+@pytest.mark.parametrize("backward", [False, True])
+def test_lazy_reference_has_the_bits_of_the_eager_oracle(
+        quad, statics, solver_message, which, backward):
+    msg = (solver_message if which == "solver"
+           else equilibrium_message(quad, *statics))
+    n = len(rollout_reference(quad, msg, 1.0 / 400.0)[0])
+    order = range(n - 1, -1, -1) if backward else range(n)
+    assert_reads_match_the_oracle(quad, msg, order)
+
+
+@settings(max_examples=8)
+@given(data=st.data())
+def test_lazy_reference_has_the_oracle_bits_in_any_read_order(
+        quad, statics, solver_message, data):
+    for msg in (solver_message, equilibrium_message(quad, *statics)):
+        n = len(rollout_reference(quad, msg, 1.0 / 400.0)[0])
+        order = data.draw(st.permutations(range(n)))
+        assert_reads_match_the_oracle(quad, msg, order)
+
+
+def kept(ref):
+    """What a tracker's reference holds at each index."""
+    return list(ref.states), list(ref.sols), list(ref.terms)
+
+
+@pytest.mark.parametrize("controller", [trk.RiccatiController,
+                                        trk.WholeBodyController])
+def test_singular_first_interval_leaves_the_previous_message(
+        quad, solver_message, controller):
+    ctrl = controller(quad, co.default_bounds(
+        quad, presets.nominal_configuration(quad)))
+    ctrl.update_message(solver_message)
+    x0, t0 = np.array(solver_message.xs_ref[0]), solver_message.node_times[0]
+    cmd = ctrl.control(x0, t0)
+    ref = ctrl._ref
+    held = kept(ref)
+    bad = replace(solver_message,
+                  xs_ref=[straight_legs(quad), *solver_message.xs_ref[1:]])
+    with pytest.raises(RankDeficientContacts):
+        ctrl.update_message(bad)
+    assert ctrl.message is solver_message and ctrl._ref is ref
+    assert kept(ref) == held
+    assert ctrl._last is cmd
+    assert ctrl.control(x0, t0).u.tobytes() == cmd.u.tobytes()
+
+
+@pytest.mark.parametrize("controller", [trk.RiccatiController,
+                                        trk.WholeBodyController])
+def test_singular_later_interval_raises_from_the_tick_that_reaches_it(
+        quad, solver_message, controller):
+    # the second interval starts from straight legs: the message is taken,
+    # and each tick that reaches the interval raises, filling nothing
+    ctrl = controller(quad, co.default_bounds(
+        quad, presets.nominal_configuration(quad)))
+    xs = list(solver_message.xs_ref)
+    msg = replace(solver_message, xs_ref=[xs[0], straight_legs(quad), *xs[2:]])
+    ctrl.update_message(msg)
+    x0, t0 = np.array(xs[0]), msg.node_times[0]
+    cmd = ctrl.control(x0, t0)
+    ref = ctrl._ref
+    held = kept(ref)
+    t = msg.node_times[1] + 2 * ctrl.control_dt
+    for _ in range(2):
+        with pytest.raises(RankDeficientContacts):
+            ctrl.control(x0, t)
+        assert kept(ref) == held
+        assert ctrl._last is cmd
+    with pytest.raises(RankDeficientContacts):
+        ctrl.reference_at(t)
+    assert kept(ref) == held
+    # the first interval still ticks
+    assert ctrl.control(x0, t0).u.tobytes() == cmd.u.tobytes()
+
+
+@pytest.mark.parametrize("controller", [trk.RiccatiController,
+                                        trk.WholeBodyController])
+def test_a_fill_that_fails_midway_writes_nothing(quad, solver_message,
+                                                 monkeypatch, controller):
+    # the third contact solve of a tick's fill raises: none of the states
+    # or dynamics before it are kept, and the tick goes through once the
+    # solves do
+    ctrl = controller(quad, co.default_bounds(
+        quad, presets.nominal_configuration(quad)))
+    ctrl.update_message(solver_message)
+    ref = ctrl._ref
+    held = kept(ref)
+    solve = ct.contact_forward_dynamics
+    calls = []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise RankDeficientContacts("injected")
+        return solve(*args)
+
+    monkeypatch.setattr(ct, "contact_forward_dynamics", failing)
+    x0 = np.array(solver_message.xs_ref[0])
+    t = solver_message.node_times[2] + 4 * ctrl.control_dt
+    with pytest.raises(RankDeficientContacts):
+        ctrl.control(x0, t)
+    assert len(calls) == 3
+    assert kept(ref) == held
+    ctrl.control(x0, t)
+    assert ref.states[ref.starts[2] + 4] is not None
 
 
 def test_wbc_builds_rows_once_per_cone_and_contact_count(quad, statics,

@@ -167,13 +167,15 @@ def test_contact_forward_dynamics_runs_bias_accelerations_once(monkeypatch):
 
 
 def stance_tasks_solved(quad, x, x_ref, frames):
-    """The reference dynamics at ``x_ref`` under zero torque, then the stance
-    tasks on them: the work of a tick that finds no rollout solution."""
+    """The reference dynamics at ``x_ref`` under zero torque, their reference
+    terms, then the stance tasks on them: the work of a tick at a state
+    nothing prepared."""
     ref = ct.contact_forward_dynamics(quad, *mod.split_state(quad, x_ref),
                                       np.zeros(quad.nu),
                                       ct.ContactSet(frames=frames))
-    return trk.stance_tasks(quad, trk.WbcGains(), x, x_ref, ref, frames,
-                            np.zeros(2 * len(frames)))
+    return trk.stance_tasks(quad, trk.WbcGains(), x,
+                            trk.stance_reference(quad, x_ref, ref, frames),
+                            frames, np.zeros(2 * len(frames)))
 
 
 def test_stance_tasks_run_kinematics_once_per_state(monkeypatch):

@@ -14,7 +14,7 @@ from leggedmpc import presets, problem, schedule
 from leggedmpc.errors import (ConfigError, InvalidMeasurement, NoStepAccepted,
                               RankDeficientContacts)
 
-from helpers import single_body
+from helpers import single_body, straight_legs
 
 
 @pytest.fixture(scope="module")
@@ -460,14 +460,6 @@ def test_feedforward_held_between_nodes(quad):
     # mid-interval query returns the covering node's feed-forward
     u = ctrl._feedforward_at(0.031)
     assert np.array_equal(u, np.asarray(msg.us_ff[1]))
-
-
-def straight_legs(model):
-    """A standing state with every leg straight: the stance contact set is
-    singular there."""
-    q = presets.nominal_configuration(model)
-    q[3:] = 0.0
-    return mod.state(model, q, np.zeros(model.nv))
 
 
 def assert_bad_measurement_reissues(quad, bad, delay=0.01,
