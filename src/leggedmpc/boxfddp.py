@@ -164,13 +164,13 @@ class BoxFddp:
 
     The regularization mu follows the schedule of Box-FDDP (Mastalli et al.,
     "A feasibility-driven approach to control-limited DDP", Auton. Robots
-    2022).  It rises by ``mu_factor`` on every failed backward pass or line
-    search.  After an accepted step of length alpha it falls by
-    ``mu_factor`` when ``alpha >= long_step`` and rises by ``mu_factor`` when
-    ``alpha <= short_step``; any other step leaves it unchanged.  It stays
-    within [``mu_min``, ``mu_max``].  A short step means the local model
-    holds for only a small part of its step, so the next backward pass is
-    damped more.
+    2022).  It starts at ``mu_min`` and rises by ``mu_factor`` on every
+    failed backward pass or line search.  After an accepted step of length
+    alpha it falls by ``mu_factor`` when ``alpha >= long_step`` and rises by
+    ``mu_factor`` when ``alpha <= short_step``; any other step leaves it
+    unchanged.  It stays within [``mu_min``, ``mu_max``].  A short step
+    means the local model holds for only a small part of its step, so the
+    next backward pass is damped more.
     """
 
     alphas = tuple(0.5 ** i for i in range(11))
@@ -190,10 +190,10 @@ class BoxFddp:
     # forward pass on infeasible warm starts
     neg_step_factor = 2.0
 
-    def __init__(self, problem, tol: float = 1e-6, mu: float = 1e-9):
+    def __init__(self, problem, tol: float = 1e-6):
         self.problem = problem
         self.tol = tol
-        self.mu = mu
+        self.mu = self.mu_min
         self.xs = None
         self.us = None
         self.gaps = None
@@ -386,6 +386,9 @@ class BoxFddp:
 
     # -- iteration loop ---------------------------------------------------
 
+    # a poor iterate may overflow; the box QP, the backward pass and the
+    # line search each handle a non-finite value, so numpy's warnings stay here
+    @np.errstate(over="ignore", invalid="ignore")
     def solve_one_iteration(self):
         """Derivatives, backward pass (with mu retries), one accepted step.
 

@@ -27,8 +27,11 @@ sweep over the tree, and one solve with the KKT matrix maps them onto the
 state and control sensitivities of (vdot, lambda) together.
 
 ``predict`` is the one forward prediction: semi-implicit steps under a
-constant torque and a fixed contact set, taken by the running nodes, the
-MPC loop's delay prediction and the tracking controllers' reference rollout.
+constant torque and a fixed contact set, taken by the running nodes and the
+MPC loop's delay prediction.  The tracking controllers' reference rollout
+takes the same steps (``contact_forward_dynamics``, then
+``model.semi_implicit_step``) one at a time, so that it can skip the solve
+at a state whose dynamics it already keeps.
 
 Every routine also takes a stack of states (leading axes on q, v and u, a
 (B, nc) frame array in the ``ContactSet``) as one pass of array operations.

@@ -12,7 +12,8 @@ Two interchangeable consumers of :class:`~leggedmpc.mpc.PolicyMessage`:
   contact dynamics with actuation limits, swing feet, centre of mass,
   angular momentum, contact forces -- as a cascade of small quadratic
   programs in the accumulated null space.  Flight phases fall back to a
-  joint-space PD around the feed-forward torque.
+  joint-space PD around the feed-forward torque.  Its gains are module
+  constants (``SWING_KP`` to ``FLIGHT_KD``), one tuning for every caller.
 
 Both run the same tick and differ only in their torque law.  The tick looks
 the interval and reference state up by one rule (a time within 1e-12 s
@@ -72,30 +73,6 @@ from .dynamics import frame_motion, multibody
 from .errors import ConfigError, InvalidMeasurement, MaxIterations, Stage1Infeasible
 from .model import RobotModel
 from .mpc import PolicyMessage, _index_at
-
-
-@dataclass
-class WbcGains:
-    """Feedback gains of the task hierarchy (all non-negative).
-
-    Swing and CoM pairs map tracking errors to accelerations;
-    ``momentum_dk`` maps the angular-momentum error to an angular-momentum
-    rate; the flight pair is the joint-space PD used when fewer than two
-    feet are in contact.
-    """
-
-    swing_kp: float = 350.0
-    swing_kd: float = 25.0
-    com_kp: float = 60.0
-    com_kd: float = 90.0
-    momentum_dk: float = 10.0
-    flight_kp: float = 60.0
-    flight_kd: float = 2.0
-
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            if value < 0:
-                raise ConfigError(f"gain {name} must be non-negative")
 
 
 @dataclass
@@ -548,11 +525,13 @@ def _narrow(Z: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 # ----------------------------------------------------- whole-body control
 
-def momentum_policy(gains: WbcGains, cen, cen_ref,
-                    hdot_ref: np.ndarray) -> float:
+MOMENTUM_DK = 10.0      # angular-momentum rate per unit of its error
+
+
+def momentum_policy(cen, cen_ref, hdot_ref: np.ndarray) -> float:
     """Commanded angular-momentum rate: the referenced rate corrected by
     the angular-momentum error."""
-    return hdot_ref[2] + gains.momentum_dk * (cen_ref.k_G - cen.k_G)
+    return hdot_ref[2] + MOMENTUM_DK * (cen_ref.k_G - cen.k_G)
 
 
 def wbc_seed(model: RobotModel, bounds: Bounds,
@@ -632,8 +611,11 @@ def stance_reference(model: RobotModel, x_ref, ref: ct.ContactSolution,
                            J @ ref.vdot + bias)
 
 
-def stance_tasks(model: RobotModel, gains: WbcGains, x,
-                 ref: StanceReference, frames,
+SWING_KP, SWING_KD = 350.0, 25.0    # swing-foot errors to accelerations
+COM_KP, COM_KD = 60.0, 90.0         # CoM errors to accelerations
+
+
+def stance_tasks(model: RobotModel, x, ref: StanceReference, frames,
                  lam_ref) -> list[tuple[np.ndarray, np.ndarray]]:
     """Build the stance hierarchy at one tick as ``(A, a)`` pairs.
 
@@ -673,21 +655,21 @@ def stance_tasks(model: RobotModel, gains: WbcGains, x,
     if swing:
         k = len(frames)
         target = (ref.swing_acc
-                  + gains.swing_kp * (ref.swing_pos - pos[k:].ravel())
-                  + gains.swing_kd * (ref.swing_vel - vel[k:].ravel()))
+                  + SWING_KP * (ref.swing_pos - pos[k:].ravel())
+                  + SWING_KD * (ref.swing_vel - vel[k:].ravel()))
         A = np.zeros((2 * len(swing), ny))
         A[:, :nv] = J[nf:]
         tasks.append((A, target - bias[nf:]))
 
     # CoM rows are the linear momentum rows scaled by the total mass
     acc_com_d = ref.hdot[:2] / m_tot
-    target = (acc_com_d + gains.com_kp * (cen_ref.p_G - cen.p_G)
-              + gains.com_kd * (cen_ref.v_G - cen.v_G))
+    target = (acc_com_d + COM_KP * (cen_ref.p_G - cen.p_G)
+              + COM_KD * (cen_ref.v_G - cen.v_G))
     A = np.zeros((2, ny))
     A[:, :nv] = cen.A_G[:2] / m_tot
     tasks.append((A, target - cen.Adot_v[:2] / m_tot))
 
-    kdot_c = momentum_policy(gains, cen, cen_ref, ref.hdot)
+    kdot_c = momentum_policy(cen, cen_ref, ref.hdot)
     A = np.zeros((1, ny))
     A[:, :nv] = cen.A_G[2:]
     tasks.append((A, kdot_c - cen.Adot_v[2:]))
@@ -707,6 +689,9 @@ def flight_pd(u_ff, q_joints, v_joints, q_joints_ref, v_joints_ref,
     return np.clip(u, u_lb, u_ub)
 
 
+FLIGHT_KP, FLIGHT_KD = 60.0, 2.0    # joint PD with fewer than two feet down
+
+
 class WholeBodyController(_MessageTracker):
     """Instantaneous task hierarchy tracking the planned motion.
 
@@ -718,11 +703,9 @@ class WholeBodyController(_MessageTracker):
     """
 
     def __init__(self, model: RobotModel, bounds: Bounds,
-                 gains: WbcGains | None = None,
                  cone: FrictionCone | None = None,
                  control_dt: float = 1.0 / 400.0):
         super().__init__(model, bounds, control_dt)
-        self.gains = gains if gains is not None else WbcGains()
         self.cone = cone
         self._rows = {}
 
@@ -772,11 +755,10 @@ class WholeBodyController(_MessageTracker):
             q, v = mod.split_state(model, x)
             q_d, v_d = mod.split_state(model, ref.states[j])
             u = flight_pd(u_ff, q[3:], v[3:], q_d[3:], v_d[3:],
-                          self.gains.flight_kp, self.gains.flight_kd,
-                          bounds.u_lb, bounds.u_ub)
+                          FLIGHT_KP, FLIGHT_KD, bounds.u_lb, bounds.u_ub)
             return u, "flight_pd", False
         try:
-            tasks = stance_tasks(model, self.gains, x, ref.terms[j], frames,
+            tasks = stance_tasks(model, x, ref.terms[j], frames,
                                  np.asarray(msg.forces_ref[i], float))
             y = hqp_solve(tasks, *self._constraints(len(frames))).y
         except (Stage1Infeasible, MaxIterations):

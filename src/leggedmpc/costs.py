@@ -7,7 +7,7 @@ factor), so gradients are ``2 J^T W r`` and Gauss-Newton Hessians are
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,39 +17,24 @@ from .model import RobotModel
 
 @dataclass
 class CostWeights:
-    """Diagonal weights of the one running/terminal cost and penalty scales.
+    """Diagonal weights of the one running/terminal cost.
 
-    Q, N, R weight posture, velocity, and control regularization; K weights
-    the per-contact force regularizer (tangential, normal).  The ``w_*``
-    scalars scale the quadratic penalties; every swing foot tracks its
-    target with ``w_placement`` and ``w_velocity``.
+    Q, N, R weight posture, velocity, and control regularization about the
+    reference posture ``q_ref``.  The penalty scales of the other cost terms
+    are constants of ``problem``, beside the code that reads them.
     """
 
     Q: np.ndarray
     N: np.ndarray
     R: np.ndarray
     q_ref: np.ndarray
-    K: np.ndarray = field(default_factory=lambda: np.array([1e-4, 1e-4]))
-    w_cone: float = 1e2
-    w_placement: float = 1e4
-    w_placement_terminal: float = 1e6
-    w_velocity: float = 1e3
-    w_statebounds: float = 1e3
-    terminal_multiplier: float = 10.0
 
     def __post_init__(self):
-        self.Q = np.asarray(self.Q, float)
-        self.N = np.asarray(self.N, float)
-        self.R = np.asarray(self.R, float)
-        self.K = np.asarray(self.K, float)
-        self.q_ref = np.asarray(self.q_ref, float)
-        for name in ("Q", "N", "R", "K"):
+        for name in ("Q", "N", "R", "q_ref"):
+            setattr(self, name, np.asarray(getattr(self, name), float))
+        for name in ("Q", "N", "R"):
             if np.any(getattr(self, name) < 0):
                 raise ConfigError(f"cost weight {name} has negative entries")
-        for name in ("w_cone", "w_placement", "w_placement_terminal",
-                     "w_velocity", "w_statebounds", "terminal_multiplier"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
 
 
 def default_weights(model: RobotModel, q_ref: np.ndarray) -> CostWeights:

@@ -38,7 +38,8 @@ from .schedule import ContactSchedule
 class MpcConfig:
     horizon: float                  # optimization window, s
     node_dt: float                  # node period, s
-    update_rate: float              # MPC step rate, Hz
+    update_rate: float              # MPC step rate, Hz; nothing reads it,
+                                    # kept while the benchmark constructs it
     control_horizon_nodes: int = 4  # nodes shipped to the tracking controller
     expected_delay: float = 0.0     # communication + computation delay, s;
                                     # the window starts this long after the
@@ -210,8 +211,7 @@ class Mpc:
 
     def __init__(self, model: RobotModel, schedule: ContactSchedule,
                  weights: co.CostWeights, bounds: co.Bounds,
-                 config: MpcConfig, x0: np.ndarray,
-                 cone: co.FrictionCone | None = None):
+                 config: MpcConfig, x0: np.ndarray):
         self.model = model
         self.schedule = schedule
         self.bounds = bounds
@@ -219,8 +219,7 @@ class Mpc:
         q_nom = weights.q_ref
         self.x_nominal = mod.state(model, q_nom, np.zeros(model.nv))
         self.problem = pb.build_problem(model, schedule, weights, bounds, x0,
-                                        N=config.n_nodes, dt=config.node_dt,
-                                        cone=cone)
+                                        N=config.n_nodes, dt=config.node_dt)
         self.solver = BoxFddp(self.problem)
         self._q_nom = q_nom
         self._useed_cache: dict[tuple, np.ndarray] = {}
@@ -328,8 +327,7 @@ class Mpc:
                 u = self._u_seed(active)
             xs.append(np.array(tail_x))
             us.append(u)
-            with np.errstate(over="ignore", invalid="ignore"):
-                nxt, _cost = node.calc(tail_x, u)
+            nxt, _cost = node.calc(tail_x, u)
             tail_x = nxt if np.all(np.isfinite(nxt)) \
                 else np.array(self.x_nominal)
         xs.append(np.array(tail_x) if tail_x is not None
@@ -403,43 +401,48 @@ class Mpc:
         if k_now < self.k0:
             raise ConfigError("wall time moved backwards across the node grid")
 
-        u_now = self._feedforward_at(wall_time)
-        t_now = min(wall_time, self.schedule.end_time - 1e-12 * max(1.0, dt))
-        contacts_now = ct.ContactSet(frames=self.schedule.active_set(t_now))
-        try:
-            x0_pred = predict_initial_state(self.model, measurement, u_now,
-                                            contacts_now, cfg.expected_delay)
-        except RankDeficientContacts:
-            if self.last_message is None:
-                raise
-            return self._reissue_degraded(wall_time)
+        # a poor measurement may overflow what follows, which handles each
+        # non-finite result itself; numpy's warnings stay here
+        with np.errstate(over="ignore", invalid="ignore"):
+            u_now = self._feedforward_at(wall_time)
+            t_now = min(wall_time,
+                        self.schedule.end_time - 1e-12 * max(1.0, dt))
+            contacts_now = ct.ContactSet(frames=self.schedule.active_set(t_now))
+            try:
+                x0_pred = predict_initial_state(self.model, measurement,
+                                                u_now, contacts_now,
+                                                cfg.expected_delay)
+            except RankDeficientContacts:
+                if self.last_message is None:
+                    raise
+                return self._reissue_degraded(wall_time)
 
-        window = self.problem.window()
-        old_nodes, old_k0 = self.problem.nodes, self.problem.k0
-        old_xs, old_us = self.solver.xs, self.solver.us
-        pb.update_problem(self.problem, x0_pred,
-                          t0=wall_time + cfg.expected_delay)
-        try:
-            self._shift_candidate(old_nodes, old_xs, old_us,
-                                  old_k0 + cfg.n_nodes)
-        except RankDeficientContacts:
-            # a new slot rolled out from a singular state; the solver's
-            # candidate is only replaced once the shift is whole
-            self.problem.restore_window(window)
-            if self.last_message is None:
-                raise
-            return self._reissue_degraded(wall_time)
-        self.k0 = k_now
-        self.solver.mu = self._MU_WARM
+            window = self.problem.window()
+            old_nodes, old_k0 = self.problem.nodes, self.problem.k0
+            old_xs, old_us = self.solver.xs, self.solver.us
+            pb.update_problem(self.problem, x0_pred,
+                              t0=wall_time + cfg.expected_delay)
+            try:
+                self._shift_candidate(old_nodes, old_xs, old_us,
+                                      old_k0 + cfg.n_nodes)
+            except RankDeficientContacts:
+                # a new slot rolled out from a singular state; the solver's
+                # candidate is only replaced once the shift is whole
+                self.problem.restore_window(window)
+                if self.last_message is None:
+                    raise
+                return self._reissue_degraded(wall_time)
+            self.k0 = k_now
+            self.solver.mu = self._MU_WARM
 
-        try:
-            converged = self.solver.solve_one_iteration()
-        except NoStepAccepted:
-            # no progress at all this step: re-issue the previous policy,
-            # marked degraded, rather than ship an unimproved warm start
-            if self.last_message is None:
-                raise
-            return self._reissue_degraded(wall_time)
+            try:
+                converged = self.solver.solve_one_iteration()
+            except NoStepAccepted:
+                # no progress at all this step: re-issue the previous policy,
+                # marked degraded, rather than ship an unimproved warm start
+                if self.last_message is None:
+                    raise
+                return self._reissue_degraded(wall_time)
 
         msg = self._emit(wall_time, "converged" if converged else "stepped")
         self.last_message = msg

@@ -14,9 +14,10 @@ LINK_LENGTH = 0.2
 LINK_INERTIA = LINK_MASS * LINK_LENGTH ** 2 / 12.0
 HIP_X = (0.3, 0.1, -0.1, -0.3)
 HIP_BEND = (0.5, 0.5, -0.5, -0.5)   # nominal hip angles, knees bend opposite ways
+TORQUE_LIMIT = 40.0                 # every joint's, N m
 
 
-def default_quadruped(torque_limit: float = 40.0) -> RobotModel:
+def default_quadruped() -> RobotModel:
     """Planar quadruped: trunk plus four two-link legs (nv = 11, nu = 8)."""
     bodies = [Body("trunk", TRUNK_MASS, (0.0, 0.0), TRUNK_INERTIA)]
     joints = [Joint(FLOATING, -1, (0.0, 0.0, 0.0))]
@@ -33,7 +34,7 @@ def default_quadruped(torque_limit: float = 40.0) -> RobotModel:
         bodies=bodies,
         joints=joints,
         contact_frames=frames,
-        torque_limit=np.full(8, torque_limit),
+        torque_limit=np.full(8, TORQUE_LIMIT),
     )
 
 

@@ -133,6 +133,9 @@ class _Expansion:
         H.reshape(H.shape[:-2] + (n * n,))[..., ::n + 1][..., at:end] += 2.0 * w
 
 
+STATE_BOUND_WEIGHT = 1e3    # joint angles and velocities outside their box
+
+
 def _state_costs(model, q, v, weights, bounds, acc, with_jac):
     """Posture and velocity regularization, and the state-bound penalty."""
     nv = model.nv
@@ -144,12 +147,12 @@ def _state_costs(model, q, v, weights, bounds, acc, with_jac):
     # the velocity and the joint angles are coordinates of x
     v_at, joints_at = (nv, 3) if with_jac else (None, None)
     acc.add_selection(v, weights.N, x_at=v_at)
-    if not weights.w_statebounds or bounds is None:
+    if bounds is None:
         return
     rq = co.interval_violation(q[..., 3:], bounds.q_lb[3:], bounds.q_ub[3:])
     rv = co.interval_violation(v, bounds.v_lb, bounds.v_ub)
-    acc.add_selection(rq, weights.w_statebounds, x_at=joints_at, one_sided=True)
-    acc.add_selection(rv, weights.w_statebounds, x_at=v_at, one_sided=True)
+    acc.add_selection(rq, STATE_BOUND_WEIGHT, x_at=joints_at, one_sided=True)
+    acc.add_selection(rv, STATE_BOUND_WEIGHT, x_at=v_at, one_sided=True)
 
 
 def _stack(rows):
@@ -254,6 +257,12 @@ class _DynamicsNode:
         return x_next
 
 
+FORCE_WEIGHTS = (1e-4, 1e-4)  # a contact force (tangential, normal)
+CONE_WEIGHT = 1e2             # its friction-cone violation
+PLACEMENT_WEIGHT = 1e4        # a swing foot's distance from its target
+VELOCITY_WEIGHT = 1e3         # its velocity's distance from the target's
+
+
 class RunningNode(_DynamicsNode):
     """One integration step of the contact dynamics with its running cost:
     from ``time`` over the period ``dt`` under ``contacts``, tracking the
@@ -270,7 +279,7 @@ class RunningNode(_DynamicsNode):
         self.dt = float(dt)
         self.cone_C, self.cone_c = co.cone_matrices(cone)
         self.u_lb, self.u_ub = bounds.u_lb, bounds.u_ub
-        self._force_weights = np.tile(weights.K, len(contacts.frames))
+        self._force_weights = np.tile(FORCE_WEIGHTS, len(contacts.frames))
         # swing frames and their target (positions, velocities)
         targets = [swing[f] for f in sorted(swing)]
         self._targets = _NO_TARGETS if not swing else (
@@ -310,17 +319,16 @@ class RunningNode(_DynamicsNode):
             pos, _, vel, _ = frame_motion(model, sol.mb, frames)
             rp = pos - ref[..., 0, :, :]
             rv = vel - ref[..., 1, :, :]
-            acc.add(rp.reshape(rp.shape[:-2] + (-1,)), weights.w_placement, Jx=Jp)
-            acc.add(rv.reshape(rv.shape[:-2] + (-1,)), weights.w_velocity, Jx=Jv)
+            acc.add(rp.reshape(rp.shape[:-2] + (-1,)), PLACEMENT_WEIGHT, Jx=Jp)
+            acc.add(rv.reshape(rv.shape[:-2] + (-1,)), VELOCITY_WEIGHT, Jx=Jv)
 
         if n0.contacts.frames:
             lam = sol.forces
             Jlx, Jlu = (der.dforces_dx, der.dforces_du) if with_jac else (None, None)
             acc.add(lam, n0._force_weights, Jx=Jlx, Ju=Jlu)
-            if weights.w_cone:
-                r, Jr = co.cone_residual(n0.cone_C, n0.cone_c, lam)
-                acc.add(r, weights.w_cone, Jx=Jr @ Jlx if with_jac else None,
-                        Ju=Jr @ Jlu if with_jac else None)
+            r, Jr = co.cone_residual(n0.cone_C, n0.cone_c, lam)
+            acc.add(r, CONE_WEIGHT, Jx=Jr @ Jlx if with_jac else None,
+                    Ju=Jr @ Jlu if with_jac else None)
 
     @staticmethod
     def _step_group(nodes, x, u):
@@ -370,6 +378,9 @@ class RunningNode(_DynamicsNode):
         return _group_rows(_evaluations([self], [x], [u]), "sol")[0]
 
 
+TOUCHDOWN_WEIGHT = 1e6      # a touching-down foot's distance from its placement
+
+
 class ImpulseNode(_DynamicsNode):
     """Instantaneous inelastic velocity transition at ``time`` into
     ``contacts``: the contact points come to rest (``ct.impulse_dynamics``).
@@ -407,7 +418,7 @@ class ImpulseNode(_DynamicsNode):
             if with_jac:
                 Jp = np.zeros(r.shape + (2 * nv,))
                 Jp[..., :nv] = J
-            acc.add(r, n0.weights.w_placement_terminal, Jx=Jp)
+            acc.add(r, TOUCHDOWN_WEIGHT, Jx=Jp)
 
     @staticmethod
     def _step_group(nodes, x, u):
@@ -494,6 +505,9 @@ def differentiate_nodes(nodes, xs, us) -> list[NodeDerivatives]:
     return out
 
 
+TERMINAL_SCALE = 10.0       # terminal state costs per running cost per second
+
+
 class TerminalNode:
     """State costs only; closes the horizon at ``time``."""
 
@@ -511,7 +525,7 @@ class TerminalNode:
     def _expansion(self, x, with_jac):
         model = self.model
         q, v = mod.split_state(model, x)
-        acc = _Expansion(self.weights.terminal_multiplier, 2 * model.nv, 0)
+        acc = _Expansion(TERMINAL_SCALE, 2 * model.nv, 0)
         _state_costs(model, q, v, self.weights, self.bounds, acc, with_jac)
         return acc
 
@@ -523,6 +537,9 @@ class TerminalNode:
         return acc.lx, acc.lxx
 
 
+FRICTION_CONE = co.FrictionCone(mu=0.7)     # the ground's, at every contact
+
+
 class ShootingProblem:
     """A window of ``N`` node slots over a contact schedule, as action models.
 
@@ -530,16 +547,15 @@ class ShootingProblem:
     every touchdown instant inside the window becomes one impulse node
     (placed before the running node that starts there), and a terminal node
     closes the window.  The problem keeps what it was built from -- model,
-    schedule, weights, bounds, friction cone (mu = 0.7 unless given), node
-    period ``dt`` and node count ``N`` -- so ``set_window`` (and
+    schedule, weights, bounds, node period ``dt`` and node count ``N`` -- and
+    its friction cone ``cone`` (``FRICTION_CONE``), so ``set_window`` (and
     ``update_problem``) moves the window from a new initial state and start
     time alone.  ``k0`` is the grid slot holding the window's start.
     """
 
     def __init__(self, model: RobotModel, schedule: ContactSchedule,
                  weights: co.CostWeights, bounds: co.Bounds,
-                 x0: np.ndarray, N: int, dt: float, t0: float = 0.0,
-                 cone: co.FrictionCone | None = None):
+                 x0: np.ndarray, N: int, dt: float, t0: float = 0.0):
         if dt <= 0:
             raise ScheduleError("dt must be positive")
         schedule.check_grid_alignment(dt)
@@ -547,7 +563,7 @@ class ShootingProblem:
         self.schedule = schedule
         self.weights = weights
         self.bounds = bounds
-        self.cone = cone if cone is not None else co.FrictionCone(mu=0.7)
+        self.cone = FRICTION_CONE
         self.N = N
         self.dt = dt
         self.nodes, self._read = [], {}
@@ -725,10 +741,10 @@ def _snap_eps(dt: float) -> float:
 
 def build_problem(model: RobotModel, schedule: ContactSchedule,
                   weights: co.CostWeights, bounds: co.Bounds,
-                  x0: np.ndarray, N: int, dt: float, t0: float = 0.0,
-                  cone: co.FrictionCone | None = None) -> ShootingProblem:
+                  x0: np.ndarray, N: int, dt: float,
+                  t0: float = 0.0) -> ShootingProblem:
     """The problem over the window [t0, t0 + N*dt] (see ``ShootingProblem``)."""
-    return ShootingProblem(model, schedule, weights, bounds, x0, N, dt, t0, cone)
+    return ShootingProblem(model, schedule, weights, bounds, x0, N, dt, t0)
 
 
 def update_problem(problem: ShootingProblem, x0: np.ndarray,

@@ -171,26 +171,31 @@ def stand(feet, placements) -> ContactSchedule:
     return ContactSchedule(segs, dict(placements))
 
 
-def jump(feet, placements, stance: float, flight: float, n_jumps: int = 1,
-         settle: float = math.inf, apex: float = 0.08) -> ContactSchedule:
-    """All feet leave and regain the ground together, ``n_jumps`` times."""
+JUMP_APEX = 0.08    # a jump's swing apex, m (a trot keeps the schedule's 0.05)
+
+
+def jump(feet, placements, stance: float, flight: float,
+         n_jumps: int = 1) -> ContactSchedule:
+    """All feet leave and regain the ground together, ``n_jumps`` times, and
+    then stand for good."""
     if flight <= 0 or stance <= 0:
         raise ScheduleError("jump phases need positive durations")
     segs = {}
     for f in feet:
         run = [Segment(active=stance, inactive=flight) for _ in range(n_jumps)]
-        run.append(Segment(active=settle))
+        run.append(Segment(active=math.inf))
         segs[f] = run
-    return ContactSchedule(segs, dict(placements), apex=apex)
+    return ContactSchedule(segs, dict(placements), apex=JUMP_APEX)
 
 
 def trot(pair_a, pair_b, placements, lead_in: float, swing: float,
-         double_support: float, stride: float, cycles: int,
-         settle: float = math.inf, apex: float = 0.05) -> ContactSchedule:
+         double_support: float, stride: float,
+         cycles: int) -> ContactSchedule:
     """Two foot groups alternate swings, each advancing ``stride`` per cycle.
 
     Timing per cycle: group A swings for ``swing`` while B stands, then both
     stand for ``double_support``, then B swings, then both stand again.
+    After the last cycle every foot stands for good.
     """
     if swing <= 0:
         raise ScheduleError("swing duration must be positive")
@@ -204,7 +209,6 @@ def trot(pair_a, pair_b, placements, lead_in: float, swing: float,
             for j in range(1, cycles):
                 run.append(Segment(active=cycle - swing, inactive=swing,
                                    target=p + (j + 1) * step))
-            tail = settle if math.isinf(settle) else settle + (cycle - swing - offset)
-            run.append(Segment(active=tail))
+            run.append(Segment(active=math.inf))
             segs[f] = run
-    return ContactSchedule(segs, dict(placements), apex=apex)
+    return ContactSchedule(segs, dict(placements))

@@ -11,6 +11,7 @@ from leggedmpc import contact as ct
 from leggedmpc import controllers as trk
 from leggedmpc import dynamics, presets, se2
 from leggedmpc import model as mod
+from leggedmpc import problem as pb
 from leggedmpc.boxfddp import BoxFddp
 from leggedmpc.centroidal import centroidal
 from leggedmpc.errors import MaxIterations, RankDeficientContacts, Stage1Infeasible
@@ -201,7 +202,7 @@ def wbc_stance_cascade(wbc, x, t):
     assert len(frames) >= 2
     ref = reference_terms(model, wbc.reference_at(t),
                           reference_dynamics(wbc, t), frames)
-    tasks = trk.stance_tasks(model, wbc.gains, x, ref, frames,
+    tasks = trk.stance_tasks(model, x, ref, frames,
                              np.asarray(msg.forces_ref[i], float))
     return (tasks, trk.wbc_inequality_rows(model, bounds, wbc.cone, len(frames)),
             trk.wbc_seed(model, bounds, wbc.cone, len(frames)))
@@ -705,9 +706,9 @@ def _ref_state_costs(m, node, q, v, acc, with_jac, bounds=None):
         Jv[:, nv:] = np.eye(nv)
     acc.add(rq, weights.Q, Jx=Jq)
     acc.add(v, weights.N, Jx=Jv)
-    if bounds is not None and weights.w_statebounds:
+    if bounds is not None:
         from leggedmpc import costs as co
-        w = weights.w_statebounds
+        w = pb.STATE_BOUND_WEIGHT
         rq = co.interval_violation(q[3:], bounds.q_lb[3:], bounds.q_ub[3:])
         rv = co.interval_violation(v, bounds.v_lb, bounds.v_ub)
         Jq = Jv = None
@@ -757,16 +758,15 @@ def ref_running(node, x, u):
         Jv[:, :nv] = ref_tangent_sweep(m, kin, v, frames=frames)[1][:, :nv]
         Jv[:, nv:] = jac
         acc.add((pos - np.array([node.swing[f].pos for f in frames])).ravel(),
-                weights.w_placement, Jx=Jp)
+                pb.PLACEMENT_WEIGHT, Jx=Jp)
         acc.add((vel - np.array([node.swing[f].vel for f in frames])).ravel(),
-                weights.w_velocity, Jx=Jv)
+                pb.VELOCITY_WEIGHT, Jx=Jv)
     frames = node.contacts.frames
     if frames:
         lam = sol.forces
-        acc.add(lam, np.tile(weights.K, len(frames)), Jx=Jlx, Ju=Jlu)
-        if weights.w_cone and node.cone is not None:
-            r, Jr = co.cone_residual(*co.cone_matrices(node.cone), lam)
-            acc.add(r, weights.w_cone, Jx=Jr @ Jlx, Ju=Jr @ Jlu)
+        acc.add(lam, np.tile(pb.FORCE_WEIGHTS, len(frames)), Jx=Jlx, Ju=Jlu)
+        r, Jr = co.cone_residual(*co.cone_matrices(node.cone), lam)
+        acc.add(r, pb.CONE_WEIGHT, Jx=Jr @ Jlx, Ju=Jr @ Jlu)
     der = NodeDerivatives(fx, fu, dt * acc.lx, dt * acc.lu, dt * acc.lxx,
                           dt * acc.lxu, dt * acc.luu)
     return x_next, dt * acc.value, der
@@ -790,7 +790,7 @@ def ref_impulse(node, x):
         Jp = np.zeros((2 * len(frames), 2 * nv))
         Jp[:, :nv] = jac
         acc.add((pos - np.array([node.gained[f] for f in frames])).ravel(),
-                node.weights.w_placement_terminal, Jx=Jp)
+                pb.TOUCHDOWN_WEIGHT, Jx=Jp)
     x_next = np.concatenate([mod.normalize_q(q), sol.v_plus])
     der = NodeDerivatives(fx, np.zeros((2 * nv, 0)), acc.lx, acc.lu, acc.lxx,
                           acc.lxu, acc.luu)

@@ -303,6 +303,38 @@ def test_non_finite_derivatives_end_in_no_step_accepted():
     assert solver.mu == solver.mu_max
 
 
+def test_a_line_search_failing_up_to_mu_max_raises_no_step_accepted(monkeypatch):
+    prob, _ = make_lqr(N=4)
+    solver = BoxFddp(prob)
+    solver.set_candidate()
+    monkeypatch.setattr(solver, "forward_pass", lambda alphas: [None] * len(alphas))
+    with pytest.raises(NoStepAccepted, match="no step length"):
+        solver.solve_one_iteration()
+    assert solver.mu == solver.mu_max
+
+
+class NanStateGradientNode(LinearNode):
+    """A linear node without controls whose state gradient is not finite."""
+
+    def calc_diff(self, x, u):
+        d = super().calc_diff(x, u)
+        d.lx = np.full_like(d.lx, np.nan)
+        return d
+
+
+def test_backward_pass_rejects_non_finite_values_at_a_node_without_controls():
+    # a node without controls runs no box QP, whose finiteness check would
+    # otherwise catch the value function
+    prob, _ = make_lqr(N=4)
+    A, Q, R = prob.nodes[0].A, prob.nodes[0].Q, prob.nodes[0].R
+    prob.nodes[2] = NanStateGradientNode(A, np.zeros((len(A), 0)), Q, R[:0, :0])
+    solver = BoxFddp(prob)
+    solver.set_candidate()
+    solver.compute_derivatives()
+    with pytest.raises(NonPDHessian, match="non-finite"):
+        solver.backward_pass()
+
+
 def test_fddp_reduces_to_ddp_with_zero_gaps():
     # feasible start: the gap terms of the expected-improvement model vanish
     prob, _ = make_lqr(seed=5, N=8)
@@ -323,7 +355,8 @@ def test_fddp_reduces_to_ddp_with_zero_gaps():
 ])
 def test_mu_follows_accepted_step_length(alpha, mu_change):
     prob, _ = make_lqr()
-    solver = BoxFddp(prob, mu=1e-3)
+    solver = BoxFddp(prob)
+    solver.mu = 1e-3
     solver.set_candidate()
     # from a feasible LQR candidate every step length passes the line
     # search, so the solver accepts the only one it is given

@@ -173,7 +173,7 @@ def stance_tasks_solved(quad, x, x_ref, frames):
     ref = ct.contact_forward_dynamics(quad, *mod.split_state(quad, x_ref),
                                       np.zeros(quad.nu),
                                       ct.ContactSet(frames=frames))
-    return trk.stance_tasks(quad, trk.WbcGains(), x,
+    return trk.stance_tasks(quad, x,
                             trk.stance_reference(quad, x_ref, ref, frames),
                             frames, np.zeros(2 * len(frames)))
 

@@ -11,8 +11,8 @@ from leggedmpc import kinematics
 from leggedmpc import model as mod
 from leggedmpc import mpc as rh
 from leggedmpc import presets, problem, schedule
-from leggedmpc.errors import (ConfigError, InvalidMeasurement, NoStepAccepted,
-                              RankDeficientContacts)
+from leggedmpc.errors import (ConfigError, InvalidMeasurement, LeggedMpcError,
+                              NoStepAccepted, RankDeficientContacts)
 
 from helpers import single_body, straight_legs
 
@@ -519,3 +519,58 @@ def test_singular_first_measurement_raises(quad):
     with pytest.raises(RankDeficientContacts):
         ctrl.step(straight_legs(quad), 0.0)
     assert ctrl.last_message is None and ctrl.steps == 0
+
+
+def assert_whole_message(msg, bounds):
+    """Finite numbers throughout, and feed-forward torques in the box."""
+    assert all(np.isfinite(np.asarray(a, float)).all() for a in (
+        *msg.xs_ref, *msg.us_ff, *msg.K_gains, *msg.forces_ref))
+    assert all(np.all((bounds.u_lb <= u) & (u <= bounds.u_ub)) for u in msg.us_ff)
+
+
+def test_a_jump_past_the_window_reseeds_the_tail_from_the_nominal_state(
+        quad, monkeypatch):
+    ctrl = make_mpc(quad)             # 20 nodes: the window ends at 0.4 s
+    ctrl.step(presets.nominal_state(quad), 0.0)
+    seeds, set_candidate = [], ctrl.solver.set_candidate
+
+    def spy(xs=None, us=None):
+        seeds.append([np.array(x) for x in xs])
+        set_candidate(xs, us)
+
+    monkeypatch.setattr(ctrl.solver, "set_candidate", spy)
+    x = presets.nominal_state(quad)
+    x[quad.nq:] += 0.1
+    msg = ctrl.step(x, 1.0)
+    # no node of the new window follows on from the previous one, so its
+    # first state is the nominal one, not the measurement
+    assert np.array_equal(seeds[0][0], ctrl.x_nominal)
+    assert not np.array_equal(ctrl.problem.x0, ctrl.x_nominal)
+    assert not msg.diagnostics["degraded"]
+    assert_whole_message(msg, ctrl.bounds)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", [195, 285, 295])
+def test_a_noisy_trot_leaks_no_numpy_warning(quad, seed):
+    # 12 steps of the N = 15 trot, each measurement the previous one plus
+    # noise, so the measurement drifts far from any plan; wall time mostly
+    # advances by a node period, but repeats or leaps half a second at
+    # times.  On these seeds trial steps and rollouts overflow on the way,
+    # yet no warning reaches the caller, and every step returns a whole
+    # message or a package error
+    rng = np.random.default_rng(seed)
+    sched = schedule.trot((0, 2), (1, 3), foot_placements(quad), **TROT_GAIT)
+    ctrl = make_mpc(quad, sched=sched, horizon=0.3,
+                    delay=(0.0, 0.01, 0.013)[seed % 3])
+    x, t = presets.nominal_state(quad), 0.0
+    for _ in range(12):
+        x = np.array(x)
+        x[:quad.nq] += 0.3 * rng.standard_normal(quad.nq)
+        x[quad.nq:] += 3.0 * rng.standard_normal(quad.nv)
+        try:
+            assert_whole_message(ctrl.step(x, t), ctrl.bounds)
+        except LeggedMpcError:
+            pass
+        r = rng.random()
+        t += 0.0 if r < 0.1 else 0.5 if r < 0.2 else 0.02 + rng.uniform(-0.003, 0.003)

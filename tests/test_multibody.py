@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,33 @@ def test_integrate_dimension_mismatch(quad):
         mod.integrate(quad, presets.nominal_state(quad), np.zeros(quad.nv))
     with pytest.raises(DimensionMismatch):
         mod.integrate_q(quad, np.zeros(4), np.zeros(quad.nv))
+
+
+@pytest.mark.parametrize("change, match", [
+    (lambda m: dict(joints=m.joints[:1]), "one joint per body"),
+    (lambda m: dict(bodies=[], joints=[], contact_frames=[], torque_limit=[]),
+     "empty model"),
+    (lambda m: dict(joints=[replace(m.joints[0], kind=mod.REVOLUTE), m.joints[1]]),
+     "floating root"),
+    (lambda m: dict(joints=[m.joints[0], replace(m.joints[1], kind=mod.FLOATING)]),
+     "only one floating joint"),
+    (lambda m: dict(joints=[m.joints[0], replace(m.joints[1], parent=1)]),
+     "breaks tree ordering"),
+    (lambda m: dict(bodies=[m.bodies[0], replace(m.bodies[1], mass=0.0)]),
+     "mass must be positive"),
+    (lambda m: dict(bodies=[m.bodies[0], replace(m.bodies[1], inertia=-0.1)]),
+     "inertia must be non-negative"),
+    (lambda m: dict(torque_limit=[0.0]), "torque limits must be positive"),
+    (lambda m: dict(contact_frames=[replace(m.contact_frames[0], body=2)]),
+     "bad body index"),
+], ids=["count", "empty", "root", "second_floating", "parent_order", "mass",
+        "inertia", "torque_limit", "contact_body"])
+def test_model_rejects_a_malformed_tree(change, match):
+    m = base_pendulum()
+    parts = dict(name=m.name, bodies=m.bodies, joints=m.joints,
+                 contact_frames=m.contact_frames, torque_limit=m.torque_limit)
+    with pytest.raises(DimensionMismatch, match=match):
+        mod.RobotModel(**{**parts, **change(m)})
 
 
 def test_integrate_chain_rule_blocks(quad):

@@ -59,7 +59,7 @@ def test_jump_timeline(quad):
 def test_swing_reference_endpoints(quad):
     placements = foot_placements(quad)
     sched = schedule.jump(range(4), placements, stance=0.3, flight=0.4,
-                          n_jumps=1, apex=0.08)
+                          n_jumps=1)
     p0 = placements[1]
     pos, vel = schedule.evaluate_swing(sched.phase_at(1, 0.3), 0.3)
     assert np.allclose(pos, p0, atol=1e-12)
@@ -412,14 +412,15 @@ def test_terminal_node_derivatives(quad):
     assert np.allclose(lxx, lxx.T, atol=1e-12)
 
 
-def test_node_at_reference_zero_cost(quad):
+def test_node_at_reference_zero_cost(quad, monkeypatch):
     # posture at reference, zero velocity/control/forces-in-cone => only
-    # force-regularization remains; with K zeroed the running cost vanishes
+    # force-regularization remains; with its weights zeroed the running cost
+    # vanishes
     placements = foot_placements(quad)
     sched = schedule.stand(range(4), placements)
     q0 = presets.nominal_configuration(quad)
     w = co.default_weights(quad, q0)
-    w.K = np.zeros(2)
+    monkeypatch.setattr(problem, "FORCE_WEIGHTS", np.zeros(2))
     b = co.default_bounds(quad, q0)
     prob = problem.build_problem(quad, sched, w, b, presets.nominal_state(quad),
                                  N=2, dt=0.02)
