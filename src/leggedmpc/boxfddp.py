@@ -52,9 +52,12 @@ def boxqp(H: np.ndarray, g: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     """Minimize 0.5 x'Hx + g'x subject to lo <= x <= hi (H positive definite).
 
     Projected-Newton iteration: clamp coordinates whose bound is active with
-    an inward-pointing gradient, take a Newton step on the free block, and
-    backtrack along the projected arc; the free block is factored (LAPACK
-    ``dpotrf``) only when the free set changes.  Returns the free/clamped
+    an inward-pointing gradient (``_clamped``), take a Newton step on the
+    free block, and backtrack along the projected arc; the free block is
+    factored (LAPACK ``dpotrf``) only when the free set changes.  The
+    products, the factorizations and the step stay in numpy; the clamped
+    and free sets and the convergence test are kept on Python floats and
+    bools, elementwise the same IEEE operations.  Returns the free/clamped
     split and the Cholesky factor of the free block for reuse by the
     caller.  Raises NonPDHessian for non-finite ``H`` or ``g`` and for a
     free block that is not positive definite.
@@ -67,45 +70,73 @@ def boxqp(H: np.ndarray, g: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         raise NonPDHessian("box-QP Hessian or gradient is not finite")
     x = _kernels.clip(np.zeros(n) if x_init is None else np.asarray(x_init, float),
                       lo, hi)
+    bounds = lo.tolist(), hi.tolist()
 
     def value(z):
         return 0.5 * float(z @ H @ z) + float(g @ z)
 
-    chol = factored = None
-    free = np.ones(n, dtype=bool)
+    chol = factored = f0 = None     # f0: the objective at x, once computed
     converged = False
     it = 0
     for it in range(1, BOXQP_MAX_ITERS + 1):
         grad = g + H @ x
-        at_lo = x <= lo + 1e-12 * np.maximum(1.0, np.abs(x))
-        at_hi = x >= hi - 1e-12 * np.maximum(1.0, np.abs(x))
-        clamped = (at_lo & (grad > 0.0)) | (at_hi & (grad < 0.0))
-        free = ~clamped
-        nfree = np.count_nonzero(free)
-        if nfree and free.tobytes() != factored:
+        grads = grad.tolist()
+        clamped = _clamped(x.tolist(), grads, *bounds)
+        free = [i for i, c in enumerate(clamped) if not c]
+        nfree = len(free)
+        if nfree and free != factored:
             chol, info = dpotrf(H if nfree == n else H[np.ix_(free, free)],
                                 lower=1, clean=0)
             if info:
                 raise NonPDHessian("free-subspace Hessian is not positive definite")
-            factored = free.tobytes()
-        if not nfree or np.abs(grad[free]).max() < BOXQP_TOL:
+            factored = free
+        if not nfree or _abs_max(grads[i] for i in free) < BOXQP_TOL:
             converged = True
             break
-        dx = np.zeros(n)
-        dx[free] = -dpotrs(chol, grad[free], lower=1)[0]
-        f0 = value(x)
+        if nfree == n:
+            dx = -dpotrs(chol, grad, lower=1)[0]
+        else:
+            dx = np.zeros(n)
+            dx[free] = -dpotrs(chol, grad[free], lower=1)[0]
+        if f0 is None:
+            f0 = value(x)
         step = 1.0
         improved = False
         for _ in range(24):
             xc = _kernels.clip(x + step * dx, lo, hi)
-            if value(xc) <= f0 + 0.1 * float(grad @ (xc - x)):
-                x = xc
+            fc = value(xc)
+            if fc <= f0 + 0.1 * float(grad @ (xc - x)):
+                x, f0 = xc, fc
                 improved = True
                 break
             step *= 0.5
         if not improved:
             break
-    return BoxQPResult(x, free, ~free, chol if free.any() else None, converged, it)
+    clamped = np.array(clamped)
+    return BoxQPResult(x, ~clamped, clamped, chol if free else None, converged, it)
+
+
+def _clamped(x, grad, lo, hi) -> list[bool]:
+    """Which coordinates sit on a bound that the descent direction -grad
+    points through, on lists of floats.  A coordinate within
+    1e-12 * max(1, |x|) of a bound is on it.  The box QP's free set and the backward pass's
+    stationarity measure (``_projected_qu_norm``) share this rule."""
+    return [(gi > 0.0 and xi <= li + 1e-12 * max(1.0, abs(xi)))
+            or (gi < 0.0 and xi >= ui - 1e-12 * max(1.0, abs(xi)))
+            for xi, gi, li, ui in zip(x, grad, lo, hi)]
+
+
+def _abs_max(values) -> float:
+    """The largest magnitude of ``values`` (0.0 for none), nan when one is
+    nan: ``np.abs(a).max(initial=0.0)`` on Python floats."""
+    top = 0.0
+    for v in values:
+        a = abs(v)
+        if a > top:
+            top = a
+        elif a != a:
+            return a
+    return top
 
 
 # ----------------------------------------------------------------- solver
@@ -513,9 +544,10 @@ def _projected_qu_norm(Qu, kf, lo, hi) -> float:
     """Stationarity measure that ignores correctly-clamped coordinates.
 
     A coordinate pushed onto its bound with the gradient pointing outward
-    cannot be improved, so it does not count against convergence; free
-    coordinates contribute their plain gradient magnitude.
+    (``_clamped``, the box QP's rule) cannot be improved, so it does not
+    count against convergence; free coordinates contribute their plain
+    gradient magnitude.  Computed on Python floats.
     """
-    clamped = (((kf <= lo + 1e-12) & (Qu > 0.0))
-               | ((kf >= hi - 1e-12) & (Qu < 0.0)))
-    return float(np.abs(Qu[~clamped]).max(initial=0.0))
+    Qu = Qu.tolist()
+    clamped = _clamped(kf.tolist(), Qu, lo.tolist(), hi.tolist())
+    return _abs_max(q for q, c in zip(Qu, clamped) if not c)

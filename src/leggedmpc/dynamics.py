@@ -28,6 +28,7 @@ function takes stacked states (leading axes on q, v, a and the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -42,7 +43,41 @@ from .kinematics import (
 )
 from .model import RobotModel
 
-_MOTIONS = np.arange(3)
+
+@dataclass(frozen=True)
+class _SweepIndex:
+    """Where ``tangent_sweep`` writes the per-body entries of one tree level.
+
+    The level's bodies b_k move the tangent columns 2 + b_k (q) and
+    nv + 2 + b_k (v).  The indices address C-ordered arrays flattened after
+    their leading axes: the level's (L, 3, 3, 2nv) motion tangents and the
+    (nb, 3, 2nv) force tangents.  Each is a basic slice where the bodies run
+    evenly upwards (``_kernels.basic_index``), so the write is a view, not an
+    indexed scatter.  ``crm`` lists the three motions of every body, in
+    (body, motion) order: two strides, so always an index array.
+    """
+
+    cq: slice | np.ndarray          # the q columns, 2 + b_k
+    crm: tuple                      # [k, a, :, 2 + b_k] of the motions, a = 0, 1
+    joint: tuple                    # [k, 2, 0, v_k], [k, 0, 1, v_k], [k, 1, 1, v_k]
+    force: tuple                    # [b_k, a, 2 + b_k] of the forces, a = 0, 1
+
+
+@cache
+def _sweep_index(nv: int, bodies: tuple) -> _SweepIndex:
+    n = 2 * nv
+
+    def motion(k, a, m, col):           # flat offset of [k, a, m, col]
+        return ((k * 3 + a) * 3 + m) * n + col
+
+    index = _kernels.basic_index
+    return _SweepIndex(
+        cq=index([2 + b for b in bodies]),
+        crm=tuple(np.array([motion(k, a, m, 2 + b) for k, b in enumerate(bodies)
+                            for m in range(3)]) for a in (0, 1)),
+        joint=tuple(index([motion(k, a, m, nv + 2 + b) for k, b in enumerate(bodies)])
+                    for a, m in ((2, 0), (0, 1), (1, 1))),
+        force=tuple(index([(b * 3 + a) * n + 2 + b for b in bodies]) for a in (0, 1)))
 
 
 def _subtract_contact_forces(model, kin, f, contact_forces, dth=None, df=None):
@@ -50,7 +85,8 @@ def _subtract_contact_forces(model, kin, f, contact_forces, dth=None, df=None):
 
     ``contact_forces`` is a pair of frame (..., k) and world force (..., k, 2)
     arrays.  With ``dth`` (nb, nv), the body world-angle tangents, the
-    wrenches' tangent is subtracted from ``df``.
+    wrenches' tangent is subtracted from ``df``.  Frames on distinct bodies
+    (in each stacked state) are subtracted in one indexed operation.
     """
     frames, lam = contact_forces
     lam = np.asarray(lam, dtype=float)
@@ -64,9 +100,19 @@ def _subtract_contact_forces(model, kin, f, contact_forces, dth=None, df=None):
         d = np.zeros(r.shape[:-1] + (3, 2 * nv))
         d[..., :2, :nv] = -_perp(fl)[..., None] * dth[rows][..., None, :]
         d[..., 2, :nv] = r[..., :1] * d[..., 1, :nv] - r[..., 1:] * d[..., 0, :nv]
-    # frames may share a body: subtract frame by frame, in order (the
-    # differences of an unbuffered np.subtract.at, without its indexing)
     if isinstance(rows, tuple):         # stacked states
+        idx = np.sort(rows[-1], -1)
+        shared = bool((idx[..., 1:] == idx[..., :-1]).any())
+    else:
+        shared = model.frame_plan(frames).shared
+    if not shared:
+        f[rows] -= w
+        if df is not None:
+            df[rows] -= d
+        return
+    # frames share a body: subtract frame by frame, in order (the
+    # differences of an unbuffered np.subtract.at, without its indexing)
+    if isinstance(rows, tuple):
         lead, idx = tuple(a[..., 0] for a in rows[:-1]), rows[-1]
         bodies = [lead + (idx[..., j],) for j in range(idx.shape[-1])]
     else:
@@ -199,8 +245,9 @@ def frame_motion(model: RobotModel, mb: Multibody, frames):
     rows, R, pr, pos, J = _gather_frames(model, mb.kin, frames)
     t, acc = mb.tw[rows], mb.bias[rows]
     w = t[..., 2:]
-    vel = _matvec(R, t[..., :2] + w * pr)
-    local = acc[..., :2] + acc[..., 2:] * pr + w * _perp(t[..., :2] + w * pr)
+    body_vel = t[..., :2] + w * pr       # in the body's axes
+    vel = _matvec(R, body_vel)
+    local = acc[..., :2] + acc[..., 2:] * pr + w * _perp(body_vel)
     return pos, J, vel, _matvec(R, local).reshape(pr.shape[:-2] + (-1,))
 
 
@@ -255,28 +302,32 @@ def tangent_sweep(model: RobotModel, kin: Kinematics, v: np.ndarray,
             m[..., 0, :, 2] = g
             dm[..., 0, 0, 2, 2], dm[..., 0, 1, 2, 2] = g[..., 1], -g[..., 0]
     for lv in model.levels:
-        i, p, b = lv.at, lv.parents_at, lv.bodies
-        k, cq, cv = np.arange(len(b)), 2 + b, nv + 2 + b
+        i, p = lv.at, lv.parents_at
+        ix = _sweep_index(nv, tuple(lv.bodies.tolist()))
         X = kin.X[..., i, :, :]
         mi = X @ m[..., p, :, :]
         dmp = dm[..., p, :, :, :]
-        dmi = (X @ dmp.reshape(dmp.shape[:-2] + (-1,))).reshape(mi.shape + (n,))
+        # C order, so that dmi flattened is a view (an index array makes X,
+        # and so the product, follow the indexed axis in memory)
+        dmi = np.ascontiguousarray(X @ dmp.reshape(dmp.shape[:-2] + (-1,)))
+        dmi = dmi.reshape(mi.shape + (n,))
+        flat = dmi.reshape(lead + (-1,))
         # -crm(S dq) X m_p = crm(X m_p) S dq, for every motion
-        dmi[..., k[:, None], 0, _MOTIONS, cq[:, None]] += mi[..., 1, :]
-        dmi[..., k[:, None], 1, _MOTIONS, cq[:, None]] -= mi[..., 0, :]
-        vi = v[..., cq]
+        flat[..., ix.crm[0]] += mi[..., 1, :].reshape(lead + (-1,))
+        flat[..., ix.crm[1]] -= mi[..., 0, :].reshape(lead + (-1,))
+        vi = v[..., ix.cq]
         mi[..., 2, 0] += vi
-        dmi[..., k, 2, 0, cv] += 1.0
+        flat[..., ix.joint[0]] += 1.0
         if dyn:
             # crm(tw) S v_i = v_i (tw_y, -tw_x, 0), plus the joint acceleration
             t, dt_ = mi[..., 0], dmi[..., 0, :]
             mi[..., 0, 1] += vi * t[..., 1]
             mi[..., 1, 1] -= vi * t[..., 0]
-            mi[..., 2, 1] += a[..., cq]
+            mi[..., 2, 1] += a[..., ix.cq]
             dmi[..., 0, 1, :] += vi[..., None] * dt_[..., 1, :]
             dmi[..., 1, 1, :] -= vi[..., None] * dt_[..., 0, :]
-            dmi[..., k, 0, 1, cv] += t[..., 1]
-            dmi[..., k, 1, 1, cv] -= t[..., 0]
+            flat[..., ix.joint[1]] += t[..., 1]
+            flat[..., ix.joint[2]] -= t[..., 0]
         m[..., i, :, :], dm[..., i, :, :, :] = mi, dmi
     tw, dtw = m[..., 0], dm[..., 0, :]
 
@@ -310,24 +361,30 @@ def tangent_sweep(model: RobotModel, kin: Kinematics, v: np.ndarray,
     crf[..., 0, 1], crf[..., 1, 0] = -tw[..., 2], tw[..., 2]
     crf[..., 2, 0], crf[..., 2, 1] = -tw[..., 1], tw[..., 0]
     f = _matvec(I, m[..., 1] + m[..., 2]) + _matvec(Hm, tw)
-    df = I @ (dm[..., 1, :] + dm[..., 2, :]) + (Hm + crf @ I) @ dtw
+    df = np.ascontiguousarray(I @ (dm[..., 1, :] + dm[..., 2, :]) + (Hm + crf @ I) @ dtw)
     if contact_forces is not None:
         _subtract_contact_forces(model, kin, f, contact_forces, dth, df)
 
     dtau = np.empty(lead + (nv, n))
+    dflat = df.reshape(lead + (-1,))          # C order: a view
     for lv in reversed(model.levels):
-        i, b = lv.at, lv.bodies
-        k, cq = np.arange(len(b)), 2 + b
+        i = lv.at
+        ix = _sweep_index(nv, tuple(lv.bodies.tolist()))
         XT = kin.X[..., i, :, :].swapaxes(-1, -2)
         # views where ``i`` is a slice: the level's own rows are not read again
-        fi, dfi = f[..., i, :], df[..., i, :, :]
-        dtau[..., cq, :] = dfi[..., 2, :]
+        fi = f[..., i, :]
         # d(X.T f) = X.T df + X.T crf(S dq) f
-        dfi[..., k, 0, cq] -= fi[..., 1]
-        dfi[..., k, 1, cq] += fi[..., 0]
+        dflat[..., ix.force[0]] -= fi[..., 1]
+        dflat[..., ix.force[1]] += fi[..., 0]
+        dfi = df[..., i, :, :]
+        dtau[..., ix.cq, :] = dfi[..., 2, :]
+        fp, dfp = _matvec(XT, fi), XT @ dfi
+        if not lv.siblings:
+            f[..., lv.parents_at, :] += fp
+            df[..., lv.parents_at, :, :] += dfp
+            continue
         # siblings share a parent: add child by child, in order (the sums
         # of an unbuffered np.add.at, without its indexing machinery)
-        fp, dfp = _matvec(XT, fi), XT @ dfi
         for j, p in enumerate(lv.parents.tolist()):
             f[..., p, :] += fp[..., j, :]
             df[..., p, :, :] += dfp[..., j, :, :]

@@ -69,6 +69,7 @@ class TreeLevel:
     the parents in a per-body array: a basic slice where they run evenly
     upwards (a quadruped's legs), so the passes read and write views, and a
     parent that all of them share as a one-row slice, which broadcasts.
+    ``siblings`` tells whether two of the bodies share a parent.
     """
 
     bodies: np.ndarray
@@ -76,6 +77,7 @@ class TreeLevel:
     axes: np.ndarray
     at: slice | np.ndarray
     parents_at: slice | np.ndarray
+    siblings: bool
 
 
 @dataclass(frozen=True)
@@ -85,12 +87,14 @@ class FramePlan:
     ``at`` indexes the frames' bodies in a per-body array: a basic slice
     where they run evenly upwards (a quadruped's feet), so the gathers are
     views, else an index array.  ``bodies`` holds the body of each frame
-    and ``offsets`` (k, 2) the frames' points in their body frames.
+    and ``offsets`` (k, 2) the frames' points in their body frames;
+    ``shared`` tells whether two of the frames sit on one body.
     """
 
     at: slice | np.ndarray
     bodies: tuple[int, ...]
     offsets: np.ndarray
+    shared: bool
 
 
 @dataclass
@@ -166,7 +170,8 @@ class RobotModel:
             parents_at = (slice(p[0], p[0] + 1) if len(set(p)) == 1
                           else _kernels.basic_index(p))
             levels.append(TreeLevel(bodies, parents, axes,
-                                    _kernels.basic_index(bodies.tolist()), parents_at))
+                                    _kernels.basic_index(bodies.tolist()), parents_at,
+                                    len(set(p)) < len(p)))
         self.levels = tuple(levels)
         self.placements = np.array([j.placement for j in self.joints], dtype=float)
         self.spatial_inertias = np.array(
@@ -189,7 +194,7 @@ class RobotModel:
             offsets.flags.writeable = False
             plan = self._frame_plans[key] = FramePlan(
                 _kernels.basic_index(list(bodies)) if bodies else slice(0, 0),
-                bodies, offsets)
+                bodies, offsets, len(set(bodies)) < len(bodies))
         return plan
 
     # ---- dimensions (the tree never changes, so each is computed once) ----
@@ -324,5 +329,10 @@ def dintegrate_q(model: RobotModel, dq: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def ddifference_q(model: RobotModel, q1: np.ndarray, q0: np.ndarray) -> np.ndarray:
     """Jacobian of difference_q(q1, q0) w.r.t. a right perturbation of q1."""
-    r = difference_q(model, q1, q0)
-    return _with_base_block(model, se2.right_jacobian_inv(r[..., :3]))
+    return ddifference_q_at(model, difference_q(model, q1, q0))
+
+
+def ddifference_q_at(model: RobotModel, dq: np.ndarray) -> np.ndarray:
+    """``ddifference_q`` from the difference ``dq = difference_q(q1, q0)``,
+    for a caller that already holds it."""
+    return _with_base_block(model, se2.right_jacobian_inv(dq[..., :3]))

@@ -344,7 +344,7 @@ class Mpc:
         node_times = [nodes[i].time for i in sel]
         node_times.append(nodes[sel[-1]].time + nodes[sel[-1]].dt)
         # the nodes kept their solutions from the solver's last evaluation
-        forces = [nodes[i].solution(xs[i], us[i]).forces.copy() for i in sel]
+        forces = [nodes[i].forces(xs[i], us[i]).copy() for i in sel]
         diag = {
             "status": status,
             "degraded": False,

@@ -28,6 +28,16 @@ key (plan entry, start time, period), which fixes the node because a
 problem's schedule, weights and ``dt`` never change.  ``set_window`` keeps
 the node of a slot the next window holds too, with its evaluations, and
 builds one for each new slot.
+
+The line search steps one state per node most of the time, so the single
+state pays no batch bookkeeping it does not need: a lone source's
+solution, or every row of one source in order, is handed on as it is
+(``_group_rows``, ``_gather``), a step keys each row once and
+``trial_costs`` reuses those keys, and the contact solve and the box QP
+test their conditions on Python floats.  A cost pass sums the value alone
+and a derivative pass the gradient and Hessian alone (``_Expansion``);
+the posture residual is computed once for both its value and its
+Jacobian.
 """
 
 from __future__ import annotations
@@ -80,24 +90,37 @@ class SwingTarget:
 class _Expansion:
     """Gauss-Newton accumulator for costs of the form scale * sum w_i r_i(x,u)^2.
 
-    Every field has the leading (batch) axes of ``scale``; residuals,
-    weights and Jacobians broadcast against them.
+    A cost pass, ``_Expansion(scale)``, sums the value alone.  A derivative
+    pass, ``_Expansion(scale, ndx, nu)``, sums the gradient and the
+    Gauss-Newton Hessian alone: nothing reads the value there, and each of
+    its terms carries its Jacobian.  Every field has the leading (batch)
+    axes of ``scale``; residuals, weights and Jacobians broadcast against
+    them.  One state's value adds ``r @ wr``, a 1-D dot with the bits of
+    the (1 x n) @ (n x 1) product a stack takes per row.
     """
 
     __slots__ = ("scale", "value", "lx", "lu", "lxx", "lxu", "luu")
 
-    def __init__(self, scale, ndx, nu):
+    def __init__(self, scale, ndx=None, nu=0):
         self.scale = np.asarray(scale, float)[..., None]
-        lead = self.scale.shape[:-1]
         self.value = 0.0
-        self.lx, self.lu = np.zeros(lead + (ndx,)), np.zeros(lead + (nu,))
-        self.lxx, self.lxu = np.zeros(lead + (ndx, ndx)), np.zeros(lead + (ndx, nu))
-        self.luu = np.zeros(lead + (nu, nu))
+        self.lx = None
+        if ndx is not None:
+            lead = self.scale.shape[:-1]
+            self.lx, self.lu = np.zeros(lead + (ndx,)), np.zeros(lead + (nu,))
+            self.lxx, self.lxu = np.zeros(lead + (ndx, ndx)), np.zeros(lead + (ndx, nu))
+            self.luu = np.zeros(lead + (nu, nu))
+
+    def _add_value(self, r, wr):
+        self.value = self.value + (r @ wr if r.ndim == 1 else
+                                   (r[..., None, :] @ wr[..., None])[..., 0, 0])
 
     def add(self, r, w, Jx=None, Ju=None):
         w = self.scale * w
         wr = w * r
-        self.value = self.value + (r[..., None, :] @ wr[..., None])[..., 0, 0]
+        if self.lx is None:
+            self._add_value(r, wr)
+            return
         if Jx is not None:
             JxT = Jx.swapaxes(-1, -2)
             self.lx += 2.0 * (JxT @ wr[..., None])[..., 0]
@@ -112,7 +135,7 @@ class _Expansion:
     def add_selection(self, r, w, x_at=None, u_at=None, one_sided=False):
         """``add`` for a term whose Jacobian selects coordinates: the entries
         of ``r`` are the x coordinates from ``x_at`` on, or the u coordinates
-        from ``u_at`` on (neither: the value alone).
+        from ``u_at`` on (a cost pass reads neither).
 
         Their gradient gains 2 w r and their Hessian diagonal 2 w, the bits
         of ``add`` with the selection matrix, whose products only multiply
@@ -121,8 +144,8 @@ class _Expansion:
         """
         w = self.scale * w
         wr = w * r
-        self.value = self.value + (r[..., None, :] @ wr[..., None])[..., 0, 0]
-        if x_at is None and u_at is None:
+        if self.lx is None:
+            self._add_value(r, wr)
             return
         if one_sided:
             w = w * (r != 0.0)
@@ -136,23 +159,23 @@ class _Expansion:
 STATE_BOUND_WEIGHT = 1e3    # joint angles and velocities outside their box
 
 
-def _state_costs(model, q, v, weights, bounds, acc, with_jac):
+def _state_costs(model, q, v, weights, bounds, acc):
     """Posture and velocity regularization, and the state-bound penalty."""
     nv = model.nv
+    r = mod.difference_q(model, q, weights.q_ref)
     Jq = None
-    if with_jac:
+    if acc.lx is not None:
         Jq = np.zeros(q.shape[:-1] + (nv, 2 * nv))
-        Jq[..., :nv] = mod.ddifference_q(model, q, weights.q_ref)
-    acc.add(mod.difference_q(model, q, weights.q_ref), weights.Q, Jx=Jq)
+        Jq[..., :nv] = mod.ddifference_q_at(model, r)
+    acc.add(r, weights.Q, Jx=Jq)
     # the velocity and the joint angles are coordinates of x
-    v_at, joints_at = (nv, 3) if with_jac else (None, None)
-    acc.add_selection(v, weights.N, x_at=v_at)
+    acc.add_selection(v, weights.N, x_at=nv)
     if bounds is None:
         return
     rq = co.interval_violation(q[..., 3:], bounds.q_lb[3:], bounds.q_ub[3:])
     rv = co.interval_violation(v, bounds.v_lb, bounds.v_ub)
-    acc.add_selection(rq, STATE_BOUND_WEIGHT, x_at=joints_at, one_sided=True)
-    acc.add_selection(rv, STATE_BOUND_WEIGHT, x_at=v_at, one_sided=True)
+    acc.add_selection(rq, STATE_BOUND_WEIGHT, x_at=3, one_sided=True)
+    acc.add_selection(rv, STATE_BOUND_WEIGHT, x_at=nv, one_sided=True)
 
 
 def _stack(rows):
@@ -167,14 +190,19 @@ def _stack(rows):
 def _gather(parts):
     """Rows of group results (arrays, or dataclasses of them), stacked in
     order.  ``parts`` pairs a result with its rows: a list; an int, one row
-    alone; or None, all of a lone result (``_stack``), stacked as one row."""
-    first = parts[0][0]
+    alone; or None, all of a lone result (``_stack``), stacked as one row.
+    A lone result alone is returned as it is, dataclass and all: its fields
+    are the rows, and nothing writes to a gathered result."""
+    first, j = parts[0]
+    if len(parts) == 1 and j is None:
+        return first
     if is_dataclass(first):
         return type(first)(*(_gather([(getattr(obj, f.name), j) for obj, j in parts])
                              for f in fields(first)))
     if len(parts) == 1:
-        obj, j = parts[0]
-        return obj if j is None else obj[j]
+        return first[j]
+    if all(j is None for _, j in parts):      # lone results: one copy
+        return np.array([obj for obj, _ in parts])
     return np.concatenate([obj[None] if j is None else obj[j] for obj, j in parts])
 
 
@@ -182,15 +210,20 @@ def _group_rows(evs, *names):
     """Fields ``names`` of the node evaluations ``evs`` ((evaluation, row)
     pairs), stacked by ``_gather``: the consecutive rows of one source share
     one index, made once for every field (a basic slice when they run evenly,
-    as a group's rows do), and one node keeps its own row."""
+    as a group's rows do), and one node keeps its own row.  Every row of one
+    source, in order, is the source as it is."""
     parts = []
     for ev, j in evs:
         if j is not None and parts and parts[-1][0] is ev:
             parts[-1][1].append(j)
         else:
             parts.append((ev, None if j is None else [j]))
-    parts = evs if len(evs) == 1 else [
-        (ev, j if j is None else _kernels.basic_index(j)) for ev, j in parts]
+    if len(evs) == 1:
+        parts = evs
+    elif len(parts) == 1 and parts[0][1] == list(range(len(parts[0][0].x_next))):
+        parts = [(parts[0][0], None)]
+    else:
+        parts = [(ev, j if j is None else _kernels.basic_index(j)) for ev, j in parts]
     return [_gather([(getattr(ev, name), j) for ev, j in parts]) for name in names]
 
 
@@ -222,12 +255,14 @@ def _half(dt):
 
 
 class _DynamicsNode:
-    """The store of a running or impulse node (module docstring)."""
+    """The store of a running or impulse node (module docstring), and
+    ``_stepped``, the keys of the rows the last ``step_rows`` solved, in
+    order, so that ``trial_costs`` builds no key again."""
 
     def __init__(self, model, weights, time, contacts, slot):
         self.model, self.weights = model, weights
         self.time, self.contacts, self.slot = time, contacts, slot
-        self._store = {}
+        self._store, self._stepped = {}, []
 
     def calc(self, x, u=()):
         x_next, cost = evaluate_nodes([self], [x], [u])[0]
@@ -247,10 +282,12 @@ class _DynamicsNode:
             rows = rows[~np.reshape(exc.rows, -1)]
             ev = (self._step_group([self] * rows.size, x[rows], u[rows])
                   if rows.size else None)
+        self._stepped = ([] if not rows.size else [_key(x, u)] if lone
+                         else [_key(x[r], u[r]) for r in rows.tolist()])
+        self._store = {key: (ev, None if lone else j)
+                       for j, key in enumerate(self._stepped)}
         if lone:
-            self._store = {_key(x, u): (ev, None)} if rows.size else {}
             return ev.x_next if rows.size else np.full(x.shape, np.nan)
-        self._store = {_key(x[r], u[r]): (ev, j) for j, r in enumerate(rows)}
         x_next = np.full(x.shape, np.nan)
         if rows.size:
             x_next[rows] = ev.x_next
@@ -304,8 +341,8 @@ class RunningNode(_DynamicsNode):
         model, weights = n0.model, n0.weights
         nv = model.nv
         with_jac = der is not None
-        _state_costs(model, q, v, weights, n0.bounds, acc, with_jac)
-        acc.add_selection(u, weights.R, u_at=0 if with_jac else None)
+        _state_costs(model, q, v, weights, n0.bounds, acc)
+        acc.add_selection(u, weights.R, u_at=0)
 
         if n0.swing:
             frames, ref = (_stack([n._targets[i] for n in nodes]) for i in range(2))
@@ -340,8 +377,7 @@ class RunningNode(_DynamicsNode):
     def _cost_group(nodes, x, u, ev):
         model = nodes[0].model
         q, v = mod.split_state(model, x)
-        acc = _Expansion(np.asarray(_stack([n.dt for n in nodes])), 2 * model.nv,
-                         model.nu)
+        acc = _Expansion(np.asarray(_stack([n.dt for n in nodes])))
         RunningNode._costs(nodes, q, v, u, ev.sol, acc)
         ev.cost = acc.value
         return ev
@@ -373,9 +409,11 @@ class RunningNode(_DynamicsNode):
 
     # -- public API ----------------------------------------------------------
 
-    def solution(self, x, u) -> ct.ContactSolution:
-        """Contact dynamics at (x, u); the stored solution when there is one."""
-        return _group_rows(_evaluations([self], [x], [u]), "sol")[0]
+    def forces(self, x, u) -> np.ndarray:
+        """Contact forces at (x, u), read from the stored solution when there
+        is one; the rest of the solution is not gathered."""
+        (ev, j), = _evaluations([self], [x], [u])
+        return ev.sol.forces if j is None else ev.sol.forces[j]
 
 
 TOUCHDOWN_WEIGHT = 1e6      # a touching-down foot's distance from its placement
@@ -396,6 +434,9 @@ class ImpulseNode(_DynamicsNode):
                  slot=None):
         super().__init__(model, weights, time, contacts, slot)
         self.gained = gained
+        # the touching-down frames and their placements
+        feet = sorted(gained)
+        self._touchdowns = np.array(feet), np.array([gained[f] for f in feet])
 
     def _group_params(self):
         return len(self.gained)
@@ -403,19 +444,17 @@ class ImpulseNode(_DynamicsNode):
     # -- one group of impulse nodes, stacked along the leading axis ----------
 
     @staticmethod
-    def _costs(nodes, q, v, sol, acc, with_jac):
+    def _costs(nodes, q, v, sol, acc):
         n0 = nodes[0]
         model = n0.model
         nv = model.nv
-        _state_costs(model, q, v, n0.weights, None, acc, with_jac)
+        _state_costs(model, q, v, n0.weights, None, acc)
         if n0.gained:
-            frames = _stack([np.array(sorted(n.gained)) for n in nodes])
-            target = _stack([np.array([n.gained[f] for f in sorted(n.gained)])
-                             for n in nodes])
+            frames, target = (_stack([n._touchdowns[i] for n in nodes]) for i in range(2))
             pos, J = frame_jacobian(model, sol.kin, frames)
             r = (pos - target).reshape(q.shape[:-1] + (-1,))
             Jp = None
-            if with_jac:
+            if acc.lx is not None:
                 Jp = np.zeros(r.shape + (2 * nv,))
                 Jp[..., :nv] = J
             acc.add(r, TOUCHDOWN_WEIGHT, Jx=Jp)
@@ -431,8 +470,8 @@ class ImpulseNode(_DynamicsNode):
     def _cost_group(nodes, x, u, ev):
         model = nodes[0].model
         q, v = mod.split_state(model, x)
-        acc = _Expansion(np.ones(x.shape[:-1]), 2 * model.nv, 0)
-        ImpulseNode._costs(nodes, q, v, ev.sol, acc, False)
+        acc = _Expansion(np.ones(x.shape[:-1]))
+        ImpulseNode._costs(nodes, q, v, ev.sol, acc)
         ev.cost = acc.value
         return ev
 
@@ -445,7 +484,7 @@ class ImpulseNode(_DynamicsNode):
         fx = np.concatenate([np.broadcast_to(_kernels.eye(nv, 2 * nv), der.dvdot_dx.shape),
                              der.dvdot_dx], -2)
         acc = _Expansion(np.ones(x.shape[:-1]), 2 * nv, 0)
-        ImpulseNode._costs(nodes, q, v, sol, acc, True)
+        ImpulseNode._costs(nodes, q, v, sol, acc)
         return fx, np.zeros(x.shape[:-1] + (2 * nv, 0)), acc
 
 
@@ -479,8 +518,8 @@ def _evaluations(nodes, xs, us):
 def evaluate_nodes(nodes, xs, us) -> list[tuple[np.ndarray, float]]:
     """Each node's (next state, cost) at (xs[k], us[k]), one stacked pass per
     group of the nodes that reuse no evaluation (module docstring)."""
-    return [tuple(_group_rows([ev], "x_next", "cost"))
-            for ev in _evaluations(nodes, xs, us)]
+    return [(ev.x_next, ev.cost) if j is None else (ev.x_next[j], ev.cost[j])
+            for ev, j in _evaluations(nodes, xs, us)]
 
 
 def differentiate_nodes(nodes, xs, us) -> list[NodeDerivatives]:
@@ -525,8 +564,8 @@ class TerminalNode:
     def _expansion(self, x, with_jac):
         model = self.model
         q, v = mod.split_state(model, x)
-        acc = _Expansion(TERMINAL_SCALE, 2 * model.nv, 0)
-        _state_costs(model, q, v, self.weights, self.bounds, acc, with_jac)
+        acc = _Expansion(TERMINAL_SCALE, 2 * model.nv if with_jac else None)
+        _state_costs(model, q, v, self.weights, self.bounds, acc)
         return acc
 
     def calc(self, x):
@@ -668,7 +707,9 @@ class ShootingProblem:
         The dynamics solutions in the nodes' stores are costed in one stacked
         pass per group over nodes x rows, and each node's rows in its store
         become their costed rows of that pass.  Node costs add up in node
-        order.
+        order.  A node's rows here are its stepped rows less those the line
+        search dropped, in order; when it dropped none, they are the rows
+        the step keyed (``_DynamicsNode._stepped``).
         """
         nodes, lone = self.nodes, np.ndim(xs[0]) == 1
         if lone:
@@ -677,7 +718,9 @@ class ShootingProblem:
         costs = np.empty((len(nodes), n))
         for ks in _groups(nodes, range(len(nodes))):
             group = [nodes[k] for k in ks for _ in range(n)]
-            keys = [_key(*row) for k in ks for row in zip(xs[k], us[k])]
+            keys = [key for k in ks for key in (
+                nodes[k]._stepped if len(nodes[k]._stepped) == n
+                else [_key(*row) for row in zip(xs[k], us[k])])]
             x, u = (_stack([row for k in ks for row in a[k]]) for a in (xs, us))
             stored = [node._store[key] for node, key in zip(group, keys)]
             ev = group[0]._cost_group(group, x, u, _Evaluation(

@@ -167,22 +167,24 @@ def _small(theta):
 
 
 def _pick(small, theta, series, exact):
-    """``series`` where ``small`` (see ``_small``) holds, else ``exact(theta)``.
+    """``series()`` where ``small`` (see ``_small``) holds, else ``exact(theta)``.
 
-    ``exact`` may divide by its argument: the small angles reach it as 1.
+    Each form is computed only when some angle takes it.  ``exact`` may
+    divide by its argument: the small angles reach it as 1.
     """
     if small is None:
         return exact(theta)
     if small is True:
-        return series
-    return np.where(small, series, exact(np.where(small, 1.0, theta)))
+        return series()
+    return np.where(small, series(), exact(np.where(small, 1.0, theta)))
 
 
 def _v_coefficients(theta, small):
     """(a, b) of the left Jacobian block V = [[a, -b], [b, a]] of ``exp``."""
     # second-order series near zero keeps exp/log inverses tight
-    return (_pick(small, theta, 1.0 - theta * theta / 6.0, lambda t: np.sin(t) / t),
-            _pick(small, theta, 0.5 * theta - theta ** 3 / 24.0,
+    return (_pick(small, theta, lambda: 1.0 - theta * theta / 6.0,
+                  lambda t: np.sin(t) / t),
+            _pick(small, theta, lambda: 0.5 * theta - theta ** 3 / 24.0,
                   lambda t: (1.0 - np.cos(t)) / t))
 
 
@@ -217,9 +219,9 @@ def right_jacobian(xi: np.ndarray) -> np.ndarray:
     rx, ry, th = _split(xi)
     small = _small(th)
     a, b = _v_coefficients(th, small)
-    j13 = _pick(small, th, (th / 6.0) * rx - 0.5 * ry + (th * th / 24.0) * ry,
+    j13 = _pick(small, th, lambda: (th / 6.0) * rx - 0.5 * ry + (th * th / 24.0) * ry,
                 lambda t: ((1.0 - a) * rx - b * ry) / t)
-    j23 = _pick(small, th, 0.5 * rx + (th / 6.0) * ry - (th * th / 24.0) * rx,
+    j23 = _pick(small, th, lambda: 0.5 * rx + (th / 6.0) * ry - (th * th / 24.0) * rx,
                 lambda t: (b * rx + (1.0 - a) * ry) / t)
     return _affine((a, b, j13), (-b, a, j23))
 

@@ -112,6 +112,127 @@ def test_boxqp_factors_once_per_free_set(monkeypatch):
     assert res.converged and res.iterations == 2 and len(calls) == 1
 
 
+# ------------------------------------------- box QP bookkeeping on floats
+
+def _clamped_array(x, grad, lo, hi):
+    """The clamped rule on arrays: on a bound within 1e-12 * max(1, |x|),
+    with the gradient pointing out of the box."""
+    tol = 1e-12 * np.maximum(1.0, np.abs(x))
+    return ((x <= lo + tol) & (grad > 0.0)) | ((x >= hi - tol) & (grad < 0.0))
+
+
+def boxqp_on_arrays(H, g, lo, hi, x_init=None):
+    """The projected-Newton box QP with its bookkeeping on numpy arrays (the
+    form ``boxqp`` replaced): (x, free, iterations, converged, chol)."""
+    n = g.shape[0]
+    if not (np.isfinite(H).all() and np.isfinite(g).all()):
+        raise NonPDHessian("not finite")
+    x = np.clip(np.zeros(n) if x_init is None else np.asarray(x_init, float), lo, hi)
+
+    def value(z):
+        return 0.5 * float(z @ H @ z) + float(g @ z)
+
+    chol = factored = None
+    free = np.ones(n, dtype=bool)
+    converged, it = False, 0
+    for it in range(1, boxfddp.BOXQP_MAX_ITERS + 1):
+        grad = g + H @ x
+        free = ~_clamped_array(x, grad, lo, hi)
+        nfree = np.count_nonzero(free)
+        if nfree and free.tobytes() != factored:
+            chol, info = boxfddp.dpotrf(H if nfree == n else H[np.ix_(free, free)],
+                                        lower=1, clean=0)
+            assert not info
+            factored = free.tobytes()
+        if not nfree or np.abs(grad[free]).max() < boxfddp.BOXQP_TOL:
+            converged = True
+            break
+        dx = np.zeros(n)
+        dx[free] = -boxfddp.dpotrs(chol, grad[free], lower=1)[0]
+        f0, step, improved = value(x), 1.0, False
+        for _ in range(24):
+            xc = np.clip(x + step * dx, lo, hi)
+            if value(xc) <= f0 + 0.1 * float(grad @ (xc - x)):
+                x, improved = xc, True
+                break
+            step *= 0.5
+        if not improved:
+            break
+    return x, free, it, converged, chol if free.any() else None
+
+
+def _edge_boxes(rng, n=8, cases=40):
+    """Seeded boxes with the edges of the clamped rule: a start exactly on a
+    bound, one inside the relative tolerance and one just outside it, a
+    -0.0 bound and start, every coordinate pushed out, infinite bounds."""
+    for c in range(cases):
+        H = random_pd(rng, n)
+        g = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)
+        lo, hi = -rng.uniform(0.1, 50.0, n), rng.uniform(0.1, 50.0, n)
+        x0 = rng.uniform(lo, hi)
+        x0[0] = lo[0]
+        x0[1] = hi[1]
+        x0[2] = lo[2] + 0.5e-12 * max(1.0, abs(lo[2]))
+        x0[3] = hi[3] - 2e-12 * max(1.0, abs(hi[3]))
+        lo[4], x0[4] = -0.0, -0.0
+        if c % 4 == 1:
+            lo[5], hi[6] = -np.inf, np.inf
+        if c % 4 == 2:           # every coordinate pushed out of the box
+            g = np.where(rng.random(n) < 0.5, 1.0, -1.0) * 1e6
+            x0 = np.where(g > 0.0, lo, hi)
+        yield H, g, lo, hi, x0
+
+
+def test_boxqp_floats_keep_the_bits_of_the_array_bookkeeping():
+    rng = np.random.default_rng(31)
+    seen_all_clamped = False
+    for H, g, lo, hi, x0 in _edge_boxes(rng):
+        for start in (x0, None):
+            res = boxqp(H, g, lo, hi, x_init=start)
+            x, free, it, converged, chol = boxqp_on_arrays(H, g, lo, hi, x_init=start)
+            assert res.x.tobytes() == x.tobytes()
+            assert res.free.tolist() == free.tolist()
+            assert res.clamped.tolist() == (~free).tolist()
+            assert (res.iterations, res.converged) == (it, converged)
+            assert (res.chol is None) == (chol is None)
+            if chol is not None:
+                assert res.chol.tobytes() == chol.tobytes()
+            seen_all_clamped |= not free.any()
+    assert seen_all_clamped
+
+
+def test_boxqp_float_rules_match_the_array_rules_at_the_edges():
+    rng = np.random.default_rng(32)
+    tiny = np.nextafter(0.0, 1.0)
+    for H, g, lo, hi, x0 in _edge_boxes(rng):
+        grad = g + H @ x0
+        for qu in (grad, -grad, np.where(rng.random(8) < 0.3, 0.0, grad), grad * tiny):
+            want = _clamped_array(x0, qu, lo, hi)
+            assert boxfddp._clamped(x0.tolist(), qu.tolist(), lo.tolist(),
+                                    hi.tolist()) == want.tolist()
+            norm = boxfddp._projected_qu_norm(qu, x0, lo, hi)
+            assert np.float64(norm).tobytes() == \
+                np.abs(qu[~want]).max(initial=0.0).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_float_rules_pass_a_non_finite_entry_as_the_arrays_do(bad):
+    rng = np.random.default_rng(33)
+    lo, hi = -np.ones(6), np.ones(6)
+    x, qu = rng.uniform(-1.0, 1.0, 6), rng.normal(size=6)
+    for where in ("x", "qu", "lo"):
+        a, b, c = x.copy(), qu.copy(), lo.copy()
+        {"x": a, "qu": b, "lo": c}[where][2] = bad
+        want = _clamped_array(a, b, c, hi)
+        assert boxfddp._clamped(a.tolist(), b.tolist(), c.tolist(),
+                                hi.tolist()) == want.tolist()
+        norm = np.float64(boxfddp._projected_qu_norm(b, a, c, hi))
+        ref = np.abs(b[~want]).max(initial=0.0)
+        assert norm.tobytes() == ref.tobytes() or (np.isnan(norm) and np.isnan(ref))
+    with pytest.raises(NonPDHessian):
+        boxqp(random_pd(rng, 6), np.where(np.arange(6) == 1, bad, qu), lo, hi)
+
+
 # ------------------------------------------------------------ LQR oracle
 
 class LinearNode:

@@ -7,7 +7,7 @@ from leggedmpc import dynamics, presets
 from leggedmpc import model as mod
 from leggedmpc.errors import RankDeficientContacts
 
-from helpers import random_state, single_body, solved_derivatives
+from helpers import random_state, single_body, solved_derivatives, straight_legs
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +104,30 @@ def test_singular_row_of_a_stack_is_flagged_alone(quad):
         ct.contact_forward_dynamics(quad, q, np.zeros((3, quad.nv)),
                                     np.zeros((3, quad.nu)), contacts)
     assert exc.value.rows.tolist() == [False, True, False]
+
+
+def test_straight_legs_fail_the_float_check_alone_and_their_row_of_a_stack(quad):
+    # one system takes the condition test on floats, a stack on arrays: the
+    # singular stance raises alone, and inside a stack flags its own row
+    stance = ct.ContactSet(frames=(0, 1, 2, 3))
+    q, v = np.split(straight_legs(quad), [quad.nq])
+    with pytest.raises(RankDeficientContacts) as exc:
+        ct.contact_forward_dynamics(quad, q, v, np.zeros(quad.nu), stance)
+    assert np.reshape(exc.value.rows, -1).tolist() == [True]
+    nominal = presets.nominal_configuration(quad)
+    qs = np.array([nominal, q, nominal])
+    with pytest.raises(RankDeficientContacts) as exc:
+        ct.contact_forward_dynamics(quad, qs, np.zeros((3, quad.nv)), np.zeros((3, quad.nu)),
+                                    ct.ContactSet(frames=np.tile(stance.frames, (3, 1))))
+    assert exc.value.rows.tolist() == [False, True, False]
+    # a regular stance passes both checks with the bits of its row
+    alone = ct.contact_forward_dynamics(quad, nominal, np.zeros(quad.nv),
+                                        np.zeros(quad.nu), stance)
+    rows = ct.contact_forward_dynamics(quad, qs[[0, 2]], np.zeros((2, quad.nv)),
+                                       np.zeros((2, quad.nu)),
+                                       ct.ContactSet(frames=np.tile(stance.frames, (2, 1))))
+    assert alone.forces.tobytes() == rows.forces[1].tobytes()
+    assert alone.vdot.tobytes() == rows.vdot[0].tobytes()
 
 
 # ---------------------------------------------------------------- prediction

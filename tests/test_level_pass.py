@@ -198,6 +198,8 @@ def test_tree_levels_cover_every_body_once():
     pytest.param((), None, id="lead0"),
     pytest.param((5,), None, id="lead1"),
     pytest.param((2, 3), None, id="lead2"),
+    # every state's frames on distinct bodies: one indexed subtraction
+    pytest.param((4,), "distinct", id="lead1-distinct-bodies"),
     # one state's frame tuples read a frame plan: bodies 2, 6, 6, 4, 8, 2
     # as an index array, bodies 2, 4, 6, 8 as a basic slice
     pytest.param((), (0, 2, 2, 1, 3, 0), id="lone-tuple-shared-bodies"),
@@ -213,6 +215,8 @@ def test_contact_wrenches_subtract_with_the_bits_of_ufunc_at(lead, frames):
     kin = kinematics.forward_kinematics(m, q)
     if frames is None:
         frames = rng.integers(0, len(m.contact_frames), size=lead + (6,))
+    elif frames == "distinct":
+        frames = np.array([rng.permutation(len(m.contact_frames))[:3] for _ in range(4)])
     idx = np.asarray(frames)
     lam = rng.normal(size=idx.shape + (2,))
     dth = kin.B[..., 2, :]
@@ -230,6 +234,28 @@ def test_contact_wrenches_subtract_with_the_bits_of_ufunc_at(lead, frames):
     np.subtract.at(df, rows, d)
     assert _bits(got_f) == _bits(f)
     assert _bits(got_df) == _bits(df)
+
+
+@pytest.mark.parametrize("name", ["default_quadruped", "branched_tree"])
+def test_sweep_and_wrench_scatters_keep_each_rows_bits(name):
+    # the sweep writes a level's per-body entries through basic slices where
+    # its bodies run evenly (the quadruped), else index arrays (the branched
+    # tree); a level whose parents are distinct adds its children in one
+    # operation, and frames on distinct bodies subtract their wrenches in
+    # one.  Each state of a stack keeps the bits of the state alone
+    m = MODELS[name]
+    rng = np.random.default_rng(29)
+    x = np.array([random_state(m, rng) for _ in range(3)])
+    q, v = x[:, :m.nq], x[:, m.nq:]
+    n = len(m.contact_frames)
+    frames = np.array([rng.permutation(n)[:3] for _ in range(3)])
+    # the quadruped's knees have distinct parents; every level of the tree shares one
+    assert [lv.siblings for lv in m.levels] == (
+        [True, False] if name == "default_quadruped" else [True, True])
+    stacked = _sweep(m, q, v, frames)
+    for k in range(3):
+        lone = _sweep(m, q[k], v[k], tuple(frames[k].tolist()))
+        assert [a[k].tobytes() for a in stacked] == [a.tobytes() for a in lone]
 
 
 def _frame_tuples(m):

@@ -447,6 +447,22 @@ def _seeded_expansion(rng, lead, ndx=22, nu=8):
     return acc
 
 
+def test_a_lone_cost_value_has_the_bits_of_its_row_of_a_stack():
+    # one state's value adds the 1-D dot r @ wr, a stack the (1 x n) @ (n x 1)
+    # product per row: the same bits, on residuals of every size a node adds
+    rng = np.random.default_rng(17)
+    for n in (2, 4, 8, 11, 16, 22):
+        scale = rng.uniform(0.5, 2.0, size=50)
+        r = rng.normal(size=(50, n)) * 10.0 ** rng.uniform(-3, 3, size=(50, 1))
+        w = 10.0 ** rng.uniform(-4, 6, size=n)
+        stacked = problem._Expansion(scale)
+        stacked.add(r, w)
+        for b in range(50):
+            lone = problem._Expansion(scale[b])
+            lone.add(r[b], w)
+            assert np.float64(lone.value).tobytes() == stacked.value[b].tobytes()
+
+
 @pytest.mark.parametrize("lead", [(), (4,)], ids=["lone", "stacked"])
 @pytest.mark.parametrize("active", ["all", "some", "none", "unmasked"])
 @pytest.mark.parametrize("block", ["x", "u"])
@@ -474,7 +490,9 @@ def test_selection_terms_have_the_bits_of_the_dense_expansion(lead, active, bloc
         J = J * (r != 0.0)[..., None]
     want.add(r, w, **{f"J{block}": J})
     assert _expansion_bits(got) == _expansion_bits(want)
-    # without a Jacobian only the value moves, as in ``add``
-    got.add_selection(r, w)
+    # a cost pass sums the value alone, as in ``add``
+    scale = np.random.default_rng(9).uniform(0.5, 2.0, size=lead)
+    got, want = problem._Expansion(scale), problem._Expansion(scale)
+    got.add_selection(r, w, **{f"{block}_at": at}, one_sided=one_sided)
     want.add(r, w)
-    assert _expansion_bits(got) == _expansion_bits(want)
+    assert got.value.tobytes() == want.value.tobytes()
