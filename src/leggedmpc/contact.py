@@ -33,10 +33,11 @@ takes the same steps (``contact_forward_dynamics``, then
 ``model.semi_implicit_step``) one at a time, so that it can skip the solve
 at a state whose dynamics it already keeps.
 
-Every routine also takes a stack of states (leading axes on q, v and u, a
-(B, nc) frame array in the ``ContactSet``) as one pass of array operations.
-Each state keeps its own rank check, and a state's results do not depend on
-the rest of the stack: alone, it gives the same bits.
+Every routine also takes a stack of states (leading axes on q, v and u,
+and a (B, nc) frame array in the ``ContactSet``, or one frames tuple that
+every state shares) as one pass of array operations.  Each state keeps its
+own rank check, and a state's results do not depend on the rest of the
+stack: alone, it gives the same bits.
 
 The solves call numpy's LAPACK gufuncs directly (``_kernels.solve`` and
 ``_kernels.eigvalsh``), the kernels beneath ``np.linalg.solve`` and
@@ -67,8 +68,8 @@ BAUMGARTE_GAIN = 40.0
 @dataclass
 class ContactSet:
     """The active point contacts, each held by the module's Baumgarte term:
-    ``frames`` is a tuple, or a (B, nc) array that gives each of B stacked
-    states its own frames."""
+    ``frames`` is a tuple, which stacked states share, or a (B, nc) array
+    that gives each of B stacked states its own frames."""
 
     frames: tuple[int, ...] | np.ndarray = ()
 
@@ -150,8 +151,8 @@ def _kkt_forward(M, J, rhs, bias, what: str):
         singular = not cond <= COND_LIMIT
     else:
         finite = np.isfinite(Mhat).all((-2, -1))
-        eig = (_kernels.eigvalsh(np.where(finite[..., None, None], Mhat, 1.0))
-               if J.shape[-2] else np.ones((1, 1)))
+        eig = (np.ones((1, 1)) if not J.shape[-2] else _kernels.eigvalsh(
+            Mhat if finite.all() else np.where(finite[..., None, None], Mhat, 1.0)))
         cond = eig[..., -1] / np.maximum(eig[..., 0], 1e-300)
         singular = ~(finite & (cond <= COND_LIMIT))
     if np.count_nonzero(singular):

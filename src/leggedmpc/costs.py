@@ -112,22 +112,27 @@ def cone_matrices(cone: FrictionCone) -> tuple[np.ndarray, np.ndarray]:
     return C, c
 
 
-def cone_residual(C: np.ndarray, c: np.ndarray, lam: np.ndarray):
-    """Cone violation of stacked contact forces and its Jacobian in the forces.
+def cone_violation(C: np.ndarray, c: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Cone violation of stacked contact forces, the cone penalty's residual.
 
     ``lam`` stacks one (fx, fy) pair per contact.  The residual stacks
     max(0, c - C lam_k) per contact (3 rows each), so its weighted square is
-    the cone penalty; the Jacobian (3n, 2n) is block diagonal with -C on the
-    violated rows and zero on the others.  Leading axes of ``lam`` carry
-    through to both.
+    the cone penalty.  Leading axes of ``lam`` carry through.
     """
     lead, n = lam.shape[:-1], lam.shape[-1] // 2
-    r = np.maximum(0.0, c - lam.reshape(lead + (n, 2)) @ C.T)
+    return np.maximum(0.0, c - lam.reshape(lead + (n, 2)) @ C.T).reshape(lead + (3 * n,))
+
+
+def cone_residual(C: np.ndarray, c: np.ndarray, lam: np.ndarray):
+    """``cone_violation`` and its Jacobian in the forces: (3n, 2n), block
+    diagonal with -C on the violated rows and zero on the others."""
+    lead, n = lam.shape[:-1], lam.shape[-1] // 2
+    r = cone_violation(C, c, lam)
     J = np.zeros(lead + (n, 3, n, 2))
     k = np.arange(n)
     J[..., k, :, k, :] = -C
-    J[r == 0.0] = 0.0
-    return r.reshape(lead + (3 * n,)), J.reshape(lead + (3 * n, 2 * n))
+    J[r.reshape(lead + (n, 3)) == 0.0] = 0.0
+    return r, J.reshape(lead + (3 * n, 2 * n))
 
 
 # ----------------------------------------------------------- bound penalty

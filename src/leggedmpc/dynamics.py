@@ -17,9 +17,11 @@ B_i.T I_i B_i.  ``multibody`` is the one pass per state: kinematics,
 twists, bias accelerations, M and h (as Pinocchio's ``computeAllTerms``).
 ``frame_motion`` is the one gather of contact frames from a pass: their
 positions, Jacobian, velocities and acceleration bias.  A caller that needs
-no velocities (the impulse dynamics, placement costs) takes the kinematics,
-``mass_matrix`` and ``frame_jacobian`` alone, the same code without the
-twists.  ``tangent_sweep``
+no velocities (the impulse dynamics) takes the kinematics, ``mass_matrix``
+and ``frame_jacobian`` alone, the same code without the twists, and a cost
+that reads no Jacobian takes ``frame_velocities`` (positions and
+velocities) or ``kinematics.frame_positions``, the same code without the
+Jacobian.  ``tangent_sweep``
 differentiates the same recursion, one tree depth at a time too.  Every
 function takes stacked states (leading axes on q, v, a and the
 ``Kinematics``) as one pass; alone, a state runs the same code.
@@ -35,6 +37,7 @@ import numpy as np
 from . import _kernels
 from .kinematics import (
     Kinematics,
+    _frame_points,
     _frames,
     _matvec,
     _perp,
@@ -83,28 +86,30 @@ def _sweep_index(nv: int, bodies: tuple) -> _SweepIndex:
 def _subtract_contact_forces(model, kin, f, contact_forces, dth=None, df=None):
     """Subtract world contact forces, as body wrenches, from body forces ``f``.
 
-    ``contact_forces`` is a pair of frame (..., k) and world force (..., k, 2)
-    arrays.  With ``dth`` (nb, nv), the body world-angle tangents, the
-    wrenches' tangent is subtracted from ``df``.  Frames on distinct bodies
-    (in each stacked state) are subtracted in one indexed operation.
+    ``contact_forces`` is a pair of frames (a tuple, or a (..., k) array of
+    stacked states) and world forces (..., k, 2).  With ``dth`` (nb, nv),
+    the body world-angle tangents, the wrenches' tangent is subtracted from
+    ``df``.  Frames on distinct bodies (in each stacked state) are
+    subtracted in one indexed operation; a frames tuple, and one state's
+    frames, read that from their plan.
     """
     frames, lam = contact_forces
     lam = np.asarray(lam, dtype=float)
     if lam.size == 0:
         return
-    rows, r = _frames(model, kin, frames)
+    rows, r, plan = _frames(model, kin, frames)
     fl = (lam[..., None, :] @ kin.R[rows])[..., 0, :]      # R_b.T lam, body frame
     w = np.concatenate([fl, r[..., :1] * fl[..., 1:] - r[..., 1:] * fl[..., :1]], -1)
     if df is not None:
         nv = model.nv
-        d = np.zeros(r.shape[:-1] + (3, 2 * nv))
+        d = np.zeros(fl.shape[:-1] + (3, 2 * nv))
         d[..., :2, :nv] = -_perp(fl)[..., None] * dth[rows][..., None, :]
         d[..., 2, :nv] = r[..., :1] * d[..., 1, :nv] - r[..., 1:] * d[..., 0, :nv]
-    if isinstance(rows, tuple):         # stacked states
+    if plan is None:
         idx = np.sort(rows[-1], -1)
         shared = bool((idx[..., 1:] == idx[..., :-1]).any())
     else:
-        shared = model.frame_plan(frames).shared
+        shared = plan.shared
     if not shared:
         f[rows] -= w
         if df is not None:
@@ -112,11 +117,12 @@ def _subtract_contact_forces(model, kin, f, contact_forces, dth=None, df=None):
         return
     # frames share a body: subtract frame by frame, in order (the
     # differences of an unbuffered np.subtract.at, without its indexing)
-    if isinstance(rows, tuple):
-        lead, idx = tuple(a[..., 0] for a in rows[:-1]), rows[-1]
-        bodies = [lead + (idx[..., j],) for j in range(idx.shape[-1])]
+    if plan is None:
+        at, idx = tuple(a[..., 0] for a in rows[:-1]), rows[-1]
+        bodies = [at + (idx[..., j],) for j in range(idx.shape[-1])]
     else:
-        bodies = model.frame_plan(frames).bodies
+        lead = (slice(None),) * (kin.pose.ndim - 2)
+        bodies = [lead + (b,) for b in plan.bodies]
     for j, at in enumerate(bodies):
         f[at] -= w[..., j, :]
         if df is not None:
@@ -211,26 +217,33 @@ def mass_matrix(model: RobotModel, kin: Kinematics) -> np.ndarray:
             @ (model.spatial_inertias @ B).reshape(lead + (-1, nv)))
 
 
-def _gather_frames(model, kin, frames):
-    """Body rows, offsets r, world rotations R and perp(r) of contact frames,
-    with their world positions and stacked Jacobian.
-
-    Frame k on body b at offset r is at p_b + R_b r and moves with
-    R_b (B_b[:2] + perp(r) B_b[2]) v.
-    """
-    rows, r = _frames(model, kin, frames)
-    R, pr = kin.R[rows], _perp(r)
-    pos = kin.pose[rows][..., :2] + _matvec(R, r)
+def _jacobian(model, kin, rows, R, pr):
+    """Stacked world Jacobian of the frames gathered at ``rows``: frame k on
+    body b at offset r moves with R_b (B_b[:2] + perp(r) B_b[2]) v."""
     Bb = kin.B[rows]
     local = Bb[..., :2, :] + pr[..., None] * Bb[..., 2:, :]
-    J = (R @ local).reshape(r.shape[:-2] + (-1, model.nv))
-    return rows, R, pr, pos, J
+    return (R @ local).reshape(R.shape[:-3] + (-1, model.nv))
 
 
 def frame_jacobian(model: RobotModel, kin: Kinematics, frames):
     """World positions (k, 2) and stacked Jacobian (2k, nv) of contact
     frames on a kinematics pass: ``frame_motion`` without the velocities."""
-    return _gather_frames(model, kin, frames)[3:]
+    rows, R, r, pos = _frame_points(model, kin, frames)
+    return pos, _jacobian(model, kin, rows, R, _perp(r))
+
+
+def _frame_velocities(model, mb, frames):
+    rows, R, r, pos = _frame_points(model, mb.kin, frames)
+    pr, t = _perp(r), mb.tw[rows]
+    w = t[..., 2:]
+    body_vel = t[..., :2] + w * pr       # in the body's axes
+    return rows, R, pr, w, body_vel, pos, _matvec(R, body_vel)
+
+
+def frame_velocities(model: RobotModel, mb: Multibody, frames):
+    """World positions and velocities (k, 2) of contact frames:
+    ``frame_motion`` without the Jacobian and the bias."""
+    return _frame_velocities(model, mb, frames)[-2:]
 
 
 def frame_motion(model: RobotModel, mb: Multibody, frames):
@@ -242,29 +255,29 @@ def frame_motion(model: RobotModel, mb: Multibody, frames):
     positions (k, 2), the stacked Jacobian (2k, nv), velocities (k, 2) and
     the bias (2k,), for all frames (and all stacked states) at once.
     """
-    rows, R, pr, pos, J = _gather_frames(model, mb.kin, frames)
-    t, acc = mb.tw[rows], mb.bias[rows]
-    w = t[..., 2:]
-    body_vel = t[..., :2] + w * pr       # in the body's axes
-    vel = _matvec(R, body_vel)
+    rows, R, pr, w, body_vel, pos, vel = _frame_velocities(model, mb, frames)
+    acc = mb.bias[rows]
     local = acc[..., :2] + acc[..., 2:] * pr + w * _perp(body_vel)
-    return pos, J, vel, _matvec(R, local).reshape(pr.shape[:-2] + (-1,))
+    return (pos, _jacobian(model, mb.kin, rows, R, pr), vel,
+            _matvec(R, local).reshape(R.shape[:-3] + (-1,)))
 
 
 @dataclass
 class Tangents:
     """Exact first derivatives along the state tangent (dq, dv), 2*nv columns.
 
-    ``dtau`` differentiates ``rnea(q, v, a, forces)`` at fixed (a, forces);
-    ``dvel`` and ``dacc`` stack, per frame, the world velocity and the world
-    classical acceleration (J a + Jdot v) of the requested contact frames.
-    The v block of ``dvel`` is the frame Jacobian itself.  Stacked states
-    give the same fields with leading axes.
+    ``dtau`` differentiates ``rnea(q, v, a, forces)`` at fixed (a, forces).
+    ``dvel`` stacks, per requested frame, the world velocity of the frame;
+    its v block is the frame Jacobian itself.  ``dacc`` stacks the world
+    classical acceleration (J a + Jdot v) of the contact frames alone, those
+    of the forces, which lead the requested frames: the rows the contact
+    derivatives read.  Stacked states give the same fields with leading
+    axes.
     """
 
     dtau: np.ndarray | None     # (nv, 2nv), None without ``a``
     dvel: np.ndarray            # (2*len(frames), 2nv)
-    dacc: np.ndarray | None     # (2*len(frames), 2nv), None without ``a``
+    dacc: np.ndarray | None     # (2*nc, 2nv), nc contact frames; None without ``a``
 
 
 def tangent_sweep(model: RobotModel, kin: Kinematics, v: np.ndarray,
@@ -281,7 +294,8 @@ def tangent_sweep(model: RobotModel, kin: Kinematics, v: np.ndarray,
     Jacobian.  The force recursion of ``rnea`` is then differentiated term
     by term on the way back up (Carpentier & Mansard, RSS 2018).  Without
     ``a`` only the twists and ``dvel`` are computed.  ``gravity=False``
-    drops gravity from ``dtau``.
+    drops gravity from ``dtau``.  ``frames`` lists the frames of
+    ``contact_forces`` first; ``dacc`` covers those of them it lists.
     """
     nv, nb = model.nv, model.nbodies
     n = 2 * nv
@@ -332,16 +346,24 @@ def tangent_sweep(model: RobotModel, kin: Kinematics, v: np.ndarray,
     tw, dtw = m[..., 0], dm[..., 0, :]
 
     dth = kin.B[..., 2, :]                    # world angle tangents, q block
-    rows, r = _frames(model, kin, frames)
+    rows, r, _ = _frames(model, kin, frames)
     R, pr, th = kin.R[rows], _perp(r), dth[rows][..., None, :]
     t, dt_ = tw[rows], dtw[rows]
     w, dw = t[..., 2:], dt_[..., 2:, :]
     vel = t[..., :2] + w * pr
     dvl = dt_[..., :2, :] + pr[..., None] * dw
     dvl[..., :nv] += _perp(vel)[..., None] * th
-    dvel = (R @ dvl).reshape(r.shape[:-2] + (-1, n))
+    dvel = (R @ dvl).reshape(R.shape[:-3] + (-1, n))
     if not dyn:
         return Tangents(dtau=None, dvel=dvel, dacc=None)
+    # dacc covers the contact frames alone, the first of ``frames``
+    nc = 0 if contact_forces is None else np.shape(contact_forces[0])[-1]
+    if nc < r.shape[-2]:
+        rows = _frames(model, kin, frames[:nc] if type(frames) is tuple
+                       else np.asarray(frames)[..., :nc])[0]
+        r, pr, R, th = r[..., :nc, :], pr[..., :nc, :], R[..., :nc, :, :], th[..., :nc, :, :]
+        t, dt_ = t[..., :nc, :], dt_[..., :nc, :, :]
+        w, dw = t[..., 2:], dt_[..., 2:, :]
     A, dA = m[..., 1][rows], dm[..., 1, :][rows]
     acc = A[..., :2] + A[..., 2:] * pr + w * _perp(t[..., :2]) - w * w * r
     dal = (dA[..., :2, :] + pr[..., None] * dA[..., 2:, :]
@@ -349,7 +371,7 @@ def tangent_sweep(model: RobotModel, kin: Kinematics, v: np.ndarray,
            + w[..., None] * np.stack([-dt_[..., 1, :], dt_[..., 0, :]], -2)
            - 2.0 * (w * r)[..., None] * dw)
     dal[..., :nv] += _perp(acc)[..., None] * th
-    dacc = (R @ dal).reshape(r.shape[:-2] + (-1, n))
+    dacc = (R @ dal).reshape(R.shape[:-3] + (-1, n))
 
     # f = I (ac + gr) + crf(tw) h with h = I tw, and crf(x) h = Hm x, so
     # df = I (dac + dgr) + (Hm + crf(tw) I) dtw

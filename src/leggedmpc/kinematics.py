@@ -15,12 +15,14 @@ requested frames at once (``_frames``); ``dynamics.frame_motion`` reads
 their motion from the multibody pass.  Stacked states (leading axes on q
 and v, frames (..., k) per state) run as one pass.
 
-One state reads its frames by a plan (``RobotModel.frame_plan``), built
-once per frames tuple: the bodies' rows as a basic slice where they run
-evenly upwards, with the frame offsets.  The gathers of poses, rotations,
-Jacobians and twists are then views, not index-array copies, with the same
-bits; bodies that do not run evenly (or repeat) keep an index array.
-Stacked states index per leading index, so their frames may differ per
+A frames tuple reads its frames by a plan (``RobotModel.frame_plan``),
+built once per tuple, whether the state is alone or stacked: the bodies'
+rows as a basic slice where they run evenly upwards (after the leading
+axes of a stack), with the frame offsets.  The gathers of poses,
+rotations, Jacobians and twists are then views, not index-array copies,
+with the same bits; bodies that do not run evenly (or repeat) keep an
+index array.  One state reads any frames so.  A frames array (..., k) of
+stacked states indexes per leading index, so their frames may differ per
 state.
 """
 
@@ -136,20 +138,24 @@ def bias_accelerations(model: RobotModel, kin: Kinematics, v: np.ndarray):
 
 
 def _frames(model: RobotModel, kin: Kinematics, frames):
-    """Index of the bodies of ``frames`` and the frame offsets.
+    """Index of the bodies of ``frames``, the frame offsets, and the plan
+    that gave them, if one did.
 
-    One state reads its ``model.frame_plan``: a basic slice where the bodies
-    run evenly.  Stacked states index per leading index (see ``_rows``):
-    ``frames`` (..., k) broadcasts over the leading axes of ``kin``.
+    A frames tuple, and any frames of one state, read their
+    ``model.frame_plan``: a basic slice where the bodies run evenly, after
+    the leading axes of stacked states.  A frames array (..., k) of stacked
+    states indexes per leading index (see ``_rows``) and broadcasts over the
+    leading axes of ``kin``; its plan is None.
     """
     lead = kin.pose.shape[:-2]
-    if not lead:
+    if not lead or type(frames) is tuple:
         plan = model.frame_plan(frames)
-        return plan.at, plan.offsets
+        return (plan.at if not lead else (slice(None),) * len(lead) + (plan.at,),
+                plan.offsets, plan)
     idx = np.asarray(frames, dtype=int)
     if idx.shape[:-1] != lead:
         idx = np.broadcast_to(idx, lead + idx.shape[-1:])
-    return _rows(model.contact_bodies[idx]), model.contact_offsets[idx]
+    return _rows(model.contact_bodies[idx]), model.contact_offsets[idx], None
 
 
 _FLIP = np.array([-1.0, 1.0])
@@ -160,11 +166,19 @@ def _perp(r: np.ndarray) -> np.ndarray:
     return r[..., ::-1] * _FLIP
 
 
+def _frame_points(model: RobotModel, kin: Kinematics, frames):
+    """Body index, world rotations R, offsets r and world positions of
+    contact frames: frame k on body b at offset r is at p_b + R_b r."""
+    rows, r, _ = _frames(model, kin, frames)
+    R = kin.R[rows]
+    return rows, R, r, kin.pose[rows][..., :2] + _matvec(R, r)
+
+
 def frame_positions(model: RobotModel, kin: Kinematics, frames) -> np.ndarray:
     """World positions of contact frames, shape (len(frames), 2)."""
-    rows, r = _frames(model, kin, frames)
-    return kin.pose[rows][..., :2] + _matvec(kin.R[rows], r)
+    return _frame_points(model, kin, frames)[3]
 
 
 def frame_position(model: RobotModel, kin: Kinematics, frame: int) -> np.ndarray:
-    return frame_positions(model, kin, (frame,))[0]
+    """World position (2,) of one contact frame, per state of a stack."""
+    return frame_positions(model, kin, (frame,))[..., 0, :]

@@ -34,10 +34,18 @@ state pays no batch bookkeeping it does not need: a lone source's
 solution, or every row of one source in order, is handed on as it is
 (``_group_rows``, ``_gather``), a step keys each row once and
 ``trial_costs`` reuses those keys, and the contact solve and the box QP
-test their conditions on Python floats.  A cost pass sums the value alone
-and a derivative pass the gradient and Hessian alone (``_Expansion``);
-the posture residual is computed once for both its value and its
-Jacobian.
+test their conditions on Python floats.  When it tries several step
+lengths, the rows of one node are not treated as different nodes: a
+group whose nodes share a contact set, swing feet or touchdowns passes
+that frames tuple, which a stack reads by its frame plan as one state
+does; nodes that share a period step with it as a scalar (``_shared``);
+each row's key is its slice of the stack's bytes (``_row_keys``); and the
+terminal costs of all rows are one stacked ``TerminalNode.calc``.  A cost
+pass sums the value alone and a derivative pass the gradient and Hessian
+alone (``_Expansion``), and a cost pass builds no Jacobian: the swing
+feet's positions and velocities, the cone violation and the touchdown
+positions are taken without theirs.  The posture residual is computed
+once for both its value and its Jacobian.
 """
 
 from __future__ import annotations
@@ -51,8 +59,9 @@ from . import _kernels
 from . import contact as ct
 from . import costs as co
 from . import model as mod
-from .dynamics import frame_jacobian, frame_motion, tangent_sweep
+from .dynamics import frame_jacobian, frame_velocities, tangent_sweep
 from .errors import RankDeficientContacts, ScheduleError
+from .kinematics import frame_positions
 from .model import RobotModel
 from .schedule import ContactSchedule, evaluate_swing
 
@@ -227,12 +236,18 @@ def _group_rows(evs, *names):
     return [_gather([(getattr(ev, name), j) for ev, j in parts]) for name in names]
 
 
+def _shared(values):
+    """A value of each node of a group: the value itself when every node has
+    it (a frames tuple, a period), else the values stacked (``_stack``)."""
+    first = values[0]
+    return first if all(v == first for v in values) else _stack(values)
+
+
 def _contacts(nodes) -> ct.ContactSet:
-    """The group's contact sets as one, with (B, nc) frames."""
-    if len(nodes) == 1:
-        return nodes[0].contacts
-    return ct.ContactSet(frames=np.array([n.contacts.frames for n in nodes],
-                                         dtype=int).reshape(len(nodes), -1))
+    """The group's contact sets as one: the nodes' own when they share it,
+    else with (B, nc) frames."""
+    frames = _shared([n.contacts.frames for n in nodes])
+    return nodes[0].contacts if type(frames) is tuple else ct.ContactSet(frames=frames)
 
 
 def _group_key(node):
@@ -241,12 +256,20 @@ def _group_key(node):
             len(node.contacts.frames))
 
 
-_NO_TARGETS = (np.zeros(0, dtype=int), np.zeros((2, 0, 2)))
+_NO_TARGETS = ((), np.zeros((2, 0, 2)))
 
 
 def _key(x, u):
     """The bytes of a node's inputs, its store's key."""
     return np.asarray(x, float).tobytes(), np.asarray(u, float).reshape(-1).tobytes()
+
+
+def _row_keys(x, u):
+    """``_key`` of each row of the stacks ``x`` and ``u``: its slices of the
+    stacks' bytes, which are in C order."""
+    xb, ub = np.asarray(x, float).tobytes(), np.asarray(u, float).tobytes()
+    nx, nu = len(xb) // len(x), len(ub) // len(x)
+    return [(xb[r * nx:(r + 1) * nx], ub[r * nu:(r + 1) * nu]) for r in range(len(x))]
 
 
 def _half(dt):
@@ -282,12 +305,14 @@ class _DynamicsNode:
             rows = rows[~np.reshape(exc.rows, -1)]
             ev = (self._step_group([self] * rows.size, x[rows], u[rows])
                   if rows.size else None)
-        self._stepped = ([] if not rows.size else [_key(x, u)] if lone
-                         else [_key(x[r], u[r]) for r in rows.tolist()])
+        keys = [_key(x, u)] if lone else _row_keys(x, u)
+        self._stepped = keys if rows.size == len(keys) else [keys[r] for r in rows.tolist()]
         self._store = {key: (ev, None if lone else j)
                        for j, key in enumerate(self._stepped)}
         if lone:
             return ev.x_next if rows.size else np.full(x.shape, np.nan)
+        if rows.size == len(x):
+            return ev.x_next
         x_next = np.full(x.shape, np.nan)
         if rows.size:
             x_next[rows] = ev.x_next
@@ -320,7 +345,7 @@ class RunningNode(_DynamicsNode):
         # swing frames and their target (positions, velocities)
         targets = [swing[f] for f in sorted(swing)]
         self._targets = _NO_TARGETS if not swing else (
-            np.array(sorted(swing), dtype=int),
+            tuple(int(f) for f in sorted(swing)),
             np.array([[t.pos for t in targets], [t.vel for t in targets]],
                      dtype=float).reshape(2, -1, 2))
 
@@ -345,15 +370,16 @@ class RunningNode(_DynamicsNode):
         acc.add_selection(u, weights.R, u_at=0)
 
         if n0.swing:
-            frames, ref = (_stack([n._targets[i] for n in nodes]) for i in range(2))
+            frames = _shared([n._targets[0] for n in nodes])
+            ref = _stack([n._targets[1] for n in nodes])
             Jp = Jv = None
             if with_jac:
                 # the sweep's last rows are the swing frames; the v block
                 # of a frame's velocity tangent is its Jacobian
-                Jv = tan.dvel[..., -2 * frames.shape[-1]:, :]
+                Jv = tan.dvel[..., -2 * len(n0.swing):, :]
                 Jp = np.zeros_like(Jv)
                 Jp[..., :nv] = Jv[..., nv:]
-            pos, _, vel, _ = frame_motion(model, sol.mb, frames)
+            pos, vel = frame_velocities(model, sol.mb, frames)
             rp = pos - ref[..., 0, :, :]
             rv = vel - ref[..., 1, :, :]
             acc.add(rp.reshape(rp.shape[:-2] + (-1,)), PLACEMENT_WEIGHT, Jx=Jp)
@@ -363,13 +389,15 @@ class RunningNode(_DynamicsNode):
             lam = sol.forces
             Jlx, Jlu = (der.dforces_dx, der.dforces_du) if with_jac else (None, None)
             acc.add(lam, n0._force_weights, Jx=Jlx, Ju=Jlu)
-            r, Jr = co.cone_residual(n0.cone_C, n0.cone_c, lam)
-            acc.add(r, CONE_WEIGHT, Jx=Jr @ Jlx if with_jac else None,
-                    Ju=Jr @ Jlu if with_jac else None)
+            if with_jac:
+                r, Jr = co.cone_residual(n0.cone_C, n0.cone_c, lam)
+                acc.add(r, CONE_WEIGHT, Jx=Jr @ Jlx, Ju=Jr @ Jlu)
+            else:
+                acc.add(co.cone_violation(n0.cone_C, n0.cone_c, lam), CONE_WEIGHT)
 
     @staticmethod
     def _step_group(nodes, x, u):
-        dt = np.asarray(_stack([n.dt for n in nodes]))
+        dt = np.asarray(_shared([n.dt for n in nodes]))
         (sol,), (x_next,) = ct.predict(nodes[0].model, x, u, _contacts(nodes), dt, 1)
         return _Evaluation(sol, x_next, None)
 
@@ -389,9 +417,14 @@ class RunningNode(_DynamicsNode):
         q, v = mod.split_state(model, x)
         contacts = _contacts(nodes)
         lam = sol.forces.reshape(x.shape[:-1] + (-1, 2))
+        swing = _shared([n._targets[0] for n in nodes])
         # one sweep carries the contact frames and then the swing frames
-        frames = np.concatenate([np.asarray(contacts.frames, dtype=int),
-                                 _stack([n._targets[0] for n in nodes])], -1)
+        if type(contacts.frames) is tuple and type(swing) is tuple:
+            frames = contacts.frames + swing
+        else:
+            frames = np.concatenate([np.broadcast_to(np.asarray(f, dtype=int),
+                                                     x.shape[:-1] + np.shape(f)[-1:])
+                                     for f in (contacts.frames, swing)], -1)
         tan = tangent_sweep(model, sol.mb.kin, v, sol.vdot, (contacts.frames, lam),
                             frames)
         der = ct.contact_dynamics_derivatives(model, contacts, sol, tan)
@@ -436,7 +469,7 @@ class ImpulseNode(_DynamicsNode):
         self.gained = gained
         # the touching-down frames and their placements
         feet = sorted(gained)
-        self._touchdowns = np.array(feet), np.array([gained[f] for f in feet])
+        self._touchdowns = tuple(int(f) for f in feet), np.array([gained[f] for f in feet])
 
     def _group_params(self):
         return len(self.gained)
@@ -450,11 +483,15 @@ class ImpulseNode(_DynamicsNode):
         nv = model.nv
         _state_costs(model, q, v, n0.weights, None, acc)
         if n0.gained:
-            frames, target = (_stack([n._touchdowns[i] for n in nodes]) for i in range(2))
-            pos, J = frame_jacobian(model, sol.kin, frames)
+            frames = _shared([n._touchdowns[0] for n in nodes])
+            target = _stack([n._touchdowns[1] for n in nodes])
+            if acc.lx is None:
+                pos, J = frame_positions(model, sol.kin, frames), None
+            else:
+                pos, J = frame_jacobian(model, sol.kin, frames)
             r = (pos - target).reshape(q.shape[:-1] + (-1,))
             Jp = None
-            if acc.lx is not None:
+            if J is not None:
                 Jp = np.zeros(r.shape + (2 * nv,))
                 Jp[..., :nv] = J
             acc.add(r, TOUCHDOWN_WEIGHT, Jx=Jp)
@@ -569,7 +606,9 @@ class TerminalNode:
         return acc
 
     def calc(self, x):
-        return float(self._expansion(x, False).value)
+        """The terminal cost at ``x``; at stacked states, one per state."""
+        value = self._expansion(x, False).value
+        return value if np.ndim(value) else float(value)
 
     def calc_diff(self, x):
         acc = self._expansion(x, True)
@@ -720,8 +759,9 @@ class ShootingProblem:
             group = [nodes[k] for k in ks for _ in range(n)]
             keys = [key for k in ks for key in (
                 nodes[k]._stepped if len(nodes[k]._stepped) == n
-                else [_key(*row) for row in zip(xs[k], us[k])])]
-            x, u = (_stack([row for k in ks for row in a[k]]) for a in (xs, us))
+                else _row_keys(xs[k], us[k]))]
+            x, u = (np.concatenate([a[k] for k in ks]) if len(group) > 1 else a[ks[0]][0]
+                    for a in (xs, us))
             stored = [node._store[key] for node, key in zip(group, keys)]
             ev = group[0]._cost_group(group, x, u, _Evaluation(
                 *_group_rows(stored, "sol", "x_next"), None))
@@ -731,7 +771,7 @@ class ShootingProblem:
         total = np.zeros(n)
         for cost in costs:
             total = total + cost
-        return total + [self.terminal.calc(x) for x in xs[-1]]
+        return total + self.terminal.calc(xs[-1])
 
     def rollout(self, us):
         xs = [np.asarray(self.x0, float)]

@@ -208,6 +208,36 @@ def test_rows_of_one_node_match_the_node_alone(monkeypatch):
         assert total + prob.terminal.calc(xs[-1][r]) == cost[j]
 
 
+def test_stepped_rows_are_keyed_by_their_slices_of_the_stacks_bytes():
+    # step_rows keys each kept row by its slice of the stacks' bytes: the
+    # key of the row alone, a signed zero included; a singular row is
+    # dropped, and a batch that drops none returns its solved states as
+    # they are, the store's
+    solver = trot_solver(15)
+    prob = solver.problem
+    quad = prob.model
+    nodes = prob.nodes
+    rng = np.random.default_rng(8)
+    stance = next(k for k, n in enumerate(nodes) if n.nu and n.contacts.frames)
+    impulse = next(k for k, n in enumerate(nodes) if n.kind == "impulse")
+    for k in (stance, impulse):
+        x = np.array([random_state(quad, rng, spread=0.05) for _ in range(4)])
+        u = rng.normal(size=(4, nodes[k].nu))
+        x[0, 4], x[1, 4], x[3, -1] = -0.0, 0.0, -0.0
+        u[:, :1] = -0.0
+        x[2, 3] = np.nan
+        with np.errstate(invalid="ignore"):
+            x_next = prob.step_rows(k, x, u)
+        kept = [0, 1, 3]
+        keys = [problem._key(x[r], u[r]) for r in kept]
+        assert nodes[k]._stepped == keys and list(nodes[k]._store) == keys
+        assert keys[0] != problem._key(np.where(x[0] == 0.0, 0.0, x[0]), u[0])
+        assert np.isnan(x_next[2]).all()
+        x_next = prob.step_rows(k, x[kept], u[kept])
+        assert nodes[k]._stepped == keys
+        assert x_next is nodes[k]._store[keys[0]][0].x_next
+
+
 def test_evenly_spaced_rows_gather_as_views():
     # a group's rows, or one node's trial rows, run evenly: they index a
     # basic slice, a view; any other run gathers a copy by an index array

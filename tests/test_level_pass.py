@@ -318,3 +318,83 @@ def test_frame_plans_gather_the_bits_of_index_arrays(name):
         assert lone == row, frames
     # slices, and the index-array fallback of bodies that do not run evenly
     assert kinds == {slice, np.ndarray}
+
+
+def _shaped(arrays):
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+def _wrenches(m, q, v, frames):
+    # body forces and their tangents less the wrenches of forces at the frames
+    k = np.shape(frames)[-1]
+    kin = kinematics.forward_kinematics(m, q)
+    lam = np.sin(np.arange(2.0 * k)).reshape(k, 2)
+    f = np.broadcast_to(np.cos(np.arange(3.0 * m.nbodies)).reshape(-1, 3),
+                        q.shape[:-1] + (m.nbodies, 3)).copy()
+    df = np.broadcast_to(np.sin(np.arange(6.0 * m.nbodies * m.nv)).reshape(-1, 3, 2 * m.nv),
+                         q.shape[:-1] + (m.nbodies, 3, 2 * m.nv)).copy()
+    dynamics._subtract_contact_forces(m, kin, f, (frames, lam), kin.B[..., 2, :], df)
+    return f, df
+
+
+@pytest.mark.parametrize("name", ["default_quadruped", "branched_tree"])
+def test_a_frames_tuple_over_a_stack_reads_its_plan_with_the_same_bits(name):
+    # stacked states that share a frames tuple index the bodies by the
+    # tuple's plan after the leading axis (a basic slice, or the plan's index
+    # array); the gathers, the frame motion, the contact wrenches (frames that
+    # share a body included) and the sweep keep the bits of the per-state
+    # frames array and of each state alone
+    m = MODELS[name]
+    rng = np.random.default_rng(31)
+    x = np.array([random_state(m, rng) for _ in range(3)])
+    q, v = x[:, :m.nq], x[:, m.nq:]
+    mb = dynamics.multibody(m, q, v)
+    kinds = set()
+    for frames in _frame_tuples(m):
+        kinds.add(type(m.frame_plan(frames).at))
+        per_state = np.array([frames] * 3, dtype=int).reshape(3, -1)
+        (rows, r, plan), (at, ra, none) = (kinematics._frames(m, mb.kin, f)
+                                           for f in (frames, per_state))
+        assert plan is m.frame_plan(frames) and none is None
+        assert _bits(np.broadcast_to(r, ra.shape)) == _bits(ra)
+        for a in (mb.kin.pose, mb.kin.R, mb.kin.B, mb.kin.X, mb.tw, mb.bias):
+            assert _bits(a[rows]) == _bits(a[at]), frames
+        for f in (_motion, _sweep, _wrenches):
+            shared = f(m, q, v, frames)
+            assert _shaped(shared) == _shaped(f(m, q, v, per_state)), frames
+            for k in range(3):
+                lone = f(m, q[k], v[k], frames)
+                assert [a[k].tobytes() for a in shared] == [a.tobytes() for a in lone]
+    assert kinds == {slice, np.ndarray}
+
+
+@pytest.mark.parametrize("name", ["default_quadruped", "branched_tree"])
+def test_value_only_frame_gathers_have_the_bits_of_the_jacobian_forms(name):
+    # cost passes take positions, and positions with velocities, without the
+    # Jacobian and the bias: the same bits as those of the full gathers
+    m = MODELS[name]
+    rng = np.random.default_rng(37)
+    x = np.array([random_state(m, rng) for _ in range(2)])
+    for q, v, frames in [(x[0, :m.nq], x[0, m.nq:], (0, 1)),
+                         (x[:, :m.nq], x[:, m.nq:], (1, 0, 1)),
+                         (x[:, :m.nq], x[:, m.nq:], np.array([[0, 1], [1, 1]]))]:
+        mb = dynamics.multibody(m, q, v)
+        pos, _, vel, _ = dynamics.frame_motion(m, mb, frames)
+        assert _shaped(dynamics.frame_velocities(m, mb, frames)) == _shaped([pos, vel])
+        assert _shaped([kinematics.frame_positions(m, mb.kin, frames)]) == \
+            _shaped(dynamics.frame_jacobian(m, mb.kin, frames)[:1])
+
+
+def test_frame_position_reads_each_state_of_a_stack():
+    # one frame's position in each of two stacked states, with the bits of
+    # each state alone
+    m = MODELS["default_quadruped"]
+    rng = np.random.default_rng(41)
+    q = np.array([random_state(m, rng)[:m.nq] for _ in range(2)])
+    kin = kinematics.forward_kinematics(m, q)
+    for frame in range(len(m.contact_frames)):
+        got = kinematics.frame_position(m, kin, frame)
+        assert got.shape == (2, 2)
+        for k in range(2):
+            alone = kinematics.frame_position(m, kinematics.forward_kinematics(m, q[k]), frame)
+            assert alone.shape == (2,) and got[k].tobytes() == alone.tobytes()

@@ -176,6 +176,17 @@ def test_cone_penalty_zero_inside():
     assert np.all(grad == 0.0)
 
 
+def test_cone_violation_has_the_bits_of_the_residual():
+    # a cost pass takes the violation alone: the residual of cone_residual,
+    # for one contact set and for a stack
+    C, c = co.cone_matrices(co.FrictionCone(mu=0.7, lambda_min=0.1))
+    rng = np.random.default_rng(19)
+    for lam in (rng.normal(size=6), rng.normal(size=(5, 4)), np.array([-0.0, 1.0])):
+        r, _ = co.cone_residual(C, c, lam)
+        got = co.cone_violation(C, c, lam)
+        assert got.shape == r.shape and got.tobytes() == r.tobytes()
+
+
 def test_weights_validation(quad):
     q = presets.nominal_configuration(quad)
     w = co.default_weights(quad, q)
@@ -410,6 +421,19 @@ def test_terminal_node_derivatives(quad):
         fd = (cp - cm) / (2 * eps)
         assert abs(lx[i] - fd) < 2e-4 * max(1.0, abs(fd))
     assert np.allclose(lxx, lxx.T, atol=1e-12)
+
+
+def test_stacked_terminal_costs_have_the_bits_of_lone_calls(quad):
+    # the line search takes every row's terminal cost in one stacked calc
+    prob = make_problem(quad, "stand", N=4)
+    rng = np.random.default_rng(21)
+    x = np.array([random_state(quad, rng, spread=0.3) for _ in range(6)])
+    x[1, 3:quad.nq] += 2.0      # joints outside their box
+    costs = prob.terminal.calc(x)
+    assert costs.shape == (6,)
+    for k in range(6):
+        lone = prob.terminal.calc(x[k])
+        assert type(lone) is float and np.float64(lone).tobytes() == costs[k].tobytes()
 
 
 def test_node_at_reference_zero_cost(quad, monkeypatch):
