@@ -29,7 +29,7 @@ import numpy as np
 from . import se2
 from .dynamics import Multibody
 from .kinematics import motion_transform
-from .model import RobotModel
+from .model import GRAVITY, RobotModel
 
 
 @dataclass
@@ -55,7 +55,7 @@ def centroidal(model: RobotModel, mb: Multibody, v: np.ndarray) -> CentroidalQua
     v = model.check_v(v)
     kin, M = mb.kin, mb.M
     # (h - g)[:3] with g[:3] = M[:3, :3] a_g, a_g = (-R_base.T g, 0)
-    coriolis = mb.h[:3] + M[:3, :2] @ (model.gravity @ kin.R[0])
+    coriolis = mb.h[:3] + M[:3, :2] @ (GRAVITY @ kin.R[0])
     m_tot = model.total_mass
     base = kin.pose[0]
     p_G = se2.act(base, np.array([M[1, 2], -M[0, 2]]) / M[0, 0])

@@ -36,7 +36,7 @@ controller, the preparation of its own state, once.  The new message is
 swapped in only once its first interval is ready, and a fill writes only
 once all of it succeeded, so a ``RankDeficientContacts`` leaves no
 half-filled reference behind.  The whole-body controller's inequality rows
-and seed are built once per friction cone and contact count.
+and seed are built once per contact count.
 
 Each stage of the cascade is a small QP solved by a primal active set from
 LAPACK factorizations called directly (``scipy.linalg.lapack``): one QR of
@@ -70,7 +70,8 @@ from . import model as mod
 from .centroidal import CentroidalQuantities, centroidal
 from .costs import Bounds, FrictionCone, cone_matrices
 from .dynamics import frame_motion, multibody
-from .errors import ConfigError, InvalidMeasurement, MaxIterations, Stage1Infeasible
+from .errors import (ConfigError, InvalidMeasurement, MaxIterations, Stage1Infeasible,
+                     check_setting)
 from .model import RobotModel
 from .mpc import PolicyMessage, _index_at
 
@@ -141,16 +142,29 @@ def _put(held: list, new: dict):
         held[k] = value
 
 
-def _check_message(msg: PolicyMessage):
+def _check_message(model: RobotModel, msg: PolicyMessage):
     """``ConfigError`` unless ``msg`` has one state per node time, one torque,
     gain, force vector and contact set per interval (at least one) between
-    strictly increasing node times, and finite numbers only."""
+    strictly increasing node times, each of the model's shape: a state
+    (nq + nv,), a torque (nu,), a gain (nu, 2 nv) and two forces per contact
+    of a set of distinct contact frames of the model; and finite numbers
+    only."""
     n = len(msg.us_ff)
     if n < 1 or [len(msg.node_times), len(msg.xs_ref), len(msg.K_gains) + 1,
             len(msg.forces_ref) + 1, len(msg.contacts) + 1] != [n + 1] * 5:
         raise ConfigError("message lists do not match its node times")
     if not np.all(np.diff(np.asarray(msg.node_times, float)) > 0):
         raise ConfigError("message node times do not strictly increase")
+    frames = set(range(len(model.contact_frames)))
+    if any(len(set(c)) < len(c) or not set(c) <= frames for c in msg.contacts):
+        raise ConfigError("a message contact set is not of distinct frames of the model")
+    nu, nv = model.nu, model.nv
+    shapes = ([((model.nq + nv,), x) for x in msg.xs_ref]
+              + [((nu,), u) for u in msg.us_ff]
+              + [((nu, 2 * nv), K) for K in msg.K_gains]
+              + [((2 * len(c),), f) for c, f in zip(msg.contacts, msg.forces_ref)])
+    if any(np.shape(a) != shape for shape, a in shapes):
+        raise ConfigError("message arrays do not have the model's shapes")
     if not all(np.isfinite(np.asarray(a, float)).all() for a in (
             msg.stamp, msg.node_times, *msg.xs_ref, *msg.us_ff, *msg.K_gains,
             *msg.forces_ref)):
@@ -174,11 +188,9 @@ class _MessageTracker:
 
     def __init__(self, model: RobotModel, bounds: Bounds,
                  control_dt: float = 1.0 / 400.0):
-        if control_dt <= 0:
-            raise ConfigError("control_dt must be positive")
         self.model = model
         self.bounds = bounds
-        self.control_dt = float(control_dt)
+        self.control_dt = check_setting("control_dt", control_dt, zero_ok=False)
         self._ref: _Reference | None = None
         self._last: ControlCommand | None = None
 
@@ -191,7 +203,7 @@ class _MessageTracker:
         """Make ``msg`` the active message, unless ``_check_message`` rejects
         it (``ConfigError``) or its first interval meets a singular contact
         set (``RankDeficientContacts``)."""
-        _check_message(msg)
+        _check_message(self.model, msg)
         ref = _plan(msg, self.control_dt)
         first = range(ref.starts[1])
         self._fill(ref, 0, first[-1], first)
@@ -534,26 +546,19 @@ def momentum_policy(cen, cen_ref, hdot_ref: np.ndarray) -> float:
     return hdot_ref[2] + MOMENTUM_DK * (cen_ref.k_G - cen.k_G)
 
 
-def wbc_seed(model: RobotModel, bounds: Bounds,
-             cone: FrictionCone | None, n_contacts: int) -> np.ndarray:
+def wbc_seed(model: RobotModel, bounds: Bounds, n_contacts: int) -> np.ndarray:
     """A point inside the torque box and friction cones (zeros elsewhere).
 
-    Torques sit at zero clipped into the box; each contact force starts on
-    the cone axis at the minimum normal force, where every cone row holds.
+    Torques sit at zero clipped into the box; each contact force starts at
+    its cone's apex, zero, where every cone row holds.
     """
     nv, nu = model.nv, model.nu
     y = np.zeros(nv + nu + 2 * n_contacts)
     y[nv:nv + nu] = np.clip(0.0, bounds.u_lb, bounds.u_ub)
-    if cone is not None and cone.lambda_min > 0:
-        axis = cone.lambda_min * np.array([-np.sin(cone.rotation),
-                                           np.cos(cone.rotation)])
-        for k in range(n_contacts):
-            y[nv + nu + 2 * k:nv + nu + 2 * k + 2] = axis
     return y
 
 
-def wbc_inequality_rows(model: RobotModel, bounds: Bounds,
-                        cone: FrictionCone | None,
+def wbc_inequality_rows(model: RobotModel, bounds: Bounds, cone: FrictionCone,
                         n_contacts: int) -> RowBounds:
     """Torque box and per-contact cone rows on y = (vdot, u, lambda)."""
     nv, nu = model.nv, model.nu
@@ -564,13 +569,13 @@ def wbc_inequality_rows(model: RobotModel, bounds: Bounds,
     rows = [Bu]
     lows = [bounds.u_lb]
     highs = [bounds.u_ub]
-    if cone is not None and n_contacts:
-        C, c = cone_matrices(cone)
+    if n_contacts:
+        C = cone_matrices(cone)
         Bc = np.zeros((3 * n_contacts, ny))
         for k in range(n_contacts):
             Bc[3 * k:3 * k + 3, nv + nu + 2 * k:nv + nu + 2 * k + 2] = C
         rows.append(Bc)
-        lows.append(np.tile(c, n_contacts))
+        lows.append(np.zeros(3 * n_contacts))
         highs.append(np.full(3 * n_contacts, np.inf))
     return RowBounds(B=np.vstack(rows), lb=np.concatenate(lows),
                      ub=np.concatenate(highs))
@@ -695,15 +700,15 @@ FLIGHT_KP, FLIGHT_KD = 60.0, 2.0    # joint PD with fewer than two feet down
 class WholeBodyController(_MessageTracker):
     """Instantaneous task hierarchy tracking the planned motion.
 
-    Stance ticks solve the QP cascade and command the torque block of its
-    solution; planned intervals with fewer than two feet in contact use the
-    flight PD; an infeasible dynamics stage, or a stage QP whose active set
-    does not settle, re-issues the previous clamped torques with the
-    degraded flag set.
+    Stance ticks solve the QP cascade, its contact forces held in the
+    friction cone ``cone``, and command the torque block of its solution;
+    planned intervals with fewer than two feet in contact use the flight PD;
+    an infeasible dynamics stage, or a stage QP whose active set does not
+    settle, re-issues the previous clamped torques with the degraded flag
+    set.
     """
 
-    def __init__(self, model: RobotModel, bounds: Bounds,
-                 cone: FrictionCone | None = None,
+    def __init__(self, model: RobotModel, bounds: Bounds, cone: FrictionCone,
                  control_dt: float = 1.0 / 400.0):
         super().__init__(model, bounds, control_dt)
         self.cone = cone
@@ -714,14 +719,13 @@ class WholeBodyController(_MessageTracker):
 
     def _constraints(self, n_contacts: int) -> tuple[RowBounds, np.ndarray]:
         """The inequality rows and the seed of a stance cascade, built once
-        per cone and contact count (the model and the bounds are fixed)."""
-        key = (self.cone, n_contacts)
-        if key not in self._rows:
-            self._rows[key] = (
+        per contact count (the model, the bounds and the cone are fixed)."""
+        if n_contacts not in self._rows:
+            self._rows[n_contacts] = (
                 wbc_inequality_rows(self.model, self.bounds, self.cone,
                                     n_contacts),
-                wbc_seed(self.model, self.bounds, self.cone, n_contacts))
-        return self._rows[key]
+                wbc_seed(self.model, self.bounds, n_contacts))
+        return self._rows[n_contacts]
 
     def _fill(self, ref, i, j, ticks):
         """Fill interval ``i`` of ``ref`` through state ``j`` and, in a

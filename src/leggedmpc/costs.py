@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_setting
 from .model import RobotModel
 
 
@@ -63,21 +63,25 @@ class Bounds:
     def __post_init__(self):
         for name in ("q_lb", "q_ub", "v_lb", "v_ub", "u_lb", "u_ub"):
             setattr(self, name, np.asarray(getattr(self, name), float))
-        if np.any(self.u_lb > self.u_ub) or np.any(self.q_lb > self.q_ub):
+        if (np.any(self.u_lb > self.u_ub) or np.any(self.q_lb > self.q_ub)
+                or np.any(self.v_lb > self.v_ub)):
             raise ConfigError("lower bound exceeds upper bound")
 
 
-def default_bounds(model: RobotModel, q_nominal: np.ndarray,
-                   joint_range: float = 1.6, v_limit: float = 30.0) -> Bounds:
+JOINT_RANGE = 1.6           # joint angles about the nominal posture, rad
+JOINT_SPEED_LIMIT = 30.0    # joint rates, rad/s
+
+
+def default_bounds(model: RobotModel, q_nominal: np.ndarray) -> Bounds:
     nq, nv = model.nq, model.nv
     q_lb = np.full(nq, -np.inf)
     q_ub = np.full(nq, np.inf)
-    q_lb[3:] = q_nominal[3:] - joint_range
-    q_ub[3:] = q_nominal[3:] + joint_range
+    q_lb[3:] = q_nominal[3:] - JOINT_RANGE
+    q_ub[3:] = q_nominal[3:] + JOINT_RANGE
     v_lb = np.full(nv, -np.inf)
     v_ub = np.full(nv, np.inf)
-    v_lb[3:] = -v_limit
-    v_ub[3:] = v_limit
+    v_lb[3:] = -JOINT_SPEED_LIMIT
+    v_ub[3:] = JOINT_SPEED_LIMIT
     u_max = np.asarray(model.torque_limit, float)
     return Bounds(q_lb, q_ub, v_lb, v_ub, -u_max, u_max)
 
@@ -86,48 +90,41 @@ def default_bounds(model: RobotModel, q_nominal: np.ndarray,
 
 @dataclass(frozen=True)
 class FrictionCone:
-    mu: float
-    rotation: float = 0.0     # surface normal angle from world vertical, rad
-    lambda_min: float = 0.0
+    mu: float       # flat ground's: a force (t, n) inside has |t| <= mu n
 
     def __post_init__(self):
-        if self.mu < 0 or self.lambda_min < 0:
-            raise ConfigError("friction cone needs mu >= 0 and lambda_min >= 0")
+        check_setting("friction coefficient mu", self.mu, zero_ok=True)
 
 
-def cone_matrices(cone: FrictionCone) -> tuple[np.ndarray, np.ndarray]:
-    """Half-space form (C, c) of the planar cone: feasible iff C @ lam >= c.
+def cone_matrices(cone: FrictionCone) -> np.ndarray:
+    """The planar cone's rows C: a force lam lies inside iff C @ lam >= 0.
 
-    Rows express |t| <= mu*n and n >= lambda_min with (t, n) the force in the
-    surface frame; the rotation maps world forces into that frame, so the
-    planar cone is represented exactly (no inner approximation needed).
+    The rows read t >= -mu n, t <= mu n and n >= 0; the planar cone is
+    represented exactly (no inner approximation needed).
     """
-    A = np.array([[-1.0, cone.mu],
-                  [1.0, cone.mu],
-                  [0.0, 1.0]])
-    th = cone.rotation
-    R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    C = A @ R.T
-    c = np.array([0.0, 0.0, cone.lambda_min])
-    return C, c
+    return np.array([[-1.0, cone.mu],
+                     [1.0, cone.mu],
+                     [0.0, 1.0]])
 
 
-def cone_violation(C: np.ndarray, c: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def cone_violation(C: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Cone violation of stacked contact forces, the cone penalty's residual.
 
     ``lam`` stacks one (fx, fy) pair per contact.  The residual stacks
-    max(0, c - C lam_k) per contact (3 rows each), so its weighted square is
-    the cone penalty.  Leading axes of ``lam`` carry through.
+    max(0, -C lam_k) per contact (3 rows each), so its weighted square is
+    the cone penalty.  Leading axes of ``lam`` carry through.  The rows are
+    subtracted from 0.0, not negated: an entry of C lam_k that is +0.0
+    gives +0.0, where a negation would give -0.0.
     """
     lead, n = lam.shape[:-1], lam.shape[-1] // 2
-    return np.maximum(0.0, c - lam.reshape(lead + (n, 2)) @ C.T).reshape(lead + (3 * n,))
+    return np.maximum(0.0, 0.0 - lam.reshape(lead + (n, 2)) @ C.T).reshape(lead + (3 * n,))
 
 
-def cone_residual(C: np.ndarray, c: np.ndarray, lam: np.ndarray):
+def cone_residual(C: np.ndarray, lam: np.ndarray):
     """``cone_violation`` and its Jacobian in the forces: (3n, 2n), block
     diagonal with -C on the violated rows and zero on the others."""
     lead, n = lam.shape[:-1], lam.shape[-1] // 2
-    r = cone_violation(C, c, lam)
+    r = cone_violation(C, lam)
     J = np.zeros(lead + (n, 3, n, 2))
     k = np.arange(n)
     J[..., k, :, k, :] = -C

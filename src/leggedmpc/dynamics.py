@@ -44,7 +44,7 @@ from .kinematics import (
     bias_accelerations,
     forward_kinematics,
 )
-from .model import RobotModel
+from .model import GRAVITY, RobotModel
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def _rnea(model, kin, tw, bias, a, contact_forces=None):
     B, I = kin.B, model.spatial_inertias
     ac = _matvec(B, a[..., None, :]) + bias
     # world gravity seen in each body frame: R_i.T (-g)
-    ac[..., :2] -= model.gravity @ kin.R
+    ac[..., :2] -= GRAVITY @ kin.R
     mom = _matvec(I, tw)
     # f = I ac + crf(tw) I tw
     f = _matvec(I, ac)
@@ -311,7 +311,7 @@ def tangent_sweep(model: RobotModel, kin: Kinematics, v: np.ndarray,
     if dyn:
         m[..., 0, :, 1] = a[..., :3]
         if gravity:
-            g = kin.X[..., 0, :, :] @ np.append(-model.gravity, 0.0)
+            g = kin.X[..., 0, :, :] @ np.append(-GRAVITY, 0.0)
             # a base rotation turns g: its tangent is crm(g) dq, in column 2
             m[..., 0, :, 2] = g
             dm[..., 0, 0, 2, 2], dm[..., 0, 1, 2, 2] = g[..., 1], -g[..., 0]

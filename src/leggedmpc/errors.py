@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one settings rule."""
+
+import math
 
 
 class LeggedMpcError(Exception):
@@ -45,3 +47,14 @@ class ScheduleError(LeggedMpcError):
 class ConfigError(LeggedMpcError):
     """A configuration fails validation, or a policy message is not whole
     (see ``controllers._check_message``)."""
+
+
+def check_setting(name: str, value, zero_ok: bool) -> float:
+    """``value`` as a float, or ``ConfigError`` unless it is finite and
+    positive; with ``zero_ok`` (a delay, a friction coefficient) 0 passes
+    too."""
+    value = float(value)
+    if not (math.isfinite(value) and (value > 0.0 or zero_ok and value == 0.0)):
+        raise ConfigError(f"{name} must be finite and "
+                          f"{'non-negative' if zero_ok else 'positive'}, got {value!r}")
+    return value

@@ -23,6 +23,8 @@ from .errors import DimensionMismatch
 FLOATING = "floating"
 REVOLUTE = "revolute"
 
+GRAVITY = np.array([0.0, -9.81])    # world gravity, m/s^2, for every model
+
 
 @dataclass(frozen=True)
 class Body:
@@ -121,7 +123,6 @@ class RobotModel:
     joints: list[Joint]
     contact_frames: list[ContactFrame]
     torque_limit: np.ndarray          # (nu,) positive; bounds are [-tl, +tl]
-    gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, -9.81]))
     levels: tuple[TreeLevel, ...] = field(init=False, repr=False, compare=False)
     placements: np.ndarray = field(init=False, repr=False, compare=False)
     spatial_inertias: np.ndarray = field(init=False, repr=False, compare=False)
@@ -150,7 +151,6 @@ class RobotModel:
         self.torque_limit = np.asarray(self.torque_limit, dtype=float).reshape(self.nu)
         if np.any(self.torque_limit <= 0.0):
             raise DimensionMismatch("torque limits must be positive")
-        self.gravity = np.asarray(self.gravity, dtype=float).reshape(2)
         for c in self.contact_frames:
             if not (0 <= c.body < len(self.bodies)):
                 raise DimensionMismatch(f"contact frame {c.name}: bad body index")

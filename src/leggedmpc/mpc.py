@@ -29,7 +29,7 @@ from . import problem as pb
 from .boxfddp import BoxFddp
 from .dynamics import frame_motion, multibody
 from .errors import (ConfigError, InvalidMeasurement, NoStepAccepted,
-                     RankDeficientContacts)
+                     RankDeficientContacts, check_setting)
 from .model import RobotModel
 from .schedule import ContactSchedule
 
@@ -40,27 +40,20 @@ class MpcConfig:
     node_dt: float                  # node period, s
     update_rate: float              # MPC step rate, Hz; nothing reads it,
                                     # kept while the benchmark constructs it
-    control_horizon_nodes: int = 4  # nodes shipped to the tracking controller
     expected_delay: float = 0.0     # communication + computation delay, s;
                                     # the window starts this long after the
                                     # step's wall time
 
     def __post_init__(self):
-        if self.horizon <= 0 or self.node_dt <= 0:
-            raise ConfigError("horizon and node_dt must be positive")
+        for name in ("horizon", "node_dt", "update_rate", "expected_delay"):
+            check_setting(name, getattr(self, name), zero_ok=name == "expected_delay")
         n = self.horizon / self.node_dt
         if abs(n - round(n)) > 1e-6:
             raise ConfigError(
                 f"horizon {self.horizon} is not an integer multiple of "
                 f"node_dt {self.node_dt}")
-        if self.control_horizon_nodes < 1:
-            raise ConfigError("control_horizon_nodes must be >= 1")
-        if self.control_horizon_nodes > round(n):
-            raise ConfigError("control horizon exceeds the optimization horizon")
-        if self.update_rate <= 0:
-            raise ConfigError("update_rate must be positive")
-        if self.expected_delay < 0:
-            raise ConfigError("expected_delay must be non-negative")
+        if CONTROL_HORIZON_NODES > round(n):
+            raise ConfigError("horizon is shorter than the control horizon")
 
     @property
     def n_nodes(self) -> int:
@@ -192,6 +185,10 @@ def predict_initial_state(model: RobotModel, x0: np.ndarray, u0: np.ndarray,
 
 
 # ---------------------------------------------------------------- main loop
+
+# running nodes each message ships to the tracking controller (``_emit``)
+CONTROL_HORIZON_NODES = 4
+
 
 class Mpc:
     """Predictive controller bound to one schedule, model, and cost set.
@@ -335,12 +332,11 @@ class Mpc:
         self.solver.set_candidate(xs=xs, us=us)
 
     def _emit(self, stamp: float, status: str) -> PolicyMessage:
-        cfg = self.config
         nodes = self.problem.nodes
         xs, us = self.solver.xs, self.solver.us
         gains = self.solver.policy.K_fb
         sel = [i for i, n in enumerate(nodes)
-               if n.kind == "running"][:cfg.control_horizon_nodes]
+               if n.kind == "running"][:CONTROL_HORIZON_NODES]
         node_times = [nodes[i].time for i in sel]
         node_times.append(nodes[sel[-1]].time + nodes[sel[-1]].dt)
         # the nodes kept their solutions from the solver's last evaluation
@@ -386,10 +382,11 @@ class Mpc:
 
         A measurement with a non-finite value changes nothing: the previous
         policy is re-issued marked degraded, or ``InvalidMeasurement`` is
-        raised when there is none yet.  So does one at which the delay
-        prediction, or the rollout of the shifted window's new slots, meets a
-        singular contact set (every leg straight, say), which raises
-        ``RankDeficientContacts`` when there is no policy yet.
+        raised when there is none yet.  So does a step whose delay
+        prediction or new slots' rollout meets a singular contact set (every
+        leg straight, say), or whose iteration accepts no step, raising
+        ``RankDeficientContacts`` or ``NoStepAccepted``: the window, the
+        candidate and ``k0`` stay as they were.
         """
         if not np.all(np.isfinite(measurement)):
             if self.last_message is None:
@@ -401,49 +398,43 @@ class Mpc:
         if k_now < self.k0:
             raise ConfigError("wall time moved backwards across the node grid")
 
+        window = self.problem.window()
+        old_nodes, old_k0 = self.problem.nodes, self.problem.k0
+        old_xs, old_us = self.solver.xs, self.solver.us
+        shifted = False
         # a poor measurement may overflow what follows, which handles each
         # non-finite result itself; numpy's warnings stay here
         with np.errstate(over="ignore", invalid="ignore"):
-            u_now = self._feedforward_at(wall_time)
-            t_now = min(wall_time,
-                        self.schedule.end_time - 1e-12 * max(1.0, dt))
-            contacts_now = ct.ContactSet(frames=self.schedule.active_set(t_now))
             try:
+                u_now = self._feedforward_at(wall_time)
+                t_now = min(wall_time,
+                            self.schedule.end_time - 1e-12 * max(1.0, dt))
+                contacts_now = ct.ContactSet(frames=self.schedule.active_set(t_now))
                 x0_pred = predict_initial_state(self.model, measurement,
                                                 u_now, contacts_now,
                                                 cfg.expected_delay)
-            except RankDeficientContacts:
-                if self.last_message is None:
-                    raise
-                return self._reissue_degraded(wall_time)
-
-            window = self.problem.window()
-            old_nodes, old_k0 = self.problem.nodes, self.problem.k0
-            old_xs, old_us = self.solver.xs, self.solver.us
-            pb.update_problem(self.problem, x0_pred,
-                              t0=wall_time + cfg.expected_delay)
-            try:
+                pb.update_problem(self.problem, x0_pred,
+                                  t0=wall_time + cfg.expected_delay)
+                # a new slot may roll out from a singular state; the
+                # solver's candidate is only replaced once the shift is whole
                 self._shift_candidate(old_nodes, old_xs, old_us,
                                       old_k0 + cfg.n_nodes)
-            except RankDeficientContacts:
-                # a new slot rolled out from a singular state; the solver's
-                # candidate is only replaced once the shift is whole
-                self.problem.restore_window(window)
-                if self.last_message is None:
-                    raise
-                return self._reissue_degraded(wall_time)
-            self.k0 = k_now
-            self.solver.mu = self._MU_WARM
-
-            try:
+                shifted = True
+                self.solver.mu = self._MU_WARM
                 converged = self.solver.solve_one_iteration()
-            except NoStepAccepted:
-                # no progress at all this step: re-issue the previous policy,
-                # marked degraded, rather than ship an unimproved warm start
+            except (RankDeficientContacts, NoStepAccepted):
+                # a singular contact set in the prediction or in a new
+                # slot's rollout, or no progress at all this step: nothing
+                # of the step stays, and the previous policy goes out again,
+                # marked degraded, rather than an unimproved warm start
+                self.problem.restore_window(window)
+                if shifted:
+                    self.solver.set_candidate(old_xs, old_us)
                 if self.last_message is None:
                     raise
                 return self._reissue_degraded(wall_time)
 
+        self.k0 = k_now
         msg = self._emit(wall_time, "converged" if converged else "stepped")
         self.last_message = msg
         self.steps += 1

@@ -321,6 +321,8 @@ class _DynamicsNode:
 
 FORCE_WEIGHTS = (1e-4, 1e-4)  # a contact force (tangential, normal)
 CONE_WEIGHT = 1e2             # its friction-cone violation
+FRICTION_CONE = co.FrictionCone(mu=0.7)     # the ground's, at every contact
+_CONE = co.cone_matrices(FRICTION_CONE)     # its rows, read by every node
 PLACEMENT_WEIGHT = 1e4        # a swing foot's distance from its target
 VELOCITY_WEIGHT = 1e3         # its velocity's distance from the target's
 
@@ -328,18 +330,17 @@ VELOCITY_WEIGHT = 1e3         # its velocity's distance from the target's
 class RunningNode(_DynamicsNode):
     """One integration step of the contact dynamics with its running cost:
     from ``time`` over the period ``dt`` under ``contacts``, tracking the
-    targets ``swing`` of the feet in the air."""
+    targets ``swing`` of the feet in the air, its contact forces held in
+    ``FRICTION_CONE``."""
 
     kind = "running"
 
     def __init__(self, model: RobotModel, weights: co.CostWeights,
-                 bounds: co.Bounds, cone: co.FrictionCone,
-                 time: float, contacts: ct.ContactSet,
+                 bounds: co.Bounds, time: float, contacts: ct.ContactSet,
                  swing: dict[int, SwingTarget], dt: float, slot=None):
         super().__init__(model, weights, time, contacts, slot)
-        self.bounds, self.cone, self.swing = bounds, cone, swing
+        self.bounds, self.swing = bounds, swing
         self.dt = float(dt)
-        self.cone_C, self.cone_c = co.cone_matrices(cone)
         self.u_lb, self.u_ub = bounds.u_lb, bounds.u_ub
         self._force_weights = np.tile(FORCE_WEIGHTS, len(contacts.frames))
         # swing frames and their target (positions, velocities)
@@ -354,7 +355,7 @@ class RunningNode(_DynamicsNode):
         return self.model.nu
 
     def _group_params(self):
-        return id(self.bounds), self.cone, len(self.swing)
+        return id(self.bounds), len(self.swing)
 
     # -- one group of running nodes, stacked along the leading axis ----------
 
@@ -390,10 +391,10 @@ class RunningNode(_DynamicsNode):
             Jlx, Jlu = (der.dforces_dx, der.dforces_du) if with_jac else (None, None)
             acc.add(lam, n0._force_weights, Jx=Jlx, Ju=Jlu)
             if with_jac:
-                r, Jr = co.cone_residual(n0.cone_C, n0.cone_c, lam)
+                r, Jr = co.cone_residual(_CONE, lam)
                 acc.add(r, CONE_WEIGHT, Jx=Jr @ Jlx, Ju=Jr @ Jlu)
             else:
-                acc.add(co.cone_violation(n0.cone_C, n0.cone_c, lam), CONE_WEIGHT)
+                acc.add(co.cone_violation(_CONE, lam), CONE_WEIGHT)
 
     @staticmethod
     def _step_group(nodes, x, u):
@@ -615,9 +616,6 @@ class TerminalNode:
         return acc.lx, acc.lxx
 
 
-FRICTION_CONE = co.FrictionCone(mu=0.7)     # the ground's, at every contact
-
-
 class ShootingProblem:
     """A window of ``N`` node slots over a contact schedule, as action models.
 
@@ -625,10 +623,10 @@ class ShootingProblem:
     every touchdown instant inside the window becomes one impulse node
     (placed before the running node that starts there), and a terminal node
     closes the window.  The problem keeps what it was built from -- model,
-    schedule, weights, bounds, node period ``dt`` and node count ``N`` -- and
-    its friction cone ``cone`` (``FRICTION_CONE``), so ``set_window`` (and
-    ``update_problem``) moves the window from a new initial state and start
-    time alone.  ``k0`` is the grid slot holding the window's start.
+    schedule, weights, bounds, node period ``dt`` and node count ``N`` -- so
+    ``set_window`` (and ``update_problem``) moves the window from a new
+    initial state and start time alone.  ``k0`` is the grid slot holding the
+    window's start.
     """
 
     def __init__(self, model: RobotModel, schedule: ContactSchedule,
@@ -641,7 +639,6 @@ class ShootingProblem:
         self.schedule = schedule
         self.weights = weights
         self.bounds = bounds
-        self.cone = FRICTION_CONE
         self.N = N
         self.dt = dt
         self.nodes, self._read = [], {}
@@ -706,7 +703,7 @@ class ShootingProblem:
                                slot=slot)
         swing = {f: SwingTarget(*evaluate_swing(sched.phase_at(f, t + half), start))
                  for f in sched.feet if f not in active}
-        return RunningNode(self.model, self.weights, self.bounds, self.cone, start,
+        return RunningNode(self.model, self.weights, self.bounds, start,
                            contacts, swing, period, slot=slot)
 
     @property
@@ -835,7 +832,7 @@ def update_problem(problem: ShootingProblem, x0: np.ndarray,
     """Move ``problem`` to the window starting at ``t0``, keeping the nodes of
     the slots both windows hold.
 
-    Schedule, weights, bounds, cone, ``N`` and ``dt`` stay those the problem
+    Schedule, weights, bounds, ``N`` and ``dt`` stay those the problem
     was built with; see ``ShootingProblem.set_window``.
     """
     problem.set_window(x0, t0)

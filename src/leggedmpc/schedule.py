@@ -174,17 +174,13 @@ def stand(feet, placements) -> ContactSchedule:
 JUMP_APEX = 0.08    # a jump's swing apex, m (a trot keeps the schedule's 0.05)
 
 
-def jump(feet, placements, stance: float, flight: float,
-         n_jumps: int = 1) -> ContactSchedule:
-    """All feet leave and regain the ground together, ``n_jumps`` times, and
-    then stand for good."""
+def jump(feet, placements, stance: float, flight: float) -> ContactSchedule:
+    """All feet leave and regain the ground together once, and then stand
+    for good."""
     if flight <= 0 or stance <= 0:
         raise ScheduleError("jump phases need positive durations")
-    segs = {}
-    for f in feet:
-        run = [Segment(active=stance, inactive=flight) for _ in range(n_jumps)]
-        run.append(Segment(active=math.inf))
-        segs[f] = run
+    segs = {f: [Segment(active=stance, inactive=flight), Segment(active=math.inf)]
+            for f in feet}
     return ContactSchedule(segs, dict(placements), apex=JUMP_APEX)
 
 

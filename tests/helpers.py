@@ -205,7 +205,7 @@ def wbc_stance_cascade(wbc, x, t):
     tasks = trk.stance_tasks(model, x, ref, frames,
                              np.asarray(msg.forces_ref[i], float))
     return (tasks, trk.wbc_inequality_rows(model, bounds, wbc.cone, len(frames)),
-            trk.wbc_seed(model, bounds, wbc.cone, len(frames)))
+            trk.wbc_seed(model, bounds, len(frames)))
 
 
 def wbc_stance_tick(wbc, x, t, held):
@@ -398,7 +398,7 @@ def ref_rnea(m, q, v, a, contact_forces=None):
     tw = np.empty((nb, 3))
     ac = np.empty((nb, 3))
     tw[0] = v[:3]
-    ac[0] = X[0] @ np.array([-m.gravity[0], -m.gravity[1], 0.0]) + a[:3]
+    ac[0] = X[0] @ np.array([-mod.GRAVITY[0], -mod.GRAVITY[1], 0.0]) + a[:3]
     for i in range(1, nb):
         p = m.joints[i].parent
         Svj = np.array([0.0, 0.0, v[2 + i]])
@@ -532,7 +532,7 @@ def ref_tangent_sweep(m, kin, v, a=None, contact_forces=None, frames=(),
         dac = np.zeros((nb, 3, n))
         gr = np.empty((nb, 3))        # gravity as an upward body acceleration
         dgr = np.zeros((nb, 3, n))
-        g_world = (np.array([-m.gravity[0], -m.gravity[1], 0.0])
+        g_world = (np.array([-mod.GRAVITY[0], -mod.GRAVITY[1], 0.0])
                    if gravity else np.zeros(3))
         ac[0] = a[:3]
         gr[0] = kin.X[0] @ g_world
@@ -765,7 +765,7 @@ def ref_running(node, x, u):
     if frames:
         lam = sol.forces
         acc.add(lam, np.tile(pb.FORCE_WEIGHTS, len(frames)), Jx=Jlx, Ju=Jlu)
-        r, Jr = co.cone_residual(*co.cone_matrices(node.cone), lam)
+        r, Jr = co.cone_residual(co.cone_matrices(pb.FRICTION_CONE), lam)
         acc.add(r, pb.CONE_WEIGHT, Jx=Jr @ Jlx, Ju=Jr @ Jlu)
     der = NodeDerivatives(fx, fu, dt * acc.lx, dt * acc.lu, dt * acc.lxx,
                           dt * acc.lxu, dt * acc.luu)

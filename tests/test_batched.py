@@ -41,7 +41,11 @@ def build_nodes(m, rng, kind, nc, n):
     q_ref = (presets.nominal_configuration(m) if m.name == "planar_quadruped"
              else np.zeros(m.nq))
     weights = co.default_weights(m, q_ref)
-    bounds = co.default_bounds(m, q_ref, joint_range=0.2, v_limit=0.5)
+    bounds = co.default_bounds(m, q_ref)
+    # a narrow box (joints within 0.2 of q_ref, joint rates within 0.5), so
+    # that the drawn states reach the bound penalties
+    bounds.q_lb[3:], bounds.q_ub[3:] = q_ref[3:] - 0.2, q_ref[3:] + 0.2
+    bounds.v_lb[3:], bounds.v_ub[3:] = -0.5, 0.5
     feet = np.arange(len(m.contact_frames))
     nodes = []
     for k in range(n):
@@ -52,8 +56,7 @@ def build_nodes(m, rng, kind, nc, n):
             swing = {f: problem.SwingTarget(rng.normal(size=2), rng.normal(size=2))
                      for f in others}
             # the first node of a window may be shorter than the grid period
-            node = problem.RunningNode(m, weights, bounds, co.FrictionCone(mu=0.7),
-                                       0.0, contacts, swing,
+            node = problem.RunningNode(m, weights, bounds, 0.0, contacts, swing,
                                        0.007 if k == 0 else 0.02)
         else:
             node = problem.ImpulseNode(m, weights, 0.0, contacts,

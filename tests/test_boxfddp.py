@@ -1046,8 +1046,7 @@ def trot_mpc(steps):
     feet = {f: kinematics.frame_position(quad, kin, f) for f in range(4)}
     sched = schedule.trot((0, 2), (1, 3), feet, lead_in=0.04, swing=0.08,
                           double_support=0.04, stride=0.05, cycles=8)
-    cfg = rh.MpcConfig(horizon=0.3, node_dt=0.02, update_rate=50.0,
-                       control_horizon_nodes=4, expected_delay=0.01)
+    cfg = rh.MpcConfig(horizon=0.3, node_dt=0.02, update_rate=50.0, expected_delay=0.01)
     x = mod.state(quad, q0, np.zeros(quad.nv))
     ctrl = rh.Mpc(quad, sched, co.default_weights(quad, q0), co.default_bounds(quad, q0),
                   cfg, x)

@@ -22,11 +22,6 @@ from helpers import (centroidal_at, cold_hqp_solve, count_calls, nullspace_basis
                      rollout_reference, straight_legs, wbc_stance_cascade,
                      wbc_stance_tick)
 
-# a tick that reaches a later interval of its message rolls it out inside
-# the tick; no numpy warning may leak from there to the caller
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
-
 @pytest.fixture(scope="module")
 def quad():
     return presets.default_quadruped()
@@ -42,6 +37,17 @@ def statics(quad):
 
 def all_feet(model):
     return tuple(range(len(model.contact_frames)))
+
+
+CONE = co.FrictionCone(mu=0.7)     # the ground's, as in the OCP
+
+
+def tracker(controller, model, bounds, **kw):
+    """A tracker of class ``controller``; a whole-body controller holds its
+    contact forces in ``CONE``."""
+    if controller is trk.WholeBodyController:
+        kw["cone"] = CONE
+    return controller(model, bounds, **kw)
 
 
 def equilibrium_message(model, q0, u_qs, forces_qs, n_intervals=2, dt=0.02):
@@ -87,8 +93,7 @@ def solver_message(quad):
     kin = kinematics.forward_kinematics(quad, q0)
     feet = {f: kinematics.frame_position(quad, kin, f)
             for f in all_feet(quad)}
-    cfg = rh.MpcConfig(horizon=0.2, node_dt=0.02, update_rate=50.0,
-                       control_horizon_nodes=4)
+    cfg = rh.MpcConfig(horizon=0.2, node_dt=0.02, update_rate=50.0)
     ctrl = rh.Mpc(quad, schedule.stand(all_feet(quad), feet),
                   co.default_weights(quad, q0), co.default_bounds(quad, q0),
                   cfg, x0)
@@ -231,7 +236,7 @@ def test_stale_first_tick_names_the_expired_message(quad, solver_message,
                                                     controller):
     # a message was received but ran out before the first tick: there is
     # nothing to hold, and the error says why
-    ctrl = controller(quad, co.default_bounds(
+    ctrl = tracker(controller, quad, co.default_bounds(
         quad, presets.nominal_configuration(quad)))
     ctrl.update_message(solver_message)
     with pytest.raises(ConfigError, match="expired"):
@@ -245,7 +250,7 @@ def test_non_finite_measurement_holds_the_last_command(quad, solver_message,
                                                        controller):
     # as in Mpc.step: the last command comes back flagged degraded, and
     # without one to hold the measurement is rejected
-    ctrl = controller(quad, co.default_bounds(
+    ctrl = tracker(controller, quad, co.default_bounds(
         quad, presets.nominal_configuration(quad)))
     ctrl.update_message(solver_message)
     t0 = solver_message.node_times[0]
@@ -288,10 +293,67 @@ def test_message_that_is_not_whole_is_rejected(quad, solver_message):
         np.testing.assert_array_equal(ctrl.reference_at(t), before)
 
 
+def malformed(msg, field, model):
+    """``msg`` with one entry of ``field`` of a shape the model does not
+    give it, or, for the contacts, a frame the model does not have or a
+    repeated one (its forces sized to match)."""
+    nu, nv = model.nu, model.nv
+    later = len(msg.us_ff) - 1
+    if field == "xs_ref":
+        xs = list(msg.xs_ref)
+        xs[1] = np.append(xs[1], 0.0)
+        return replace(msg, xs_ref=xs)
+    if field == "us_ff":          # in a later interval, read by a later tick
+        us = list(msg.us_ff)
+        us[later] = us[later][:-1]
+        return replace(msg, us_ff=us)
+    if field == "K_gains":
+        K = list(msg.K_gains)
+        K[0] = np.zeros((nu, 2 * nv - 2))
+        return replace(msg, K_gains=K)
+    if field == "forces_ref":
+        forces = list(msg.forces_ref)
+        forces[0] = forces[0][:3]
+        return replace(msg, forces_ref=forces)
+    contacts = list(msg.contacts)
+    contacts[0] = (0, 7) if field == "unknown_frame" else (0, 0)
+    return replace(msg, contacts=contacts)
+
+
+@pytest.mark.parametrize("field", ["xs_ref", "us_ff", "K_gains", "forces_ref",
+                                   "unknown_frame", "repeated_frame"])
+@pytest.mark.parametrize("controller", [trk.RiccatiController,
+                                        trk.WholeBodyController])
+def test_message_of_the_wrong_shape_is_rejected(quad, solver_message,
+                                                controller, field):
+    # a message whose arrays do not fit the model is refused at ingestion,
+    # before any tick reads it, and the previous message stays
+    ctrl = tracker(controller, quad, co.default_bounds(
+        quad, presets.nominal_configuration(quad)))
+    ctrl.update_message(solver_message)
+    t0 = solver_message.node_times[0]
+    x0 = np.array(solver_message.xs_ref[0])
+    cmd = ctrl.control(x0, t0)
+    with pytest.raises(ConfigError):
+        ctrl.update_message(malformed(solver_message, field, quad))
+    assert ctrl.message is solver_message
+    assert ctrl.control(x0, t0).u.tobytes() == cmd.u.tobytes()
+
+
 def test_tracker_rejects_bad_control_period(quad):
     bounds = co.default_bounds(quad, presets.nominal_configuration(quad))
     with pytest.raises(ConfigError):
         trk.RiccatiController(quad, bounds, control_dt=0.0)
+
+
+@pytest.mark.parametrize("control_dt", [np.nan, np.inf])
+@pytest.mark.parametrize("controller", [trk.RiccatiController,
+                                        trk.WholeBodyController])
+def test_tracker_rejects_a_non_finite_control_period(quad, controller,
+                                                     control_dt):
+    bounds = co.default_bounds(quad, presets.nominal_configuration(quad))
+    with pytest.raises(ConfigError):
+        tracker(controller, quad, bounds, control_dt=control_dt)
 
 
 # ----------------------------------------------------- reference rollout
@@ -368,7 +430,7 @@ def test_tick_just_before_a_node_reads_one_interval(quad, solver_message,
                   forces_ref=[solver_message.forces_ref[0],
                               np.concatenate([forces[:2], forces[6:]]),
                               *solver_message.forces_ref[2:]])
-    ctrl = controller(quad, co.default_bounds(
+    ctrl = tracker(controller, quad, co.default_bounds(
         quad, presets.nominal_configuration(quad)))
     ctrl.update_message(msg)
     t = np.nextafter(msg.node_times[1], -np.inf)
@@ -476,7 +538,7 @@ def test_swing_stage_unaffected_by_lower_priorities(quad):
     frames = (0, 3)
     tasks = perturbed_stance_tasks(quad, frames, seed=4)
     bounds = co.default_bounds(quad, presets.nominal_configuration(quad))
-    ineq = trk.wbc_inequality_rows(quad, bounds, None, len(frames))
+    ineq = trk.wbc_inequality_rows(quad, bounds, CONE, len(frames))
     y0 = np.zeros(quad.nv + quad.nu + 2 * len(frames))
     full = trk.hqp_solve(tasks, ineq, y0)
     head = trk.hqp_solve(tasks[:2], ineq, y0)
@@ -518,14 +580,14 @@ def test_stage_qp_that_cycled_settles_at_a_kkt_point():
 
 
 def test_stage_qp_settles_at_a_kkt_point_from_the_cone_apex(quad):
-    # four feet with lambda_min = 0: the seed puts every force at its cone's
-    # apex, where all three rows of a foot hold and any two span its force
-    # plane.  References pull the feet below the apex, far outside, onto an
-    # edge and inside their cones.
+    # four feet: the seed puts every force at its cone's apex, where all
+    # three rows of a foot hold and any two span its force plane.
+    # References pull the feet below the apex, far outside, onto an edge
+    # and inside their cones.
     cone = co.FrictionCone(mu=0.7)
     bounds = co.default_bounds(quad, presets.nominal_configuration(quad))
     ineq = trk.wbc_inequality_rows(quad, bounds, cone, 4)
-    y0 = trk.wbc_seed(quad, bounds, cone, 4)
+    y0 = trk.wbc_seed(quad, bounds, 4)
     By = ineq.B @ y0
     cone_rows = slice(quad.nu, None)
     assert np.all(By[cone_rows] == ineq.lb[cone_rows])
@@ -636,7 +698,7 @@ def test_com_stage_fixes_linear_momentum(quad, solver_message):
     # in the null space the CoM stage leaves they vanish to rounding: the
     # angular row is all the momentum stage has left to act on
     wbc = trk.WholeBodyController(quad, co.default_bounds(
-        quad, presets.nominal_configuration(quad)))
+        quad, presets.nominal_configuration(quad)), cone=CONE)
     wbc.update_message(solver_message)
     rng = np.random.default_rng(29)
     msg = solver_message
@@ -719,7 +781,7 @@ def test_null_dims_follow_the_contact_count(quad, frames):
     for seed in range(4):
         tasks = perturbed_stance_tasks(quad, frames, seed=seed)
         sol = trk.hqp_solve(tasks, trk.wbc_inequality_rows(quad, bounds, cone, n),
-                            trk.wbc_seed(quad, bounds, cone, n))
+                            trk.wbc_seed(quad, bounds, n))
         assert sol.null_dims == expected
 
 
@@ -754,7 +816,7 @@ def test_wbc_tick_solves_the_reference_only_where_the_rollout_did_not(
     # a step from a state a tick prepared reuses its dynamics, and a
     # repeated tick, or one at a state a step already solved, solves none
     wbc = trk.WholeBodyController(quad, co.default_bounds(
-        quad, presets.nominal_configuration(quad)))
+        quad, presets.nominal_configuration(quad)), cone=CONE)
     wbc.update_message(solver_message)
     times, states, sols = rollout_reference(quad, solver_message,
                                             wbc.control_dt)
@@ -778,7 +840,7 @@ def test_ingestion_rolls_out_the_first_interval_alone(
     # n0 states in stance: n0 - 1 steps, and for the whole-body controller
     # the dynamics at the last state too; no tick inside the interval
     # solves, and the Riccati tracker keeps states alone
-    ctrl = controller(quad, co.default_bounds(
+    ctrl = tracker(controller, quad, co.default_bounds(
         quad, presets.nominal_configuration(quad)))
     times, states, sols = rollout_reference(quad, solver_message,
                                             ctrl.control_dt)
@@ -869,7 +931,7 @@ def kept(ref):
                                         trk.WholeBodyController])
 def test_singular_first_interval_leaves_the_previous_message(
         quad, solver_message, controller):
-    ctrl = controller(quad, co.default_bounds(
+    ctrl = tracker(controller, quad, co.default_bounds(
         quad, presets.nominal_configuration(quad)))
     ctrl.update_message(solver_message)
     x0, t0 = np.array(solver_message.xs_ref[0]), solver_message.node_times[0]
@@ -892,7 +954,7 @@ def test_singular_later_interval_raises_from_the_tick_that_reaches_it(
         quad, solver_message, controller):
     # the second interval starts from straight legs: the message is taken,
     # and each tick that reaches the interval raises, filling nothing
-    ctrl = controller(quad, co.default_bounds(
+    ctrl = tracker(controller, quad, co.default_bounds(
         quad, presets.nominal_configuration(quad)))
     xs = list(solver_message.xs_ref)
     msg = replace(solver_message, xs_ref=[xs[0], straight_legs(quad), *xs[2:]])
@@ -921,7 +983,7 @@ def test_a_fill_that_fails_midway_writes_nothing(quad, solver_message,
     # the third contact solve of a tick's fill raises: none of the states
     # or dynamics before it are kept, and the tick goes through once the
     # solves do
-    ctrl = controller(quad, co.default_bounds(
+    ctrl = tracker(controller, quad, co.default_bounds(
         quad, presets.nominal_configuration(quad)))
     ctrl.update_message(solver_message)
     ref = ctrl._ref
@@ -946,8 +1008,7 @@ def test_a_fill_that_fails_midway_writes_nothing(quad, solver_message,
     assert ref.states[ref.starts[2] + 4] is not None
 
 
-def test_wbc_builds_rows_once_per_cone_and_contact_count(quad, statics,
-                                                         monkeypatch):
+def test_wbc_builds_rows_once_per_contact_count(quad, statics, monkeypatch):
     q0, u_qs, forces_qs = statics
     msg = equilibrium_message(quad, q0, u_qs, forces_qs)
     wbc = trk.WholeBodyController(quad, co.default_bounds(quad, q0),
@@ -959,25 +1020,25 @@ def test_wbc_builds_rows_once_per_cone_and_contact_count(quad, statics,
     for t in (0.0, wbc.control_dt, 2 * wbc.control_dt):
         wbc.control(x0, t)
     assert len(rows) == len(seeds) == 1
-    wbc.cone = co.FrictionCone(mu=0.5)
-    wbc.control(x0, 0.0)
-    assert len(rows) == len(seeds) == 2
-    wbc.cone = co.FrictionCone(mu=0.8)   # an equal cone finds its rows
-    wbc.control(x0, 0.0)
-    assert len(rows) == len(seeds) == 2
     forces = np.asarray(forces_qs, float)
-    wbc.update_message(replace(
-        msg, contacts=[(0, 3)] * 2,
-        forces_ref=[np.concatenate([forces[:2], forces[6:]])] * 2))
+    two_feet = replace(msg, contacts=[(0, 3)] * 2,
+                       forces_ref=[np.concatenate([forces[:2], forces[6:]])] * 2)
+    wbc.update_message(two_feet)
     wbc.control(x0, 0.0)
-    assert len(rows) == len(seeds) == 3
+    assert len(rows) == len(seeds) == 2
+    # a message with a contact count seen before finds its rows
+    wbc.update_message(msg)
+    wbc.control(x0, 0.0)
+    wbc.update_message(replace(two_feet, contacts=[(1, 2)] * 2))
+    wbc.control(x0, 0.0)
+    assert len(rows) == len(seeds) == 2
 
 
 def test_wbc_reproduces_statics_at_equilibrium(quad, statics, hqp_solutions):
     q0, u_qs, forces_qs = statics
     msg = equilibrium_message(quad, q0, u_qs, forces_qs)
     bounds = co.default_bounds(quad, q0)
-    wbc = trk.WholeBodyController(quad, bounds)
+    wbc = trk.WholeBodyController(quad, bounds, cone=CONE)
     wbc.update_message(msg)
     x0 = mod.state(quad, q0, np.zeros(quad.nv))
     cmd = wbc.control(x0, 0.0)
@@ -1013,57 +1074,44 @@ def test_wbc_forces_stay_in_cone_despite_bad_reference(quad, statics,
     lam_bad = np.array(forces_qs)
     lam_bad[0::2] += 300.0          # huge tangential components
     msg = equilibrium_message(quad, q0, u_qs, lam_bad)
-    cone = co.FrictionCone(mu=0.5, lambda_min=1.0)
+    cone = co.FrictionCone(mu=0.5)
     wbc = trk.WholeBodyController(quad, co.default_bounds(quad, q0),
                                   cone=cone)
     wbc.update_message(msg)
     x0 = mod.state(quad, q0, np.zeros(quad.nv))
     cmd = wbc.control(x0, 0.0)
     assert not cmd.degraded
-    C, c = co.cone_matrices(cone)
+    C = co.cone_matrices(cone)
     lam = hqp_solutions[-1].y[quad.nv + quad.nu:]
     for k in range(4):
-        assert np.all(C @ lam[2 * k:2 * k + 2] >= c - 1e-8)
-
-
-def test_wbc_minimum_normal_force_binds(quad, statics, hqp_solutions):
-    # a preload larger than the static per-foot share forces the solution
-    # onto the cone floor: every foot must push at least lambda_min
-    q0, u_qs, forces_qs = statics
-    assert forces_qs[1::2].max() < 50.0  # the preload really exceeds statics
-    msg = equilibrium_message(quad, q0, u_qs, forces_qs)
-    cone = co.FrictionCone(mu=0.8, lambda_min=50.0)
-    wbc = trk.WholeBodyController(quad, co.default_bounds(quad, q0),
-                                  cone=cone)
-    wbc.update_message(msg)
-    cmd = wbc.control(mod.state(quad, q0, np.zeros(quad.nv)), 0.0)
-    assert not cmd.degraded
-    sol, = hqp_solutions
-    lam = sol.y[quad.nv + quad.nu:]
-    assert np.all(lam[1::2] >= 50.0 - 1e-8)
-    assert sol.stage_residuals[0] < 1e-6
+        assert np.all(C @ lam[2 * k:2 * k + 2] >= -1e-8)
 
 
 def test_wbc_infeasible_dynamics_falls_back(quad, statics):
-    # a cone demanding a meganewton of preload cannot be satisfied: the
-    # dynamics stage fails and the controller re-issues its previous torque
+    # legs that can take no torque (a torque box of zero width) cannot hold
+    # the feet of a splayed, tipped posture still with forces inside the
+    # cone: the dynamics stage fails and the controller re-issues its
+    # previous torque, marked degraded; at a posture they can hold, the
+    # next tick commands normally again
     q0, u_qs, forces_qs = statics
     msg = equilibrium_message(quad, q0, u_qs, forces_qs)
-    bounds = co.default_bounds(quad, q0)
-    wbc = trk.WholeBodyController(quad, bounds,
-                                  cone=co.FrictionCone(mu=0.8,
-                                                       lambda_min=1e6))
+    b = co.default_bounds(quad, q0)
+    limp = co.Bounds(b.q_lb, b.q_ub, b.v_lb, b.v_ub, 0.0 * b.u_lb, 0.0 * b.u_ub)
+    wbc = trk.WholeBodyController(quad, limp, cone=CONE)
     wbc.update_message(msg)
     x0 = mod.state(quad, q0, np.zeros(quad.nv))
-    cmd = wbc.control(x0, 0.0)
+    splayed = mod.state(quad, [0.0, 0.35, -1.35, 0.1, -1.05, 1.03, -0.04,
+                               -0.28, 0.29, -0.94, 1.26], np.zeros(quad.nv))
+    with pytest.raises(Stage1Infeasible):
+        trk.hqp_solve(*wbc_stance_cascade(wbc, splayed, 0.0))
+    cmd = wbc.control(splayed, 0.0)
     assert cmd.degraded and cmd.mode == "wbc"
-    np.testing.assert_allclose(cmd.u, 0.0, atol=0)  # nothing issued yet
-
-    # once feasibility returns, so does normal operation
-    wbc.cone = co.FrictionCone(mu=0.8)
-    cmd = wbc.control(x0, 0.0)
-    assert not cmd.degraded
-    np.testing.assert_allclose(cmd.u, u_qs, atol=1e-6)
+    np.testing.assert_array_equal(cmd.u, 0.0)       # nothing issued yet
+    good = wbc.control(x0, 0.0)
+    assert not good.degraded and good.mode == "wbc"
+    held = wbc.control(splayed, wbc.control_dt)
+    assert held.degraded and held.u.tobytes() == good.u.tobytes()
+    assert not wbc.control(x0, 2 * wbc.control_dt).degraded
 
 
 def test_wbc_unsettled_stage_qp_holds_previous_torque(quad, statics,
@@ -1100,7 +1148,7 @@ def test_wbc_flight_interval_uses_joint_pd(quad):
         forces_ref=[np.zeros(0)], contacts=[()],
         diagnostics={})
     bounds = co.default_bounds(quad, q0)
-    wbc = trk.WholeBodyController(quad, bounds)
+    wbc = trk.WholeBodyController(quad, bounds, cone=CONE)
     wbc.update_message(msg)
 
     dq = np.zeros(2 * nv)

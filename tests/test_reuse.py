@@ -191,8 +191,7 @@ def test_message_forces_come_from_the_nodes(monkeypatch):
     quad = presets.default_quadruped()
     q0 = presets.nominal_configuration(quad)
     x0 = presets.nominal_state(quad)
-    cfg = rh.MpcConfig(horizon=0.3, node_dt=0.02, update_rate=50.0,
-                       control_horizon_nodes=4)
+    cfg = rh.MpcConfig(horizon=0.3, node_dt=0.02, update_rate=50.0)
     ctrl = rh.Mpc(quad, schedule.stand(range(4), placements(quad)),
                   co.default_weights(quad, q0), co.default_bounds(quad, q0), cfg, x0)
     msg = ctrl.step(x0, 0.0)
@@ -327,12 +326,11 @@ def test_shift_changes_no_node_of_the_previous_window():
     # leaves every node of the previous window as it was
     quad = presets.default_quadruped()
     q0 = presets.nominal_configuration(quad)
-    jump = schedule.jump(range(4), placements(quad), stance=0.30, flight=0.24,
-                         n_jumps=1)
+    jump = schedule.jump(range(4), placements(quad), stance=0.30, flight=0.24)
     sweeps = ((trot_schedule(quad), 0.02, 0.01, 14), (jump, 0.03, 0.0, 24))
     for sched, dt, delay, n_steps in sweeps:
         cfg = rh.MpcConfig(horizon=0.3, node_dt=dt, update_rate=1.0 / dt,
-                           control_horizon_nodes=2, expected_delay=delay)
+                           expected_delay=delay)
         ctrl = rh.Mpc(quad, sched, co.default_weights(quad, q0),
                       co.default_bounds(quad, q0), cfg, presets.nominal_state(quad))
         x = presets.nominal_state(quad)
