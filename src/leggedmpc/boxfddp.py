@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import _kernels
-from .errors import NonPDHessian, NoStepAccepted
+from .errors import NonPDHessian, NoStepAccepted, check_setting
 
 FEAS_TOL = 1e-9
 BOXQP_MAX_ITERS = 100
@@ -223,7 +223,9 @@ class BoxFddp:
 
     def __init__(self, problem, tol: float = 1e-6):
         self.problem = problem
-        self.tol = tol
+        # with a nan, zero or negative tolerance no solve could converge, and
+        # with an infinite one any feasible candidate would
+        self.tol = check_setting("tol", tol, zero_ok=False)
         self.mu = self.mu_min
         self.xs = None
         self.us = None

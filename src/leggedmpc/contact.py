@@ -247,7 +247,7 @@ def contact_dynamics_derivatives(model: RobotModel, contacts: ContactSet,
                                  tan: Tangents) -> DynamicsDerivatives:
     """First-order sensitivities of (vdot, lambda) w.r.t. state tangent and u.
 
-    The residuals F1 = rnea(q, v, vdot, lambda) - S u and F2 = J vdot +
+    The residuals F1 = M vdot + h - J.T lambda - S u and F2 = J vdot +
     Jdot v + psi vanish at the solution ``sol``; ``tan``, the tangent sweep
     at (v, vdot) under the solved forces, differentiates both at fixed
     (vdot, lambda) (its first frames must be the contact frames), and one
@@ -282,8 +282,9 @@ def impulse_dynamics_derivatives(model: RobotModel, v_minus, contacts: ContactSe
     frames = contacts.frames
     lam = sol.impulses.reshape(lead + (-1, 2))
     rhs = np.empty(lead + (nv + nf, 2 * nv))
-    # configuration block: F1 is rnea(q, 0, v+ - v-, impulses) without
-    # gravity; F2 is the frame velocity under v+
+    # configuration block: F1 is the inverse dynamics at zero velocity
+    # under v+ - v- and the impulses, without gravity; F2 is the frame
+    # velocity under v+
     rhs[..., :nv, :nv] = -tangent_sweep(model, sol.kin, np.zeros(v_minus.shape),
                                         sol.v_plus - v_minus, (frames, lam),
                                         gravity=False).dtau[..., :nv]

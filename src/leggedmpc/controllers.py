@@ -253,7 +253,8 @@ class _MessageTracker:
     def _tick(self, x: np.ndarray, t: float, law) -> ControlCommand:
         """One control tick under ``law(ref, i, j, x) -> (u, mode,
         degraded)``, the controller's torque law on interval ``i`` at
-        reference state ``j`` of ``ref``; held instead when ``_holds``."""
+        reference state ``j`` of ``ref``, its torque clamped to the box;
+        held instead when ``_holds``."""
         if self._holds(x, t):
             return self._hold_last()
         ref, i, j = self._lookup(t)
@@ -263,7 +264,8 @@ class _MessageTracker:
         u, mode, degraded = law(ref, i, j, x)
         q_d, v_d = mod.split_state(self.model, x_ref)
         self._last = ControlCommand(
-            u=u, q_joints=q_d[3:], v_joints=v_d[3:], x_ref=np.array(x_ref),
+            u=np.clip(u, self.bounds.u_lb, self.bounds.u_ub),
+            q_joints=q_d[3:], v_joints=v_d[3:], x_ref=np.array(x_ref),
             forces_ref=np.asarray(msg.forces_ref[i], float),
             contacts=tuple(msg.contacts[i]), mode=mode, degraded=degraded)
         return self._last
@@ -316,8 +318,7 @@ class RiccatiController(_MessageTracker):
         if len(msg.contacts[i]) < 2:
             K = mask_base_gain(K, self.model.nv)
         err = mod.difference(self.model, ref.states[j], x)
-        u = np.asarray(msg.us_ff[i], float) + K @ err
-        return np.clip(u, self.bounds.u_lb, self.bounds.u_ub), "riccati", False
+        return np.asarray(msg.us_ff[i], float) + K @ err, "riccati", False
 
 
 # ------------------------------------------------- hierarchical QP cascade
@@ -685,16 +686,14 @@ def stance_tasks(model: RobotModel, x, ref: StanceReference, frames,
     return tasks
 
 
-def flight_pd(u_ff, q_joints, v_joints, q_joints_ref, v_joints_ref,
-              kp: float, kd: float, u_lb, u_ub) -> np.ndarray:
-    """Joint-space PD around the feed-forward torque, clamped to the box."""
-    u = (np.asarray(u_ff, float)
-         + kp * (np.asarray(q_joints_ref) - np.asarray(q_joints))
-         + kd * (np.asarray(v_joints_ref) - np.asarray(v_joints)))
-    return np.clip(u, u_lb, u_ub)
-
-
 FLIGHT_KP, FLIGHT_KD = 60.0, 2.0    # joint PD with fewer than two feet down
+
+
+def flight_pd(u_ff, q_joints, v_joints, q_joints_ref, v_joints_ref) -> np.ndarray:
+    """Joint-space PD around the feed-forward torque; the tick clamps it."""
+    return (np.asarray(u_ff, float)
+            + FLIGHT_KP * (np.asarray(q_joints_ref) - np.asarray(q_joints))
+            + FLIGHT_KD * (np.asarray(v_joints_ref) - np.asarray(v_joints)))
 
 
 class WholeBodyController(_MessageTracker):
@@ -752,21 +751,18 @@ class WholeBodyController(_MessageTracker):
         _put(ref.terms, terms)
 
     def _hierarchy(self, ref, i, j, x):
-        model, bounds, msg = self.model, self.bounds, ref.msg
+        model, msg = self.model, ref.msg
         frames = tuple(msg.contacts[i])
         u_ff = np.asarray(msg.us_ff[i], float)
         if len(frames) < 2:
             q, v = mod.split_state(model, x)
             q_d, v_d = mod.split_state(model, ref.states[j])
-            u = flight_pd(u_ff, q[3:], v[3:], q_d[3:], v_d[3:],
-                          FLIGHT_KP, FLIGHT_KD, bounds.u_lb, bounds.u_ub)
-            return u, "flight_pd", False
+            return flight_pd(u_ff, q[3:], v[3:], q_d[3:], v_d[3:]), "flight_pd", False
         try:
             tasks = stance_tasks(model, x, ref.terms[j], frames,
                                  np.asarray(msg.forces_ref[i], float))
             y = hqp_solve(tasks, *self._constraints(len(frames))).y
         except (Stage1Infeasible, MaxIterations):
             u = self._last.u if self._last is not None else np.zeros(model.nu)
-            return np.clip(u, bounds.u_lb, bounds.u_ub), "wbc", True
-        u = y[model.nv:model.nv + model.nu]
-        return np.clip(u, bounds.u_lb, bounds.u_ub), "wbc", False
+            return u, "wbc", True
+        return y[model.nv:model.nv + model.nu], "wbc", False

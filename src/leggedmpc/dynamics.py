@@ -1,13 +1,14 @@
 """The multibody pass, the frame gather, inverse dynamics and its exact tangent sweep.
 
-Sign conventions: ``rnea(model, q, v, a, forces)`` returns the generalized
-force tau with
+Sign conventions: the generalized force tau satisfies
 
     M(q) a + h(q, v) - J_C(q).T @ lambda = tau
 
-so gravity enters as a bias (``rnea(q, 0, 0)`` is the force needed to hold
-the robot statically) and contact forces ``lambda`` are world-frame forces
-applied *on* the robot at contact frames.
+where h is ``multibody``'s bias force: Coriolis, centrifugal and gravity
+terms together.  So gravity enters as a bias (h at rest, ``gravity_torque``,
+is the force needed to hold the robot statically), and contact forces
+``lambda`` are world-frame forces applied *on* the robot at contact frames.
+``tangent_sweep`` differentiates the left-hand side at fixed (a, lambda).
 
 Everything works on the body Jacobians B_i that ``forward_kinematics``
 returns (Featherstone, *Rigid Body Dynamics Algorithms*, 2008): body twists
@@ -83,15 +84,15 @@ def _sweep_index(nv: int, bodies: tuple) -> _SweepIndex:
         force=tuple(index([(b * 3 + a) * n + 2 + b for b in bodies]) for a in (0, 1)))
 
 
-def _subtract_contact_forces(model, kin, f, contact_forces, dth=None, df=None):
-    """Subtract world contact forces, as body wrenches, from body forces ``f``.
+def _subtract_contact_forces(model, kin, f, contact_forces, dth, df):
+    """Subtract world contact forces, as body wrenches, from body forces
+    ``f``, and their tangent from the force tangents ``df``.
 
     ``contact_forces`` is a pair of frames (a tuple, or a (..., k) array of
-    stacked states) and world forces (..., k, 2).  With ``dth`` (nb, nv),
-    the body world-angle tangents, the wrenches' tangent is subtracted from
-    ``df``.  Frames on distinct bodies (in each stacked state) are
-    subtracted in one indexed operation; a frames tuple, and one state's
-    frames, read that from their plan.
+    stacked states) and world forces (..., k, 2); ``dth`` (nb, nv) holds the
+    body world-angle tangents.  Frames on distinct bodies (in each stacked
+    state) are subtracted in one indexed operation; a frames tuple, and one
+    state's frames, read that from their plan.
     """
     frames, lam = contact_forces
     lam = np.asarray(lam, dtype=float)
@@ -100,11 +101,10 @@ def _subtract_contact_forces(model, kin, f, contact_forces, dth=None, df=None):
     rows, r, plan = _frames(model, kin, frames)
     fl = (lam[..., None, :] @ kin.R[rows])[..., 0, :]      # R_b.T lam, body frame
     w = np.concatenate([fl, r[..., :1] * fl[..., 1:] - r[..., 1:] * fl[..., :1]], -1)
-    if df is not None:
-        nv = model.nv
-        d = np.zeros(fl.shape[:-1] + (3, 2 * nv))
-        d[..., :2, :nv] = -_perp(fl)[..., None] * dth[rows][..., None, :]
-        d[..., 2, :nv] = r[..., :1] * d[..., 1, :nv] - r[..., 1:] * d[..., 0, :nv]
+    nv = model.nv
+    d = np.zeros(fl.shape[:-1] + (3, 2 * nv))
+    d[..., :2, :nv] = -_perp(fl)[..., None] * dth[rows][..., None, :]
+    d[..., 2, :nv] = r[..., :1] * d[..., 1, :nv] - r[..., 1:] * d[..., 0, :nv]
     if plan is None:
         idx = np.sort(rows[-1], -1)
         shared = bool((idx[..., 1:] == idx[..., :-1]).any())
@@ -112,8 +112,7 @@ def _subtract_contact_forces(model, kin, f, contact_forces, dth=None, df=None):
         shared = plan.shared
     if not shared:
         f[rows] -= w
-        if df is not None:
-            df[rows] -= d
+        df[rows] -= d
         return
     # frames share a body: subtract frame by frame, in order (the
     # differences of an unbuffered np.subtract.at, without its indexing)
@@ -125,19 +124,22 @@ def _subtract_contact_forces(model, kin, f, contact_forces, dth=None, df=None):
         bodies = [lead + (b,) for b in plan.bodies]
     for j, at in enumerate(bodies):
         f[at] -= w[..., j, :]
-        if df is not None:
-            df[at] -= d[..., j, :, :]
+        df[at] -= d[..., j, :, :]
 
 
-def _rnea(model, kin, tw, bias, a, contact_forces=None):
-    """``rnea`` on a kinematics pass, its body twists ``tw`` and their ``bias``.
+def _rnea(model, kin, tw, bias):
+    """The bias force h(q, v) on a kinematics pass, its body twists ``tw``
+    and their ``bias``: the Newton-Euler recursion at zero acceleration.
 
-    Body accelerations are B a plus the velocity bias plus gravity, folded
-    in as a fictitious upward world acceleration; each body's net force f_i
-    then reaches tau as B_i.T f_i.
+    Body accelerations are the velocity bias plus gravity, folded in as a
+    fictitious upward world acceleration; each body's net force f_i then
+    reaches h as B_i.T f_i.
     """
     B, I = kin.B, model.spatial_inertias
-    ac = _matvec(B, a[..., None, :]) + bias
+    # a new array, so that gravity below is not written into the pass's
+    # bias, with -0.0 entries turned +0.0 as B a + bias turns them at a = 0
+    # (tests/helpers.py keeps that form as the bits oracle of h)
+    ac = bias + 0.0
     # world gravity seen in each body frame: R_i.T (-g)
     ac[..., :2] -= GRAVITY @ kin.R
     mom = _matvec(I, tw)
@@ -146,33 +148,9 @@ def _rnea(model, kin, tw, bias, a, contact_forces=None):
     f[..., 0] -= tw[..., 2] * mom[..., 1]
     f[..., 1] += tw[..., 2] * mom[..., 0]
     f[..., 2] += tw[..., 0] * mom[..., 1] - tw[..., 1] * mom[..., 0]
-    if contact_forces is not None:
-        _subtract_contact_forces(model, kin, f, contact_forces)
     lead = B.shape[:-3]
     tau = (f.reshape(lead + (1, -1)) @ B.reshape(lead + (-1, model.nv)))[..., 0, :]
     return tau
-
-
-def rnea(model: RobotModel, q: np.ndarray, v: np.ndarray, a: np.ndarray,
-         contact_forces=None) -> np.ndarray:
-    """Generalized force tau = M(q) a + h(q, v) - J_C.T lambda.
-
-    ``contact_forces`` pairs contact frames with their world-frame forces
-    (see ``_subtract_contact_forces``).  Stacked states (leading axes on q,
-    v, a) run as one pass.
-    """
-    q = model.check_q(q)
-    v = model.check_v(v)
-    a = model.check_v(a)
-    kin = forward_kinematics(model, q)
-    return _rnea(model, kin, *bias_accelerations(model, kin, v), a, contact_forces)
-
-
-def gravity_torque(model: RobotModel, q: np.ndarray) -> np.ndarray:
-    """Static bias g(q) = rnea(q, 0, 0)."""
-    kin = forward_kinematics(model, model.check_q(q))
-    z = np.zeros(kin.pose.shape[:-2] + (model.nv,))
-    return _rnea(model, kin, *bias_accelerations(model, kin, z), z)
 
 
 @dataclass
@@ -186,7 +164,7 @@ class Multibody:
     tw: np.ndarray        # (nb, 3) body twists B v
     bias: np.ndarray      # (nb, 3) body accelerations at zero vdot, no gravity
     M: np.ndarray         # (nv, nv) joint-space inertia
-    h: np.ndarray         # (nv,) nonlinear effects rnea(q, v, 0)
+    h: np.ndarray         # (nv,) bias force: Coriolis, centrifugal and gravity
 
 
 def multibody(model: RobotModel, q: np.ndarray, v: np.ndarray) -> Multibody:
@@ -196,17 +174,21 @@ def multibody(model: RobotModel, q: np.ndarray, v: np.ndarray) -> Multibody:
     ``bias_accelerations`` gives the twists and their bias.  The joint-space
     inertia M = sum_i B_i.T I_i B_i is one product of the stacked body
     Jacobians with the inertia-weighted ones, and the Coriolis, centrifugal
-    and gravity bias h = rnea(q, v, 0) reads the same twists and bias, with
-    the bits of ``rnea``.  Stacked states (leading axes on q and v) run as
-    one pass, and a state of a stack gives the same bits as the same state
-    alone.
+    and gravity bias h reads the same twists and bias (``_rnea``).  Stacked
+    states (leading axes on q and v) run as one pass, and a state of a stack
+    gives the same bits as the same state alone.
     """
     q = model.check_q(q)
     v = model.check_v(v)
     kin = forward_kinematics(model, q)
     tw, bias = bias_accelerations(model, kin, v)
     return Multibody(kin, tw, bias, mass_matrix(model, kin),
-                     _rnea(model, kin, tw, bias, np.zeros(v.shape)))
+                     _rnea(model, kin, tw, bias))
+
+
+def gravity_torque(model: RobotModel, q: np.ndarray) -> np.ndarray:
+    """Static bias g(q): the pass's h at rest, ``multibody(q, 0).h``."""
+    return multibody(model, q, np.zeros(np.shape(q)[:-1] + (model.nv,))).h
 
 
 def mass_matrix(model: RobotModel, kin: Kinematics) -> np.ndarray:
@@ -266,7 +248,8 @@ def frame_motion(model: RobotModel, mb: Multibody, frames):
 class Tangents:
     """Exact first derivatives along the state tangent (dq, dv), 2*nv columns.
 
-    ``dtau`` differentiates ``rnea(q, v, a, forces)`` at fixed (a, forces).
+    ``dtau`` differentiates tau = M(q) a + h(q, v) - J_C(q).T lambda at
+    fixed (a, lambda).
     ``dvel`` stacks, per requested frame, the world velocity of the frame;
     its v block is the frame Jacobian itself.  ``dacc`` stacks the world
     classical acceleration (J a + Jdot v) of the contact frames alone, those
@@ -291,11 +274,12 @@ def tangent_sweep(model: RobotModel, kin: Kinematics, v: np.ndarray,
     twist, the gravity-free body acceleration under ``a`` and the folded-in
     gravity down the tree, all bodies of one depth (and all stacked states)
     at once; the tangent of a body's world angle is the angular row of its
-    Jacobian.  The force recursion of ``rnea`` is then differentiated term
-    by term on the way back up (Carpentier & Mansard, RSS 2018).  Without
-    ``a`` only the twists and ``dvel`` are computed.  ``gravity=False``
-    drops gravity from ``dtau``.  ``frames`` lists the frames of
-    ``contact_forces`` first; ``dacc`` covers those of them it lists.
+    Jacobian.  The force recursion of tau, under ``a`` and
+    ``contact_forces``, is then differentiated term by term on the way back
+    up (Carpentier & Mansard, RSS 2018).  Without ``a`` only the twists and
+    ``dvel`` are computed.  ``gravity=False`` drops gravity from ``dtau``.
+    ``frames`` lists the frames of ``contact_forces`` first; ``dacc`` covers
+    those of them it lists.
     """
     nv, nb = model.nv, model.nbodies
     n = 2 * nv

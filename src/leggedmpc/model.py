@@ -327,12 +327,7 @@ def dintegrate_q(model: RobotModel, dq: np.ndarray) -> tuple[np.ndarray, np.ndar
             _with_base_block(model, se2.right_jacobian(base)))
 
 
-def ddifference_q(model: RobotModel, q1: np.ndarray, q0: np.ndarray) -> np.ndarray:
-    """Jacobian of difference_q(q1, q0) w.r.t. a right perturbation of q1."""
-    return ddifference_q_at(model, difference_q(model, q1, q0))
-
-
 def ddifference_q_at(model: RobotModel, dq: np.ndarray) -> np.ndarray:
-    """``ddifference_q`` from the difference ``dq = difference_q(q1, q0)``,
-    for a caller that already holds it."""
+    """Jacobian of difference_q(q1, q0) w.r.t. a right perturbation of q1,
+    from the difference ``dq = difference_q(q1, q0)`` itself."""
     return _with_base_block(model, se2.right_jacobian_inv(dq[..., :3]))

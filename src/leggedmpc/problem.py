@@ -51,6 +51,7 @@ once for both its value and its Jacobian.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -60,7 +61,7 @@ from . import contact as ct
 from . import costs as co
 from . import model as mod
 from .dynamics import frame_jacobian, frame_velocities, tangent_sweep
-from .errors import RankDeficientContacts, ScheduleError
+from .errors import ConfigError, RankDeficientContacts, ScheduleError, check_setting
 from .kinematics import frame_positions
 from .model import RobotModel
 from .schedule import ContactSchedule, evaluate_swing
@@ -626,14 +627,16 @@ class ShootingProblem:
     schedule, weights, bounds, node period ``dt`` and node count ``N`` -- so
     ``set_window`` (and ``update_problem``) moves the window from a new
     initial state and start time alone.  ``k0`` is the grid slot holding the
-    window's start.
+    window's start.  ``ConfigError`` unless ``N`` is a positive integer and
+    ``dt`` finite and positive.
     """
 
     def __init__(self, model: RobotModel, schedule: ContactSchedule,
                  weights: co.CostWeights, bounds: co.Bounds,
                  x0: np.ndarray, N: int, dt: float, t0: float = 0.0):
-        if dt <= 0:
-            raise ScheduleError("dt must be positive")
+        if not isinstance(N, numbers.Integral) or N < 1:
+            raise ConfigError(f"N must be a positive integer, got {N!r}")
+        dt = check_setting("dt", dt, zero_ok=False)
         schedule.check_grid_alignment(dt)
         self.model = model
         self.schedule = schedule

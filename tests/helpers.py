@@ -9,7 +9,7 @@ import numpy as np
 
 from leggedmpc import contact as ct
 from leggedmpc import controllers as trk
-from leggedmpc import dynamics, presets, se2
+from leggedmpc import dynamics, kinematics, presets, se2
 from leggedmpc import model as mod
 from leggedmpc import problem as pb
 from leggedmpc.boxfddp import BoxFddp
@@ -97,6 +97,28 @@ def drift_by_rnea(m, q, v):
     rel = mb.kin.pose[0].copy()
     rel[:2] -= ref_centroidal(m, q)[0]
     return ref_motion_transform(rel).T @ (mb.h - dynamics.gravity_torque(m, q))[:3]
+
+
+def bias_force_bits(m, q, v):
+    """The body accelerations of ``kinematics.bias_accelerations`` at (q, v),
+    and h(q, v) from them as the general Newton-Euler pass forms tau at
+    a = 0: body accelerations B a + bias, gravity, the body forces, then
+    tau = sum_i B_i.T f_i.  The package forms h without the zero product
+    B @ a; this keeps it, as the bits oracle of ``dynamics.multibody``'s h
+    (``ref_rnea`` agrees with it only to rounding)."""
+    kin = kinematics.forward_kinematics(m, m.check_q(q))
+    v = m.check_v(v)
+    tw, bias = kinematics.bias_accelerations(m, kin, v)
+    B, I = kin.B, m.spatial_inertias
+    ac = kinematics._matvec(B, np.zeros(v.shape)[..., None, :]) + bias
+    ac[..., :2] -= mod.GRAVITY @ kin.R
+    mom = kinematics._matvec(I, tw)
+    f = kinematics._matvec(I, ac)
+    f[..., 0] -= tw[..., 2] * mom[..., 1]
+    f[..., 1] += tw[..., 2] * mom[..., 0]
+    f[..., 2] += tw[..., 0] * mom[..., 1] - tw[..., 1] * mom[..., 0]
+    lead = B.shape[:-3]
+    return bias, (f.reshape(lead + (1, -1)) @ B.reshape(lead + (-1, m.nv)))[..., 0, :]
 
 
 def count_calls(monkeypatch, original):

@@ -9,7 +9,7 @@ from leggedmpc import boxfddp, costs as co, kinematics, presets, problem, schedu
 from leggedmpc import model as mod
 from leggedmpc import mpc as rh
 from leggedmpc.boxfddp import BoxFddp, boxqp
-from leggedmpc.errors import NonPDHessian, NoStepAccepted, RankDeficientContacts
+from leggedmpc.errors import ConfigError, NonPDHessian, NoStepAccepted, RankDeficientContacts
 
 from helpers import SequentialFddp, boxqp_kkt_violation, forget
 
@@ -381,6 +381,14 @@ def test_lqr_single_iteration_optimum():
     for K, K_ref in zip(policy.K_fb, Ks):
         assert np.abs(K - K_ref).max() < 1e-8
     assert steps_taken(solver) == 1
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_solver_rejects_a_tolerance_no_solve_can_meet(tol):
+    # with nan, zero or a negative tolerance a solve can never converge, and
+    # with inf any feasible candidate counts as converged
+    with pytest.raises(ConfigError):
+        BoxFddp(make_lqr()[0], tol=tol)
 
 
 def test_lqr_resolve_idempotent():

@@ -7,7 +7,7 @@ from leggedmpc import dynamics, presets
 from leggedmpc import model as mod
 from leggedmpc.errors import RankDeficientContacts
 
-from helpers import random_state, single_body, solved_derivatives, straight_legs
+from helpers import random_state, ref_rnea, single_body, solved_derivatives, straight_legs
 
 
 @pytest.fixture(scope="module")
@@ -76,15 +76,16 @@ def test_no_contacts_free_dynamics(quad):
 
 
 def test_inverse_dynamics_roundtrip(quad):
-    # rnea at the constrained solution reproduces the applied actuation
+    # inverse dynamics at the constrained solution reproduces the applied
+    # actuation
     rng = np.random.default_rng(2)
     x = random_state(quad, rng, spread=0.1)
     q, v = x[: quad.nq], x[quad.nq:]
     u = rng.normal(size=quad.nu)
     contacts = ct.ContactSet(frames=(0, 1, 2, 3))
     sol = ct.contact_forward_dynamics(quad, q, v, u, contacts)
-    tau = dynamics.rnea(quad, q, v, sol.vdot,
-                        (contacts.frames, sol.forces.reshape(-1, 2)))
+    tau = ref_rnea(quad, q, v, sol.vdot,
+                   dict(zip(contacts.frames, sol.forces.reshape(-1, 2))))
     assert np.abs(tau - ct.actuation(quad, u)).max() < 1e-9
 
 

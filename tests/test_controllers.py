@@ -1158,23 +1158,66 @@ def test_wbc_flight_interval_uses_joint_pd(quad):
     cmd = wbc.control(x, 0.0)
     assert cmd.mode == "flight_pd"
     q, v = mod.split_state(quad, x)
-    expect = trk.flight_pd(u_ff, q[3:], v[3:], q0[3:], np.zeros(nu),
-                           trk.FLIGHT_KP, trk.FLIGHT_KD,
-                           bounds.u_lb, bounds.u_ub)
+    expect = np.clip(trk.flight_pd(u_ff, q[3:], v[3:], q0[3:], np.zeros(nu)),
+                     bounds.u_lb, bounds.u_ub)
     np.testing.assert_allclose(cmd.u, expect, atol=1e-12)
 
 
-def test_flight_pd_clamps(quad):
-    bounds = co.default_bounds(quad, presets.nominal_configuration(quad))
-    nu = quad.nu
-    exact = trk.flight_pd(np.full(nu, 3.0), np.ones(nu), np.ones(nu),
-                          np.ones(nu), np.ones(nu), 100.0, 10.0,
-                          bounds.u_lb, bounds.u_ub)
-    np.testing.assert_allclose(exact, 3.0, atol=0)
-    sat = trk.flight_pd(np.zeros(nu), np.zeros(nu), np.zeros(nu),
-                        np.full(nu, 10.0), np.zeros(nu), 100.0, 0.0,
-                        bounds.u_lb, bounds.u_ub)
-    np.testing.assert_allclose(sat, bounds.u_ub, atol=0)
+@pytest.mark.parametrize("law", ["riccati", "flight_pd", "fallback"])
+def test_tick_clamps_the_torque_its_law_returns_to_the_box(quad, statics,
+                                                          solver_message,
+                                                          monkeypatch, law):
+    # each torque law returns its raw torque and the tick clamps it once: a
+    # Riccati feedback, a flight PD and a whole-body fallback that all leave
+    # the box come out on it
+    nv, nu = quad.nv, quad.nu
+    q0, u_qs, forces_qs = statics
+    x0 = mod.state(quad, q0, np.zeros(nv))
+    bounds = co.default_bounds(quad, q0)
+    rng = np.random.default_rng(7)
+    if law == "riccati":
+        msg = solver_message
+        ctrl = trk.RiccatiController(quad, bounds)
+        x = mod.integrate(quad, np.array(msg.xs_ref[0]),
+                          20.0 * rng.standard_normal(2 * nv))
+        raw = (np.asarray(msg.us_ff[0], float)
+               + np.asarray(msg.K_gains[0], float) @ mod.difference(
+                   quad, msg.xs_ref[0], x))
+    elif law == "flight_pd":
+        u_ff = 0.5 * rng.standard_normal(nu)
+        msg = rh.PolicyMessage(
+            stamp=0.0, node_times=[0.0, 0.02],
+            xs_ref=[np.array(x0), np.array(x0)],
+            us_ff=[u_ff], K_gains=[np.zeros((nu, 2 * nv))],
+            forces_ref=[np.zeros(0)], contacts=[()],
+            diagnostics={})
+        ctrl = trk.WholeBodyController(quad, bounds, cone=CONE)
+        ctrl.update_message(msg)
+        # no error: the feed-forward torque, bit for bit
+        assert ctrl.control(x0, 0.0).u.tobytes() == u_ff.tobytes()
+        x = mod.state(quad, q0 + np.r_[0.0, 0.0, 0.0, np.full(nu, 10.0)],
+                      np.zeros(nv))
+        q, v = mod.split_state(quad, x)
+        raw = trk.flight_pd(u_ff, q[3:], v[3:], q0[3:], np.zeros(nu))
+    else:
+        # a box that excludes zero: the fallback before any command
+        # re-issues zero torque
+        bounds = co.Bounds(bounds.q_lb, bounds.q_ub, bounds.v_lb, bounds.v_ub,
+                           0.5 * bounds.u_ub, bounds.u_ub)
+        msg = equilibrium_message(quad, q0, u_qs, forces_qs)
+        ctrl = trk.WholeBodyController(quad, bounds, cone=CONE)
+
+        def unsettled(*args, **kwargs):
+            raise MaxIterations("forced")
+
+        monkeypatch.setattr(trk, "_stage_qp", unsettled)
+        x, raw = x0, np.zeros(nu)
+    ctrl.update_message(msg)
+    cmd = ctrl.control(x, 0.0)
+    assert cmd.mode == ("wbc" if law == "fallback" else law)
+    assert cmd.degraded == (law == "fallback")
+    assert np.any((raw < bounds.u_lb) | (raw > bounds.u_ub))
+    assert cmd.u.tobytes() == np.clip(raw, bounds.u_lb, bounds.u_ub).tobytes()
 
 
 # --------------------------------------------------- centroidal references

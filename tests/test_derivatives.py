@@ -20,7 +20,7 @@ from leggedmpc import model as mod
 
 from helpers import (base_pendulum, branched_tree, centroidal_at, count_calls,
                      fd_config_jacobian, fd_state_jacobian, frame_motion_at, rel_err,
-                     random_state, single_body, solved_derivatives)
+                     random_state, ref_rnea, single_body, solved_derivatives)
 
 TOL = 1e-6
 
@@ -56,7 +56,7 @@ def test_tangent_sweep_matches_fd(robot):
                                  v, a, lam, frames)
 
     def tau(xx):
-        return dynamics.rnea(robot, *mod.split_state(robot, xx), a, lam)
+        return ref_rnea(robot, *mod.split_state(robot, xx), a, dict(zip(*lam)))
 
     def vel(xx):
         return frame_motion_at(robot, *mod.split_state(robot, xx), frames)[2].ravel()

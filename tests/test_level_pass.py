@@ -1,6 +1,6 @@
 """The level-batched multibody pass against the per-body reference recursions.
 
-``forward_kinematics``, ``rnea``, the multibody pass (``dynamics.multibody``:
+``forward_kinematics``, the multibody pass (``dynamics.multibody``:
 twists, bias accelerations, M and h) and the frame gather
 (``dynamics.frame_motion``: positions, Jacobian, velocities and bias of
 contact frames) evaluate one tree depth at a time, and ``centroidal`` reads
@@ -10,7 +10,8 @@ as the oracle, and a finite difference of A_G v as the oracle of the
 momentum drift, which also matches the drift with g(q) from its own
 recursion.  Summation order differs, so results agree to rounding, not
 bit for bit.  Within the package the pass is exact: its h has the bits of
-``rnea(q, v, 0)``, and a state of a stack the bits of the state alone.
+the general Newton-Euler expression at a = 0 (``helpers.bias_force_bits``),
+and a state of a stack the bits of the state alone.
 """
 
 import itertools
@@ -26,10 +27,10 @@ from leggedmpc import dynamics, kinematics, presets, se2
 from leggedmpc import model as mod
 from leggedmpc.centroidal import centroidal
 
-from helpers import (base_pendulum, branched_tree, centroidal_at, drift_by_rnea,
-                     fd_centroidal_bias, frame_motion_at, random_state, ref_centroidal,
-                     ref_forward_kinematics, ref_frame_motion, ref_mass_matrix, ref_rnea,
-                     rel_err, single_body)
+from helpers import (base_pendulum, bias_force_bits, branched_tree, centroidal_at,
+                     drift_by_rnea, fd_centroidal_bias, frame_motion_at, random_state,
+                     ref_centroidal, ref_forward_kinematics, ref_frame_motion,
+                     ref_mass_matrix, ref_rnea, rel_err, single_body)
 
 TOL = 1e-12
 
@@ -80,16 +81,18 @@ def test_forward_kinematics_matches_reference(name, data):
 
 @settings(max_examples=60)
 @given(name=names, data=st.data())
-def test_rnea_matches_reference(name, data):
+def test_inverse_dynamics_matches_reference(name, data):
+    # tau = M a + h - J_C.T lambda, from the pass and its frame gather
     m = MODELS[name]
     q, v, a = (data.draw(vectors(m.nv)) for _ in range(3))
     frames = data.draw(frame_subsets(m))
     forces = {f: data.draw(vectors(2)) for f in frames}
     want = ref_rnea(m, q, v, a, forces)
-    pair = (list(forces), np.reshape(list(forces.values()), (-1, 2)))
-    assert rel_err(dynamics.rnea(m, q, v, a, pair), want) < TOL
-    assert rel_err(dynamics.multibody(m, q, v).h,
-                   ref_rnea(m, q, v, np.zeros(m.nv), {})) < TOL
+    mb = dynamics.multibody(m, q, v)
+    J = dynamics.frame_motion(m, mb, frames)[1]
+    lam = np.reshape(list(forces.values()), (-1,))
+    assert rel_err(mb.M @ a + mb.h - J.T @ lam, want) < TOL
+    assert rel_err(mb.h, ref_rnea(m, q, v, np.zeros(m.nv), {})) < TOL
 
 
 @settings(max_examples=60)
@@ -160,20 +163,28 @@ def _row(obj, k):
     return obj[k]
 
 
-def test_the_pass_has_the_bits_of_rnea_alone_and_stacked():
-    m = MODELS["default_quadruped"]
-    rng = np.random.default_rng(4)
-    x = np.array([random_state(m, rng) for _ in range(3)])
-    x[1, m.nq:] = 0.0          # at rest h is g(q), and zeros keep their signs
-    q, v = x[:, :m.nq], x[:, m.nq:]
-    stacked = dynamics.multibody(m, q, v)
-    assert _bits(stacked.h) == _bits(dynamics.rnea(m, q, v, np.zeros_like(v)))
-    for k in range(len(x)):
-        alone = dynamics.multibody(m, q[k], v[k])
-        assert _bits(alone.h) == _bits(dynamics.rnea(m, q[k], v[k], np.zeros(m.nv)))
-        assert _bits(_row(stacked, k)) == _bits(alone)
-    assert _bits(dynamics.multibody(m, q[1], v[1]).h) == _bits(
-        dynamics.gravity_torque(m, q[1]))
+def test_the_pass_has_the_bits_of_the_bias_oracle_alone_and_stacked():
+    # the pass forms h without the zero product B @ a that the oracle keeps:
+    # h keeps the oracle's bits, zeros keep their signs, and the body
+    # accelerations the pass returns are those bias_accelerations gave it
+    for m in MODELS.values():
+        rng = np.random.default_rng(4)
+        x = np.array([random_state(m, rng) for _ in range(4)])
+        x[1, m.nq:] = 0.0          # at rest h is g(q)
+        x[2, 2:m.nq] = 0.0         # every body at angle 0, some rates at 0:
+        x[2, m.nq + 3::2] = 0.0    # bias entries of -0.0 meet a zero gravity term
+        q, v = x[:, :m.nq], x[:, m.nq:]
+        for k in (slice(None), *range(len(x))):
+            mb = dynamics.multibody(m, q[k], v[k])
+            bias, h = bias_force_bits(m, q[k], v[k])
+            assert _bits(mb.bias) == _bits(bias)
+            assert _bits(mb.h) == _bits(h)
+            assert _bits(dynamics.gravity_torque(m, q[k])) == _bits(
+                bias_force_bits(m, q[k], np.zeros_like(v[k]))[1])
+        stacked = dynamics.multibody(m, q, v)
+        for k in range(len(x)):
+            assert _bits(_row(stacked, k)) == _bits(dynamics.multibody(m, q[k], v[k]))
+        assert _bits(dynamics.gravity_torque(m, q[1])) == _bits(stacked.h[1])
 
 
 def test_tree_levels_cover_every_body_once():

@@ -9,7 +9,7 @@ from leggedmpc import model as mod
 from leggedmpc.errors import DimensionMismatch
 
 from helpers import (base_pendulum, centroidal_at, fd_config_jacobian, frame_motion_at,
-                     random_state, single_body)
+                     random_state, ref_rnea, single_body)
 
 
 @pytest.fixture(scope="module")
@@ -125,16 +125,18 @@ def test_integrate_chain_rule_blocks(quad):
 
 def test_static_single_body_wrench():
     sb = single_body(mass=2.5, inertia=0.2)
-    tau = dynamics.rnea(sb, np.zeros(3), np.zeros(3), np.zeros(3))
+    tau = ref_rnea(sb, np.zeros(3), np.zeros(3), np.zeros(3))
     assert np.allclose(tau, [0.0, 2.5 * 9.81, 0.0], atol=1e-12)
+    assert np.allclose(dynamics.gravity_torque(sb, np.zeros(3)), tau, atol=1e-12)
 
 
 def test_static_pendulum_torque():
     pend = base_pendulum(mass=1.3, length=0.4)
     for th in (0.3, -1.1, 2.0, 0.0):
         q = np.array([0.0, 0.0, 0.0, th])
-        tau = dynamics.rnea(pend, q, np.zeros(4), np.zeros(4))
+        tau = ref_rnea(pend, q, np.zeros(4), np.zeros(4))
         assert np.isclose(tau[3], 1.3 * 9.81 * 0.4 * np.sin(th), atol=1e-12)
+        assert np.isclose(dynamics.gravity_torque(pend, q)[3], tau[3], atol=1e-12)
 
 
 def test_single_body_mass_matrix_closed_form():
@@ -161,7 +163,7 @@ def test_mass_matrix_matches_rnea_probing(quad):
         for i in range(quad.nv):
             e = np.zeros(quad.nv)
             e[i] = 1.0
-            col = dynamics.rnea(quad, q, np.zeros(quad.nv), e) - g
+            col = ref_rnea(quad, q, np.zeros(quad.nv), e) - g
             assert np.allclose(M[:, i], col, atol=1e-10)
         assert np.abs(M - M.T).max() < 1e-12
         assert np.linalg.eigvalsh(M).min() > 0.0
@@ -173,8 +175,8 @@ def test_rnea_linear_in_contact_forces(quad):
     q, v = x[: quad.nq], x[quad.nq:]
     a = rng.normal(size=quad.nv)
     lam = np.array([[3.0, -1.0], [0.5, 7.0]])
-    tau = dynamics.rnea(quad, q, v, a, ((0, 2), lam))
-    tau_free = dynamics.rnea(quad, q, v, a)
+    tau = ref_rnea(quad, q, v, a, {0: lam[0], 2: lam[1]})
+    tau_free = ref_rnea(quad, q, v, a)
     J0 = ct.contact_jacobian_stack(quad, q, [0])
     J2 = ct.contact_jacobian_stack(quad, q, [2])
     expected = tau_free - J0.T @ lam[0] - J2.T @ lam[1]

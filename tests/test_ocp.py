@@ -238,6 +238,14 @@ def make_problem(quad, kind="stand", N=10, dt=0.02, t0=0.0):
                                  N=N, dt=dt, t0=t0)
 
 
+@pytest.mark.parametrize("N, dt", [(5, np.nan), (5, np.inf), (5, 0.0), (5, -0.02),
+                                   (-1, 0.02), (0, 0.02), (2.5, 0.02)])
+def test_window_rejects_a_bad_node_count_or_period(quad, N, dt):
+    # N a positive integer, dt finite and positive, by the settings rule
+    with pytest.raises(ConfigError):
+        make_problem(quad, "stand", N=N, dt=dt)
+
+
 def test_stand_problem_shape(quad):
     prob = make_problem(quad, "stand", N=10)
     assert len(prob.nodes) == 10

@@ -210,7 +210,8 @@ STATE_MAPS = {
     "integrate": lambda m, a, b: mod.integrate(m, a, np.concatenate(
         [b[..., :m.nv], b[..., m.nq:]], -1)),
     "difference": lambda m, a, b: mod.difference(m, a, b),
-    "ddifference_q": lambda m, a, b: mod.ddifference_q(m, a[..., :m.nq], b[..., :m.nq]),
+    "ddifference_q": lambda m, a, b: mod.ddifference_q_at(
+        m, mod.difference_q(m, a[..., :m.nq], b[..., :m.nq])),
     "dintegrate_q": lambda m, a, b: np.stack(mod.dintegrate_q(m, b[..., :m.nv]), -3),
 }
 
