@@ -23,6 +23,25 @@ FEAS_TOL = 1e-9
 BOXQP_MAX_ITERS = 100
 BOXQP_TOL = 1e-8
 
+# the line search's step lengths, longest first
+ALPHAS = tuple(0.5 ** i for i in range(11))
+# the regularization mu's range and its factor of change (``BoxFddp``)
+MU_MIN = 1e-9
+MU_MAX = 1e6
+MU_FACTOR = 10.0
+# accepted step lengths that lower and raise mu (``BoxFddp``).  On
+# 40-iteration jump solves, accepted steps of 1/8 and longer cut the cost
+# by 9-12% per iteration on average, steps of 1/16 and shorter by 5.4%
+# or less, so SHORT_STEP sits at that gap
+LONG_STEP = 0.5
+SHORT_STEP = 2.0 ** -4
+GOLDSTEIN = 0.1
+# when the local model predicts a cost increase (possible only while
+# closing gaps), accept steps whose increase stays within this multiple
+# of the prediction; requiring strict decrease instead deadlocks the
+# forward pass on infeasible warm starts
+NEG_STEP_FACTOR = 2.0
+
 
 # ----------------------------------------------------------------- box QP
 
@@ -142,24 +161,9 @@ def _abs_max(values) -> float:
 # ----------------------------------------------------------------- solver
 
 @dataclass
-class SolverState:
-    """An iterate and its figures, as ``BoxFddp.state`` reports them."""
-
-    xs: list
-    us: list
-    gaps: list
-    mu: float
-    cost: float
-    gap_norm: float
-    feasible: bool
-
-
-@dataclass
 class Policy:
     k_ff: list = field(default_factory=list)
     K_fb: list = field(default_factory=list)
-    V_x: list = field(default_factory=list)
-    V_xx: list = field(default_factory=list)
 
 
 class BoxFddp:
@@ -195,38 +199,21 @@ class BoxFddp:
 
     The regularization mu follows the schedule of Box-FDDP (Mastalli et al.,
     "A feasibility-driven approach to control-limited DDP", Auton. Robots
-    2022).  It starts at ``mu_min`` and rises by ``mu_factor`` on every
+    2022).  It starts at ``MU_MIN`` and rises by ``MU_FACTOR`` on every
     failed backward pass or line search.  After an accepted step of length
-    alpha it falls by ``mu_factor`` when ``alpha >= long_step`` and rises by
-    ``mu_factor`` when ``alpha <= short_step``; any other step leaves it
-    unchanged.  It stays within [``mu_min``, ``mu_max``].  A short step
+    alpha it falls by ``MU_FACTOR`` when ``alpha >= LONG_STEP`` and rises by
+    ``MU_FACTOR`` when ``alpha <= SHORT_STEP``; any other step leaves it
+    unchanged.  It stays within [``MU_MIN``, ``MU_MAX``].  A short step
     means the local model holds for only a small part of its step, so the
     next backward pass is damped more.
     """
-
-    alphas = tuple(0.5 ** i for i in range(11))
-    mu_min = 1e-9
-    mu_max = 1e6
-    mu_factor = 10.0
-    # accepted step lengths that lower and raise mu (class docstring).  On
-    # 40-iteration jump solves, accepted steps of 1/8 and longer cut the cost
-    # by 9-12% per iteration on average, steps of 1/16 and shorter by 5.4%
-    # or less, so short_step sits at that gap
-    long_step = 0.5
-    short_step = 2.0 ** -4
-    goldstein = 0.1
-    # when the local model predicts a cost increase (possible only while
-    # closing gaps), accept steps whose increase stays within this multiple
-    # of the prediction; requiring strict decrease instead deadlocks the
-    # forward pass on infeasible warm starts
-    neg_step_factor = 2.0
 
     def __init__(self, problem, tol: float = 1e-6):
         self.problem = problem
         # with a nan, zero or negative tolerance no solve could converge, and
         # with an infinite one any feasible candidate would
         self.tol = check_setting("tol", tol, zero_ok=False)
-        self.mu = self.mu_min
+        self.mu = MU_MIN
         self.xs = None
         self.us = None
         self.gaps = None
@@ -274,10 +261,6 @@ class BoxFddp:
         # each gap's max in one stacked reduction, then their max in order
         return max(np.abs(np.array(self.gaps)).max(-1, initial=0.0).tolist())
 
-    def state(self) -> SolverState:
-        return SolverState(self.xs, self.us, self.gaps, self.mu, self.cost,
-                           self.gap_norm, self.feasible)
-
     # -- backward pass ----------------------------------------------------
 
     def compute_derivatives(self):
@@ -291,6 +274,11 @@ class BoxFddp:
     def backward_pass(self):
         """Riccati sweep with gap terms and box-constrained feed-forward.
 
+        The value function lives only in the sweep's locals ``Vx`` and
+        ``Vxx``, the next node's gradient and Hessian; the line search reads
+        ``_fvxx`` (each node's Hessian times its gap) and ``_dg`` and ``_dq``
+        (the expected improvement's terms).  Returns ``self.policy``.
+
         Raises NonPDHessian when a free-subspace control Hessian fails its
         Cholesky factorization at the current regularization.
         """
@@ -298,25 +286,22 @@ class BoxFddp:
         nodes = problem.nodes
         ndx = problem.ndx
         mu = self.mu
-        lx_T, lxx_T = problem.terminal.calc_diff(self.xs[-1])
-        Vx = [None] * (len(nodes) + 1)
-        Vxx = [None] * (len(nodes) + 1)
-        Vx[-1], Vxx[-1] = lx_T, lxx_T
+        Vx, Vxx = problem.terminal.calc_diff(self.xs[-1])
         k_ff = [None] * len(nodes)
         K_fb = [None] * len(nodes)
         dg = 0.0
         dq = 0.0
         fvxx = [None] * (len(nodes) + 1)
-        fvxx[-1] = Vxx[-1] @ self.gaps[-1]
-        dg -= float(Vx[-1] @ self.gaps[-1])
+        fvxx[-1] = Vxx @ self.gaps[-1]
+        dg -= float(Vx @ self.gaps[-1])
         dq += float(self.gaps[-1] @ fvxx[-1])
         qu_norm = 0.0
         mu_eye = mu * _kernels.eye(ndx)
         for k in range(len(nodes) - 1, -1, -1):
             d = self._derivs[k]
             gap = self.gaps[k + 1]
-            Vx_next = Vx[k + 1] + Vxx[k + 1] @ gap
-            Vxx_reg = Vxx[k + 1] + mu_eye
+            Vx_next = Vx + Vxx @ gap
+            Vxx_reg = Vxx + mu_eye
             Qx = d.lx + d.fx.T @ Vx_next
             Qxx = d.lxx + d.fx.T @ Vxx_reg @ d.fx
             nu = nodes[k].nu
@@ -328,7 +313,10 @@ class BoxFddp:
                 Quu = 0.5 * (Quu + Quu.T)
                 lo = nodes[k].u_lb - self.us[k]
                 hi = nodes[k].u_ub - self.us[k]
-                qp = boxqp(Quu, Qu, lo, hi, x_init=k_ff_init(k_ff, k, nu))
+                # warm start: the next node's feed-forward, when it has this size
+                warm = k_ff[k + 1] if k + 1 < len(nodes) else None
+                qp = boxqp(Quu, Qu, lo, hi,
+                           x_init=warm if warm is not None and warm.shape == (nu,) else None)
                 kf = qp.x
                 K = qp.solve_free(Qux)
                 k_ff[k] = kf
@@ -336,20 +324,20 @@ class BoxFddp:
                 dg += float(Qu @ (-kf))
                 dq -= float(kf @ Quu @ kf)
                 qu_norm = max(qu_norm, _projected_qu_norm(Qu, kf, lo, hi))
-                Vx[k] = Qx + Qux.T @ kf - K.T @ Qu - K.T @ (Quu @ kf)
-                Vxx[k] = (Qxx - Qux.T @ K - K.T @ Qux + K.T @ Quu @ K)
-                Vxx[k] = 0.5 * (Vxx[k] + Vxx[k].T)
+                Vx = Qx + Qux.T @ kf - K.T @ Qu - K.T @ (Quu @ kf)
+                Vxx = (Qxx - Qux.T @ K - K.T @ Qux + K.T @ Quu @ K)
+                Vxx = 0.5 * (Vxx + Vxx.T)
             else:
                 k_ff[k] = np.zeros(0)
                 K_fb[k] = np.zeros((0, ndx))
-                Vx[k] = Qx
-                Vxx[k] = 0.5 * (Qxx + Qxx.T)
-            fvxx[k] = Vxx[k] @ self.gaps[k]
-            dg -= float(Vx[k] @ self.gaps[k])
+                Vx = Qx
+                Vxx = 0.5 * (Qxx + Qxx.T)
+            fvxx[k] = Vxx @ self.gaps[k]
+            dg -= float(Vx @ self.gaps[k])
             dq += float(self.gaps[k] @ fvxx[k])
-            if not np.isfinite(Vx[k]).all():
+            if not np.isfinite(Vx).all():
                 raise NonPDHessian("backward pass produced non-finite values")
-        self.policy = Policy(k_ff, K_fb, Vx, Vxx)
+        self.policy = Policy(k_ff, K_fb)
         self._dg, self._dq, self._fvxx = dg, dq, fvxx
         self.qu_norm = qu_norm
         return self.policy
@@ -427,9 +415,9 @@ class BoxFddp:
 
         A failed backward pass or line search raises mu and retries.  The
         accepted step then sets mu by the Box-FDDP schedule: down after
-        ``alpha >= long_step``, up after ``alpha <= short_step``, unchanged
+        ``alpha >= LONG_STEP``, up after ``alpha <= SHORT_STEP``, unchanged
         in between (see the class docstring).  A short step accepted at
-        ``mu_max`` still stands, and mu stays at ``mu_max``.
+        ``MU_MAX`` still stands, and mu stays at ``MU_MAX``.
 
         Returns True when the iterate already satisfies the convergence test
         (nothing accepted); raises NoStepAccepted when no step length works
@@ -443,7 +431,7 @@ class BoxFddp:
             except NonPDHessian:
                 if not self._increase_mu():
                     raise NoStepAccepted(
-                        "backward pass not positive definite at mu_max")
+                        "backward pass not positive definite at MU_MAX")
                 continue
             if self.qu_norm < self.tol and self.feasible:
                 self._log_row(alpha=0.0)
@@ -455,18 +443,18 @@ class BoxFddp:
                 self.xs, self.us = xs_try, us_try
                 self.cost = cost_try
                 self.gaps = [(1.0 - alpha) * g for g in self.gaps]
-                if alpha >= self.long_step:
-                    self.mu = max(self.mu_min, self.mu / self.mu_factor)
-                elif alpha <= self.short_step:
-                    # at mu_max the accepted step still stands
+                if alpha >= LONG_STEP:
+                    self.mu = max(MU_MIN, self.mu / MU_FACTOR)
+                elif alpha <= SHORT_STEP:
+                    # at MU_MAX the accepted step still stands
                     self._increase_mu()
                 self._log_row(alpha=alpha)
                 return False
             if not self._increase_mu():
-                raise NoStepAccepted("no step length accepted at mu_max")
+                raise NoStepAccepted("no step length accepted at MU_MAX")
 
     def _line_search(self):
-        """The first step length of ``alphas`` that passes, or None.
+        """The first step length of ``ALPHAS`` that passes, or None.
 
         The first batch holds every step length at or above the one the
         candidate last accepted (the full step alone after
@@ -474,8 +462,8 @@ class BoxFddp:
         that batch fails.
         """
         was_feasible = self.feasible
-        first = sum(alpha >= self._last_accepted for alpha in self.alphas)
-        for alphas in (self.alphas[:first], self.alphas[first:]):
+        first = sum(alpha >= self._last_accepted for alpha in ALPHAS)
+        for alphas in (ALPHAS[:first], ALPHAS[first:]):
             trials = self.forward_pass(alphas) if alphas else []
             for alpha, trial in zip(alphas, trials):
                 self.last_trials += 1
@@ -496,50 +484,23 @@ class BoxFddp:
     def _min_decrease(self, expected: float) -> float:
         """Smallest accepted cost decrease for a predicted decrease."""
         if expected >= 0.0:
-            return self.goldstein * expected
-        return self.neg_step_factor * expected
+            return GOLDSTEIN * expected
+        return NEG_STEP_FACTOR * expected
 
     def _increase_mu(self) -> bool:
-        if self.mu >= self.mu_max:
+        if self.mu >= MU_MAX:
             return False
-        self.mu = min(self.mu_max, max(self.mu, self.mu_min) * self.mu_factor)
+        self.mu = min(MU_MAX, max(self.mu, MU_MIN) * MU_FACTOR)
         return True
 
     def _log_row(self, alpha: float):
         self.log.append((len(self.log), self.cost, self.gap_norm, self.mu,
                          alpha, self.qu_norm))
 
-    def solve(self, xs=None, us=None, max_iters: int = 100):
-        """Iterate to convergence; returns (SolverState, Policy).
-
-        On failure to accept any further step the best iterate is returned
-        with ``self.status`` set.
-        """
-        if self.xs is None or xs is not None or us is not None:
-            self.set_candidate(xs, us)
-        self.status = "max_iters"
-        for _ in range(max_iters):
-            try:
-                done = self.solve_one_iteration()
-            except NoStepAccepted:
-                self.status = "no_step"
-                return self.state(), self.policy
-            if done:
-                self.status = "converged"
-                return self.state(), self.policy
-        return self.state(), self.policy
-
 
 def _has_negative_zero(x) -> bool:
     zero = x == 0.0
     return bool(zero.any()) and bool(np.signbit(x[zero]).any())
-
-
-def k_ff_init(k_ff, k, nu):
-    prev = k_ff[k + 1] if k + 1 < len(k_ff) else None
-    if prev is not None and prev.shape == (nu,):
-        return prev
-    return None
 
 
 def _projected_qu_norm(Qu, kf, lo, hi) -> float:

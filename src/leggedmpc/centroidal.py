@@ -35,11 +35,9 @@ from .model import GRAVITY, RobotModel
 @dataclass
 class CentroidalQuantities:
     p_G: np.ndarray        # centre of mass, world frame (2,)
-    l_G: np.ndarray        # linear momentum (2,)
     k_G: float             # angular momentum about the centre of mass
     A_G: np.ndarray        # centroidal momentum matrix (3, nv), rows (lx, ly, k)
-    I_G: float             # locked rotational inertia about the centre of mass
-    v_G: np.ndarray        # centre-of-mass velocity l_G / m (2,)
+    v_G: np.ndarray        # centre-of-mass velocity: linear momentum / m (2,)
     Adot_v: np.ndarray     # momentum-matrix drift (dA_G/dt) v (3,)
 
 
@@ -48,8 +46,9 @@ def centroidal(model: RobotModel, mb: Multibody, v: np.ndarray) -> CentroidalQua
     multibody pass ``mb`` at (q, v) (``dynamics.multibody``).
 
     The centre of mass comes from the composite base inertia M[:3, :3] of
-    the pass (first moment over mass, in the base frame); I_G is the angular
-    entry of A_G for a unit base rotation with the joints locked.  The drift
+    the pass (first moment over mass, in the base frame); A_G[2, 2], the
+    angular momentum of a unit base rotation with the joints locked, is the
+    locked rotational inertia about the centre of mass.  The drift
     reads the pass's h, less g(q) from M's base block.
     """
     v = model.check_v(v)
@@ -66,10 +65,8 @@ def centroidal(model: RobotModel, mb: Multibody, v: np.ndarray) -> CentroidalQua
     momentum = A_G @ v
     return CentroidalQuantities(
         p_G=p_G,
-        l_G=momentum[:2],
         k_G=float(momentum[2]),
         A_G=A_G,
-        I_G=float(A_G[2, 2]),
         v_G=momentum[:2] / m_tot,
         Adot_v=XGt @ coriolis,
     )

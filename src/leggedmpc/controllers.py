@@ -71,7 +71,7 @@ from .centroidal import CentroidalQuantities, centroidal
 from .costs import Bounds, FrictionCone, cone_matrices
 from .dynamics import frame_motion, multibody
 from .errors import (ConfigError, InvalidMeasurement, MaxIterations, Stage1Infeasible,
-                     check_setting)
+                     check_setting, check_time)
 from .model import RobotModel
 from .mpc import PolicyMessage, _index_at
 
@@ -217,6 +217,8 @@ class _MessageTracker:
                                                       len(ref.states))
 
     def reference_at(self, t: float) -> np.ndarray:
+        """The reference state at time ``t`` (``ConfigError`` unless finite)."""
+        check_time(t)
         ref, i, j = self._lookup(t)
         self._fill(ref, i, j, ())
         return ref.states[j]
@@ -254,7 +256,9 @@ class _MessageTracker:
         """One control tick under ``law(ref, i, j, x) -> (u, mode,
         degraded)``, the controller's torque law on interval ``i`` at
         reference state ``j`` of ``ref``, its torque clamped to the box;
-        held instead when ``_holds``."""
+        held instead when ``_holds``.  A non-finite ``t`` raises
+        ``ConfigError`` and changes nothing."""
+        check_time(t)
         if self._holds(x, t):
             return self._hold_last()
         ref, i, j = self._lookup(t)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one settings rule."""
+"""Exception types shared across the package, and the rules for a setting
+and for a time."""
 
 import math
 
@@ -58,3 +59,10 @@ def check_setting(name: str, value, zero_ok: bool) -> float:
         raise ConfigError(f"{name} must be finite and "
                           f"{'non-negative' if zero_ok else 'positive'}, got {value!r}")
     return value
+
+
+def check_time(t) -> None:
+    """``ConfigError`` unless the time ``t`` is finite: a nan time compares
+    false with every bound, and an infinite one has no slot on a grid."""
+    if not math.isfinite(t):
+        raise ConfigError(f"time must be finite, got {t!r}")

@@ -29,7 +29,7 @@ from . import problem as pb
 from .boxfddp import BoxFddp
 from .dynamics import frame_motion, multibody
 from .errors import (ConfigError, InvalidMeasurement, NoStepAccepted,
-                     RankDeficientContacts, check_setting)
+                     RankDeficientContacts, check_setting, check_time)
 from .model import RobotModel
 from .schedule import ContactSchedule
 
@@ -386,8 +386,11 @@ class Mpc:
         prediction or new slots' rollout meets a singular contact set (every
         leg straight, say), or whose iteration accepts no step, raising
         ``RankDeficientContacts`` or ``NoStepAccepted``: the window, the
-        candidate and ``k0`` stay as they were.
+        candidate and ``k0`` stay as they were.  A non-finite ``wall_time``
+        raises ``ConfigError`` before anything else, so no message is
+        stamped with it.
         """
+        check_time(wall_time)
         if not np.all(np.isfinite(measurement)):
             if self.last_message is None:
                 raise InvalidMeasurement("measurement holds a non-finite value")

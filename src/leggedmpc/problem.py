@@ -61,7 +61,8 @@ from . import contact as ct
 from . import costs as co
 from . import model as mod
 from .dynamics import frame_jacobian, frame_velocities, tangent_sweep
-from .errors import ConfigError, RankDeficientContacts, ScheduleError, check_setting
+from .errors import (ConfigError, RankDeficientContacts, ScheduleError, check_setting,
+                     check_time)
 from .kinematics import frame_positions
 from .model import RobotModel
 from .schedule import ContactSchedule, evaluate_swing
@@ -661,7 +662,9 @@ class ShootingProblem:
         window stays, with its evaluations; each new slot gets a new node
         (``_node``), and the window a new terminal node.  The schedule is
         read only for the grid slots the previous window did not hold.
+        ``ConfigError`` for a non-finite ``t0``, before anything changes.
         """
+        check_time(t0)
         dt = self.dt
         k0 = int(round(t0 / dt))
         if abs(k0 * dt - t0) <= 1e-9 * max(1.0, abs(t0)):

@@ -14,6 +14,7 @@ is considered in contact at the exact touchdown instant.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,8 @@ class Segment:
     ``active`` seconds of stance followed by ``inactive`` seconds of swing
     ending at ``target`` (a ground point; ``None`` keeps the current
     placement).  Either duration may be zero, which removes that phase.
-    The stance duration may be ``math.inf`` for a foot that never lifts.
+    The stance duration may be ``math.inf`` for a foot that never lifts;
+    then it is the foot's last phase.
     """
 
     active: float
@@ -66,6 +68,9 @@ class ContactSchedule:
             raise ScheduleError("schedule has no contact frames")
 
     def _compile(self, segs, placement):
+        """One foot's phases from ``placement``; ``ScheduleError`` for a
+        nan or negative duration, an infinite phase that is not the last
+        stance, a non-finite placement or target, or no phase at all."""
         phases: list[Phase] = []
 
         def push(ph):
@@ -77,15 +82,23 @@ class ContactSchedule:
                            lift_placement=prev.lift_placement, apex=ph.apex)
             phases.append(ph)
 
+        if not np.isfinite(placement).all():
+            raise ScheduleError("foot placement is not finite")
         t = 0.0
         for seg in segs:
-            if seg.active < -_TOL or seg.inactive < -_TOL:
-                raise ScheduleError("negative phase duration")
+            # a nan duration fails every comparison and would drop its phase
+            if not (seg.active >= -_TOL and seg.inactive >= -_TOL):
+                raise ScheduleError("phase duration is nan or negative")
+            if (math.isinf(t) or math.isinf(seg.inactive)
+                    or math.isinf(seg.active) and seg.inactive > _TOL):
+                raise ScheduleError("only a foot's last phase, a stance, may be infinite")
             if seg.active > _TOL:
                 push(Phase(t, t + seg.active, True, placement))
                 t += seg.active
             if seg.inactive > _TOL:
                 target = placement if seg.target is None else np.asarray(seg.target, float)
+                if not np.isfinite(target).all():
+                    raise ScheduleError("swing target is not finite")
                 push(Phase(t, t + seg.inactive, False, target,
                            lift_placement=placement, apex=self.apex))
                 t += seg.inactive
@@ -191,10 +204,13 @@ def trot(pair_a, pair_b, placements, lead_in: float, swing: float,
 
     Timing per cycle: group A swings for ``swing`` while B stands, then both
     stand for ``double_support``, then B swings, then both stand again.
-    After the last cycle every foot stands for good.
+    After the last cycle every foot stands for good.  ``ScheduleError``
+    unless ``cycles`` is an integer of at least 1.
     """
     if swing <= 0:
         raise ScheduleError("swing duration must be positive")
+    if not isinstance(cycles, numbers.Integral) or cycles < 1:
+        raise ScheduleError(f"cycles must be an integer of at least 1, got {cycles!r}")
     cycle = 2 * (swing + double_support)
     segs: dict[int, list[Segment]] = {}
     step = np.array([stride, 0.0])

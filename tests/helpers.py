@@ -12,9 +12,11 @@ from leggedmpc import controllers as trk
 from leggedmpc import dynamics, kinematics, presets, se2
 from leggedmpc import model as mod
 from leggedmpc import problem as pb
+from leggedmpc import boxfddp
 from leggedmpc.boxfddp import BoxFddp
 from leggedmpc.centroidal import centroidal
-from leggedmpc.errors import MaxIterations, RankDeficientContacts, Stage1Infeasible
+from leggedmpc.errors import (MaxIterations, NoStepAccepted, RankDeficientContacts,
+                              Stage1Infeasible)
 from leggedmpc.model import FLOATING, REVOLUTE, Body, ContactFrame, Joint, RobotModel
 
 
@@ -819,6 +821,23 @@ def ref_impulse(node, x):
     return x_next, acc.value, der
 
 
+# ------------------------------------------------------------ solve loop
+
+def solve(solver, xs=None, us=None, max_iters=100) -> str:
+    """Iterate ``solver`` to convergence from ``(xs, us)``, or from its
+    current candidate when it has one and none is given.  Returns the exit
+    status: "converged", "no_step" (NoStepAccepted) or "max_iters"."""
+    if solver.xs is None or xs is not None or us is not None:
+        solver.set_candidate(xs, us)
+    for _ in range(max_iters):
+        try:
+            if solver.solve_one_iteration():
+                return "converged"
+        except NoStepAccepted:
+            return "no_step"
+    return "max_iters"
+
+
 # ------------------------------------------------- sequential line search
 #
 # Box-FDDP's backtracking line search written one step length at a time, as
@@ -873,7 +892,7 @@ class SequentialFddp(BoxFddp):
 
     def _line_search(self):
         was_feasible = self.feasible
-        for alpha in self.alphas:
+        for alpha in boxfddp.ALPHAS:
             min_decrease = (self._min_decrease(self.expected_improvement(alpha, None))
                             if was_feasible else None)
             out = self.trial(alpha, min_decrease)

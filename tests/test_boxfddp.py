@@ -11,7 +11,7 @@ from leggedmpc import mpc as rh
 from leggedmpc.boxfddp import BoxFddp, boxqp
 from leggedmpc.errors import ConfigError, NonPDHessian, NoStepAccepted, RankDeficientContacts
 
-from helpers import SequentialFddp, boxqp_kkt_violation, forget
+from helpers import SequentialFddp, boxqp_kkt_violation, forget, solve
 
 
 # ----------------------------------------------------------------- box QP
@@ -372,13 +372,13 @@ def steps_taken(solver):
 def test_lqr_single_iteration_optimum():
     prob, (A, B, Q, R, QT, x0, N) = make_lqr()
     solver = BoxFddp(prob, tol=1e-10)
-    state, policy = solver.solve(max_iters=1)
+    solve(solver, max_iters=1)
     xs_ref, us_ref, Ks = riccati_recursion(A, B, Q, R, QT, x0, N)
-    for u, u_ref in zip(state.us, us_ref):
+    for u, u_ref in zip(solver.us, us_ref):
         assert np.abs(u - u_ref).max() < 1e-8
-    for x, x_ref in zip(state.xs, xs_ref):
+    for x, x_ref in zip(solver.xs, xs_ref):
         assert np.abs(x - x_ref).max() < 1e-8
-    for K, K_ref in zip(policy.K_fb, Ks):
+    for K, K_ref in zip(solver.policy.K_fb, Ks):
         assert np.abs(K - K_ref).max() < 1e-8
     assert steps_taken(solver) == 1
 
@@ -394,10 +394,9 @@ def test_solver_rejects_a_tolerance_no_solve_can_meet(tol):
 def test_lqr_resolve_idempotent():
     prob, _ = make_lqr()
     solver = BoxFddp(prob, tol=1e-8)
-    solver.solve(max_iters=10)
+    solve(solver, max_iters=10)
     accepted = steps_taken(solver)
-    state2, _ = solver.solve(max_iters=10)
-    assert solver.status == "converged"
+    assert solve(solver, max_iters=10) == "converged"
     assert steps_taken(solver) == accepted  # nothing further to do
 
 
@@ -409,7 +408,6 @@ def test_zero_horizon_policy():
     solver.compute_derivatives()
     policy = solver.backward_pass()
     assert policy.k_ff == []
-    assert np.allclose(policy.V_x[0], 2 * QT @ prob.x0)
 
 
 class NanGradientNode(LinearNode):
@@ -429,7 +427,7 @@ def test_non_finite_derivatives_end_in_no_step_accepted():
     solver.set_candidate()
     with pytest.raises(NoStepAccepted):
         solver.solve_one_iteration()
-    assert solver.mu == solver.mu_max
+    assert solver.mu == boxfddp.MU_MAX
 
 
 def test_a_line_search_failing_up_to_mu_max_raises_no_step_accepted(monkeypatch):
@@ -439,7 +437,7 @@ def test_a_line_search_failing_up_to_mu_max_raises_no_step_accepted(monkeypatch)
     monkeypatch.setattr(solver, "forward_pass", lambda alphas: [None] * len(alphas))
     with pytest.raises(NoStepAccepted, match="no step length"):
         solver.solve_one_iteration()
-    assert solver.mu == solver.mu_max
+    assert solver.mu == boxfddp.MU_MAX
 
 
 class NanStateGradientNode(LinearNode):
@@ -482,35 +480,35 @@ def test_fddp_reduces_to_ddp_with_zero_gaps():
     (0.25, 1.0), (0.125, 1.0),              # in between: keep mu
     (2.0 ** -4, 10.0), (2.0 ** -10, 10.0),  # short step: raise mu
 ])
-def test_mu_follows_accepted_step_length(alpha, mu_change):
+def test_mu_follows_accepted_step_length(alpha, mu_change, monkeypatch):
     prob, _ = make_lqr()
     solver = BoxFddp(prob)
     solver.mu = 1e-3
     solver.set_candidate()
     # from a feasible LQR candidate every step length passes the line
     # search, so the solver accepts the only one it is given
-    solver.alphas = (alpha,)
+    monkeypatch.setattr(boxfddp, "ALPHAS", (alpha,))
     assert solver.solve_one_iteration() is False
     assert solver.log[-1][4] == alpha
     assert solver.mu == pytest.approx(1e-3 * mu_change, rel=1e-12)
 
 
-def test_mu_floor_and_ceiling_after_full_and_short_steps():
+def test_mu_floor_and_ceiling_after_full_and_short_steps(monkeypatch):
     prob, _ = make_lqr()
     solver = BoxFddp(prob)
     solver.set_candidate()
-    solver.mu = solver.mu_min
-    solver.alphas = (1.0,)
+    solver.mu = boxfddp.MU_MIN
+    monkeypatch.setattr(boxfddp, "ALPHAS", (1.0,))
     solver.solve_one_iteration()
-    assert solver.mu == solver.mu_min
-    # a short step accepted at mu_max stands; mu stays at its ceiling
+    assert solver.mu == boxfddp.MU_MIN
+    # a short step accepted at MU_MAX stands; mu stays at its ceiling
     solver.set_candidate()
-    solver.mu = solver.mu_max
-    solver.alphas = (2.0 ** -6,)
+    solver.mu = boxfddp.MU_MAX
+    monkeypatch.setattr(boxfddp, "ALPHAS", (2.0 ** -6,))
     assert solver.solve_one_iteration() is False
     assert steps_taken(solver) == 1   # set_candidate started a new log
     assert solver.log[-1][4] == 2.0 ** -6
-    assert solver.mu == solver.mu_max
+    assert solver.mu == boxfddp.MU_MAX
 
 
 def singular_rows(solver, node, alphas):
@@ -576,15 +574,15 @@ def test_last_iteration_reports_step_and_trials():
     (0.1, -10.0),   # the model predicts an increase larger than the actual one
     (-1.0, 10.0),   # a lenient Goldstein factor with an optimistic prediction
 ])
-def test_feasible_iterate_never_accepts_cost_increase(goldstein, expected):
+def test_feasible_iterate_never_accepts_cost_increase(goldstein, expected, monkeypatch):
     prob, _ = make_lqr()
     solver = BoxFddp(prob)
     solver.set_candidate()
     assert solver.feasible
     solver.compute_derivatives()
     solver.backward_pass()
-    solver.goldstein = goldstein
-    solver.alphas = (1.0,)
+    monkeypatch.setattr(boxfddp, "GOLDSTEIN", goldstein)
+    monkeypatch.setattr(boxfddp, "ALPHAS", (1.0,))
     xs_try, us_try, _ = solver.forward_pass((1.0,))[0]
     solver.forward_pass = lambda alphas, *args: [(xs_try, us_try,
                                                   solver.cost + 1.0)] * len(alphas)
@@ -676,15 +674,14 @@ def test_cost_monotone_and_converges():
     prob, quad = quad_stand_problem()
     solver = BoxFddp(prob, tol=1e-5)
     warm_start(solver, quad)
-    state, policy = solver.solve(max_iters=60)
-    assert solver.status == "converged"
+    assert solve(solver, max_iters=60) == "converged"
     accepted = [row for row in solver.log if row[4] > 0]
     costs = [row[1] for row in accepted]
     assert all(c2 <= c1 + 1e-12 for c1, c2 in zip(costs, costs[1:]))
-    for u, node in zip(state.us, prob.nodes):
+    for u, node in zip(solver.us, prob.nodes):
         assert np.all(u >= node.u_lb - 1e-12)
         assert np.all(u <= node.u_ub + 1e-12)
-    assert state.feasible
+    assert solver.feasible
 
 
 def test_box_inactive_equals_unconstrained():
@@ -694,12 +691,12 @@ def test_box_inactive_equals_unconstrained():
     sb = BoxFddp(pb, tol=1e-7)
     warm_start(sa, quad)
     warm_start(sb, quad)
-    sta, _ = sa.solve(max_iters=50)
-    stb, _ = sb.solve(max_iters=50)
-    assert sa.status == "converged" and sb.status == "converged"
-    for ua, ub in zip(sta.us, stb.us):
+    status_a = solve(sa, max_iters=50)
+    status_b = solve(sb, max_iters=50)
+    assert status_a == "converged" and status_b == "converged"
+    for ua, ub in zip(sa.us, sb.us):
         assert np.abs(ua - ub).max() < 1e-8
-    for xa, xb in zip(sta.xs, stb.xs):
+    for xa, xb in zip(sa.xs, sb.xs):
         assert np.abs(xa - xb).max() < 1e-8
 
 
@@ -722,11 +719,11 @@ def test_jump_problem_solves():
     solver = BoxFddp(prob, tol=1e-4)
     solver.set_candidate()
     c0 = solver.cost
-    state, _ = solver.solve(max_iters=40)
+    status = solve(solver, max_iters=40)
     why = "status=%s cost/c0=%.4f\n(iter, cost, gap_inf, mu, alpha, qu_norm)\n%s" % (
-        solver.status, state.cost / c0, "\n".join(map(repr, solver.log[-8:])))
-    assert state.cost < 0.2 * c0, why
-    assert state.feasible, why
+        status, solver.cost / c0, "\n".join(map(repr, solver.log[-8:])))
+    assert solver.cost < 0.2 * c0, why
+    assert solver.feasible, why
 
 
 # ------------------------------------------------- pendulum swing-up oracle
@@ -869,24 +866,23 @@ def solve_pendulum_best():
                              PendulumTerminal())
         solver = BoxFddp(prob, tol=1e-7)
         solver.set_candidate(xs=None, us=[np.array([v]) for v in us])
-        state, _ = solver.solve(max_iters=300)
-        if solver.status != "converged":
+        if solve(solver, max_iters=300) != "converged":
             continue
-        if best is None or state.cost < best[0].cost:
-            best = (state, solver)
+        if best is None or solver.cost < best.cost:
+            best = solver
     assert best is not None, "no start converged"
     return best
 
 
 def test_pendulum_swing_up_matches_transcription():
-    state, _ = solve_pendulum_best()
-    us = np.array([u[0] for u in state.us])
+    solver = solve_pendulum_best()
+    us = np.array([u[0] for u in solver.us])
     assert np.all(np.abs(us) <= PEND_UMAX + 1e-12)   # zero bound violation
     assert np.abs(us).max() >= PEND_UMAX - 1e-6      # bounds actually saturate
     # the pendulum must actually reach the upright region
-    assert abs(abs(state.xs[-1][0]) - math.pi) < 0.15
+    assert abs(abs(solver.xs[-1][0]) - math.pi) < 0.15
     oracle_cost, _ = transcription_oracle(oracle_starts())
-    assert abs(state.cost - oracle_cost) <= 1e-4 * (1.0 + abs(oracle_cost))
+    assert abs(solver.cost - oracle_cost) <= 1e-4 * (1.0 + abs(oracle_cost))
 
 
 def test_pendulum_clamped_gain_rows_zero():
@@ -984,8 +980,8 @@ def test_first_batch_starts_at_the_last_accepted_step():
     for _ in range(4):
         del batches[:]
         assert not solver.solve_one_iteration()
-        first = tuple(a for a in BoxFddp.alphas if a >= last)
-        assert batches[:2] == [first, BoxFddp.alphas[len(first):]][:len(batches)]
+        first = tuple(a for a in boxfddp.ALPHAS if a >= last)
+        assert batches[:2] == [first, boxfddp.ALPHAS[len(first):]][:len(batches)]
         last = solver.last_alpha
         assert last < 1.0      # the jump accepts short steps only
     solver.set_candidate(solver.xs, solver.us)
@@ -1002,7 +998,7 @@ def test_every_stacked_trial_matches_its_sequential_rollout(make):
     solver = make(SequentialFddp)
     solver.compute_derivatives()
     solver.backward_pass()
-    alphas = BoxFddp.alphas
+    alphas = boxfddp.ALPHAS
     rows = BoxFddp.forward_pass(solver, alphas)
 
     def accepted(alpha, trial):
@@ -1078,8 +1074,10 @@ def test_an_iteration_after_set_candidate_reads_its_cost_and_gaps(make, monkeypa
     want.backward_pass()
     assert got.cost == want.cost
     assert _bits(got.gaps) == _bits(want.gaps)
-    for field in ("k_ff", "K_fb", "V_x", "V_xx"):
+    for field in ("k_ff", "K_fb"):
         assert _bits(getattr(got.policy, field)) == _bits(getattr(want.policy, field))
+    assert (got._dg, got._dq) == (want._dg, want._dq)
+    assert _bits(got._fvxx) == _bits(want._fvxx)
     got.solve_one_iteration()      # a new iterate: the refresh runs again
     assert calls == [1]
     want.solve_one_iteration()

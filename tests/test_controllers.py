@@ -265,6 +265,29 @@ def test_non_finite_measurement_holds_the_last_command(quad, solver_message,
     np.testing.assert_array_equal(held.u, live.u)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("controller", [trk.RiccatiController,
+                                        trk.WholeBodyController])
+def test_a_non_finite_time_raises_and_changes_nothing(quad, solver_message,
+                                                      controller, t):
+    # a nan time compares false with the message's end, and the reference
+    # lookup would clamp it to the last state
+    ctrl = tracker(controller, quad, co.default_bounds(
+        quad, presets.nominal_configuration(quad)))
+    ctrl.update_message(solver_message)
+    x = np.array(solver_message.xs_ref[0])
+    ctrl.control(x, solver_message.node_times[0])
+    msg, last = ctrl.message, ctrl._last
+    bad = x.copy()
+    bad[3] = np.nan
+    for y in (x, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            ctrl.control(y, t)
+    with pytest.raises(ConfigError, match="finite"):
+        ctrl.reference_at(t)
+    assert ctrl.message is msg and ctrl._last is last
+
+
 def test_message_that_is_not_whole_is_rejected(quad, solver_message):
     # a rejected message leaves the active message and its reference as
     # they were

@@ -386,6 +386,22 @@ def test_wall_time_cannot_move_backwards(quad):
         ctrl.step(x0, 0.02)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_wall_time_raises_and_changes_nothing(quad, t):
+    # raised before the measurement check too: no message is stamped with t
+    ctrl = make_mpc(quad)
+    x0 = presets.nominal_state(quad)
+    ctrl.step(x0, 0.04)
+    before = (ctrl.k0, *ctrl.problem.window(), ctrl.solver.xs, ctrl.solver.us,
+              ctrl.last_message)
+    for x in (x0, np.full_like(x0, np.nan)):
+        with pytest.raises(ConfigError, match="finite"):
+            ctrl.step(x, t)
+    after = (ctrl.k0, *ctrl.problem.window(), ctrl.solver.xs, ctrl.solver.us,
+             ctrl.last_message)
+    assert all(a is b for a, b in zip(after, before))
+
+
 def test_delay_prediction_becomes_problem_x0(quad):
     delay = 0.004
     ctrl = make_mpc(quad, delay=delay)

@@ -118,6 +118,61 @@ def test_schedule_too_short_raises(quad):
                               presets.nominal_state(quad), N=30, dt=0.02)
 
 
+def _trot(placements, **kw):
+    return schedule.trot((0, 2), (1, 3), placements, **{
+        "lead_in": 0.2, "swing": 0.3, "double_support": 0.1, "stride": 0.15,
+        "cycles": 2, **kw})
+
+
+def _jump(placements, **kw):
+    return schedule.jump(range(4), placements, **{"stance": 0.3, "flight": 0.4, **kw})
+
+
+def _segments(*segs):
+    return lambda placements: schedule.ContactSchedule(
+        {f: list(segs) for f in range(4)}, placements)
+
+
+SILENTLY_DROPPED = {
+    "jump-stance-nan": lambda p: _jump(p, stance=math.nan),     # starts in flight
+    "jump-flight-nan": lambda p: _jump(p, flight=math.nan),     # no jump
+    "jump-flight-inf": lambda p: _jump(p, flight=math.inf),     # lands at t = inf
+    "trot-swing-nan": lambda p: _trot(p, swing=math.nan),       # never lifts a foot
+    "trot-lead-in-nan": lambda p: _trot(p, lead_in=math.nan),   # loses its lead-in
+    "trot-stride-nan": lambda p: _trot(p, stride=math.nan),     # nan targets
+    "trot-cycles-0": lambda p: _trot(p, cycles=0),              # swings once anyway
+    "trot-cycles-negative": lambda p: _trot(p, cycles=-3),
+    "trot-cycles-fraction": lambda p: _trot(p, cycles=1.5),
+    "segment-stance-nan": _segments(schedule.Segment(math.nan, 0.1),
+                                    schedule.Segment(math.inf)),
+    "swing-after-infinite-stance": _segments(schedule.Segment(math.inf, 0.1)),
+    "stance-after-infinite-stance": _segments(schedule.Segment(math.inf),
+                                              schedule.Segment(0.2)),
+    "placement-nan": lambda p: schedule.stand(range(4), {**p, 2: np.array([np.nan, 0.0])}),
+}
+
+
+@pytest.mark.parametrize("build", SILENTLY_DROPPED.values(), ids=SILENTLY_DROPPED.keys())
+def test_schedules_refuse_durations_they_would_silently_drop(quad, build):
+    with pytest.raises(ScheduleError):
+        build(foot_placements(quad))
+
+
+@pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_window_start_raises_and_changes_nothing(quad, t0):
+    q0 = presets.nominal_configuration(quad)
+    x0 = presets.nominal_state(quad)
+    args = (quad, schedule.stand(range(4), foot_placements(quad)),
+            co.default_weights(quad, q0), co.default_bounds(quad, q0), x0)
+    with pytest.raises(ConfigError):
+        problem.build_problem(*args, N=5, dt=0.02, t0=t0)
+    prob = problem.build_problem(*args, N=5, dt=0.02, t0=0.04)
+    window = prob.window()
+    with pytest.raises(ConfigError):
+        problem.update_problem(prob, x0, t0)
+    assert all(a is b for a, b in zip(prob.window(), window))
+
+
 # ------------------------------------------------------------ friction cone
 
 def test_cone_feasibility():

@@ -102,3 +102,47 @@ def test_every_public_function_and_class_has_a_consumer():
     assert UNCONSUMED <= public
     unconsumed = {name for name in public if name.rpartition(".")[2] not in used}
     assert unconsumed == UNCONSUMED
+
+
+# dataclass fields that no code outside the tests reads yet, each with the
+# reason it stays
+UNREAD_FIELDS = {
+    # the robot's joint-level loop reads the joint targets and the reference
+    # state of a command, outside the package
+    "ControlCommand.q_joints", "ControlCommand.v_joints", "ControlCommand.x_ref",
+    # perfbench sets it; the step scheduling that reads it is ROADMAP item 9's
+    "MpcConfig.update_rate",
+    # diagnostics for the solve and tick records of ROADMAP item 16(b)
+    "BoxQPResult.converged", "HqpSolution.stage_residuals", "HqpSolution.null_dims",
+}
+
+
+def _is_dataclass(node) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def test_every_public_dataclass_field_has_a_reader():
+    # code in src/ or perfbench/ reads each field of a public dataclass of
+    # the package as an attribute; tests do not count as a reader.  The
+    # match is by name alone, so a field is hidden when any attribute read
+    # of the same name exists elsewhere (``xs`` of one class and another)
+    package = ROOT / "src" / "leggedmpc"
+    bench = ROOT / "perfbench"
+    read = set()
+    for path in (sorted(package.glob("*.py"))
+                 + sorted(p for p in bench.rglob("*.py")
+                          if "tests" not in p.relative_to(bench).parts)):
+        read |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = {f"{node.name}.{item.target.id}"
+              for path in sorted(package.glob("*.py"))
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+              and _is_dataclass(node)
+              for item in node.body
+              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+    assert UNREAD_FIELDS <= fields
+    unread = {name for name in fields if name.rpartition(".")[2] not in read}
+    assert unread == UNREAD_FIELDS

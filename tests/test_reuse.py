@@ -20,6 +20,7 @@ from leggedmpc import costs as co
 from leggedmpc import kinematics, presets, problem, schedule
 from leggedmpc import model as mod
 from leggedmpc import mpc as rh
+from leggedmpc import boxfddp
 from leggedmpc.boxfddp import BoxFddp
 
 from helpers import forget
@@ -170,7 +171,7 @@ def test_stores_hold_at_most_one_batch_of_step_lengths():
     for _ in range(4):
         solver.solve_one_iteration()
         sizes += store_sizes(solver.problem)
-    assert max(sizes) <= len(BoxFddp.alphas) and max(sizes) > 1
+    assert max(sizes) <= len(boxfddp.ALPHAS) and max(sizes) > 1
 
     quad = presets.default_quadruped()
     q0 = presets.nominal_configuration(quad)
@@ -183,7 +184,7 @@ def test_stores_hold_at_most_one_batch_of_step_lengths():
     for k in range(26):
         x[quad.nq:] += 0.05 * rng.standard_normal(quad.nv)
         msg = ctrl.step(x, k * 0.02)
-        assert max(store_sizes(ctrl.problem)) <= len(BoxFddp.alphas)
+        assert max(store_sizes(ctrl.problem)) <= len(boxfddp.ALPHAS)
         x = np.array(msg.xs_ref[1])
 
 
