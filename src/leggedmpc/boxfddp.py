@@ -172,15 +172,16 @@ class BoxFddp:
     The problem supplies ``nodes`` (each with ``nu`` and control bounds)
     and a ``terminal`` node with ``calc``/``calc_diff``; the initial state
     ``x0`` and tangent size ``ndx``; ``diff``/``integrate``, which take
-    stacked states; ``calc(xs, us)``, the cost and gaps of a whole
-    trajectory; ``calc_diff(xs, us)``, the ``NodeDerivatives`` of every
+    stacked states; ``calc(xs, us)``, the cost of a whole trajectory and
+    its gaps as one (len(nodes) + 1, ndx) array, which the solver keeps
+    as ``gaps``; ``calc_diff(xs, us)``, the ``NodeDerivatives`` of every
     node; ``step_rows(k, x, u)``, the next states of node k at every row
     of ``x`` and ``u``, and ``trial_costs(xs, us)``, the costs of the rows
-    just stepped; and ``rollout(us)`` and ``zero_controls()`` for a
-    candidate given without states or controls.  ``ShootingProblem``
-    evaluates and differentiates its nodes by stacked group, and each node
-    stores its rows of the last batch, costed by ``trial_costs``, so ``calc``
-    and ``calc_diff`` at the accepted trial solve no dynamics.  The line search
+    just stepped; and ``rollout(us)`` for a candidate given without
+    states.  ``ShootingProblem`` evaluates and differentiates its nodes by
+    stacked group, and each node stores its rows of the last batch, costed
+    by ``trial_costs``, so ``calc`` and ``calc_diff`` at the accepted trial
+    solve no dynamics.  The line search
     tries its step lengths in at most two batches, each the rows of one
     stacked trajectory: every step length at or above the one the
     candidate last accepted (the full step alone after ``set_candidate``),
@@ -239,7 +240,7 @@ class BoxFddp:
         self.log = []
         self._last_accepted = 1.0
         if us is None:
-            us = problem.zero_controls()
+            us = [np.zeros(node.nu) for node in problem.nodes]
         self.us = [np.asarray(u, float) for u in us]
         if xs is None:
             xs = problem.rollout(self.us)
@@ -258,8 +259,7 @@ class BoxFddp:
 
     @property
     def gap_norm(self) -> float:
-        # each gap's max in one stacked reduction, then their max in order
-        return max(np.abs(np.array(self.gaps)).max(-1, initial=0.0).tolist())
+        return float(np.abs(self.gaps).max(initial=0.0))
 
     # -- backward pass ----------------------------------------------------
 
@@ -442,7 +442,7 @@ class BoxFddp:
                 self.last_alpha = self._last_accepted = alpha
                 self.xs, self.us = xs_try, us_try
                 self.cost = cost_try
-                self.gaps = [(1.0 - alpha) * g for g in self.gaps]
+                self.gaps = (1.0 - alpha) * self.gaps
                 if alpha >= LONG_STEP:
                     self.mu = max(MU_MIN, self.mu / MU_FACTOR)
                 elif alpha <= SHORT_STEP:

@@ -22,6 +22,7 @@ class CostWeights:
     Q, N, R weight posture, velocity, and control regularization about the
     reference posture ``q_ref``.  The penalty scales of the other cost terms
     are constants of ``problem``, beside the code that reads them.
+    ``ConfigError`` for a non-finite entry or a negative weight.
     """
 
     Q: np.ndarray
@@ -32,6 +33,8 @@ class CostWeights:
     def __post_init__(self):
         for name in ("Q", "N", "R", "q_ref"):
             setattr(self, name, np.asarray(getattr(self, name), float))
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigError(f"cost weight {name} has a non-finite entry")
         for name in ("Q", "N", "R"):
             if np.any(getattr(self, name) < 0):
                 raise ConfigError(f"cost weight {name} has negative entries")
@@ -51,6 +54,7 @@ class Bounds:
     """Box bounds on joint coordinates/velocities and torques.
 
     Base rows are unbounded (±inf); only joint entries are finite.
+    ``ConfigError`` for a nan bound or a lower bound above its upper one.
     """
 
     q_lb: np.ndarray
@@ -63,6 +67,8 @@ class Bounds:
     def __post_init__(self):
         for name in ("q_lb", "q_ub", "v_lb", "v_ub", "u_lb", "u_ub"):
             setattr(self, name, np.asarray(getattr(self, name), float))
+            if np.isnan(getattr(self, name)).any():
+                raise ConfigError(f"bound {name} has a nan entry")
         if (np.any(self.u_lb > self.u_ub) or np.any(self.q_lb > self.q_ub)
                 or np.any(self.v_lb > self.v_ub)):
             raise ConfigError("lower bound exceeds upper bound")

@@ -222,10 +222,8 @@ class Mpc:
         self._useed_cache: dict[tuple, np.ndarray] = {}
         frames0 = self.problem.nodes[0].contacts.frames
         if frames0:
-            self.u_qs, _ = quasi_static_start(model, q_nom,
-                                              ct.ContactSet(frames=frames0))
-        else:
-            self.u_qs = np.zeros(model.nu)
+            # raises unless the first stance holds the nominal posture
+            quasi_static_start(model, q_nom, ct.ContactSet(frames=frames0))
         self.k0 = 0
         self.steps = 0
         self.last_message: PolicyMessage | None = None
@@ -257,10 +255,11 @@ class Mpc:
     # -- per-step pieces --------------------------------------------------
 
     def _feedforward_at(self, t: float) -> np.ndarray:
-        """Torque the tracking controller is nominally applying at time t."""
+        """Torque the tracking controller is nominally applying at time t;
+        before the first message, the seed's first, quasi-static control."""
         msg = self.last_message
         if msg is None:
-            return self.u_qs
+            return self.solver.us[0]
         return np.asarray(msg.us_ff[msg.interval_at(t)], float)
 
     def _shift_candidate(self, old_nodes, old_xs, old_us, old_k_end: int):
@@ -402,7 +401,7 @@ class Mpc:
             raise ConfigError("wall time moved backwards across the node grid")
 
         window = self.problem.window()
-        old_nodes, old_k0 = self.problem.nodes, self.problem.k0
+        old_nodes, _, old_k0 = window
         old_xs, old_us = self.solver.xs, self.solver.us
         shifted = False
         # a poor measurement may overflow what follows, which handles each

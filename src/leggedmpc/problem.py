@@ -27,7 +27,8 @@ never changes.  ``ShootingProblem`` builds each node for a slot: its plan
 key (plan entry, start time, period), which fixes the node because a
 problem's schedule, weights and ``dt`` never change.  ``set_window`` keeps
 the node of a slot the next window holds too, with its evaluations, and
-builds one for each new slot.
+builds one for each new slot.  The terminal node is built once, with the
+problem, so a window is ``(nodes, x0, k0)`` (``ShootingProblem.window``).
 
 The line search steps one state per node most of the time, so the single
 state pays no batch bookkeeping it does not need: a lone source's
@@ -588,18 +589,13 @@ TERMINAL_SCALE = 10.0       # terminal state costs per running cost per second
 
 
 class TerminalNode:
-    """State costs only; closes the horizon at ``time``."""
-
-    kind = "terminal"
-    dt = 0.0
-    nu = 0
+    """State costs only; closes every window of a problem."""
 
     def __init__(self, model: RobotModel, weights: co.CostWeights,
-                 bounds: co.Bounds, time: float):
+                 bounds: co.Bounds):
         self.model = model
         self.weights = weights
         self.bounds = bounds
-        self.time = time
 
     def _expansion(self, x, with_jac):
         model = self.model
@@ -623,13 +619,15 @@ class ShootingProblem:
 
     Running nodes take their contact set from the schedule at the node time;
     every touchdown instant inside the window becomes one impulse node
-    (placed before the running node that starts there), and a terminal node
-    closes the window.  The problem keeps what it was built from -- model,
-    schedule, weights, bounds, node period ``dt`` and node count ``N`` -- so
-    ``set_window`` (and ``update_problem``) moves the window from a new
-    initial state and start time alone.  ``k0`` is the grid slot holding the
-    window's start.  ``ConfigError`` unless ``N`` is a positive integer and
-    ``dt`` finite and positive.
+    (placed before the running node that starts there), and the problem's
+    one terminal node, built with it, closes every window.  The problem
+    keeps what it was built from -- model, schedule, weights, bounds, node
+    period ``dt`` and node count ``N`` -- so ``set_window`` (and
+    ``update_problem``) moves the window from a new initial state and start
+    time alone.  ``k0`` is the grid slot holding the window's start.
+    ``ConfigError`` unless ``N`` is a positive integer, ``dt`` finite and
+    positive and every foot of the schedule a contact frame of the model,
+    before any node is built.
     """
 
     def __init__(self, model: RobotModel, schedule: ContactSchedule,
@@ -638,6 +636,10 @@ class ShootingProblem:
         if not isinstance(N, numbers.Integral) or N < 1:
             raise ConfigError(f"N must be a positive integer, got {N!r}")
         dt = check_setting("dt", dt, zero_ok=False)
+        unknown = set(schedule.feet) - set(range(len(model.contact_frames)))
+        if unknown:
+            raise ConfigError(f"schedule feet {sorted(unknown)} are not contact "
+                              f"frames of the model")
         schedule.check_grid_alignment(dt)
         self.model = model
         self.schedule = schedule
@@ -645,6 +647,7 @@ class ShootingProblem:
         self.bounds = bounds
         self.N = N
         self.dt = dt
+        self.terminal = TerminalNode(model, weights, bounds)
         self.nodes, self._read = [], {}
         self.set_window(x0, t0)
 
@@ -660,8 +663,9 @@ class ShootingProblem:
         start time and period, bit-equal in every window that holds the slot
         (a grid time is always k*dt).  A node whose slot is also in the new
         window stays, with its evaluations; each new slot gets a new node
-        (``_node``), and the window a new terminal node.  The schedule is
-        read only for the grid slots the previous window did not hold.
+        (``_node``).  ``_read`` is a memo of the schedule's reads by grid
+        slot, which are pure: the schedule is read only for the grid slots
+        the last call did not read, and no caller puts the memo back.
         ``ConfigError`` for a non-finite ``t0``, before anything changes.
         """
         check_time(t0)
@@ -678,19 +682,17 @@ class ShootingProblem:
         kept = {node.slot: node for node in self.nodes}
         self.nodes = [kept[slot] if slot in kept else self._node(slot)
                       for slot in slots]
-        self.terminal = TerminalNode(self.model, self.weights, self.bounds,
-                                     (k0 + self.N) * dt)
         self.x0 = np.asarray(x0, float)
         self.k0 = k0
 
     def window(self):
-        """What ``set_window`` replaces: the nodes, the terminal node, the
-        initial state, ``k0`` and the schedule read.  ``restore_window``
-        puts a window back, its nodes with their evaluations."""
-        return self.nodes, self.terminal, self.x0, self.k0, self._read
+        """What ``set_window`` replaces: ``(nodes, x0, k0)``.
+        ``restore_window`` puts a window back, its nodes with their
+        evaluations."""
+        return self.nodes, self.x0, self.k0
 
     def restore_window(self, window):
-        self.nodes, self.terminal, self.x0, self.k0, self._read = window
+        self.nodes, self.x0, self.k0 = window
 
     def _node(self, slot):
         """The node of the plan key ``slot`` (plan entry, start, period).
@@ -723,7 +725,8 @@ class ShootingProblem:
         return mod.integrate(self.model, x, dx)
 
     def calc(self, xs, us):
-        """Total cost and per-node gaps f(x_k, u_k) (-) x_{k+1}.
+        """Total cost and the gaps, one (len(nodes) + 1, ndx) array: row 0 is
+        x0 (-) x_0 and row k + 1 is f(x_k, u_k) (-) x_{k+1}.
 
         Nodes that reuse no evaluation at their inputs are evaluated one
         stacked group at a time (``evaluate_nodes``), and the gaps are one
@@ -731,8 +734,7 @@ class ShootingProblem:
         """
         evs = evaluate_nodes(self.nodes, xs, us)
         cost = sum(c for _, c in evs) + self.terminal.calc(xs[-1])
-        gaps = self.diff(np.array([self.x0] + [x for x, _ in evs]), np.array(xs))
-        return cost, list(gaps)
+        return cost, self.diff(np.array([self.x0] + [x for x, _ in evs]), np.array(xs))
 
     def calc_diff(self, xs, us) -> list[NodeDerivatives]:
         """Derivatives of every node at (xs, us) (see ``differentiate_nodes``)."""
@@ -783,9 +785,6 @@ class ShootingProblem:
             xs.append(xn)
         return xs
 
-    def zero_controls(self):
-        return [np.zeros(node.nu) for node in self.nodes]
-
 
 # ------------------------------------------------------------ construction
 
@@ -796,8 +795,8 @@ def _node_schedule(schedule: ContactSchedule, k0: int, N: int, dt: float, known)
     matches the nearest-node snapping of phase boundaries: a boundary within
     half a node period of t_k is treated as happening exactly at t_k.  Also
     returns each grid slot's contact set and touchdowns by (slot, closing),
-    as the closing slot samples clamped to the schedule; the slots ``known``
-    from the previous window are not read again.
+    as the closing slot samples clamped to the schedule; the slots in the
+    memo ``known`` are not read again.
     """
     t_end = (k0 + N) * dt
     if not schedule.covers(t_end):

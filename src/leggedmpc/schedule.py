@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScheduleError
+from .errors import ScheduleError, check_setting
 
 _TOL = 1e-12
 
@@ -54,15 +54,30 @@ class Phase:
             math.isinf(self.end) and t >= self.start - _TOL)
 
 
+def _point(p, what: str) -> np.ndarray:
+    """``p`` as a ground point; ``ScheduleError`` unless it is a finite
+    (2,) vector, which None, a missing placement, is not."""
+    p = np.asarray(p, float)
+    if p.shape != (2,) or not np.isfinite(p).all():
+        raise ScheduleError(f"{what} is not a finite (2,) point")
+    return p
+
+
 class ContactSchedule:
-    """Compiled per-foot phase timelines with swing-reference evaluation."""
+    """Compiled per-foot phase timelines with swing-reference evaluation.
+
+    ``ScheduleError`` for a foot without a placement, or a placement or
+    swing target that is not a finite (2,) point; ``ConfigError`` for a
+    non-finite or negative ``apex``.
+    """
 
     def __init__(self, segments: dict[int, list[Segment]],
                  placements: dict[int, np.ndarray], apex: float = 0.05):
-        self.apex = float(apex)
+        self.apex = check_setting("apex", apex, zero_ok=True)
         self._phases: dict[int, list[Phase]] = {}
         for foot, segs in segments.items():
-            self._phases[foot] = self._compile(segs, np.asarray(placements[foot], float))
+            self._phases[foot] = self._compile(
+                segs, _point(placements.get(foot), f"placement of foot {foot}"))
         self.feet = tuple(sorted(self._phases))
         if not self.feet:
             raise ScheduleError("schedule has no contact frames")
@@ -70,7 +85,8 @@ class ContactSchedule:
     def _compile(self, segs, placement):
         """One foot's phases from ``placement``; ``ScheduleError`` for a
         nan or negative duration, an infinite phase that is not the last
-        stance, a non-finite placement or target, or no phase at all."""
+        stance, a target that is not a finite (2,) point, or no phase at
+        all."""
         phases: list[Phase] = []
 
         def push(ph):
@@ -82,8 +98,6 @@ class ContactSchedule:
                            lift_placement=prev.lift_placement, apex=ph.apex)
             phases.append(ph)
 
-        if not np.isfinite(placement).all():
-            raise ScheduleError("foot placement is not finite")
         t = 0.0
         for seg in segs:
             # a nan duration fails every comparison and would drop its phase
@@ -96,9 +110,8 @@ class ContactSchedule:
                 push(Phase(t, t + seg.active, True, placement))
                 t += seg.active
             if seg.inactive > _TOL:
-                target = placement if seg.target is None else np.asarray(seg.target, float)
-                if not np.isfinite(target).all():
-                    raise ScheduleError("swing target is not finite")
+                target = placement if seg.target is None else _point(seg.target,
+                                                                     "swing target")
                 push(Phase(t, t + seg.inactive, False, target,
                            lift_placement=placement, apex=self.apex))
                 t += seg.inactive
@@ -216,7 +229,7 @@ def trot(pair_a, pair_b, placements, lead_in: float, swing: float,
     step = np.array([stride, 0.0])
     for group, offset in ((pair_a, 0.0), (pair_b, swing + double_support)):
         for f in group:
-            p = np.asarray(placements[f], float)
+            p = _point(placements.get(f), f"placement of foot {f}")
             run = [Segment(active=lead_in + offset, inactive=swing, target=p + step)]
             for j in range(1, cycles):
                 run.append(Segment(active=cycle - swing, inactive=swing,

@@ -130,8 +130,7 @@ def trot_solver(N):
                                  co.default_bounds(quad, q0),
                                  presets.nominal_state(quad), N=N, dt=0.02, t0=0.1)
     solver = BoxFddp(prob)
-    solver.set_candidate(xs=[presets.nominal_state(quad)] * (len(prob.nodes) + 1),
-                         us=prob.zero_controls())
+    solver.set_candidate(xs=[presets.nominal_state(quad)] * (len(prob.nodes) + 1))
     return solver
 
 

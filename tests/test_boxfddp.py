@@ -261,9 +261,6 @@ class LinearNode:
 
 
 class LinearTerminal:
-    kind = "terminal"
-    nu = 0
-
     def __init__(self, QT):
         self.QT = QT
 
@@ -297,7 +294,7 @@ class EuclidProblem:
             xn, c = node.calc(xs[k], us[k])
             cost += c
             gaps.append(xn - xs[k + 1])
-        return cost + self.terminal.calc(xs[-1]), gaps
+        return cost + self.terminal.calc(xs[-1]), np.array(gaps)
 
     def calc_diff(self, xs, us):
         return [node.calc_diff(xs[k], us[k]) for k, node in enumerate(self.nodes)]
@@ -329,9 +326,6 @@ class EuclidProblem:
         for k, node in enumerate(self.nodes):
             xs.append(node.calc(xs[k], us[k])[0])
         return xs
-
-    def zero_controls(self):
-        return [np.zeros(n.nu) for n in self.nodes]
 
 
 def riccati_recursion(A, B, Q, R, QT, x0, N):
@@ -779,9 +773,6 @@ class PendulumNode:
 
 
 class PendulumTerminal:
-    kind = "terminal"
-    nu = 0
-
     def calc(self, x):
         return pend_terminal_cost(x)
 
@@ -1082,7 +1073,8 @@ def test_an_iteration_after_set_candidate_reads_its_cost_and_gaps(make, monkeypa
     assert calls == [1]
     want.solve_one_iteration()
     assert (got.last_alpha, got.cost, got.mu) == (want.last_alpha, want.cost, want.mu)
-    assert _bits(got.xs + got.us + got.gaps) == _bits(want.xs + want.us + want.gaps)
+    assert _bits(got.xs + got.us + list(got.gaps)) == _bits(want.xs + want.us
+                                                        + list(want.gaps))
 
 
 def test_a_replaced_candidate_gets_its_own_cost_and_gaps():

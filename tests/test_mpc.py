@@ -408,8 +408,12 @@ def test_delay_prediction_becomes_problem_x0(quad):
     rng = np.random.default_rng(3)
     x = presets.nominal_state(quad)
     x[quad.nv:] += 0.05 * rng.normal(size=quad.nv)
+    # before the first message the prediction applies the seed's quasi-static torque
+    u_qs, _ = rh.quasi_static_start(quad, presets.nominal_configuration(quad),
+                                    ct.ContactSet(frames=(0, 1, 2, 3)))
+    assert np.array_equal(ctrl.solver.us[0], u_qs)
     ctrl.step(x, 0.0)
-    expect = rh.predict_initial_state(quad, x, ctrl.u_qs,
+    expect = rh.predict_initial_state(quad, x, u_qs,
                                       ct.ContactSet(frames=(0, 1, 2, 3)), delay)
     assert np.abs(ctrl.problem.x0 - expect).max() < 1e-12
     assert np.abs(ctrl.problem.x0 - x).max() > 1e-6  # prediction did something
@@ -484,14 +488,14 @@ def test_feedforward_held_between_nodes(quad):
 
 
 def assert_bad_measurement_reissues(quad, bad, delay=0.01,
-                                    times=(0.0, 0.02, 0.04), no_step=False):
+                                    times=(0.0, 0.02, 0.04), no_step=False, sched=None):
     """``bad`` at the second of three step ``times`` re-issues the first
     policy marked degraded and changes nothing the third step depends on:
     the window, ``k0`` and the candidate are those of the first step.  With
     ``no_step`` the second step's iteration runs every line search it would
     and accepts none of them (``NoStepAccepted`` at the largest mu)."""
-    ctrl = make_mpc(quad, delay=delay)
-    clean = make_mpc(quad, delay=delay)
+    ctrl = make_mpc(quad, sched, delay=delay)
+    clean = make_mpc(quad, sched, delay=delay)
     x0 = presets.nominal_state(quad)
     first = ctrl.step(x0, times[0])
     clean.step(x0, times[0])
@@ -540,6 +544,16 @@ def test_singular_measurement_off_the_grid_reissues_previous_policy(quad):
 def test_a_step_that_accepts_no_step_reissues_previous_policy(quad):
     assert_bad_measurement_reissues(quad, presets.nominal_state(quad),
                                     no_step=True)
+
+
+def test_a_failed_trot_step_leaves_the_schedule_memo_harmless(quad):
+    # the failed window read a grid slot the first did not; the problem's
+    # memo of schedule reads keeps it, and the next step reads the bits a
+    # clean controller reads
+    sched = schedule.trot((0, 2), (1, 3), foot_placements(quad), lead_in=0.04,
+                          swing=0.08, double_support=0.04, stride=0.05, cycles=4)
+    assert_bad_measurement_reissues(quad, presets.nominal_state(quad),
+                                    no_step=True, sched=sched)
 
 
 def test_non_finite_first_measurement_raises(quad):

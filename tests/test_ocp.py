@@ -158,6 +158,39 @@ def test_schedules_refuse_durations_they_would_silently_drop(quad, build):
         build(foot_placements(quad))
 
 
+def _without_foot(placements, foot):
+    return {f: p for f, p in placements.items() if f != foot}
+
+
+NOT_A_POINT = {
+    "stand-placement-missing": lambda p: schedule.stand(range(4), _without_foot(p, 2)),
+    "trot-placement-missing": lambda p: _trot(_without_foot(p, 3)),
+    "placement-3-vector": lambda p: schedule.stand(range(4), {**p, 1: np.zeros(3)}),
+    "trot-placement-3-vector": lambda p: _trot({**p, 0: np.zeros(3)}),
+    "target-3-vector": _segments(schedule.Segment(0.2, 0.1, target=np.zeros(3)),
+                                 schedule.Segment(math.inf)),
+    "target-scalar": _segments(schedule.Segment(0.2, 0.1, target=0.5),
+                               schedule.Segment(math.inf)),
+}
+
+
+@pytest.mark.parametrize("build", NOT_A_POINT.values(), ids=NOT_A_POINT.keys())
+def test_schedules_refuse_a_placement_or_target_that_is_not_a_point(quad, build):
+    # a missing foot raised a bare KeyError, and a 3-vector was accepted
+    # until a window broadcast it against the model's 2-D foot positions
+    with pytest.raises(ScheduleError, match=r"finite \(2,\) point"):
+        build(foot_placements(quad))
+
+
+@pytest.mark.parametrize("apex", [math.nan, math.inf, -0.01])
+def test_schedules_refuse_a_non_finite_or_negative_apex(quad, apex):
+    # every window holding a swing would cost nan, or fly the foot underground
+    with pytest.raises(ConfigError, match="apex"):
+        schedule.ContactSchedule(
+            {f: [schedule.Segment(0.2, 0.1), schedule.Segment(math.inf)] for f in range(4)},
+            foot_placements(quad), apex=apex)
+
+
 @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
 def test_a_non_finite_window_start_raises_and_changes_nothing(quad, t0):
     q0 = presets.nominal_configuration(quad)
@@ -275,6 +308,29 @@ def test_bounds_reject_crossed_velocity_limits(quad):
         co.Bounds(b.q_lb, b.q_ub, v_lb, b.v_ub, b.u_lb, b.u_ub)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["Q", "N", "R", "q_ref"])
+def test_weights_reject_a_non_finite_entry(quad, name, bad):
+    # np.any(nan < 0) is False, so only the finiteness test catches it
+    w = co.default_weights(quad, presets.nominal_configuration(quad))
+    value = getattr(w, name).copy()
+    value[3] = bad
+    with pytest.raises(ConfigError, match=name):
+        co.CostWeights(**{**vars(w), name: value})
+
+
+@pytest.mark.parametrize("name", ["q_lb", "q_ub", "v_lb", "v_ub", "u_lb", "u_ub"])
+def test_bounds_reject_a_nan_entry(quad, name):
+    # every comparison with nan is False, so the crossing test passes it;
+    # the base rows' infinite bounds stay valid
+    b = co.default_bounds(quad, presets.nominal_configuration(quad))
+    assert np.isinf(b.q_lb[:3]).all() and np.isinf(b.v_ub[:3]).all()
+    value = getattr(b, name).copy()
+    value[4] = np.nan
+    with pytest.raises(ConfigError, match=name):
+        co.Bounds(**{**vars(b), name: value})
+
+
 # ------------------------------------------------------- problem structure
 
 def make_problem(quad, kind="stand", N=10, dt=0.02, t0=0.0):
@@ -301,11 +357,27 @@ def test_window_rejects_a_bad_node_count_or_period(quad, N, dt):
         make_problem(quad, "stand", N=N, dt=dt)
 
 
+@pytest.mark.parametrize("feet", [range(5), (-1, 0, 1, 2)], ids=["foot-4", "foot-minus-1"])
+def test_window_rejects_a_schedule_foot_the_model_lacks(quad, feet, monkeypatch):
+    # foot 4 raised IndexError from the model's frame plan, and foot -1
+    # silently stood for the last frame
+    sched = schedule.stand(feet, {f: np.zeros(2) for f in feet})
+    q0 = presets.nominal_configuration(quad)
+    monkeypatch.setattr(problem.ShootingProblem, "_node", lambda *a: pytest.fail("built"))
+    with pytest.raises(ConfigError, match="contact frames"):
+        problem.build_problem(quad, sched, co.default_weights(quad, q0),
+                              co.default_bounds(quad, q0), presets.nominal_state(quad),
+                              N=5, dt=0.02)
+
+
 def test_stand_problem_shape(quad):
     prob = make_problem(quad, "stand", N=10)
     assert len(prob.nodes) == 10
     assert all(n.kind == "running" for n in prob.nodes)
-    assert prob.terminal.kind == "terminal"
+    # one terminal node closes every window of the problem
+    terminal = prob.terminal
+    problem.update_problem(prob, prob.x0, 0.1)
+    assert prob.terminal is terminal
 
 
 def test_impulse_node_index(quad):
@@ -407,7 +479,6 @@ def test_window_inside_a_slot_shortens_the_first_node(quad):
     assert b.nodes[0].contacts.frames == a.nodes[0].contacts.frames
     for na, nb in zip(a.nodes[1:], b.nodes[1:]):
         assert (na.kind, na.time, na.dt) == (nb.kind, nb.time, nb.dt)
-    assert a.terminal.time == b.terminal.time
 
 
 # ---------------------------------------------- node derivatives against FD
