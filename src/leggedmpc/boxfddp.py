@@ -172,16 +172,20 @@ class BoxFddp:
     The problem supplies ``nodes`` (each with ``nu`` and control bounds)
     and a ``terminal`` node with ``calc``/``calc_diff``; the initial state
     ``x0`` and tangent size ``ndx``; ``diff``/``integrate``, which take
-    stacked states; ``calc(xs, us)``, the cost of a whole trajectory and
-    its gaps as one (len(nodes) + 1, ndx) array, which the solver keeps
-    as ``gaps``; ``calc_diff(xs, us)``, the ``NodeDerivatives`` of every
-    node; ``step_rows(k, x, u)``, the next states of node k at every row
-    of ``x`` and ``u``, and ``trial_costs(xs, us)``, the costs of the rows
-    just stepped; and ``rollout(us)`` for a candidate given without
-    states.  ``ShootingProblem`` evaluates and differentiates its nodes by
-    stacked group, and each node stores its rows of the last batch, costed
-    by ``trial_costs``, so ``calc`` and ``calc_diff`` at the accepted trial
-    solve no dynamics.  The line search
+    stacked states; ``calc(xs, us, data)``, the cost of a whole trajectory
+    and its gaps as one (len(nodes) + 1, ndx) array, which the solver
+    keeps as ``gaps``, read from the nodes' data, where it evaluates the
+    nodes whose entry is None and fills them in; ``calc_diff(xs, us,
+    data)``, the ``NodeDerivatives`` of every node; ``step_rows(k, x,
+    u)``, the next states of node k at every row of ``x`` and ``u`` and
+    the rows' uncosted evaluation, and ``trial_costs(xs, us, steps)``,
+    the cost and data of each row just stepped; and ``rollout(us)``, the
+    states and data of a candidate given without states.
+
+    The solver keeps the data of its iterate as ``data``, one entry per
+    node beside ``xs`` and ``us``: an accepted trial's data become it, and
+    ``compute_derivatives`` reads the cost, the gaps and the derivatives'
+    dynamics solutions from it, solving no dynamics.  The line search
     tries its step lengths in at most two batches, each the rows of one
     stacked trajectory: every step length at or above the one the
     candidate last accepted (the full step alone after ``set_candidate``),
@@ -217,6 +221,7 @@ class BoxFddp:
         self.mu = MU_MIN
         self.xs = None
         self.us = None
+        self.data = None
         self.gaps = None
         self.cost = np.inf
         self.policy = Policy()
@@ -229,13 +234,14 @@ class BoxFddp:
         self._dg = 0.0
         self._dq = 0.0
         self._fvxx = None
-        self._calc_at = None        # what set_candidate's cost and gaps belong to
 
     # -- candidate management -------------------------------------------
 
-    def set_candidate(self, xs=None, us=None):
+    def set_candidate(self, xs=None, us=None, data=None):
         """Start from ``(xs, us)`` (zero controls and their rollout by
-        default), with a new iteration log."""
+        default) and the nodes' ``data`` there, with a new iteration log.
+        The entries of ``data`` that are None, all of them without
+        ``data``, are evaluated."""
         problem = self.problem
         self.log = []
         self._last_accepted = 1.0
@@ -243,15 +249,10 @@ class BoxFddp:
             us = [np.zeros(node.nu) for node in problem.nodes]
         self.us = [np.asarray(u, float) for u in us]
         if xs is None:
-            xs = problem.rollout(self.us)
+            xs, data = problem.rollout(self.us)
         self.xs = [np.asarray(x, float) for x in xs]
-        self.cost, self.gaps = problem.calc(self.xs, self.us)
-        self._calc_at = self._iterate()
-
-    def _iterate(self):
-        """The objects that fix the cost and gaps: the candidate's lists and
-        the problem's window."""
-        return self.xs, self.us, self.problem.nodes, self.problem.x0
+        self.data = [None] * len(problem.nodes) if data is None else list(data)
+        self.cost, self.gaps = problem.calc(self.xs, self.us, self.data)
 
     @property
     def feasible(self) -> bool:
@@ -264,12 +265,10 @@ class BoxFddp:
     # -- backward pass ----------------------------------------------------
 
     def compute_derivatives(self):
-        # refresh cost/gaps from scratch so scaled-gap bookkeeping never
-        # drifts, unless set_candidate has just computed them at this iterate
-        at, self._calc_at = self._calc_at, None
-        if at is None or any(a is not b for a, b in zip(at, self._iterate())):
-            self.cost, self.gaps = self.problem.calc(self.xs, self.us)
-        self._derivs = self.problem.calc_diff(self.xs, self.us)
+        # cost and gaps anew from the iterate's data, so scaled-gap
+        # bookkeeping never drifts
+        self.cost, self.gaps = self.problem.calc(self.xs, self.us, self.data)
+        self._derivs = self.problem.calc_diff(self.xs, self.us, self.data)
 
     def backward_pass(self):
         """Riccati sweep with gap terms and box-constrained feed-forward.
@@ -350,12 +349,13 @@ class BoxFddp:
         Each row applies the policy at its alpha and, on an infeasible
         iterate, opens the gaps by (1 - alpha).  The loop over the nodes
         rolls out the dynamics alone (``problem.step_rows``, one stacked
-        group per node; a single alpha runs the single-state code) and drops
-        a row at a singular contact set or a non-finite state.  The rows
-        that reach the end are costed after the loop, in one stacked pass
-        per node group (``problem.trial_costs``).  Overflow along a dropped
-        row is expected, not an error.  Returns per alpha None (dropped or a
-        non-finite cost) or ``(xs, us, cost)``.
+        group per node; a single alpha runs the single-state code), keeps
+        each node's evaluation with its row of every live row, and drops a
+        row at a singular contact set or a non-finite state.  The rows that
+        reach the end are costed after the loop, in one stacked pass per
+        node group (``problem.trial_costs``).  Overflow along a dropped row
+        is expected, not an error.  Returns per alpha None (dropped or a
+        non-finite cost) or ``(xs, us, cost, data)``.
         """
         problem = self.problem
         policy = self.policy
@@ -370,28 +370,30 @@ class BoxFddp:
         with np.errstate(over="ignore", invalid="ignore"):
             x = (problem.integrate(problem.x0, (a - 1.0) * self.gaps[0]) if not feasible
                  else np.broadcast_to(problem.x0, np.shape(a)[:-1] + problem.x0.shape))
-            xs, us = [np.array(x)], []
+            xs, us, steps = [np.array(x)], [], []
             for k, node in enumerate(problem.nodes):
                 dx = problem.diff(x, self.xs[k])
                 u = _kernels.clip(self.us[k] + a * policy.k_ff[k]
                                   - (policy.K_fb[k] @ dx[..., None])[..., 0],
                                   node.u_lb, node.u_ub)
-                x = problem.step_rows(k, x, u)
+                x, step = problem.step_rows(k, x, u)
                 if not feasible and not (full and not _has_negative_zero(x)):
                     x = problem.integrate(x, (a - 1.0) * self.gaps[k + 1])
                 xs.append(x)
                 us.append(u)
+                steps.append(step)
                 ok = np.isfinite(x).all(-1)
                 if not ok.all():
                     if not ok.any():
                         return out
                     live, a, x = live[ok], a[ok], x[ok]
                     xs, us = [y[ok] for y in xs], [v[ok] for v in us]
-            cost = problem.trial_costs(xs, us)
+                    steps = [(ev, rows[ok]) for ev, rows in steps]
+            cost, data = problem.trial_costs(xs, us, steps)
         for r, (i, c) in enumerate(zip(live.tolist(), cost)):
             if np.isfinite(c):
-                out[i] = ((xs, us, c) if len(alphas) == 1 else
-                          ([y[r] for y in xs], [v[r] for v in us], c))
+                out[i] = ((xs, us, c, data[r]) if len(alphas) == 1 else
+                          ([y[r] for y in xs], [v[r] for v in us], c, data[r]))
         return out
 
     def expected_improvement(self, alpha: float, xs_try) -> float:
@@ -438,10 +440,8 @@ class BoxFddp:
                 return True
             step = self._line_search()
             if step is not None:
-                alpha, xs_try, us_try, cost_try = step
+                alpha, self.xs, self.us, self.cost, self.data = step
                 self.last_alpha = self._last_accepted = alpha
-                self.xs, self.us = xs_try, us_try
-                self.cost = cost_try
                 self.gaps = (1.0 - alpha) * self.gaps
                 if alpha >= LONG_STEP:
                     self.mu = max(MU_MIN, self.mu / MU_FACTOR)
@@ -469,7 +469,7 @@ class BoxFddp:
                 self.last_trials += 1
                 if trial is None:
                     continue
-                xs_try, us_try, cost_try = trial
+                xs_try, _, cost_try, _ = trial
                 threshold = self._min_decrease(self.expected_improvement(alpha, xs_try))
                 actual = self.cost - cost_try
                 if not actual >= threshold:
@@ -478,7 +478,7 @@ class BoxFddp:
                 # feasible iterate never accepts a cost increase
                 if was_feasible and actual < -1e-12:
                     continue
-                return alpha, xs_try, us_try, cost_try
+                return (alpha, *trial)
         return None
 
     def _min_decrease(self, expected: float) -> float:

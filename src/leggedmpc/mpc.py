@@ -10,8 +10,11 @@ first node starts from the prediction when it lies inside a slot of the
 previous window; a rollout from the previous terminal state fills the
 receded tail), runs one solver iteration from one warm regularization, and
 emits the policy slice the tracking controller consumes.  The shared nodes
-keep their evaluation at the previous iterate, so only the nodes of new
-slots solve dynamics in the shift.
+carry their data (their evaluation at the previous iterate, which the
+solver keeps beside its states and controls), so only the nodes of new
+slots solve dynamics in the shift, and the message reads its contact forces
+from the solver's data.  A failed step puts the window and the solver's
+states, controls and data back, solving no dynamics.
 """
 
 from __future__ import annotations
@@ -262,20 +265,20 @@ class Mpc:
             return self.solver.us[0]
         return np.asarray(msg.us_ff[msg.interval_at(t)], float)
 
-    def _shift_candidate(self, old_nodes, old_xs, old_us, old_k_end: int):
+    def _shift_candidate(self, old_nodes, old_xs, old_us, old_data, old_k_end: int):
         """Map the previous solution onto the new window by node.
 
         ``old_nodes`` are the previous window's nodes, which no shift
         changes.  A node both windows hold (one ``set_window`` kept) takes
-        its previous state and control, at which it keeps its evaluation.  A
-        first node that starts between the previous window's nodes starts
-        from the predicted state ``problem.x0`` once a plan has been solved.
+        its previous state, control and data.  A first node that starts
+        between the previous window's nodes starts from the predicted state
+        ``problem.x0`` once a plan has been solved.
         Nodes past the previous coverage are rolled out from the previous
         terminal state, reusing the last converged stance control when the
         contact set carries over (quasi-static torques otherwise).  This
         keeps the receded tail dynamically consistent instead of opening a
         gap against the nominal posture; the rollout evaluates the nodes of
-        new slots one at a time.
+        new slots one at a time, and only those.
         """
         dt = self.config.node_dt
         index = {id(node): j for j, node in enumerate(old_nodes)}
@@ -284,7 +287,7 @@ class Mpc:
             if old_nodes[j].kind == "running":
                 last_u, last_active = old_us[j], old_nodes[j].contacts.frames
                 break
-        xs, us = [], []
+        xs, us, data = [], [], []
         tail_x = None
         for i, node in enumerate(self.problem.nodes):
             kind, t, active = node.kind, node.time, node.contacts.frames
@@ -292,6 +295,7 @@ class Mpc:
             if j is not None:
                 xs.append(old_xs[j])
                 us.append(old_us[j])
+                data.append(old_data[j])
                 tail_x = None
                 continue
             cover = None
@@ -323,12 +327,14 @@ class Mpc:
                 u = self._u_seed(active)
             xs.append(np.array(tail_x))
             us.append(u)
-            nxt, _cost = node.calc(tail_x, u)
+            datum, = pb.evaluate_nodes([node], [tail_x], [u])
+            data.append(datum)
+            nxt = datum[0].x_next
             tail_x = nxt if np.all(np.isfinite(nxt)) \
                 else np.array(self.x_nominal)
         xs.append(np.array(tail_x) if tail_x is not None
                   else np.array(old_xs[-1]))
-        self.solver.set_candidate(xs=xs, us=us)
+        self.solver.set_candidate(xs=xs, us=us, data=data)
 
     def _emit(self, stamp: float, status: str) -> PolicyMessage:
         nodes = self.problem.nodes
@@ -338,8 +344,9 @@ class Mpc:
                if n.kind == "running"][:CONTROL_HORIZON_NODES]
         node_times = [nodes[i].time for i in sel]
         node_times.append(nodes[sel[-1]].time + nodes[sel[-1]].dt)
-        # the nodes kept their solutions from the solver's last evaluation
-        forces = [nodes[i].forces(xs[i], us[i]).copy() for i in sel]
+        # the solver's data hold the contact forces at its iterate
+        forces = [np.array(ev.sol.forces if j is None else ev.sol.forces[j])
+                  for ev, j in (self.solver.data[i] for i in sel)]
         diag = {
             "status": status,
             "degraded": False,
@@ -385,9 +392,9 @@ class Mpc:
         prediction or new slots' rollout meets a singular contact set (every
         leg straight, say), or whose iteration accepts no step, raising
         ``RankDeficientContacts`` or ``NoStepAccepted``: the window, the
-        candidate and ``k0`` stay as they were.  A non-finite ``wall_time``
-        raises ``ConfigError`` before anything else, so no message is
-        stamped with it.
+        candidate with its data and ``k0`` stay as they were.  A non-finite
+        ``wall_time`` raises ``ConfigError`` before anything else, so no
+        message is stamped with it.
         """
         check_time(wall_time)
         if not np.all(np.isfinite(measurement)):
@@ -402,7 +409,7 @@ class Mpc:
 
         window = self.problem.window()
         old_nodes, _, old_k0 = window
-        old_xs, old_us = self.solver.xs, self.solver.us
+        old = self.solver.xs, self.solver.us, self.solver.data
         shifted = False
         # a poor measurement may overflow what follows, which handles each
         # non-finite result itself; numpy's warnings stay here
@@ -419,8 +426,7 @@ class Mpc:
                                   t0=wall_time + cfg.expected_delay)
                 # a new slot may roll out from a singular state; the
                 # solver's candidate is only replaced once the shift is whole
-                self._shift_candidate(old_nodes, old_xs, old_us,
-                                      old_k0 + cfg.n_nodes)
+                self._shift_candidate(old_nodes, *old, old_k0 + cfg.n_nodes)
                 shifted = True
                 self.solver.mu = self._MU_WARM
                 converged = self.solver.solve_one_iteration()
@@ -431,7 +437,7 @@ class Mpc:
                 # marked degraded, rather than an unimproved warm start
                 self.problem.restore_window(window)
                 if shifted:
-                    self.solver.set_candidate(old_xs, old_us)
+                    self.solver.set_candidate(*old)
                 if self.last_message is None:
                     raise
                 return self._reissue_degraded(wall_time)

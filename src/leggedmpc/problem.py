@@ -3,50 +3,48 @@
 A problem is an ordered list of action models — running nodes (contact
 dynamics integrated over ``dt``), impulse nodes (instantaneous velocity
 transitions at touchdowns, ``dt = 0``, no control), and one terminal node
-carrying state costs only.  ``evaluate_nodes`` (next states and costs) and
-``differentiate_nodes`` (first-order dynamics and Gauss-Newton cost
-expansion) take any list of running and impulse nodes.  They group the
-nodes by kind and contact-set size and run each group as one pass over
-stacked (B, ...) arrays: the dynamics, one tangent sweep, the integrator
-chain rule and the cost expansion.  A node's results do not depend on the
-rest of its group, so a node's own ``calc`` is the same pass on a group of
-one and gives the same bits; so do the line search's trial rows, solved
-one node at a time (``ShootingProblem.step_rows``) and costed in one pass
-per group (``ShootingProblem.trial_costs``).
+carrying state costs only.  ``evaluate_nodes`` (dynamics solutions, next
+states and costs) and ``differentiate_nodes`` (first-order dynamics and
+Gauss-Newton cost expansion) take any list of running and impulse nodes.
+They group the nodes by kind and contact-set size and run each group as one
+pass over stacked (B, ...) arrays: the dynamics, one tangent sweep, the
+integrator chain rule and the cost expansion.  A node's results do not
+depend on the rest of its group, so a node's own ``calc`` is the same pass
+on a group of one and gives the same bits; so do the line search's trial
+rows, solved one node at a time (``ShootingProblem.step_rows``) and costed
+in one pass per group (``ShootingProblem.trial_costs``).
 
-Each running and impulse node keeps one store, ``_store``, that maps the
-bytes of its inputs (``_key``, so ``-0.0`` is not ``0.0``) to its row of a
-stacked pass, and one rule fills it: the store holds the rows of the node's
-last write.  A write is a ``step_rows`` batch, whose rows stay uncosted
-until ``trial_costs`` costs them in place, or a fresh evaluation, made when
-the store holds no costed row at the inputs.  Derivatives are taken at the
-stored solutions, gathered by one index per source evaluation, instead of
-solving the dynamics again (as Crocoddyl's ``calcDiff`` reads the data its
-``calc`` left).  A node is constructed with its whole configuration and
-never changes.  ``ShootingProblem`` builds each node for a slot: its plan
-key (plan entry, start time, period), which fixes the node because a
-problem's schedule, weights and ``dt`` never change.  ``set_window`` keeps
-the node of a slot the next window holds too, with its evaluations, and
-builds one for each new slot.  The terminal node is built once, with the
-problem, so a window is ``(nodes, x0, k0)`` (``ShootingProblem.window``).
+A node keeps nothing of its evaluations.  What ``evaluate_nodes`` gives a
+node is its data, one ``(evaluation, row)`` pair: the stacked pass of its
+group and its row there (None for a lone node).  ``differentiate_nodes``
+and ``ShootingProblem.calc`` read the data they are given, evaluating only
+the nodes without, and the derivatives are taken at the data's solutions,
+gathered by one index per source evaluation, instead of solving the
+dynamics again (as Crocoddyl's ``calcDiff`` reads the data its ``calc``
+left).  The solver keeps the data of its iterate beside its states and
+controls.  A node is constructed with its whole configuration and never
+changes.  ``ShootingProblem`` builds each node for a slot: its plan key
+(plan entry, start time, period), which fixes the node because a problem's
+schedule, weights and ``dt`` never change.  ``set_window`` keeps the node of
+a slot the next window holds too and builds one for each new slot.  The
+terminal node is built once, with the problem, so a window is ``(nodes, x0,
+k0)`` (``ShootingProblem.window``).
 
 The line search steps one state per node most of the time, so the single
 state pays no batch bookkeeping it does not need: a lone source's
 solution, or every row of one source in order, is handed on as it is
-(``_group_rows``, ``_gather``), a step keys each row once and
-``trial_costs`` reuses those keys, and the contact solve and the box QP
-test their conditions on Python floats.  When it tries several step
-lengths, the rows of one node are not treated as different nodes: a
-group whose nodes share a contact set, swing feet or touchdowns passes
-that frames tuple, which a stack reads by its frame plan as one state
-does; nodes that share a period step with it as a scalar (``_shared``);
-each row's key is its slice of the stack's bytes (``_row_keys``); and the
-terminal costs of all rows are one stacked ``TerminalNode.calc``.  A cost
-pass sums the value alone and a derivative pass the gradient and Hessian
-alone (``_Expansion``), and a cost pass builds no Jacobian: the swing
-feet's positions and velocities, the cone violation and the touchdown
-positions are taken without theirs.  The posture residual is computed
-once for both its value and its Jacobian.
+(``_group_rows``, ``_gather``), and the contact solve and the box QP test
+their conditions on Python floats.  When it tries several step lengths,
+the rows of one node are not treated as different nodes: a group whose
+nodes share a contact set, swing feet or touchdowns passes that frames
+tuple, which a stack reads by its frame plan as one state does; nodes that
+share a period step with it as a scalar (``_shared``); and the terminal
+costs of all rows are one stacked ``TerminalNode.calc``.  A cost pass sums
+the value alone and a derivative pass the gradient and Hessian alone
+(``_Expansion``), and a cost pass builds no Jacobian: the swing feet's
+positions and velocities, the cone violation and the touchdown positions
+are taken without theirs.  The posture residual is computed once for both
+its value and its Jacobian.
 """
 
 from __future__ import annotations
@@ -82,10 +80,10 @@ class NodeDerivatives:
 
 @dataclass(eq=False)
 class _Evaluation:
-    """What one stacked pass over a group gave; its inputs key the rows.
+    """What one stacked pass over a group gave.
 
-    A node's evaluation is ``(evaluation, row)``, row None for a lone node,
-    whose fields have no leading axis; a step is uncosted until ``trial_costs``.
+    A node's data is ``(evaluation, row)``, row None for a lone node, whose
+    fields have no leading axis; a step is uncosted until ``trial_costs``.
     """
 
     sol: ct.ContactSolution | ct.ImpulseSolution
@@ -219,7 +217,7 @@ def _gather(parts):
 
 
 def _group_rows(evs, *names):
-    """Fields ``names`` of the node evaluations ``evs`` ((evaluation, row)
+    """Fields ``names`` of the nodes' data ``evs`` ((evaluation, row)
     pairs), stacked by ``_gather``: the consecutive rows of one source share
     one index, made once for every field (a basic slice when they run evenly,
     as a group's rows do), and one node keeps its own row.  Every row of one
@@ -262,64 +260,49 @@ def _group_key(node):
 _NO_TARGETS = ((), np.zeros((2, 0, 2)))
 
 
-def _key(x, u):
-    """The bytes of a node's inputs, its store's key."""
-    return np.asarray(x, float).tobytes(), np.asarray(u, float).reshape(-1).tobytes()
-
-
-def _row_keys(x, u):
-    """``_key`` of each row of the stacks ``x`` and ``u``: its slices of the
-    stacks' bytes, which are in C order."""
-    xb, ub = np.asarray(x, float).tobytes(), np.asarray(u, float).tobytes()
-    nx, nu = len(xb) // len(x), len(ub) // len(x)
-    return [(xb[r * nx:(r + 1) * nx], ub[r * nu:(r + 1) * nu]) for r in range(len(x))]
-
-
 def _half(dt):
     """Half a node period, less a rounding margin (see ``_node_schedule``)."""
     return 0.5 * dt * (1.0 - 1e-7)
 
 
 class _DynamicsNode:
-    """The store of a running or impulse node (module docstring), and
-    ``_stepped``, the keys of the rows the last ``step_rows`` solved, in
-    order, so that ``trial_costs`` builds no key again."""
+    """What running and impulse nodes share: a fresh evaluation at one
+    state, and the line search's stepped rows."""
 
     def __init__(self, model, weights, time, contacts, slot):
         self.model, self.weights = model, weights
         self.time, self.contacts, self.slot = time, contacts, slot
-        self._store, self._stepped = {}, []
 
     def calc(self, x, u=()):
-        x_next, cost = evaluate_nodes([self], [x], [u])[0]
-        return x_next.copy(), cost
+        """(next state, cost) at (x, u), evaluated afresh."""
+        (ev, _), = evaluate_nodes([self], [x], [u])
+        return ev.x_next.copy(), ev.cost
 
     def step_rows(self, x, u):
         """Next states at each row of ``x`` and ``u``, one stacked group (one
-        row without a leading axis runs the single-state code); nan at a row
-        whose contact set is singular.  The rows solved become the node's
-        store, uncosted until ``ShootingProblem.trial_costs``."""
+        row without a leading axis runs the single-state code), nan at a row
+        whose contact set is singular; and the rows' uncosted evaluation,
+        ``(evaluation, rows)``.  ``rows`` holds each row's row of the
+        evaluation (-1 at a singular one), None for one row; the evaluation
+        is None when every row is singular."""
         x, u = np.array(x, dtype=float), np.array(u, dtype=float)
         lone = x.ndim == 1
-        rows = np.arange(1 if lone else len(x))
+        ok = np.ones(1 if lone else len(x), dtype=bool)
         try:
-            ev = self._step_group([self] * rows.size, x, u)
+            ev = self._step_group([self] * ok.size, x, u)
         except RankDeficientContacts as exc:
-            rows = rows[~np.reshape(exc.rows, -1)]
-            ev = (self._step_group([self] * rows.size, x[rows], u[rows])
-                  if rows.size else None)
-        keys = [_key(x, u)] if lone else _row_keys(x, u)
-        self._stepped = keys if rows.size == len(keys) else [keys[r] for r in rows.tolist()]
-        self._store = {key: (ev, None if lone else j)
-                       for j, key in enumerate(self._stepped)}
+            ok = ~np.reshape(exc.rows, -1)
+            ev = (self._step_group([self] * int(ok.sum()), x[ok], u[ok])
+                  if ok.any() else None)
         if lone:
-            return ev.x_next if rows.size else np.full(x.shape, np.nan)
-        if rows.size == len(x):
-            return ev.x_next
+            return (np.full(x.shape, np.nan) if ev is None else ev.x_next), (ev, None)
+        rows = np.cumsum(ok) - 1
+        if ok.all():
+            return ev.x_next, (ev, rows)
         x_next = np.full(x.shape, np.nan)
-        if rows.size:
-            x_next[rows] = ev.x_next
-        return x_next
+        if ev is not None:
+            x_next[ok] = ev.x_next
+        return x_next, (ev, np.where(ok, rows, -1))
 
 
 FORCE_WEIGHTS = (1e-4, 1e-4)  # a contact force (tangential, normal)
@@ -444,14 +427,6 @@ class RunningNode(_DynamicsNode):
         RunningNode._costs(nodes, q, v, u, sol, acc, der, tan)
         return fx, fu, acc
 
-    # -- public API ----------------------------------------------------------
-
-    def forces(self, x, u) -> np.ndarray:
-        """Contact forces at (x, u), read from the stored solution when there
-        is one; the rest of the solution is not gathered."""
-        (ev, j), = _evaluations([self], [x], [u])
-        return ev.sol.forces if j is None else ev.sol.forces[j]
-
 
 TOUCHDOWN_WEIGHT = 1e6      # a touching-down foot's distance from its placement
 
@@ -539,44 +514,43 @@ def _groups(nodes, indices):
     return groups.values()
 
 
-def _evaluations(nodes, xs, us):
-    """Each node's costed row at (xs[k], us[k]) in its store, else a new
-    evaluation, its whole store from now on; one pass per group of these."""
-    keys = [_key(x, u) for x, u in zip(xs, us)]
-    evs = [node._store.get(key) for node, key in zip(nodes, keys)]
-    for ks in _groups(nodes, [k for k, ev in enumerate(evs)
-                              if ev is None or ev[0].cost is None]):
+def evaluate_nodes(nodes, xs, us, data=None) -> list:
+    """Each node's data ``(evaluation, row)`` at (xs[k], us[k]): ``data[k]``
+    where one is given, else a fresh evaluation, one stacked pass per group
+    of the nodes without.  A given ``data`` list is filled in place."""
+    if data is None:
+        data = [None] * len(nodes)
+    for ks in _groups(nodes, [k for k, datum in enumerate(data) if datum is None]):
         group = [nodes[k] for k in ks]
         x = _stack([np.array(xs[k], dtype=float) for k in ks])
         u = _stack([np.array(us[k], dtype=float).reshape(-1) for k in ks])
         ev = group[0]._cost_group(group, x, u, group[0]._step_group(group, x, u))
         for j, k in enumerate(ks):
-            evs[k] = ev, j if len(ks) > 1 else None
-            nodes[k]._store = {keys[k]: evs[k]}
-    return evs
+            data[k] = ev, j if len(ks) > 1 else None
+    return data
 
 
-def evaluate_nodes(nodes, xs, us) -> list[tuple[np.ndarray, float]]:
-    """Each node's (next state, cost) at (xs[k], us[k]), one stacked pass per
-    group of the nodes that reuse no evaluation (module docstring)."""
-    return [(ev.x_next, ev.cost) if j is None else (ev.x_next[j], ev.cost[j])
-            for ev, j in _evaluations(nodes, xs, us)]
+def _row(datum, name):
+    """Field ``name`` of a node's data: its row of the evaluation."""
+    ev, j = datum
+    value = getattr(ev, name)
+    return value if j is None else value[j]
 
 
-def differentiate_nodes(nodes, xs, us) -> list[NodeDerivatives]:
+def differentiate_nodes(nodes, xs, us, data=None) -> list[NodeDerivatives]:
     """``NodeDerivatives`` of each node at (xs[k], us[k]), one stacked pass per group.
 
-    The derivatives are taken at the dynamics solutions of the nodes'
-    evaluations at these inputs (see ``evaluate_nodes``), each group's rows
-    gathered from their source evaluations (``_group_rows``).
+    The derivatives are taken at the dynamics solutions of the nodes' data
+    at these inputs (``evaluate_nodes``), each group's rows gathered from
+    their source evaluations (``_group_rows``).
     """
-    evs = _evaluations(nodes, xs, us)
+    data = evaluate_nodes(nodes, xs, us, data)
     out = [None] * len(nodes)
     for ks in _groups(nodes, range(len(nodes))):
         group = [nodes[k] for k in ks]
         x = _stack([np.asarray(xs[k], float) for k in ks])
         u = _stack([np.asarray(us[k], float).reshape(-1) for k in ks])
-        sol, = _group_rows([evs[k] for k in ks], "sol")
+        sol, = _group_rows([data[k] for k in ks], "sol")
         fx, fu, acc = type(group[0])._differentiate_group(group, x, u, sol)
         split = list if len(ks) > 1 else (lambda a: [a])
         for k, *row in zip(ks, *map(split, (fx, fu, acc.lx, acc.lu, acc.lxx,
@@ -662,7 +636,7 @@ class ShootingProblem:
         node sits on the grid.  A node's slot is its plan key: plan entry,
         start time and period, bit-equal in every window that holds the slot
         (a grid time is always k*dt).  A node whose slot is also in the new
-        window stays, with its evaluations; each new slot gets a new node
+        window stays; each new slot gets a new node
         (``_node``).  ``_read`` is a memo of the schedule's reads by grid
         slot, which are pure: the schedule is read only for the grid slots
         the last call did not read, and no caller puts the memo back.
@@ -687,8 +661,7 @@ class ShootingProblem:
 
     def window(self):
         """What ``set_window`` replaces: ``(nodes, x0, k0)``.
-        ``restore_window`` puts a window back, its nodes with their
-        evaluations."""
+        ``restore_window`` puts a window back."""
         return self.nodes, self.x0, self.k0
 
     def restore_window(self, window):
@@ -724,66 +697,72 @@ class ShootingProblem:
     def integrate(self, x, dx):
         return mod.integrate(self.model, x, dx)
 
-    def calc(self, xs, us):
+    def calc(self, xs, us, data=None):
         """Total cost and the gaps, one (len(nodes) + 1, ndx) array: row 0 is
         x0 (-) x_0 and row k + 1 is f(x_k, u_k) (-) x_{k+1}.
 
-        Nodes that reuse no evaluation at their inputs are evaluated one
-        stacked group at a time (``evaluate_nodes``), and the gaps are one
-        stacked ``difference``.
+        They are read from the nodes' ``data`` at (xs, us); the nodes
+        without, every node when no ``data`` is given, are evaluated one
+        stacked group at a time (``evaluate_nodes``, which fills a given
+        list).  The gaps are one stacked ``difference``.
         """
-        evs = evaluate_nodes(self.nodes, xs, us)
-        cost = sum(c for _, c in evs) + self.terminal.calc(xs[-1])
-        return cost, self.diff(np.array([self.x0] + [x for x, _ in evs]), np.array(xs))
+        data = evaluate_nodes(self.nodes, xs, us, data)
+        cost = sum(_row(datum, "cost") for datum in data) + self.terminal.calc(xs[-1])
+        x_next = [_row(datum, "x_next") for datum in data]
+        return cost, self.diff(np.array([self.x0] + x_next), np.array(xs))
 
-    def calc_diff(self, xs, us) -> list[NodeDerivatives]:
-        """Derivatives of every node at (xs, us) (see ``differentiate_nodes``)."""
-        return differentiate_nodes(self.nodes, xs, us)
+    def calc_diff(self, xs, us, data=None) -> list[NodeDerivatives]:
+        """Derivatives of every node at (xs, us) and its ``data`` there (see
+        ``differentiate_nodes``)."""
+        return differentiate_nodes(self.nodes, xs, us, data)
 
     def step_rows(self, k, x, u):
-        """Next states of node ``k`` at each row (``_DynamicsNode.step_rows``)."""
+        """Next states of node ``k`` at each row, and the rows' uncosted
+        evaluation (``_DynamicsNode.step_rows``)."""
         return self.nodes[k].step_rows(x, u)
 
-    def trial_costs(self, xs, us):
-        """The cost of each row of ``xs`` and ``us`` (one array per node, one
-        row without a leading axis), whose rows every node just stepped.
+    def trial_costs(self, xs, us, steps):
+        """The cost and the nodes' data of each row of ``xs`` and ``us`` (one
+        array per node, one row without a leading axis), whose rows every
+        node just stepped: ``steps[k]`` is node k's ``(evaluation, rows)``,
+        ``rows`` the evaluation's row of each row here (None for one row).
 
-        The dynamics solutions in the nodes' stores are costed in one stacked
-        pass per group over nodes x rows, and each node's rows in its store
-        become their costed rows of that pass.  Node costs add up in node
-        order.  A node's rows here are its stepped rows less those the line
-        search dropped, in order; when it dropped none, they are the rows
-        the step keyed (``_DynamicsNode._stepped``).
+        The steps' dynamics solutions are costed in one stacked pass per
+        group over nodes x rows; a row's data are its rows of those passes,
+        in node order.  Node costs add up in node order.
         """
         nodes, lone = self.nodes, np.ndim(xs[0]) == 1
         if lone:
             xs, us = [x[None] for x in xs], [u[None] for u in us]
         n = len(xs[0])
         costs = np.empty((len(nodes), n))
+        data = [[None] * len(nodes) for _ in range(n)]
         for ks in _groups(nodes, range(len(nodes))):
             group = [nodes[k] for k in ks for _ in range(n)]
-            keys = [key for k in ks for key in (
-                nodes[k]._stepped if len(nodes[k]._stepped) == n
-                else _row_keys(xs[k], us[k]))]
             x, u = (np.concatenate([a[k] for k in ks]) if len(group) > 1 else a[ks[0]][0]
                     for a in (xs, us))
-            stored = [node._store[key] for node, key in zip(group, keys)]
+            stepped = [(steps[k][0], j) for k in ks
+                       for j in ([None] if lone else steps[k][1].tolist())]
             ev = group[0]._cost_group(group, x, u, _Evaluation(
-                *_group_rows(stored, "sol", "x_next"), None))
-            for j, (node, key) in enumerate(zip(group, keys)):
-                node._store[key] = ev, j if len(group) > 1 else None
+                *_group_rows(stepped, "sol", "x_next"), None))
+            for i, k in enumerate(ks):
+                for r in range(n):
+                    data[r][k] = ev, i * n + r if len(group) > 1 else None
             costs[list(ks)] = np.reshape(ev.cost, (len(ks), n))
         total = np.zeros(n)
         for cost in costs:
             total = total + cost
-        return total + self.terminal.calc(xs[-1])
+        return total + self.terminal.calc(xs[-1]), data
 
     def rollout(self, us):
-        xs = [np.asarray(self.x0, float)]
-        for k, node in enumerate(self.nodes):
-            xn, _ = node.calc(xs[-1], us[k])
-            xs.append(xn)
-        return xs
+        """The states from x0 under ``us`` and the nodes' data along them,
+        one node at a time."""
+        xs, data = [np.asarray(self.x0, float)], []
+        for node, u in zip(self.nodes, us):
+            datum, = evaluate_nodes([node], [xs[-1]], [u])
+            data.append(datum)
+            xs.append(datum[0].x_next.copy())
+        return xs, data
 
 
 # ------------------------------------------------------------ construction

@@ -218,10 +218,14 @@ def trot(pair_a, pair_b, placements, lead_in: float, swing: float,
     Timing per cycle: group A swings for ``swing`` while B stands, then both
     stand for ``double_support``, then B swings, then both stand again.
     After the last cycle every foot stands for good.  ``ScheduleError``
-    unless ``cycles`` is an integer of at least 1.
+    unless ``cycles`` is an integer of at least 1, or when a foot is in
+    both groups.
     """
     if swing <= 0:
         raise ScheduleError("swing duration must be positive")
+    shared = set(pair_a) & set(pair_b)
+    if shared:
+        raise ScheduleError(f"feet {sorted(shared)} are in both trot groups")
     if not isinstance(cycles, numbers.Integral) or cycles < 1:
         raise ScheduleError(f"cycles must be an integer of at least 1, got {cycles!r}")
     cycle = 2 * (swing + double_support)

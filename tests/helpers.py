@@ -330,11 +330,6 @@ def random_state(m, rng, spread=0.3, base_height=None):
 # quantities one tree depth at a time; these loops are the oracle it is
 # checked against.
 
-def forget(node):
-    """Empty the node's store, so that its next evaluation is fresh."""
-    node._store = {}
-
-
 def boxqp_kkt_violation(H, g, lo, hi, x) -> float:
     """Max violation of the box-QP first-order conditions at x."""
     grad = g + H @ x
@@ -908,5 +903,6 @@ class SequentialFddp(BoxFddp):
                 continue
             if was_feasible and actual < -1e-12:
                 continue
-            return alpha, xs_try, us_try, cost_try
+            # no data: the next iteration evaluates the accepted trial again
+            return alpha, xs_try, us_try, cost_try, [None] * len(us_try)
         return None

@@ -22,8 +22,8 @@ from leggedmpc import kinematics, presets, problem, schedule
 from leggedmpc.boxfddp import BoxFddp
 from leggedmpc.errors import RankDeficientContacts
 
-from helpers import (base_pendulum, forget, random_state, ref_impulse, ref_running,
-                     rel_err, single_body, solved_derivatives)
+from helpers import (base_pendulum, random_state, ref_impulse, ref_running, rel_err,
+                     single_body, solved_derivatives)
 
 TOL = 1e-12
 FIELDS = ("fx", "fu", "lx", "lu", "lxx", "lxu", "luu")
@@ -65,6 +65,12 @@ def build_nodes(m, rng, kind, nc, n):
     return nodes
 
 
+def next_state_and_cost(datum):
+    """(next state, cost) of a node's data ``(evaluation, row)``."""
+    ev, j = datum
+    return (ev.x_next, ev.cost) if j is None else (ev.x_next[j], ev.cost[j])
+
+
 def close(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and (a.size == 0 or rel_err(a, b) < TOL)
@@ -83,7 +89,7 @@ def test_stacked_nodes_match_the_per_node_oracle(name, kind, data):
     xs = [random_state(m, rng, spread=0.2) for _ in nodes]
     us = [rng.normal(size=node.nu) for node in nodes]
 
-    evs = problem.evaluate_nodes(nodes, xs, us)
+    evs = [next_state_and_cost(d) for d in problem.evaluate_nodes(nodes, xs, us)]
     ders = problem.differentiate_nodes(nodes, xs, us)
     for node, x, u, ev, der in zip(nodes, xs, us, evs, ders):
         x_next, cost, want = (ref_running(node, x, u) if kind == "running"
@@ -93,8 +99,7 @@ def test_stacked_nodes_match_the_per_node_oracle(name, kind, data):
         for field in FIELDS:
             assert close(getattr(der, field), getattr(want, field)), field
         # a node evaluated alone gives the bits of its row of the stack
-        forget(node)
-        alone = problem.evaluate_nodes([node], [x], [u])[0]
+        alone = next_state_and_cost(problem.evaluate_nodes([node], [x], [u])[0])
         assert np.array_equal(alone[0], ev[0]) and alone[1] == ev[1]
         der_alone = problem.differentiate_nodes([node], [x], [u])[0]
         for field in FIELDS:
@@ -139,11 +144,11 @@ def test_derivative_pass_does_not_grow_with_the_window(monkeypatch):
     for N in (15, 30):
         solver = trot_solver(N)
         kinds = {problem._group_key(n) for n in solver.problem.nodes}
-        for node in solver.problem.nodes:
-            forget(node)
         with monkeypatch.context() as mp:
             fk = count_calls(mp, kinematics, "forward_kinematics")
             solves = count_calls(mp, np.linalg, "solve")
+            # a fresh evaluation of the candidate, then its derivatives
+            solver.set_candidate(solver.xs, solver.us)
             solver.compute_derivatives()
         counts[N] = (len(kinds), len(fk), len(solves))
     assert counts[15] == counts[30]
@@ -167,10 +172,10 @@ def test_shared_frames_broadcast_over_stacked_states():
 def test_rows_of_one_node_match_the_node_alone(monkeypatch):
     # step_rows solves a node's dynamics at stacked rows as one group: each
     # row gives the bits of the node alone, and a row whose contact set is
-    # singular (here: not finite) gives nan and leaves the others as they
-    # are.  trial_costs costs the kept rows of every node, solving no
-    # dynamics; a node then adopts a row at bit-equal inputs, and never the
-    # singular one
+    # singular (here: not finite) gives nan, no row of the evaluation, and
+    # leaves the others as they are.  trial_costs costs the kept rows of
+    # every node, solving no dynamics; each row's data hold its next state
+    # and cost
     solver = trot_solver(15)
     prob = solver.problem
     quad = prob.model
@@ -184,16 +189,17 @@ def test_rows_of_one_node_match_the_node_alone(monkeypatch):
     for k in (stance, impulse):
         xs[k][2, 3] = np.nan
     with np.errstate(invalid="ignore"):
-        x_next = [prob.step_rows(k, xs[k], us[k]) for k in range(len(nodes))]
+        stepped = [prob.step_rows(k, xs[k], us[k]) for k in range(len(nodes))]
+    x_next = [x for x, _ in stepped]
     for k in (stance, impulse):
         assert np.isnan(x_next[k][2]).all()
+        assert stepped[k][1][1].tolist() == [0, 1, -1, 2]
     rows = [0, 1, 3]
     with monkeypatch.context() as m:
         solves = (count_calls(m, ct, "impulse_dynamics"),
                   count_calls(m, ct, "contact_forward_dynamics"))
-        cost = prob.trial_costs([x[rows] for x in xs], [u[rows] for u in us])
-        adopted = [[node.calc(xs[k][r].copy(), us[k][r].copy())
-                    for k, node in enumerate(nodes)] for r in rows]
+        cost, data = prob.trial_costs([x[rows] for x in xs], [u[rows] for u in us],
+                                      [(ev, index[rows]) for _, (ev, index) in stepped])
         assert solves == ([], [])
         for k in (stance, impulse):
             with pytest.raises(RankDeficientContacts), np.errstate(invalid="ignore"):
@@ -202,42 +208,12 @@ def test_rows_of_one_node_match_the_node_alone(monkeypatch):
     for j, r in enumerate(rows):
         total = 0.0
         for k, node in enumerate(nodes):
-            assert np.array_equal(adopted[j][k][0], x_next[k][r])
-            total = total + adopted[j][k][1]
-            forget(node)
+            got = next_state_and_cost(data[j][k])
+            assert np.array_equal(got[0], x_next[k][r])
+            total = total + got[1]
             alone = node.calc(xs[k][r], us[k][r])
-            assert np.array_equal(alone[0], x_next[k][r]) and alone[1] == adopted[j][k][1]
+            assert np.array_equal(alone[0], x_next[k][r]) and alone[1] == got[1]
         assert total + prob.terminal.calc(xs[-1][r]) == cost[j]
-
-
-def test_stepped_rows_are_keyed_by_their_slices_of_the_stacks_bytes():
-    # step_rows keys each kept row by its slice of the stacks' bytes: the
-    # key of the row alone, a signed zero included; a singular row is
-    # dropped, and a batch that drops none returns its solved states as
-    # they are, the store's
-    solver = trot_solver(15)
-    prob = solver.problem
-    quad = prob.model
-    nodes = prob.nodes
-    rng = np.random.default_rng(8)
-    stance = next(k for k, n in enumerate(nodes) if n.nu and n.contacts.frames)
-    impulse = next(k for k, n in enumerate(nodes) if n.kind == "impulse")
-    for k in (stance, impulse):
-        x = np.array([random_state(quad, rng, spread=0.05) for _ in range(4)])
-        u = rng.normal(size=(4, nodes[k].nu))
-        x[0, 4], x[1, 4], x[3, -1] = -0.0, 0.0, -0.0
-        u[:, :1] = -0.0
-        x[2, 3] = np.nan
-        with np.errstate(invalid="ignore"):
-            x_next = prob.step_rows(k, x, u)
-        kept = [0, 1, 3]
-        keys = [problem._key(x[r], u[r]) for r in kept]
-        assert nodes[k]._stepped == keys and list(nodes[k]._store) == keys
-        assert keys[0] != problem._key(np.where(x[0] == 0.0, 0.0, x[0]), u[0])
-        assert np.isnan(x_next[2]).all()
-        x_next = prob.step_rows(k, x[kept], u[kept])
-        assert nodes[k]._stepped == keys
-        assert x_next is nodes[k]._store[keys[0]][0].x_next
 
 
 def test_evenly_spaced_rows_gather_as_views():

@@ -6,12 +6,13 @@ import pytest
 import scipy.optimize
 
 from leggedmpc import boxfddp, costs as co, kinematics, presets, problem, schedule
+from leggedmpc import contact as ct
 from leggedmpc import model as mod
 from leggedmpc import mpc as rh
 from leggedmpc.boxfddp import BoxFddp, boxqp
 from leggedmpc.errors import ConfigError, NonPDHessian, NoStepAccepted, RankDeficientContacts
 
-from helpers import SequentialFddp, boxqp_kkt_violation, forget, solve
+from helpers import SequentialFddp, boxqp_kkt_violation, count_calls, solve
 
 
 # ----------------------------------------------------------------- box QP
@@ -272,14 +273,14 @@ class LinearTerminal:
 
 
 class EuclidProblem:
-    """Minimal problem wrapper over vector-space nodes."""
+    """Minimal problem wrapper over vector-space nodes; a node's data is its
+    (next state, cost)."""
 
     def __init__(self, x0, nodes, terminal):
         self.x0 = np.asarray(x0, float)
         self.nodes = nodes
         self.terminal = terminal
         self.ndx = self.x0.shape[0]
-        self._costs = {}
 
     def diff(self, x1, x0):
         return x1 - x0
@@ -287,45 +288,53 @@ class EuclidProblem:
     def integrate(self, x, dx):
         return x + dx
 
-    def calc(self, xs, us):
+    def calc(self, xs, us, data=None):
+        """Cost and gaps from ``data``, whose None entries it fills."""
+        data = [None] * len(self.nodes) if data is None else data
         cost = 0.0
         gaps = [self.x0 - xs[0]]
         for k, node in enumerate(self.nodes):
-            xn, c = node.calc(xs[k], us[k])
+            if data[k] is None:
+                data[k] = node.calc(xs[k], us[k])
+            xn, c = data[k]
             cost += c
             gaps.append(xn - xs[k + 1])
         return cost + self.terminal.calc(xs[-1]), np.array(gaps)
 
-    def calc_diff(self, xs, us):
+    def calc_diff(self, xs, us, data=None):
         return [node.calc_diff(xs[k], us[k]) for k, node in enumerate(self.nodes)]
 
     def step_rows(self, k, x, u):
         """Node ``k`` at each row, one row at a time; a singular row gives
-        nan.  Each row's cost is kept by its input bytes for ``trial_costs``."""
-        self._costs[k] = {}
+        nan.  The step's data are each row's (next state, cost)."""
+        rows = [None] * len(np.atleast_2d(x))
         x_next = np.empty_like(np.atleast_2d(x))
         for i, (xi, ui) in enumerate(zip(np.atleast_2d(x), np.atleast_2d(u))):
             try:
-                x_next[i], self._costs[k][xi.tobytes(), ui.tobytes()] = \
-                    self.nodes[k].calc(xi, ui)
+                rows[i] = self.nodes[k].calc(xi, ui)
+                x_next[i] = rows[i][0]
             except RankDeficientContacts:
                 x_next[i] = np.nan
-        return x_next if x.ndim > 1 else x_next[0]
+        if x.ndim == 1:
+            return x_next[0], (rows, None)
+        return x_next, (rows, np.arange(len(rows)))
 
-    def trial_costs(self, xs, us):
-        """The kept costs of each row summed in node order, then the terminal."""
-        cost = np.zeros(len(np.atleast_2d(xs[0])))
+    def trial_costs(self, xs, us, steps):
+        """The steps' costs of each row summed in node order, then the
+        terminal; and each row's data."""
+        data = [[rows[0] if index is None else rows[index[r]] for rows, index in steps]
+                for r in range(len(np.atleast_2d(xs[0])))]
+        cost = np.zeros(len(data))
         for k in range(len(self.nodes)):
-            cost = cost + np.array([self._costs[k][xi.tobytes(), ui.tobytes()]
-                                    for xi, ui in zip(np.atleast_2d(xs[k]),
-                                                      np.atleast_2d(us[k]))])
-        return cost + [self.terminal.calc(x) for x in np.atleast_2d(xs[-1])]
+            cost = cost + np.array([row[k][1] for row in data])
+        return cost + [self.terminal.calc(x) for x in np.atleast_2d(xs[-1])], data
 
     def rollout(self, us):
-        xs = [self.x0]
+        xs, data = [self.x0], []
         for k, node in enumerate(self.nodes):
-            xs.append(node.calc(xs[k], us[k])[0])
-        return xs
+            data.append(node.calc(xs[k], us[k]))
+            xs.append(data[-1][0])
+        return xs, data
 
 
 def riccati_recursion(A, B, Q, R, QT, x0, N):
@@ -464,7 +473,7 @@ def test_fddp_reduces_to_ddp_with_zero_gaps():
     assert solver.feasible
     solver.compute_derivatives()
     solver.backward_pass()
-    xs_try, us_try, _ = solver.forward_pass((1.0,))[0]
+    xs_try, us_try, _, _ = solver.forward_pass((1.0,))[0]
     assert solver.expected_improvement(1.0, xs_try) == pytest.approx(
         solver._dg + 0.5 * solver._dq)
 
@@ -577,9 +586,9 @@ def test_feasible_iterate_never_accepts_cost_increase(goldstein, expected, monke
     solver.backward_pass()
     monkeypatch.setattr(boxfddp, "GOLDSTEIN", goldstein)
     monkeypatch.setattr(boxfddp, "ALPHAS", (1.0,))
-    xs_try, us_try, _ = solver.forward_pass((1.0,))[0]
-    solver.forward_pass = lambda alphas, *args: [(xs_try, us_try,
-                                                  solver.cost + 1.0)] * len(alphas)
+    xs_try, us_try, _, data = solver.forward_pass((1.0,))[0]
+    solver.forward_pass = lambda alphas, *args: [(xs_try, us_try, solver.cost + 1.0,
+                                                  data)] * len(alphas)
     solver.expected_improvement = lambda alpha, xs: expected
     assert solver._line_search() is None
 
@@ -640,7 +649,7 @@ def test_gap_contraction():
     for alpha in (1.0, 0.5, 0.25):
         out = solver.forward_pass((alpha,))[0]
         assert out is not None
-        xs_try, us_try, _ = out
+        xs_try, us_try, _, _ = out
         _, gaps_after = prob.calc(xs_try, us_try)
         for gb, ga in zip(gaps_before, gaps_after):
             assert np.abs(ga).max() <= (1 - alpha) * np.abs(gb).max() + 1e-10
@@ -1001,9 +1010,6 @@ def test_every_stacked_trial_matches_its_sequential_rollout(make):
 
     dropped = 0
     for alpha, row in zip(alphas, rows):
-        # the nodes keep the stacked rows: the oracle must not reuse them
-        for node in solver.problem.nodes:
-            forget(node)
         want = solver.trial(alpha)
         assert (row is None) == (want is None), alpha
         if row is not None:
@@ -1021,8 +1027,8 @@ def test_every_stacked_trial_matches_its_sequential_rollout(make):
 # ------------------------------------------- one cost refresh, no zero-gap integrate
 
 class RefreshingFddp(BoxFddp):
-    """Box-FDDP that refreshes the cost and gaps at every iteration, also
-    right after ``set_candidate`` computed them."""
+    """Box-FDDP that evaluates its iterate afresh at every iteration, reading
+    none of its data."""
 
     def compute_derivatives(self):
         self.cost, self.gaps = self.problem.calc(self.xs, self.us)
@@ -1052,14 +1058,15 @@ def trot_mpc(steps):
 
 @pytest.mark.parametrize("make", [cold_jump, misaligned_stand])
 def test_an_iteration_after_set_candidate_reads_its_cost_and_gaps(make, monkeypatch):
-    # set_candidate has just computed the cost and gaps at (xs, us): the
-    # iteration reuses them and gives the bits of one that computes them again
+    # set_candidate has just evaluated the nodes at (xs, us): the iteration
+    # reads the cost, gaps and derivatives from those data, solving no
+    # dynamics, and gives the bits of one that evaluates them again
     got, want = make(BoxFddp), make(RefreshingFddp)
-    calls = []
-    calc = got.problem.calc
-    monkeypatch.setattr(got.problem, "calc", lambda *a: calls.append(1) or calc(*a))
-    got.compute_derivatives()
-    assert not calls
+    with monkeypatch.context() as m:
+        calls = [count_calls(m, f) for f in (ct.contact_forward_dynamics,
+                                             ct.impulse_dynamics)]
+        got.compute_derivatives()
+    assert calls == [[], []]
     got.backward_pass()
     want.compute_derivatives()
     want.backward_pass()
@@ -1069,8 +1076,7 @@ def test_an_iteration_after_set_candidate_reads_its_cost_and_gaps(make, monkeypa
         assert _bits(getattr(got.policy, field)) == _bits(getattr(want.policy, field))
     assert (got._dg, got._dq) == (want._dg, want._dq)
     assert _bits(got._fvxx) == _bits(want._fvxx)
-    got.solve_one_iteration()      # a new iterate: the refresh runs again
-    assert calls == [1]
+    got.solve_one_iteration()
     want.solve_one_iteration()
     assert (got.last_alpha, got.cost, got.mu) == (want.last_alpha, want.cost, want.mu)
     assert _bits(got.xs + got.us + list(got.gaps)) == _bits(want.xs + want.us
@@ -1081,7 +1087,7 @@ def test_a_replaced_candidate_gets_its_own_cost_and_gaps():
     solver = misaligned_stand(BoxFddp)
     xs = [np.array(x) for x in solver.xs]
     xs[1][1] += 0.02
-    solver.xs = xs
+    solver.set_candidate(xs, solver.us)
     solver.compute_derivatives()
     cost, gaps = solver.problem.calc(xs, solver.us)
     assert solver.cost == cost
@@ -1129,11 +1135,11 @@ def test_a_stepped_state_with_a_negative_zero_takes_the_integrate(monkeypatch):
     step_rows = prob.step_rows
 
     def negative_zero(k, x, u):
-        x_next = step_rows(k, x, u)
+        x_next, step = step_rows(k, x, u)
         if k == 2:
             x_next = x_next.copy()
             x_next[5] = -0.0
-        return x_next
+        return x_next, step
 
     integrated = []
     integrate = prob.integrate
@@ -1159,8 +1165,6 @@ def test_a_lone_short_step_still_opens_its_gaps():
     solver.compute_derivatives()
     solver.backward_pass()
     got = solver.forward_pass((0.5,))[0]
-    for node in solver.problem.nodes:
-        forget(node)
     want = solver.trial(0.5)
     assert got[2] == want[2]
     assert _bits(got[0] + got[1]) == _bits(want[0] + want[1])

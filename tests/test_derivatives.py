@@ -142,9 +142,9 @@ def test_stance_calc_diff_runs_no_finite_differences(monkeypatch):
     x = random_state(quad, np.random.default_rng(5), spread=0.1)
     u = np.zeros(quad.nu)
     calls = count_calls(monkeypatch, kinematics.forward_kinematics)
-    node.calc(x, u)
+    data = problem.evaluate_nodes([node], [x], [u])
     assert len(calls) == 1
-    problem.differentiate_nodes([node], [x], [u])
+    problem.differentiate_nodes([node], [x], [u], data)
     assert len(calls) == 1
 
 

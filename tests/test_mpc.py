@@ -14,7 +14,7 @@ from leggedmpc import presets, problem, schedule
 from leggedmpc.errors import (ConfigError, InvalidMeasurement, LeggedMpcError,
                               NoStepAccepted, RankDeficientContacts)
 
-from helpers import single_body, straight_legs
+from helpers import count_calls, single_body, straight_legs
 
 
 @pytest.fixture(scope="module")
@@ -258,7 +258,7 @@ def test_shifted_warm_start_reproduces_overlap(quad):
     # shift one node ahead without iterating
     problem.update_problem(ctrl.problem, x0, t0=(old_k0 + 1) * 0.02)
     ctrl._shift_candidate(old_nodes, ctrl.solver.xs, ctrl.solver.us,
-                          old_k0 + ctrl.problem.N)
+                          ctrl.solver.data, old_k0 + ctrl.problem.N)
     times = {int(round(n.time / 0.02)): i for i, n in enumerate(old_nodes)}
     for i, n in enumerate(ctrl.problem.nodes):
         j = times.get(int(round(n.time / 0.02)))
@@ -491,7 +491,8 @@ def assert_bad_measurement_reissues(quad, bad, delay=0.01,
                                     times=(0.0, 0.02, 0.04), no_step=False, sched=None):
     """``bad`` at the second of three step ``times`` re-issues the first
     policy marked degraded and changes nothing the third step depends on:
-    the window, ``k0`` and the candidate are those of the first step.  With
+    the window, ``k0`` and the candidate with its data are those of the
+    first step, and putting the candidate back solves no dynamics.  With
     ``no_step`` the second step's iteration runs every line search it would
     and accepts none of them (``NoStepAccepted`` at the largest mu)."""
     ctrl = make_mpc(quad, sched, delay=delay)
@@ -500,13 +501,27 @@ def assert_bad_measurement_reissues(quad, bad, delay=0.01,
     first = ctrl.step(x0, times[0])
     clean.step(x0, times[0])
     nodes, k0 = list(ctrl.problem.nodes), ctrl.problem.k0
-    mpc_k0, xs, us = ctrl.k0, ctrl.solver.xs, ctrl.solver.us
+    mpc_k0, xs, us, data = ctrl.k0, ctrl.solver.xs, ctrl.solver.us, ctrl.solver.data
     if no_step:
         line_search = ctrl.solver._line_search
         ctrl.solver._line_search = lambda: line_search() and None
+    solved, set_candidate = [], ctrl.solver.set_candidate
+
+    def counted(*args, **kwargs):
+        # the dynamics each candidate the step sets solves: the shifted one
+        # and the one put back
+        with pytest.MonkeyPatch.context() as m:
+            calls = [count_calls(m, f) for f in (ct.contact_forward_dynamics,
+                                                 ct.impulse_dynamics)]
+            set_candidate(*args, **kwargs)
+        solved.append(sum(map(len, calls)))
+    ctrl.solver.set_candidate = counted
     msg = ctrl.step(bad, times[1])
+    del ctrl.solver.set_candidate
     if no_step:
         del ctrl.solver._line_search
+        assert solved == [0, 0]
+    assert not any(solved)
     assert msg.diagnostics["degraded"]
     assert msg.stamp == pytest.approx(times[1])
     for a, b in zip(msg.us_ff, first.us_ff):
@@ -515,6 +530,7 @@ def assert_bad_measurement_reissues(quad, bad, delay=0.01,
     assert all(a is b for a, b in zip(ctrl.problem.nodes, nodes, strict=True))
     for a, b in ((ctrl.solver.xs, xs), (ctrl.solver.us, us)):
         assert all(np.array_equal(p, q) for p, q in zip(a, b, strict=True))
+    assert all(a is b for a, b in zip(ctrl.solver.data, data, strict=True))
     # the bad measurement changed nothing the next step depends on
     got = ctrl.step(x0, times[2])
     want = clean.step(x0, times[2])
@@ -585,9 +601,9 @@ def test_a_jump_past_the_window_reseeds_the_tail_from_the_nominal_state(
     ctrl.step(presets.nominal_state(quad), 0.0)
     seeds, set_candidate = [], ctrl.solver.set_candidate
 
-    def spy(xs=None, us=None):
+    def spy(xs=None, us=None, data=None):
         seeds.append([np.array(x) for x in xs])
-        set_candidate(xs, us)
+        set_candidate(xs, us, data)
 
     monkeypatch.setattr(ctrl.solver, "set_candidate", spy)
     x = presets.nominal_state(quad)

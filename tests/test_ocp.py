@@ -158,6 +158,13 @@ def test_schedules_refuse_durations_they_would_silently_drop(quad, build):
         build(foot_placements(quad))
 
 
+def test_trot_refuses_a_foot_in_both_groups(quad):
+    # the shared foot kept only the second group's timeline
+    with pytest.raises(ScheduleError, match="both trot groups"):
+        schedule.trot((0, 2), (2, 3), foot_placements(quad), lead_in=0.2, swing=0.3,
+                      double_support=0.1, stride=0.15, cycles=2)
+
+
 def _without_foot(placements, foot):
     return {f: p for f, p in placements.items() if f != foot}
 
@@ -399,8 +406,8 @@ def test_impulse_node_index(quad):
 def test_rollout_cost_is_sum_of_nodes(quad):
     prob = make_problem(quad, "jump", N=30)
     us = [np.zeros(n.nu) for n in prob.nodes]
-    xs = prob.rollout(us)
-    cost, gaps = prob.calc(xs, us)
+    xs, data = prob.rollout(us)
+    cost, gaps = prob.calc(xs, us, data)
     total = sum(n.calc(xs[k], us[k])[1] for k, n in enumerate(prob.nodes))
     total += prob.terminal.calc(xs[-1])
     assert cost == pytest.approx(total, rel=1e-12)

@@ -71,38 +71,53 @@ UNCONSUMED = {
 }
 
 
-def _referenced_names(paths) -> set:
-    """Every name the code at ``paths`` refers to: names, attributes and
-    imported names."""
-    used = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name.rpartition(".")[2])
+def _references(path, package) -> set:
+    """The package's ``module.name`` the code at ``path`` refers to: an
+    attribute of an imported package module (``pb.build_problem``), a name
+    imported from a package module, or, in the package module ``package``
+    (None outside the package), a name of its own."""
+    tree = ast.parse(path.read_text())
+    modules, used = {}, set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and (node.module or "").partition(".")[0] != "leggedmpc":
+            continue
+        if node.level and package is None:
+            continue
+        module = (node.module or "").removeprefix("leggedmpc").lstrip(".")
+        for alias in node.names:
+            if module:
+                used.add(f"{module}.{alias.name}")
+            else:
+                modules[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            used.add(f"{modules[node.value.id]}.{node.attr}")
+        elif isinstance(node, ast.Name) and package is not None:
+            used.add(f"{package}.{node.id}")
     return used
 
 
 def test_every_public_function_and_class_has_a_consumer():
     # code in src/ or perfbench/ refers to each public module-level function
-    # and class of the package; tests do not count as a consumer
+    # and class of the package as ``module.name``, by importing it, or by
+    # name in its own module; tests do not count as a consumer, and neither
+    # does a method or attribute that shares the name
     package = ROOT / "src" / "leggedmpc"
     bench = ROOT / "perfbench"
-    used = _referenced_names(
-        sorted(package.glob("*.py"))
-        + sorted(p for p in bench.rglob("*.py")
-                 if "tests" not in p.relative_to(bench).parts))
+    used = set().union(
+        *(_references(path, path.stem) for path in sorted(package.glob("*.py"))),
+        *(_references(path, None) for path in sorted(bench.rglob("*.py"))
+          if "tests" not in path.relative_to(bench).parts))
     public = {f"{path.stem}.{node.name}"
               for path in sorted(package.glob("*.py"))
               for node in ast.parse(path.read_text()).body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_")}
     assert UNCONSUMED <= public
-    unconsumed = {name for name in public if name.rpartition(".")[2] not in used}
-    assert unconsumed == UNCONSUMED
+    assert public - used == UNCONSUMED
 
 
 # dataclass fields that no code outside the tests reads yet, each with the

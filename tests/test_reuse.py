@@ -1,13 +1,14 @@
 """Each node is evaluated once per iterate.
 
-Running and impulse nodes keep one store of the rows of their last write:
-a fresh evaluation, or the line search's last ``step_rows`` batch, costed
-by ``trial_costs``.  An evaluation at bit-equal inputs returns its costed
-row and the derivatives are taken at its solution.  Reuse must change no
-result, and after an accepted step the solver's derivative pass and the MPC
-message must solve no dynamics at all.  Across an MPC shift the nodes of
-the slots both windows share stay as they are, with their evaluations, so
-the shifted candidate solves dynamics only for the nodes of new slots.
+The solver keeps each node's data, its ``(evaluation, row)``, beside its
+states and controls: a fresh evaluation, or the accepted trial's rows of
+the line search's ``step_rows`` batch, costed by ``trial_costs``.  The
+cost, the gaps and the derivatives are read from those data.  Reading them
+must change no result against evaluating afresh, and after an accepted
+step the solver's derivative pass and the MPC message must solve no
+dynamics at all.  Across an MPC shift the nodes of the slots both windows
+share stay as they are and carry their data, so the shifted candidate
+solves dynamics only for the nodes of new slots.
 """
 
 import sys
@@ -22,8 +23,6 @@ from leggedmpc import model as mod
 from leggedmpc import mpc as rh
 from leggedmpc import boxfddp
 from leggedmpc.boxfddp import BoxFddp
-
-from helpers import forget
 
 
 def placements(quad):
@@ -46,19 +45,21 @@ def jump_solver(candidate=True):
     return solver
 
 
-def forget_before_every_call(monkeypatch):
-    """Empty the nodes' stores before every evaluation of nodes.
+def evaluate_afresh(monkeypatch):
+    """Drop the data every evaluation of nodes is given: each node is
+    evaluated again, into the given list.
 
-    Node calls and solutions, the problem's stacked ``calc`` and its
-    ``calc_diff`` all go through ``_evaluations``.
+    Node calls, the problem's ``calc``, ``calc_diff`` and ``rollout`` and
+    the MPC shift's new slots all go through ``evaluate_nodes``.
     """
-    original = problem._evaluations
+    original = problem.evaluate_nodes
 
-    def forgetful(nodes, xs, us):
-        for node in nodes:
-            forget(node)
-        return original(nodes, xs, us)
-    monkeypatch.setattr(problem, "_evaluations", forgetful)
+    def fresh(nodes, xs, us, data=None):
+        out = original(nodes, xs, us)
+        if data is not None:
+            data[:] = out
+        return out
+    monkeypatch.setattr(problem, "evaluate_nodes", fresh)
 
 
 def count_dynamics(monkeypatch):
@@ -84,7 +85,7 @@ def three_jump_iterations():
 def test_reuse_changes_no_iterate(monkeypatch):
     kept = three_jump_iterations()
     with monkeypatch.context() as m:
-        forget_before_every_call(m)
+        evaluate_afresh(m)
         fresh = three_jump_iterations()
     assert [repr(r) for r in kept.log] == [repr(r) for r in fresh.log]
     for a, b in zip(kept.xs + kept.us, fresh.xs + fresh.us):
@@ -102,7 +103,7 @@ def test_candidate_rollout_evaluates_each_node_once(monkeypatch):
 
 def test_derivatives_after_accepted_step_solve_no_dynamics(monkeypatch):
     # the jump accepts a short step, found by the stacked rollout of the
-    # step lengths below 1; the nodes keep their rows of that rollout
+    # step lengths below 1; the solver keeps its rows of that rollout
     solver = jump_solver()
     assert not solver.solve_one_iteration()
     assert solver.last_alpha < 1.0 and solver.last_trials > 1
@@ -117,75 +118,48 @@ def test_derivatives_after_accepted_step_solve_no_dynamics(monkeypatch):
         if name.startswith("leggedmpc") and \
                 getattr(module, "forward_kinematics", None) is original:
             monkeypatch.setattr(module, "forward_kinematics", counted_fk)
-    solver.problem.calc(solver.xs, solver.us)
+    solver.problem.calc(solver.xs, solver.us, solver.data)
     assert calls == {"contact": 0, "impulse": 0} and fk == []
     solver.compute_derivatives()
     assert calls == {"contact": 0, "impulse": 0}
 
 
-def test_reuse_is_bit_equality(monkeypatch):
-    # inputs that compare equal but differ in their bits are evaluated again
+def test_a_trial_rows_data_are_a_fresh_evaluation():
+    # every step length of the cold jump rolled out as one stacked batch: the
+    # long steps diverge and drop their rows part way, and each row that
+    # reaches the end carries, for every node, the next state, cost and
+    # derivatives of that node evaluated afresh at the row, bit for bit.  A
+    # row whose contact set is singular (here: not finite) gets no row of
+    # its node's evaluation
     solver = jump_solver()
-    node, x, u = solver.problem.nodes[0], solver.xs[0], solver.us[0]
-    flipped = x.copy()
-    flipped[np.flatnonzero((x == 0.0) & ~np.signbit(x))[0]] = -0.0
-    assert np.array_equal(flipped, x)
-    calls = count_dynamics(monkeypatch)
-    node.calc(x.copy(), u.copy())
-    assert calls == {"contact": 0, "impulse": 0}
-    node.calc(flipped, u)
-    assert calls == {"contact": 1, "impulse": 0}
-
-
-def test_an_uncosted_row_is_evaluated_afresh(monkeypatch):
-    # a row the node stepped but nothing costed is solved again, once, and
-    # gives the bits of a fresh node
-    solver = jump_solver()
-    nodes = solver.problem.nodes
-    fresh = jump_solver(candidate=False).problem.nodes
+    solver.compute_derivatives()
+    solver.backward_pass()
+    prob = solver.problem
+    trials = solver.forward_pass(boxfddp.ALPHAS)
+    assert None in trials and sum(t is not None for t in trials) > 1
+    for trial in filter(None, trials):
+        xs, us, cost, data = trial
+        fresh = problem.evaluate_nodes(prob.nodes, xs, us)
+        for got, want in zip(data, fresh, strict=True):
+            for name in ("x_next", "cost"):
+                assert np.array_equal(problem._row(got, name), problem._row(want, name))
+        got_cost, got_gaps = prob.calc(xs, us, data)
+        want_cost, want_gaps = prob.calc(xs, us)
+        assert got_cost == want_cost == cost
+        assert np.array_equal(got_gaps, want_gaps)
+        for a, b in zip(prob.calc_diff(xs, us, data), prob.calc_diff(xs, us), strict=True):
+            for name in ("fx", "fu", "lx", "lu", "lxx", "lxu", "luu"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
     rng = np.random.default_rng(3)
     for kind in ("running", "impulse"):
-        k = next(k for k, n in enumerate(nodes) if n.kind == kind and n.contacts.frames)
+        k = next(k for k, n in enumerate(prob.nodes) if n.kind == kind and n.contacts.frames)
         x = solver.xs[k] + 1e-3 * rng.standard_normal((3, len(solver.xs[k])))
-        u = solver.us[k] + 1e-3 * rng.standard_normal((3, nodes[k].nu))
-        nodes[k].step_rows(x, u)
-        with monkeypatch.context() as m:
-            calls = count_dynamics(m)
-            stepped = nodes[k].calc(x[1], u[1])
-            again = nodes[k].calc(x[1], u[1])
-        assert calls == {"contact": kind == "running", "impulse": kind == "impulse"}
-        want = fresh[k].calc(x[1], u[1])
-        for got in (stepped, again):
-            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
-
-
-def store_sizes(prob):
-    return [len(node._store) for node in prob.nodes]
-
-
-def test_stores_hold_at_most_one_batch_of_step_lengths():
-    # a node's store holds its last write, one line-search batch at most;
-    # the jump's short steps come from a batch of several rows
-    solver = jump_solver()
-    sizes = []
-    for _ in range(4):
-        solver.solve_one_iteration()
-        sizes += store_sizes(solver.problem)
-    assert max(sizes) <= len(boxfddp.ALPHAS) and max(sizes) > 1
-
-    quad = presets.default_quadruped()
-    q0 = presets.nominal_configuration(quad)
-    cfg = rh.MpcConfig(horizon=0.3, node_dt=0.02, update_rate=50.0,
-                       expected_delay=0.01)
-    ctrl = rh.Mpc(quad, trot_schedule(quad), co.default_weights(quad, q0),
-                  co.default_bounds(quad, q0), cfg, presets.nominal_state(quad))
-    rng = np.random.default_rng(1)
-    x = presets.nominal_state(quad)
-    for k in range(26):
-        x[quad.nq:] += 0.05 * rng.standard_normal(quad.nv)
-        msg = ctrl.step(x, k * 0.02)
-        assert max(store_sizes(ctrl.problem)) <= len(boxfddp.ALPHAS)
-        x = np.array(msg.xs_ref[1])
+        u = solver.us[k] + 1e-3 * rng.standard_normal((3, prob.nodes[k].nu))
+        x[1, 3] = np.nan
+        with np.errstate(invalid="ignore"):
+            x_next, (ev, rows) = prob.step_rows(k, x, u)
+        assert np.isnan(x_next[1]).all() and rows.tolist() == [0, -1, 1]
+        assert len(ev.x_next) == 2
 
 
 def test_message_forces_come_from_the_nodes(monkeypatch):
@@ -231,7 +205,7 @@ def shifted_trot():
     """14 steps of the N = 15 trot (10 ms delay, exact measurements), each
     seen when its shifted candidate is set: the nodes before and after the
     shift, the dynamics rows solved since ``update_problem``, and the
-    candidate with its cost, gaps and derivatives."""
+    candidate with its cost, gaps and derivatives, read from its data."""
     quad = presets.default_quadruped()
     q0 = presets.nominal_configuration(quad)
     cfg = rh.MpcConfig(horizon=0.3, node_dt=0.02, update_rate=50.0,
@@ -253,7 +227,7 @@ def shifted_trot():
                 rows=dict(rows), nodes=list(prob.nodes), t0=prob.nodes[0].time,
                 x0=prob.x0, xs=list(solver.xs), us=list(solver.us),
                 cost=solver.cost, gaps=list(solver.gaps),
-                derivs=prob.calc_diff(solver.xs, solver.us))
+                derivs=prob.calc_diff(solver.xs, solver.us, solver.data))
             return _original(solver)
         m.setattr(problem, "update_problem", update)
         m.setattr(BoxFddp, "compute_derivatives", derivatives)
@@ -368,3 +342,82 @@ def test_shifted_candidate_matches_a_fresh_problem(shifted_trot):
         assert [n.slot for n in fresh.nodes] == [n.slot for n in step["nodes"]]
         assert_same_evaluation(fresh, step["xs"], step["us"],
                                (step["cost"], step["gaps"]), step["derivs"])
+
+
+# ------------------------------------------------- messages, carried or afresh
+
+def noisy_trot_messages(quad):
+    """26 steps of the N = 15 trot (10 ms delay) on noisy measurements,
+    five of them failing."""
+    q0 = presets.nominal_configuration(quad)
+    cfg = rh.MpcConfig(horizon=0.3, node_dt=0.02, update_rate=50.0,
+                       expected_delay=0.01)
+    ctrl = rh.Mpc(quad, trot_schedule(quad), co.default_weights(quad, q0),
+                  co.default_bounds(quad, q0), cfg, presets.nominal_state(quad))
+    failing = {6: "singular", 8: "no_step", 9: "no_step", 12: "nan", 16: "no_step"}
+    rng = np.random.default_rng(4)
+    x = presets.nominal_state(quad)
+    for k in range(26):
+        x[quad.nq:] += 0.05 * rng.standard_normal(quad.nv)
+        yield one_step(ctrl, x, k * 0.02, failing.get(k))
+        x = np.array(ctrl.last_message.xs_ref[1])
+
+
+def jump_messages(quad):
+    """24 steps of the jump (30 ms nodes, no delay) through its flight and
+    touchdown, four of them failing."""
+    q0 = presets.nominal_configuration(quad)
+    sched = schedule.jump(range(4), placements(quad), stance=0.30, flight=0.24)
+    cfg = rh.MpcConfig(horizon=0.3, node_dt=0.03, update_rate=1.0 / 0.03)
+    ctrl = rh.Mpc(quad, sched, co.default_weights(quad, q0),
+                  co.default_bounds(quad, q0), cfg, presets.nominal_state(quad))
+    failing = {5: "no_step", 10: "no_step", 11: "nan", 16: "no_step"}
+    x = presets.nominal_state(quad)
+    for k in range(24):
+        yield one_step(ctrl, x, k * 0.03, failing.get(k))
+        x = np.array(ctrl.last_message.xs_ref[1])
+
+
+def one_step(ctrl, x, t, failure):
+    """The JSON of the message ``ctrl.step`` emits at (x, t).  ``failure``
+    "singular" measures every leg straight (the delay prediction meets a
+    singular contact set), "nan" measures a nan, and "no_step" has the
+    iteration run its line searches and accept none (``NoStepAccepted`` at
+    the largest mu, after the shift)."""
+    if failure == "no_step":
+        line_search = ctrl.solver._line_search
+        ctrl.solver._line_search = lambda: line_search() and None
+    elif failure == "singular":
+        x = presets.nominal_configuration(ctrl.model)
+        x[3:] = 0.0
+        x = mod.state(ctrl.model, x, np.zeros(ctrl.model.nv))
+    elif failure == "nan":
+        x = np.full_like(x, np.nan)
+    msg = ctrl.step(x, t)
+    ctrl.solver.__dict__.pop("_line_search", None)
+    assert msg.diagnostics["degraded"] or failure is None
+    return msg.to_json()
+
+
+@pytest.mark.parametrize("messages", [noisy_trot_messages, jump_messages])
+def test_messages_from_carried_data_equal_those_evaluated_afresh(messages, monkeypatch):
+    # once with the data the solver and the shift carry, once with every
+    # datum dropped and the nodes evaluated again wherever data are read or
+    # an iteration ends: every message, degraded ones and those after a
+    # failed step included, has the same bytes
+    quad = presets.default_quadruped()
+    carried = list(messages(quad))
+    with monkeypatch.context() as m:
+        evaluate_afresh(m)
+        iteration = BoxFddp.solve_one_iteration
+
+        def then_afresh(solver):
+            try:
+                return iteration(solver)
+            finally:
+                solver.data = problem.evaluate_nodes(solver.problem.nodes, solver.xs,
+                                                     solver.us)
+        m.setattr(BoxFddp, "solve_one_iteration", then_afresh)
+        fresh = list(messages(quad))
+    assert len(carried) == len(fresh) > 20
+    assert carried == fresh
