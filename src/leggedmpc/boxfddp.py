@@ -29,6 +29,20 @@ ALPHAS = tuple(0.5 ** i for i in range(11))
 MU_MIN = 1e-9
 MU_MAX = 1e6
 MU_FACTOR = 10.0
+# mu after the step lengths tried at MU_MIN all fail (``BoxFddp``): one
+# jump to a damped model in place of a dozen stacked short steps.  On the
+# cold N = 30 jump (the benchmark's candidate, 40 solves of 4 iterations;
+# cost over the starting cost c0, and step lengths rolled out per solve):
+#   COLD_MU   median cost   max cost   above 0.01 c0   step lengths
+#   (none)    0.88          0.94       40              23-32
+#   1e1       0.0021        0.020       3               8-10
+#   1e2       0.0029        0.024       4               5-8
+#   3e2       0.0062        0.022       8               5-6
+#   1e3       0.0078        0.64        9               5-17
+# At 1e1 the damped full step often fails as well and a batch of short
+# steps comes back, which makes the solve slower than without the jump;
+# from 3e2 on the model is damped past what the step needs
+COLD_MU = 1e2
 # accepted step lengths that lower and raise mu (``BoxFddp``).  On
 # 40-iteration jump solves, accepted steps of 1/8 and longer cut the cost
 # by 9-12% per iteration on average, steps of 1/16 and shorter by 5.4%
@@ -210,7 +224,12 @@ class BoxFddp:
     ``MU_FACTOR`` when ``alpha <= SHORT_STEP``; any other step leaves it
     unchanged.  It stays within [``MU_MIN``, ``MU_MAX``].  A short step
     means the local model holds for only a small part of its step, so the
-    next backward pass is damped more.
+    next backward pass is damped more.  At ``MU_MIN`` the line search
+    tries its first batch only, and when that fails mu jumps to
+    ``COLD_MU``: the undamped model is damped before its step is
+    shortened (Levenberg-Marquardt; Nocedal & Wright, *Numerical
+    Optimization*, 2006, sec. 10.3).  An exact model, as on an LQ
+    problem, still takes its undamped full step.
     """
 
     def __init__(self, problem, tol: float = 1e-6):
@@ -229,6 +248,9 @@ class BoxFddp:
         self.last_alpha = 0.0
         self.last_trials = 0
         self._last_accepted = 1.0   # the first batch's shortest step length
+        # an accepted step scaled the gaps: the next derivative pass
+        # evaluates the cost and gaps from the data anew
+        self._scaled = False
         self.log: list[tuple] = []
         self._derivs = None
         self._dg = 0.0
@@ -253,6 +275,7 @@ class BoxFddp:
         self.xs = [np.asarray(x, float) for x in xs]
         self.data = [None] * len(problem.nodes) if data is None else list(data)
         self.cost, self.gaps = problem.calc(self.xs, self.us, self.data)
+        self._scaled = False
 
     @property
     def feasible(self) -> bool:
@@ -265,9 +288,12 @@ class BoxFddp:
     # -- backward pass ----------------------------------------------------
 
     def compute_derivatives(self):
-        # cost and gaps anew from the iterate's data, so scaled-gap
-        # bookkeeping never drifts
-        self.cost, self.gaps = self.problem.calc(self.xs, self.us, self.data)
+        # after an accepted step, cost and gaps anew from the iterate's
+        # data, so scaled-gap bookkeeping never drifts; set_candidate has
+        # just computed them from the same data
+        if self._scaled:
+            self.cost, self.gaps = self.problem.calc(self.xs, self.us, self.data)
+            self._scaled = False
         self._derivs = self.problem.calc_diff(self.xs, self.us, self.data)
 
     def backward_pass(self):
@@ -415,8 +441,9 @@ class BoxFddp:
     def solve_one_iteration(self):
         """Derivatives, backward pass (with mu retries), one accepted step.
 
-        A failed backward pass or line search raises mu and retries.  The
-        accepted step then sets mu by the Box-FDDP schedule: down after
+        A failed backward pass or line search raises mu and retries; a line
+        search failed at ``MU_MIN`` sets it to ``COLD_MU``.  The accepted
+        step then sets mu by the Box-FDDP schedule: down after
         ``alpha >= LONG_STEP``, up after ``alpha <= SHORT_STEP``, unchanged
         in between (see the class docstring).  A short step accepted at
         ``MU_MAX`` still stands, and mu stays at ``MU_MAX``.
@@ -443,6 +470,7 @@ class BoxFddp:
                 alpha, self.xs, self.us, self.cost, self.data = step
                 self.last_alpha = self._last_accepted = alpha
                 self.gaps = (1.0 - alpha) * self.gaps
+                self._scaled = True
                 if alpha >= LONG_STEP:
                     self.mu = max(MU_MIN, self.mu / MU_FACTOR)
                 elif alpha <= SHORT_STEP:
@@ -450,7 +478,9 @@ class BoxFddp:
                     self._increase_mu()
                 self._log_row(alpha=alpha)
                 return False
-            if not self._increase_mu():
+            if self.mu <= MU_MIN:
+                self.mu = COLD_MU
+            elif not self._increase_mu():
                 raise NoStepAccepted("no step length accepted at MU_MAX")
 
     def _line_search(self):
@@ -459,26 +489,37 @@ class BoxFddp:
         The first batch holds every step length at or above the one the
         candidate last accepted (the full step alone after
         ``set_candidate``); the shorter ones roll out together only when
-        that batch fails.
+        that batch fails, and never at ``MU_MIN``.
         """
-        was_feasible = self.feasible
         first = sum(alpha >= self._last_accepted for alpha in ALPHAS)
-        for alphas in (ALPHAS[:first], ALPHAS[first:]):
-            trials = self.forward_pass(alphas) if alphas else []
-            for alpha, trial in zip(alphas, trials):
-                self.last_trials += 1
-                if trial is None:
-                    continue
-                xs_try, _, cost_try, _ = trial
-                threshold = self._min_decrease(self.expected_improvement(alpha, xs_try))
-                actual = self.cost - cost_try
-                if not actual >= threshold:
-                    continue
-                # with zero gaps the model always predicts improvement, so a
-                # feasible iterate never accepts a cost increase
-                if was_feasible and actual < -1e-12:
-                    continue
-                return (alpha, *trial)
+        batches = [ALPHAS[:first]]
+        if self.mu > MU_MIN:
+            batches.append(ALPHAS[first:])
+        for alphas in batches:
+            step = self._try_steps(alphas) if alphas else None
+            if step is not None:
+                return step
+        return None
+
+    def _try_steps(self, alphas):
+        """``(alpha, xs, us, cost, data)`` of the first of ``alphas`` that
+        passes, all rolled out as one stacked batch, or None."""
+        was_feasible = self.feasible
+        trials = self.forward_pass(alphas)
+        for alpha, trial in zip(alphas, trials):
+            self.last_trials += 1
+            if trial is None:
+                continue
+            xs_try, _, cost_try, _ = trial
+            threshold = self._min_decrease(self.expected_improvement(alpha, xs_try))
+            actual = self.cost - cost_try
+            if not actual >= threshold:
+                continue
+            # with zero gaps the model always predicts improvement, so a
+            # feasible iterate never accepts a cost increase
+            if was_feasible and actual < -1e-12:
+                continue
+            return (alpha, *trial)
         return None
 
     def _min_decrease(self, expected: float) -> float:

@@ -12,7 +12,6 @@ from leggedmpc import controllers as trk
 from leggedmpc import dynamics, kinematics, presets, se2
 from leggedmpc import model as mod
 from leggedmpc import problem as pb
-from leggedmpc import boxfddp
 from leggedmpc.boxfddp import BoxFddp
 from leggedmpc.centroidal import centroidal
 from leggedmpc.errors import (MaxIterations, NoStepAccepted, RankDeficientContacts,
@@ -843,7 +842,8 @@ def solve(solver, xs=None, us=None, max_iters=100) -> str:
 # oracle it is checked against.
 
 class SequentialFddp(BoxFddp):
-    """Box-FDDP whose line search tries one step length after another."""
+    """Box-FDDP whose line search tries the step lengths of each batch one
+    after another; the solver's own rule picks the batches."""
 
     def trial(self, alpha, min_decrease=None):
         """(xs, us, cost) of the rollout at ``alpha``, or None at a singular
@@ -885,9 +885,9 @@ class SequentialFddp(BoxFddp):
             return None
         return xs_try, us_try, cost
 
-    def _line_search(self):
+    def _try_steps(self, alphas):
         was_feasible = self.feasible
-        for alpha in boxfddp.ALPHAS:
+        for alpha in alphas:
             min_decrease = (self._min_decrease(self.expected_improvement(alpha, None))
                             if was_feasible else None)
             out = self.trial(alpha, min_decrease)

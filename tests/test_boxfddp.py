@@ -560,6 +560,8 @@ def test_last_iteration_reports_step_and_trials():
     prob, _ = make_lqr()
     solver = BoxFddp(prob)
     solver.set_candidate()
+    # above MU_MIN a failed full step is shortened, not damped
+    solver.mu = boxfddp.MU_MIN * boxfddp.MU_FACTOR
     rejected = prob.nodes[3]
     calc = singular_rows(solver, rejected, (1.0, 0.5))
     assert solver.solve_one_iteration() is False
@@ -703,8 +705,9 @@ def test_box_inactive_equals_unconstrained():
         assert np.abs(xa - xb).max() < 1e-8
 
 
-def jump_problem():
-    """The N = 30 jump: stance, flight and a touchdown impulse."""
+def jump_problem(x0=None):
+    """The N = 30 jump: stance, flight and a touchdown impulse, from the
+    nominal state by default."""
     quad = presets.default_quadruped()
     from leggedmpc import kinematics
     kin = kinematics.forward_kinematics(quad, presets.nominal_configuration(quad))
@@ -713,8 +716,8 @@ def jump_problem():
     q0 = presets.nominal_configuration(quad)
     w = co.default_weights(quad, q0)
     b = co.default_bounds(quad, q0)
-    return problem.build_problem(quad, sched, w, b, presets.nominal_state(quad),
-                                 N=30, dt=0.02)
+    x0 = presets.nominal_state(quad) if x0 is None else x0
+    return problem.build_problem(quad, sched, w, b, x0, N=30, dt=0.02)
 
 
 def test_jump_problem_solves():
@@ -727,6 +730,65 @@ def test_jump_problem_solves():
         status, solver.cost / c0, "\n".join(map(repr, solver.log[-8:])))
     assert solver.cost < 0.2 * c0, why
     assert solver.feasible, why
+
+
+def test_a_failed_full_step_at_mu_min_is_damped_not_shortened():
+    # from the zero-torque rollout the undamped full step fails; the
+    # iteration retries the full step at COLD_MU, and at MU_MIN no batch
+    # holds a step shorter than the last accepted one
+    solver = cold_jump(BoxFddp)
+    rolled = []
+    forward_pass = solver.forward_pass
+
+    def recording(alphas):
+        rolled.append((tuple(alphas), solver.mu, solver._last_accepted))
+        return forward_pass(alphas)
+    solver.forward_pass = recording
+    assert not solver.solve_one_iteration()
+    assert [r[:2] for r in rolled] == [((1.0,), boxfddp.MU_MIN),
+                                       ((1.0,), boxfddp.COLD_MU)]
+    for _ in range(3):
+        assert not solver.solve_one_iteration()
+    for alphas, mu, last in rolled:
+        assert mu > boxfddp.MU_MIN or min(alphas) >= last
+
+
+def benchmark_jump(seed):
+    """The jump benchmark's cold solve: the initial velocity perturbed by
+    1e-4, the quasi-static stance torque, and zero torque in flight."""
+    quad = presets.default_quadruped()
+    dx = np.zeros(2 * quad.nv)
+    dx[quad.nv:] = 1e-4 * np.random.default_rng(seed).standard_normal(quad.nv)
+    prob = jump_problem(mod.integrate(quad, presets.nominal_state(quad), dx))
+    u_stance, _ = rh.quasi_static_start(quad, presets.nominal_configuration(quad),
+                                        ct.ContactSet(frames=(0, 1, 2, 3)))
+    solver = BoxFddp(prob, tol=1e-4)
+    solver.set_candidate(us=[u_stance.copy() if node.nu and node.contacts.frames
+                             else np.zeros(node.nu) for node in prob.nodes])
+    return solver
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_benchmark_jump_ends_near_its_optimum_in_four_iterations(seed):
+    # undamped at MU_MIN, these solves accepted steps of 1/128 to 1/16 and
+    # ended at 0.85-0.91 of their starting cost
+    solver = benchmark_jump(seed)
+    c0 = solver.cost
+    for _ in range(4):
+        if solver.solve_one_iteration():
+            break
+    assert solver.feasible
+    assert solver.cost <= 0.05 * c0
+
+
+def test_the_quasi_static_stance_torque_is_the_jump_benchmarks():
+    # the benchmark's stance torque, the least squares of [S J^T] y = g from
+    # the contact Jacobian stack and the gravity torque, has the bits of
+    # quasi_static_start's
+    quad = presets.default_quadruped()
+    u, _ = rh.quasi_static_start(quad, presets.nominal_configuration(quad),
+                                 ct.ContactSet(frames=(0, 1, 2, 3)))
+    assert np.array_equal(u, gravity_feedforward(quad))
 
 
 # ------------------------------------------------- pendulum swing-up oracle
@@ -967,8 +1029,10 @@ def test_stacked_line_search_matches_the_sequential_oracle(make, iterations):
 def test_first_batch_starts_at_the_last_accepted_step():
     # after set_candidate the full step rolls out alone; within a solve the
     # first batch holds every step length at or above the last accepted
-    # one, and the shorter ones follow together
+    # one, and the shorter ones follow together.  Above MU_MIN, where a
+    # failed first batch is shortened, not damped
     solver = cold_jump(BoxFddp)
+    solver.mu = boxfddp.MU_MIN * boxfddp.MU_FACTOR
     batches = []
     forward_pass = solver.forward_pass
 
@@ -1081,6 +1145,30 @@ def test_an_iteration_after_set_candidate_reads_its_cost_and_gaps(make, monkeypa
     assert (got.last_alpha, got.cost, got.mu) == (want.last_alpha, want.cost, want.mu)
     assert _bits(got.xs + got.us + list(got.gaps)) == _bits(want.xs + want.us
                                                         + list(want.gaps))
+
+
+def test_an_mpc_step_evaluates_its_problem_once(monkeypatch):
+    # the shifted candidate's set_candidate computes the cost and gaps, and
+    # the iteration's derivative pass reads them
+    ctrl, x = trot_mpc(steps=3)
+    calc = ctrl.problem.calc
+    calls = []
+    monkeypatch.setattr(ctrl.problem, "calc",
+                        lambda *args: calls.append(1) or calc(*args))
+    assert not ctrl.step(x, 3 * 0.02).diagnostics["degraded"]
+    assert len(calls) == 1
+
+
+def test_the_derivative_pass_after_an_accepted_step_replaces_the_scaled_gaps():
+    # an accepted step scales the gaps by (1 - alpha); the next derivative
+    # pass computes them anew from the accepted trial's data
+    solver = misaligned_stand(BoxFddp)
+    assert not solver.solve_one_iteration()
+    assert 0.0 < solver.last_alpha < 1.0
+    solver.compute_derivatives()
+    cost, gaps = solver.problem.calc(solver.xs, solver.us)
+    assert solver.cost == cost
+    assert _bits(solver.gaps) == _bits(gaps)
 
 
 def test_a_replaced_candidate_gets_its_own_cost_and_gaps():

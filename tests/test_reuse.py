@@ -103,8 +103,10 @@ def test_candidate_rollout_evaluates_each_node_once(monkeypatch):
 
 def test_derivatives_after_accepted_step_solve_no_dynamics(monkeypatch):
     # the jump accepts a short step, found by the stacked rollout of the
-    # step lengths below 1; the solver keeps its rows of that rollout
+    # step lengths below 1; the solver keeps its rows of that rollout.
+    # Above MU_MIN, where a failed full step is shortened, not damped
     solver = jump_solver()
+    solver.mu = boxfddp.MU_MIN * boxfddp.MU_FACTOR
     assert not solver.solve_one_iteration()
     assert solver.last_alpha < 1.0 and solver.last_trials > 1
     calls = count_dynamics(monkeypatch)
