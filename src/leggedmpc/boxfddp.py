@@ -43,12 +43,10 @@ MU_FACTOR = 10.0
 # steps comes back, which makes the solve slower than without the jump;
 # from 3e2 on the model is damped past what the step needs
 COLD_MU = 1e2
-# accepted step lengths that lower and raise mu (``BoxFddp``).  On
-# 40-iteration jump solves, accepted steps of 1/8 and longer cut the cost
-# by 9-12% per iteration on average, steps of 1/16 and shorter by 5.4%
-# or less, so SHORT_STEP sits at that gap
+# the shortest accepted step length that lowers mu (``BoxFddp``): the
+# local model held for at least half of its full step, so the next
+# backward pass is damped less; a shorter accepted step leaves mu as it is
 LONG_STEP = 0.5
-SHORT_STEP = 2.0 ** -4
 GOLDSTEIN = 0.1
 # when the local model predicts a cost increase (possible only while
 # closing gaps), accept steps whose increase stays within this multiple
@@ -209,27 +207,21 @@ class BoxFddp:
     ``solve_one_iteration`` calls; a caller may set ``mu`` between them (the
     receding-horizon loop starts every step from one warm value).
     ``last_alpha`` and ``last_trials`` hold the accepted step length (0 when
-    none) and the number of step lengths the last iteration checked.
-    ``log`` holds one row per iteration that converged or accepted a step,
-    restarted by ``set_candidate``: ``(iter, cost, gap_inf, mu, alpha,
-    qu_norm)``, the row index, the cost, the largest gap entry and mu after
-    the iteration, the accepted step length (0 on convergence) and the norm
-    of the backward pass's ``Qu``.
+    none) and the number of step lengths the last iteration checked; with
+    ``cost``, ``gap_norm``, ``mu`` and ``qu_norm`` (the norm of the backward
+    pass's ``Qu``) they say what an iteration did.
 
     The regularization mu follows the schedule of Box-FDDP (Mastalli et al.,
     "A feasibility-driven approach to control-limited DDP", Auton. Robots
-    2022).  It starts at ``MU_MIN`` and rises by ``MU_FACTOR`` on every
-    failed backward pass or line search.  After an accepted step of length
-    alpha it falls by ``MU_FACTOR`` when ``alpha >= LONG_STEP`` and rises by
-    ``MU_FACTOR`` when ``alpha <= SHORT_STEP``; any other step leaves it
-    unchanged.  It stays within [``MU_MIN``, ``MU_MAX``].  A short step
-    means the local model holds for only a small part of its step, so the
-    next backward pass is damped more.  At ``MU_MIN`` the line search
-    tries its first batch only, and when that fails mu jumps to
-    ``COLD_MU``: the undamped model is damped before its step is
-    shortened (Levenberg-Marquardt; Nocedal & Wright, *Numerical
-    Optimization*, 2006, sec. 10.3).  An exact model, as on an LQ
-    problem, still takes its undamped full step.
+    2022).  It starts at ``MU_MIN``, falls by ``MU_FACTOR`` after an
+    accepted step of length ``alpha >= LONG_STEP`` and rises by
+    ``MU_FACTOR`` after a failed backward pass or line search; a shorter
+    accepted step leaves it unchanged.  It stays within [``MU_MIN``,
+    ``MU_MAX``].  At ``MU_MIN`` the line search tries its first batch
+    only, and when that fails mu jumps to ``COLD_MU``: the undamped model
+    is damped before its step is shortened (Levenberg-Marquardt; Nocedal &
+    Wright, *Numerical Optimization*, 2006, sec. 10.3).  An exact model, as
+    on an LQ problem, still takes its undamped full step.
     """
 
     def __init__(self, problem, tol: float = 1e-6):
@@ -251,7 +243,6 @@ class BoxFddp:
         # an accepted step scaled the gaps: the next derivative pass
         # evaluates the cost and gaps from the data anew
         self._scaled = False
-        self.log: list[tuple] = []
         self._derivs = None
         self._dg = 0.0
         self._dq = 0.0
@@ -261,11 +252,9 @@ class BoxFddp:
 
     def set_candidate(self, xs=None, us=None, data=None):
         """Start from ``(xs, us)`` (zero controls and their rollout by
-        default) and the nodes' ``data`` there, with a new iteration log.
-        The entries of ``data`` that are None, all of them without
-        ``data``, are evaluated."""
+        default) and the nodes' ``data`` there.  The entries of ``data``
+        that are None, all of them without ``data``, are evaluated."""
         problem = self.problem
-        self.log = []
         self._last_accepted = 1.0
         if us is None:
             us = [np.zeros(node.nu) for node in problem.nodes]
@@ -441,12 +430,11 @@ class BoxFddp:
     def solve_one_iteration(self):
         """Derivatives, backward pass (with mu retries), one accepted step.
 
-        A failed backward pass or line search raises mu and retries; a line
-        search failed at ``MU_MIN`` sets it to ``COLD_MU``.  The accepted
-        step then sets mu by the Box-FDDP schedule: down after
-        ``alpha >= LONG_STEP``, up after ``alpha <= SHORT_STEP``, unchanged
-        in between (see the class docstring).  A short step accepted at
-        ``MU_MAX`` still stands, and mu stays at ``MU_MAX``.
+        A failed backward pass or line search raises mu by ``MU_FACTOR``
+        and retries; a line search failed at ``MU_MIN`` sets it to
+        ``COLD_MU``.  An accepted step of ``alpha >= LONG_STEP`` lowers mu
+        by ``MU_FACTOR``, and a shorter one leaves it (see the class
+        docstring).
 
         Returns True when the iterate already satisfies the convergence test
         (nothing accepted); raises NoStepAccepted when no step length works
@@ -463,7 +451,6 @@ class BoxFddp:
                         "backward pass not positive definite at MU_MAX")
                 continue
             if self.qu_norm < self.tol and self.feasible:
-                self._log_row(alpha=0.0)
                 return True
             step = self._line_search()
             if step is not None:
@@ -473,10 +460,6 @@ class BoxFddp:
                 self._scaled = True
                 if alpha >= LONG_STEP:
                     self.mu = max(MU_MIN, self.mu / MU_FACTOR)
-                elif alpha <= SHORT_STEP:
-                    # at MU_MAX the accepted step still stands
-                    self._increase_mu()
-                self._log_row(alpha=alpha)
                 return False
             if self.mu <= MU_MIN:
                 self.mu = COLD_MU
@@ -533,10 +516,6 @@ class BoxFddp:
             return False
         self.mu = min(MU_MAX, max(self.mu, MU_MIN) * MU_FACTOR)
         return True
-
-    def _log_row(self, alpha: float):
-        self.log.append((len(self.log), self.cost, self.gap_norm, self.mu,
-                         alpha, self.qu_norm))
 
 
 def _has_negative_zero(x) -> bool:

@@ -257,8 +257,10 @@ class _MessageTracker:
         degraded)``, the controller's torque law on interval ``i`` at
         reference state ``j`` of ``ref``, its torque clamped to the box;
         held instead when ``_holds``.  A non-finite ``t`` raises
-        ``ConfigError`` and changes nothing."""
+        ``ConfigError``, and an ``x`` that is not one state
+        ``DimensionMismatch``; either changes nothing."""
         check_time(t)
+        x = self.model.check_state(x)
         if self._holds(x, t):
             return self._hold_last()
         ref, i, j = self._lookup(t)

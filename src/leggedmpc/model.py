@@ -228,6 +228,14 @@ class RobotModel:
     def check_v(self, v: np.ndarray) -> np.ndarray:
         return _check(v, self.nv, "v")
 
+    def check_state(self, x: np.ndarray) -> np.ndarray:
+        """``x`` as floats, one state of shape (nq + nv,): no batch."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.nq + self.nv,):
+            raise DimensionMismatch(f"x has shape {x.shape}, expected "
+                                    f"({self.nq + self.nv},)")
+        return x
+
 
 def _check(a, n: int, name: str) -> np.ndarray:
     """``a`` as floats, its last axis of length n; leading axes index a batch."""

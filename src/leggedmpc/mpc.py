@@ -394,7 +394,9 @@ class Mpc:
         ``RankDeficientContacts`` or ``NoStepAccepted``: the window, the
         candidate with its data and ``k0`` stay as they were.  A non-finite
         ``wall_time`` raises ``ConfigError`` before anything else, so no
-        message is stamped with it.
+        message is stamped with it.  A measurement that is not one state
+        raises ``DimensionMismatch`` (from the prediction or the window) and
+        changes nothing either.
         """
         check_time(wall_time)
         if not np.all(np.isfinite(measurement)):

@@ -640,9 +640,11 @@ class ShootingProblem:
         (``_node``).  ``_read`` is a memo of the schedule's reads by grid
         slot, which are pure: the schedule is read only for the grid slots
         the last call did not read, and no caller puts the memo back.
-        ``ConfigError`` for a non-finite ``t0``, before anything changes.
+        ``ConfigError`` for a non-finite ``t0`` and ``DimensionMismatch``
+        for an ``x0`` that is not one state, before anything changes.
         """
         check_time(t0)
+        x0 = self.model.check_state(x0)
         dt = self.dt
         k0 = int(round(t0 / dt))
         if abs(k0 * dt - t0) <= 1e-9 * max(1.0, abs(t0)):
@@ -656,7 +658,7 @@ class ShootingProblem:
         kept = {node.slot: node for node in self.nodes}
         self.nodes = [kept[slot] if slot in kept else self._node(slot)
                       for slot in slots]
-        self.x0 = np.asarray(x0, float)
+        self.x0 = x0
         self.k0 = k0
 
     def window(self):

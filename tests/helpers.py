@@ -817,19 +817,44 @@ def ref_impulse(node, x):
 
 # ------------------------------------------------------------ solve loop
 
-def solve(solver, xs=None, us=None, max_iters=100) -> str:
+def iteration_row(solver) -> tuple:
+    """What the solver's last iteration left: ``(cost, gap_inf, mu, alpha,
+    qu_norm)``, the cost, the largest gap entry and mu after it, the step
+    length it accepted (0 on convergence) and the norm of its backward
+    pass's ``Qu``."""
+    return solver.cost, solver.gap_norm, solver.mu, solver.last_alpha, solver.qu_norm
+
+
+def steps_taken(rows) -> int:
+    """Steps accepted over the ``iteration_row`` rows ``rows``."""
+    return sum(1 for row in rows if row[3] > 0.0)
+
+
+def solve(solver, xs=None, us=None, max_iters=100, rows=None) -> str:
     """Iterate ``solver`` to convergence from ``(xs, us)``, or from its
-    current candidate when it has one and none is given.  Returns the exit
-    status: "converged", "no_step" (NoStepAccepted) or "max_iters"."""
+    current candidate when it has one and none is given, appending the
+    ``iteration_row`` of each iteration that converged or accepted a step
+    to the list ``rows`` when one is given.  Returns the exit status:
+    "converged", "no_step" (NoStepAccepted) or "max_iters"."""
     if solver.xs is None or xs is not None or us is not None:
         solver.set_candidate(xs, us)
     for _ in range(max_iters):
         try:
-            if solver.solve_one_iteration():
-                return "converged"
+            done = solver.solve_one_iteration()
         except NoStepAccepted:
             return "no_step"
+        if rows is not None:
+            rows.append(iteration_row(solver))
+        if done:
+            return "converged"
     return "max_iters"
+
+
+def mis_shaped_states(x) -> list:
+    """``x`` one entry short and one long, and stacked as one and as two
+    rows: no one of them a single state."""
+    x = np.asarray(x, float)
+    return [x[:-1], np.append(x, 0.0), x[None], np.stack([x, x])]
 
 
 # ------------------------------------------------- sequential line search

@@ -12,7 +12,8 @@ from leggedmpc import mpc as rh
 from leggedmpc.boxfddp import BoxFddp, boxqp
 from leggedmpc.errors import ConfigError, NonPDHessian, NoStepAccepted, RankDeficientContacts
 
-from helpers import SequentialFddp, boxqp_kkt_violation, count_calls, solve
+from helpers import (SequentialFddp, boxqp_kkt_violation, count_calls, iteration_row, solve,
+                     steps_taken)
 
 
 # ----------------------------------------------------------------- box QP
@@ -367,15 +368,11 @@ def make_lqr(seed=2, N=15):
     return EuclidProblem(x0, nodes, LinearTerminal(QT)), (A, B, Q, R, QT, x0, N)
 
 
-def steps_taken(solver):
-    """Steps the solver accepted: the log rows with a step length."""
-    return sum(1 for row in solver.log if row[4] > 0.0)
-
-
 def test_lqr_single_iteration_optimum():
     prob, (A, B, Q, R, QT, x0, N) = make_lqr()
     solver = BoxFddp(prob, tol=1e-10)
-    solve(solver, max_iters=1)
+    rows = []
+    solve(solver, max_iters=1, rows=rows)
     xs_ref, us_ref, Ks = riccati_recursion(A, B, Q, R, QT, x0, N)
     for u, u_ref in zip(solver.us, us_ref):
         assert np.abs(u - u_ref).max() < 1e-8
@@ -383,7 +380,7 @@ def test_lqr_single_iteration_optimum():
         assert np.abs(x - x_ref).max() < 1e-8
     for K, K_ref in zip(solver.policy.K_fb, Ks):
         assert np.abs(K - K_ref).max() < 1e-8
-    assert steps_taken(solver) == 1
+    assert steps_taken(rows) == 1
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
@@ -397,10 +394,11 @@ def test_solver_rejects_a_tolerance_no_solve_can_meet(tol):
 def test_lqr_resolve_idempotent():
     prob, _ = make_lqr()
     solver = BoxFddp(prob, tol=1e-8)
-    solve(solver, max_iters=10)
-    accepted = steps_taken(solver)
-    assert solve(solver, max_iters=10) == "converged"
-    assert steps_taken(solver) == accepted  # nothing further to do
+    rows = []
+    solve(solver, max_iters=10, rows=rows)
+    accepted = steps_taken(rows)
+    assert solve(solver, max_iters=10, rows=rows) == "converged"
+    assert steps_taken(rows) == accepted  # nothing further to do
 
 
 def test_zero_horizon_policy():
@@ -480,8 +478,8 @@ def test_fddp_reduces_to_ddp_with_zero_gaps():
 
 @pytest.mark.parametrize("alpha, mu_change", [
     (1.0, 0.1), (0.5, 0.1),                 # long step: lower mu
-    (0.25, 1.0), (0.125, 1.0),              # in between: keep mu
-    (2.0 ** -4, 10.0), (2.0 ** -10, 10.0),  # short step: raise mu
+    (0.25, 1.0), (0.125, 1.0),              # shorter step: keep mu
+    (2.0 ** -4, 1.0), (2.0 ** -10, 1.0),
 ])
 def test_mu_follows_accepted_step_length(alpha, mu_change, monkeypatch):
     prob, _ = make_lqr()
@@ -492,7 +490,7 @@ def test_mu_follows_accepted_step_length(alpha, mu_change, monkeypatch):
     # search, so the solver accepts the only one it is given
     monkeypatch.setattr(boxfddp, "ALPHAS", (alpha,))
     assert solver.solve_one_iteration() is False
-    assert solver.log[-1][4] == alpha
+    assert solver.last_alpha == alpha
     assert solver.mu == pytest.approx(1e-3 * mu_change, rel=1e-12)
 
 
@@ -509,8 +507,7 @@ def test_mu_floor_and_ceiling_after_full_and_short_steps(monkeypatch):
     solver.mu = boxfddp.MU_MAX
     monkeypatch.setattr(boxfddp, "ALPHAS", (2.0 ** -6,))
     assert solver.solve_one_iteration() is False
-    assert steps_taken(solver) == 1   # set_candidate started a new log
-    assert solver.log[-1][4] == 2.0 ** -6
+    assert solver.last_alpha == 2.0 ** -6
     assert solver.mu == boxfddp.MU_MAX
 
 
@@ -553,7 +550,7 @@ def test_singular_trial_contact_set_rejects_trial():
     # the full step alone, then a row of the stacked shorter steps
     singular_rows(solver, prob.nodes[3], (1.0, 0.5))
     assert solver.solve_one_iteration() is False
-    assert solver.log[-1][4] == 0.25
+    assert solver.last_alpha == 0.25
 
 
 def test_last_iteration_reports_step_and_trials():
@@ -566,7 +563,6 @@ def test_last_iteration_reports_step_and_trials():
     calc = singular_rows(solver, rejected, (1.0, 0.5))
     assert solver.solve_one_iteration() is False
     assert (solver.last_alpha, solver.last_trials) == (0.25, 3)
-    assert solver.last_alpha == solver.log[-1][4]
     rejected.calc = calc
     assert solver.solve_one_iteration() is False
     assert (solver.last_alpha, solver.last_trials) == (1.0, 1)
@@ -667,8 +663,7 @@ def test_accepted_alpha1_closes_gaps():
         done = solver.solve_one_iteration()
         if done:
             break
-        row = solver.log[-1]
-        if row[4] == 1.0:  # alpha
+        if solver.last_alpha == 1.0:
             assert solver.gap_norm < 1e-9 * (1.0 + gap0)
             break
     else:
@@ -679,9 +674,10 @@ def test_cost_monotone_and_converges():
     prob, quad = quad_stand_problem()
     solver = BoxFddp(prob, tol=1e-5)
     warm_start(solver, quad)
-    assert solve(solver, max_iters=60) == "converged"
-    accepted = [row for row in solver.log if row[4] > 0]
-    costs = [row[1] for row in accepted]
+    rows = []
+    assert solve(solver, max_iters=60, rows=rows) == "converged"
+    accepted = [row for row in rows if row[3] > 0]
+    costs = [row[0] for row in accepted]
     assert all(c2 <= c1 + 1e-12 for c1, c2 in zip(costs, costs[1:]))
     for u, node in zip(solver.us, prob.nodes):
         assert np.all(u >= node.u_lb - 1e-12)
@@ -725,9 +721,11 @@ def test_jump_problem_solves():
     solver = BoxFddp(prob, tol=1e-4)
     solver.set_candidate()
     c0 = solver.cost
-    status = solve(solver, max_iters=40)
+    rows = []
+    status = solve(solver, max_iters=40, rows=rows)
     why = "status=%s cost/c0=%.4f\n(iter, cost, gap_inf, mu, alpha, qu_norm)\n%s" % (
-        status, solver.cost / c0, "\n".join(map(repr, solver.log[-8:])))
+        status, solver.cost / c0,
+        "\n".join(repr((i, *row)) for i, row in list(enumerate(rows))[-8:]))
     assert solver.cost < 0.2 * c0, why
     assert solver.feasible, why
 
@@ -1005,7 +1003,7 @@ def pendulum(us0):
 
 def assert_same_iterates(a, b):
     assert (a.last_alpha, a.last_trials, a.mu) == (b.last_alpha, b.last_trials, b.mu)
-    assert a.log == b.log
+    assert iteration_row(a) == iteration_row(b)
     assert a.cost == b.cost
     for x, y in zip(a.xs + a.us, b.xs + b.us):
         assert np.array_equal(x, y)

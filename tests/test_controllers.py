@@ -14,11 +14,11 @@ from leggedmpc import kinematics
 from leggedmpc import model as mod
 from leggedmpc import mpc as rh
 from leggedmpc import presets, schedule
-from leggedmpc.errors import (ConfigError, InvalidMeasurement, MaxIterations,
-                              RankDeficientContacts, Stage1Infeasible)
+from leggedmpc.errors import (ConfigError, DimensionMismatch, InvalidMeasurement,
+                              MaxIterations, RankDeficientContacts, Stage1Infeasible)
 
-from helpers import (centroidal_at, cold_hqp_solve, count_calls, nullspace_basis,
-                     reference_dynamics, reference_terms, rel_err,
+from helpers import (centroidal_at, cold_hqp_solve, count_calls, mis_shaped_states,
+                     nullspace_basis, reference_dynamics, reference_terms, rel_err,
                      rollout_reference, straight_legs, wbc_stance_cascade,
                      wbc_stance_tick)
 
@@ -286,6 +286,27 @@ def test_a_non_finite_time_raises_and_changes_nothing(quad, solver_message,
     with pytest.raises(ConfigError, match="finite"):
         ctrl.reference_at(t)
     assert ctrl.message is msg and ctrl._last is last
+
+
+@pytest.mark.parametrize("controller", [trk.RiccatiController,
+                                        trk.WholeBodyController])
+def test_a_mis_shaped_state_raises_and_keeps_the_last_command(quad, solver_message,
+                                                              controller):
+    ctrl = tracker(controller, quad, co.default_bounds(
+        quad, presets.nominal_configuration(quad)))
+    ctrl.update_message(solver_message)
+    t0 = solver_message.node_times[0]
+    x = np.array(solver_message.xs_ref[0])
+    for bad in mis_shaped_states(x):
+        with pytest.raises(DimensionMismatch):
+            ctrl.control(bad, t0)
+    assert ctrl._last is None
+    last = ctrl.control(x, t0)
+    for bad in mis_shaped_states(x):
+        with pytest.raises(DimensionMismatch):
+            ctrl.control(bad, t0 + ctrl.control_dt)
+        assert ctrl._last is last
+    np.testing.assert_array_equal(ctrl.control(x, t0).u, last.u)
 
 
 def test_message_that_is_not_whole_is_rejected(quad, solver_message):

@@ -11,10 +11,10 @@ from leggedmpc import kinematics
 from leggedmpc import model as mod
 from leggedmpc import mpc as rh
 from leggedmpc import presets, problem, schedule
-from leggedmpc.errors import (ConfigError, InvalidMeasurement, LeggedMpcError,
-                              NoStepAccepted, RankDeficientContacts)
+from leggedmpc.errors import (ConfigError, DimensionMismatch, InvalidMeasurement,
+                              LeggedMpcError, NoStepAccepted, RankDeficientContacts)
 
-from helpers import count_calls, single_body, straight_legs
+from helpers import count_calls, mis_shaped_states, single_body, straight_legs
 
 
 @pytest.fixture(scope="module")
@@ -341,17 +341,6 @@ def delayed_trot(quad):
     return messages, pre_gaps, swings, sched
 
 
-def test_solver_log_keeps_only_the_latest_step(quad):
-    # every step starts the solver from a new candidate, and with it a new
-    # iteration log, so a long-running Mpc does not grow one
-    ctrl = make_mpc(quad)
-    x = presets.nominal_state(quad)
-    for k in range(4):
-        msg = ctrl.step(x, k * 0.02)
-        assert len(ctrl.solver.log) <= 1
-        x = np.array(msg.xs_ref[1])
-
-
 def test_delayed_trot_takes_full_steps(delayed_trot):
     messages, _, _, _ = delayed_trot
     assert not any(m.diagnostics["degraded"] for m in messages)
@@ -400,6 +389,34 @@ def test_a_non_finite_wall_time_raises_and_changes_nothing(quad, t):
     after = (ctrl.k0, *ctrl.problem.window(), ctrl.solver.xs, ctrl.solver.us,
              ctrl.last_message)
     assert all(a is b for a, b in zip(after, before))
+
+
+@pytest.mark.parametrize("delay", [0.0, 0.01])
+def test_a_mis_shaped_measurement_raises_and_changes_nothing(quad, delay):
+    # at either delay the window moves from the state the prediction
+    # returns, and the window rejects it before anything changes
+    ctrl = make_mpc(quad, delay=delay)
+    x0 = presets.nominal_state(quad)
+    ctrl.step(x0, 0.0)
+    before = (ctrl.k0, *ctrl.problem.window(), ctrl.solver.xs, ctrl.solver.us,
+              ctrl.solver.data, ctrl.last_message)
+    for bad in mis_shaped_states(x0):
+        with pytest.raises(DimensionMismatch):
+            ctrl.step(bad, 0.02)
+        after = (ctrl.k0, *ctrl.problem.window(), ctrl.solver.xs, ctrl.solver.us,
+                 ctrl.solver.data, ctrl.last_message)
+        assert all(a is b for a, b in zip(after, before, strict=True)), bad.shape
+    assert not ctrl.step(x0, 0.02).diagnostics["degraded"]
+
+
+def test_a_mis_shaped_initial_state_is_refused_by_the_mpc(quad):
+    q0 = presets.nominal_configuration(quad)
+    cfg = rh.MpcConfig(horizon=0.4, node_dt=0.02, update_rate=50.0)
+    args = (quad, schedule.stand(range(4), foot_placements(quad)),
+            co.default_weights(quad, q0), co.default_bounds(quad, q0), cfg)
+    for bad in mis_shaped_states(presets.nominal_state(quad)):
+        with pytest.raises(DimensionMismatch):
+            rh.Mpc(*args, bad)
 
 
 def test_delay_prediction_becomes_problem_x0(quad):

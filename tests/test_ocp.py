@@ -6,9 +6,9 @@ import pytest
 from leggedmpc import costs as co
 from leggedmpc import model as mod
 from leggedmpc import _kernels, presets, problem, schedule
-from leggedmpc.errors import ConfigError, ScheduleError
+from leggedmpc.errors import ConfigError, DimensionMismatch, ScheduleError
 
-from helpers import random_state
+from helpers import mis_shaped_states, random_state
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +211,21 @@ def test_a_non_finite_window_start_raises_and_changes_nothing(quad, t0):
     with pytest.raises(ConfigError):
         problem.update_problem(prob, x0, t0)
     assert all(a is b for a, b in zip(prob.window(), window))
+
+
+def test_a_mis_shaped_initial_state_raises_and_changes_nothing(quad):
+    q0 = presets.nominal_configuration(quad)
+    x0 = presets.nominal_state(quad)
+    args = (quad, schedule.stand(range(4), foot_placements(quad)),
+            co.default_weights(quad, q0), co.default_bounds(quad, q0))
+    prob = problem.build_problem(*args, x0, N=5, dt=0.02, t0=0.04)
+    window = prob.window()
+    for bad in mis_shaped_states(x0):
+        with pytest.raises(DimensionMismatch):
+            problem.build_problem(*args, bad, N=5, dt=0.02)
+        with pytest.raises(DimensionMismatch):
+            problem.update_problem(prob, bad, 0.06)
+        assert all(a is b for a, b in zip(prob.window(), window))
 
 
 # ------------------------------------------------------------ friction cone
