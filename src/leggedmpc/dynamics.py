@@ -187,8 +187,11 @@ def multibody(model: RobotModel, q: np.ndarray, v: np.ndarray) -> Multibody:
 
 
 def gravity_torque(model: RobotModel, q: np.ndarray) -> np.ndarray:
-    """Static bias g(q): the pass's h at rest, ``multibody(q, 0).h``."""
-    return multibody(model, q, np.zeros(np.shape(q)[:-1] + (model.nv,))).h
+    """Static bias g(q): ``multibody(q, 0).h`` without the mass matrix."""
+    q = model.check_q(q)
+    kin = forward_kinematics(model, q)
+    tw, bias = bias_accelerations(model, kin, np.zeros(q.shape[:-1] + (model.nv,)))
+    return _rnea(model, kin, tw, bias)
 
 
 def mass_matrix(model: RobotModel, kin: Kinematics) -> np.ndarray:

@@ -178,9 +178,9 @@ def predict_initial_state(model: RobotModel, x0: np.ndarray, u0: np.ndarray,
 
     ``contact.predict`` under the current contact set, in the fewest equal
     steps of at most ``_MAX_SUBSTEP``, so longer delays stay accurate.
+    A nan, infinite or negative delay raises ``ConfigError``.
     """
-    if dt_delay < 0:
-        raise ConfigError("delay must be non-negative")
+    dt_delay = check_setting("delay", dt_delay, zero_ok=True)
     if dt_delay == 0.0:
         return np.array(x0, float)
     n = max(1, int(math.ceil(dt_delay / _MAX_SUBSTEP - 1e-12)))

@@ -12,7 +12,7 @@ from leggedmpc import controllers as trk
 from leggedmpc import dynamics, kinematics, presets, se2
 from leggedmpc import model as mod
 from leggedmpc import problem as pb
-from leggedmpc.boxfddp import BoxFddp
+from leggedmpc.boxfddp import ALPHAS, MU_MIN, BoxFddp
 from leggedmpc.centroidal import centroidal
 from leggedmpc.errors import (MaxIterations, NoStepAccepted, RankDeficientContacts,
                               Stage1Infeasible)
@@ -930,4 +930,23 @@ class SequentialFddp(BoxFddp):
                 continue
             # no data: the next iteration evaluates the accepted trial again
             return alpha, xs_try, us_try, cost_try, [None] * len(us_try)
+        return None
+
+
+# --------------------------------------------------- two-batch line search
+
+class TwoBatchFddp(BoxFddp):
+    """Box-FDDP whose line search rolls every step length shorter than its
+    first batch out as one stacked batch, with no lone next step length
+    before them: the oracle of the solver's outputs."""
+
+    def _line_search(self):
+        first = sum(alpha >= self._last_accepted for alpha in ALPHAS)
+        batches = [ALPHAS[:first]]
+        if self.mu > MU_MIN:
+            batches.append(ALPHAS[first:])
+        for alphas in batches:
+            step = self._try_steps(alphas) if alphas else None
+            if step is not None:
+                return step
         return None

@@ -12,8 +12,8 @@ from leggedmpc import mpc as rh
 from leggedmpc.boxfddp import BoxFddp, boxqp
 from leggedmpc.errors import ConfigError, NonPDHessian, NoStepAccepted, RankDeficientContacts
 
-from helpers import (SequentialFddp, boxqp_kkt_violation, count_calls, iteration_row, solve,
-                     steps_taken)
+from helpers import (SequentialFddp, TwoBatchFddp, boxqp_kkt_violation, count_calls,
+                     iteration_row, solve, steps_taken)
 
 
 # ----------------------------------------------------------------- box QP
@@ -751,7 +751,7 @@ def test_a_failed_full_step_at_mu_min_is_damped_not_shortened():
         assert mu > boxfddp.MU_MIN or min(alphas) >= last
 
 
-def benchmark_jump(seed):
+def benchmark_jump(seed, solver_cls=BoxFddp):
     """The jump benchmark's cold solve: the initial velocity perturbed by
     1e-4, the quasi-static stance torque, and zero torque in flight."""
     quad = presets.default_quadruped()
@@ -760,7 +760,7 @@ def benchmark_jump(seed):
     prob = jump_problem(mod.integrate(quad, presets.nominal_state(quad), dx))
     u_stance, _ = rh.quasi_static_start(quad, presets.nominal_configuration(quad),
                                         ct.ContactSet(frames=(0, 1, 2, 3)))
-    solver = BoxFddp(prob, tol=1e-4)
+    solver = solver_cls(prob, tol=1e-4)
     solver.set_candidate(us=[u_stance.copy() if node.nu and node.contacts.frames
                              else np.zeros(node.nu) for node in prob.nodes])
     return solver
@@ -1024,13 +1024,9 @@ def test_stacked_line_search_matches_the_sequential_oracle(make, iterations):
             break
 
 
-def test_first_batch_starts_at_the_last_accepted_step():
-    # after set_candidate the full step rolls out alone; within a solve the
-    # first batch holds every step length at or above the last accepted
-    # one, and the shorter ones follow together.  Above MU_MIN, where a
-    # failed first batch is shortened, not damped
-    solver = cold_jump(BoxFddp)
-    solver.mu = boxfddp.MU_MIN * boxfddp.MU_FACTOR
+def recorded_batches(solver) -> list:
+    """The list into which ``solver``'s forward passes record their step
+    lengths, one tuple per batch."""
     batches = []
     forward_pass = solver.forward_pass
 
@@ -1038,18 +1034,74 @@ def test_first_batch_starts_at_the_last_accepted_step():
         batches.append(tuple(alphas))
         return forward_pass(alphas)
     solver.forward_pass = recording
+    return batches
+
+
+def test_first_batch_starts_at_the_last_accepted_step():
+    # after set_candidate the full step rolls out alone; within a solve the
+    # first batch holds every step length at or above the last accepted
+    # one, then the next one follows alone and the shorter ones together.
+    # Above MU_MIN, where a failed first batch is shortened, not damped
+    solver = cold_jump(BoxFddp)
+    solver.mu = boxfddp.MU_MIN * boxfddp.MU_FACTOR
+    batches = recorded_batches(solver)
     last = 1.0
+    third = 0
     for _ in range(4):
         del batches[:]
         assert not solver.solve_one_iteration()
-        first = tuple(a for a in boxfddp.ALPHAS if a >= last)
-        assert batches[:2] == [first, boxfddp.ALPHAS[len(first):]][:len(batches)]
+        n = sum(a >= last for a in boxfddp.ALPHAS)
+        want = [boxfddp.ALPHAS[:n], boxfddp.ALPHAS[n:n + 1], boxfddp.ALPHAS[n + 1:]]
+        assert batches[:3] == want[:len(batches)]
+        third += len(batches) >= 3
         last = solver.last_alpha
         assert last < 1.0      # the jump accepts short steps only
+    assert third        # the shorter step lengths do roll out together
     solver.set_candidate(solver.xs, solver.us)
     del batches[:]
     solver.solve_one_iteration()
     assert batches[0] == (1.0,)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_an_accepted_lone_step_length_rolls_out_no_third_batch(seed):
+    # on the benchmark's cold jump above MU_MIN a failed first batch is
+    # followed by the next step length alone, and when that one passes the
+    # shorter ones never roll out
+    solver = benchmark_jump(seed)
+    batches = recorded_batches(solver)
+    lone = 0
+    for _ in range(4):
+        del batches[:]
+        mu = solver.mu
+        assert not solver.solve_one_iteration()
+        if mu > boxfddp.MU_MIN and len(batches) > 1:
+            assert len(batches[1]) == 1
+            if solver.last_alpha == batches[1][0]:
+                assert len(batches) == 2
+                lone += 1
+    assert lone
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_lone_next_step_length_matches_the_two_batch_oracle(seed):
+    # the lone next step length changes what rolls out, not what is
+    # accepted: each iteration leaves the bits of the line search that
+    # stacked every shorter step length in one batch.  On the zero-torque
+    # jump (seed None) and the benchmark's cold jump
+    solver, oracle = (cold_jump(cls) if seed is None else benchmark_jump(seed, cls)
+                      for cls in (BoxFddp, TwoBatchFddp))
+    for _ in range(4):
+        done = solver.solve_one_iteration()
+        assert oracle.solve_one_iteration() == done
+        assert (solver.mu, solver.last_alpha, solver.last_trials) == (
+            oracle.mu, oracle.last_alpha, oracle.last_trials)
+        assert np.float64(solver.cost).tobytes() == np.float64(oracle.cost).tobytes()
+        assert solver.gaps.tobytes() == oracle.gaps.tobytes()
+        for x, y in zip(solver.xs + solver.us, oracle.xs + oracle.us):
+            assert x.tobytes() == y.tobytes()
+        if done:
+            break
 
 
 @pytest.mark.parametrize("make", [cold_jump, misaligned_stand])

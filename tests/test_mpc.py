@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -136,6 +137,14 @@ def test_predict_zero_delay_is_identity(quad):
                                    ct.ContactSet(frames=(0, 1, 2, 3)), 0.0)
     assert np.array_equal(out, x)
     assert out is not x
+
+
+@pytest.mark.parametrize("delay", [math.nan, math.inf, -math.inf, -0.001])
+def test_predict_rejects_a_non_finite_or_negative_delay(delay):
+    box = single_body()
+    x = mod.state(box, np.zeros(3), np.zeros(3))
+    with pytest.raises(ConfigError, match="delay"):
+        rh.predict_initial_state(box, x, np.zeros(0), ct.ContactSet(), delay)
 
 
 def test_predict_free_fall_velocity_exact():
