@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import _kernels
-from .errors import NonPDHessian, NoStepAccepted, check_setting
+from .errors import NonPDHessian, NoStepAccepted, RankDeficientContacts, check_setting
 
 FEAS_TOL = 1e-9
 BOXQP_MAX_ITERS = 100
@@ -30,7 +30,7 @@ MU_MIN = 1e-9
 MU_MAX = 1e6
 MU_FACTOR = 10.0
 # mu after the step lengths tried at MU_MIN all fail (``BoxFddp``): one
-# jump to a damped model in place of a dozen stacked short steps.  On the
+# jump to a damped model in place of a dozen short steps.  On the
 # cold N = 30 jump (the benchmark's candidate, 40 solves of 4 iterations;
 # cost over the starting cost c0, and step lengths rolled out per solve):
 #   COLD_MU   median cost   max cost   above 0.01 c0   step lengths
@@ -39,8 +39,8 @@ MU_FACTOR = 10.0
 #   1e2       0.0029        0.024       4               5-8
 #   3e2       0.0062        0.022       8               5-6
 #   1e3       0.0078        0.64        9               5-17
-# At 1e1 the damped full step often fails as well and a batch of short
-# steps comes back, which makes the solve slower than without the jump;
+# At 1e1 the damped full step often fails as well and the short steps
+# come back, which makes the solve slower than without the jump;
 # from 3e2 on the model is damped past what the step needs
 COLD_MU = 1e2
 # the shortest accepted step length that lowers mu (``BoxFddp``): the
@@ -188,23 +188,20 @@ class BoxFddp:
     and its gaps as one (len(nodes) + 1, ndx) array, which the solver
     keeps as ``gaps``, read from the nodes' data, where it evaluates the
     nodes whose entry is None and fills them in; ``calc_diff(xs, us,
-    data)``, the ``NodeDerivatives`` of every node; ``step_rows(k, x,
-    u)``, the next states of node k at every row of ``x`` and ``u`` and
-    the rows' uncosted evaluation, and ``trial_costs(xs, us, steps)``,
-    the cost and data of each row just stepped; and ``rollout(us)``, the
-    states and data of a candidate given without states.
+    data)``, the ``NodeDerivatives`` of every node; ``step(k, x, u)``,
+    the next state of node k at (x, u) and its uncosted evaluation, which
+    raises ``RankDeficientContacts`` at a singular contact set, and
+    ``trial_costs(xs, us, steps)``, the cost and data of a trajectory just
+    stepped; and ``rollout(us)``, the states and data of a candidate given
+    without states.
 
     The solver keeps the data of its iterate as ``data``, one entry per
     node beside ``xs`` and ``us``: an accepted trial's data become it, and
     ``compute_derivatives`` reads the cost, the gaps and the derivatives'
-    dynamics solutions from it, solving no dynamics.  The line search
-    tries its step lengths in at most three batches, each the rows of one
-    stacked trajectory: every step length at or above the one the
-    candidate last accepted (the full step alone after ``set_candidate``),
-    then, only when none of those passes, the next shorter one alone, and
-    only when that fails too, the rest (``_line_search``).  A batch rolls
-    out the dynamics alone and is costed after the rollout in one stacked
-    pass.  Regularization persists across
+    dynamics solutions from it, solving no dynamics.  The line search is
+    plain backtracking, one rollout per step length, longest first
+    (``_line_search``): a rollout steps the dynamics alone and is costed
+    after it in one stacked pass.  Regularization persists across
     ``solve_one_iteration`` calls; a caller may set ``mu`` between them (the
     receding-horizon loop starts every step from one warm value).
     ``last_alpha`` and ``last_trials`` hold the accepted step length (0 when
@@ -218,8 +215,9 @@ class BoxFddp:
     accepted step of length ``alpha >= LONG_STEP`` and rises by
     ``MU_FACTOR`` after a failed backward pass or line search; a shorter
     accepted step leaves it unchanged.  It stays within [``MU_MIN``,
-    ``MU_MAX``].  At ``MU_MIN`` the line search tries its first batch
-    only, and when that fails mu jumps to ``COLD_MU``: the undamped model
+    ``MU_MAX``].  At ``MU_MIN`` the line search stops at the step length
+    the candidate last accepted, and when that fails mu jumps to
+    ``COLD_MU``: the undamped model
     is damped before its step is shortened (Levenberg-Marquardt; Nocedal &
     Wright, *Numerical Optimization*, 2006, sec. 10.3).  An exact model, as
     on an LQ problem, still takes its undamped full step.
@@ -240,7 +238,9 @@ class BoxFddp:
         self.qu_norm = np.inf
         self.last_alpha = 0.0
         self.last_trials = 0
-        self._last_accepted = 1.0   # the first batch's shortest step length
+        # the step length the candidate last accepted: where a search at
+        # MU_MIN stops
+        self._last_accepted = 1.0
         # an accepted step scaled the gaps: the next derivative pass
         # evaluates the cost and gaps from the data anew
         self._scaled = False
@@ -359,58 +359,47 @@ class BoxFddp:
 
     # -- forward pass -----------------------------------------------------
 
-    def forward_pass(self, alphas):
-        """Roll the step lengths ``alphas`` out as the rows of one stacked trajectory.
+    def forward_pass(self, alpha):
+        """Roll the policy out at the step length ``alpha``.
 
-        Each row applies the policy at its alpha and, on an infeasible
+        The rollout applies the policy at ``alpha`` and, on an infeasible
         iterate, opens the gaps by (1 - alpha).  The loop over the nodes
-        rolls out the dynamics alone (``problem.step_rows``, one stacked
-        group per node; a single alpha runs the single-state code), keeps
-        each node's evaluation with its row of every live row, and drops a
-        row at a singular contact set or a non-finite state.  The rows that
-        reach the end are costed after the loop, in one stacked pass per
-        node group (``problem.trial_costs``).  Overflow along a dropped row
-        is expected, not an error.  Returns per alpha None (dropped or a
-        non-finite cost) or ``(xs, us, cost, data)``.
+        rolls out the dynamics alone (``problem.step``) and keeps each
+        node's evaluation; the trajectory is costed after the loop, in one
+        stacked pass per node group (``problem.trial_costs``).  Overflow on
+        a diverging rollout is expected, not an error.  Returns ``(xs, us,
+        cost, data)``, or None at a singular contact set, a non-finite
+        state or a non-finite cost.
         """
         problem = self.problem
         policy = self.policy
         feasible = self.feasible
-        live = np.arange(len(alphas))       # the rows still rolling out
-        a = alphas[0] if len(alphas) == 1 else np.array(alphas)[:, None]
-        # a lone full step closes every (finite) gap: x (+) 0 is x for a
-        # stepped state, whose angle wrap_angle gave, unless an entry is
-        # -0.0 (it turns +0.0)
-        full = len(alphas) == 1 and a == 1.0 and bool(np.isfinite(self.gaps).all())
-        out = [None] * len(alphas)
+        # a full step closes every (finite) gap: x (+) 0 is x for a stepped
+        # state, whose angle wrap_angle gave, unless an entry is -0.0 (it
+        # turns +0.0)
+        full = alpha == 1.0 and bool(np.isfinite(self.gaps).all())
         with np.errstate(over="ignore", invalid="ignore"):
-            x = (problem.integrate(problem.x0, (a - 1.0) * self.gaps[0]) if not feasible
-                 else np.broadcast_to(problem.x0, np.shape(a)[:-1] + problem.x0.shape))
-            xs, us, steps = [np.array(x)], [], []
+            x = (np.array(problem.x0) if feasible
+                 else problem.integrate(problem.x0, (alpha - 1.0) * self.gaps[0]))
+            xs, us, steps = [x], [], []
             for k, node in enumerate(problem.nodes):
                 dx = problem.diff(x, self.xs[k])
-                u = _kernels.clip(self.us[k] + a * policy.k_ff[k]
-                                  - (policy.K_fb[k] @ dx[..., None])[..., 0],
+                u = _kernels.clip(self.us[k] + alpha * policy.k_ff[k]
+                                  - (policy.K_fb[k] @ dx[:, None])[:, 0],
                                   node.u_lb, node.u_ub)
-                x, step = problem.step_rows(k, x, u)
+                try:
+                    x, step = problem.step(k, x, u)
+                except RankDeficientContacts:
+                    return None
                 if not feasible and not (full and not _has_negative_zero(x)):
-                    x = problem.integrate(x, (a - 1.0) * self.gaps[k + 1])
+                    x = problem.integrate(x, (alpha - 1.0) * self.gaps[k + 1])
+                if not np.isfinite(x).all():
+                    return None
                 xs.append(x)
                 us.append(u)
                 steps.append(step)
-                ok = np.isfinite(x).all(-1)
-                if not ok.all():
-                    if not ok.any():
-                        return out
-                    live, a, x = live[ok], a[ok], x[ok]
-                    xs, us = [y[ok] for y in xs], [v[ok] for v in us]
-                    steps = [(ev, rows[ok]) for ev, rows in steps]
             cost, data = problem.trial_costs(xs, us, steps)
-        for r, (i, c) in enumerate(zip(live.tolist(), cost)):
-            if np.isfinite(c):
-                out[i] = ((xs, us, c, data[r]) if len(alphas) == 1 else
-                          ([y[r] for y in xs], [v[r] for v in us], c, data[r]))
-        return out
+        return (xs, us, cost, data) if np.isfinite(cost) else None
 
     def expected_improvement(self, alpha: float, xs_try) -> float:
         dv = 0.0
@@ -468,36 +457,20 @@ class BoxFddp:
                 raise NoStepAccepted("no step length accepted at MU_MAX")
 
     def _line_search(self):
-        """The first step length of ``ALPHAS`` that passes, or None.
+        """``(alpha, xs, us, cost, data)`` of the first step length of
+        ``ALPHAS`` that passes, or None.
 
-        The first batch holds every step length at or above the one the
-        candidate last accepted (the full step alone after
-        ``set_candidate``).  Only when that batch fails, and never at
-        ``MU_MIN``, the next step length rolls out alone, and only when it
-        fails too, the shorter ones together.  With the damped retry the
-        next step length almost always passes: it passed in all 23 second
-        batches of the cold jump benchmark (seeds 1-5) and in 11 of 12 of
-        the trot MPC's, and a lone row costs about two fifths of the
-        stacked ten (median wall times over the jump's iterations, seeds
-        1-5: 11.2 against 28.8 ms).
+        One rollout per step length, longest first.  At ``MU_MIN`` the
+        search stops at the step length the candidate last accepted (the
+        full step after ``set_candidate``): a failed undamped step is
+        damped before it is shortened (see the class docstring).
         """
-        first = sum(alpha >= self._last_accepted for alpha in ALPHAS)
-        batches = [ALPHAS[:first]]
-        if self.mu > MU_MIN:
-            batches += [ALPHAS[first:first + 1], ALPHAS[first + 1:]]
-        for alphas in batches:
-            step = self._try_steps(alphas) if alphas else None
-            if step is not None:
-                return step
-        return None
-
-    def _try_steps(self, alphas):
-        """``(alpha, xs, us, cost, data)`` of the first of ``alphas`` that
-        passes, all rolled out as one stacked batch, or None."""
-        was_feasible = self.feasible
-        trials = self.forward_pass(alphas)
-        for alpha, trial in zip(alphas, trials):
+        feasible = self.feasible
+        for alpha in ALPHAS:
+            if alpha < self._last_accepted and self.mu <= MU_MIN:
+                break
             self.last_trials += 1
+            trial = self.forward_pass(alpha)
             if trial is None:
                 continue
             xs_try, _, cost_try, _ = trial
@@ -507,7 +480,7 @@ class BoxFddp:
                 continue
             # with zero gaps the model always predicts improvement, so a
             # feasible iterate never accepts a cost increase
-            if was_feasible and actual < -1e-12:
+            if feasible and actual < -1e-12:
                 continue
             return (alpha, *trial)
         return None

@@ -134,9 +134,9 @@ def _kkt_forward(M, J, rhs, bias, what: str):
 
     One solve gives M^-1 [J.T | rhs]; the multipliers then come from the
     contact-space inertia Mhat = J M^-1 J.T, whose condition is checked
-    for every stacked system; the ``rows`` of the RankDeficientContacts it
-    raises mark the singular ones.  One system takes the test on Python
-    floats, the same IEEE operations without the array bookkeeping.
+    for every stacked system: one singular system raises
+    RankDeficientContacts.  One system takes the test on Python floats,
+    the same IEEE operations without the array bookkeeping.
     """
     Minv = _kernels.solve(M, np.concatenate([J.swapaxes(-1, -2), rhs[..., None]], -1))
     Minv_Jt, x_free = Minv[..., :-1], Minv[..., -1]
@@ -144,21 +144,17 @@ def _kkt_forward(M, J, rhs, bias, what: str):
     # Mhat is symmetric positive semidefinite: its condition is the ratio of
     # its extreme eigenvalues, infinite when the smallest is not positive; a
     # system that is not finite counts as singular (and skips the eigensolver)
+    finite = bool(np.isfinite(Mhat).all())
     if J.ndim == 2:
-        finite = bool(np.isfinite(Mhat).all())
         eig = _kernels.eigvalsh(Mhat).tolist() if finite and J.shape[0] else [1.0]
         cond = eig[-1] / max(eig[0], 1e-300) if finite else math.inf
-        singular = not cond <= COND_LIMIT
     else:
-        finite = np.isfinite(Mhat).all((-2, -1))
-        eig = (np.ones((1, 1)) if not J.shape[-2] else _kernels.eigvalsh(
-            Mhat if finite.all() else np.where(finite[..., None, None], Mhat, 1.0)))
-        cond = eig[..., -1] / np.maximum(eig[..., 0], 1e-300)
-        singular = ~(finite & (cond <= COND_LIMIT))
-    if np.count_nonzero(singular):
+        eig = _kernels.eigvalsh(Mhat) if finite and J.shape[-2] else np.ones((1, 1))
+        cond = (np.max(eig[..., -1] / np.maximum(eig[..., 0], 1e-300)) if finite
+                else math.inf)
+    if not cond <= COND_LIMIT:
         raise RankDeficientContacts(
-            f"{what} inertia condition {np.max(cond):.3e} exceeds {COND_LIMIT:.0e}",
-            rows=singular)
+            f"{what} inertia condition {cond:.3e} exceeds {COND_LIMIT:.0e}")
     lam = -_kernels.solve(Mhat, (bias + _matvec(J, x_free))[..., None])[..., 0]
     return x_free + _matvec(Minv_Jt, lam), lam
 

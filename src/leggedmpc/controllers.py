@@ -211,8 +211,10 @@ class _MessageTracker:
 
     def _lookup(self, t: float):
         """The active reference, and the interval and reference index of
-        time ``t``."""
+        time ``t``; ``ConfigError`` before any message."""
         ref = self._ref
+        if ref is None:
+            raise ConfigError("no policy message received")
         return ref, ref.msg.interval_at(t), _index_at(ref.times, t,
                                                       len(ref.states))
 

@@ -13,12 +13,7 @@ class DimensionMismatch(LeggedMpcError):
 
 
 class RankDeficientContacts(LeggedMpcError):
-    """The contact-space inertia is numerically singular (condition > 1e12);
-    ``rows`` marks the singular states of a stacked contact solve."""
-
-    def __init__(self, message: str, rows=None):
-        super().__init__(message)
-        self.rows = rows
+    """The contact-space inertia is numerically singular (condition > 1e12)."""
 
 
 class NonPDHessian(LeggedMpcError):

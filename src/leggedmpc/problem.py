@@ -10,9 +10,10 @@ They group the nodes by kind and contact-set size and run each group as one
 pass over stacked (B, ...) arrays: the dynamics, one tangent sweep, the
 integrator chain rule and the cost expansion.  A node's results do not
 depend on the rest of its group, so a node's own ``calc`` is the same pass
-on a group of one and gives the same bits; so do the line search's trial
-rows, solved one node at a time (``ShootingProblem.step_rows``) and costed
-in one pass per group (``ShootingProblem.trial_costs``).
+on a group of one and gives the same bits; so does a line-search
+rollout, one rollout per step length, solved one node at a time
+(``ShootingProblem.step``) and costed in one pass per group
+(``ShootingProblem.trial_costs``).
 
 A node keeps nothing of its evaluations.  What ``evaluate_nodes`` gives a
 node is its data, one ``(evaluation, row)`` pair: the stacked pass of its
@@ -30,16 +31,14 @@ a slot the next window holds too and builds one for each new slot.  The
 terminal node is built once, with the problem, so a window is ``(nodes, x0,
 k0)`` (``ShootingProblem.window``).
 
-The line search steps one state per node most of the time, so the single
-state pays no batch bookkeeping it does not need: a lone source's
-solution, or every row of one source in order, is handed on as it is
-(``_group_rows``, ``_gather``), and the contact solve and the box QP test
-their conditions on Python floats.  When it tries several step lengths,
-the rows of one node are not treated as different nodes: a group whose
-nodes share a contact set, swing feet or touchdowns passes that frames
-tuple, which a stack reads by its frame plan as one state does; nodes that
-share a period step with it as a scalar (``_shared``); and the terminal
-costs of all rows are one stacked ``TerminalNode.calc``.  A cost pass sums
+The line search steps one state per node, so the single state pays no
+batch bookkeeping it does not need: a lone source's solution, or every
+row of one source in order, is handed on as it is (``_group_rows``,
+``_gather``), and the contact solve and the box QP test their conditions
+on Python floats.  A group whose nodes share a contact set, swing feet or
+touchdowns passes that frames tuple, which a stack reads by its frame
+plan as one state does, and nodes that share a period step with it as a
+scalar (``_shared``).  A cost pass sums
 the value alone and a derivative pass the gradient and Hessian alone
 (``_Expansion``), and a cost pass builds no Jacobian: the swing feet's
 positions and velocities, the cone violation and the touchdown positions
@@ -60,8 +59,7 @@ from . import contact as ct
 from . import costs as co
 from . import model as mod
 from .dynamics import frame_jacobian, frame_velocities, tangent_sweep
-from .errors import (ConfigError, RankDeficientContacts, ScheduleError, check_setting,
-                     check_time)
+from .errors import ConfigError, ScheduleError, check_setting, check_time
 from .kinematics import frame_positions
 from .model import RobotModel
 from .schedule import ContactSchedule, evaluate_swing
@@ -267,7 +265,7 @@ def _half(dt):
 
 class _DynamicsNode:
     """What running and impulse nodes share: a fresh evaluation at one
-    state, and the line search's stepped rows."""
+    state, and the line search's uncosted step."""
 
     def __init__(self, model, weights, time, contacts, slot):
         self.model, self.weights = model, weights
@@ -278,31 +276,11 @@ class _DynamicsNode:
         (ev, _), = evaluate_nodes([self], [x], [u])
         return ev.x_next.copy(), ev.cost
 
-    def step_rows(self, x, u):
-        """Next states at each row of ``x`` and ``u``, one stacked group (one
-        row without a leading axis runs the single-state code), nan at a row
-        whose contact set is singular; and the rows' uncosted evaluation,
-        ``(evaluation, rows)``.  ``rows`` holds each row's row of the
-        evaluation (-1 at a singular one), None for one row; the evaluation
-        is None when every row is singular."""
-        x, u = np.array(x, dtype=float), np.array(u, dtype=float)
-        lone = x.ndim == 1
-        ok = np.ones(1 if lone else len(x), dtype=bool)
-        try:
-            ev = self._step_group([self] * ok.size, x, u)
-        except RankDeficientContacts as exc:
-            ok = ~np.reshape(exc.rows, -1)
-            ev = (self._step_group([self] * int(ok.sum()), x[ok], u[ok])
-                  if ok.any() else None)
-        if lone:
-            return (np.full(x.shape, np.nan) if ev is None else ev.x_next), (ev, None)
-        rows = np.cumsum(ok) - 1
-        if ok.all():
-            return ev.x_next, (ev, rows)
-        x_next = np.full(x.shape, np.nan)
-        if ev is not None:
-            x_next[ok] = ev.x_next
-        return x_next, (ev, np.where(ok, rows, -1))
+    def step(self, x, u):
+        """The next state at (x, u) and its uncosted evaluation;
+        ``RankDeficientContacts`` at a singular contact set."""
+        ev = self._step_group([self], np.array(x, dtype=float), np.array(u, dtype=float))
+        return ev.x_next, ev
 
 
 FORCE_WEIGHTS = (1e-4, 1e-4)  # a contact force (tangential, normal)
@@ -718,40 +696,29 @@ class ShootingProblem:
         ``differentiate_nodes``)."""
         return differentiate_nodes(self.nodes, xs, us, data)
 
-    def step_rows(self, k, x, u):
-        """Next states of node ``k`` at each row, and the rows' uncosted
-        evaluation (``_DynamicsNode.step_rows``)."""
-        return self.nodes[k].step_rows(x, u)
+    def step(self, k, x, u):
+        """Node ``k`` stepped at (x, u) (``_DynamicsNode.step``)."""
+        return self.nodes[k].step(x, u)
 
     def trial_costs(self, xs, us, steps):
-        """The cost and the nodes' data of each row of ``xs`` and ``us`` (one
-        array per node, one row without a leading axis), whose rows every
-        node just stepped: ``steps[k]`` is node k's ``(evaluation, rows)``,
-        ``rows`` the evaluation's row of each row here (None for one row).
+        """The cost of ``(xs, us)``, whose every node was just stepped, and
+        the nodes' data: ``steps[k]`` is node k's uncosted evaluation.
 
         The steps' dynamics solutions are costed in one stacked pass per
-        group over nodes x rows; a row's data are its rows of those passes,
-        in node order.  Node costs add up in node order.
+        group; a node's data are its row of its group's pass.  Node costs
+        add up in node order.
         """
-        nodes, lone = self.nodes, np.ndim(xs[0]) == 1
-        if lone:
-            xs, us = [x[None] for x in xs], [u[None] for u in us]
-        n = len(xs[0])
-        costs = np.empty((len(nodes), n))
-        data = [[None] * len(nodes) for _ in range(n)]
+        nodes = self.nodes
+        costs, data = [None] * len(nodes), [None] * len(nodes)
         for ks in _groups(nodes, range(len(nodes))):
-            group = [nodes[k] for k in ks for _ in range(n)]
-            x, u = (np.concatenate([a[k] for k in ks]) if len(group) > 1 else a[ks[0]][0]
-                    for a in (xs, us))
-            stepped = [(steps[k][0], j) for k in ks
-                       for j in ([None] if lone else steps[k][1].tolist())]
+            group = [nodes[k] for k in ks]
+            x, u = (_stack([a[k] for k in ks]) for a in (xs, us))
             ev = group[0]._cost_group(group, x, u, _Evaluation(
-                *_group_rows(stepped, "sol", "x_next"), None))
+                *_group_rows([(steps[k], None) for k in ks], "sol", "x_next"), None))
             for i, k in enumerate(ks):
-                for r in range(n):
-                    data[r][k] = ev, i * n + r if len(group) > 1 else None
-            costs[list(ks)] = np.reshape(ev.cost, (len(ks), n))
-        total = np.zeros(n)
+                data[k] = ev, i if len(ks) > 1 else None
+                costs[k] = _row(data[k], "cost")
+        total = 0.0
         for cost in costs:
             total = total + cost
         return total + self.terminal.calc(xs[-1]), data

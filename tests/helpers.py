@@ -12,7 +12,7 @@ from leggedmpc import controllers as trk
 from leggedmpc import dynamics, kinematics, presets, se2
 from leggedmpc import model as mod
 from leggedmpc import problem as pb
-from leggedmpc.boxfddp import ALPHAS, MU_MIN, BoxFddp
+from leggedmpc.boxfddp import BoxFddp
 from leggedmpc.centroidal import centroidal
 from leggedmpc.errors import (MaxIterations, NoStepAccepted, RankDeficientContacts,
                               Stage1Infeasible)
@@ -859,22 +859,20 @@ def mis_shaped_states(x) -> list:
 
 # ------------------------------------------------- sequential line search
 #
-# Box-FDDP's backtracking line search written one step length at a time, as
-# in Mastalli et al., "A feasibility-driven approach to control-limited
-# DDP" (Auton. Robots 2022): each trial rolls the nodes out alone, through
-# ``node.calc``, and the first trial that passes wins.  The solver rolls the
-# step lengths out as the rows of one stacked trajectory; this loop is the
-# oracle it is checked against.
+# Box-FDDP's backtracking line search, one rollout per step length, as in
+# Mastalli et al., "A feasibility-driven approach to control-limited DDP"
+# (Auton. Robots 2022), with each trial rolling the nodes out alone through
+# ``node.calc``.  The solver steps the dynamics alone and costs the rollout
+# in one stacked pass per node group; this rollout is the oracle it is
+# checked against.
 
 class SequentialFddp(BoxFddp):
-    """Box-FDDP whose line search tries the step lengths of each batch one
-    after another; the solver's own rule picks the batches."""
+    """Box-FDDP whose rollouts go through ``node.calc``, one node after
+    another; the solver's own line search picks the step lengths."""
 
-    def trial(self, alpha, min_decrease=None):
+    def trial(self, alpha):
         """(xs, us, cost) of the rollout at ``alpha``, or None at a singular
-        contact set or a non-finite value and, with ``min_decrease`` given,
-        as soon as the running cost shows ``self.cost - cost <
-        min_decrease`` (node costs are never negative)."""
+        contact set or a non-finite value."""
         problem = self.problem
         policy = self.policy
         feasible = self.feasible
@@ -899,8 +897,6 @@ class SequentialFddp(BoxFddp):
                 cost += c
                 if not np.isfinite(cost):
                     return None
-                if min_decrease is not None and self.cost - cost < min_decrease:
-                    return None
                 xs_try[k + 1] = xnext if feasible else \
                     problem.integrate(xnext, (alpha - 1.0) * self.gaps[k + 1])
                 if not np.all(np.isfinite(xs_try[k + 1])):
@@ -910,43 +906,7 @@ class SequentialFddp(BoxFddp):
             return None
         return xs_try, us_try, cost
 
-    def _try_steps(self, alphas):
-        was_feasible = self.feasible
-        for alpha in alphas:
-            min_decrease = (self._min_decrease(self.expected_improvement(alpha, None))
-                            if was_feasible else None)
-            out = self.trial(alpha, min_decrease)
-            self.last_trials += 1
-            if out is None:
-                continue
-            xs_try, us_try, cost_try = out
-            if not was_feasible:
-                min_decrease = self._min_decrease(
-                    self.expected_improvement(alpha, xs_try))
-            actual = self.cost - cost_try
-            if not actual >= min_decrease:
-                continue
-            if was_feasible and actual < -1e-12:
-                continue
-            # no data: the next iteration evaluates the accepted trial again
-            return alpha, xs_try, us_try, cost_try, [None] * len(us_try)
-        return None
-
-
-# --------------------------------------------------- two-batch line search
-
-class TwoBatchFddp(BoxFddp):
-    """Box-FDDP whose line search rolls every step length shorter than its
-    first batch out as one stacked batch, with no lone next step length
-    before them: the oracle of the solver's outputs."""
-
-    def _line_search(self):
-        first = sum(alpha >= self._last_accepted for alpha in ALPHAS)
-        batches = [ALPHAS[:first]]
-        if self.mu > MU_MIN:
-            batches.append(ALPHAS[first:])
-        for alphas in batches:
-            step = self._try_steps(alphas) if alphas else None
-            if step is not None:
-                return step
-        return None
+    def forward_pass(self, alpha):
+        out = self.trial(alpha)
+        # no data: the next iteration evaluates the accepted trial again
+        return None if out is None else (*out, [None] * len(self.us))

@@ -11,7 +11,6 @@ same bits as its row of a stack.
 import sys
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +19,6 @@ from leggedmpc import contact as ct
 from leggedmpc import costs as co
 from leggedmpc import kinematics, presets, problem, schedule
 from leggedmpc.boxfddp import BoxFddp
-from leggedmpc.errors import RankDeficientContacts
 
 from helpers import (base_pendulum, random_state, ref_impulse, ref_running, rel_err,
                      single_body, solved_derivatives)
@@ -169,55 +167,8 @@ def test_shared_frames_broadcast_over_stacked_states():
             assert np.array_equal(getattr(stacked, field)[k], getattr(alone, field))
 
 
-def test_rows_of_one_node_match_the_node_alone(monkeypatch):
-    # step_rows solves a node's dynamics at stacked rows as one group: each
-    # row gives the bits of the node alone, and a row whose contact set is
-    # singular (here: not finite) gives nan, no row of the evaluation, and
-    # leaves the others as they are.  trial_costs costs the kept rows of
-    # every node, solving no dynamics; each row's data hold its next state
-    # and cost
-    solver = trot_solver(15)
-    prob = solver.problem
-    quad = prob.model
-    nodes = prob.nodes
-    rng = np.random.default_rng(6)
-    stance = next(k for k, n in enumerate(nodes) if n.nu and n.contacts.frames)
-    impulse = next(k for k, n in enumerate(nodes) if n.kind == "impulse")
-    xs = [np.array([random_state(quad, rng, spread=0.05) for _ in range(4)])
-          for _ in range(len(nodes) + 1)]
-    us = [rng.normal(size=(4, node.nu)) for node in nodes]
-    for k in (stance, impulse):
-        xs[k][2, 3] = np.nan
-    with np.errstate(invalid="ignore"):
-        stepped = [prob.step_rows(k, xs[k], us[k]) for k in range(len(nodes))]
-    x_next = [x for x, _ in stepped]
-    for k in (stance, impulse):
-        assert np.isnan(x_next[k][2]).all()
-        assert stepped[k][1][1].tolist() == [0, 1, -1, 2]
-    rows = [0, 1, 3]
-    with monkeypatch.context() as m:
-        solves = (count_calls(m, ct, "impulse_dynamics"),
-                  count_calls(m, ct, "contact_forward_dynamics"))
-        cost, data = prob.trial_costs([x[rows] for x in xs], [u[rows] for u in us],
-                                      [(ev, index[rows]) for _, (ev, index) in stepped])
-        assert solves == ([], [])
-        for k in (stance, impulse):
-            with pytest.raises(RankDeficientContacts), np.errstate(invalid="ignore"):
-                nodes[k].calc(xs[k][2], us[k][2])
-        assert sum(map(len, solves)) == 2
-    for j, r in enumerate(rows):
-        total = 0.0
-        for k, node in enumerate(nodes):
-            got = next_state_and_cost(data[j][k])
-            assert np.array_equal(got[0], x_next[k][r])
-            total = total + got[1]
-            alone = node.calc(xs[k][r], us[k][r])
-            assert np.array_equal(alone[0], x_next[k][r]) and alone[1] == got[1]
-        assert total + prob.terminal.calc(xs[-1][r]) == cost[j]
-
-
 def test_evenly_spaced_rows_gather_as_views():
-    # a group's rows, or one node's trial rows, run evenly: they index a
+    # a group's rows run evenly: they index a
     # basic slice, a view; any other run gathers a copy by an index array
     assert _kernels.basic_index([1, 3, 5]) == slice(1, 6, 2)
     assert _kernels.basic_index([4]) == slice(4, 5, 1)

@@ -12,8 +12,8 @@ from leggedmpc import mpc as rh
 from leggedmpc.boxfddp import BoxFddp, boxqp
 from leggedmpc.errors import ConfigError, NonPDHessian, NoStepAccepted, RankDeficientContacts
 
-from helpers import (SequentialFddp, TwoBatchFddp, boxqp_kkt_violation, count_calls,
-                     iteration_row, solve, steps_taken)
+from helpers import (SequentialFddp, boxqp_kkt_violation, count_calls, iteration_row,
+                     solve, steps_taken)
 
 
 # ----------------------------------------------------------------- box QP
@@ -305,30 +305,18 @@ class EuclidProblem:
     def calc_diff(self, xs, us, data=None):
         return [node.calc_diff(xs[k], us[k]) for k, node in enumerate(self.nodes)]
 
-    def step_rows(self, k, x, u):
-        """Node ``k`` at each row, one row at a time; a singular row gives
-        nan.  The step's data are each row's (next state, cost)."""
-        rows = [None] * len(np.atleast_2d(x))
-        x_next = np.empty_like(np.atleast_2d(x))
-        for i, (xi, ui) in enumerate(zip(np.atleast_2d(x), np.atleast_2d(u))):
-            try:
-                rows[i] = self.nodes[k].calc(xi, ui)
-                x_next[i] = rows[i][0]
-            except RankDeficientContacts:
-                x_next[i] = np.nan
-        if x.ndim == 1:
-            return x_next[0], (rows, None)
-        return x_next, (rows, np.arange(len(rows)))
+    def step(self, k, x, u):
+        """Node ``k`` at (x, u); the step's data are its (next state, cost)."""
+        datum = self.nodes[k].calc(x, u)
+        return datum[0], datum
 
     def trial_costs(self, xs, us, steps):
-        """The steps' costs of each row summed in node order, then the
-        terminal; and each row's data."""
-        data = [[rows[0] if index is None else rows[index[r]] for rows, index in steps]
-                for r in range(len(np.atleast_2d(xs[0])))]
-        cost = np.zeros(len(data))
-        for k in range(len(self.nodes)):
-            cost = cost + np.array([row[k][1] for row in data])
-        return cost + [self.terminal.calc(x) for x in np.atleast_2d(xs[-1])], data
+        """The steps' costs summed in node order, then the terminal; and
+        the data."""
+        cost = 0.0
+        for _, c in steps:
+            cost = cost + c
+        return cost + self.terminal.calc(xs[-1]), list(steps)
 
     def rollout(self, us):
         xs, data = [self.x0], []
@@ -435,7 +423,7 @@ def test_a_line_search_failing_up_to_mu_max_raises_no_step_accepted(monkeypatch)
     prob, _ = make_lqr(N=4)
     solver = BoxFddp(prob)
     solver.set_candidate()
-    monkeypatch.setattr(solver, "forward_pass", lambda alphas: [None] * len(alphas))
+    monkeypatch.setattr(solver, "forward_pass", lambda alpha: None)
     with pytest.raises(NoStepAccepted, match="no step length"):
         solver.solve_one_iteration()
     assert solver.mu == boxfddp.MU_MAX
@@ -471,7 +459,7 @@ def test_fddp_reduces_to_ddp_with_zero_gaps():
     assert solver.feasible
     solver.compute_derivatives()
     solver.backward_pass()
-    xs_try, us_try, _, _ = solver.forward_pass((1.0,))[0]
+    xs_try, us_try, _, _ = solver.forward_pass(1.0)
     assert solver.expected_improvement(1.0, xs_try) == pytest.approx(
         solver._dg + 0.5 * solver._dq)
 
@@ -511,35 +499,28 @@ def test_mu_floor_and_ceiling_after_full_and_short_steps(monkeypatch):
     assert solver.mu == boxfddp.MU_MAX
 
 
-def singular_rows(solver, node, alphas):
-    """Make ``node`` raise RankDeficientContacts on the rows of ``alphas``.
-
-    The test problem evaluates a stacked node one row at a time, in row
-    order; no row is dropped before the patched node.  Returns the
-    original ``calc``.
-    """
+def singular_steps(solver, node, alphas):
+    """Make ``node`` raise RankDeficientContacts in the rollouts at
+    ``alphas``.  Returns the original ``calc``."""
     trial = {}
     forward_pass = solver.forward_pass
 
-    def tracking_forward_pass(rows, *args):
-        trial.update(alphas=rows, row=0)
+    def tracking_forward_pass(alpha):
+        trial["alpha"] = alpha
         try:
-            return forward_pass(rows, *args)
+            return forward_pass(alpha)
         finally:
             trial.clear()
 
     calc = node.calc
 
-    def calc_singular_on_rows(x, u):
-        if trial:
-            alpha = trial["alphas"][trial["row"]]
-            trial["row"] += 1
-            if alpha in alphas:
-                raise RankDeficientContacts("singular trial contact set")
+    def calc_singular_at(x, u):
+        if trial and trial["alpha"] in alphas:
+            raise RankDeficientContacts("singular trial contact set")
         return calc(x, u)
 
     solver.forward_pass = tracking_forward_pass
-    node.calc = calc_singular_on_rows
+    node.calc = calc_singular_at
     return calc
 
 
@@ -547,8 +528,8 @@ def test_singular_trial_contact_set_rejects_trial():
     prob, _ = make_lqr()
     solver = BoxFddp(prob)
     solver.set_candidate()
-    # the full step alone, then a row of the stacked shorter steps
-    singular_rows(solver, prob.nodes[3], (1.0, 0.5))
+    # the full step and the next one
+    singular_steps(solver, prob.nodes[3], (1.0, 0.5))
     assert solver.solve_one_iteration() is False
     assert solver.last_alpha == 0.25
 
@@ -560,7 +541,7 @@ def test_last_iteration_reports_step_and_trials():
     # above MU_MIN a failed full step is shortened, not damped
     solver.mu = boxfddp.MU_MIN * boxfddp.MU_FACTOR
     rejected = prob.nodes[3]
-    calc = singular_rows(solver, rejected, (1.0, 0.5))
+    calc = singular_steps(solver, rejected, (1.0, 0.5))
     assert solver.solve_one_iteration() is False
     assert (solver.last_alpha, solver.last_trials) == (0.25, 3)
     rejected.calc = calc
@@ -584,9 +565,8 @@ def test_feasible_iterate_never_accepts_cost_increase(goldstein, expected, monke
     solver.backward_pass()
     monkeypatch.setattr(boxfddp, "GOLDSTEIN", goldstein)
     monkeypatch.setattr(boxfddp, "ALPHAS", (1.0,))
-    xs_try, us_try, _, data = solver.forward_pass((1.0,))[0]
-    solver.forward_pass = lambda alphas, *args: [(xs_try, us_try, solver.cost + 1.0,
-                                                  data)] * len(alphas)
+    xs_try, us_try, _, data = solver.forward_pass(1.0)
+    solver.forward_pass = lambda alpha: (xs_try, us_try, solver.cost + 1.0, data)
     solver.expected_improvement = lambda alpha, xs: expected
     assert solver._line_search() is None
 
@@ -645,7 +625,7 @@ def test_gap_contraction():
     solver.compute_derivatives()
     solver.backward_pass()
     for alpha in (1.0, 0.5, 0.25):
-        out = solver.forward_pass((alpha,))[0]
+        out = solver.forward_pass(alpha)
         assert out is not None
         xs_try, us_try, _, _ = out
         _, gaps_after = prob.calc(xs_try, us_try)
@@ -732,23 +712,22 @@ def test_jump_problem_solves():
 
 def test_a_failed_full_step_at_mu_min_is_damped_not_shortened():
     # from the zero-torque rollout the undamped full step fails; the
-    # iteration retries the full step at COLD_MU, and at MU_MIN no batch
-    # holds a step shorter than the last accepted one
+    # iteration retries the full step at COLD_MU, and at MU_MIN no rollout
+    # takes a step shorter than the last accepted one
     solver = cold_jump(BoxFddp)
     rolled = []
     forward_pass = solver.forward_pass
 
-    def recording(alphas):
-        rolled.append((tuple(alphas), solver.mu, solver._last_accepted))
-        return forward_pass(alphas)
+    def recording(alpha):
+        rolled.append((alpha, solver.mu, solver._last_accepted))
+        return forward_pass(alpha)
     solver.forward_pass = recording
     assert not solver.solve_one_iteration()
-    assert [r[:2] for r in rolled] == [((1.0,), boxfddp.MU_MIN),
-                                       ((1.0,), boxfddp.COLD_MU)]
+    assert [r[:2] for r in rolled] == [(1.0, boxfddp.MU_MIN), (1.0, boxfddp.COLD_MU)]
     for _ in range(3):
         assert not solver.solve_one_iteration()
-    for alphas, mu, last in rolled:
-        assert mu > boxfddp.MU_MIN or min(alphas) >= last
+    for alpha, mu, last in rolled:
+        assert mu > boxfddp.MU_MIN or alpha >= last
 
 
 def benchmark_jump(seed, solver_cls=BoxFddp):
@@ -1001,141 +980,71 @@ def pendulum(us0):
     return make
 
 
-def assert_same_iterates(a, b):
-    assert (a.last_alpha, a.last_trials, a.mu) == (b.last_alpha, b.last_trials, b.mu)
+def cold_jump_above_mu_min(solver_cls):
+    """The zero-torque jump from mu = 1e-8: above ``MU_MIN`` a failed step
+    length is shortened, not damped, so a search fails at many step
+    lengths in a row."""
+    solver = cold_jump(solver_cls)
+    solver.mu = 1e-8
+    return solver
+
+
+def seeded_jump(seed):
+    return lambda solver_cls: benchmark_jump(seed, solver_cls)
+
+
+def assert_same_bits(a, b):
+    assert (a.mu, a.last_alpha, a.last_trials) == (b.mu, b.last_alpha, b.last_trials)
     assert iteration_row(a) == iteration_row(b)
-    assert a.cost == b.cost
-    for x, y in zip(a.xs + a.us, b.xs + b.us):
-        assert np.array_equal(x, y)
+    assert np.float64(a.cost).tobytes() == np.float64(b.cost).tobytes()
+    assert a.gaps.tobytes() == b.gaps.tobytes()
+    for x, y in zip(a.xs + a.us, b.xs + b.us, strict=True):
+        assert x.tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("make, iterations", [
     *((pendulum(us0), 300) for us0 in pend_control_guesses()),
     (cold_jump, 4),
     (misaligned_stand, 4),
-], ids=[*("pendulum%d" % i for i in range(6)), "jump", "misaligned_stand"])
-def test_stacked_line_search_matches_the_sequential_oracle(make, iterations):
-    stacked, sequential = make(BoxFddp), make(SequentialFddp)
+    *((seeded_jump(seed), 4) for seed in (1, 2, 3)),
+    (cold_jump_above_mu_min, 12),
+], ids=[*("pendulum%d" % i for i in range(6)), "jump", "misaligned_stand",
+        *("benchmark_jump%d" % seed for seed in (1, 2, 3)), "jump_above_mu_min"])
+def test_line_search_matches_the_sequential_oracle(make, iterations):
+    # every iteration leaves the bits of the same search whose rollouts go
+    # through node.calc, one node after another
+    solver, oracle = make(BoxFddp), make(SequentialFddp)
     for _ in range(iterations):
-        done = stacked.solve_one_iteration()
-        assert sequential.solve_one_iteration() == done
-        assert_same_iterates(stacked, sequential)
+        done = solver.solve_one_iteration()
+        assert oracle.solve_one_iteration() == done
+        assert_same_bits(solver, oracle)
         if done:
             break
 
 
-def recorded_batches(solver) -> list:
+def recorded_rollouts(solver) -> list:
     """The list into which ``solver``'s forward passes record their step
-    lengths, one tuple per batch."""
-    batches = []
+    lengths, one per rollout."""
+    alphas = []
     forward_pass = solver.forward_pass
 
-    def recording(alphas):
-        batches.append(tuple(alphas))
-        return forward_pass(alphas)
+    def recording(alpha):
+        alphas.append(alpha)
+        return forward_pass(alpha)
     solver.forward_pass = recording
-    return batches
-
-
-def test_first_batch_starts_at_the_last_accepted_step():
-    # after set_candidate the full step rolls out alone; within a solve the
-    # first batch holds every step length at or above the last accepted
-    # one, then the next one follows alone and the shorter ones together.
-    # Above MU_MIN, where a failed first batch is shortened, not damped
-    solver = cold_jump(BoxFddp)
-    solver.mu = boxfddp.MU_MIN * boxfddp.MU_FACTOR
-    batches = recorded_batches(solver)
-    last = 1.0
-    third = 0
-    for _ in range(4):
-        del batches[:]
-        assert not solver.solve_one_iteration()
-        n = sum(a >= last for a in boxfddp.ALPHAS)
-        want = [boxfddp.ALPHAS[:n], boxfddp.ALPHAS[n:n + 1], boxfddp.ALPHAS[n + 1:]]
-        assert batches[:3] == want[:len(batches)]
-        third += len(batches) >= 3
-        last = solver.last_alpha
-        assert last < 1.0      # the jump accepts short steps only
-    assert third        # the shorter step lengths do roll out together
-    solver.set_candidate(solver.xs, solver.us)
-    del batches[:]
-    solver.solve_one_iteration()
-    assert batches[0] == (1.0,)
+    return alphas
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_an_accepted_lone_step_length_rolls_out_no_third_batch(seed):
-    # on the benchmark's cold jump above MU_MIN a failed first batch is
-    # followed by the next step length alone, and when that one passes the
-    # shorter ones never roll out
+def test_a_jump_iteration_rolls_out_each_step_length_it_checks_once(seed):
+    # one forward pass per trial, the accepted step length last
     solver = benchmark_jump(seed)
-    batches = recorded_batches(solver)
-    lone = 0
+    rolled = recorded_rollouts(solver)
     for _ in range(4):
-        del batches[:]
-        mu = solver.mu
+        del rolled[:]
         assert not solver.solve_one_iteration()
-        if mu > boxfddp.MU_MIN and len(batches) > 1:
-            assert len(batches[1]) == 1
-            if solver.last_alpha == batches[1][0]:
-                assert len(batches) == 2
-                lone += 1
-    assert lone
-
-
-@pytest.mark.parametrize("seed", [None, 1, 2, 3])
-def test_lone_next_step_length_matches_the_two_batch_oracle(seed):
-    # the lone next step length changes what rolls out, not what is
-    # accepted: each iteration leaves the bits of the line search that
-    # stacked every shorter step length in one batch.  On the zero-torque
-    # jump (seed None) and the benchmark's cold jump
-    solver, oracle = (cold_jump(cls) if seed is None else benchmark_jump(seed, cls)
-                      for cls in (BoxFddp, TwoBatchFddp))
-    for _ in range(4):
-        done = solver.solve_one_iteration()
-        assert oracle.solve_one_iteration() == done
-        assert (solver.mu, solver.last_alpha, solver.last_trials) == (
-            oracle.mu, oracle.last_alpha, oracle.last_trials)
-        assert np.float64(solver.cost).tobytes() == np.float64(oracle.cost).tobytes()
-        assert solver.gaps.tobytes() == oracle.gaps.tobytes()
-        for x, y in zip(solver.xs + solver.us, oracle.xs + oracle.us):
-            assert x.tobytes() == y.tobytes()
-        if done:
-            break
-
-
-@pytest.mark.parametrize("make", [cold_jump, misaligned_stand])
-def test_every_stacked_trial_matches_its_sequential_rollout(make):
-    # each row of one stacked rollout over every step length gives the bits
-    # of its own rollout.  The oracle's early stop on a feasible iterate
-    # drops only rows that fail acceptance, so it decides no step
-    solver = make(SequentialFddp)
-    solver.compute_derivatives()
-    solver.backward_pass()
-    alphas = boxfddp.ALPHAS
-    rows = BoxFddp.forward_pass(solver, alphas)
-
-    def accepted(alpha, trial):
-        if trial is None:
-            return False
-        actual = solver.cost - trial[2]
-        return (actual >= solver._min_decrease(solver.expected_improvement(alpha, trial[0]))
-                and not (solver.feasible and actual < -1e-12))
-
-    dropped = 0
-    for alpha, row in zip(alphas, rows):
-        want = solver.trial(alpha)
-        assert (row is None) == (want is None), alpha
-        if row is not None:
-            assert row[2] == want[2]
-            for x, y in zip(row[0] + row[1], want[0] + want[1]):
-                assert np.array_equal(x, y)
-        if solver.feasible:
-            threshold = solver._min_decrease(solver.expected_improvement(alpha, None))
-            early = solver.trial(alpha, threshold)
-            assert accepted(alpha, early) == accepted(alpha, row)
-            dropped += early is None and row is not None
-    assert dropped or not solver.feasible    # the early stop cuts some rows short
+        assert len(rolled) == solver.last_trials
+        assert rolled[-1] == solver.last_alpha
 
 
 # ------------------------------------------- one cost refresh, no zero-gap integrate
@@ -1197,6 +1106,25 @@ def test_an_iteration_after_set_candidate_reads_its_cost_and_gaps(make, monkeypa
                                                         + list(want.gaps))
 
 
+def test_an_mpc_iteration_rolls_out_each_step_length_it_checks_once():
+    ctrl, x = trot_mpc(steps=0)
+    solver = ctrl.solver
+    rolled = recorded_rollouts(solver)
+    iterate = solver.solve_one_iteration
+    counts = []
+
+    def counting():
+        del rolled[:]
+        done = iterate()
+        counts.append((len(rolled), solver.last_trials))
+        return done
+    solver.solve_one_iteration = counting
+    for k in range(50):
+        x = np.array(ctrl.step(x, k * 0.02).xs_ref[1])
+    assert len(counts) >= 50
+    assert all(n == trials for n, trials in counts)
+
+
 def test_an_mpc_step_evaluates_its_problem_once(monkeypatch):
     # the shifted candidate's set_candidate computes the cost and gaps, and
     # the iteration's derivative pass reads them
@@ -1249,11 +1177,11 @@ def test_the_full_step_of_an_infeasible_trot_candidate_skips_zero_gap_integrates
         integrate = prob.integrate
         monkeypatch.setattr(prob, "integrate",
                             lambda *a: integrates.append(1) or integrate(*a))
-        rollouts.append(solver.forward_pass((1.0,))[0])
+        rollouts.append(solver.forward_pass(1.0))
         assert len(integrates) == 1
         with monkeypatch.context() as m:
             m.setattr(boxfddp, "_has_negative_zero", lambda x: True)
-            rollouts.append(solver.forward_pass((1.0,))[0])
+            rollouts.append(solver.forward_pass(1.0))
         assert len(integrates) == 2 + len(prob.nodes)
         return True
 
@@ -1265,19 +1193,19 @@ def test_the_full_step_of_an_infeasible_trot_candidate_skips_zero_gap_integrates
 
 
 def test_a_stepped_state_with_a_negative_zero_takes_the_integrate(monkeypatch):
-    # integrate turns -0.0 into +0.0, so such a row is not its own x (+) 0
+    # integrate turns -0.0 into +0.0, so such a state is not its own x (+) 0
     solver = misaligned_stand(BoxFddp)
     solver.compute_derivatives()
     solver.backward_pass()
     prob = solver.problem
-    step_rows = prob.step_rows
+    step = prob.step
 
     def negative_zero(k, x, u):
-        x_next, step = step_rows(k, x, u)
+        x_next, ev = step(k, x, u)
         if k == 2:
             x_next = x_next.copy()
             x_next[5] = -0.0
-        return x_next, step
+        return x_next, ev
 
     integrated = []
     integrate = prob.integrate
@@ -1286,10 +1214,10 @@ def test_a_stepped_state_with_a_negative_zero_takes_the_integrate(monkeypatch):
         integrated.append(np.array(x))
         return integrate(x, dx)
 
-    monkeypatch.setattr(prob, "step_rows", negative_zero)
+    monkeypatch.setattr(prob, "step", negative_zero)
     monkeypatch.setattr(prob, "integrate", recording)
-    xs = solver.forward_pass((1.0,))[0][0]
-    # x0, then the one row holding -0.0
+    xs = solver.forward_pass(1.0)[0]
+    # x0, then the one state holding -0.0
     assert len(integrated) == 2 and np.signbit(integrated[1][5])
     assert _bits([xs[3]]) == _bits([integrate(integrated[1], 0.0 * solver.gaps[3])])
     assert boxfddp._has_negative_zero(np.array([1.0, -0.0]))
@@ -1302,7 +1230,7 @@ def test_a_lone_short_step_still_opens_its_gaps():
     solver = misaligned_stand(SequentialFddp)
     solver.compute_derivatives()
     solver.backward_pass()
-    got = solver.forward_pass((0.5,))[0]
+    got = solver.forward_pass(0.5)
     want = solver.trial(0.5)
     assert got[2] == want[2]
     assert _bits(got[0] + got[1]) == _bits(want[0] + want[1])

@@ -232,6 +232,15 @@ def test_tracker_requires_a_message_before_holding(quad):
 
 @pytest.mark.parametrize("controller", [trk.RiccatiController,
                                         trk.WholeBodyController])
+def test_a_reference_before_any_message_raises_config_error(quad, controller):
+    ctrl = tracker(controller, quad, co.default_bounds(
+        quad, presets.nominal_configuration(quad)))
+    with pytest.raises(ConfigError, match="no policy message received"):
+        ctrl.reference_at(0.0)
+
+
+@pytest.mark.parametrize("controller", [trk.RiccatiController,
+                                        trk.WholeBodyController])
 def test_stale_first_tick_names_the_expired_message(quad, solver_message,
                                                     controller):
     # a message was received but ran out before the first tick: there is

@@ -1,8 +1,8 @@
 """Each node is evaluated once per iterate.
 
 The solver keeps each node's data, its ``(evaluation, row)``, beside its
-states and controls: a fresh evaluation, or the accepted trial's rows of
-the line search's ``step_rows`` batch, costed by ``trial_costs``.  The
+states and controls: a fresh evaluation, or the accepted trial's, stepped
+one node at a time by ``step`` and costed by ``trial_costs``.  The
 cost, the gaps and the derivatives are read from those data.  Reading them
 must change no result against evaluating afresh, and after an accepted
 step the solver's derivative pass and the MPC message must solve no
@@ -23,6 +23,7 @@ from leggedmpc import model as mod
 from leggedmpc import mpc as rh
 from leggedmpc import boxfddp
 from leggedmpc.boxfddp import BoxFddp
+from leggedmpc.errors import RankDeficientContacts
 
 from helpers import iteration_row
 
@@ -133,17 +134,16 @@ def test_derivatives_after_accepted_step_solve_no_dynamics(monkeypatch):
 
 
 def test_a_trial_rows_data_are_a_fresh_evaluation():
-    # every step length of the cold jump rolled out as one stacked batch: the
-    # long steps diverge and drop their rows part way, and each row that
-    # reaches the end carries, for every node, the next state, cost and
-    # derivatives of that node evaluated afresh at the row, bit for bit.  A
-    # row whose contact set is singular (here: not finite) gets no row of
-    # its node's evaluation
+    # every step length of the cold jump rolled out: the long steps diverge
+    # part way, and each rollout that reaches the end carries, for every
+    # node, the next state, cost and derivatives of that node evaluated
+    # afresh at its state, bit for bit.  A step whose contact set is
+    # singular (here: not finite) raises
     solver = jump_solver()
     solver.compute_derivatives()
     solver.backward_pass()
     prob = solver.problem
-    trials = solver.forward_pass(boxfddp.ALPHAS)
+    trials = [solver.forward_pass(alpha) for alpha in boxfddp.ALPHAS]
     assert None in trials and sum(t is not None for t in trials) > 1
     for trial in filter(None, trials):
         xs, us, cost, data = trial
@@ -161,13 +161,13 @@ def test_a_trial_rows_data_are_a_fresh_evaluation():
     rng = np.random.default_rng(3)
     for kind in ("running", "impulse"):
         k = next(k for k, n in enumerate(prob.nodes) if n.kind == kind and n.contacts.frames)
-        x = solver.xs[k] + 1e-3 * rng.standard_normal((3, len(solver.xs[k])))
-        u = solver.us[k] + 1e-3 * rng.standard_normal((3, prob.nodes[k].nu))
-        x[1, 3] = np.nan
-        with np.errstate(invalid="ignore"):
-            x_next, (ev, rows) = prob.step_rows(k, x, u)
-        assert np.isnan(x_next[1]).all() and rows.tolist() == [0, -1, 1]
-        assert len(ev.x_next) == 2
+        x = solver.xs[k] + 1e-3 * rng.standard_normal(len(solver.xs[k]))
+        u = solver.us[k] + 1e-3 * rng.standard_normal(prob.nodes[k].nu)
+        x_next, ev = prob.step(k, x, u)
+        assert x_next is ev.x_next and ev.cost is None
+        x[3] = np.nan
+        with pytest.raises(RankDeficientContacts), np.errstate(invalid="ignore"):
+            prob.step(k, x, u)
 
 
 def test_message_forces_come_from_the_nodes(monkeypatch):
